@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .synthetic import RNG_NAME, SyntheticSpec, generate, write_truth
 from .trace import (
     ColumnMapping,
     MetricKind,
+    PeriodObservation,
     aggregate_span,
     parse_trace,
     read_observations,
@@ -110,17 +112,18 @@ class _Resolver:
             return KernelSpec(family=family, k=int(self.file_values["bandwidth_k"]))
         return KernelSpec(family=family, k=int(_DEFAULTS["bandwidth_k"]))  # type: ignore[arg-type]
 
-    def forecast_config(self, metric: MetricKind) -> ForecastConfig:
+    def forecast_config(self, up_tps: int | None = None) -> ForecastConfig:
+        """The forecaster settings; ``up_tps`` stands in for --up-tps (a sweep grid value)."""
         return ForecastConfig(
-            tp_minutes=int(self.get("tp_min", int)),
             pp_tps=int(self.get("pp_tps", int)),
-            up_tps=int(self.get("up_tps", int)),
+            up_tps=int(self.get("up_tps", int)) if up_tps is None else up_tps,
             cycles=int(self.get("cycles", int)),
             kernel=self.kernel_spec(),
-            metric=metric,
-            sub_bin_seconds=int(self.get("sub_bin_sec", int)),
-            scale=float(self.get("scale", float)),
         )
+
+    def stream_units(self) -> tuple[MetricKind, int]:
+        """The metric and sub-bin width the observation streams must carry."""
+        return MetricKind(str(self.get("metric", str))), int(self.get("sub_bin_sec", int))
 
 
 def _sha256(path: Path) -> str:
@@ -179,6 +182,24 @@ def _data_read(fn, *fnargs):
         return fn(*fnargs)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _read_streams(
+    train_path: str, test_path: str, metric: MetricKind, sub_bin_seconds: int
+) -> tuple[list[PeriodObservation], list[PeriodObservation]]:
+    """Read the train and test streams, rejecting any period in other units than the run's."""
+    streams = []
+    for path in (train_path, test_path):
+        observations = _data_read(read_observations, path)
+        for obs in observations:
+            if obs.metric is not metric or obs.sub_bin_seconds != sub_bin_seconds:
+                raise DataError(
+                    f"{path}: period tp_index={obs.tp_index} cycle_index={obs.cycle_index} "
+                    f"carries metric {obs.metric.value!r} with {obs.sub_bin_seconds}s sub-bins, "
+                    f"but the run is configured for {metric.value!r} with {sub_bin_seconds}s sub-bins"
+                )
+        streams.append(observations)
+    return streams[0], streams[1]
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -328,17 +349,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     res = _Resolver(args)
-    metric = MetricKind(str(res.get("metric", str)))
-    cfg = res.forecast_config(metric)
-
-    train = _data_read(read_observations, args.train)
-    test = _data_read(read_observations, args.test)
-    for obs in (train + test)[:1]:
-        if obs.metric is not cfg.metric:
-            raise DataError(
-                f"observations carry metric {obs.metric.value!r} but the run is configured "
-                f"for {cfg.metric.value!r}"
-            )
+    cfg = res.forecast_config()
+    metric, sub_bin_seconds = res.stream_units()
+    train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds)
     out = _out_dir(args)
     ds = cfg.new_store()
     records = run(train + test, cfg, ds)
@@ -350,7 +363,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _write_manifest(
         out,
         "predict",
-        _config_echo(cfg) | {"train_tps": len(train), "test_tps": len(test)},
+        _config_echo(cfg)
+        | {
+            "metric": metric.value,
+            "sub_bin_seconds": sub_bin_seconds,
+            "train_tps": len(train),
+            "test_tps": len(test),
+        },
         inputs=[Path(args.train), Path(args.test)],
         outputs=outputs,
         seed=None,
@@ -360,16 +379,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _config_echo(cfg: ForecastConfig) -> dict[str, object]:
     return {
-        "tp_minutes": cfg.tp_minutes,
         "pp_tps": cfg.pp_tps,
         "up_tps": cfg.up_tps,
         "cycles": cfg.cycles,
         "kernel": cfg.kernel.family.value,
         "bandwidth_k": cfg.kernel.k,
         "bandwidth_h": cfg.kernel.h,
-        "metric": cfg.metric.value,
-        "sub_bin_seconds": cfg.sub_bin_seconds,
-        "scale": cfg.scale,
     }
 
 
@@ -419,35 +434,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if not (args.train and args.test):
         raise ValueError("evaluate needs either --records or both --train and --test")
-    metric = MetricKind(str(res.get("metric", str)))
     kernel = res.kernel_spec()
     up_grid = (
         _int_grid(args.up_tps_grid, "--up-tps-grid")
         if args.up_tps_grid
         else [int(res.get("up_tps", int))]
     )
-    k_grid = (
-        _int_grid(args.bandwidth_grid, "--bandwidth-grid")
-        if args.bandwidth_grid
-        else [kernel.k or 20]
-    )
-    configs = []
-    for up in up_grid:
-        for k in k_grid:
-            configs.append(
-                ForecastConfig(
-                    tp_minutes=int(res.get("tp_min", int)),
-                    pp_tps=int(res.get("pp_tps", int)),
-                    up_tps=up,
-                    cycles=int(res.get("cycles", int)),
-                    kernel=KernelSpec(family=kernel.family, k=k),
-                    metric=metric,
-                    sub_bin_seconds=int(res.get("sub_bin_sec", int)),
-                    scale=float(res.get("scale", float)),
-                )
-            )
-    train = _data_read(read_observations, args.train)
-    test = _data_read(read_observations, args.test)
+    if args.bandwidth_grid:
+        if kernel.h is not None:
+            raise ValueError("--bandwidth-grid sweeps k-nearest bandwidths and cannot take a fixed radius")
+        kernels = [replace(kernel, k=k) for k in _int_grid(args.bandwidth_grid, "--bandwidth-grid")]
+    else:
+        kernels = [kernel]
+    configs = [replace(res.forecast_config(up), kernel=kern) for up in up_grid for kern in kernels]
+    metric, sub_bin_seconds = res.stream_units()
+    train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds)
     reports = sweep(configs, train, test, with_baselines=args.baselines)
     write_reports(out / "reports.csv", reports)
     write_plot_data(out / "sweep_mape.csv", reports)
@@ -457,9 +458,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         {
             "mode": "sweep",
             "up_tps_grid": up_grid,
-            "bandwidth_grid": k_grid,
+            "bandwidth_grid": [kern.k if kern.h is None else kern.h for kern in kernels],
             "kernel": kernel.family.value,
             "metric": metric.value,
+            "sub_bin_seconds": sub_bin_seconds,
             "pp_tps": configs[0].pp_tps,
             "cycles": configs[0].cycles,
             "baselines": args.baselines,

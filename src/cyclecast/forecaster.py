@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from .llr import Fallback, KernelSpec, llr_fit
 from .poisson import poisson_mle, poisson_pmf
 from .store import CyclicDataset, EmptyWindowError
-from .trace import MetricKind, PeriodObservation
+from .trace import PeriodObservation
 
 __all__ = [
     "ForecastConfig",
@@ -38,36 +38,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ForecastConfig:
-    """Time-scale and kernel settings for one forecasting run.
+    """Window and kernel settings for one forecasting run.
 
-    Defaults: 30-minute target periods, a one-week pattern period of 336 of
-    them, a 25-hour utilization window (50 periods), 4 stored cycles, and an
+    Unit-free: every length counts target periods, and the forecaster never
+    needs to know how long a period is or which metric it measures.
+    Defaults: a pattern period of 336 target periods (one week of 30-minute
+    periods), a utilization window of 50, 4 stored cycles, and an
     Epanechnikov kernel over the 20 nearest points.
     """
 
-    tp_minutes: int = 30
     pp_tps: int = 336
     up_tps: int = 50
     cycles: int = 4
     kernel: KernelSpec = field(default_factory=lambda: KernelSpec(k=20))
-    metric: MetricKind = MetricKind.ARRIVALS
-    sub_bin_seconds: int = 60
-    scale: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.tp_minutes < 1 or self.pp_tps < 1 or self.cycles < 1:
-            raise ValueError("tp_minutes, pp_tps and cycles must be positive")
+        if self.pp_tps < 1 or self.cycles < 1:
+            raise ValueError("pp_tps and cycles must be positive")
         if not 1 <= self.up_tps <= self.pp_tps:
             raise ValueError(
                 f"utilization window of {self.up_tps} periods must lie in [1, pp_tps={self.pp_tps}]"
             )
-        if self.sub_bin_seconds < 1 or (self.tp_minutes * 60) % self.sub_bin_seconds != 0:
-            raise ValueError(
-                f"target period of {self.tp_minutes}min is not a whole number of "
-                f"{self.sub_bin_seconds}s sub-bins"
-            )
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
 
     def new_store(self) -> CyclicDataset:
         return CyclicDataset(self.pp_tps, self.cycles)

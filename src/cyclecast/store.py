@@ -56,13 +56,16 @@ class UtilizationWindow:
 
 
 class CyclicDataset:
-    """m x l rate matrix with cyclic write cursor.
+    """m x l rate matrix whose write cursor is a function of the step counter.
 
-    Cursors are 1-based: ``p`` is the target-period position the next write
-    lands on, ``w`` the cycle row, ``t`` the step counter (starts at 1, so
-    ``t - 1`` writes have happened). Empty cells are NaN internally; stored
-    rates are finite and nonnegative, so NaN is unambiguous.
+    ``t`` is the step counter (starts at 1, so ``t - 1`` writes have
+    happened). The 1-based cursors follow from it: ``p`` is the target-period
+    position the next write lands on, ``w`` the cycle row. Empty cells are NaN
+    internally; stored rates are finite and nonnegative, so NaN is
+    unambiguous.
     """
+
+    __slots__ = ("m", "l", "cells", "t")
 
     def __init__(self, m: int, l: int) -> None:
         if m < 1 or l < 1:
@@ -70,44 +73,49 @@ class CyclicDataset:
         self.m = m
         self.l = l
         self.cells = np.full((m, l), np.nan)
-        self.p = 1
-        self.w = 1
         self.t = 1
 
     @property
+    def p(self) -> int:
+        """Position of the next write: (t - 1) mod m + 1."""
+        return (self.t - 1) % self.m + 1
+
+    @property
+    def w(self) -> int:
+        """Cycle row of the next write: floor((t - 1) / m) mod l + 1.
+
+        The row advances only when the position wraps past m, so one row
+        fills with exactly one pattern period of data.
+        """
+        return (self.t - 1) // self.m % self.l + 1
+
+    @property
     def populated(self) -> int:
-        """Number of cells holding a rate: min(t - 1, m * l) once warmed up."""
-        return int(np.count_nonzero(~np.isnan(self.cells)))
+        """Number of cells holding a rate: min(t - 1, m * l)."""
+        return min(self.t - 1, self.m * self.l)
 
     def get(self, position: int, cycle: int) -> float | None:
         """Rate stored at (position, cycle), or None if that cell is empty."""
+        if not (1 <= position <= self.m and 1 <= cycle <= self.l):
+            raise ValueError(
+                f"cell ({position}, {cycle}) lies outside [1, {self.m}] x [1, {self.l}]"
+            )
         v = self.cells[position - 1, cycle - 1]
         return None if np.isnan(v) else float(v)
 
     def update(self, rate: float) -> None:
-        """Write ``rate`` at the cursor, then advance position-major.
-
-        The cycle row advances only when the position wraps past m, so one
-        row fills with exactly one pattern period of data.
-        """
+        """Write ``rate`` at the cursor (p, w), then advance the step counter."""
         if not np.isfinite(rate) or rate < 0:
             raise ValueError(f"stored rate must be finite and nonnegative, got {rate}")
         self.cells[self.p - 1, self.w - 1] = rate
         self.t += 1
-        if self.p < self.m:
-            self.p += 1
-        else:
-            self.p = 1
-            if self.w < self.l:
-                self.w += 1
-            else:
-                self.w = 1
 
     def window_positions(self, n: int) -> list[int]:
         """The n positions {p-n+1..p} taken modulo m, oldest first."""
         if not 1 <= n <= self.m:
             raise ValueError(f"window size must lie in [1, m={self.m}], got {n}")
-        return [(self.p - n + i - 1) % self.m + 1 for i in range(1, n + 1)]
+        p = self.p
+        return [(p - n + i - 1) % self.m + 1 for i in range(1, n + 1)]
 
     def extract_window(self, n: int) -> UtilizationWindow:
         """Collect all populated (offset, rate) entries of the trailing window.
@@ -130,9 +138,8 @@ class CyclicDataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclicDataset):
             return NotImplemented
-        return (
-            (self.m, self.l, self.p, self.w, self.t) == (other.m, other.l, other.p, other.w, other.t)
-            and np.array_equal(self.cells, other.cells, equal_nan=True)
+        return (self.m, self.l, self.t) == (other.m, other.l, other.t) and np.array_equal(
+            self.cells, other.cells, equal_nan=True
         )
 
 
@@ -162,7 +169,12 @@ def snapshot(ds: CyclicDataset) -> str:
 
 
 def restore(image: str) -> CyclicDataset:
-    """Rebuild a store from ``snapshot`` output, verifying the checksum."""
+    """Rebuild a store from ``snapshot`` output, verifying the checksum.
+
+    Accepts only states that ``update`` can reach: t >= 1, cursors equal to
+    the ones t implies, exactly the first min(t - 1, m * l) cells in write
+    order populated, and every stored rate finite and nonnegative.
+    """
     lines = image.splitlines()
     if len(lines) < 3 or not lines[-1].startswith("sha256="):
         raise SnapshotError("snapshot image is truncated or missing its checksum")
@@ -178,21 +190,40 @@ def restore(image: str) -> CyclicDataset:
         p, w, t = int(fields["p"]), int(fields["w"]), int(fields["t"])
     except (ValueError, KeyError) as exc:
         raise SnapshotError(f"malformed snapshot dimension line: {lines[1]!r}") from exc
+    if m < 1 or l < 1 or t < 1:
+        raise SnapshotError(f"dimensions and step counter must be positive: {lines[1]!r}")
     cell_lines = lines[2:-1]
     if len(cell_lines) != m * l:
         raise SnapshotError(f"expected {m * l} cell lines, found {len(cell_lines)}")
     ds = CyclicDataset(m, l)
-    ds.p, ds.w, ds.t = p, w, t
+    ds.t = t
+    if (p, w) != (ds.p, ds.w):
+        raise SnapshotError(f"cursors p={p} w={w} disagree with t={t} (expected p={ds.p} w={ds.w})")
     idx = 0
     for position in range(1, m + 1):
         for cycle in range(1, l + 1):
-            flag, _, value = cell_lines[idx].partition(" ")
-            if flag == "1":
-                try:
-                    ds.cells[position - 1, cycle - 1] = float(value)
-                except ValueError as exc:
-                    raise SnapshotError(f"malformed cell line: {cell_lines[idx]!r}") from exc
-            elif flag != "0":
-                raise SnapshotError(f"malformed cell line: {cell_lines[idx]!r}")
+            line = cell_lines[idx]
             idx += 1
+            flag, _, value = line.partition(" ")
+            if flag == "0" and value == "-":
+                rate = None
+            elif flag == "1":
+                try:
+                    rate = float(value)
+                except ValueError as exc:
+                    raise SnapshotError(f"malformed cell line: {line!r}") from exc
+                if not (np.isfinite(rate) and rate >= 0):
+                    raise SnapshotError(
+                        f"cell ({position}, {cycle}) holds {rate!r}; stored rates are finite and nonnegative"
+                    )
+            else:
+                raise SnapshotError(f"malformed cell line: {line!r}")
+            written = (cycle - 1) * m + position <= ds.populated
+            if (rate is not None) != written:
+                raise SnapshotError(
+                    f"cell ({position}, {cycle}) is {'empty' if rate is None else 'populated'}, "
+                    f"but at t={t} exactly the first {ds.populated} cells in write order are populated"
+                )
+            if rate is not None:
+                ds.cells[position - 1, cycle - 1] = rate
     return ds

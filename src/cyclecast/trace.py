@@ -78,6 +78,8 @@ class PeriodObservation:
             raise ValueError(
                 f"indices are 1-based, got tp_index={self.tp_index}, cycle_index={self.cycle_index}"
             )
+        if min(self.samples) < 0:
+            raise ValueError(f"samples are counts and cannot be negative, got {min(self.samples)}")
 
 
 @dataclass(frozen=True)
@@ -349,17 +351,20 @@ def read_observations(path: str | Path) -> list[PeriodObservation]:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            observations.append(
-                PeriodObservation(
-                    tp_index=int(parts[0]),
-                    cycle_index=int(parts[1]),
-                    metric=MetricKind(parts[2]),
-                    samples=[int(s) for s in parts[5].split()],
-                    sub_bin_seconds=int(parts[3]),
+            try:
+                if len(parts) != 6:
+                    raise ValueError(f"expected 6 fields, got {len(parts)}")
+                observations.append(
+                    PeriodObservation(
+                        tp_index=int(parts[0]),
+                        cycle_index=int(parts[1]),
+                        metric=MetricKind(parts[2]),
+                        samples=[int(s) for s in parts[5].split()],
+                        sub_bin_seconds=int(parts[3]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return observations
 
 

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written from the defining formulas in
-arbitrary precision (mpmath), sharing no code with the package internals it
-verifies.
+Everything here is deliberately written from the defining formulas, in
+arbitrary precision (mpmath) where arithmetic is involved, sharing no code
+with the package internals it verifies.
 """
 
 from __future__ import annotations
@@ -12,6 +12,26 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+
+
+def cyclic_store_walk(m: int, l: int, rates: Sequence[float]):
+    """Replay the store's write order with explicit cursors.
+
+    Starts at p = w = t = 1; each write lands on (p, w), then p advances and
+    wraps past m, moving w on by one (wrapping past l). Returns the final
+    (p, w, t) and a dict of the cells that hold a rate.
+    """
+    p, w, t = 1, 1, 1
+    cells: dict[tuple[int, int], float] = {}
+    for rate in rates:
+        cells[(p, w)] = rate
+        t += 1
+        if p < m:
+            p += 1
+        else:
+            p = 1
+            w = w + 1 if w < l else 1
+    return p, w, t, cells
 
 
 def exact_mean(samples: Sequence[int]) -> float:

@@ -7,6 +7,20 @@ from cyclecast.store import restore
 from cyclecast.trace import read_observations
 
 
+OBS_HEADER = "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
+
+
+def _obs_file(path, periods, pp_tps, metric="arrivals"):
+    """An observations file of ``periods`` consecutive 60 s-sub-bin periods with varying counts."""
+    rows = "".join(
+        f"{i % pp_tps + 1},{i // pp_tps + 1},{metric},60,100.0,"
+        f"{3 + i % 5} {4 + i % 3} 5\n"
+        for i in range(periods)
+    )
+    path.write_text(OBS_HEADER + rows)
+    return str(path)
+
+
 def _run_pipeline(out_dir, seed=3):
     out = str(out_dir)
     steps = [
@@ -74,6 +88,10 @@ class TestPipeline:
         }
         assert all(len(i["sha256"]) == 64 for i in manifest["inputs"])
         assert manifest["outputs"] == ["records.csv", "store.snapshot"]
+        # Only settings the run uses or checks against the data are echoed.
+        assert manifest["config"]["metric"] == "arrivals"
+        assert manifest["config"]["sub_bin_seconds"] == 60
+        assert "tp_minutes" not in manifest["config"] and "scale" not in manifest["config"]
 
     def test_sweep_mode(self, tmp_path):
         _run_pipeline(tmp_path)
@@ -89,6 +107,30 @@ class TestPipeline:
         plot = (tmp_path / "sweep_mape.csv").read_text().splitlines()
         assert plot[0] == "up_tps,bandwidth,mape"
         assert len(plot) == 5
+
+    def test_sweep_keeps_a_fixed_radius(self, tmp_path):
+        train = _obs_file(tmp_path / "train.csv", 48, 24)
+        test = _obs_file(tmp_path / "test.csv", 24, 24)
+        code = main([
+            "evaluate", "--train", train, "--test", test, "--pp-tps", "24", "--cycles", "2",
+            "--up-tps", "8", "--bandwidth-h", "2.5", "--kernel", "gaussian",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        rows = read_report_rows(tmp_path / "reports.csv")
+        assert [r["config_id"] for r in rows] == ["up8-gaussian-h=2.5"]
+        manifest = json.loads((tmp_path / "evaluate.manifest.json").read_text())
+        assert manifest["config"]["bandwidth_grid"] == [2.5]
+
+    def test_bandwidth_grid_with_fixed_radius_is_usage_error(self, tmp_path):
+        train = _obs_file(tmp_path / "train.csv", 48, 24)
+        test = _obs_file(tmp_path / "test.csv", 24, 24)
+        code = main([
+            "evaluate", "--train", train, "--test", test, "--pp-tps", "24", "--cycles", "2",
+            "--up-tps", "8", "--bandwidth-h", "2.5", "--bandwidth-grid", "4,6",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_USAGE
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -138,6 +180,17 @@ class TestFit:
         assert lines[1] == "1,1,1,arrivals,3.0,0"
         assert lines[2] == "2,2,1,arrivals,0.0,1"
 
+    def test_negative_count_is_data_error(self, tmp_path, capsys):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(
+            "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
+            "1,1,arrivals,60,100.0,2 3 4\n"
+            "2,1,arrivals,60,100.0,5 -8 1\n"
+        )
+        code = main(["fit", "--observations", str(obs_file), "--out-dir", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert f"{obs_file}:3:" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_trace_is_data_error(self, tmp_path):
@@ -178,17 +231,26 @@ class TestExitCodes:
         ])
         assert code == EXIT_USAGE
 
-    def test_metric_mismatch_is_data_error(self, tmp_path):
-        obs = tmp_path / "obs.csv"
-        obs.write_text(
-            "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
-            "1,1,cpu,60,100.0,1 2\n"
-        )
-        code = main([
-            "predict", "--train", str(obs), "--test", str(obs), "--out-dir", str(tmp_path),
-            "--pp-tps", "4", "--up-tps", "2",
-        ])
-        assert code == EXIT_DATA
+    def test_metric_mismatch_is_data_error(self, tmp_path, capsys):
+        cpu = _obs_file(tmp_path / "cpu.csv", 4, 4, metric="cpu")
+        arrivals = _obs_file(tmp_path / "arrivals.csv", 4, 4)
+        window = ["--pp-tps", "4", "--up-tps", "2", "--out-dir", str(tmp_path)]
+        for train, test in [(cpu, cpu), (arrivals, cpu)]:
+            for command in ("predict", "evaluate"):
+                code = main([command, "--train", train, "--test", test, *window])
+                assert code == EXIT_DATA, (command, train, test)
+                err = capsys.readouterr().err
+                assert f"{cpu}: period tp_index=1 cycle_index=1 carries metric 'cpu'" in err
+                assert "Traceback" not in err
+
+    def test_sub_bin_mismatch_is_data_error(self, tmp_path, capsys):
+        obs = _obs_file(tmp_path / "obs.csv", 8, 4)
+        window = ["--pp-tps", "4", "--up-tps", "2", "--out-dir", str(tmp_path)]
+        for sub_bin in ("30", "7"):
+            for command in ("predict", "evaluate"):
+                code = main([command, "--train", obs, "--test", obs, "--sub-bin-sec", sub_bin, *window])
+                assert code == EXIT_DATA, (command, sub_bin)
+                assert "with 60s sub-bins" in capsys.readouterr().err
 
 
 class TestConfigFile:

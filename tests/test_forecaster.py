@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,14 +34,13 @@ class TestConfig:
     def test_defaults(self):
         cfg = ForecastConfig()
         assert cfg.pp_tps == 336 and cfg.up_tps == 50 and cfg.kernel.k == 20
+        assert [f.name for f in dataclasses.fields(ForecastConfig)] == [
+            "pp_tps", "up_tps", "cycles", "kernel",
+        ]
 
     def test_window_must_fit_pattern(self):
         with pytest.raises(ValueError):
             ForecastConfig(pp_tps=48, up_tps=49)
-
-    def test_sub_bin_must_divide(self):
-        with pytest.raises(ValueError):
-            ForecastConfig(sub_bin_seconds=7)
 
 
 class TestPredictStep:

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from cyclecast.store import (
     EmptyWindowError,
@@ -9,20 +12,31 @@ from cyclecast.store import (
     snapshot,
 )
 
+import oracles
 
-def reference_walk(m: int, l: int, n_updates: int):
-    """Independent replay of the cursor walk; returns (p, w, t, cells dict)."""
-    p, w, t = 1, 1, 1
-    cells = {}
-    for value in range(n_updates):
-        cells[(p, w)] = value
-        t += 1
-        if p < m:
-            p += 1
-        else:
-            p = 1
-            w = w + 1 if w < l else 1
-    return p, w, t, cells
+RATES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def reachable_stores(draw):
+    """A store driven by update() from empty; returns (store, rates written)."""
+    m = draw(st.integers(1, 8))
+    l = draw(st.integers(1, 4))
+    rates = draw(st.lists(RATES, max_size=3 * m * l + 2))
+    ds = new_dataset(m, l)
+    for rate in rates:
+        ds.update(rate)
+    return ds, rates
+
+
+def _signed(lines: list[str]) -> str:
+    """A snapshot image with a valid checksum over ``lines``."""
+    body = "\n".join(lines) + "\n"
+    return body + f"sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def _dims(m, l, p, w, t):
+    return f"m={m} l={l} p={p} w={w} t={t}"
 
 
 class TestConstruction:
@@ -78,6 +92,30 @@ class TestUpdate:
         with pytest.raises(ValueError):
             ds.update(float("nan"))
 
+    @given(reachable_stores())
+    def test_derived_cursors_match_explicit_walk(self, case):
+        ds, rates = case
+        p, w, t, cells = oracles.cyclic_store_walk(ds.m, ds.l, rates)
+        assert (ds.p, ds.w, ds.t) == (p, w, t)
+        assert ds.populated == len(cells)
+        for position in range(1, ds.m + 1):
+            for cycle in range(1, ds.l + 1):
+                assert ds.get(position, cycle) == cells.get((position, cycle))
+
+    def test_state_is_the_step_counter_and_cells(self):
+        ds = new_dataset(3, 2)
+        for name in ("p", "w", "populated", "cursor"):
+            with pytest.raises(AttributeError):
+                setattr(ds, name, 1)
+
+    def test_get_rejects_cells_outside_the_matrix(self):
+        ds = new_dataset(3, 2)
+        for v in range(6):
+            ds.update(float(v))
+        for position, cycle in [(0, 1), (-1, 0), (4, 1), (1, 0), (1, 3), (-1, 1)]:
+            with pytest.raises(ValueError):
+                ds.get(position, cycle)
+
     def test_cursor_law_random_replay(self):
         rng = np.random.default_rng(5)
         for m, l in [(1, 1), (5, 3), (12, 4)]:
@@ -85,7 +123,7 @@ class TestUpdate:
             n_updates = int(rng.integers(1, 6 * m * l))
             for v in range(n_updates):
                 ds.update(float(v))
-            p, w, t, cells = reference_walk(m, l, n_updates)
+            p, w, t, cells = oracles.cyclic_store_walk(m, l, [float(v) for v in range(n_updates)])
             assert (ds.p, ds.w, ds.t) == (p, w, t)
             assert ds.populated == min(n_updates, m * l)
             for (pp, ww), value in cells.items():
@@ -201,3 +239,62 @@ class TestSnapshot:
         digest = hashlib.sha256(body.encode()).hexdigest()
         with pytest.raises(SnapshotError):
             restore(body + f"sha256={digest}\n")
+
+    def test_image_format_is_stable(self):
+        ds = new_dataset(2, 2)
+        for v in (1.5, 0.1, 3.0):
+            ds.update(v)
+        assert snapshot(ds) == (
+            "CYCLECAST-STORE v1\nm=2 l=2 p=2 w=2 t=4\n1 1.5\n1 3.0\n1 0.1\n0 -\n"
+            "sha256=3995f5f040ad598767ff1674a2ddf3a0a25666c42f7834eb4f3a3e1e19171bcf\n"
+        )
+
+    @given(reachable_stores())
+    def test_round_trip_reachable_states(self, case):
+        ds, _ = case
+        image = snapshot(ds)
+        assert restore(image) == ds
+        assert snapshot(restore(image)) == image
+
+    @pytest.mark.parametrize(
+        "dims, cells",
+        [
+            (_dims(1, 1, 9, -3, 0), ["0 -"]),
+            (_dims(1, 1, 1, 1, 2), ["1 nan"]),
+            (_dims(1, 1, 1, 1, 2), ["1 -5.0"]),
+            (_dims(1, 1, 1, 1, 2), ["1 inf"]),
+            (_dims(2, 1, 1, 1, 1), ["1 1.0", "1 2.0"]),
+            (_dims(2, 2, 1, 1, 0), ["0 -"] * 4),
+            (_dims(0, 2, 1, 1, 1), []),
+        ],
+    )
+    def test_unreachable_states_rejected(self, dims, cells):
+        with pytest.raises(SnapshotError):
+            restore(_signed(["CYCLECAST-STORE v1", dims, *cells]))
+
+    @given(
+        reachable_stores(),
+        st.sampled_from(["t", "p", "w", "flag", "nan", "inf", "negative"]),
+        st.data(),
+    )
+    def test_single_field_corruptions_rejected(self, case, field, data):
+        ds, _ = case
+        lines = snapshot(ds).splitlines()[:-1]
+        m, l, p, w, t = ds.m, ds.l, ds.p, ds.w, ds.t
+        written = [i for i in range(m * l) if lines[2 + i] != "0 -"]
+        if field == "t":
+            t = data.draw(st.integers(max_value=0))
+        elif field == "p":
+            p = data.draw(st.integers(-2, m + 2).filter(lambda v: v != ds.p))
+        elif field == "w":
+            w = data.draw(st.integers(-2, l + 2).filter(lambda v: v != ds.w))
+        elif field == "flag":
+            i = data.draw(st.integers(0, m * l - 1))
+            lines[2 + i] = "1 1.0" if lines[2 + i] == "0 -" else "0 -"
+        else:
+            assume(written)
+            bad = {"nan": "nan", "inf": "inf", "negative": "-5.0"}[field]
+            lines[2 + data.draw(st.sampled_from(written))] = f"1 {bad}"
+        lines[1] = _dims(m, l, p, w, t)
+        with pytest.raises(SnapshotError):
+            restore(_signed(lines))

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,16 @@ class TestObservationFiles:
         with pytest.raises(ValueError):
             read_observations(path)
 
+    def test_row_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
+            "1,1,arrivals,60,100.0,1 2\n"
+            "2,1,arrivals,60,100.0,\n"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+            read_observations(path)
+
     def test_trace_round_trip(self, tmp_path):
         events = [TraceEvent(5, "j1", "t1", 0.5, 0.25), TraceEvent(9, "j2", "t2", 1.5, 0.125)]
         path = tmp_path / "trace.csv"
@@ -210,6 +221,10 @@ class TestObservationType:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             PeriodObservation(1, 1, MetricKind.ARRIVALS, [], 60)
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError):
+            PeriodObservation(1, 1, MetricKind.ARRIVALS, [3, -8, 1], 60)
 
     def test_bad_indices_rejected(self):
         with pytest.raises(ValueError):
