@@ -41,10 +41,9 @@ from .store import CyclicDataset, EmptyWindowError, SnapshotError, new_dataset, 
 from .synthetic import SyntheticSpec, generate, true_rate
 from .trace import (
     ColumnMapping,
+    Events,
     MetricKind,
     PeriodObservation,
-    TraceEvent,
-    aggregate_period,
     aggregate_span,
     build_histogram,
     parse_trace,
@@ -87,10 +86,9 @@ __all__ = [
     "generate",
     "true_rate",
     "ColumnMapping",
+    "Events",
     "MetricKind",
     "PeriodObservation",
-    "TraceEvent",
-    "aggregate_period",
     "aggregate_span",
     "build_histogram",
     "parse_trace",

@@ -168,9 +168,7 @@ def _metric_list(value: str) -> list[MetricKind]:
     return [MetricKind(value)]
 
 
-def _column(value: str | None) -> int | str | None:
-    if value is None:
-        return None
+def _column(value: str) -> int | str:
     try:
         return int(value)
     except ValueError:
@@ -185,19 +183,30 @@ def _data_read(fn, *fnargs):
 
 
 def _read_streams(
-    train_path: str, test_path: str, metric: MetricKind, sub_bin_seconds: int
+    train_path: str, test_path: str, metric: MetricKind, sub_bin_seconds: int, pp_tps: int
 ) -> tuple[list[PeriodObservation], list[PeriodObservation]]:
-    """Read the train and test streams, rejecting any period in other units than the run's."""
+    """Read the train and test streams as one run's input.
+
+    Rejects any period in other units than the run's, and any period out of
+    place: the forecaster consumes pattern positions 1..pp_tps in turn.
+    """
     streams = []
+    step = 0
     for path in (train_path, test_path):
         observations = _data_read(read_observations, path)
         for obs in observations:
+            period = f"{path}: period tp_index={obs.tp_index} cycle_index={obs.cycle_index}"
             if obs.metric is not metric or obs.sub_bin_seconds != sub_bin_seconds:
                 raise DataError(
-                    f"{path}: period tp_index={obs.tp_index} cycle_index={obs.cycle_index} "
-                    f"carries metric {obs.metric.value!r} with {obs.sub_bin_seconds}s sub-bins, "
+                    f"{period} carries metric {obs.metric.value!r} with {obs.sub_bin_seconds}s sub-bins, "
                     f"but the run is configured for {metric.value!r} with {sub_bin_seconds}s sub-bins"
                 )
+            if obs.tp_index != step % pp_tps + 1:
+                raise DataError(
+                    f"{period} is out of order: the stream is at position {step % pp_tps + 1} "
+                    f"of a {pp_tps}-period pattern"
+                )
+            step += 1
         streams.append(observations)
     return streams[0], streams[1]
 
@@ -218,7 +227,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     events, truths = generate(spec)
-    write_trace(out / "trace.csv", events)
+    write_trace(out / "trace.csv", events, spec.tp_minutes)
     write_truth(out / "truth.csv", truths)
     _write_manifest(
         out,
@@ -249,11 +258,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     sub_bin_sec = int(res.get("sub_bin_sec", int))
     scale = float(res.get("scale", float))
     mapping = ColumnMapping(
-        timestamp=_column(args.col_ts) if args.col_ts is not None else 0,
-        job=_column(args.col_job),
-        task=_column(args.col_task),
-        cpu=_column(args.col_cpu) if args.col_cpu is not None else 3,
-        mem=_column(args.col_mem) if args.col_mem is not None else 4,
+        timestamp=args.col_ts,
+        cpu=args.col_cpu,
+        mem=args.col_mem,
         delimiter=args.delimiter,
         has_header=args.header,
     )
@@ -304,8 +311,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             "has_header": mapping.has_header,
             "columns": {
                 "timestamp": mapping.timestamp,
-                "job": mapping.job,
-                "task": mapping.task,
                 "cpu": mapping.cpu,
                 "mem": mapping.mem,
             },
@@ -323,7 +328,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     by_metric: dict[MetricKind, list] = {}
     for path in args.observations:
         for obs in _data_read(read_observations, path):
-            by_metric.setdefault(obs.metric, []).append(obs)
+            same = by_metric.setdefault(obs.metric, [])
+            if same and obs.sub_bin_seconds != same[0].sub_bin_seconds:
+                raise DataError(
+                    f"{path}: period tp_index={obs.tp_index} cycle_index={obs.cycle_index} "
+                    f"carries {obs.sub_bin_seconds}s sub-bins, but the {obs.metric.value} periods "
+                    f"before it carry {same[0].sub_bin_seconds}s sub-bins; one rate file cannot mix units"
+                )
+            same.append(obs)
     outputs = []
     for metric, observations in by_metric.items():
         name = f"lambdas_{metric.value}.csv"
@@ -351,7 +363,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     cfg = res.forecast_config()
     metric, sub_bin_seconds = res.stream_units()
-    train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds)
+    train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds, cfg.pp_tps)
     out = _out_dir(args)
     ds = cfg.new_store()
     records = run(train + test, cfg, ds)
@@ -448,7 +460,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         kernels = [kernel]
     configs = [replace(res.forecast_config(up), kernel=kern) for up in up_grid for kern in kernels]
     metric, sub_bin_seconds = res.stream_units()
-    train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds)
+    train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds, configs[0].pp_tps)
     reports = sweep(configs, train, test, with_baselines=args.baselines)
     write_reports(out / "reports.csv", reports)
     write_plot_data(out / "sweep_mape.csv", reports)
@@ -513,11 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse a trace and aggregate per-period observations")
     p.add_argument("--trace", required=True, help="delimited trace file")
-    p.add_argument("--col-ts", help="timestamp column (index or header name)")
-    p.add_argument("--col-job", help="job id column (index or header name)")
-    p.add_argument("--col-task", help="task id column (index or header name)")
-    p.add_argument("--col-cpu", help="cpu request column (index or header name)")
-    p.add_argument("--col-mem", help="memory request column (index or header name)")
+    p.add_argument("--col-ts", type=_column, default=0, help="timestamp column (index or header name)")
+    p.add_argument("--col-cpu", type=_column, default=3, help="cpu request column (index or header name)")
+    p.add_argument("--col-mem", type=_column, default=4, help="memory request column (index or header name)")
     p.add_argument("--delimiter", default=",", help="field delimiter (default comma)")
     p.add_argument("--header", action="store_true", help="first row is a header")
     p.add_argument("--start-sec", type=int, default=0, help="aggregation start offset in seconds")

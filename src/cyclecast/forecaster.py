@@ -14,6 +14,7 @@ with a Poisson PMF keyed to the window size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -174,7 +175,19 @@ def write_records(path: str | Path, records: Sequence[PredictionRecord]) -> None
             fh.write(f"{r.t},{r.tp_index},{predicted},{r.actual!r},{r.fallback.value}\n")
 
 
+def _rate(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v) or v < 0:
+        raise ValueError(f"rate must be finite and nonnegative, got {text!r}")
+    return v
+
+
 def read_records(path: str | Path) -> list[PredictionRecord]:
+    """Read records produced by ``write_records``.
+
+    Rates must be finite and nonnegative, as ``run`` writes them; every row
+    error names the file and line.
+    """
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline()
@@ -185,15 +198,18 @@ def read_records(path: str | Path) -> list[PredictionRecord]:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            records.append(
-                PredictionRecord(
-                    t=int(parts[0]),
-                    tp_index=int(parts[1]),
-                    predicted=None if parts[2] == "NA" else float(parts[2]),
-                    actual=float(parts[3]),
-                    fallback=Fallback(parts[4]),
+            try:
+                if len(parts) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(parts)}")
+                records.append(
+                    PredictionRecord(
+                        t=int(parts[0]),
+                        tp_index=int(parts[1]),
+                        predicted=None if parts[2] == "NA" else _rate(parts[2]),
+                        actual=_rate(parts[3]),
+                        fallback=Fallback(parts[4]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return records

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import US_PER_SECOND, TraceEvent
+from .trace import US_PER_SECOND, Events
 
 __all__ = ["SyntheticSpec", "generate", "true_rate", "write_truth", "read_truth", "RNG_NAME"]
 
@@ -79,7 +79,7 @@ def true_rate(spec: SyntheticSpec, tp: int) -> float:
     )
 
 
-def generate(spec: SyntheticSpec) -> tuple[list[TraceEvent], list[float]]:
+def generate(spec: SyntheticSpec) -> tuple[Events, list[float]]:
     """Draw a trace and return (events, true rate per target period).
 
     Per period, one lognormal noise factor scales the intensity, then each
@@ -92,25 +92,24 @@ def generate(spec: SyntheticSpec) -> tuple[list[TraceEvent], list[float]]:
     sub_bin_us = spec.sub_bin_seconds * US_PER_SECOND
     truths = [true_rate(spec, tp) for tp in range(spec.tps)]
 
-    events: list[TraceEvent] = []
+    counts = np.empty((spec.tps, sub_bins), dtype=np.int64)
     for tp, rate in enumerate(truths):
         if spec.noise_sigma > 0:
             # Mean-one lognormal: exp(sigma*Z - sigma^2/2).
             noise = math.exp(spec.noise_sigma * rng.standard_normal() - spec.noise_sigma**2 / 2.0)
         else:
             noise = 1.0
-        counts = rng.poisson(rate * noise, size=sub_bins)
-        job = f"j{tp + 1}"
-        tp_start = tp * sub_bins * sub_bin_us
-        for b, count in enumerate(counts):
-            if count == 0:
-                continue
-            bin_start = tp_start + b * sub_bin_us
-            step = sub_bin_us / count
-            for i in range(count):
-                ts = bin_start + int((i + 0.5) * step)
-                events.append(TraceEvent(ts, job, job, spec.cpu_per_event, spec.mem_per_event))
-    return events, truths
+        counts[tp] = rng.poisson(rate * noise, size=sub_bins)
+
+    # Event i of a sub-bin holding `count` events sits at
+    # bin_start + int((i + 0.5) * (sub_bin_us / count)).
+    counts = counts.ravel()
+    bins = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    i = np.arange(len(bins), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    step = sub_bin_us / counts[bins]
+    timestamps = bins * sub_bin_us + ((i + 0.5) * step).astype(np.int64)
+    n = len(bins)
+    return Events(timestamps, np.full(n, spec.cpu_per_event), np.full(n, spec.mem_per_event)), truths
 
 
 def write_truth(path: str | Path, truths: Sequence[float]) -> None:

@@ -16,21 +16,20 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "MetricKind",
-    "TraceEvent",
+    "Events",
     "PeriodObservation",
     "ColumnMapping",
     "ParseResult",
     "parse_trace",
-    "aggregate_period",
     "aggregate_span",
     "build_histogram",
     "write_observations",
@@ -47,14 +46,28 @@ class MetricKind(enum.Enum):
     MEMORY = "memory"
 
 
-class TraceEvent(NamedTuple):
-    """One task record: arrival time plus resource requests."""
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Task records as three equal-length columns; ``len`` is the event count.
 
-    timestamp: int
-    job_id: str = ""
-    task_id: str = ""
-    cpu_request: float = 0.0
-    mem_request: float = 0.0
+    ``timestamp`` holds arrival times in integer microseconds (int64),
+    ``cpu`` and ``mem`` the tasks' resource requests (float64). Inputs are
+    converted to those dtypes on construction.
+    """
+
+    timestamp: np.ndarray
+    cpu: np.ndarray
+    mem: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "timestamp", np.asarray(self.timestamp, dtype=np.int64))
+        object.__setattr__(self, "cpu", np.asarray(self.cpu, dtype=np.float64))
+        object.__setattr__(self, "mem", np.asarray(self.mem, dtype=np.float64))
+        if not len(self.timestamp) == len(self.cpu) == len(self.mem):
+            raise ValueError("event columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
 
 
 @dataclass(frozen=True)
@@ -87,13 +100,11 @@ class ColumnMapping:
     """Where the trace columns live; indices 0-based, or header names.
 
     The defaults match the packaged trace layout
-    (timestamp, job_id, task_id, cpu_request, mem_request). ``cpu``/``mem``
-    may be None for arrival-only traces.
+    (timestamp, job_id, task_id, cpu_request, mem_request); the id columns
+    are not read. ``cpu``/``mem`` may be None for arrival-only traces.
     """
 
     timestamp: int | str = 0
-    job: int | str | None = 1
-    task: int | str | None = 2
     cpu: int | str | None = 3
     mem: int | str | None = 4
     delimiter: str = ","
@@ -102,7 +113,7 @@ class ColumnMapping:
 
 @dataclass
 class ParseResult:
-    events: list[TraceEvent]
+    events: Events
     rejected: int
 
 
@@ -130,9 +141,10 @@ def parse_trace(
     """Parse a delimited trace into timestamp-ordered events.
 
     ``source`` may be a path, an open text stream, or an iterable of lines.
-    Malformed rows (short rows, unparseable or negative fields) are counted
-    in ``rejected`` and skipped. Events come back sorted by timestamp even
-    when the input is not.
+    Malformed rows (short rows, unparseable or negative fields, timestamps
+    beyond int64) are counted in ``rejected`` and skipped. Events come back
+    sorted by timestamp even when the input is not; equal timestamps keep
+    their input order.
 
     Raises
     ------
@@ -154,106 +166,40 @@ def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
     if mapping.has_header:
         header = next(reader, None)
         if header is None:
-            return ParseResult(events=[], rejected=0)
+            return ParseResult(events=Events([], [], []), rejected=0)
     c_ts = _resolve(mapping.timestamp, header, "timestamp")
-    c_job = _resolve(mapping.job, header, "job")
-    c_task = _resolve(mapping.task, header, "task")
     c_cpu = _resolve(mapping.cpu, header, "cpu")
     c_mem = _resolve(mapping.mem, header, "mem")
     assert c_ts is not None
 
-    events: list[TraceEvent] = []
+    timestamps = array("q")
+    cpus = array("d")
+    mems = array("d")
     rejected = 0
-    sorted_so_far = True
-    last_ts = -1
     for row in reader:
         if not row:
             continue
         try:
             ts = int(row[c_ts])
-            if ts < 0:
+            if not 0 <= ts < 2**63:  # stored as int64
                 raise ValueError(row[c_ts])
             cpu = _nonneg_float(row[c_cpu]) if c_cpu is not None else 0.0
             mem = _nonneg_float(row[c_mem]) if c_mem is not None else 0.0
-            job = row[c_job] if c_job is not None and c_job < len(row) else ""
-            task = row[c_task] if c_task is not None and c_task < len(row) else ""
         except (ValueError, IndexError):
             rejected += 1
             continue
-        if ts < last_ts:
-            sorted_so_far = False
-        last_ts = ts
-        events.append(TraceEvent(ts, job, task, cpu, mem))
-    if not sorted_so_far:
-        events.sort(key=lambda e: e.timestamp)
+        timestamps.append(ts)
+        cpus.append(cpu)
+        mems.append(mem)
+    events = Events(timestamps, cpus, mems)
+    if np.any(events.timestamp[1:] < events.timestamp[:-1]):
+        order = np.argsort(events.timestamp, kind="stable")
+        events = Events(events.timestamp[order], events.cpu[order], events.mem[order])
     return ParseResult(events=events, rejected=rejected)
 
 
-def _bin_samples(
-    events: Sequence[TraceEvent],
-    t_start: int,
-    n_bins: int,
-    sub_bin_us: int,
-    metric: MetricKind,
-    scale: float,
-) -> list[int]:
-    idx = np.fromiter(
-        ((e.timestamp - t_start) // sub_bin_us for e in events), dtype=np.int64, count=len(events)
-    )
-    if metric is MetricKind.ARRIVALS:
-        counts = np.bincount(idx, minlength=n_bins) if len(idx) else np.zeros(n_bins, dtype=np.int64)
-        return [int(c) for c in counts]
-    values = np.fromiter(
-        (e.cpu_request if metric is MetricKind.CPU else e.mem_request for e in events),
-        dtype=np.float64,
-        count=len(events),
-    )
-    sums = (
-        np.bincount(idx, weights=values, minlength=n_bins) if len(idx) else np.zeros(n_bins)
-    )
-    # Round half up rather than half even so output is predictable from the text.
-    return [int(math.floor(scale * s + 0.5)) for s in sums]
-
-
-def aggregate_period(
-    events: Sequence[TraceEvent],
-    window: tuple[int, int],
-    metric: MetricKind,
-    sub_bin_seconds: int,
-    scale: float = 100.0,
-    tp_index: int = 1,
-    cycle_index: int = 1,
-) -> PeriodObservation:
-    """Aggregate the events of one window [t_start, t_end) into samples.
-
-    Events outside the window are ignored; the window length must divide
-    evenly into sub-bins. For CPU/memory the per-sub-bin request sums are
-    multiplied by ``scale`` and rounded to the nearest integer.
-    """
-    t_start, t_end = window
-    if t_end <= t_start:
-        raise ValueError(f"window end {t_end} must exceed start {t_start}")
-    sub_bin_us = sub_bin_seconds * US_PER_SECOND
-    if sub_bin_seconds < 1 or (t_end - t_start) % sub_bin_us != 0:
-        raise ValueError(
-            f"window length {t_end - t_start}us is not a whole number of {sub_bin_seconds}s sub-bins"
-        )
-    if metric is not MetricKind.ARRIVALS and scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    n_bins = (t_end - t_start) // sub_bin_us
-    inside = [e for e in events if t_start <= e.timestamp < t_end]
-    samples = _bin_samples(inside, t_start, n_bins, sub_bin_us, metric, scale)
-    return PeriodObservation(
-        tp_index=tp_index,
-        cycle_index=cycle_index,
-        metric=metric,
-        samples=samples,
-        sub_bin_seconds=sub_bin_seconds,
-    )
-
-
 def aggregate_span(
-    events: Sequence[TraceEvent],
+    events: Events,
     start_us: int,
     num_tps: int,
     tp_minutes: int,
@@ -262,43 +208,58 @@ def aggregate_span(
     sub_bin_seconds: int = 60,
     scale: float = 100.0,
 ) -> list[PeriodObservation]:
-    """Aggregate a sorted event sequence into consecutive target periods.
+    """Aggregate events into consecutive target periods of fixed sub-bins.
 
     Period i (0-based) covers [start_us + i*TP, start_us + (i+1)*TP) and is
     stamped with pattern position ``i % pp_tps + 1`` and cycle
-    ``i // pp_tps + 1``.
+    ``i // pp_tps + 1``. Events outside the span are ignored; the events
+    need not be sorted. The period must divide evenly into sub-bins. For
+    CPU/memory the per-sub-bin request sums, added in event order, are
+    multiplied by ``scale`` and rounded to the nearest integer.
     """
-    if num_tps < 1:
-        raise ValueError(f"need at least one target period, got {num_tps}")
-    tp_us = tp_minutes * 60 * US_PER_SECOND
-    timestamps = [e.timestamp for e in events]
-    observations = []
-    for i in range(num_tps):
-        lo = start_us + i * tp_us
-        hi = lo + tp_us
-        a = bisect_left(timestamps, lo)
-        b = bisect_left(timestamps, hi)
-        observations.append(
-            aggregate_period(
-                events[a:b],
-                (lo, hi),
-                metric,
-                sub_bin_seconds,
-                scale,
-                tp_index=i % pp_tps + 1,
-                cycle_index=i // pp_tps + 1,
-            )
+    if num_tps < 1 or pp_tps < 1:
+        raise ValueError(f"need at least one target period and pattern period, got {num_tps}, {pp_tps}")
+    if tp_minutes < 1:
+        raise ValueError(f"target period must be at least one minute, got {tp_minutes}")
+    if sub_bin_seconds < 1 or (tp_minutes * 60) % sub_bin_seconds != 0:
+        raise ValueError(
+            f"target period of {tp_minutes}min is not a whole number of {sub_bin_seconds}s sub-bins"
         )
-    return observations
+    if metric is not MetricKind.ARRIVALS and scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    sub_bin_us = sub_bin_seconds * US_PER_SECOND
+    sub_bins = tp_minutes * 60 // sub_bin_seconds
+    n_bins = num_tps * sub_bins
+    offset = events.timestamp - start_us
+    inside = (offset >= 0) & (offset < n_bins * sub_bin_us)
+    idx = offset[inside] // sub_bin_us
+    if metric is MetricKind.ARRIVALS:
+        rows = np.bincount(idx, minlength=n_bins).reshape(num_tps, sub_bins).tolist()
+    else:
+        values = (events.cpu if metric is MetricKind.CPU else events.mem)[inside]
+        sums = np.bincount(idx, weights=values, minlength=n_bins).reshape(num_tps, sub_bins)
+        # Round half up rather than half even so output is predictable from the text.
+        rows = [[int(v) for v in row] for row in np.floor(scale * sums + 0.5).tolist()]
+    return [
+        PeriodObservation(
+            tp_index=i % pp_tps + 1,
+            cycle_index=i // pp_tps + 1,
+            metric=metric,
+            samples=samples,
+            sub_bin_seconds=sub_bin_seconds,
+        )
+        for i, samples in enumerate(rows)
+    ]
 
 
-def span_tps(events: Sequence[TraceEvent], start_us: int, tp_minutes: int) -> int:
+def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
     """Number of target periods needed to cover every event at/after start."""
-    tp_us = tp_minutes * 60 * US_PER_SECOND
-    last = max((e.timestamp for e in events if e.timestamp >= start_us), default=None)
-    if last is None:
+    if tp_minutes < 1:
+        raise ValueError(f"target period must be at least one minute, got {tp_minutes}")
+    after = events.timestamp[events.timestamp >= start_us]
+    if not len(after):
         return 0
-    return (last - start_us) // tp_us + 1
+    return int(after.max() - start_us) // (tp_minutes * 60 * US_PER_SECOND) + 1
 
 
 def build_histogram(samples: Sequence[int], bin_width: int = 1) -> list[tuple[int, int]]:
@@ -368,9 +329,17 @@ def read_observations(path: str | Path) -> list[PeriodObservation]:
     return observations
 
 
-def write_trace(path: str | Path, events: Iterable[TraceEvent]) -> None:
-    """Write events in the packaged trace layout (with header row)."""
+def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
+    """Write events in the packaged trace layout (with header row).
+
+    The job and task ids are both ``j<n>``, the 1-based target period of
+    ``tp_minutes`` that holds the event.
+    """
+    tp_us = tp_minutes * 60 * US_PER_SECOND
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp,job_id,task_id,cpu_request,mem_request\n")
-        for e in events:
-            fh.write(f"{e.timestamp},{e.job_id},{e.task_id},{e.cpu_request!r},{e.mem_request!r}\n")
+        # Plain Python values: repr of a numpy float is not its text form.
+        columns = (events.timestamp.tolist(), (events.timestamp // tp_us + 1).tolist(),
+                   events.cpu.tolist(), events.mem.tolist())
+        for ts, tp, cpu, mem in zip(*columns):
+            fh.write(f"{ts},j{tp},j{tp},{cpu!r},{mem!r}\n")

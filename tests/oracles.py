@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from the defining formulas, in
 arbitrary precision (mpmath) where arithmetic is involved, sharing no code
-with the package internals it verifies.
+with the package internals it verifies. Where the package must match to the
+bit (trace aggregation, synthetic event placement), the reference keeps the
+plain per-period or per-event loop with the same float operations.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 
 
 def cyclic_store_walk(m: int, l: int, rates: Sequence[float]):
@@ -32,6 +35,50 @@ def cyclic_store_walk(m: int, l: int, rates: Sequence[float]):
             p = 1
             w = w + 1 if w < l else 1
     return p, w, t, cells
+
+
+def aggregate_per_period(
+    timestamps: Sequence[int],
+    values: Sequence[float] | None,
+    start_us: int,
+    num_tps: int,
+    tp_us: int,
+    sub_bin_us: int,
+    scale: float,
+) -> list[list[int]]:
+    """Per-period samples by filtering the events of one period at a time.
+
+    Period i covers [start_us + i*tp_us, start_us + (i+1)*tp_us). Its
+    events, kept in input order, are binned with ``np.bincount``: counted
+    when ``values`` is None, else their values summed per sub-bin, times
+    ``scale``, rounded half up.
+    """
+    n_bins = tp_us // sub_bin_us
+    periods = []
+    for i in range(num_tps):
+        lo = start_us + i * tp_us
+        inside = [j for j, ts in enumerate(timestamps) if lo <= ts < lo + tp_us]
+        idx = np.array([(timestamps[j] - lo) // sub_bin_us for j in inside], dtype=np.int64)
+        if values is None:
+            periods.append([int(c) for c in np.bincount(idx, minlength=n_bins)])
+            continue
+        weights = np.array([values[j] for j in inside], dtype=np.float64)
+        sums = np.bincount(idx, weights=weights, minlength=n_bins)
+        periods.append([int(math.floor(scale * s + 0.5)) for s in sums])
+    return periods
+
+
+def place_events(counts: Sequence[int], sub_bin_us: int) -> list[int]:
+    """Synthetic event timestamps, one sub-bin at a time.
+
+    Sub-bin b starts at b*sub_bin_us; its ``count`` events sit at evenly
+    spaced offsets int((i + 0.5) * (sub_bin_us / count)).
+    """
+    timestamps = []
+    for b, count in enumerate(counts):
+        for i in range(count):
+            timestamps.append(b * sub_bin_us + int((i + 0.5) * (sub_bin_us / count)))
+    return timestamps
 
 
 def exact_mean(samples: Sequence[int]) -> float:

@@ -237,11 +237,13 @@ def _google_layout_rows(path: Path) -> int:
     """Write a cluster-format extract: 13 columns, ts/cpu/mem at 0/9/10."""
     spec = SyntheticSpec(pp_tps=12, tps=36, base_rate=5.0, noise_sigma=0.05, seed=8)
     events, _ = generate(spec)
+    tp_us = spec.tp_minutes * 60 * 1_000_000
+    columns = zip(events.timestamp.tolist(), events.cpu.tolist(), events.mem.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, e in enumerate(events):
+        for i, (ts, cpu, mem) in enumerate(columns):
             row = [
-                str(e.timestamp), "", e.job_id, str(i), f"m{i % 11}", "0", "user", "2",
-                "4", repr(e.cpu_request), repr(e.mem_request), "0.001", "0",
+                str(ts), "", f"j{ts // tp_us + 1}", str(i), f"m{i % 11}", "0", "user", "2",
+                "4", repr(cpu), repr(mem), "0.001", "0",
             ]
             fh.write(",".join(row) + "\n")
     return len(events)
@@ -254,8 +256,7 @@ def test_cluster_format_extract_full_pipeline(tmp_path):
 
     code = cli_main([
         "ingest", "--trace", str(trace), "--out-dir", str(out),
-        "--col-ts", "0", "--col-job", "2", "--col-task", "3",
-        "--col-cpu", "9", "--col-mem", "10",
+        "--col-ts", "0", "--col-cpu", "9", "--col-mem", "10",
         "--pp-tps", "12", "--metric", "all", "--split-tp", "24",
     ])
     assert code == EXIT_OK

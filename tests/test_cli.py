@@ -191,6 +191,16 @@ class TestFit:
         assert code == EXIT_DATA
         assert f"{obs_file}:3:" in capsys.readouterr().err
 
+    def test_mixed_sub_bins_is_data_error(self, tmp_path, capsys):
+        minute = _obs_file(tmp_path / "minute.csv", 2, 4)
+        half = tmp_path / "half.csv"
+        half.write_text(OBS_HEADER + "3,1,arrivals,60,100.0,1 2\n4,1,arrivals,30,100.0,1 2 3 4\n")
+        code = main(["fit", "--observations", minute, str(half), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{half}: period tp_index=4 cycle_index=1 carries 30s sub-bins" in err
+        assert not (tmp_path / "out" / "lambdas_arrivals.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_trace_is_data_error(self, tmp_path):
@@ -242,6 +252,40 @@ class TestExitCodes:
                 err = capsys.readouterr().err
                 assert f"{cpu}: period tp_index=1 cycle_index=1 carries metric 'cpu'" in err
                 assert "Traceback" not in err
+
+    def test_out_of_order_stream_is_data_error(self, tmp_path, capsys):
+        train = _obs_file(tmp_path / "train.csv", 4, 4)
+        beyond = tmp_path / "beyond.csv"
+        beyond.write_text(OBS_HEADER + "5,2,arrivals,60,100.0,1 2\n")
+        gap = tmp_path / "gap.csv"
+        gap.write_text(OBS_HEADER + "1,2,arrivals,60,100.0,1 2\n3,2,arrivals,60,100.0,1 2\n")
+        window = ["--pp-tps", "4", "--up-tps", "2", "--out-dir", str(tmp_path)]
+        for test, period in ((beyond, "tp_index=5 cycle_index=2"), (gap, "tp_index=3 cycle_index=2")):
+            for command in ("predict", "evaluate"):
+                code = main([command, "--train", train, "--test", str(test), *window])
+                assert code == EXIT_DATA, (command, test)
+                err = capsys.readouterr().err
+                assert f"{test}: period {period} is out of order" in err
+                assert "Traceback" not in err
+
+    def test_non_finite_records_are_data_error(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
+            "1,1,NA,2.0,none\n2,2,nan,-5.0,none\n3,3,2.0,inf,none\n"
+        )
+        code = main(["evaluate", "--records", str(records), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert f"{records}:3: rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_nonpositive_period_flags_are_usage_errors(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,job_id,task_id,cpu_request,mem_request\n0,j1,j1,0.1,0.1\n")
+        for flag in (["--tp-min", "0"], ["--pp-tps", "0"]):
+            code = main(["ingest", "--trace", str(trace), "--header", *flag, "--out-dir", str(tmp_path)])
+            assert code == EXIT_USAGE, flag
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_sub_bin_mismatch_is_data_error(self, tmp_path, capsys):
         obs = _obs_file(tmp_path / "obs.csv", 8, 4)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -250,3 +251,20 @@ class TestRecordsFile:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_records(path)
+
+    def test_rejects_rates_run_cannot_write(self, tmp_path):
+        path = tmp_path / "records.csv"
+        header = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
+        good = "1,1,NA,2.0,none\n"
+        for bad in ("2,2,nan,2.0,none", "2,2,2.0,inf,none", "2,2,-0.5,2.0,none", "2,2,2.0,-5.0,none"):
+            path.write_text(header + good + bad + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: rate must be finite"):
+                read_records(path)
+
+    def test_row_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        header = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
+        for bad in ("x,1,NA,2.0,none", "1,1,NA,2.0,bogus", "1,1,NA,2.0"):
+            path.write_text(header + bad + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+                read_records(path)

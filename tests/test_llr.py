@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclecast.llr import (
     Fallback,
@@ -159,6 +160,32 @@ class TestFitPredict:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             llr_fit_predict([], 0.0, EPAN)
+
+    @given(
+        lo=st.integers(-5, 40),
+        reps=st.lists(st.integers(1, 4), min_size=2, max_size=50),
+        a=st.floats(-1e3, 1e3),
+        b=st.floats(-50.0, 50.0),
+        family=st.sampled_from(ALL_FAMILIES),
+        h=st.floats(0.5, 100.0),
+        k=st.integers(1, 200),
+        fixed=st.booleans(),
+        data=st.data(),
+    )
+    def test_exact_line_reproduced(self, lo, reps, a, b, family, h, k, fixed, data):
+        # Window geometry: consecutive integer offsets, each with its own
+        # number of cycle replicates; the query lies within 2 of the offsets.
+        hi = lo + len(reps) - 1
+        points = [(float(x), a + b * x) for x, r in zip(range(lo, hi + 1), reps) for _ in range(r)]
+        x_u = data.draw(st.integers(4 * lo - 8, 4 * hi + 8)) / 4
+        spec = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=min(k, len(points)))
+        fit = llr_fit(points, x_u, spec)
+        exact = abs(fit.value - (a + b * x_u)) <= 1e-9 * (1 + abs(a + b * x_u))
+        if fit.fallback is not Fallback.WEIGHTED_MEAN:
+            assert exact, fit
+        if family is KernelFamily.GAUSSIAN:
+            # Gaussian weights are positive everywhere: no fit may give up the line.
+            assert exact, fit
 
 
 class TestFallbackChain:

@@ -1,9 +1,18 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclecast.synthetic import SyntheticSpec, generate, read_truth, true_rate, write_truth
-from cyclecast.trace import MetricKind, aggregate_span
+from cyclecast.trace import US_PER_SECOND, MetricKind, aggregate_span, write_trace
+
+import oracles
+
+
+def _same_events(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in ((a.timestamp, b.timestamp), (a.cpu, b.cpu), (a.mem, b.mem)))
 
 
 class TestSpecValidation:
@@ -41,14 +50,14 @@ class TestGenerate:
         spec = SyntheticSpec(pp_tps=24, tps=48, base_rate=6.0, noise_sigma=0.2, seed=99)
         events_a, truths_a = generate(spec)
         events_b, truths_b = generate(spec)
-        assert events_a == events_b
+        assert _same_events(events_a, events_b)
         assert truths_a == truths_b
 
     def test_seed_changes_stream(self):
         base = dict(pp_tps=24, tps=48, base_rate=6.0)
         events_a, _ = generate(SyntheticSpec(seed=1, **base))
         events_b, _ = generate(SyntheticSpec(seed=2, **base))
-        assert events_a != events_b
+        assert not _same_events(events_a, events_b)
 
     def test_truth_periodic_without_noise(self):
         spec = SyntheticSpec(pp_tps=24, tps=72, noise_sigma=0.0, seed=5)
@@ -82,8 +91,39 @@ class TestGenerate:
         spec = SyntheticSpec(pp_tps=24, tps=24, base_rate=4.0, seed=31)
         events, truths = generate(spec)
         assert len(truths) == 24
-        assert all(a.timestamp <= b.timestamp for a, b in zip(events, events[1:]))
-        assert all(e.cpu_request == spec.cpu_per_event for e in events[:10])
+        assert np.all(np.diff(events.timestamp) >= 0)
+        assert np.all(events.cpu == spec.cpu_per_event) and np.all(events.mem == spec.mem_per_event)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        base_rate=st.floats(0.5, 40.0),
+        noise_sigma=st.sampled_from([0.0, 0.3]),
+        sub_bin_seconds=st.sampled_from([7, 60, 120]),
+    )
+    def test_event_placement_matches_scalar_loop(self, seed, base_rate, noise_sigma, sub_bin_seconds):
+        spec = SyntheticSpec(
+            pp_tps=6, tps=12, base_rate=base_rate, noise_sigma=noise_sigma, seed=seed,
+            tp_minutes=14, sub_bin_seconds=sub_bin_seconds,
+        )
+        events, _ = generate(spec)
+        observations = aggregate_span(
+            events, 0, spec.tps, spec.tp_minutes, spec.pp_tps, MetricKind.ARRIVALS, spec.sub_bin_seconds
+        )
+        counts = [c for o in observations for c in o.samples]
+        expected = oracles.place_events(counts, spec.sub_bin_seconds * US_PER_SECOND)
+        assert events.timestamp.tolist() == expected
+
+    def test_trace_file_bytes_pinned(self, tmp_path):
+        # Digest of the file the scalar per-event generator and writer produced.
+        spec = SyntheticSpec(pp_tps=12, tps=36, base_rate=5.0, noise_sigma=0.1, seed=8)
+        events, _ = generate(spec)
+        path = tmp_path / "trace.csv"
+        write_trace(path, events, spec.tp_minutes)
+        assert len(events) == 5583
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2a6ee8ee512a78a4ff165040ae6bd07c8a4d345d772218408c943cd5562aa7c3"
+        )
 
 
 class TestTruthFile:

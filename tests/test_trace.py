@@ -3,14 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclecast.trace import (
     US_PER_SECOND,
     ColumnMapping,
+    Events,
     MetricKind,
     PeriodObservation,
-    TraceEvent,
-    aggregate_period,
     aggregate_span,
     build_histogram,
     parse_trace,
@@ -21,19 +21,32 @@ from cyclecast.trace import (
 )
 
 
+import oracles
+
+
 def _lines(*rows: str):
     return io.StringIO("\n".join(rows) + "\n")
+
+
+def _columns(events: Events):
+    return events.timestamp.tolist(), events.cpu.tolist(), events.mem.tolist()
+
+
+def _arrivals(*timestamps: int) -> Events:
+    return Events(timestamps, [0.0] * len(timestamps), [0.0] * len(timestamps))
 
 
 class TestParse:
     def test_identity_mapping_row(self):
         res = parse_trace(_lines("600000000,j1,t1,0.5,0.02"))
         assert res.rejected == 0
-        assert res.events == [TraceEvent(600000000, "j1", "t1", 0.5, 0.02)]
+        assert _columns(res.events) == ([600000000], [0.5], [0.02])
+        assert res.events.timestamp.dtype == np.int64
+        assert res.events.cpu.dtype == res.events.mem.dtype == np.float64
 
     def test_empty_input(self):
         res = parse_trace(_lines(""))
-        assert res.events == []
+        assert len(res.events) == 0
         assert res.rejected == 0
 
     def test_bad_cpu_field_rejected(self):
@@ -42,27 +55,33 @@ class TestParse:
         assert len(res.events) == 1
 
     def test_bad_timestamp_rejected(self):
-        res = parse_trace(_lines("oops,j,t,0.1,0.1", "-5,j,t,0.1,0.1"))
-        assert res.rejected == 2
-        assert res.events == []
+        # The last timestamp does not fit in int64 microseconds.
+        res = parse_trace(_lines("oops,j,t,0.1,0.1", "-5,j,t,0.1,0.1", f"{2**63},j,t,0.1,0.1"))
+        assert res.rejected == 3
+        assert len(res.events) == 0
 
     def test_short_row_rejected(self):
         res = parse_trace(_lines("12,j", "13,j,t,0.7,0.3"))
         assert res.rejected == 1
-        assert res.events[0].timestamp == 13
+        assert res.events.timestamp.tolist() == [13]
 
     def test_negative_request_rejected(self):
         res = parse_trace(_lines("1,j,t,-0.5,0.1"))
         assert res.rejected == 1
 
     def test_unsorted_input_sorted(self):
-        res = parse_trace(_lines("30,j,t,0,0", "10,j,t,0,0", "20,j,t,0,0"))
-        assert [e.timestamp for e in res.events] == [10, 20, 30]
+        res = parse_trace(_lines("30,j,t,0.3,0", "10,j,t,0.1,0", "30,j,t,0.4,0", "20,j,t,0.2,0"))
+        # Equal timestamps keep their input order.
+        assert _columns(res.events) == ([10, 20, 30, 30], [0.1, 0.2, 0.3, 0.4], [0.0] * 4)
+        rows = [(int(ts), float(i)) for i, ts in enumerate(np.random.default_rng(5).integers(0, 9, size=300))]
+        res = parse_trace(_lines(*(f"{ts},j,t,{cpu!r},0" for ts, cpu in rows)))
+        expected = sorted(rows, key=lambda r: r[0])
+        assert _columns(res.events)[:2] == ([ts for ts, _ in expected], [cpu for _, cpu in expected])
 
     def test_header_name_mapping(self):
-        mapping = ColumnMapping(timestamp="time", cpu="cpu_req", mem="mem_req", job=None, task=None, has_header=True)
+        mapping = ColumnMapping(timestamp="time", cpu="cpu_req", mem="mem_req", has_header=True)
         res = parse_trace(_lines("time,cpu_req,mem_req", "42,0.25,0.5"), mapping)
-        assert res.events == [TraceEvent(42, "", "", 0.25, 0.5)]
+        assert _columns(res.events) == ([42], [0.25], [0.5])
 
     def test_missing_named_column_raises(self):
         mapping = ColumnMapping(timestamp="nope", has_header=True)
@@ -75,85 +94,120 @@ class TestParse:
             parse_trace(_lines("42,j,t,0.25,0.5"), mapping)
 
     def test_arrivals_only_mapping(self):
-        mapping = ColumnMapping(timestamp=0, job=None, task=None, cpu=None, mem=None)
+        mapping = ColumnMapping(timestamp=0, cpu=None, mem=None)
         res = parse_trace(_lines("7", "9"), mapping)
-        assert [e.timestamp for e in res.events] == [7, 9]
-        assert res.events[0].cpu_request == 0.0
+        assert _columns(res.events) == ([7, 9], [0.0, 0.0], [0.0, 0.0])
 
     def test_alternate_delimiter(self):
         mapping = ColumnMapping(delimiter=";")
         res = parse_trace(_lines("600;j1;t1;0.5;0.02"), mapping)
-        assert res.events == [TraceEvent(600, "j1", "t1", 0.5, 0.02)]
+        assert _columns(res.events) == ([600], [0.5], [0.02])
+
+
+def _one_period(events, metric=MetricKind.ARRIVALS, tp_minutes=1, sub_bin_seconds=60, scale=100.0):
+    """The samples of a single target period starting at 0."""
+    (obs,) = aggregate_span(events, 0, 1, tp_minutes, 1, metric, sub_bin_seconds, scale)
+    return obs.samples
 
 
 class TestAggregate:
     def test_arrival_counting(self):
-        events = [TraceEvent(0), TraceEvent(10 * US_PER_SECOND), TraceEvent(70 * US_PER_SECOND)]
-        obs = aggregate_period(events, (0, 120 * US_PER_SECOND), MetricKind.ARRIVALS, 60)
-        assert obs.samples == [2, 1]
+        events = _arrivals(0, 10 * US_PER_SECOND, 70 * US_PER_SECOND)
+        assert _one_period(events, tp_minutes=2) == [2, 1]
 
     def test_empty_window_zeros(self):
-        obs = aggregate_period([], (0, 180 * US_PER_SECOND), MetricKind.ARRIVALS, 60)
-        assert obs.samples == [0, 0, 0]
+        assert _one_period(_arrivals(), tp_minutes=3) == [0, 0, 0]
 
     def test_cpu_scaling(self):
-        events = [
-            TraceEvent(0, cpu_request=0.5),
-            TraceEvent(1 * US_PER_SECOND, cpu_request=0.25),
-        ]
-        obs = aggregate_period(events, (0, 60 * US_PER_SECOND), MetricKind.CPU, 60, scale=100.0)
-        assert obs.samples == [75]
+        events = Events([0, 1 * US_PER_SECOND], [0.5, 0.25], [0.0, 0.0])
+        assert _one_period(events, MetricKind.CPU, scale=100.0) == [75]
 
     def test_memory_metric(self):
-        events = [TraceEvent(0, mem_request=0.031)]
-        obs = aggregate_period(events, (0, 60 * US_PER_SECOND), MetricKind.MEMORY, 60, scale=1000.0)
-        assert obs.samples == [31]
+        events = Events([0], [0.0], [0.031])
+        assert _one_period(events, MetricKind.MEMORY, scale=1000.0) == [31]
 
     def test_events_outside_window_ignored(self):
-        events = [TraceEvent(5), TraceEvent(61 * US_PER_SECOND)]
-        obs = aggregate_period(events, (0, 60 * US_PER_SECOND), MetricKind.ARRIVALS, 60)
+        events = _arrivals(1, 5 * US_PER_SECOND, 62 * US_PER_SECOND)
+        (obs,) = aggregate_span(events, 2 * US_PER_SECOND, 1, 1, 1, MetricKind.ARRIVALS, 60)
         assert obs.samples == [1]
 
     def test_indivisible_window_raises(self):
-        with pytest.raises(ValueError):
-            aggregate_period([], (0, 90 * US_PER_SECOND), MetricKind.ARRIVALS, 60)
+        with pytest.raises(ValueError, match="whole number"):
+            _one_period(_arrivals(), sub_bin_seconds=45)
 
     def test_inverted_window_raises(self):
-        with pytest.raises(ValueError):
-            aggregate_period([], (10, 10), MetricKind.ARRIVALS, 60)
+        for tp_minutes in (0, -1):
+            with pytest.raises(ValueError, match="at least one minute"):
+                _one_period(_arrivals(), tp_minutes=tp_minutes)
 
     def test_nonpositive_scale_rejected_for_resource_metrics(self):
+        with pytest.raises(ValueError, match="scale"):
+            _one_period(_arrivals(), MetricKind.CPU, scale=0.0)
+
+    def test_nonpositive_pattern_period_raises(self):
         with pytest.raises(ValueError):
-            aggregate_period([], (0, 60 * US_PER_SECOND), MetricKind.CPU, 60, scale=0.0)
+            aggregate_span(_arrivals(0), 0, 1, 1, 0, MetricKind.ARRIVALS, 60)
 
     def test_conservation_over_span(self):
         rng = np.random.default_rng(13)
         span_sec = 40 * 60
-        ts = np.sort(rng.integers(0, span_sec * US_PER_SECOND, size=500))
-        events = [TraceEvent(int(t)) for t in ts]
+        events = _arrivals(*rng.integers(0, span_sec * US_PER_SECOND, size=500).tolist())
         observations = aggregate_span(events, 0, 4, 10, 2, MetricKind.ARRIVALS, 60)
         assert sum(sum(o.samples) for o in observations) == len(events)
 
     def test_rebinning_preserves_sum(self):
         rng = np.random.default_rng(17)
-        ts = np.sort(rng.integers(0, 600 * US_PER_SECOND, size=200))
-        events = [TraceEvent(int(t)) for t in ts]
-        coarse = aggregate_period(events, (0, 600 * US_PER_SECOND), MetricKind.ARRIVALS, 60)
-        fine = aggregate_period(events, (0, 600 * US_PER_SECOND), MetricKind.ARRIVALS, 30)
-        assert len(fine.samples) == 2 * len(coarse.samples)
-        assert sum(fine.samples) == sum(coarse.samples)
+        events = _arrivals(*rng.integers(0, 600 * US_PER_SECOND, size=200).tolist())
+        coarse = _one_period(events, tp_minutes=10, sub_bin_seconds=60)
+        fine = _one_period(events, tp_minutes=10, sub_bin_seconds=30)
+        assert len(fine) == 2 * len(coarse)
+        assert sum(fine) == sum(coarse)
 
     def test_span_stamping(self):
-        events = [TraceEvent(i * 30 * 60 * US_PER_SECOND) for i in range(6)]
+        events = _arrivals(*(i * 30 * 60 * US_PER_SECOND for i in range(6)))
         observations = aggregate_span(events, 0, 6, 30, 2, MetricKind.ARRIVALS, 60)
         assert [(o.tp_index, o.cycle_index) for o in observations] == [
             (1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (2, 3),
         ]
 
     def test_span_tps_covers_last_event(self):
-        events = [TraceEvent(0), TraceEvent(95 * 60 * US_PER_SECOND)]
+        events = _arrivals(0, 95 * 60 * US_PER_SECOND)
         assert span_tps(events, 0, 30) == 4
         assert span_tps(events, 96 * 60 * US_PER_SECOND, 30) == 0
+
+    @given(data=st.data())
+    def test_span_equals_per_period_reference(self, data):
+        tp_minutes = data.draw(st.sampled_from([1, 2, 5]))
+        sub_bin_seconds = data.draw(
+            st.sampled_from([s for s in (10, 15, 20, 30, 60) if tp_minutes * 60 % s == 0])
+        )
+        num_tps = data.draw(st.integers(1, 5))
+        pp_tps = data.draw(st.integers(1, 4))
+        start_us = data.draw(st.integers(0, 10**9))
+        tp_us = tp_minutes * 60 * US_PER_SECOND
+        # Unsorted, with events before the span and past its end.
+        n = data.draw(st.integers(0, 60))
+        timestamps = data.draw(st.lists(
+            st.integers(max(0, start_us - tp_us), start_us + (num_tps + 1) * tp_us), min_size=n, max_size=n
+        ))
+        # Multiples of 1/8 make rounding ties at small scales.
+        amount = st.one_of(st.floats(0.0, 50.0), st.integers(0, 400).map(lambda v: v / 8))
+        amounts = st.lists(amount, min_size=n, max_size=n)
+        cpu, mem = data.draw(amounts), data.draw(amounts)
+        scale = data.draw(st.sampled_from([1.0, 0.25, 0.37, 100.0, 1e4]))
+        events = Events(timestamps, cpu, mem)
+        for metric, values in ((MetricKind.ARRIVALS, None), (MetricKind.CPU, cpu), (MetricKind.MEMORY, mem)):
+            observations = aggregate_span(
+                events, start_us, num_tps, tp_minutes, pp_tps, metric, sub_bin_seconds, scale
+            )
+            expected = oracles.aggregate_per_period(
+                timestamps, values, start_us, num_tps, tp_us, sub_bin_seconds * US_PER_SECOND, scale
+            )
+            assert [o.samples for o in observations] == expected
+            assert [(o.tp_index, o.cycle_index) for o in observations] == [
+                (i % pp_tps + 1, i // pp_tps + 1) for i in range(num_tps)
+            ]
+            assert all(o.metric is metric and o.sub_bin_seconds == sub_bin_seconds for o in observations)
 
 
 class TestHistogram:
@@ -209,11 +263,14 @@ class TestObservationFiles:
             read_observations(path)
 
     def test_trace_round_trip(self, tmp_path):
-        events = [TraceEvent(5, "j1", "t1", 0.5, 0.25), TraceEvent(9, "j2", "t2", 1.5, 0.125)]
+        events = Events([5, 9, 60 * US_PER_SECOND], [0.5, 1.5, 0.1], [0.25, 0.125, 0.3])
         path = tmp_path / "trace.csv"
-        write_trace(path, events)
+        write_trace(path, events, tp_minutes=1)
+        assert path.read_text().splitlines()[1:] == [
+            "5,j1,j1,0.5,0.25", "9,j1,j1,1.5,0.125", "60000000,j2,j2,0.1,0.3",
+        ]
         res = parse_trace(path, ColumnMapping(has_header=True))
-        assert res.events == events
+        assert _columns(res.events) == _columns(events)
         assert res.rejected == 0
 
 
