@@ -136,10 +136,13 @@ def evaluate_records(
     value = math.fsum(errors) / len(errors) if errors else math.nan
     deltas: dict[str, float] = {}
     if with_baselines and retained_idx:
+        if baseline_window < 1:
+            raise ValueError(f"window must be a positive integer, got {baseline_window}")
         naive_err = []
         window_err = []
         for i in retained_idx:
-            history = actuals[:i]
+            # Both baselines read at most the last baseline_window actuals.
+            history = actuals[max(0, i - baseline_window):i]
             if not history:
                 continue
             target = actuals[i]

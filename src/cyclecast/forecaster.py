@@ -14,12 +14,15 @@ with a Poisson PMF keyed to the window size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .llr import Fallback, KernelSpec, llr_fit
+import numpy as np
+
+from .llr import Fallback, KernelSpec, LLRPlan, llr_apply, llr_plan
 from .poisson import poisson_mle, poisson_pmf
 from .store import CyclicDataset, EmptyWindowError
 from .trace import PeriodObservation
@@ -76,6 +79,20 @@ class PredictionRecord:
     fallback: Fallback = Fallback.NONE
 
 
+@functools.lru_cache(maxsize=16)
+def _window_plan(empty: bytes, n: int, l: int, kernel: KernelSpec) -> LLRPlan:
+    """LLR plan for a window whose empty cells are the n x l mask ``empty``.
+
+    The xs are the offsets of the populated cells, in ``window_cells`` order;
+    a k-nearest count is clamped to their number (see ``predict_step``).
+    """
+    populated = ~np.frombuffer(empty, dtype=bool).reshape(n, l)
+    xs = (np.nonzero(populated)[0] + 1).astype(np.float64).tolist()
+    if kernel.k is not None and kernel.k > len(xs):
+        kernel = replace(kernel, k=len(xs))
+    return llr_plan(xs, float(n), kernel)
+
+
 def predict_step(ds: CyclicDataset, cfg: ForecastConfig) -> tuple[float, Fallback]:
     """Predict the rate of the period at the store cursor.
 
@@ -84,18 +101,18 @@ def predict_step(ds: CyclicDataset, cfg: ForecastConfig) -> tuple[float, Fallbac
     window's population is clamped so a thin window still predicts. Negative
     extrapolations clamp to zero (rates cannot be negative).
 
+    The regression's plan depends only on which window cells are populated,
+    so it is cached per population pattern: once the store is full every
+    step reuses one plan and costs a gather and two sums.
+
     Raises
     ------
     EmptyWindowError
         If the window holds no history at all yet.
     """
-    window = ds.extract_window(cfg.up_tps)
-    points = [(float(x), y) for x, y in window.entries]
-    kernel = cfg.kernel
-    if kernel.k is not None and kernel.k > len(points):
-        kernel = replace(kernel, k=len(points))
-    fit = llr_fit(points, float(window.n), kernel)
-    return max(fit.value, 0.0), fit.fallback
+    block, empty = ds.window_cells(cfg.up_tps)
+    plan = _window_plan(empty.tobytes(), cfg.up_tps, ds.l, cfg.kernel)
+    return max(llr_apply(plan, block[~empty]), 0.0), plan.fallback
 
 
 def observe_step(ds: CyclicDataset, obs: PeriodObservation) -> float:
@@ -145,6 +162,14 @@ def baseline_naive(history: Sequence[float]) -> float:
     return history[-1]
 
 
+@functools.lru_cache(maxsize=8)
+def _poisson_window_weights(window: int, take: int) -> tuple[float, ...]:
+    """Poisson(window) masses at 0..take-1, newest value first."""
+    if window < 1:
+        raise ValueError(f"window must be a positive integer, got {window}")
+    return tuple(poisson_pmf(float(window), i) for i in range(take))
+
+
 def baseline_poisson_window(history: Sequence[float], window: int) -> float:
     """Moving-window forecast with Poisson-PMF weights.
 
@@ -154,14 +179,10 @@ def baseline_poisson_window(history: Sequence[float], window: int) -> float:
     """
     if not history:
         raise ValueError("windowed baseline needs at least one historical value")
-    if window < 1:
-        raise ValueError(f"window must be a positive integer, got {window}")
-    take = min(window, len(history))
     num = 0.0
     den = 0.0
-    for i in range(take):
-        w = poisson_pmf(float(window), i)
-        num += w * history[-1 - i]
+    for w, v in zip(_poisson_window_weights(window, min(window, len(history))), reversed(history)):
+        num += w * v
         den += w
     return num / den
 

@@ -11,6 +11,19 @@ fails on nonempty input: when the weighted system is singular it walks a
 fallback chain (widen the bandwidth up to 3 doublings, then a kernel-weighted
 mean, then a global unweighted line) and reports which step produced the
 value.
+
+A fit is two steps. ``llr_plan`` looks only at the xs, the query and the
+spec: it resolves the bandwidth, walks the fallback chain and keeps the
+weights ``w``, the products ``w * (x - xbar)`` and the normal-equation
+scalars. ``llr_apply`` then needs two correctly rounded sums over the ys, so
+the fit is a fixed linear functional of the ys (the "equivalent kernel" of
+local polynomial regression). ``llr_fit`` is ``llr_apply(llr_plan(xs), ys)``;
+a caller that meets the same xs again (the forecaster, once its store is
+full) can keep the plan and pay only for the sums. Splitting the solve this
+way changes no result bit: every product is the same IEEE operation on the
+same operands, ``math.fsum`` is correctly rounded whatever the order of its
+terms, and the sums run over the same points as a one-pass solve (the
+positive-weight support for a line, every point for a mean).
 """
 
 from __future__ import annotations
@@ -20,13 +33,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "KernelFamily",
     "KernelSpec",
     "Fallback",
     "LocalFit",
+    "LLRPlan",
     "kernel_weight",
     "effective_bandwidth",
+    "llr_plan",
+    "llr_apply",
     "llr_fit",
     "llr_fit_predict",
     "llr_curve",
@@ -124,29 +142,108 @@ def effective_bandwidth(spec: KernelSpec, x_u: float, xs: Sequence[float]) -> fl
     return min(gaps) if gaps else 0.0
 
 
-def _solve_weighted_line(
-    points: Sequence[tuple[float, float]], weights: Sequence[float], x_u: float
-) -> float | None:
-    """Weighted least-squares line evaluated at x_u, or None if singular.
+@dataclass(frozen=True, eq=False)
+class LLRPlan:
+    """Everything of a fit that depends on the xs alone.
+
+    The fitted value is ``(s2 * sy - s1 * sxy) / det + beta * du`` with
+    ``sy = fsum(w * y)`` and ``sxy = fsum(wdx * y)`` over the ``support``
+    points, ``beta = (s0 * sxy - s1 * sy) / det`` and ``du = x_u - xbar``;
+    a mean (``wdx`` is None) is ``sy / s0``.
+    """
+
+    fallback: Fallback
+    support: np.ndarray
+    w: np.ndarray
+    wdx: np.ndarray | None
+    s0: float
+    s1: float = 0.0
+    s2: float = 0.0
+    det: float = 0.0
+    du: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Callers cache and share plans, so their arrays must not change.
+        for a in (self.support, self.w, self.wdx):
+            if a is not None:
+                a.flags.writeable = False
+
+
+def _line_plan(
+    xs: Sequence[float], weights: Sequence[float], x_u: float, fallback: Fallback
+) -> LLRPlan | None:
+    """Weighted least-squares line at x_u, or None if the system is singular.
 
     Solves the 2x2 normal equations in coordinates centered on the weighted
     mean of x, which keeps the system conditioned at large period indices.
     """
-    support = [(x, y, w) for (x, y), w in zip(points, weights) if w > 0]
-    if len({x for x, _, _ in support}) < 2:
+    support = [i for i, w in enumerate(weights) if w > 0]
+    if len({xs[i] for i in support}) < 2:
         return None
-    s0 = math.fsum(w for _, _, w in support)
-    xbar = math.fsum(w * x for x, _, w in support) / s0
-    s1 = math.fsum(w * (x - xbar) for x, _, w in support)
-    s2 = math.fsum(w * (x - xbar) ** 2 for x, _, w in support)
-    sy = math.fsum(w * y for _, y, w in support)
-    sxy = math.fsum(w * (x - xbar) * y for x, y, w in support)
+    sx = [xs[i] for i in support]
+    sw = [weights[i] for i in support]
+    s0 = math.fsum(sw)
+    xbar = math.fsum(w * x for x, w in zip(sx, sw)) / s0
+    wdx = [w * (x - xbar) for x, w in zip(sx, sw)]
+    s1 = math.fsum(wdx)
+    s2 = math.fsum(w * (x - xbar) ** 2 for x, w in zip(sx, sw))
     det = s0 * s2 - s1 * s1
     if det <= 0:
         return None
-    alpha = (s2 * sy - s1 * sxy) / det
-    beta = (s0 * sxy - s1 * sy) / det
-    return alpha + beta * (x_u - xbar)
+    return LLRPlan(fallback, np.array(support), np.array(sw), np.array(wdx), s0, s1, s2, det, x_u - xbar)
+
+
+def _mean_plan(weights: Sequence[float], s0: float, fallback: Fallback) -> LLRPlan:
+    return LLRPlan(fallback, np.arange(len(weights)), np.array(weights, dtype=np.float64), None, s0)
+
+
+def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
+    """Plan the local linear fit at ``x_u`` over observations at ``xs``.
+
+    Resolves the bandwidth and walks the fallback chain (widen up to 3
+    doublings, kernel-weighted mean, global line, plain mean); none of it
+    looks at the ys.
+
+    Raises
+    ------
+    ValueError
+        If ``xs`` is empty, or a k-nearest spec asks for more neighbors
+        than there are observations.
+    """
+    if not xs:
+        raise ValueError("cannot fit with zero points")
+    h0 = effective_bandwidth(spec, x_u, xs)
+
+    weights: list[float] = [0.0] * len(xs)
+    if h0 > 0:
+        for widen in range(4):
+            h = h0 * (2.0**widen)
+            weights = [kernel_weight(spec, x_u, x, h) for x in xs]
+            plan = _line_plan(xs, weights, x_u, Fallback.NONE if widen == 0 else Fallback.WIDENED_H)
+            if plan is not None:
+                return plan
+
+    wsum = math.fsum(weights)
+    if wsum > 0:
+        return _mean_plan(weights, wsum, Fallback.WEIGHTED_MEAN)
+    ones = [1.0] * len(xs)
+    if h0 == 0:
+        # Every observation sits at one x: the local constant fit is the mean.
+        return _mean_plan(ones, float(len(xs)), Fallback.WEIGHTED_MEAN)
+    plan = _line_plan(xs, ones, x_u, Fallback.GLOBAL_LINE)
+    return plan if plan is not None else _mean_plan(ones, float(len(xs)), Fallback.GLOBAL_LINE)
+
+
+def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float:
+    """The planned fit's value for ``ys``, given in the order of the plan's xs."""
+    y = np.asarray(ys, dtype=np.float64)[plan.support]
+    sy = math.fsum((plan.w * y).tolist())
+    if plan.wdx is None:
+        return sy / plan.s0
+    sxy = math.fsum((plan.wdx * y).tolist())
+    alpha = (plan.s2 * sy - plan.s1 * sxy) / plan.det
+    beta = (plan.s0 * sxy - plan.s1 * sy) / plan.det
+    return alpha + beta * plan.du
 
 
 @dataclass(frozen=True)
@@ -166,33 +263,8 @@ def llr_fit(
         If ``points`` is empty, or a k-nearest spec asks for more neighbors
         than there are points.
     """
-    if not points:
-        raise ValueError("cannot fit with zero points")
-    xs = [x for x, _ in points]
-    h0 = effective_bandwidth(spec, x_u, xs)
-
-    weights: list[float] = [0.0] * len(points)
-    if h0 > 0:
-        for widen in range(4):
-            h = h0 * (2.0**widen)
-            weights = [kernel_weight(spec, x_u, x, h) for x in xs]
-            value = _solve_weighted_line(points, weights, x_u)
-            if value is not None:
-                return LocalFit(value, Fallback.NONE if widen == 0 else Fallback.WIDENED_H)
-
-    wsum = math.fsum(weights)
-    if wsum > 0:
-        mean = math.fsum(w * y for (_, y), w in zip(points, weights)) / wsum
-        return LocalFit(mean, Fallback.WEIGHTED_MEAN)
-    if h0 == 0:
-        # Every observation sits at one x: the local constant fit is the mean.
-        mean = math.fsum(y for _, y in points) / len(points)
-        return LocalFit(mean, Fallback.WEIGHTED_MEAN)
-
-    value = _solve_weighted_line(points, [1.0] * len(points), x_u)
-    if value is None:
-        value = math.fsum(y for _, y in points) / len(points)
-    return LocalFit(value, Fallback.GLOBAL_LINE)
+    plan = llr_plan([x for x, _ in points], x_u, spec)
+    return LocalFit(llr_apply(plan, [y for _, y in points]), plan.fallback)
 
 
 def llr_fit_predict(

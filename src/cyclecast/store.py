@@ -6,11 +6,12 @@ full cycle row before moving to the next) and wrap, so once the store is
 full every write overwrites the oldest surviving cell and the matrix always
 holds the most recent ``m*l`` fits.
 
-``extract_window`` pulls the trailing cyclic window of n positions ending at
-the current cursor (wrapping across the pattern-period boundary), which is
-the history slice the forecaster regresses over. Cells never written are
-skipped rather than zero-filled: a fabricated zero rate would poison the
-regression during warm-up.
+``window_cells`` gathers the trailing cyclic window of n positions ending at
+the current cursor (wrapping across the pattern-period boundary) in one
+fancy index, which is the history slice the forecaster regresses over;
+``extract_window`` lists the same cells as (offset, rate) pairs. Cells never
+written are skipped rather than zero-filled: a fabricated zero rate would
+poison the regression during warm-up.
 """
 
 from __future__ import annotations
@@ -110,30 +111,48 @@ class CyclicDataset:
         self.cells[self.p - 1, self.w - 1] = rate
         self.t += 1
 
-    def window_positions(self, n: int) -> list[int]:
-        """The n positions {p-n+1..p} taken modulo m, oldest first."""
+    def _window_rows(self, n: int) -> np.ndarray:
+        """0-based rows of the n positions {p-n+1..p} modulo m, oldest first."""
         if not 1 <= n <= self.m:
             raise ValueError(f"window size must lie in [1, m={self.m}], got {n}")
         p = self.p
-        return [(p - n + i - 1) % self.m + 1 for i in range(1, n + 1)]
+        return np.arange(p - n, p) % self.m
 
-    def extract_window(self, n: int) -> UtilizationWindow:
-        """Collect all populated (offset, rate) entries of the trailing window.
+    def window_positions(self, n: int) -> list[int]:
+        """The n positions {p-n+1..p} taken modulo m, oldest first."""
+        return (self._window_rows(n) + 1).tolist()
+
+    def window_cells(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The trailing window as an n x l block of rates and its empty mask.
+
+        Row i holds offset i + 1 (offset n is the position at the cursor),
+        column j cycle row j + 1; empty cells are NaN and flagged True in
+        the mask.
 
         Raises
         ------
         EmptyWindowError
             If no cell in the window has been written yet (warm-up).
         """
-        entries: list[tuple[int, float]] = []
-        for offset, position in enumerate(self.window_positions(n), start=1):
-            for cycle in range(1, self.l + 1):
-                v = self.cells[position - 1, cycle - 1]
-                if not np.isnan(v):
-                    entries.append((offset, float(v)))
-        if not entries:
+        block = self.cells[self._window_rows(n)]
+        empty = np.isnan(block)
+        if empty.all():
             raise EmptyWindowError(f"no stored rates in the {n}-position window ending at p={self.p}")
-        return UtilizationWindow(n=n, entries=entries)
+        return block, empty
+
+    def extract_window(self, n: int) -> UtilizationWindow:
+        """All populated (offset, rate) entries of the trailing window.
+
+        Entries run offset by offset, cycle rows in order within an offset.
+
+        Raises
+        ------
+        EmptyWindowError
+            If no cell in the window has been written yet (warm-up).
+        """
+        block, empty = self.window_cells(n)
+        rows, cols = np.nonzero(~empty)
+        return UtilizationWindow(n=n, entries=list(zip((rows + 1).tolist(), block[rows, cols].tolist())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclicDataset):

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 US_PER_SECOND = 1_000_000
+_WRITE_BLOCK = 8192  # events per block that write_trace converts to Python values
 
 
 class MetricKind(enum.Enum):
@@ -339,7 +340,11 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp,job_id,task_id,cpu_request,mem_request\n")
         # Plain Python values: repr of a numpy float is not its text form.
-        columns = (events.timestamp.tolist(), (events.timestamp // tp_us + 1).tolist(),
-                   events.cpu.tolist(), events.mem.tolist())
-        for ts, tp, cpu, mem in zip(*columns):
-            fh.write(f"{ts},j{tp},j{tp},{cpu!r},{mem!r}\n")
+        # Converted a block at a time, so the lists stay small.
+        for lo in range(0, len(events), _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            stamps = events.timestamp[block]
+            columns = (stamps.tolist(), (stamps // tp_us + 1).tolist(),
+                       events.cpu[block].tolist(), events.mem[block].tolist())
+            for ts, tp, cpu, mem in zip(*columns):
+                fh.write(f"{ts},j{tp},j{tp},{cpu!r},{mem!r}\n")

@@ -3,8 +3,11 @@
 Everything here is deliberately written from the defining formulas, in
 arbitrary precision (mpmath) where arithmetic is involved, sharing no code
 with the package internals it verifies. Where the package must match to the
-bit (trace aggregation, synthetic event placement), the reference keeps the
-plain per-period or per-event loop with the same float operations.
+bit (trace aggregation, synthetic event placement, the LLR solve, window
+reads and the forecasting loop), the reference keeps the plain one-pass,
+per-period, per-cell or per-step loop with the same float operations; the
+LLR and loop references take only the kernel weight, the bandwidth rule and
+the observe step from the package.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+
+from cyclecast.forecaster import PredictionRecord, observe_step
+from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
 
 
 def cyclic_store_walk(m: int, l: int, rates: Sequence[float]):
@@ -162,3 +168,92 @@ def weighted_window_mean(history: Sequence[float], window: int) -> float:
     weights = [pmf_highprec(float(window), i) for i in range(take)]
     values = [history[-1 - i] for i in range(take)]
     return math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
+
+
+def window_entries(ds, n: int) -> list[tuple[int, float]]:
+    """Populated (offset, rate) cells of the trailing n-position window.
+
+    Walks offsets 1..n (offset n is the cursor's position) and, within an
+    offset, the cycle rows in order, reading each cell through ``get``.
+    """
+    entries = []
+    for offset in range(1, n + 1):
+        position = (ds.p - n + offset - 1) % ds.m + 1
+        for cycle in range(1, ds.l + 1):
+            v = ds.get(position, cycle)
+            if v is not None:
+                entries.append((offset, v))
+    return entries
+
+
+def _one_pass_line(points, weights, x_u):
+    support = [(x, y, w) for (x, y), w in zip(points, weights) if w > 0]
+    if len({x for x, _, _ in support}) < 2:
+        return None
+    s0 = math.fsum(w for _, _, w in support)
+    xbar = math.fsum(w * x for x, _, w in support) / s0
+    s1 = math.fsum(w * (x - xbar) for x, _, w in support)
+    s2 = math.fsum(w * (x - xbar) ** 2 for x, _, w in support)
+    sy = math.fsum(w * y for _, y, w in support)
+    sxy = math.fsum(w * (x - xbar) * y for x, y, w in support)
+    det = s0 * s2 - s1 * s1
+    if det <= 0:
+        return None
+    alpha = (s2 * sy - s1 * sxy) / det
+    beta = (s0 * sxy - s1 * sy) / det
+    return alpha + beta * (x_u - xbar)
+
+
+def llr_one_pass(points, x_u, spec):
+    """Local linear fit solved from the points in one pass: (value, fallback).
+
+    Per widening round, weighs every point, keeps the positive-weight
+    support and solves the centered 2x2 normal equations; then the
+    kernel-weighted mean, the plain mean (all xs equal), the global line
+    and the plain mean again, in that order.
+    """
+    xs = [x for x, _ in points]
+    h0 = effective_bandwidth(spec, x_u, xs)
+    weights = [0.0] * len(points)
+    if h0 > 0:
+        for widen in range(4):
+            h = h0 * (2.0**widen)
+            weights = [kernel_weight(spec, x_u, x, h) for x in xs]
+            value = _one_pass_line(points, weights, x_u)
+            if value is not None:
+                return value, Fallback.NONE if widen == 0 else Fallback.WIDENED_H
+    wsum = math.fsum(weights)
+    if wsum > 0:
+        return math.fsum(w * y for (_, y), w in zip(points, weights)) / wsum, Fallback.WEIGHTED_MEAN
+    if h0 == 0:
+        return math.fsum(y for _, y in points) / len(points), Fallback.WEIGHTED_MEAN
+    value = _one_pass_line(points, [1.0] * len(points), x_u)
+    if value is None:
+        value = math.fsum(y for _, y in points) / len(points)
+    return value, Fallback.GLOBAL_LINE
+
+
+def forecast_loop(observations, cfg) -> list:
+    """Predict-then-observe records, one window read and one solve per step.
+
+    Each step reads the window with ``window_entries``, clamps a k-nearest
+    bandwidth to the window's population, solves with ``llr_one_pass`` and
+    clamps a negative value to zero; an empty window is a warm-up record.
+    """
+    ds = cfg.new_store()
+    records = []
+    for t, obs in enumerate(observations, start=1):
+        tp_index = ds.p
+        entries = window_entries(ds, cfg.up_tps)
+        if entries:
+            points = [(float(x), y) for x, y in entries]
+            kernel = cfg.kernel
+            if kernel.k is not None and kernel.k > len(points):
+                kernel = type(kernel)(family=kernel.family, k=len(points))
+            value, fallback = llr_one_pass(points, float(cfg.up_tps), kernel)
+            predicted = max(value, 0.0)
+        else:
+            predicted, fallback = None, Fallback.NONE
+        actual = observe_step(ds, obs)
+        records.append(PredictionRecord(t, tp_index, predicted, actual, fallback))
+    return records

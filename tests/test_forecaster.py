@@ -3,7 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from cyclecast import forecaster
 from cyclecast.forecaster import (
     ForecastConfig,
     PredictionRecord,
@@ -106,6 +108,41 @@ class TestPredictStep:
         with pytest.raises(EmptyWindowError):
             predict_step(cfg.new_store(), cfg)
 
+    @given(
+        m=st.integers(1, 10),
+        l=st.integers(1, 4),
+        data=st.data(),
+        family=st.sampled_from(list(KernelFamily)),
+        k=st.integers(1, 130),
+        h=st.floats(0.05, 12.0),
+        fixed=st.booleans(),
+    )
+    def test_equals_fit_over_extracted_window(self, m, l, data, family, k, h, fixed):
+        # Any store state: warm-up, partial cycles, full and wrapped stores;
+        # k may exceed the window's population.
+        n = data.draw(st.integers(1, m))
+        rates = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e3)),
+                max_size=3 * m * l + 2,
+            )
+        )
+        kernel = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=k)
+        cfg = ForecastConfig(pp_tps=m, up_tps=n, cycles=l, kernel=kernel)
+        ds = cfg.new_store()
+        for rate in rates:
+            ds.update(rate)
+        try:
+            points = [(float(x), y) for x, y in ds.extract_window(n).entries]
+        except EmptyWindowError:
+            with pytest.raises(EmptyWindowError):
+                predict_step(ds, cfg)
+            return
+        if kernel.k is not None and kernel.k > len(points):
+            kernel = dataclasses.replace(kernel, k=len(points))
+        expected = llr_fit(points, float(n), kernel)
+        assert predict_step(ds, cfg) == (max(expected.value, 0.0), expected.fallback)
+
 
 class TestObserveStep:
     def test_fits_and_stores(self):
@@ -207,6 +244,75 @@ class TestRun:
         assert [(r.predicted, r.actual, r.fallback) for r in resumed] == [
             (r.predicted, r.actual, r.fallback) for r in full[12:]
         ]
+
+
+def _poisson_stream(m, n_steps, seed):
+    """Periodic Poisson counts with idle periods, so some rates are zero."""
+    rng = np.random.default_rng(seed)
+    pattern = rng.uniform(0.0, 12.0, size=m) * (rng.uniform(size=m) > 0.2)
+    return [
+        _obs(i % m + 1, [int(v) for v in rng.poisson(pattern[i % m], size=4)], cycle=i // m + 1)
+        for i in range(n_steps)
+    ]
+
+
+class TestRunMatchesReferenceLoop:
+    @pytest.mark.parametrize(
+        "m, n, l, kernel, forced",
+        [
+            (12, 5, 3, KernelSpec(family=KernelFamily.GAUSSIAN, h=2.5), set()),
+            (12, 12, 2, KernelSpec(family=KernelFamily.GAUSSIAN, k=7), set()),
+            # k=3 lands on the three replicates at the query offset: widened.
+            (12, 4, 3, KernelSpec(k=3), {Fallback.WIDENED_H}),
+            # A radius too short to reach a second offset: weighted mean, and
+            # the global line while the query offset is still empty.
+            (12, 4, 3, KernelSpec(h=0.1), {Fallback.WEIGHTED_MEAN, Fallback.GLOBAL_LINE}),
+        ],
+    )
+    def test_records_equal(self, m, n, l, kernel, forced):
+        cfg = ForecastConfig(pp_tps=m, up_tps=n, cycles=l, kernel=kernel)
+        stream = _poisson_stream(m, 3 * m * l + 5, seed=m * n + l)
+        records = run(stream, cfg)
+        assert records == oracles.forecast_loop(stream, cfg)
+        assert forced <= {r.fallback for r in records}
+
+
+class TestPlanCache:
+    def test_bounded_after_run(self):
+        bound = forecaster._window_plan.cache_info().maxsize
+        cfg = ForecastConfig(pp_tps=10, up_tps=6, cycles=3, kernel=KernelSpec(k=5))
+        run(_poisson_stream(10, 200, seed=3), cfg)
+        assert 0 < forecaster._window_plan.cache_info().currsize <= bound
+
+    @pytest.mark.parametrize(
+        "m, n, l, kernel",
+        [
+            (9, 4, 3, KernelSpec(k=5)),
+            (7, 7, 2, KernelSpec(family=KernelFamily.GAUSSIAN, h=1.5)),
+            (6, 3, 4, KernelSpec(family=KernelFamily.BIWEIGHT, k=40)),
+        ],
+    )
+    def test_steady_state_reuses_one_plan(self, m, n, l, kernel):
+        cfg = ForecastConfig(pp_tps=m, up_tps=n, cycles=l, kernel=kernel)
+        stream = _poisson_stream(m, 3 * m * l, seed=5)
+        # Population patterns of the windows predicted before the store is full.
+        ds = cfg.new_store()
+        warmup_masks = set()
+        for obs in stream[: m * l]:
+            try:
+                warmup_masks.add(ds.window_cells(n)[1].tobytes())
+            except EmptyWindowError:
+                pass
+            observe_step(ds, obs)
+        forecaster._window_plan.cache_clear()
+        ds = cfg.new_store()
+        run(stream[: m * l], cfg, ds)
+        warmup_misses = forecaster._window_plan.cache_info().misses
+        run(stream[m * l :], cfg, ds)
+        info = forecaster._window_plan.cache_info()
+        assert info.misses <= len(warmup_masks) + 1
+        assert info.misses - warmup_misses <= 1
+        assert info.hits + info.misses >= 2 * m * l
 
 
 class TestBaselines:

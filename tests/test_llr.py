@@ -10,9 +10,11 @@ from cyclecast.llr import (
     KernelSpec,
     effective_bandwidth,
     kernel_weight,
+    llr_apply,
     llr_curve,
     llr_fit,
     llr_fit_predict,
+    llr_plan,
 )
 
 import oracles
@@ -186,6 +188,38 @@ class TestFitPredict:
         if family is KernelFamily.GAUSSIAN:
             # Gaussian weights are positive everywhere: no fit may give up the line.
             assert exact, fit
+
+
+class TestPlanApply:
+    @given(
+        xs=st.lists(st.one_of(st.integers(-6, 12).map(float), st.floats(-20.0, 20.0)), min_size=1, max_size=40),
+        data=st.data(),
+        family=st.sampled_from(ALL_FAMILIES),
+        h=st.floats(0.01, 30.0),
+        k=st.integers(1, 40),
+        fixed=st.booleans(),
+        x_u=st.floats(-25.0, 25.0),
+    )
+    def test_one_plan_serves_every_ys_bit_for_bit(self, xs, data, family, h, k, fixed, x_u):
+        spec = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=min(k, len(xs)))
+        plan = llr_plan(xs, x_u, spec)
+        ys_strategy = st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)),
+            min_size=len(xs),
+            max_size=len(xs),
+        )
+        for _ in range(3):
+            ys = data.draw(ys_strategy)
+            points = list(zip(xs, ys))
+            value, fallback = oracles.llr_one_pass(points, x_u, spec)
+            assert llr_apply(plan, ys).hex() == value.hex()
+            assert plan.fallback is fallback
+            fit = llr_fit(points, x_u, spec)
+            assert (fit.value.hex(), fit.fallback) == (value.hex(), fallback)
+
+    def test_empty_xs_raise(self):
+        with pytest.raises(ValueError):
+            llr_plan([], 0.0, EPAN)
 
 
 class TestFallbackChain:

@@ -185,6 +185,20 @@ class TestWindow:
         for n in (1, 4, 8):
             assert len(ds.extract_window(n).entries) == n * 3
 
+    @given(reachable_stores(), st.data())
+    def test_entries_match_cell_by_cell_walk(self, case, data):
+        ds, _ = case
+        n = data.draw(st.integers(1, ds.m))
+        expected = oracles.window_entries(ds, n)
+        if not expected:
+            with pytest.raises(EmptyWindowError):
+                ds.extract_window(n)
+            return
+        assert ds.extract_window(n).entries == expected
+        block, empty = ds.window_cells(n)
+        assert block.shape == empty.shape == (n, ds.l)
+        assert [(int(x) + 1, float(block[x, c])) for x, c in zip(*np.nonzero(~empty))] == expected
+
     def test_offsets_pair_with_stored_rates(self):
         ds = new_dataset(4, 1)
         for v in [10.0, 20.0, 30.0, 40.0]:

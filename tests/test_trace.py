@@ -273,6 +273,17 @@ class TestObservationFiles:
         assert _columns(res.events) == _columns(events)
         assert res.rejected == 0
 
+    def test_every_row_written_in_order(self, tmp_path):
+        # Enough events to span several of the writer's conversion blocks.
+        ts = np.arange(25_000, dtype=np.int64) * 7_000_001
+        cpu, mem = np.arange(25_000) / 3.0, np.arange(25_000) / 7.0 + 0.1
+        path = tmp_path / "trace.csv"
+        write_trace(path, Events(ts, cpu, mem), tp_minutes=1)
+        tps = (ts // (60 * US_PER_SECOND) + 1).tolist()
+        assert path.read_text().splitlines()[1:] == [
+            f"{t},j{tp},j{tp},{c!r},{m!r}" for t, tp, c, m in zip(ts.tolist(), tps, cpu.tolist(), mem.tolist())
+        ]
+
 
 class TestObservationType:
     def test_empty_samples_rejected(self):
