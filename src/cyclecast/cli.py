@@ -175,6 +175,13 @@ def _column(value: str) -> int | str:
         return value
 
 
+def _delimiter(value: str) -> str:
+    try:
+        return ColumnMapping(delimiter=value).delimiter
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _data_read(fn, *fnargs):
     try:
         return fn(*fnargs)
@@ -266,7 +273,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
 
-    parsed = parse_trace(args.trace, mapping)
+    try:
+        parsed = parse_trace(args.trace, mapping)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.trace}: not UTF-8 text ({exc})") from exc
     if not parsed.events:
         raise DataError(f"{args.trace}: no usable events ({parsed.rejected} rows rejected)")
     start_us = args.start_sec * 1_000_000
@@ -528,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--col-ts", type=_column, default=0, help="timestamp column (index or header name)")
     p.add_argument("--col-cpu", type=_column, default=3, help="cpu request column (index or header name)")
     p.add_argument("--col-mem", type=_column, default=4, help="memory request column (index or header name)")
-    p.add_argument("--delimiter", default=",", help="field delimiter (default comma)")
+    p.add_argument("--delimiter", type=_delimiter, default=",", help="field delimiter (default comma)")
     p.add_argument("--header", action="store_true", help="first row is a header")
     p.add_argument("--start-sec", type=int, default=0, help="aggregation start offset in seconds")
     p.add_argument("--split-tp", type=int, help="split observations into train/test after this period")

@@ -5,6 +5,10 @@ task's CPU and memory requests. Rows that fail to parse are tallied and
 skipped, never fatal: real traces contain noise and the reject count keeps a
 run auditable.
 
+A trace file is read in bulk by numpy's C reader when that provably gives
+what the per-row ``csv`` reader gives; otherwise, and for streams and line
+iterables, the per-row reader runs. ``_parse_bulk`` holds the conditions.
+
 Aggregation slices a time window into fixed sub-bins and produces one
 integer sample per sub-bin: event counts for the arrivals metric, scaled
 rounded request sums for CPU/memory (rate fitting needs count data, so
@@ -39,6 +43,10 @@ __all__ = [
 
 US_PER_SECOND = 1_000_000
 _WRITE_BLOCK = 8192  # events per block that write_trace converts to Python values
+_SCAN_BLOCK = 1 << 20  # bytes per read of the bulk reader's pre-scan
+_UTF8_BOM = b"\xef\xbb\xbf"
+# Bytes of a plain trace file: printable ASCII but the double quote, tab, newline.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
 
 
 class MetricKind(enum.Enum):
@@ -111,6 +119,14 @@ class ColumnMapping:
     delimiter: str = ","
     has_header: bool = False
 
+    def __post_init__(self) -> None:
+        # csv.reader needs one character, and a quote or line end could not split fields.
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise ValueError(
+                "delimiter must be one character other than a double quote, "
+                f"carriage return or newline, got {self.delimiter!r}"
+            )
+
 
 @dataclass
 class ParseResult:
@@ -142,23 +158,129 @@ def parse_trace(
     """Parse a delimited trace into timestamp-ordered events.
 
     ``source`` may be a path, an open text stream, or an iterable of lines.
+    A path is read as UTF-8, after a byte order mark if there is one.
     Malformed rows (short rows, unparseable or negative fields, timestamps
     beyond int64) are counted in ``rejected`` and skipped. Events come back
     sorted by timestamp even when the input is not; equal timestamps keep
     their input order.
 
+    A path is first offered to a bulk reader (numpy's C text reader). It
+    takes the file only when its rows and values are provably the per-row
+    reader's, and the result is then equal column for column, ``rejected``
+    included. Every other file, stream or line iterable is read row by row
+    with the ``csv`` module.
+
     Raises
     ------
     OSError
         If a path cannot be opened.
+    UnicodeDecodeError
+        If a path is not UTF-8 text.
     ValueError
         If a header-name column mapping cannot be resolved.
     """
     mapping = mapping or ColumnMapping()
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        parsed = _parse_bulk(source, mapping)
+        if parsed is not None:
+            return parsed
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return _parse_rows(fh, mapping)
     return _parse_rows(source, mapping)
+
+
+def _plain_line_count(path: str | Path) -> int | None:
+    """Count the lines of a plain file, or return None if the file is not plain.
+
+    Plain means printable ASCII other than the double quote, tabs and
+    newlines, with no empty line; a leading UTF-8 byte order mark is not part
+    of the first line. The file is read in blocks, so memory stays bounded
+    whatever its size.
+    """
+    lines = 0
+    at_line_start = True
+    with open(path, "rb") as fh:
+        block = fh.read(_SCAN_BLOCK).removeprefix(_UTF8_BOM)
+        while block:
+            if (
+                block.translate(None, _PLAIN_BYTES)
+                or b"\n\n" in block
+                or (at_line_start and block.startswith(b"\n"))
+            ):
+                return None
+            lines += block.count(b"\n")
+            at_line_start = block.endswith(b"\n")
+            block = fh.read(_SCAN_BLOCK)
+    return lines + (not at_line_start)
+
+
+def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
+    """Parse a trace file with ``np.loadtxt``, or return None to leave it to ``_parse_rows``.
+
+    The result equals ``_parse_rows``'s whenever it is returned, because:
+
+    * The file is plain (see ``_plain_line_count``). Without a double quote
+      or a carriage return, csv splits every line exactly at the delimiter,
+      as the C reader and ``str.split`` of the header do; both readers strip
+      spaces and tabs around a field alike. Other characters are refused
+      because the readers differ on them: the C reader strips ``\\x1f`` and
+      turns some non-ASCII characters within an integer into digits
+      (``"7\\u24271"`` reads as 92771), where ``int`` raises. An empty line
+      is skipped by both, but one before a header would shift it.
+    * The file holds at least one data row (numpy warns on none), and the
+      timestamp column is not also the cpu or memory column: it is read
+      once, and ``int`` and ``float`` read "-0" as 0 and -0.0. A negative
+      column index counts from the end of each row in both readers.
+    * Every mapped field parses as int64 or float64, or loadtxt raises (or
+      warns, which is raised) and the file is refused. The C reader refuses
+      what only ``int``/``float`` accept (``_`` between digits, a float where
+      an integer belongs, a timestamp beyond int64) and a row too short for
+      a mapped column. A float both accept rounds to the same double.
+    * loadtxt returned one row per line, so it neither split nor skipped one.
+
+    The per-row rules then apply as one mask: a timestamp below 0, or a cpu
+    or memory request that is negative or not finite, rejects the row.
+    """
+    import warnings
+
+    lines = _plain_line_count(path)
+    if lines is None or lines <= mapping.has_header:
+        return None
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            header = None
+            if mapping.has_header:
+                header = fh.readline().removesuffix("\n").split(mapping.delimiter)
+            c_ts = _resolve(mapping.timestamp, header, "timestamp")
+            c_cpu = _resolve(mapping.cpu, header, "cpu")
+            c_mem = _resolve(mapping.mem, header, "mem")
+            mapped = {c_ts, c_cpu, c_mem} - {None}
+            if c_ts is None or c_ts in (c_cpu, c_mem):
+                return None
+            usecols = sorted(mapped)
+            dtype = np.dtype([(f"c{c}", np.int64 if c == c_ts else np.float64) for c in usecols])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    fh, dtype=dtype, comments=None, delimiter=mapping.delimiter, usecols=usecols, ndmin=1
+                )
+        except (ValueError, Warning):  # _parse_rows raises or rejects as it always did
+            return None
+    rows = lines - mapping.has_header
+    if len(table) != rows:
+        return None
+    ts = table[f"c{c_ts}"]
+    cpu, mem = (table[f"c{c}"] if c is not None else np.zeros(rows) for c in (c_cpu, c_mem))
+    keep = (ts >= 0) & np.isfinite(cpu) & (cpu >= 0) & np.isfinite(mem) & (mem >= 0)
+    if not keep.all():
+        ts, cpu, mem = ts[keep], cpu[keep], mem[keep]
+    # Without rejects the columns stay views into the table: copying them
+    # would double what a parse adds to peak memory.
+    events = Events(ts, cpu, mem)
+    if np.any(events.timestamp[1:] < events.timestamp[:-1]):
+        order = np.argsort(events.timestamp, kind="stable")
+        events = Events(events.timestamp[order], events.cpu[order], events.mem[order])
+    return ParseResult(events=events, rejected=rows - len(events))
 
 
 def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:

@@ -7,20 +7,24 @@ bit (trace aggregation, synthetic event placement, the LLR solve, window
 reads and the forecasting loop), the reference keeps the plain one-pass,
 per-period, per-cell or per-step loop with the same float operations; the
 LLR and loop references take only the kernel weight, the bandwidth rule and
-the observe step from the package.
+the observe step from the package. The trace reader reference is the
+per-row ``csv`` reader, kept verbatim with its two helpers.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import mpmath as mp
 import numpy as np
 
 from cyclecast.forecaster import PredictionRecord, observe_step
 from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
+from cyclecast.trace import ColumnMapping, Events, ParseResult
 
 
 def cyclic_store_walk(m: int, l: int, rates: Sequence[float]):
@@ -41,6 +45,63 @@ def cyclic_store_walk(m: int, l: int, rates: Sequence[float]):
             p = 1
             w = w + 1 if w < l else 1
     return p, w, t, cells
+
+
+def _resolve(col: int | str | None, header: list[str] | None, what: str) -> int | None:
+    if col is None or isinstance(col, int):
+        return col
+    if header is None:
+        raise ValueError(f"column {col!r} for {what} needs a header row to resolve")
+    try:
+        return header.index(col)
+    except ValueError:
+        raise ValueError(f"column {col!r} for {what} not found in header {header}") from None
+
+
+def _nonneg_float(field: str) -> float:
+    v = float(field)
+    if not math.isfinite(v) or v < 0:
+        raise ValueError(field)
+    return v
+
+
+def parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
+    """The per-row trace reader: one ``csv`` row at a time, per-field ``int``/``float``."""
+    reader = csv.reader(lines, delimiter=mapping.delimiter)
+    header: list[str] | None = None
+    if mapping.has_header:
+        header = next(reader, None)
+        if header is None:
+            return ParseResult(events=Events([], [], []), rejected=0)
+    c_ts = _resolve(mapping.timestamp, header, "timestamp")
+    c_cpu = _resolve(mapping.cpu, header, "cpu")
+    c_mem = _resolve(mapping.mem, header, "mem")
+    assert c_ts is not None
+
+    timestamps = array("q")
+    cpus = array("d")
+    mems = array("d")
+    rejected = 0
+    for row in reader:
+        if not row:
+            continue
+        try:
+            ts = int(row[c_ts])
+            if not 0 <= ts < 2**63:  # stored as int64
+                raise ValueError(row[c_ts])
+            cpu = _nonneg_float(row[c_cpu]) if c_cpu is not None else 0.0
+            mem = _nonneg_float(row[c_mem]) if c_mem is not None else 0.0
+        except (ValueError, IndexError):
+            rejected += 1
+            continue
+        timestamps.append(ts)
+        cpus.append(cpu)
+        mems.append(mem)
+    events = Events(timestamps, cpus, mems)
+    if np.any(events.timestamp[1:] < events.timestamp[:-1]):
+        order = np.argsort(events.timestamp, kind="stable")
+        events = Events(events.timestamp[order], events.cpu[order], events.mem[order])
+    return ParseResult(events=events, rejected=rejected)
 
 
 def aggregate_per_period(

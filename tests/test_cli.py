@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cyclecast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cyclecast.evaluation import read_report_rows
 from cyclecast.forecaster import read_records
@@ -286,6 +288,42 @@ class TestExitCodes:
             code = main(["ingest", "--trace", str(trace), "--header", *flag, "--out-dir", str(tmp_path)])
             assert code == EXIT_USAGE, flag
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_bad_delimiter_is_usage_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0,j1,j1,0.1,0.1\n")
+        for delimiter in (";;", "", '"', "\r", "\n"):
+            with pytest.raises(SystemExit) as exc:
+                main(["ingest", "--trace", str(trace), "--delimiter", delimiter, "--out-dir", str(tmp_path)])
+            assert exc.value.code == EXIT_USAGE, repr(delimiter)
+            err = capsys.readouterr().err
+            assert "--delimiter" in err and "Traceback" not in err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(
+            b"\xef\xbb\xbftimestamp,job_id,task_id,cpu_request,mem_request\n0,j1,j1,0.1,0.1\n"
+        )
+        for columns in ([], ["--col-ts", "timestamp", "--col-cpu", "cpu_request"]):
+            out = tmp_path / str(len(columns))
+            code = main(["ingest", "--trace", str(trace), "--header", *columns, "--out-dir", str(out)])
+            assert code == EXIT_OK
+            manifest = json.loads((out / "ingest.manifest.json").read_text())
+            assert manifest["config"]["rejected_rows"] == 0
+        headless = tmp_path / "headless.csv"
+        headless.write_bytes(b"\xef\xbb\xbf0,j1,j1,0.1,0.1\n60000000,j2,j2,0.1,0.1\n")
+        code = main(["ingest", "--trace", str(headless), "--out-dir", str(tmp_path / "headless")])
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "headless" / "ingest.manifest.json").read_text())
+        assert manifest["config"]["rejected_rows"] == 0
+
+    def test_non_utf8_trace_is_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"0,j1,j1,0.1,0.1\n5,j\xe9,t,0.2,0.1\n")
+        code = main(["ingest", "--trace", str(trace), "--out-dir", str(tmp_path)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{trace}: not UTF-8 text" in err and "Traceback" not in err
 
     def test_sub_bin_mismatch_is_data_error(self, tmp_path, capsys):
         obs = _obs_file(tmp_path / "obs.csv", 8, 4)

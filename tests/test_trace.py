@@ -1,10 +1,12 @@
-import io
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cyclecast import trace
+from cyclecast.synthetic import SyntheticSpec, generate
 from cyclecast.trace import (
     US_PER_SECOND,
     ColumnMapping,
@@ -24,10 +26,6 @@ from cyclecast.trace import (
 import oracles
 
 
-def _lines(*rows: str):
-    return io.StringIO("\n".join(rows) + "\n")
-
-
 def _columns(events: Events):
     return events.timestamp.tolist(), events.cpu.tolist(), events.mem.tolist()
 
@@ -36,72 +34,277 @@ def _arrivals(*timestamps: int) -> Events:
     return Events(timestamps, [0.0] * len(timestamps), [0.0] * len(timestamps))
 
 
+def _assert_same_parse(result, reference):
+    """Equal to the bit: column dtypes and bytes, and the reject count."""
+    assert result.rejected == reference.rejected
+    for name in ("timestamp", "cpu", "mem"):
+        got, want = getattr(result.events, name), getattr(reference.events, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 class TestParse:
-    def test_identity_mapping_row(self):
-        res = parse_trace(_lines("600000000,j1,t1,0.5,0.02"))
+    """Every reject and mapping rule, on a line list (the per-row reader)."""
+
+    @pytest.fixture
+    def parse(self):
+        def run(*rows, mapping=None):
+            return parse_trace([row + "\n" for row in rows], mapping)
+
+        return run
+
+    def test_identity_mapping_row(self, parse):
+        res = parse("600000000,j1,t1,0.5,0.02")
         assert res.rejected == 0
         assert _columns(res.events) == ([600000000], [0.5], [0.02])
         assert res.events.timestamp.dtype == np.int64
         assert res.events.cpu.dtype == res.events.mem.dtype == np.float64
 
-    def test_empty_input(self):
-        res = parse_trace(_lines(""))
+    def test_empty_input(self, parse):
+        res = parse("")
         assert len(res.events) == 0
         assert res.rejected == 0
 
-    def test_bad_cpu_field_rejected(self):
-        res = parse_trace(_lines("1,j,t,abc,0.1", "2,j,t,0.2,0.1"))
+    def test_bad_cpu_field_rejected(self, parse):
+        res = parse("1,j,t,abc,0.1", "2,j,t,0.2,0.1")
         assert res.rejected == 1
         assert len(res.events) == 1
 
-    def test_bad_timestamp_rejected(self):
+    def test_bad_timestamp_rejected(self, parse):
         # The last timestamp does not fit in int64 microseconds.
-        res = parse_trace(_lines("oops,j,t,0.1,0.1", "-5,j,t,0.1,0.1", f"{2**63},j,t,0.1,0.1"))
+        res = parse("oops,j,t,0.1,0.1", "-5,j,t,0.1,0.1", f"{2**63},j,t,0.1,0.1")
         assert res.rejected == 3
         assert len(res.events) == 0
 
-    def test_short_row_rejected(self):
-        res = parse_trace(_lines("12,j", "13,j,t,0.7,0.3"))
+    def test_short_row_rejected(self, parse):
+        res = parse("12,j", "13,j,t,0.7,0.3")
         assert res.rejected == 1
         assert res.events.timestamp.tolist() == [13]
 
-    def test_negative_request_rejected(self):
-        res = parse_trace(_lines("1,j,t,-0.5,0.1"))
+    def test_non_ascii_digits(self, parse):
+        # A control picture is no digit; int() reads Arabic-Indic digits.
+        res = parse("7\u24271,j,t,0.5,0.1", "8,j,t,0.5,0.1")
+        assert (res.rejected, _columns(res.events)[0]) == (1, [8])
+        res = parse("\u0661\u0662,j,t,0.5,0.1")
+        assert (res.rejected, _columns(res.events)[0]) == (0, [12])
+
+    def test_timestamp_column_read_twice(self, parse):
+        # int("-0") is 0 while float("-0") keeps its sign.
+        res = parse("-0", "5", mapping=ColumnMapping(timestamp=0, cpu=0, mem=None))
+        assert _columns(res.events) == ([0, 5], [0.0, 5.0], [0.0, 0.0])
+        assert math.copysign(1.0, res.events.cpu[0]) == -1.0
+
+    def test_negative_column_counts_from_row_end(self, parse):
+        res = parse("0,j,t,0.1,0.2", "5,0.3,0.4", mapping=ColumnMapping(cpu=-2, mem=-1))
+        assert _columns(res.events) == ([0, 5], [0.1, 0.3], [0.2, 0.4])
+
+    def test_negative_request_rejected(self, parse):
+        res = parse("1,j,t,-0.5,0.1")
         assert res.rejected == 1
 
-    def test_unsorted_input_sorted(self):
-        res = parse_trace(_lines("30,j,t,0.3,0", "10,j,t,0.1,0", "30,j,t,0.4,0", "20,j,t,0.2,0"))
+    def test_unsorted_input_sorted(self, parse):
+        res = parse("30,j,t,0.3,0", "10,j,t,0.1,0", "30,j,t,0.4,0", "20,j,t,0.2,0")
         # Equal timestamps keep their input order.
         assert _columns(res.events) == ([10, 20, 30, 30], [0.1, 0.2, 0.3, 0.4], [0.0] * 4)
         rows = [(int(ts), float(i)) for i, ts in enumerate(np.random.default_rng(5).integers(0, 9, size=300))]
-        res = parse_trace(_lines(*(f"{ts},j,t,{cpu!r},0" for ts, cpu in rows)))
+        res = parse(*(f"{ts},j,t,{cpu!r},0" for ts, cpu in rows))
         expected = sorted(rows, key=lambda r: r[0])
         assert _columns(res.events)[:2] == ([ts for ts, _ in expected], [cpu for _, cpu in expected])
 
-    def test_header_name_mapping(self):
+    def test_header_name_mapping(self, parse):
         mapping = ColumnMapping(timestamp="time", cpu="cpu_req", mem="mem_req", has_header=True)
-        res = parse_trace(_lines("time,cpu_req,mem_req", "42,0.25,0.5"), mapping)
+        res = parse("time,cpu_req,mem_req", "42,0.25,0.5", mapping=mapping)
         assert _columns(res.events) == ([42], [0.25], [0.5])
 
-    def test_missing_named_column_raises(self):
+    def test_missing_named_column_raises(self, parse):
         mapping = ColumnMapping(timestamp="nope", has_header=True)
         with pytest.raises(ValueError):
-            parse_trace(_lines("time,cpu,mem", "42,0.25,0.5"), mapping)
+            parse("time,cpu,mem", "42,0.25,0.5", mapping=mapping)
 
-    def test_named_column_without_header_raises(self):
+    def test_named_column_without_header_raises(self, parse):
         mapping = ColumnMapping(timestamp="time", has_header=False)
         with pytest.raises(ValueError):
-            parse_trace(_lines("42,j,t,0.25,0.5"), mapping)
+            parse("42,j,t,0.25,0.5", mapping=mapping)
 
-    def test_arrivals_only_mapping(self):
+    def test_arrivals_only_mapping(self, parse):
         mapping = ColumnMapping(timestamp=0, cpu=None, mem=None)
-        res = parse_trace(_lines("7", "9"), mapping)
+        res = parse("7", "9", mapping=mapping)
         assert _columns(res.events) == ([7, 9], [0.0, 0.0], [0.0, 0.0])
 
-    def test_alternate_delimiter(self):
+    def test_alternate_delimiter(self, parse):
         mapping = ColumnMapping(delimiter=";")
-        res = parse_trace(_lines("600;j1;t1;0.5;0.02"), mapping)
+        res = parse("600;j1;t1;0.5;0.02", mapping=mapping)
         assert _columns(res.events) == ([600], [0.5], [0.02])
+
+    def test_non_finite_and_negative_values_rejected(self, parse):
+        res = parse(
+            "-5,j,t,0.1,0.1", "1,j,t,inf,0.1", "2,j,t,0.1,nan", "3,j,t,-0.0,0.1",
+            "4,j,t,1e400,0", "5,j,t,0.5,-1e-300", f"{2**63 - 1},j,t,0.5,0.25",
+        )
+        assert res.rejected == 5
+        assert _columns(res.events) == ([3, 2**63 - 1], [-0.0, 0.5], [0.1, 0.25])
+        assert math.copysign(1.0, res.events.cpu[0]) == -1.0
+
+
+class TestParseFile(TestParse):
+    """The same cases from a file, where the bulk reader takes the well-formed ones."""
+
+    @pytest.fixture
+    def parse(self, tmp_path):
+        def run(*rows, mapping=None):
+            path = tmp_path / "trace.csv"
+            path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+            return parse_trace(path, mapping)
+
+        return run
+
+    def test_byte_order_mark_skipped(self, parse):
+        res = parse("\ufeff1,j,t,0.5,0.25", "2,j,t,0.5,0.25")
+        assert (res.rejected, _columns(res.events)[0]) == (0, [1, 2])
+        mapping = ColumnMapping(timestamp="time", cpu="cpu", mem=None, has_header=True)
+        res = parse("\ufefftime,cpu", "42,0.25", mapping=mapping)
+        assert _columns(res.events) == ([42], [0.25], [0.0])
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the per-row reader ran")
+
+
+def _reference_parse(path, mapping):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return oracles.parse_rows(fh, mapping)
+
+
+# Fields the two readers may disagree on: int() and float() take non-ASCII
+# digits and underscores, csv takes quotes and carriage returns; and values at
+# the edges of the reject rules.
+_ODD_FIELDS = [
+    "١٢", "１", "7\u24271", "1_0", "1_0.5", " 7 ", "\xa07\x85", "7\u2028", "\x0c7", "+3", "-3", "0x10", "1.0", "1e5", ".5",
+    "inf", "-inf", "nan", "-nan", "1e400", "-0.0", "-0", "4.9e-324", "abc", "", " ",
+    str(2**63 - 1), str(2**63), str(-(2**63)), "#1", "1#", '"1"', '1"', "1\r", "1\r\n2",
+]
+_ODD_LINES = ["", " ", "   ", "\t", "#", "#1,2,3", '"', "\r"]
+_NUMBER_PIECES = st.sampled_from(
+    ["", " ", "\t", "+", "-", "0", "7", "12", "00", ".", ".5", "e", "E+", "e-", "inf", "nan", "Infinity", "_", "x"]
+)
+
+
+@st.composite
+def _trace_files(draw):
+    """A mostly well-formed trace file (text) and a mapping, with at most one perturbation."""
+    delimiter = draw(st.sampled_from([",", ",", ";", "\t", " "]))
+    c_ts, c_cpu, c_mem = draw(st.permutations(range(5)))[:3]
+    c_cpu = draw(st.sampled_from([c_cpu] * 4 + [None, c_mem, c_ts]))
+    c_mem = draw(st.sampled_from([c_mem] * 4 + [None, c_cpu]))
+    width = draw(st.integers(max(c for c in (c_ts, c_cpu, c_mem) if c is not None) + 1, 7))
+    timestamp = st.one_of(st.integers(0, 10**13), st.sampled_from([0, 2**63 - 1]))
+    amount = st.one_of(
+        st.floats(0.0, 1e6), st.floats(min_value=0.0, allow_infinity=False), st.floats(), st.sampled_from([-0.0, 5e-324])
+    )
+    other = st.sampled_from(["j1", "t1", "x", "", "7", "0.5"])
+
+    def row():
+        fields = [draw(other) for _ in range(width)]
+        for c in (c_cpu, c_mem):
+            if c is not None:
+                fields[c] = repr(draw(amount))
+        fields[c_ts] = str(draw(timestamp))
+        return fields
+
+    rows = [row() for _ in range(draw(st.integers(0, 6)))]
+    has_header = draw(st.booleans())
+    names = [f"col{i}" for i in range(width)]
+    if has_header:
+        rows.insert(0, list(names))
+    kind = draw(st.sampled_from(["none", "none", "field", "field", "field", "line", "short", "long", "crlf", "bom"]))
+    if kind == "field" and rows:
+        fields = draw(st.sampled_from(rows))
+        odd = st.one_of(st.sampled_from(_ODD_FIELDS), st.lists(_NUMBER_PIECES, min_size=1, max_size=4).map("".join))
+        fields[draw(st.integers(0, width - 1))] = draw(odd)
+    elif kind == "short" and rows:
+        fields = draw(st.sampled_from(rows))
+        del fields[draw(st.integers(0, width - 1)):]
+    elif kind == "long" and rows:
+        draw(st.sampled_from(rows)).extend(draw(st.lists(other, min_size=1, max_size=3)))
+    lines = [delimiter.join(fields) for fields in rows]
+    if kind == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_ODD_LINES)))
+    text = "".join(line + ("\r\n" if kind == "crlf" else "\n") for line in lines)
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")
+    if kind == "bom":
+        text = "\ufeff" + text
+    named = has_header and draw(st.booleans())
+    mapping = ColumnMapping(
+        *(names[c] if named and c is not None else c for c in (c_ts, c_cpu, c_mem)),
+        delimiter=delimiter,
+        has_header=has_header,
+    )
+    return text, mapping
+
+
+class TestBulkReader:
+    def test_synth_trace_takes_bulk_path(self, tmp_path, monkeypatch):
+        spec = SyntheticSpec(pp_tps=12, tps=36, base_rate=5.0, noise_sigma=0.1, seed=8)
+        events, _ = generate(spec)
+        path = tmp_path / "trace.csv"
+        write_trace(path, events, spec.tp_minutes)
+        mapping = ColumnMapping(has_header=True)
+        reference = _reference_parse(path, mapping)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        monkeypatch.setattr(trace, "_parse_rows", _fail)
+        res = parse_trace(path, mapping)
+        _assert_same_parse(res, reference)
+        assert len(res.events) == len(events) and res.rejected == 0
+        named = ColumnMapping(timestamp="timestamp", cpu="cpu_request", mem="mem_request", has_header=True)
+        _assert_same_parse(parse_trace(bom, named), reference)
+
+    def test_every_written_value_takes_bulk_path(self, tmp_path, monkeypatch):
+        # write_trace prints int64 timestamps and float reprs; some fail the reject rules.
+        stamps = [0, 1, 7, 2**53 + 1, 2**63 - 1, -1, -(2**63)]
+        amounts = [
+            0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 0.1, 1 / 3, 1.5, 1e16, 1.7976931348623157e308,
+            float("inf"), float("-inf"), float("nan"), -1.5, -5e-324,
+        ]
+        cpu = [a for a in amounts for _ in amounts]
+        mem = amounts * len(amounts)
+        ts = [stamps[i % len(stamps)] for i in range(len(cpu))]
+        path = tmp_path / "trace.csv"
+        write_trace(path, Events(ts, cpu, mem), tp_minutes=30)
+        mapping = ColumnMapping(has_header=True)
+        reference = _reference_parse(path, mapping)
+        monkeypatch.setattr(trace, "_parse_rows", _fail)
+        res = parse_trace(path, mapping)
+        _assert_same_parse(res, reference)
+        assert 0 < len(res.events) < len(cpu)
+
+    def test_bulk_equals_per_row_reference(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        taken = []
+
+        @settings(max_examples=600)
+        @given(case=_trace_files())
+        def check(case):
+            text, mapping = case
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                reference = _reference_parse(path, mapping)
+            except ValueError:
+                # The bulk reader refuses what the per-row reader raises on.
+                assert trace._parse_bulk(path, mapping) is None
+                with pytest.raises(ValueError):
+                    parse_trace(path, mapping)
+                return
+            bulk = trace._parse_bulk(path, mapping)
+            if bulk is not None:
+                _assert_same_parse(bulk, reference)
+            _assert_same_parse(parse_trace(path, mapping), reference)
+            taken.append(bulk is not None)
+
+        check()
+        # Most files are well formed, so the property is not vacuous.
+        assert sum(taken) >= len(taken) / 4, (sum(taken), len(taken))
 
 
 def _one_period(events, metric=MetricKind.ARRIVALS, tp_minutes=1, sub_bin_seconds=60, scale=100.0):
