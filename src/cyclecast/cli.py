@@ -170,9 +170,14 @@ def _metric_list(value: str) -> list[MetricKind]:
 
 def _column(value: str) -> int | str:
     try:
-        return int(value)
+        index = int(value)
     except ValueError:
         return value
+    # A negative index counts from the end of each row, so on a ragged file
+    # it would read a different column on each row.
+    if index < 0:
+        raise argparse.ArgumentTypeError(f"column index must be 0 or more, got {index}")
+    return index
 
 
 def _delimiter(value: str) -> str:

@@ -9,6 +9,11 @@ A trace file is read in bulk by numpy's C reader when that provably gives
 what the per-row ``csv`` reader gives; otherwise, and for streams and line
 iterables, the per-row reader runs. ``_parse_bulk`` holds the conditions.
 
+A trace is written a run at a time: consecutive rows that share their
+period, cpu and memory bits share one formatted tail, so a row costs one
+integer to text. Bit equality, not float equality, decides a run, so the
+output is the same bytes as formatting every row on its own.
+
 Aggregation slices a time window into fixed sub-bins and produces one
 integer sample per sub-bin: event counts for the arrivals metric, scaled
 rounded request sums for CPU/memory (rate fitting needs count data, so
@@ -22,6 +27,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -287,7 +293,8 @@ def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
     reader = csv.reader(lines, delimiter=mapping.delimiter)
     header: list[str] | None = None
     if mapping.has_header:
-        header = next(reader, None)
+        # The header is the first non-empty row: empty rows are skipped here as below.
+        header = next((row for row in reader if row), None)
         if header is None:
             return ParseResult(events=Events([], [], []), rejected=0)
     c_ts = _resolve(mapping.timestamp, header, "timestamp")
@@ -416,7 +423,7 @@ def write_observations(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n")
         for obs in observations:
-            samples = " ".join(str(s) for s in obs.samples)
+            samples = " ".join(map(str, obs.samples))
             fh.write(
                 f"{obs.tp_index},{obs.cycle_index},{obs.metric.value},"
                 f"{obs.sub_bin_seconds},{scale!r},{samples}\n"
@@ -457,6 +464,14 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
 
     The job and task ids are both ``j<n>``, the 1-based target period of
     ``tp_minutes`` that holds the event.
+
+    Consecutive rows with the same period, cpu and memory form a run, and a
+    run's shared tail ``,j<n>,j<n>,<cpu>,<mem>`` is formatted once; each row
+    is then its timestamp followed by its run's tail. Runs are split where the
+    bits of cpu or memory change, not where the floats compare unequal:
+    ``0.0 == -0.0`` although they print differently, so only bit equality
+    guarantees that the rows of a run print the same text (every NaN prints
+    ``nan``, whatever its bits).
     """
     tp_us = tp_minutes * 60 * US_PER_SECOND
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -466,7 +481,18 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
         for lo in range(0, len(events), _WRITE_BLOCK):
             block = slice(lo, lo + _WRITE_BLOCK)
             stamps = events.timestamp[block]
-            columns = (stamps.tolist(), (stamps // tp_us + 1).tolist(),
-                       events.cpu[block].tolist(), events.mem[block].tolist())
-            for ts, tp, cpu, mem in zip(*columns):
-                fh.write(f"{ts},j{tp},j{tp},{cpu!r},{mem!r}\n")
+            tps = stamps // tp_us + 1
+            cpu, mem = events.cpu[block], events.mem[block]
+            keys = np.stack((tps, cpu.view(np.int64), mem.view(np.int64)))
+            new_run = np.ones(len(stamps), dtype=bool)
+            new_run[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+            starts = np.flatnonzero(new_run)
+            tails = [
+                f",j{tp},j{tp},{c!r},{m!r}\n"
+                for tp, c, m in zip(tps[starts].tolist(), cpu[starts].tolist(), mem[starts].tolist())
+            ]
+            # Row i is pieces 2i and 2i+1: its timestamp, then its run's tail.
+            pieces = [""] * (2 * len(stamps))
+            pieces[0::2] = map(str, stamps.tolist())
+            pieces[1::2] = chain.from_iterable(map(repeat, tails, np.diff(starts, append=len(stamps)).tolist()))
+            fh.write("".join(pieces))

@@ -8,7 +8,9 @@ reads and the forecasting loop), the reference keeps the plain one-pass,
 per-period, per-cell or per-step loop with the same float operations; the
 LLR and loop references take only the kernel weight, the bandwidth rule and
 the observe step from the package. The trace reader reference is the
-per-row ``csv`` reader, kept verbatim with its two helpers.
+per-row ``csv`` reader, kept verbatim with its two helpers; the trace and
+observation writer references format one row and one sample at a time, also
+kept verbatim.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import math
 from array import array
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import mpmath as mp
@@ -24,7 +27,9 @@ import numpy as np
 
 from cyclecast.forecaster import PredictionRecord, observe_step
 from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
-from cyclecast.trace import ColumnMapping, Events, ParseResult
+from cyclecast.trace import US_PER_SECOND, ColumnMapping, Events, ParseResult, PeriodObservation
+
+_WRITE_BLOCK = 8192
 
 
 def cyclic_store_walk(m: int, l: int, rates: Sequence[float]):
@@ -102,6 +107,36 @@ def parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
         order = np.argsort(events.timestamp, kind="stable")
         events = Events(events.timestamp[order], events.cpu[order], events.mem[order])
     return ParseResult(events=events, rejected=rejected)
+
+
+def write_trace_rows(path: str | Path, events: Events, tp_minutes: int) -> None:
+    """The trace writer that formats every row on its own, one ``fh.write`` per row."""
+    tp_us = tp_minutes * 60 * US_PER_SECOND
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("timestamp,job_id,task_id,cpu_request,mem_request\n")
+        # Plain Python values: repr of a numpy float is not its text form.
+        # Converted a block at a time, so the lists stay small.
+        for lo in range(0, len(events), _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            stamps = events.timestamp[block]
+            columns = (stamps.tolist(), (stamps // tp_us + 1).tolist(),
+                       events.cpu[block].tolist(), events.mem[block].tolist())
+            for ts, tp, cpu, mem in zip(*columns):
+                fh.write(f"{ts},j{tp},j{tp},{cpu!r},{mem!r}\n")
+
+
+def write_observations_per_sample(
+    path: str | Path, observations: Sequence[PeriodObservation], scale: float
+) -> None:
+    """The observations writer that formats a period's samples through a generator."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n")
+        for obs in observations:
+            samples = " ".join(str(s) for s in obs.samples)
+            fh.write(
+                f"{obs.tp_index},{obs.cycle_index},{obs.metric.value},"
+                f"{obs.sub_bin_seconds},{scale!r},{samples}\n"
+            )
 
 
 def aggregate_per_period(

@@ -317,6 +317,28 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "headless" / "ingest.manifest.json").read_text())
         assert manifest["config"]["rejected_rows"] == 0
 
+    def test_empty_first_line_is_not_the_header(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\ntimestamp,job_id,task_id,cpu_request,mem_request\n0,j1,j1,0.1,0.1\n")
+        for columns in ([], ["--col-ts", "timestamp"]):
+            out = tmp_path / str(len(columns))
+            code = main(["ingest", "--trace", str(trace), "--header", *columns, "--out-dir", str(out)])
+            assert code == EXIT_OK, columns
+            manifest = json.loads((out / "ingest.manifest.json").read_text())
+            assert manifest["config"]["rejected_rows"] == 0
+
+    def test_negative_column_index_is_usage_error(self, tmp_path, capsys):
+        # On a ragged file a negative index would read a different column on each row.
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0,j1,j1,0.1,0.1\n60000000,j2,0.2,0.1\n")
+        for flags in (["--col-cpu", "-2", "--col-mem", "-1"], ["--col-ts", "-5"], ["--col-mem", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["ingest", "--trace", str(trace), *flags, "--metric", "cpu", "--out-dir", str(tmp_path)])
+            assert exc.value.code == EXIT_USAGE, flags
+            err = capsys.readouterr().err
+            assert "--col-" in err and "0 or more" in err and "Traceback" not in err
+        assert not (tmp_path / "observations_cpu.csv").exists()
+
     def test_non_utf8_trace_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_bytes(b"0,j1,j1,0.1,0.1\n5,j\xe9,t,0.2,0.1\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -116,6 +117,16 @@ class TestParse:
         res = parse("time,cpu_req,mem_req", "42,0.25,0.5", mapping=mapping)
         assert _columns(res.events) == ([42], [0.25], [0.5])
 
+    def test_empty_rows_before_header_skipped(self, parse):
+        # csv yields [] for an empty line; the header is the first non-empty row.
+        res = parse("", "", "timestamp,a,b,cpu,mem", "42,j,t,0.25,0.5", mapping=ColumnMapping(has_header=True))
+        assert (res.rejected, _columns(res.events)) == (0, ([42], [0.25], [0.5]))
+        mapping = ColumnMapping(timestamp="time", cpu="cpu_req", mem=None, has_header=True)
+        res = parse("", "time,cpu_req", "42,0.25", mapping=mapping)
+        assert (res.rejected, _columns(res.events)) == (0, ([42], [0.25], [0.0]))
+        res = parse("", "", mapping=ColumnMapping(has_header=True))
+        assert (res.rejected, len(res.events)) == (0, 0)
+
     def test_missing_named_column_raises(self, parse):
         mapping = ColumnMapping(timestamp="nope", has_header=True)
         with pytest.raises(ValueError):
@@ -172,7 +183,12 @@ def _fail(*args, **kwargs):
 
 def _reference_parse(path, mapping):
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return oracles.parse_rows(fh, mapping)
+        lines = fh
+        if mapping.has_header:
+            # The header is the first non-empty row; the reference took the
+            # first row even when csv read it as empty.
+            lines = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
+        return oracles.parse_rows(lines, mapping)
 
 
 # Fields the two readers may disagree on: int() and float() take non-ASCII
@@ -486,6 +502,92 @@ class TestObservationFiles:
         assert path.read_text().splitlines()[1:] == [
             f"{t},j{tp},j{tp},{c!r},{m!r}" for t, tp, c, m in zip(ts.tolist(), tps, cpu.tolist(), mem.tolist())
         ]
+
+
+# Every kind of float the writer can print: signed zeros, subnormals, the
+# extremes, infinities and NaNs with both signs and several payloads.
+_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64)
+_PRINTED_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, -1.5, 1e16, 1.7976931348623157e308,
+    float("inf"), float("-inf"), *_NANS.view(np.float64),
+]
+# Values that are equal, or all NaN, yet differ in their bits.
+_LOOKALIKES = [[0.0, -0.0], list(_NANS.view(np.float64)), [5e-324, -5e-324, 0.0]]
+_STAMPS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 1]))
+
+
+@st.composite
+def _written_events(draw):
+    """Events in runs of shared cpu and memory bits, drawn from a small pool so
+    that unequal bits with equal values (0.0 and -0.0, two NaNs) meet."""
+    pool = draw(st.one_of(st.sampled_from(_LOOKALIKES), st.lists(st.sampled_from(_PRINTED_FLOATS), min_size=1, max_size=3)))
+    value = st.sampled_from(pool)
+    length = st.one_of(st.integers(1, 40), st.integers(trace._WRITE_BLOCK - 40, trace._WRITE_BLOCK + 40))
+    runs = draw(st.lists(st.tuples(value, value, length), max_size=5))
+    lengths = [n for _, _, n in runs]
+    cpu = np.repeat([c for c, _, _ in runs], lengths)
+    mem = np.repeat([m for _, m, _ in runs], lengths)
+    # Stamps step by a run-wide stride from a drawn start (wrapping in int64),
+    # so periods change within runs, across them, or not at all.
+    stamps = [
+        np.int64(draw(_STAMPS)) + np.arange(n, dtype=np.int64) * np.int64(draw(st.sampled_from([0, 1, 7_000_001, 2**40])))
+        for n in lengths
+    ]
+    ts = np.concatenate(stamps) if stamps else np.zeros(0, dtype=np.int64)
+    return Events(ts, cpu, mem)
+
+
+class TestWriters:
+    """The run-length writers against the row-at-a-time references, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=_written_events(), tp_minutes=st.sampled_from([1, 7, 30, 1440]))
+    def test_trace_equals_per_row_reference(self, tmp_path_factory, events, tp_minutes):
+        out = tmp_path_factory.mktemp("trace")
+        write_trace(out / "new.csv", events, tp_minutes)
+        oracles.write_trace_rows(out / "ref.csv", events, tp_minutes)
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    def test_equal_values_with_unequal_bits_split_runs(self, tmp_path):
+        nan_a, nan_b = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+        cpu = [0.0, -0.0, 0.0, 5e-324, -5e-324, nan_a, nan_b, nan_a, 0.0]
+        events = Events(np.arange(len(cpu)), cpu, [-0.0] * len(cpu))
+        write_trace(tmp_path / "trace.csv", events, tp_minutes=1)
+        assert (tmp_path / "trace.csv").read_text().splitlines()[1:] == [
+            "0,j1,j1,0.0,-0.0", "1,j1,j1,-0.0,-0.0", "2,j1,j1,0.0,-0.0", "3,j1,j1,5e-324,-0.0",
+            "4,j1,j1,-5e-324,-0.0", "5,j1,j1,nan,-0.0", "6,j1,j1,nan,-0.0", "7,j1,j1,nan,-0.0", "8,j1,j1,0.0,-0.0",
+        ]
+
+    def test_runs_across_block_boundaries(self, tmp_path):
+        # One run over three blocks, then runs that end just before, at and after a boundary.
+        block = trace._WRITE_BLOCK
+        cpu = np.full(5 * block, 0.5)
+        cpu[3 * block - 1] = cpu[4 * block] = cpu[4 * block + 1] = 0.25
+        events = Events(np.arange(5 * block) * 1_000_000, cpu, np.full(5 * block, 0.125))
+        write_trace(tmp_path / "new.csv", events, tp_minutes=60)
+        oracles.write_trace_rows(tmp_path / "ref.csv", events, tp_minutes=60)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        periods=st.lists(
+            st.tuples(
+                st.integers(1, 10**6),
+                st.integers(1, 10**6),
+                st.sampled_from(list(MetricKind)),
+                st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**70)), min_size=1, max_size=30),
+                st.integers(1, 3600),
+            ),
+            max_size=6,
+        ),
+        scale=st.floats(min_value=5e-324, allow_infinity=False),
+    )
+    def test_observations_equal_per_sample_reference(self, tmp_path_factory, periods, scale):
+        observations = [PeriodObservation(*p) for p in periods]
+        out = tmp_path_factory.mktemp("obs")
+        write_observations(out / "new.csv", observations, scale)
+        oracles.write_observations_per_sample(out / "ref.csv", observations, scale)
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
 class TestObservationType:
