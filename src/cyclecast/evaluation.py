@@ -18,13 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .forecaster import (
-    ForecastConfig,
-    PredictionRecord,
-    baseline_naive,
-    baseline_poisson_window,
-    run,
-)
+import numpy as np
+
+from .forecaster import ForecastConfig, PredictionRecord, _poisson_window_weights, run
 from .trace import PeriodObservation
 
 __all__ = [
@@ -99,6 +95,33 @@ def _bandwidth_value(cfg: ForecastConfig) -> float:
     return float(cfg.kernel.k) if cfg.kernel.k is not None else float(cfg.kernel.h)
 
 
+def _baseline_errors(
+    actuals: np.ndarray, steps: np.ndarray, window: int
+) -> tuple[list[float], list[float]]:
+    """Naive and Poisson-window baseline errors at the given steps.
+
+    Step i's history is the actuals before it, at most ``window`` of them;
+    steps without history are left out. The windowed forecast adds one lag
+    at a time, newest first, over the steps whose history reaches that lag:
+    the same operations in the same order as ``baseline_poisson_window``
+    (and ``baseline_naive``) on each step's history, so the same floats.
+    """
+    steps = steps[steps > 0]
+    if not len(steps):
+        return [], []
+    target = actuals[steps]
+    depth = np.minimum(steps, window)
+    num = np.zeros(len(steps))
+    den = np.zeros(len(steps))
+    for lag, w in enumerate(_poisson_window_weights(window, int(depth.max()))):
+        reach = depth > lag
+        num[reach] += w * actuals[steps[reach] - 1 - lag]
+        den[reach] += w
+    naive = np.abs(actuals[steps - 1] - target) / target
+    windowed = np.abs(num / den - target) / target
+    return naive.tolist(), windowed.tolist()
+
+
 def evaluate_records(
     records: Sequence[PredictionRecord],
     test_from_t: int = 1,
@@ -138,16 +161,9 @@ def evaluate_records(
     if with_baselines and retained_idx:
         if baseline_window < 1:
             raise ValueError(f"window must be a positive integer, got {baseline_window}")
-        naive_err = []
-        window_err = []
-        for i in retained_idx:
-            # Both baselines read at most the last baseline_window actuals.
-            history = actuals[max(0, i - baseline_window):i]
-            if not history:
-                continue
-            target = actuals[i]
-            naive_err.append(abs(baseline_naive(history) - target) / target)
-            window_err.append(abs(baseline_poisson_window(history, baseline_window) - target) / target)
+        naive_err, window_err = _baseline_errors(
+            np.array(actuals), np.array(retained_idx), baseline_window
+        )
         # A baseline error of exactly zero admits no percentage improvement;
         # leave that delta out rather than divide by it.
         if naive_err:

@@ -1,4 +1,4 @@
-"""Online forecasting loop over the cyclic store.
+"""Forecasting over the cyclic store, online and offline.
 
 Each step first predicts the upcoming target period's rate by local linear
 regression over the trailing utilization window (query point = the window's
@@ -6,6 +6,13 @@ own trailing offset, i.e. extrapolation at the edge), then fits the period
 actually observed and writes that rate into the store, advancing the
 cursors. Until the window holds any history the step emits a warm-up marker
 instead of a number.
+
+``predict_step`` and ``observe_step`` are that step, for a caller that sees
+one period at a time. ``run`` is the offline form over a whole stream: the
+store's contents are a function of the rate stream alone, so it fits every
+period first, reads each step's window straight from the rates, and solves
+each group of steps that share a window shape with one plan. Its records
+and final store are the ones the step-by-step loop produces, bit for bit.
 
 Also hosts two reference predictors used for accuracy comparisons: a naive
 last-value forecaster and a moving-window scheme that weights recent history
@@ -24,7 +31,7 @@ import numpy as np
 
 from .llr import Fallback, KernelSpec, LLRPlan, llr_apply, llr_plan
 from .poisson import poisson_mle, poisson_pmf
-from .store import CyclicDataset, EmptyWindowError
+from .store import CyclicDataset, EmptyWindowError, _check_rate
 from .trace import PeriodObservation
 
 __all__ = [
@@ -130,28 +137,104 @@ def observe_step(ds: CyclicDataset, obs: PeriodObservation) -> float:
     return actual
 
 
+# Steps per batch in ``run``: bounds its index and value blocks to a few
+# hundred windows whatever the stream length.
+_CHUNK = 256
+
+
+def _sources(writes: int | np.ndarray, rows: np.ndarray, m: int, l: int, w0: int) -> np.ndarray:
+    """Where cell (row, cycle) of an m x l store reads from after ``writes`` writes.
+
+    Write i lands on row i mod m, cycle column (i // m) mod l, so the cell
+    (r, c) holds write q*m + r, with q the newest cycle index congruent to c
+    (mod l) that row r had reached. Returns, per ``rows`` entry and cycle
+    column, an index into ``[store cells before the run (raveled), rates of
+    writes w0, w0 + 1, ...]``: a write from before the run (i < w0, which
+    includes never-written cells) is read from the store as it stood.
+    ``writes`` broadcasts against ``rows``.
+    """
+    cycles = np.arange(l)
+    qmax = ((writes - rows - 1) // m)[..., None]
+    i = (qmax - (qmax - cycles) % l) * m + rows[..., None]
+    return np.where(i < w0, rows[..., None] * l + cycles, m * l + i - w0)
+
+
 def run(
     observations: Iterable[PeriodObservation],
     cfg: ForecastConfig,
     ds: CyclicDataset | None = None,
 ) -> list[PredictionRecord]:
-    """Predict-then-observe over an ordered observation stream.
+    """Predict-then-observe over an ordered observation stream, as one batch.
 
-    Emits exactly one record per observation. Warm-up steps (empty window)
-    carry ``predicted=None``. Deterministic: replaying the same stream
-    yields identical records.
+    Emits exactly one record per observation, and leaves ``ds`` (a fresh
+    store if None) as ``observe_step`` over the stream would: the records
+    are those of ``predict_step``/``observe_step`` per observation, bit for
+    bit. Warm-up steps (empty window) carry ``predicted=None``.
+
+    Every observation is checked for stream order (and its fitted rate for
+    storability) before ``ds`` changes, so a bad stream raises the step
+    loop's ``ValueError`` for the first bad observation and leaves ``ds`` as
+    it was. The windows are then read from the fitted rates a chunk of steps
+    at a time, and each chunk's steps are solved per window shape with one
+    cached plan.
     """
     if ds is None:
         ds = cfg.new_store()
-    records = []
-    for t, obs in enumerate(observations, start=1):
-        tp_index = ds.p
-        try:
-            predicted, fallback = predict_step(ds, cfg)
-        except EmptyWindowError:
-            predicted, fallback = None, Fallback.NONE
-        actual = observe_step(ds, obs)
-        records.append(PredictionRecord(t, tp_index, predicted, actual, fallback))
+    m, l, n, w0 = ds.m, ds.l, cfg.up_tps, ds.t - 1
+    actuals: list[float] = []
+    for s, obs in enumerate(observations):
+        if s == 0:
+            ds._window_rows(n)  # the step loop's window-size check
+        if obs.tp_index != (w0 + s) % m + 1:
+            raise ValueError(
+                f"observation for position {obs.tp_index} arrived while the store cursor is at {(w0 + s) % m + 1}"
+            )
+        actual = poisson_mle(obs.samples)
+        _check_rate(actual)
+        actuals.append(actual)
+
+    rates = np.concatenate([ds.cells.ravel(), actuals])
+    plans: dict[bytes, LLRPlan] = {}
+    records: list[PredictionRecord] = []
+    for lo in range(0, len(actuals), _CHUNK):
+        hi = min(lo + _CHUNK, len(actuals))
+        writes = w0 + np.arange(lo, hi)
+        # After W writes, window offset j < n is the row of write
+        # u = W - n + j, which no later write has reached yet: its cells
+        # hold what they held after write u, one row of ``earlier`` that
+        # n - 1 consecutive steps share. Offset n is the cursor's row.
+        us = np.arange(writes[0] + 1 - n, writes[-1])
+        earlier = rates[_sources(us + 1, us % m, m, l, w0)]
+        cursor = rates[_sources(writes, writes % m, m, l, w0)]
+        block = np.concatenate(
+            [earlier[np.arange(hi - lo)[:, None] + np.arange(n - 1)], cursor[:, None]], axis=1
+        ).reshape(hi - lo, n * l)
+        empty = np.isnan(block)
+        predicted: list[float | None] = [None] * (hi - lo)
+        fallbacks = [Fallback.NONE] * (hi - lo)
+        # Runs of consecutive steps whose windows share one empty mask.
+        starts = np.flatnonzero((empty[1:] != empty[:-1]).any(axis=1)) + 1
+        bounds = [0, *starts.tolist(), hi - lo]
+        for a, b in zip(bounds, bounds[1:]):
+            mask = empty[a]
+            if mask.all():
+                continue  # warm-up: the window holds no rate yet
+            key = mask.tobytes()
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _window_plan(key, n, l, cfg.kernel)
+            values = llr_apply(plan, block[a:b, ~mask])
+            # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
+            predicted[a:b] = np.where(values < 0, 0.0, values).tolist()
+            fallbacks[a:b] = [plan.fallback] * (b - a)
+        records += map(
+            PredictionRecord, range(lo + 1, hi + 1), (writes % m + 1).tolist(),
+            predicted, actuals[lo:hi], fallbacks,
+        )
+
+    if actuals:
+        ds.cells[...] = rates[_sources(w0 + len(actuals), np.arange(m), m, l, w0)]
+        ds.t += len(actuals)
     return records
 
 

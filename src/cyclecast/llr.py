@@ -234,13 +234,25 @@ def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
     return plan if plan is not None else _mean_plan(ones, float(len(xs)), Fallback.GLOBAL_LINE)
 
 
-def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float:
-    """The planned fit's value for ``ys``, given in the order of the plan's xs."""
-    y = np.asarray(ys, dtype=np.float64)[plan.support]
-    sy = math.fsum((plan.w * y).tolist())
+def _fsum(terms: np.ndarray) -> float | np.ndarray:
+    """Correctly rounded sum of a 1-D array, or of each row of a 2-D one."""
+    if terms.ndim == 1:
+        return math.fsum(terms.tolist())
+    return np.array([math.fsum(row) for row in terms.tolist()])
+
+
+def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """The planned fit's value for ``ys``, given in the order of the plan's xs.
+
+    A 2-D ``ys`` holds one such sequence per row and gives an array with one
+    value per row, each the same float a 1-D call on that row returns: the
+    sums are per row, and the rest is the same IEEE operations elementwise.
+    """
+    y = np.asarray(ys, dtype=np.float64)[..., plan.support]
+    sy = _fsum(plan.w * y)
     if plan.wdx is None:
         return sy / plan.s0
-    sxy = math.fsum((plan.wdx * y).tolist())
+    sxy = _fsum(plan.wdx * y)
     alpha = (plan.s2 * sy - plan.s1 * sxy) / plan.det
     beta = (plan.s0 * sxy - plan.s1 * sy) / plan.det
     return alpha + beta * plan.du

@@ -17,6 +17,7 @@ poison the regression during warm-up.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,11 @@ class UtilizationWindow:
 
     n: int
     entries: list[tuple[int, float]]
+
+
+def _check_rate(rate: float) -> None:
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"stored rate must be finite and nonnegative, got {rate}")
 
 
 class CyclicDataset:
@@ -106,8 +112,7 @@ class CyclicDataset:
 
     def update(self, rate: float) -> None:
         """Write ``rate`` at the cursor (p, w), then advance the step counter."""
-        if not np.isfinite(rate) or rate < 0:
-            raise ValueError(f"stored rate must be finite and nonnegative, got {rate}")
+        _check_rate(rate)
         self.cells[self.p - 1, self.w - 1] = rate
         self.t += 1
 

@@ -10,7 +10,9 @@ LLR and loop references take only the kernel weight, the bandwidth rule and
 the observe step from the package. The trace reader reference is the
 per-row ``csv`` reader, kept verbatim with its two helpers; the trace and
 observation writer references format one row and one sample at a time, also
-kept verbatim.
+kept verbatim. So are the step-by-step forecasting run (one
+``predict_step``/``observe_step`` pair per observation) and the per-step
+baseline loop of ``evaluate_records``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,15 @@ from typing import Iterable, Sequence
 import mpmath as mp
 import numpy as np
 
-from cyclecast.forecaster import PredictionRecord, observe_step
+from cyclecast.forecaster import (
+    PredictionRecord,
+    baseline_naive,
+    baseline_poisson_window,
+    observe_step,
+    predict_step,
+)
 from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
+from cyclecast.store import EmptyWindowError
 from cyclecast.trace import US_PER_SECOND, ColumnMapping, Events, ParseResult, PeriodObservation
 
 _WRITE_BLOCK = 8192
@@ -353,3 +362,37 @@ def forecast_loop(observations, cfg) -> list:
         actual = observe_step(ds, obs)
         records.append(PredictionRecord(t, tp_index, predicted, actual, fallback))
     return records
+
+
+def run_per_step(observations, cfg, ds=None) -> list:
+    """Predict-then-observe records, one ``predict_step``/``observe_step`` pair per observation.
+
+    Advances ``ds`` (a fresh store if None) one observation at a time.
+    """
+    if ds is None:
+        ds = cfg.new_store()
+    records = []
+    for t, obs in enumerate(observations, start=1):
+        tp_index = ds.p
+        try:
+            predicted, fallback = predict_step(ds, cfg)
+        except EmptyWindowError:
+            predicted, fallback = None, Fallback.NONE
+        actual = observe_step(ds, obs)
+        records.append(PredictionRecord(t, tp_index, predicted, actual, fallback))
+    return records
+
+
+def baseline_errors_per_step(actuals, retained_idx, baseline_window):
+    """Naive and Poisson-window baseline errors, one history slice per retained step."""
+    naive_err = []
+    window_err = []
+    for i in retained_idx:
+        # Both baselines read at most the last baseline_window actuals.
+        history = actuals[max(0, i - baseline_window):i]
+        if not history:
+            continue
+        target = actuals[i]
+        naive_err.append(abs(baseline_naive(history) - target) / target)
+        window_err.append(abs(baseline_poisson_window(history, baseline_window) - target) / target)
+    return naive_err, window_err

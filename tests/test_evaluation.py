@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from cyclecast import evaluation
 from cyclecast.evaluation import (
     EvaluationReport,
     compare,
@@ -18,6 +20,8 @@ from cyclecast.evaluation import (
 from cyclecast.forecaster import ForecastConfig, PredictionRecord
 from cyclecast.llr import Fallback, KernelSpec
 from cyclecast.trace import MetricKind, PeriodObservation
+
+import oracles
 
 
 def _obs(tp_index, samples, cycle=1):
@@ -119,6 +123,22 @@ class TestEvaluateRecords:
         assert report.mape == pytest.approx(0.25, rel=1e-12)
         assert report.baseline_deltas["naive"] == pytest.approx(0.0, abs=1e-12)
         assert "poisson_window" in report.baseline_deltas
+
+
+class TestBaselineErrors:
+    @given(
+        actuals=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e4)), max_size=90),
+        window=st.integers(1, 60),
+        data=st.data(),
+    )
+    def test_match_per_step_loop(self, actuals, window, data):
+        # Windows up to 60 over up to 90 steps: most histories are shorter
+        # than the window, and step 0 has none.
+        keep = data.draw(st.lists(st.booleans(), min_size=len(actuals), max_size=len(actuals)))
+        retained = [i for i, (a, k) in enumerate(zip(actuals, keep)) if a > 0 and k]
+        expected = oracles.baseline_errors_per_step(actuals, retained, window)
+        got = evaluation._baseline_errors(np.array(actuals), np.array(retained, dtype=np.int64), window)
+        assert [[v.hex() for v in e] for e in got] == [[v.hex() for v in e] for e in expected]
 
 
 class TestSweep:

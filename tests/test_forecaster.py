@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclecast import forecaster
 from cyclecast.forecaster import (
@@ -18,7 +18,7 @@ from cyclecast.forecaster import (
     write_records,
 )
 from cyclecast.llr import Fallback, KernelFamily, KernelSpec, llr_fit
-from cyclecast.store import CyclicDataset, EmptyWindowError
+from cyclecast.store import CyclicDataset, EmptyWindowError, restore, snapshot
 from cyclecast.trace import MetricKind, PeriodObservation
 
 import oracles
@@ -277,6 +277,113 @@ class TestRunMatchesReferenceLoop:
         assert forced <= {r.fallback for r in records}
 
 
+def _hexed(records):
+    """Records with every rate as its exact bit pattern."""
+    return [
+        (r.t, r.tp_index, None if r.predicted is None else r.predicted.hex(), r.actual.hex(), r.fallback)
+        for r in records
+    ]
+
+
+def _stores(cfg, prefix, resume):
+    """Two equal, independent stores: fresh, or after ``prefix`` observed."""
+    stores = []
+    for _ in range(2):
+        ds = cfg.new_store()
+        oracles.run_per_step(prefix, cfg, ds)
+        stores.append(restore(snapshot(ds)) if resume == "snapshot" else ds)
+    return stores
+
+
+def _assert_same_store(a, b):
+    assert a == b
+    assert a.cells.tobytes() == b.cells.tobytes()
+
+
+CHUNK = forecaster._CHUNK
+
+
+class TestBatchedRun:
+    """``run`` against the step loop it batches, record for record and bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        l=st.integers(1, 3),
+        data=st.data(),
+        family=st.sampled_from(list(KernelFamily)),
+        k=st.integers(1, 30),
+        # Radii short enough to force every fallback kind, and wider ones.
+        h=st.one_of(st.sampled_from([0.1, 0.5, 0.75, 1.0]), st.floats(0.05, 12.0)),
+        fixed=st.booleans(),
+        length=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]),
+        resume=st.sampled_from(["fresh", "partial", "snapshot"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_step_loop(self, m, l, data, family, k, h, fixed, length, resume, seed):
+        n = data.draw(st.integers(1, m))
+        done = 0 if resume == "fresh" else data.draw(st.integers(0, 2 * m * l + 1))
+        kernel = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=k)
+        cfg = ForecastConfig(pp_tps=m, up_tps=n, cycles=l, kernel=kernel)
+        stream = _poisson_stream(m, done + length, seed)
+        batch_ds, step_ds = _stores(cfg, stream[:done], resume)
+
+        records = run(stream[done:], cfg, batch_ds)
+        assert _hexed(records) == _hexed(oracles.run_per_step(stream[done:], cfg, step_ds))
+        _assert_same_store(batch_ds, step_ds)
+        # The uninterrupted reference loop, from its step done + 1 on.
+        reference = [
+            dataclasses.replace(r, t=r.t - done) for r in oracles.forecast_loop(stream, cfg)[done:]
+        ]
+        assert _hexed(records) == _hexed(reference)
+
+    @pytest.mark.parametrize("resume", ["fresh", "partial", "snapshot"])
+    @pytest.mark.parametrize(
+        "kernel, forced",
+        [
+            (KernelSpec(k=3), {Fallback.WIDENED_H}),
+            (KernelSpec(h=0.1), {Fallback.WEIGHTED_MEAN, Fallback.GLOBAL_LINE}),
+            (KernelSpec(family=KernelFamily.GAUSSIAN, k=40), {Fallback.NONE}),
+        ],
+    )
+    def test_forced_fallbacks_across_chunks(self, kernel, forced, resume):
+        cfg = ForecastConfig(pp_tps=12, up_tps=4, cycles=3, kernel=kernel)
+        stream = _poisson_stream(12, 5 + 2 * CHUNK + 1, seed=17)
+        batch_ds, step_ds = _stores(cfg, stream[:5], resume)
+        records = run(stream[5:], cfg, batch_ds)
+        assert _hexed(records) == _hexed(oracles.run_per_step(stream[5:], cfg, step_ds))
+        _assert_same_store(batch_ds, step_ds)
+        assert forced <= {r.fallback for r in records}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda stream: stream[:7] + [_obs(stream[7].tp_index % 6 + 1, [1])] + stream[8:],
+            lambda stream: stream[:7] + [_obs(stream[7].tp_index, [float("nan")])] + stream[8:],
+        ],
+        ids=["out-of-order", "unstorable-rate"],
+    )
+    def test_bad_stream_leaves_store_unchanged(self, bad):
+        cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
+        stream = _poisson_stream(6, 30, seed=23)
+        ds, step_ds = _stores(cfg, stream[:4], "partial")
+        before = snapshot(ds)
+        stream = bad(stream[4:])
+        with pytest.raises(ValueError) as step_error:
+            oracles.run_per_step(stream, cfg, step_ds)
+        with pytest.raises(ValueError) as batch_error:
+            run(stream, cfg, ds)
+        assert str(batch_error.value) == str(step_error.value)
+        assert snapshot(ds) == before
+
+    def test_window_larger_than_store_rejected(self):
+        cfg = ForecastConfig(pp_tps=6, up_tps=5, cycles=1, kernel=KernelSpec(k=3))
+        ds = CyclicDataset(4, 1)
+        with pytest.raises(ValueError, match=r"window size must lie in \[1, m=4\], got 5"):
+            run([_obs(1, [1])], cfg, ds)
+        assert run([], cfg, ds) == [] and ds == CyclicDataset(4, 1)
+
+
 class TestPlanCache:
     def test_bounded_after_run(self):
         bound = forecaster._window_plan.cache_info().maxsize
@@ -304,15 +411,30 @@ class TestPlanCache:
             except EmptyWindowError:
                 pass
             observe_step(ds, obs)
+        # The step loop looks a plan up for every predicted step.
+        forecaster._window_plan.cache_clear()
+        ds = cfg.new_store()
+        oracles.run_per_step(stream[: m * l], cfg, ds)
+        warmup_misses = forecaster._window_plan.cache_info().misses
+        oracles.run_per_step(stream[m * l :], cfg, ds)
+        info = forecaster._window_plan.cache_info()
+        assert info.misses <= len(warmup_masks) + 1
+        assert info.misses - warmup_misses <= 1
+        assert info.hits + info.misses >= 2 * m * l
+        # The batched run looks each window shape up once: a cold cache
+        # builds at most one plan per warm-up shape and one for the steady
+        # state, and a run over a full store builds at most that one.
         forecaster._window_plan.cache_clear()
         ds = cfg.new_store()
         run(stream[: m * l], cfg, ds)
         warmup_misses = forecaster._window_plan.cache_info().misses
         run(stream[m * l :], cfg, ds)
-        info = forecaster._window_plan.cache_info()
-        assert info.misses <= len(warmup_masks) + 1
-        assert info.misses - warmup_misses <= 1
-        assert info.hits + info.misses >= 2 * m * l
+        misses = forecaster._window_plan.cache_info().misses
+        assert misses <= len(warmup_masks) + 1
+        assert misses - warmup_misses <= 1
+        forecaster._window_plan.cache_clear()
+        run(stream, cfg)
+        assert forecaster._window_plan.cache_info().misses <= len(warmup_masks) + 1
 
 
 class TestBaselines:

@@ -208,6 +208,7 @@ class TestPlanApply:
             min_size=len(xs),
             max_size=len(xs),
         )
+        rows, values = [], []
         for _ in range(3):
             ys = data.draw(ys_strategy)
             points = list(zip(xs, ys))
@@ -216,6 +217,10 @@ class TestPlanApply:
             assert plan.fallback is fallback
             fit = llr_fit(points, x_u, spec)
             assert (fit.value.hex(), fit.fallback) == (value.hex(), fallback)
+            rows.append(ys)
+            values.append(value.hex())
+        # One call over all the ys sets, one per row, gives the same floats.
+        assert [v.hex() for v in llr_apply(plan, np.array(rows)).tolist()] == values
 
     def test_empty_xs_raise(self):
         with pytest.raises(ValueError):
