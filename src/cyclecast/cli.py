@@ -422,6 +422,9 @@ def _int_grid(text: str, what: str) -> list[int]:
         raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}") from None
     if not values:
         raise ValueError(f"{what} is empty")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{what} lists {repeated} more than once")
     return values
 
 

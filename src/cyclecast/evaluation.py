@@ -6,9 +6,11 @@ excluded and counted rather than patched with an epsilon, which would let an
 arbitrary constant dominate the metric. Targets here are the fitted rates of
 the test span, not raw counts.
 
-``sweep`` replays one train+test observation stream per configuration and
-reports each configuration's error next to two reference predictors, so the
-effect of window length and bandwidth can be tabulated for plotting.
+``sweep`` fits the train+test observation stream once, predicts only the
+test span under each configuration, and reports each configuration's error
+next to two reference predictors, so the effect of window length and
+bandwidth can be tabulated for plotting. Its reports are the ones that
+``run`` plus ``evaluate_records`` give per configuration, field for field.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .forecaster import ForecastConfig, PredictionRecord, _poisson_window_weights, run
+from .forecaster import (
+    ForecastConfig,
+    PredictionRecord,
+    _fit,
+    _poisson_window_weights,
+    _predict,
+)
 from .trace import PeriodObservation
 
 __all__ = [
@@ -156,13 +164,36 @@ def evaluate_records(
         errors.append(abs(r.predicted - r.actual) / r.actual)
         retained_idx.append(i)
 
+    return _report(
+        cid, up_tps, bandwidth, errors, skipped_zero, warmup,
+        actuals, retained_idx, with_baselines, baseline_window,
+    )
+
+
+def _report(
+    cid: str,
+    up_tps: int,
+    bandwidth: float,
+    errors: list[float],
+    skipped_zero: int,
+    warmup: int,
+    actuals: Sequence[float],
+    retained_idx: Sequence[int],
+    with_baselines: bool,
+    baseline_window: int,
+) -> EvaluationReport:
+    """The report of a scored span: its errors, counts and baseline deltas.
+
+    ``retained_idx`` gives the step of each error as an index into
+    ``actuals``, the actual rates of the whole stream.
+    """
     value = math.fsum(errors) / len(errors) if errors else math.nan
     deltas: dict[str, float] = {}
-    if with_baselines and retained_idx:
+    if with_baselines and len(retained_idx):
         if baseline_window < 1:
             raise ValueError(f"window must be a positive integer, got {baseline_window}")
         naive_err, window_err = _baseline_errors(
-            np.array(actuals), np.array(retained_idx), baseline_window
+            np.asarray(actuals), np.asarray(retained_idx), baseline_window
         )
         # A baseline error of exactly zero admits no percentage improvement;
         # leave that delta out rather than divide by it.
@@ -197,20 +228,33 @@ def sweep(
     predicted before it is observed). Reports come back sorted by
     (window length, bandwidth). Baseline windows match each configuration's
     utilization window.
+
+    The stream is fitted once per store size, with ``run``'s order checks,
+    so a bad stream raises what ``run`` raises for the first configuration
+    it fails. Each configuration then predicts only
+    the test steps, from a fresh store, and they are scored as columns:
+    every field equals that of ``evaluate_records`` on ``run``'s records.
     """
     stream = list(train) + list(test)
+    lo = len(train)
     reports = []
+    fits: dict[int, np.ndarray] = {}  # fitted rates per store size
     for cfg in configs:
-        records = run(stream, cfg)
+        m = cfg.pp_tps
+        if m not in fits:
+            fits[m] = np.array(_fit(stream, m, 0))
+        actuals = fits[m]
+        rates = np.concatenate([cfg.new_store().cells.ravel(), actuals])
+        predicted, warm, _ = _predict(rates, cfg, 0, lo, len(stream))
+        target = actuals[lo:]
+        zero = target <= 0
+        keep = ~warm & ~zero
+        errors = (np.abs(predicted[keep] - target[keep]) / target[keep]).tolist()
         reports.append(
-            evaluate_records(
-                records,
-                test_from_t=len(train) + 1,
-                cid=config_id(cfg),
-                up_tps=cfg.up_tps,
-                bandwidth=_bandwidth_value(cfg),
-                with_baselines=with_baselines,
-                baseline_window=cfg.up_tps,
+            _report(
+                config_id(cfg), cfg.up_tps, _bandwidth_value(cfg), errors,
+                int(np.count_nonzero(~warm & zero)), int(np.count_nonzero(warm)),
+                actuals, np.flatnonzero(keep) + lo, with_baselines, cfg.up_tps,
             )
         )
     reports.sort(key=lambda r: (r.up_tps, r.bandwidth))

@@ -13,6 +13,9 @@ store's contents are a function of the rate stream alone, so it fits every
 period first, reads each step's window straight from the rates, and solves
 each group of steps that share a window shape with one plan. Its records
 and final store are the ones the step-by-step loop produces, bit for bit.
+Its two phases, ``_fit`` and ``_predict``, are also what the evaluation
+sweep runs: one fit for all configurations, and predictions for only the
+steps it scores.
 
 Also hosts two reference predictors used for accuracy comparisons: a naive
 last-value forecaster and a moving-window scheme that weights recent history
@@ -100,6 +103,18 @@ def _window_plan(empty: bytes, n: int, l: int, kernel: KernelSpec) -> LLRPlan:
     return llr_plan(xs, float(n), kernel)
 
 
+def _check_shape(ds: CyclicDataset, cfg: ForecastConfig) -> None:
+    if ds.m != cfg.pp_tps or ds.l != cfg.cycles:
+        raise ValueError(
+            f"store of {ds.m} positions x {ds.l} cycles does not fit a configuration of "
+            f"pp_tps={cfg.pp_tps}, cycles={cfg.cycles}"
+        )
+
+
+def _misplaced(tp_index: int, cursor: int) -> ValueError:
+    return ValueError(f"observation for position {tp_index} arrived while the store cursor is at {cursor}")
+
+
 def predict_step(ds: CyclicDataset, cfg: ForecastConfig) -> tuple[float, Fallback]:
     """Predict the rate of the period at the store cursor.
 
@@ -114,9 +129,12 @@ def predict_step(ds: CyclicDataset, cfg: ForecastConfig) -> tuple[float, Fallbac
 
     Raises
     ------
+    ValueError
+        If the store's shape is not the configuration's (``pp_tps`` x ``cycles``).
     EmptyWindowError
         If the window holds no history at all yet.
     """
+    _check_shape(ds, cfg)
     block, empty = ds.window_cells(cfg.up_tps)
     plan = _window_plan(empty.tobytes(), cfg.up_tps, ds.l, cfg.kernel)
     return max(llr_apply(plan, block[~empty]), 0.0), plan.fallback
@@ -129,15 +147,13 @@ def observe_step(ds: CyclicDataset, obs: PeriodObservation) -> float:
     anything else means the stream is out of order.
     """
     if obs.tp_index != ds.p:
-        raise ValueError(
-            f"observation for position {obs.tp_index} arrived while the store cursor is at {ds.p}"
-        )
+        raise _misplaced(obs.tp_index, ds.p)
     actual = poisson_mle(obs.samples)
     ds.update(actual)
     return actual
 
 
-# Steps per batch in ``run``: bounds its index and value blocks to a few
+# Steps per batch in ``_predict``: bounds its index and value blocks to a few
 # hundred windows whatever the stream length.
 _CHUNK = 256
 
@@ -159,6 +175,76 @@ def _sources(writes: int | np.ndarray, rows: np.ndarray, m: int, l: int, w0: int
     return np.where(i < w0, rows[..., None] * l + cycles, m * l + i - w0)
 
 
+def _fit(observations: Iterable[PeriodObservation], m: int, w0: int) -> list[float]:
+    """The fitted rate of each observation of a stream that follows write ``w0``.
+
+    Checks what ``observe_step`` checks, in its order, against the cursor of
+    an m-position store: a bad stream raises the step loop's ``ValueError``
+    for its first bad observation. Touches no store.
+    """
+    actuals: list[float] = []
+    for s, obs in enumerate(observations):
+        cursor = (w0 + s) % m + 1
+        if obs.tp_index != cursor:
+            raise _misplaced(obs.tp_index, cursor)
+        actual = poisson_mle(obs.samples)
+        _check_rate(actual)
+        actuals.append(actual)
+    return actuals
+
+
+def _predict(
+    rates: np.ndarray, cfg: ForecastConfig, w0: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, list[Fallback]]:
+    """Predictions for steps ``lo..hi-1`` of a run that starts after write ``w0``.
+
+    ``rates`` is ``[the store's cells before the run (raveled), the run's
+    fitted rates]``. Returns each step's clamped prediction (0.0 at a
+    warm-up step), the warm-up mask and each step's fallback: the values of
+    ``predict_step`` at those steps, bit for bit.
+
+    The windows are read from ``rates`` a chunk of steps at a time, and each
+    run of steps that share a window shape is solved with one plan.
+    """
+    m, l, n = cfg.pp_tps, cfg.cycles, cfg.up_tps
+    predicted = np.zeros(hi - lo)
+    warm = np.ones(hi - lo, dtype=bool)
+    fallbacks = [Fallback.NONE] * (hi - lo)
+    plans: dict[bytes, LLRPlan] = {}
+    for c in range(lo, hi, _CHUNK):
+        writes = w0 + np.arange(c, min(c + _CHUNK, hi))
+        size = len(writes)
+        # After W writes, window offset j < n is the row of write
+        # u = W - n + j, which no later write has reached yet: its cells
+        # hold what they held after write u, one row of ``earlier`` that
+        # n - 1 consecutive steps share. Offset n is the cursor's row.
+        us = np.arange(writes[0] + 1 - n, writes[-1])
+        earlier = rates[_sources(us + 1, us % m, m, l, w0)]
+        cursor = rates[_sources(writes, writes % m, m, l, w0)]
+        block = np.concatenate(
+            [earlier[np.arange(size)[:, None] + np.arange(n - 1)], cursor[:, None]], axis=1
+        ).reshape(size, n * l)
+        empty = np.isnan(block)
+        # Runs of consecutive steps whose windows share one empty mask.
+        starts = np.flatnonzero((empty[1:] != empty[:-1]).any(axis=1)) + 1
+        bounds = [0, *starts.tolist(), size]
+        for a, b in zip(bounds, bounds[1:]):
+            mask = empty[a]
+            if mask.all():
+                continue  # warm-up: the window holds no rate yet
+            key = mask.tobytes()
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _window_plan(key, n, l, cfg.kernel)
+            values = llr_apply(plan, block[a:b, ~mask])
+            steps = slice(c - lo + a, c - lo + b)
+            # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
+            predicted[steps] = np.where(values < 0, 0.0, values)
+            warm[steps] = False
+            fallbacks[steps] = [plan.fallback] * (b - a)
+    return predicted, warm, fallbacks
+
+
 def run(
     observations: Iterable[PeriodObservation],
     cfg: ForecastConfig,
@@ -171,67 +257,26 @@ def run(
     are those of ``predict_step``/``observe_step`` per observation, bit for
     bit. Warm-up steps (empty window) carry ``predicted=None``.
 
+    A store whose shape is not the configuration's raises ``ValueError``.
     Every observation is checked for stream order (and its fitted rate for
     storability) before ``ds`` changes, so a bad stream raises the step
     loop's ``ValueError`` for the first bad observation and leaves ``ds`` as
-    it was. The windows are then read from the fitted rates a chunk of steps
-    at a time, and each chunk's steps are solved per window shape with one
-    cached plan.
+    it was. The predictions are then read from the fitted rates.
     """
     if ds is None:
         ds = cfg.new_store()
-    m, l, n, w0 = ds.m, ds.l, cfg.up_tps, ds.t - 1
-    actuals: list[float] = []
-    for s, obs in enumerate(observations):
-        if s == 0:
-            ds._window_rows(n)  # the step loop's window-size check
-        if obs.tp_index != (w0 + s) % m + 1:
-            raise ValueError(
-                f"observation for position {obs.tp_index} arrived while the store cursor is at {(w0 + s) % m + 1}"
-            )
-        actual = poisson_mle(obs.samples)
-        _check_rate(actual)
-        actuals.append(actual)
-
+    _check_shape(ds, cfg)
+    m, l, w0 = ds.m, ds.l, ds.t - 1
+    actuals = _fit(observations, m, w0)
     rates = np.concatenate([ds.cells.ravel(), actuals])
-    plans: dict[bytes, LLRPlan] = {}
-    records: list[PredictionRecord] = []
-    for lo in range(0, len(actuals), _CHUNK):
-        hi = min(lo + _CHUNK, len(actuals))
-        writes = w0 + np.arange(lo, hi)
-        # After W writes, window offset j < n is the row of write
-        # u = W - n + j, which no later write has reached yet: its cells
-        # hold what they held after write u, one row of ``earlier`` that
-        # n - 1 consecutive steps share. Offset n is the cursor's row.
-        us = np.arange(writes[0] + 1 - n, writes[-1])
-        earlier = rates[_sources(us + 1, us % m, m, l, w0)]
-        cursor = rates[_sources(writes, writes % m, m, l, w0)]
-        block = np.concatenate(
-            [earlier[np.arange(hi - lo)[:, None] + np.arange(n - 1)], cursor[:, None]], axis=1
-        ).reshape(hi - lo, n * l)
-        empty = np.isnan(block)
-        predicted: list[float | None] = [None] * (hi - lo)
-        fallbacks = [Fallback.NONE] * (hi - lo)
-        # Runs of consecutive steps whose windows share one empty mask.
-        starts = np.flatnonzero((empty[1:] != empty[:-1]).any(axis=1)) + 1
-        bounds = [0, *starts.tolist(), hi - lo]
-        for a, b in zip(bounds, bounds[1:]):
-            mask = empty[a]
-            if mask.all():
-                continue  # warm-up: the window holds no rate yet
-            key = mask.tobytes()
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = _window_plan(key, n, l, cfg.kernel)
-            values = llr_apply(plan, block[a:b, ~mask])
-            # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
-            predicted[a:b] = np.where(values < 0, 0.0, values).tolist()
-            fallbacks[a:b] = [plan.fallback] * (b - a)
-        records += map(
-            PredictionRecord, range(lo + 1, hi + 1), (writes % m + 1).tolist(),
-            predicted, actuals[lo:hi], fallbacks,
-        )
-
+    predicted, warm, fallbacks = _predict(rates, cfg, w0, 0, len(actuals))
+    values: list[float | None] = predicted.tolist()
+    for i in np.flatnonzero(warm).tolist():
+        values[i] = None
+    positions = ((w0 + np.arange(len(actuals))) % m + 1).tolist()
+    records = list(
+        map(PredictionRecord, range(1, len(actuals) + 1), positions, values, actuals, fallbacks)
+    )
     if actuals:
         ds.cells[...] = rates[_sources(w0 + len(actuals), np.arange(m), m, l, w0)]
         ds.t += len(actuals)

@@ -11,8 +11,9 @@ the observe step from the package. The trace reader reference is the
 per-row ``csv`` reader, kept verbatim with its two helpers; the trace and
 observation writer references format one row and one sample at a time, also
 kept verbatim. So are the step-by-step forecasting run (one
-``predict_step``/``observe_step`` pair per observation) and the per-step
-baseline loop of ``evaluate_records``.
+``predict_step``/``observe_step`` pair per observation), the per-step
+baseline loop of ``evaluate_records``, and the sweep that runs and scores
+the whole stream once per configuration.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from typing import Iterable, Sequence
 import mpmath as mp
 import numpy as np
 
+from cyclecast.evaluation import _bandwidth_value, config_id, evaluate_records
 from cyclecast.forecaster import (
     PredictionRecord,
     baseline_naive,
     baseline_poisson_window,
     observe_step,
     predict_step,
+    run,
 )
 from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
 from cyclecast.store import EmptyWindowError
@@ -396,3 +399,24 @@ def baseline_errors_per_step(actuals, retained_idx, baseline_window):
         naive_err.append(abs(baseline_naive(history) - target) / target)
         window_err.append(abs(baseline_poisson_window(history, baseline_window) - target) / target)
     return naive_err, window_err
+
+
+def sweep_per_config(configs, train, test, with_baselines=False):
+    """Every configuration's report, from ``run`` plus ``evaluate_records`` over train+test."""
+    stream = list(train) + list(test)
+    reports = []
+    for cfg in configs:
+        records = run(stream, cfg)
+        reports.append(
+            evaluate_records(
+                records,
+                test_from_t=len(train) + 1,
+                cid=config_id(cfg),
+                up_tps=cfg.up_tps,
+                bandwidth=_bandwidth_value(cfg),
+                with_baselines=with_baselines,
+                baseline_window=cfg.up_tps,
+            )
+        )
+    reports.sort(key=lambda r: (r.up_tps, r.bandwidth))
+    return reports

@@ -1,0 +1,83 @@
+"""The pair summary and claim rule of ``tools/bench_pairs.py``, on made-up runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+]
+
+
+def _runs(walls, rss=50.0, failed_change=0):
+    runs = []
+    for pair, (parent, change) in enumerate(walls):
+        for side, wall in (("parent", parent), ("change", change)):
+            runs.append({
+                "pair": pair, "order": len(runs) + 1, "side": side, "workload": "w", "seed": pair,
+                "trace": 0, "attempted": 10, "failed": failed_change if side == "change" else 0,
+                "wall_s": wall, "setup_s": 0.1, "peak_rss_mb": rss,
+            })
+    return runs
+
+
+def test_summary_counts_wins_and_quartiles():
+    walls = [(1.0, 0.5), (1.1, 0.6), (0.9, 1.0), (1.2, 0.55), (1.0, 0.5)]
+    summary = bench_pairs.summarise(_runs(walls, failed_change=1), METRICS)["w"]
+    wall = summary["wall_s"]
+    assert wall["pairs"] == 5 and wall["change_wins"] == 4
+    assert wall["parent_median"] == 1.0 and wall["change_median"] == 0.55
+    assert wall["parent_quartiles"] == [1.0, 1.1]
+    # Equal values are ties, which count for neither side.
+    assert summary["peak_rss_mb"]["change_wins"] == 0
+    assert summary["failed"] == {"parent": 0, "change": 5}
+
+
+def test_pair_with_a_failed_run_counts_as_run_and_not_won():
+    runs = _runs([(1.0, 0.5), (1.0, 0.5)])
+    del runs[3]["wall_s"]
+    summary = bench_pairs.summarise(runs, METRICS)["w"]
+    wall = summary["wall_s"]
+    assert wall["pairs"] == 2 and wall["change_wins"] == 1 and summary["failed_runs"] == 1
+    # Medians are over the complete pairs only.
+    assert wall["change_median"] == 0.5 and summary["seeds"] == [0]
+
+
+def test_failed_pairs_count_against_the_claim():
+    # Nine clear wins in nine complete pairs, and one pair whose change run failed.
+    runs = _runs([(1.0, 0.7)] * 9 + [(1.0, 0.7)])
+    del runs[-1]["wall_s"]
+    summary = bench_pairs.summarise(runs, METRICS)
+    claim = bench_pairs.claim(summary, "w:wall_s:1.25", {"wall_s": "s"})
+    assert claim["change_wins"] == "9/10" and claim["met"] is True
+    del runs[-3]["wall_s"]
+    summary = bench_pairs.summarise(runs, METRICS)
+    claim = bench_pairs.claim(summary, "w:wall_s:1.25", {"wall_s": "s"})
+    assert claim["change_wins"] == "8/10" and claim["met"] is False
+    assert claim["seeds"] == list(range(8))
+
+
+@pytest.mark.parametrize(
+    "walls, met",
+    [
+        ([(1.0, 0.7)] * 9 + [(1.1, 0.7)], True),
+        # Nine wins in ten, but a ratio of medians under 1.25.
+        ([(1.0, 0.9)] * 9 + [(0.8, 0.9)], False),
+        # A large ratio, but only eight wins in ten.
+        ([(1.0, 0.5)] * 8 + [(0.4, 0.5)] * 2, False),
+    ],
+)
+def test_claim_rule(walls, met):
+    summary = bench_pairs.summarise(_runs(walls), METRICS)
+    claim = bench_pairs.claim(summary, "w:wall_s:1.25", {"wall_s": "s"})
+    assert claim["met"] is met
+    assert claim["change_wins"] == f"{summary['w']['wall_s']['change_wins']}/10"
+    assert "median_difference_s" in claim and "parent_iqr_s" in claim

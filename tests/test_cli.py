@@ -134,6 +134,25 @@ class TestPipeline:
         ])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "grids, message",
+        [
+            (["--up-tps-grid", "12,12", "--bandwidth-grid", "10,10"], "--up-tps-grid lists 12 more than once"),
+            (["--up-tps-grid", "8,4,8"], "--up-tps-grid lists 8 more than once"),
+            (["--up-tps-grid", "8", "--bandwidth-grid", "4,6,04"], "--bandwidth-grid lists 4 more than once"),
+        ],
+    )
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys, grids, message):
+        train = _obs_file(tmp_path / "train.csv", 48, 24)
+        test = _obs_file(tmp_path / "test.csv", 24, 24)
+        code = main([
+            "evaluate", "--train", train, "--test", test, "--pp-tps", "24", "--cycles", "2",
+            *grids, "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "reports.csv").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

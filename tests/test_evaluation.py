@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclecast import evaluation
 from cyclecast.evaluation import (
@@ -18,7 +18,7 @@ from cyclecast.evaluation import (
     write_reports,
 )
 from cyclecast.forecaster import ForecastConfig, PredictionRecord
-from cyclecast.llr import Fallback, KernelSpec
+from cyclecast.llr import Fallback, KernelFamily, KernelSpec
 from cyclecast.trace import MetricKind, PeriodObservation
 
 import oracles
@@ -139,6 +139,91 @@ class TestBaselineErrors:
         expected = oracles.baseline_errors_per_step(actuals, retained, window)
         got = evaluation._baseline_errors(np.array(actuals), np.array(retained, dtype=np.int64), window)
         assert [[v.hex() for v in e] for e in got] == [[v.hex() for v in e] for e in expected]
+
+
+def _poisson_stream(m, n_steps, seed):
+    """Periodic Poisson counts with idle periods, so some rates are zero."""
+    rng = np.random.default_rng(seed)
+    pattern = rng.uniform(0.0, 12.0, size=m) * (rng.uniform(size=m) > 0.3)
+    return [
+        _obs(i % m + 1, [int(v) for v in rng.poisson(pattern[i % m], size=3)], cycle=i // m + 1)
+        for i in range(n_steps)
+    ]
+
+
+def _fields(report):
+    """Every field of a report, floats by ``repr``."""
+    return (
+        report.config_id, report.up_tps, repr(report.bandwidth), repr(report.mape),
+        [repr(e) for e in report.errors], report.skipped_zero_targets, report.warmup_steps,
+        {k: repr(v) for k, v in report.baseline_deltas.items()},
+    )
+
+
+_KERNELS = st.one_of(
+    st.builds(KernelSpec, family=st.sampled_from(list(KernelFamily)), k=st.integers(1, 12)),
+    st.builds(
+        lambda family, h: KernelSpec(family=family, h=h),
+        st.sampled_from(list(KernelFamily)),
+        st.one_of(st.sampled_from([0.1, 0.5, 1.0]), st.floats(0.05, 10.0)),
+    ),
+)
+
+
+class TestSweepMatchesPerConfigSweep:
+    """``sweep`` (one fit, test steps only, columns) against ``run`` + ``evaluate_records`` per configuration."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        cycles=st.integers(1, 3),
+        data=st.data(),
+        # Train spans from none, through shorter than m * cycles (test steps
+        # in warm-up), to past a 256-step chunk.
+        train_len=st.one_of(st.integers(0, 30), st.sampled_from([255, 256, 300])),
+        test_len=st.one_of(st.integers(0, 30), st.sampled_from([256, 270])),
+        with_baselines=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_field_equal(self, m, cycles, data, train_len, test_len, with_baselines, seed):
+        configs = data.draw(
+            st.lists(
+                st.builds(
+                    lambda up, kernel: ForecastConfig(pp_tps=m, up_tps=up, cycles=cycles, kernel=kernel),
+                    st.integers(1, m),
+                    _KERNELS,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        stream = _poisson_stream(m, train_len + test_len, seed)
+        train, test = stream[:train_len], stream[train_len:]
+        got = sweep(configs, train, test, with_baselines=with_baselines)
+        expected = oracles.sweep_per_config(configs, train, test, with_baselines=with_baselines)
+        assert [_fields(r) for r in got] == [_fields(r) for r in expected]
+
+    @pytest.mark.parametrize(
+        "pp_tps, bad",
+        [
+            # Out of order for every configuration.
+            ((6, 6), lambda stream: stream[:7] + [stream[8], stream[7]] + stream[9:]),
+            # In order for the first configuration only.
+            ((6, 4), lambda stream: stream),
+            # An unstorable rate in the test span, after a misplaced period
+            # that only the second configuration sees.
+            ((6, 4), lambda stream: stream[:20] + [_obs(stream[20].tp_index, [float("nan")])] + stream[21:]),
+        ],
+        ids=["swapped", "other-period", "unstorable-rate"],
+    )
+    def test_bad_stream_same_error(self, pp_tps, bad):
+        configs = [ForecastConfig(pp_tps=m, up_tps=3, cycles=2, kernel=KernelSpec(k=3)) for m in pp_tps]
+        stream = bad(_poisson_stream(6, 30, seed=11))
+        with pytest.raises(ValueError) as expected:
+            oracles.sweep_per_config(configs, stream[:12], stream[12:])
+        with pytest.raises(ValueError) as got:
+            sweep(configs, stream[:12], stream[12:])
+        assert str(got.value) == str(expected.value)
 
 
 class TestSweep:

@@ -376,12 +376,24 @@ class TestBatchedRun:
         assert str(batch_error.value) == str(step_error.value)
         assert snapshot(ds) == before
 
-    def test_window_larger_than_store_rejected(self):
-        cfg = ForecastConfig(pp_tps=6, up_tps=5, cycles=1, kernel=KernelSpec(k=3))
-        ds = CyclicDataset(4, 1)
-        with pytest.raises(ValueError, match=r"window size must lie in \[1, m=4\], got 5"):
-            run([_obs(1, [1])], cfg, ds)
-        assert run([], cfg, ds) == [] and ds == CyclicDataset(4, 1)
+    def test_store_of_another_shape_rejected(self):
+        # A window that fits the store and a stream in the store's order: only
+        # the shape tells the store apart from the configuration's.
+        cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
+        for m, l in [(4, 1), (6, 1), (4, 2), (5, 3)]:
+            stream = _poisson_stream(m, 9, seed=m * l)
+            ds = CyclicDataset(m, l)
+            for obs in stream[:5]:
+                observe_step(ds, obs)
+            before = snapshot(ds)
+            message = f"store of {m} positions x {l} cycles does not fit a configuration of pp_tps=6, cycles=2"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                predict_step(ds, cfg)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run(stream[5:], cfg, ds)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run([], cfg, ds)
+            assert snapshot(ds) == before
 
 
 class TestPlanCache:
