@@ -26,9 +26,7 @@ from .llr import (
     KernelSpec,
     effective_bandwidth,
     kernel_weight,
-    llr_curve,
     llr_fit,
-    llr_fit_predict,
 )
 from .poisson import (
     log_likelihood,
@@ -43,6 +41,7 @@ from .trace import (
     ColumnMapping,
     Events,
     MetricKind,
+    Observations,
     PeriodObservation,
     aggregate_span,
     build_histogram,
@@ -68,9 +67,7 @@ __all__ = [
     "KernelSpec",
     "effective_bandwidth",
     "kernel_weight",
-    "llr_curve",
     "llr_fit",
-    "llr_fit_predict",
     "log_likelihood",
     "poisson_cdf",
     "poisson_mle",
@@ -88,6 +85,7 @@ __all__ = [
     "ColumnMapping",
     "Events",
     "MetricKind",
+    "Observations",
     "PeriodObservation",
     "aggregate_span",
     "build_histogram",

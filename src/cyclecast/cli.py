@@ -19,6 +19,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .evaluation import (
     config_id,
@@ -29,13 +31,14 @@ from .evaluation import (
 )
 from .forecaster import ForecastConfig, read_records, run, write_records
 from .llr import KernelFamily, KernelSpec
-from .poisson import poisson_mle
+from .poisson import poisson_mle_rows
 from .store import snapshot
 from .synthetic import RNG_NAME, SyntheticSpec, generate, write_truth
 from .trace import (
     ColumnMapping,
     MetricKind,
-    PeriodObservation,
+    Observations,
+    _check_scale,
     aggregate_span,
     parse_trace,
     read_observations,
@@ -187,6 +190,14 @@ def _delimiter(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _scale(value: str) -> float:
+    try:
+        _check_scale(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return float(value)
+
+
 def _data_read(fn, *fnargs):
     try:
         return fn(*fnargs)
@@ -194,32 +205,40 @@ def _data_read(fn, *fnargs):
         raise DataError(str(exc)) from exc
 
 
+def _period(path: str, obs: Observations, i: int) -> str:
+    return f"{path}: period tp_index={obs.tp_index[i]} cycle_index={obs.cycle_index[i]}"
+
+
 def _read_streams(
     train_path: str, test_path: str, metric: MetricKind, sub_bin_seconds: int, pp_tps: int
-) -> tuple[list[PeriodObservation], list[PeriodObservation]]:
+) -> tuple[Observations, Observations]:
     """Read the train and test streams as one run's input.
 
     Rejects any period in other units than the run's, and any period out of
-    place: the forecaster consumes pattern positions 1..pp_tps in turn.
+    place: the forecaster consumes pattern positions 1..pp_tps in turn. The
+    first bad period of the stream is named.
     """
     streams = []
     step = 0
     for path in (train_path, test_path):
-        observations = _data_read(read_observations, path)
-        for obs in observations:
-            period = f"{path}: period tp_index={obs.tp_index} cycle_index={obs.cycle_index}"
-            if obs.metric is not metric or obs.sub_bin_seconds != sub_bin_seconds:
+        obs = _data_read(read_observations, path)
+        position = (step + np.arange(len(obs))) % pp_tps + 1
+        foreign = (obs.metric != metric) | (obs.sub_bin_seconds != sub_bin_seconds)
+        bad = np.flatnonzero(foreign | (obs.tp_index != position))
+        if len(bad):
+            i = bad[0]
+            if foreign[i]:
                 raise DataError(
-                    f"{period} carries metric {obs.metric.value!r} with {obs.sub_bin_seconds}s sub-bins, "
-                    f"but the run is configured for {metric.value!r} with {sub_bin_seconds}s sub-bins"
+                    f"{_period(path, obs, i)} carries metric {obs.metric[i].value!r} with "
+                    f"{obs.sub_bin_seconds[i]}s sub-bins, but the run is configured for "
+                    f"{metric.value!r} with {sub_bin_seconds}s sub-bins"
                 )
-            if obs.tp_index != step % pp_tps + 1:
-                raise DataError(
-                    f"{period} is out of order: the stream is at position {step % pp_tps + 1} "
-                    f"of a {pp_tps}-period pattern"
-                )
-            step += 1
-        streams.append(observations)
+            raise DataError(
+                f"{_period(path, obs, i)} is out of order: the stream is at position {position[i]} "
+                f"of a {pp_tps}-period pattern"
+            )
+        step += len(obs)
+        streams.append(obs)
     return streams[0], streams[1]
 
 
@@ -268,7 +287,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     tp_min = int(res.get("tp_min", int))
     pp_tps = int(res.get("pp_tps", int))
     sub_bin_sec = int(res.get("sub_bin_sec", int))
-    scale = float(res.get("scale", float))
+    scale = float(res.get("scale", _scale))
     mapping = ColumnMapping(
         timestamp=args.col_ts,
         cpu=args.col_cpu,
@@ -340,33 +359,46 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    by_metric: dict[MetricKind, list] = {}
+    widths: dict[MetricKind, int] = {}  # per metric, the sub-bin width of its first period
+    files = []
     for path in args.observations:
-        for obs in _data_read(read_observations, path):
-            same = by_metric.setdefault(obs.metric, [])
-            if same and obs.sub_bin_seconds != same[0].sub_bin_seconds:
-                raise DataError(
-                    f"{path}: period tp_index={obs.tp_index} cycle_index={obs.cycle_index} "
-                    f"carries {obs.sub_bin_seconds}s sub-bins, but the {obs.metric.value} periods "
-                    f"before it carry {same[0].sub_bin_seconds}s sub-bins; one rate file cannot mix units"
-                )
-            same.append(obs)
+        obs = _data_read(read_observations, path)
+        mixed = []  # the first period of each metric whose width differs from that metric's first
+        for metric in dict.fromkeys(obs.metric.tolist()):
+            rows = np.flatnonzero(obs.metric == metric)
+            width = widths.setdefault(metric, int(obs.sub_bin_seconds[rows[0]]))
+            mixed.extend(rows[obs.sub_bin_seconds[rows] != width][:1].tolist())
+        if mixed:
+            i = min(mixed)
+            raise DataError(
+                f"{_period(path, obs, i)} carries {obs.sub_bin_seconds[i]}s sub-bins, but the "
+                f"{obs.metric[i].value} periods before it carry {widths[obs.metric[i]]}s sub-bins; "
+                "one rate file cannot mix units"
+            )
+        files.append(obs)
+    stream = Observations.concat(files)
+    rates = poisson_mle_rows(stream.samples, stream.counts)
     outputs = []
-    for metric, observations in by_metric.items():
+    for metric in widths:
+        rows = np.flatnonzero(stream.metric == metric)
         name = f"lambdas_{metric.value}.csv"
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("seq,tp_index,cycle_index,metric,lambda,empty\n")
-            for seq, obs in enumerate(observations, start=1):
-                rate = poisson_mle(obs.samples)
-                empty = int(sum(obs.samples) == 0)
-                fh.write(
-                    f"{seq},{obs.tp_index},{obs.cycle_index},{metric.value},{rate!r},{empty}\n"
+            # A sum of counts is 0, and so is their mean, only if every count is.
+            fh.writelines(
+                f"{seq},{tp},{cycle},{metric.value},{rate!r},{int(rate == 0)}\n"
+                for seq, tp, cycle, rate in zip(
+                    range(1, len(rows) + 1),
+                    stream.tp_index[rows].tolist(),
+                    stream.cycle_index[rows].tolist(),
+                    rates[rows].tolist(),
                 )
+            )
         outputs.append(name)
     _write_manifest(
         out,
         "fit",
-        {"metrics": sorted(m.value for m in by_metric)},
+        {"metrics": sorted(m.value for m in widths)},
         inputs=[Path(p) for p in args.observations],
         outputs=outputs,
         seed=None,
@@ -381,7 +413,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds, cfg.pp_tps)
     out = _out_dir(args)
     ds = cfg.new_store()
-    records = run(train + test, cfg, ds)
+    records = run(Observations.concat([train, test]), cfg, ds)
     write_records(out / "records.csv", records)
     outputs = ["records.csv"]
     if args.save_store:
@@ -518,7 +550,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bandwidth-h", type=float, help="fixed-radius bandwidth (overrides --bandwidth-k)")
     p.add_argument("--metric", help="arrivals, cpu, memory (ingest also accepts all)")
     p.add_argument("--sub-bin-sec", type=int, help="sample sub-bin width in seconds (default 60)")
-    p.add_argument("--scale", type=float, help="count scale for cpu/memory requests (default 100)")
+    p.add_argument("--scale", type=_scale, help="count scale for cpu/memory requests (default 100)")
     p.add_argument("--seed", type=int, help="random seed (synth)")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--out-dir", required=True, help="directory for outputs and the run manifest")
@@ -585,7 +617,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"cyclecast: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

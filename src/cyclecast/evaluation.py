@@ -29,7 +29,7 @@ from .forecaster import (
     _poisson_window_weights,
     _predict,
 )
-from .trace import PeriodObservation
+from .trace import Observations, PeriodObservation
 
 __all__ = [
     "EvaluationReport",
@@ -218,8 +218,8 @@ def _report(
 
 def sweep(
     configs: Sequence[ForecastConfig],
-    train: Sequence[PeriodObservation],
-    test: Sequence[PeriodObservation],
+    train: Observations | Sequence[PeriodObservation],
+    test: Observations | Sequence[PeriodObservation],
     with_baselines: bool = False,
 ) -> list[EvaluationReport]:
     """Run every configuration over train+test online and score the test span.
@@ -235,14 +235,17 @@ def sweep(
     the test steps, from a fresh store, and they are scored as columns:
     every field equals that of ``evaluate_records`` on ``run``'s records.
     """
-    stream = list(train) + list(test)
+    if isinstance(train, Observations) and isinstance(test, Observations):
+        stream: Observations | list[PeriodObservation] = Observations.concat([train, test])
+    else:
+        stream = [*train, *test]  # converted by ``_fit``, with its errors
     lo = len(train)
     reports = []
     fits: dict[int, np.ndarray] = {}  # fitted rates per store size
     for cfg in configs:
         m = cfg.pp_tps
         if m not in fits:
-            fits[m] = np.array(_fit(stream, m, 0))
+            fits[m] = _fit(stream, m, 0)
         actuals = fits[m]
         rates = np.concatenate([cfg.new_store().cells.ravel(), actuals])
         predicted, warm, _ = _predict(rates, cfg, 0, lo, len(stream))

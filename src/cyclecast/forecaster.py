@@ -33,9 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .llr import Fallback, KernelSpec, LLRPlan, llr_apply, llr_plan
-from .poisson import poisson_mle, poisson_pmf
+from .poisson import poisson_mle, poisson_mle_rows, poisson_pmf
 from .store import CyclicDataset, EmptyWindowError, _check_rate
-from .trace import PeriodObservation
+from .trace import Observations, PeriodObservation
 
 __all__ = [
     "ForecastConfig",
@@ -175,22 +175,36 @@ def _sources(writes: int | np.ndarray, rows: np.ndarray, m: int, l: int, w0: int
     return np.where(i < w0, rows[..., None] * l + cycles, m * l + i - w0)
 
 
-def _fit(observations: Iterable[PeriodObservation], m: int, w0: int) -> list[float]:
-    """The fitted rate of each observation of a stream that follows write ``w0``.
+def _fit(observations: Observations | Iterable[PeriodObservation], m: int, w0: int) -> np.ndarray:
+    """The fitted rate of each period of a stream that follows write ``w0``.
 
-    Checks what ``observe_step`` checks, in its order, against the cursor of
-    an m-position store: a bad stream raises the step loop's ``ValueError``
-    for its first bad observation. Touches no store.
+    Checks each period's position against the cursor of an m-position
+    store, as ``observe_step`` does: a bad stream raises the step loop's
+    ``ValueError`` for its first misplaced period. The rates are
+    ``poisson_mle``'s, bit for bit, and always storable: a mean of int64
+    counts is finite and nonnegative. Touches no store.
+
+    ``PeriodObservation``s are converted to ``Observations`` first. If they
+    do not convert (say, a sample that is not an integer below 2**63), the
+    error is the step loop's for the first observation it rejects, if it
+    rejects one, else the conversion's.
     """
-    actuals: list[float] = []
-    for s, obs in enumerate(observations):
-        cursor = (w0 + s) % m + 1
-        if obs.tp_index != cursor:
-            raise _misplaced(obs.tp_index, cursor)
-        actual = poisson_mle(obs.samples)
-        _check_rate(actual)
-        actuals.append(actual)
-    return actuals
+    if not isinstance(observations, Observations):
+        periods = list(observations)
+        try:
+            observations = Observations.of(periods)
+        except ValueError:
+            for s, obs in enumerate(periods):
+                cursor = (w0 + s) % m + 1
+                if obs.tp_index != cursor:
+                    raise _misplaced(obs.tp_index, cursor) from None
+                _check_rate(poisson_mle(obs.samples))
+            raise
+    cursor = (w0 + np.arange(len(observations))) % m + 1
+    bad = np.flatnonzero(observations.tp_index != cursor)
+    if len(bad):
+        raise _misplaced(int(observations.tp_index[bad[0]]), int(cursor[bad[0]]))
+    return poisson_mle_rows(observations.samples, observations.counts)
 
 
 def _predict(
@@ -246,7 +260,7 @@ def _predict(
 
 
 def run(
-    observations: Iterable[PeriodObservation],
+    observations: Observations | Iterable[PeriodObservation],
     cfg: ForecastConfig,
     ds: CyclicDataset | None = None,
 ) -> list[PredictionRecord]:
@@ -258,21 +272,24 @@ def run(
     bit. Warm-up steps (empty window) carry ``predicted=None``.
 
     A store whose shape is not the configuration's raises ``ValueError``.
-    Every observation is checked for stream order (and its fitted rate for
-    storability) before ``ds`` changes, so a bad stream raises the step
-    loop's ``ValueError`` for the first bad observation and leaves ``ds`` as
-    it was. The predictions are then read from the fitted rates.
+    Every period is checked for stream order before ``ds`` changes, so a
+    bad stream raises the step loop's ``ValueError`` for the first bad
+    observation and leaves ``ds`` as it was. ``PeriodObservation``s are
+    converted to ``Observations`` on the way (see ``_fit``): their samples
+    must be integers below 2**63. The predictions are then read from the
+    fitted rates.
     """
     if ds is None:
         ds = cfg.new_store()
     _check_shape(ds, cfg)
     m, l, w0 = ds.m, ds.l, ds.t - 1
-    actuals = _fit(observations, m, w0)
-    rates = np.concatenate([ds.cells.ravel(), actuals])
-    predicted, warm, fallbacks = _predict(rates, cfg, w0, 0, len(actuals))
+    fitted = _fit(observations, m, w0)
+    rates = np.concatenate([ds.cells.ravel(), fitted])
+    predicted, warm, fallbacks = _predict(rates, cfg, w0, 0, len(fitted))
     values: list[float | None] = predicted.tolist()
     for i in np.flatnonzero(warm).tolist():
         values[i] = None
+    actuals = fitted.tolist()
     positions = ((w0 + np.arange(len(actuals))) % m + 1).tolist()
     records = list(
         map(PredictionRecord, range(1, len(actuals) + 1), positions, values, actuals, fallbacks)

@@ -46,8 +46,6 @@ __all__ = [
     "llr_plan",
     "llr_apply",
     "llr_fit",
-    "llr_fit_predict",
-    "llr_curve",
 ]
 
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
@@ -176,12 +174,17 @@ def _line_plan(
 
     Solves the 2x2 normal equations in coordinates centered on the weighted
     mean of x, which keeps the system conditioned at large period indices.
+    The weights are first scaled by the power of two that brings the largest
+    into [1, 2): far-tail Gaussian weights can be so small that their
+    products underflow. The scaling is exact, so the fitted value is the
+    same wherever nothing underflowed; it only changes the plan's weights.
     """
     support = [i for i, w in enumerate(weights) if w > 0]
     if len({xs[i] for i in support}) < 2:
         return None
     sx = [xs[i] for i in support]
-    sw = [weights[i] for i in support]
+    shift = 2.0 ** (1 - math.frexp(max(weights[i] for i in support))[1])
+    sw = [weights[i] * shift for i in support]
     s0 = math.fsum(sw)
     xbar = math.fsum(w * x for x, w in zip(sx, sw)) / s0
     wdx = [w * (x - xbar) for x, w in zip(sx, sw)]
@@ -277,17 +280,3 @@ def llr_fit(
     """
     plan = llr_plan([x for x, _ in points], x_u, spec)
     return LocalFit(llr_apply(plan, [y for _, y in points]), plan.fallback)
-
-
-def llr_fit_predict(
-    points: Sequence[tuple[float, float]], x_u: float, spec: KernelSpec
-) -> float:
-    """Fitted value at ``x_u`` (see ``llr_fit`` for the fallback behavior)."""
-    return llr_fit(points, x_u, spec).value
-
-
-def llr_curve(
-    points: Sequence[tuple[float, float]], query_xs: Sequence[float], spec: KernelSpec
-) -> list[float]:
-    """Element-wise ``llr_fit_predict`` over a list of query points."""
-    return [llr_fit(points, x_u, spec).value for x_u in query_xs]

@@ -14,8 +14,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "poisson_mle",
+    "poisson_mle_rows",
     "poisson_log_pmf",
     "poisson_pmf",
     "poisson_cdf",
@@ -38,6 +41,28 @@ def poisson_mle(samples: Sequence[float]) -> float:
     if n == 0:
         raise ValueError("cannot fit a Poisson rate to an empty sample vector")
     return math.fsum(samples) / n
+
+
+def poisson_mle_rows(samples: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``poisson_mle`` of each row of a ragged table, bit for bit.
+
+    Row i is the next ``counts[i]`` (at least 1) of the nonnegative int64
+    ``samples``. A row whose samples are all below 2**53 and whose sum
+    stays below 2**62 is summed exactly in int64: the sum's conversion to
+    float is then the correctly rounded sum of the samples as floats, which
+    is what ``math.fsum`` returns. Any other row is summed by ``math.fsum``.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if not len(counts):
+        return np.zeros(0)
+    if counts.min() < 1:
+        raise ValueError("cannot fit a Poisson rate to an empty sample vector")
+    starts = np.cumsum(counts) - counts
+    peaks = np.maximum.reduceat(samples, starts)
+    rates = np.add.reduceat(samples, starts) / counts
+    for i in np.flatnonzero((peaks >= 2**53) | (peaks * counts.astype(np.float64) >= 2.0**62)).tolist():
+        rates[i] = poisson_mle(samples[starts[i] : starts[i] + counts[i]].tolist())
+    return rates
 
 
 def poisson_log_pmf(lam: float, k: int) -> float:

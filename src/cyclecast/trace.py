@@ -18,6 +18,15 @@ Aggregation slices a time window into fixed sub-bins and produces one
 integer sample per sub-bin: event counts for the arrivals metric, scaled
 rounded request sums for CPU/memory (rate fitting needs count data, so
 continuous requests are multiplied by a recorded scale and rounded).
+
+Per-period samples travel as ``Observations``: columns of period stamps
+and units, plus every period's samples in one int64 array. Aggregation
+returns them, the observations writer formats them a row at a time from a
+table of short integer strings, and the reader parses a file's sample text
+with one numpy call when every token is provably plain, else token by token
+with ``int`` as before. ``PeriodObservation`` is the one-period form that
+the online forecasting steps take; a sequence of them converts to columns
+with ``Observations.of``.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import re
 from array import array
+from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -37,6 +48,7 @@ __all__ = [
     "MetricKind",
     "Events",
     "PeriodObservation",
+    "Observations",
     "ColumnMapping",
     "ParseResult",
     "parse_trace",
@@ -53,6 +65,12 @@ _SCAN_BLOCK = 1 << 20  # bytes per read of the bulk reader's pre-scan
 _UTF8_BOM = b"\xef\xbb\xbf"
 # Bytes of a plain trace file: printable ASCII but the double quote, tab, newline.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
+_INT64_LIMIT = 2**63
+_PLAIN_DIGITS = 18  # a token of at most 18 decimal digits is below 2**63
+_SHORT_INTS = np.array([str(i) for i in range(1 << 10)], dtype=object)  # sample texts, looked up
+# The line ends the observations reader splits at: those of a text file opened with newline="".
+_LINE_END = re.compile("\r\n|\r|\n")
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 
 
 class MetricKind(enum.Enum):
@@ -108,6 +126,116 @@ class PeriodObservation:
             )
         if min(self.samples) < 0:
             raise ValueError(f"samples are counts and cannot be negative, got {min(self.samples)}")
+
+
+def _int64(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; anything but integers below 2**63 raises ValueError."""
+    a = np.asarray(values)
+    if a.size and (a.dtype.kind not in "biu" or (a.dtype.kind == "u" and a.max() >= _INT64_LIMIT)):
+        raise ValueError(f"{what} must be integers below 2**63")
+    return a.astype(np.int64, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Observations(_Sequence):
+    """Periods as columns: a ``PeriodObservation`` per entry, stored as arrays.
+
+    ``tp_index``, ``cycle_index``, ``metric`` (MetricKind objects) and
+    ``sub_bin_seconds`` hold one entry per period, ``counts`` its number of
+    samples; ``samples`` holds every period's samples in period order, as
+    int64. ``len`` is the number of periods. Indexing with an integer gives
+    that period as a ``PeriodObservation``, with a slice, mask or index
+    array the selected periods as ``Observations`` (views of these columns
+    for a slice of step 1). It has no ``==``.
+
+    The invariants are ``PeriodObservation``'s plus int64 range: indices,
+    sub-bin width and counts at least 1, samples nonnegative.
+    """
+
+    tp_index: np.ndarray
+    cycle_index: np.ndarray
+    metric: np.ndarray
+    sub_bin_seconds: np.ndarray
+    counts: np.ndarray
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("tp_index", "cycle_index", "sub_bin_seconds", "counts", "samples"):
+            object.__setattr__(self, name, _int64(getattr(self, name), name))
+        metric = np.empty(len(self.metric), dtype=object)
+        metric[:] = list(self.metric)
+        object.__setattr__(self, "metric", metric)
+        n = len(self.tp_index)
+        if not len(self.cycle_index) == len(metric) == len(self.sub_bin_seconds) == len(self.counts) == n:
+            raise ValueError("period columns must have equal lengths")
+        if n and min(self.tp_index.min(), self.cycle_index.min()) < 1:
+            raise ValueError("indices are 1-based")
+        if n and self.sub_bin_seconds.min() < 1:
+            raise ValueError("a sub-bin is at least 1 second wide")
+        if n and self.counts.min() < 1:
+            raise ValueError("a period observation needs at least one sample")
+        if int(self.counts.sum()) != len(self.samples):
+            raise ValueError(f"counts add up to {int(self.counts.sum())}, not to the {len(self.samples)} samples")
+        if len(self.samples) and self.samples.min() < 0:
+            raise ValueError("samples are counts and cannot be negative")
+        if not all(isinstance(m, MetricKind) for m in metric):
+            raise ValueError("metrics must be MetricKind members")
+
+    @classmethod
+    def of(cls, observations: Observations | Iterable[PeriodObservation]) -> Observations:
+        """``observations`` as columns: as it is if it already is, else converted."""
+        if isinstance(observations, Observations):
+            return observations
+        periods = list(observations)
+        return cls(
+            [p.tp_index for p in periods],
+            [p.cycle_index for p in periods],
+            [p.metric for p in periods],
+            [p.sub_bin_seconds for p in periods],
+            [len(p.samples) for p in periods],
+            list(chain.from_iterable(p.samples for p in periods)),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence[Observations]) -> Observations:
+        """The periods of ``parts``, one after the other."""
+        return cls(*(
+            np.concatenate([getattr(p, name) for p in parts])
+            for name in ("tp_index", "cycle_index", "metric", "sub_bin_seconds", "counts", "samples")
+        ))
+
+    def __len__(self) -> int:
+        return len(self.tp_index)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice) and index.step in (None, 1):
+            # A run of periods: every column is a view, so nothing is copied.
+            lo, hi, _ = index.indices(len(self))
+            hi = max(lo, hi)
+            bounds = np.cumsum(self.counts[:hi])
+            first = int(bounds[lo - 1]) if lo else 0
+            last = int(bounds[-1]) if hi else 0
+            return Observations(
+                self.tp_index[lo:hi], self.cycle_index[lo:hi], self.metric[lo:hi],
+                self.sub_bin_seconds[lo:hi], self.counts[lo:hi], self.samples[first:last],
+            )
+        rows = np.arange(len(self))[index]
+        starts = (np.cumsum(self.counts) - self.counts)[rows]  # where each period's samples start
+        if rows.ndim == 0:
+            return PeriodObservation(
+                int(self.tp_index[rows]),
+                int(self.cycle_index[rows]),
+                self.metric[rows],
+                self.samples[starts : starts + self.counts[rows]].tolist(),
+                int(self.sub_bin_seconds[rows]),
+            )
+        counts = self.counts[rows]
+        # Sample j of the selection lies ``starts - (its period's new start)`` further on.
+        take = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        return Observations(
+            self.tp_index[rows], self.cycle_index[rows], self.metric[rows],
+            self.sub_bin_seconds[rows], counts, self.samples[take],
+        )
 
 
 @dataclass(frozen=True)
@@ -337,7 +465,7 @@ def aggregate_span(
     metric: MetricKind,
     sub_bin_seconds: int = 60,
     scale: float = 100.0,
-) -> list[PeriodObservation]:
+) -> Observations:
     """Aggregate events into consecutive target periods of fixed sub-bins.
 
     Period i (0-based) covers [start_us + i*TP, start_us + (i+1)*TP) and is
@@ -345,7 +473,8 @@ def aggregate_span(
     ``i // pp_tps + 1``. Events outside the span are ignored; the events
     need not be sorted. The period must divide evenly into sub-bins. For
     CPU/memory the per-sub-bin request sums, added in event order, are
-    multiplied by ``scale`` and rounded to the nearest integer.
+    multiplied by ``scale`` and rounded to the nearest integer, which must
+    be below 2**63.
     """
     if num_tps < 1 or pp_tps < 1:
         raise ValueError(f"need at least one target period and pattern period, got {num_tps}, {pp_tps}")
@@ -355,8 +484,8 @@ def aggregate_span(
         raise ValueError(
             f"target period of {tp_minutes}min is not a whole number of {sub_bin_seconds}s sub-bins"
         )
-    if metric is not MetricKind.ARRIVALS and scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not math.isfinite(scale) or (metric is not MetricKind.ARRIVALS and scale <= 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     sub_bin_us = sub_bin_seconds * US_PER_SECOND
     sub_bins = tp_minutes * 60 // sub_bin_seconds
     n_bins = num_tps * sub_bins
@@ -364,22 +493,29 @@ def aggregate_span(
     inside = (offset >= 0) & (offset < n_bins * sub_bin_us)
     idx = offset[inside] // sub_bin_us
     if metric is MetricKind.ARRIVALS:
-        rows = np.bincount(idx, minlength=n_bins).reshape(num_tps, sub_bins).tolist()
+        samples = np.bincount(idx, minlength=n_bins)
     else:
         values = (events.cpu if metric is MetricKind.CPU else events.mem)[inside]
-        sums = np.bincount(idx, weights=values, minlength=n_bins).reshape(num_tps, sub_bins)
+        sums = np.bincount(idx, weights=values, minlength=n_bins)
         # Round half up rather than half even so output is predictable from the text.
-        rows = [[int(v) for v in row] for row in np.floor(scale * sums + 0.5).tolist()]
-    return [
-        PeriodObservation(
-            tp_index=i % pp_tps + 1,
-            cycle_index=i // pp_tps + 1,
-            metric=metric,
-            samples=samples,
-            sub_bin_seconds=sub_bin_seconds,
-        )
-        for i, samples in enumerate(rows)
-    ]
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            rounded = np.floor(scale * sums + 0.5)
+        big = np.flatnonzero(~(rounded < _INT64_LIMIT))  # NaN included
+        if len(big):
+            raise ValueError(
+                f"scaled {metric.value} sum {rounded[big[0]]!r} of period {big[0] // sub_bins + 1} "
+                f"is not a count below 2**63"
+            )
+        samples = rounded.astype(np.int64)
+    periods = np.arange(num_tps)
+    return Observations(
+        periods % pp_tps + 1,
+        periods // pp_tps + 1,
+        np.full(num_tps, metric, dtype=object),
+        np.full(num_tps, sub_bin_seconds),
+        np.full(num_tps, sub_bins),
+        samples,
+    )
 
 
 def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
@@ -412,51 +548,149 @@ def build_histogram(samples: Sequence[int], bin_width: int = 1) -> list[tuple[in
     return [((lo + i) * bin_width, f) for i, f in enumerate(freq)]
 
 
+def _check_scale(value: str | float) -> None:
+    """Raise ValueError unless ``value`` reads as a finite positive float."""
+    try:
+        scale = float(value)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a finite positive number, got {value!r}")
+
+
 def write_observations(
-    path: str | Path, observations: Sequence[PeriodObservation], scale: float
+    path: str | Path, observations: Observations | Sequence[PeriodObservation], scale: float
 ) -> None:
     """Write one record per target period as delimited text.
 
     The scale used for CPU/memory rounding rides along in every record so a
-    fitted rate stays interpretable in original units.
+    fitted rate stays interpretable in original units. Its text, ``repr(scale)``,
+    must read back as a finite positive float, as the reader requires.
     """
+    obs = Observations.of(observations)
+    scale_text = repr(scale)
+    _check_scale(scale_text)
+    # Every sample is formatted once: looked up when all are small, as they usually are.
+    if obs.samples.max(initial=0) < len(_SHORT_INTS):
+        texts = _SHORT_INTS[obs.samples].tolist()
+    else:
+        texts = list(map(str, obs.samples.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n")
-        for obs in observations:
-            samples = " ".join(map(str, obs.samples))
-            fh.write(
-                f"{obs.tp_index},{obs.cycle_index},{obs.metric.value},"
-                f"{obs.sub_bin_seconds},{scale!r},{samples}\n"
+        fh.writelines(
+            f"{tp},{cycle},{metric},{width},{scale_text},{' '.join(texts[end - n:end])}\n"
+            for tp, cycle, metric, width, n, end in zip(
+                obs.tp_index.tolist(), obs.cycle_index.tolist(), [m.value for m in obs.metric],
+                obs.sub_bin_seconds.tolist(), obs.counts.tolist(), np.cumsum(obs.counts).tolist(),
             )
+        )
 
 
-def read_observations(path: str | Path) -> list[PeriodObservation]:
-    """Read records produced by ``write_observations``."""
-    observations = []
+def read_observations(path: str | Path) -> Observations:
+    """Read records produced by ``write_observations``.
+
+    Lines end at ``\\n``, ``\\r`` or ``\\r\\n``; blank lines are skipped,
+    and fields are split at commas and samples at whitespace, each record
+    stripped of surrounding whitespace. Every error names the file and
+    line: besides what ``PeriodObservation`` refuses, a sub-bin under 1
+    second, a scale that is not a finite positive number, and an index or
+    sample of 2**63 or more.
+
+    The columns are parsed in bulk when every integer field is plain ASCII
+    digits (see ``_plain_ints``) and every metric and scale valid; any other
+    file is read a line at a time, every token with ``int``. Both give the
+    same periods, and errors come from the line reader only.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline()
-        if not header.startswith("tp_index,"):
+        if not fh.readline().startswith("tp_index,"):
             raise ValueError(f"{path}: not an observations file")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) != 6:
-                    raise ValueError(f"expected 6 fields, got {len(parts)}")
-                observations.append(
-                    PeriodObservation(
-                        tp_index=int(parts[0]),
-                        cycle_index=int(parts[1]),
-                        metric=MetricKind(parts[2]),
-                        samples=[int(s) for s in parts[5].split()],
-                        sub_bin_seconds=int(parts[3]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return observations
+        lines = _LINE_END.split(fh.read())
+    obs = _read_columns([text for line in lines if (text := line.strip())])
+    return obs if obs is not None else _read_records(path, lines)
+
+
+_METRICS = {m.value: m for m in MetricKind}
+
+
+def _plain_ints(texts: Sequence[str]) -> np.ndarray | None:
+    """The integers in ``texts``, read as one space-separated text by numpy.
+
+    None unless that text is 1 to 18 ASCII digits per token and one space
+    between tokens: then ``int`` reads each token as the same value, and
+    none reaches 2**63. Anything else (signs, underscores, other digits or
+    spaces, empty or longer tokens) is left to ``int``.
+    """
+    joined = " ".join(texts)
+    if not joined.isascii():
+        return None
+    raw = joined.encode("ascii")
+    if raw.translate(None, b"0123456789 "):
+        return None
+    # No empty token, and no run of digits longer than _PLAIN_DIGITS.
+    if not raw or raw[:1] == b" " or raw[-1:] == b" " or b"  " in raw:
+        return None
+    if b"0" * (_PLAIN_DIGITS + 1) in raw.translate(_DIGITS_TO_ZERO):
+        return None
+    return np.fromstring(raw, dtype=np.int64, sep=" ")
+
+
+def _read_columns(texts: list[str]) -> Observations | None:
+    """The records ``texts`` as columns, or None to leave them to ``_read_records``."""
+    if not texts:
+        return Observations.of([])
+    if any(text.count(",") != 5 for text in texts):
+        return None
+    # One flat list of fields rather than a list per record: fewer objects to allocate.
+    fields = ",".join(texts).split(",")
+    columns = [fields[i::6] for i in range(6)]
+    ints = [_plain_ints(columns[i]) for i in (0, 1, 3, 5)]
+    if any(v is None for v in ints) or any(len(v) != len(texts) for v in ints[:3]):
+        return None
+    metrics = [_METRICS.get(text) for text in columns[2]]
+    if None in metrics:
+        return None
+    try:
+        for text in set(columns[4]):
+            _check_scale(text)
+    except ValueError:
+        return None
+    counts = [text.count(" ") + 1 for text in columns[5]]
+    tp, cycle, width, samples = ints
+    try:
+        return Observations(tp, cycle, metrics, width, counts, samples)
+    except ValueError:
+        return None
+
+
+def _read_records(path: str | Path, lines: list[str]) -> Observations:
+    """The records of ``lines`` (the file's from line 2 on), one line and one
+    token at a time; raises at the first bad line."""
+    periods = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        try:
+            if len(parts) != 6:
+                raise ValueError(f"expected 6 fields, got {len(parts)}")
+            period = PeriodObservation(
+                tp_index=int(parts[0]),
+                cycle_index=int(parts[1]),
+                metric=MetricKind(parts[2]),
+                samples=[int(s) for s in parts[5].split()],
+                sub_bin_seconds=int(parts[3]),
+            )
+            if period.sub_bin_seconds < 1:
+                raise ValueError(f"a sub-bin is at least 1 second wide, got {period.sub_bin_seconds}")
+            _check_scale(parts[4])
+            largest = max(period.tp_index, period.cycle_index, period.sub_bin_seconds, max(period.samples))
+            if largest >= _INT64_LIMIT:
+                raise ValueError(f"{largest} is not below 2**63")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        periods.append(period)
+    return Observations.of(periods)
 
 
 def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:

@@ -10,7 +10,10 @@ LLR and loop references take only the kernel weight, the bandwidth rule and
 the observe step from the package. The trace reader reference is the
 per-row ``csv`` reader, kept verbatim with its two helpers; the trace and
 observation writer references format one row and one sample at a time, also
-kept verbatim. So are the step-by-step forecasting run (one
+kept verbatim, and so are the per-period aggregation (``aggregate_span``,
+one list of Python ints per period) and the line-at-a-time observations
+reader (``read_observations``, every sample through ``int``) that the
+columnar forms replaced. So are the step-by-step forecasting run (one
 ``predict_step``/``observe_step`` pair per observation), the per-step
 baseline loop of ``evaluate_records``, and the sweep that runs and scores
 the whole stream once per configuration.
@@ -39,7 +42,7 @@ from cyclecast.forecaster import (
 )
 from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
 from cyclecast.store import EmptyWindowError
-from cyclecast.trace import US_PER_SECOND, ColumnMapping, Events, ParseResult, PeriodObservation
+from cyclecast.trace import US_PER_SECOND, ColumnMapping, Events, MetricKind, ParseResult, PeriodObservation
 
 _WRITE_BLOCK = 8192
 
@@ -149,6 +152,89 @@ def write_observations_per_sample(
                 f"{obs.tp_index},{obs.cycle_index},{obs.metric.value},"
                 f"{obs.sub_bin_seconds},{scale!r},{samples}\n"
             )
+
+
+def aggregate_span(
+    events: Events,
+    start_us: int,
+    num_tps: int,
+    tp_minutes: int,
+    pp_tps: int,
+    metric: MetricKind,
+    sub_bin_seconds: int = 60,
+    scale: float = 100.0,
+) -> list[PeriodObservation]:
+    """Aggregate events into consecutive target periods of fixed sub-bins.
+
+    Period i (0-based) covers [start_us + i*TP, start_us + (i+1)*TP) and is
+    stamped with pattern position ``i % pp_tps + 1`` and cycle
+    ``i // pp_tps + 1``. Events outside the span are ignored; the events
+    need not be sorted. The period must divide evenly into sub-bins. For
+    CPU/memory the per-sub-bin request sums, added in event order, are
+    multiplied by ``scale`` and rounded to the nearest integer.
+    """
+    if num_tps < 1 or pp_tps < 1:
+        raise ValueError(f"need at least one target period and pattern period, got {num_tps}, {pp_tps}")
+    if tp_minutes < 1:
+        raise ValueError(f"target period must be at least one minute, got {tp_minutes}")
+    if sub_bin_seconds < 1 or (tp_minutes * 60) % sub_bin_seconds != 0:
+        raise ValueError(
+            f"target period of {tp_minutes}min is not a whole number of {sub_bin_seconds}s sub-bins"
+        )
+    if metric is not MetricKind.ARRIVALS and scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    sub_bin_us = sub_bin_seconds * US_PER_SECOND
+    sub_bins = tp_minutes * 60 // sub_bin_seconds
+    n_bins = num_tps * sub_bins
+    offset = events.timestamp - start_us
+    inside = (offset >= 0) & (offset < n_bins * sub_bin_us)
+    idx = offset[inside] // sub_bin_us
+    if metric is MetricKind.ARRIVALS:
+        rows = np.bincount(idx, minlength=n_bins).reshape(num_tps, sub_bins).tolist()
+    else:
+        values = (events.cpu if metric is MetricKind.CPU else events.mem)[inside]
+        sums = np.bincount(idx, weights=values, minlength=n_bins).reshape(num_tps, sub_bins)
+        # Round half up rather than half even so output is predictable from the text.
+        rows = [[int(v) for v in row] for row in np.floor(scale * sums + 0.5).tolist()]
+    return [
+        PeriodObservation(
+            tp_index=i % pp_tps + 1,
+            cycle_index=i // pp_tps + 1,
+            metric=metric,
+            samples=samples,
+            sub_bin_seconds=sub_bin_seconds,
+        )
+        for i, samples in enumerate(rows)
+    ]
+
+
+def read_observations(path: str | Path) -> list[PeriodObservation]:
+    """Read records produced by ``write_observations``."""
+    observations = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = fh.readline()
+        if not header.startswith("tp_index,"):
+            raise ValueError(f"{path}: not an observations file")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            try:
+                if len(parts) != 6:
+                    raise ValueError(f"expected 6 fields, got {len(parts)}")
+                observations.append(
+                    PeriodObservation(
+                        tp_index=int(parts[0]),
+                        cycle_index=int(parts[1]),
+                        metric=MetricKind(parts[2]),
+                        samples=[int(s) for s in parts[5].split()],
+                        sub_bin_seconds=int(parts[3]),
+                    )
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return observations
 
 
 def aggregate_per_period(

@@ -12,7 +12,7 @@ import numpy as np
 
 from cyclecast.evaluation import evaluate_records, read_report_rows, sweep
 from cyclecast.forecaster import ForecastConfig, run
-from cyclecast.llr import Fallback, KernelFamily, KernelSpec, llr_fit, llr_fit_predict
+from cyclecast.llr import Fallback, KernelFamily, KernelSpec, llr_fit
 from cyclecast.poisson import log_likelihood, poisson_mle, poisson_quantile
 from cyclecast.store import new_dataset
 from cyclecast.synthetic import SyntheticSpec, generate
@@ -70,7 +70,7 @@ def test_llr_exactness():
         for spec in (KernelSpec(family=family, h=5.0), KernelSpec(family=family, k=6)):
             for x_u in (0.0, 3.5, 9.0, 13.0, 14.0):
                 expected = slope * x_u + intercept
-                got = llr_fit_predict(points, x_u, spec)
+                got = llr_fit(points, x_u, spec).value
                 assert abs(got - expected) < 1e-9, (family, spec, x_u)
 
     # Oracle equivalence on 500 random primary-path instances.

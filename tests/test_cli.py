@@ -5,6 +5,7 @@ import pytest
 from cyclecast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cyclecast.evaluation import read_report_rows
 from cyclecast.forecaster import read_records
+from cyclecast.poisson import poisson_mle
 from cyclecast.store import restore
 from cyclecast.trace import read_observations
 
@@ -201,6 +202,26 @@ class TestFit:
         assert lines[1] == "1,1,1,arrivals,3.0,0"
         assert lines[2] == "2,2,1,arrivals,0.0,1"
 
+    def test_metrics_interleaved_across_files(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text(OBS_HEADER + "1,1,cpu,30,100.0,7 0 2\n2,1,arrivals,60,100.0,1 1\n3,1,cpu,30,100.0,0 0\n")
+        second.write_text(OBS_HEADER + "4,1,arrivals,60,100.0,9007199254740993 2\n5,2,memory,1,100.0,3\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--observations", str(first), str(second), "--out-dir", str(out)]) == EXIT_OK
+        expected = {
+            "cpu": [(1, 1, [7, 0, 2]), (3, 1, [0, 0])],
+            "arrivals": [(2, 1, [1, 1]), (4, 1, [9007199254740993, 2])],
+            "memory": [(5, 2, [3])],
+        }
+        for metric, periods in expected.items():
+            lines = (out / f"lambdas_{metric}.csv").read_text().splitlines()
+            assert lines[1:] == [
+                f"{seq},{tp},{cycle},{metric},{poisson_mle(samples)!r},{int(sum(samples) == 0)}"
+                for seq, (tp, cycle, samples) in enumerate(periods, start=1)
+            ]
+        manifest = json.loads((out / "fit.manifest.json").read_text())
+        assert manifest["outputs"] == ["lambdas_arrivals.csv", "lambdas_cpu.csv", "lambdas_memory.csv"]
+
     def test_negative_count_is_data_error(self, tmp_path, capsys):
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(
@@ -365,6 +386,47 @@ class TestExitCodes:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{trace}: not UTF-8 text" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("metric, scale", [("arrivals", "nan"), ("cpu", "inf"), ("all", "-inf"),
+                                               ("memory", "0"), ("arrivals", "-2.5"), ("cpu", "lots")])
+    def test_bad_scale_is_usage_error(self, tmp_path, capsys, metric, scale):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0,j1,j1,0.1,0.1\n60000000,j2,j2,0.2,0.1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--trace", str(trace), "--metric", metric, f"--scale={scale}", "--out-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--scale" in err and "finite positive" in err and "Traceback" not in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scale={scale}\n")
+        code = main(["ingest", "--trace", str(trace), "--metric", metric, "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "finite positive" in capsys.readouterr().err
+        assert not list(tmp_path.glob("observations_*.csv"))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,1,arrivals,0,100.0,1 2", "at least 1 second"),
+            ("2,1,arrivals,-60,100.0,1 2", "at least 1 second"),
+            ("2,1,arrivals,60,nonsense,1 2", "finite positive"),
+            ("2,1,arrivals,60,nan,1 2", "finite positive"),
+            ("2,1,arrivals,60,100.0,3 9223372036854775808", "below 2**63"),
+        ],
+    )
+    def test_observations_outside_the_invariants_are_data_errors(self, tmp_path, capsys, row, message):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(OBS_HEADER + "1,1,arrivals,60,100.0,1 2\n" + row + "\n")
+        window = ["--pp-tps", "4", "--up-tps", "2"]
+        for argv in (
+            ["fit", "--observations", str(obs)],
+            ["predict", "--train", str(obs), "--test", str(obs), *window],
+            ["evaluate", "--train", str(obs), "--test", str(obs), *window],
+        ):
+            assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_DATA, argv
+            err = capsys.readouterr().err
+            assert f"{obs}:3: " in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "lambdas_arrivals.csv").exists()
 
     def test_sub_bin_mismatch_is_data_error(self, tmp_path, capsys):
         obs = _obs_file(tmp_path / "obs.csv", 8, 4)

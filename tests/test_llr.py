@@ -11,9 +11,7 @@ from cyclecast.llr import (
     effective_bandwidth,
     kernel_weight,
     llr_apply,
-    llr_curve,
     llr_fit,
-    llr_fit_predict,
     llr_plan,
 )
 
@@ -101,12 +99,12 @@ class TestFitPredict:
         points = [(float(x), 5.0) for x in range(8)]
         for family in ALL_FAMILIES:
             for spec in _specs_for(family):
-                assert llr_fit_predict(points, 3.5, spec) == pytest.approx(5.0, abs=1e-9)
+                assert llr_fit(points, 3.5, spec).value == pytest.approx(5.0, abs=1e-9)
 
     def test_affine_extrapolation(self):
         points = [(float(x), 2.0 * x + 1.0) for x in range(10)]
         spec = KernelSpec(family=KernelFamily.GAUSSIAN, h=3.0)
-        assert llr_fit_predict(points, 10.0, spec) == pytest.approx(21.0, abs=1e-9)
+        assert llr_fit(points, 10.0, spec).value == pytest.approx(21.0, abs=1e-9)
 
     def test_affine_reproduction_all_kernels_and_modes(self):
         points = [(float(x), -1.5 * x + 4.0) for x in range(12)]
@@ -114,7 +112,7 @@ class TestFitPredict:
             for spec in _specs_for(family):
                 for x_u in (0.0, 5.5, 11.0, 12.0):
                     expected = -1.5 * x_u + 4.0
-                    assert llr_fit_predict(points, x_u, spec) == pytest.approx(expected, abs=1e-9)
+                    assert llr_fit(points, x_u, spec).value == pytest.approx(expected, abs=1e-9)
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(77)
@@ -142,6 +140,19 @@ class TestFitPredict:
             expected = oracles.llr_normal_equations(points, x_u, family.value, h)
             assert fit.value == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "points, x_u, h",
+        [([(0.0, 0.0), (-11.0, -11.0)], -16.0, 0.0547), ([(0.0, 0.0), (1.0, 1.0)], -13.5, 0.0625)],
+    )
+    def test_far_tail_gaussian_weights_keep_the_line(self, points, x_u, h):
+        # Only the third widening (8h) weighs both points, with Gaussian
+        # weights near 1e-29 and 1e-290, or 1e-158 and 1e-183: their products
+        # underflow unless the weights are rescaled first.
+        fit = llr_fit(points, x_u, KernelSpec(family=KernelFamily.GAUSSIAN, h=h))
+        assert fit.fallback is Fallback.WIDENED_H
+        expected = oracles.llr_normal_equations(points, x_u, "gaussian", 8 * h, dps=400)
+        assert fit.value == pytest.approx(expected, rel=1e-12)
+
     def test_conditioning_at_large_coordinates(self):
         # Period indices can be large; the centered solve must not lose the
         # affine signal to cancellation.
@@ -150,18 +161,18 @@ class TestFitPredict:
         x_u = base + 12.0
         expected = 0.5 * x_u - 7.0
         for spec in (KernelSpec(k=6), KernelSpec(family=KernelFamily.GAUSSIAN, h=4.0)):
-            assert llr_fit_predict(points, x_u, spec) == pytest.approx(expected, abs=1e-6)
+            assert llr_fit(points, x_u, spec).value == pytest.approx(expected, abs=1e-6)
 
     def test_locality_zero_weight_points_removable(self):
         points = [(0.0, 3.0), (1.0, 4.0), (2.0, 2.0), (50.0, 99.0)]
         spec = KernelSpec(family=KernelFamily.EPANECHNIKOV, h=3.0)
-        with_far = llr_fit_predict(points, 1.0, spec)
-        without_far = llr_fit_predict(points[:3], 1.0, spec)
+        with_far = llr_fit(points, 1.0, spec).value
+        without_far = llr_fit(points[:3], 1.0, spec).value
         assert with_far == without_far
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            llr_fit_predict([], 0.0, EPAN)
+            llr_fit([], 0.0, EPAN).value
 
     @given(
         lo=st.integers(-5, 40),
@@ -257,19 +268,12 @@ class TestFallbackChain:
 class TestCurve:
     def test_constant_curve(self):
         points = [(float(x), 2.0) for x in range(6)]
-        assert llr_curve(points, [0.0, 2.5, 5.0], KernelSpec(k=4)) == pytest.approx([2.0] * 3)
+        spec = KernelSpec(k=4)
+        assert [llr_fit(points, q, spec).value for q in [0.0, 2.5, 5.0]] == pytest.approx([2.0] * 3)
 
     def test_affine_curve(self):
         points = [(float(x), 3.0 * x - 2.0) for x in range(10)]
         queries = [1.0, 4.5, 8.0]
-        got = llr_curve(points, queries, KernelSpec(family=KernelFamily.GAUSSIAN, h=2.0))
+        spec = KernelSpec(family=KernelFamily.GAUSSIAN, h=2.0)
+        got = [llr_fit(points, q, spec).value for q in queries]
         assert got == pytest.approx([3.0 * q - 2.0 for q in queries], abs=1e-9)
-
-    def test_matches_pointwise_fit(self):
-        rng = np.random.default_rng(31)
-        points = [(float(x), float(rng.uniform(0, 9))) for x in range(15)]
-        queries = [0.5, 7.2, 14.0]
-        spec = KernelSpec(family=KernelFamily.BIWEIGHT, k=6)
-        assert llr_curve(points, queries, spec) == [
-            llr_fit_predict(points, q, spec) for q in queries
-        ]

@@ -2,16 +2,53 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclecast.poisson import (
     log_likelihood,
     poisson_cdf,
     poisson_mle,
+    poisson_mle_rows,
     poisson_pmf,
     poisson_quantile,
 )
 
 import oracles
+
+
+def _rows_hex(rows):
+    samples = np.array([s for row in rows for s in row], dtype=np.int64)
+    return [v.hex() for v in poisson_mle_rows(samples, [len(row) for row in rows]).tolist()]
+
+
+class TestMleRows:
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(0, 60),
+                    st.integers(2**53 - 4, 2**53 + 4),
+                    st.integers(0, 2**63 - 1),
+                    st.sampled_from([2**62, 2**63 - 1, 2**63 - 2]),
+                ),
+                min_size=1,
+                max_size=40,
+            ),
+            max_size=8,
+        )
+    )
+    def test_rows_equal_poisson_mle_bit_for_bit(self, rows):
+        assert _rows_hex(rows) == [poisson_mle(row).hex() for row in rows]
+
+    def test_long_rows_of_large_samples(self):
+        # Sums of 2**62 and more: int64 would overflow, so these rows take math.fsum.
+        rows = [[2**53 - 1] * 600, [2**53 - 1] * 1100, [7] * 5000, [2**63 - 1] * 3, [1, 2**53 - 1] * 700]
+        assert _rows_hex(rows) == [poisson_mle(row).hex() for row in rows]
+
+    def test_empty_row_raises(self):
+        with pytest.raises(ValueError):
+            poisson_mle_rows(np.array([1, 2]), [2, 0])
+        assert len(poisson_mle_rows(np.zeros(0, dtype=np.int64), [])) == 0
 
 
 class TestMle:

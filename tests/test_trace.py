@@ -1,10 +1,11 @@
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cyclecast import trace
 from cyclecast.synthetic import SyntheticSpec, generate
@@ -13,6 +14,7 @@ from cyclecast.trace import (
     ColumnMapping,
     Events,
     MetricKind,
+    Observations,
     PeriodObservation,
     aggregate_span,
     build_histogram,
@@ -463,7 +465,15 @@ class TestObservationFiles:
         ]
         path = tmp_path / "obs.csv"
         write_observations(path, observations, scale=100.0)
-        assert read_observations(path) == observations
+        assert list(read_observations(path)) == observations
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, np.float64(100.0)])
+    def test_writer_refuses_a_scale_the_reader_refuses(self, tmp_path, scale):
+        # A numpy float prints as np.float64(100.0), which reads back as no number.
+        path = tmp_path / "obs.csv"
+        with pytest.raises(ValueError, match="scale must be a finite positive number"):
+            write_observations(path, [PeriodObservation(1, 1, MetricKind.CPU, [1], 60)], scale)
+        assert not path.exists()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"
@@ -585,6 +595,12 @@ class TestWriters:
     def test_observations_equal_per_sample_reference(self, tmp_path_factory, periods, scale):
         observations = [PeriodObservation(*p) for p in periods]
         out = tmp_path_factory.mktemp("obs")
+        if any(s >= 2**63 for p in periods for s in p[3]):
+            # Observations hold int64 samples: a larger one is refused, and no file is written.
+            with pytest.raises(ValueError, match="below 2\\*\\*63"):
+                write_observations(out / "new.csv", observations, scale)
+            assert not (out / "new.csv").exists()
+            return
         write_observations(out / "new.csv", observations, scale)
         oracles.write_observations_per_sample(out / "ref.csv", observations, scale)
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
@@ -602,3 +618,271 @@ class TestObservationType:
     def test_bad_indices_rejected(self):
         with pytest.raises(ValueError):
             PeriodObservation(0, 1, MetricKind.ARRIVALS, [1], 60)
+
+
+def _periods():
+    return [
+        PeriodObservation(1, 1, MetricKind.ARRIVALS, [0, 3, 1], 60),
+        PeriodObservation(2, 1, MetricKind.CPU, [5], 30),
+        PeriodObservation(1, 2, MetricKind.ARRIVALS, [7, 2**62, 0, 4], 60),
+        PeriodObservation(2, 2, MetricKind.MEMORY, [1, 1], 1),
+    ]
+
+
+class TestObservationColumns:
+    def test_columns_of_periods(self):
+        obs = Observations.of(_periods())
+        assert len(obs) == 4
+        assert obs.tp_index.tolist() == [1, 2, 1, 2] and obs.cycle_index.tolist() == [1, 1, 2, 2]
+        assert obs.metric.tolist() == [MetricKind.ARRIVALS, MetricKind.CPU, MetricKind.ARRIVALS, MetricKind.MEMORY]
+        assert obs.sub_bin_seconds.tolist() == [60, 30, 60, 1] and obs.counts.tolist() == [3, 1, 4, 2]
+        assert obs.samples.dtype == np.int64 and obs.samples.tolist() == [0, 3, 1, 5, 7, 2**62, 0, 4, 1, 1]
+        assert Observations.of(obs) is obs
+
+    def test_indexing_gives_periods(self):
+        periods = _periods()
+        obs = Observations.of(periods)
+        assert list(obs) == periods and obs[-1] == periods[-1]
+        indices = (
+            slice(1, 3), slice(-3, None), slice(None, 10), slice(0, 0), slice(3, 1), slice(None, None, -2),
+            [3, 0], obs.metric == MetricKind.ARRIVALS,
+        )
+        for index in indices:
+            part = obs[index]
+            assert isinstance(part, Observations)
+            assert list(part) == np.array(periods, dtype=object)[index].tolist()
+        with pytest.raises(IndexError):
+            obs[4]
+
+    def test_concat(self):
+        periods = _periods()
+        obs = Observations.of(periods)
+        assert list(Observations.concat([obs[:1], obs[1:1], obs[1:]])) == periods
+
+    def test_empty(self):
+        obs = Observations.of([])
+        assert len(obs) == 0 and obs.samples.dtype == np.int64 and list(obs) == []
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(samples=[0, 3, 1, 5, 7, 2**63, 0, 4, 1, 1]), "below 2\\*\\*63"),
+            (dict(samples=[0, 3, 1, 5, 7, 2.5, 0, 4, 1, 1]), "below 2\\*\\*63"),
+            (dict(samples=[0, 3, 1, 5, 7, -1, 0, 4, 1, 1]), "negative"),
+            (dict(counts=[3, 1, 4, 1]), "add up"),
+            (dict(counts=[3, 0, 5, 2]), "at least one sample"),
+            (dict(tp_index=[1, 0, 1, 2]), "1-based"),
+            (dict(cycle_index=[1, 1, -2, 2]), "1-based"),
+            (dict(sub_bin_seconds=[60, 0, 60, 1]), "1 second"),
+            (dict(metric=[MetricKind.CPU, "cpu", MetricKind.CPU, MetricKind.CPU]), "MetricKind"),
+            (dict(tp_index=[1, 2, 1]), "equal lengths"),
+        ],
+    )
+    def test_invariants(self, change, message):
+        obs = Observations.of(_periods())
+        columns = {name: getattr(obs, name) for name in ("tp_index", "cycle_index", "metric", "sub_bin_seconds", "counts", "samples")}
+        with pytest.raises(ValueError, match=message):
+            Observations(**(columns | change))
+
+
+_HEADER = "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
+
+
+class TestObservationReader:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "2,1,arrivals,0,100.0,1 2",
+            "2,1,arrivals,-60,100.0,1 2",
+            "2,1,arrivals,60,nonsense,1 2",
+            "2,1,arrivals,60,nan,1 2",
+            "2,1,arrivals,60,-inf,1 2",
+            "2,1,arrivals,60,0.0,1 2",
+            "2,1,arrivals,60,-1.5,1 2",
+            "2,1,arrivals,60,100.0,1 9223372036854775808",
+            "9223372036854775808,1,arrivals,60,100.0,1 2",
+            "2,1,arrivals,60,100.0,1 -2",
+            "2,1,arrivals,60,100.0,",
+        ],
+    )
+    def test_bad_row_names_the_line(self, tmp_path, row):
+        path = tmp_path / "obs.csv"
+        path.write_text(_HEADER + "1,1,arrivals,60,100.0,1 2\n" + row + "\n3,1,arrivals,60,100.0,4\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+            read_observations(path)
+
+    def test_plain_file_is_read_in_bulk(self, tmp_path, monkeypatch):
+        events, _ = generate(SyntheticSpec(pp_tps=12, tps=30, base_rate=3.0, seed=5))
+        path = tmp_path / "obs.csv"
+        for metric in MetricKind:
+            obs = aggregate_span(events, 0, 30, 30, 12, metric, 60, 100.0)
+            write_observations(path, obs, 100.0)
+            monkeypatch.setattr(trace, "_read_records", None)  # the per-line reader must not run
+            got = read_observations(path)
+            monkeypatch.undo()
+            assert list(got) == list(obs) == oracles.read_observations(path)
+
+    def test_tokens_only_int_reads_go_through_int(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(
+            _HEADER.encode()
+            + "+1,1_0,arrivals,60,100.0,+5 1_0 \u0663 007\t0000000000000000000001\r\n\r\n".encode()
+            + " 2 , 01,cpu, 6_0,1e2,4  4 \x1c\r".encode()
+            + "3,1,memory,60,100.0,9223372036854775807\n\n".encode()
+        )
+        got = read_observations(path)
+        assert list(got) == oracles.read_observations(path)
+        assert got.samples.tolist() == [5, 10, 3, 7, 1, 4, 4, 2**63 - 1]
+        assert got.tp_index.tolist() == [1, 2, 3] and got.sub_bin_seconds.tolist() == [60, 60, 60]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_columns_equal_per_line_reference(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("obs") / "obs.csv"
+        clean = data.draw(st.booleans())
+        text = data.draw(_observation_files(clean))
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(trace, "_read_records", wraps=trace._read_records) as per_line:
+            try:
+                got = read_observations(path)
+            except ValueError as exc:
+                got = exc
+        kind, expected = _strict_reference(path)
+        event(f"{kind}, clean={clean}, per-line={per_line.called}")
+        if kind == "periods":
+            assert not isinstance(got, ValueError), got
+            assert list(got) == expected
+            assert got.samples.dtype == np.int64
+        elif kind == "error":
+            assert isinstance(got, ValueError) and str(got) == expected
+        else:  # a line the old reader took that a new rule refuses
+            assert isinstance(got, ValueError) and str(got).startswith(f"{path}:{expected}: "), got
+        if clean:
+            assert not per_line.called
+
+
+# Integer fields: plain ones, and what int() reads but the bulk reader leaves to it
+# (signs, underscores, other digits, spaces, leading zeros, 19+ digits), and what neither reads.
+_PLAIN_INT = st.integers(0, 40).map(str)
+_ODD_INTS = [
+    "+5", "1_0", "-3", " 4", "4 ", "٣", "１２", "007", "0", "9223372036854775807",
+    "9223372036854775808", "99999999999999999999", "0000000000000000000001", "", "x", "1.0", " 5",
+]
+_METRIC_TEXTS = ["arrivals", "cpu", "memory", "Arrivals", " cpu", "", "bytes"]
+_SCALES = ["100.0", "1e-3", "5e-324", "0.37", "1_0.5", " 2.5", "nonsense", "nan", "inf", "-inf", "0", "-1", ""]
+
+
+@st.composite
+def _observation_files(draw, clean):
+    """Observation file texts; ``clean`` ones hold only records the bulk reader takes."""
+    if clean:
+        integer = _PLAIN_INT
+        positive = st.integers(1, 40).map(str)
+        metric = st.sampled_from(["arrivals", "cpu", "memory"])
+        scale = st.sampled_from(_SCALES[:4])
+        sep = st.just(" ")
+        blank = st.sampled_from(["", "   ", "\t"])
+        ending = st.sampled_from(["\n"])
+    else:
+        # Mostly fields that both readers take, so that many files read to the end.
+        integer = st.one_of(_PLAIN_INT, _PLAIN_INT, _PLAIN_INT, st.sampled_from(_ODD_INTS))
+        positive = st.one_of(*[st.integers(1, 40).map(str)] * 3, st.sampled_from(_ODD_INTS + ["-60"]))
+        metric = st.one_of(*[st.sampled_from(_METRIC_TEXTS[:3])] * 3, st.sampled_from(_METRIC_TEXTS))
+        scale = st.one_of(*[st.sampled_from(_SCALES[:4])] * 3, st.sampled_from(_SCALES))
+        sep = st.sampled_from([" ", " ", " ", "  ", "\t", " 　 "])
+        blank = st.sampled_from(["", "   ", "\t", "\x1c", " "])
+        ending = st.sampled_from(["\n", "\r\n", "\r"])
+    record = st.builds(
+        lambda tp, cycle, m, width, sc, samples, s, extra: ",".join(
+            [tp, cycle, m, width, sc, s.join(samples)] + extra
+        ),
+        positive, positive, metric, positive, scale,
+        st.lists(integer, min_size=1, max_size=6), sep,
+        st.just([]) if clean else st.sampled_from([[], [], [], ["1"]]),
+    )
+    lines = draw(st.lists(st.one_of(record, record, record, blank), max_size=8))
+    if not clean and draw(st.booleans()) and lines:
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(record).rsplit(",", 1)[0]  # five fields
+    header = _HEADER if clean or draw(st.integers(0, 9)) else "a,b\n"
+    body = "".join(line + draw(ending) for line in lines)
+    return header + (body[:-1] if body and draw(st.booleans()) else body)
+
+
+def _strict_reference(path):
+    """What the reader must give: ("periods", list), ("error", message) or ("line", lineno).
+
+    The old line reader's result, with the rules it lacked applied to every
+    line it read before its first error: sub-bins of at least 1 second, a
+    finite positive scale, indices and samples below 2**63.
+    """
+    try:
+        expected, failed = oracles.read_observations(path), None
+    except ValueError as exc:
+        match = re.match(f"^{re.escape(str(path))}:(\\d+): ", str(exc))
+        if match is None:
+            return "error", str(exc)
+        expected, failed = str(exc), int(match[1])
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if failed is not None and lineno >= failed:
+                break
+            parts = line.strip().split(",")
+            if parts == [""]:
+                continue
+            try:
+                scale = float(parts[4])
+            except ValueError:
+                scale = math.nan
+            numbers = [int(parts[0]), int(parts[1]), int(parts[3]), *map(int, parts[5].split())]
+            if int(parts[3]) < 1 or not (math.isfinite(scale) and scale > 0) or max(numbers) >= 2**63:
+                return "line", lineno
+    return ("periods" if failed is None else "error"), expected
+
+
+class TestAggregateReference:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_span_equals_old_aggregation(self, data):
+        tp_minutes = data.draw(st.sampled_from([1, 2, 30]))
+        sub_bin_seconds = data.draw(st.sampled_from([s for s in (1, 15, 60) if tp_minutes * 60 % s == 0]))
+        num_tps = data.draw(st.integers(1, 5))
+        pp_tps = data.draw(st.integers(1, 4))
+        start_us = data.draw(st.integers(0, 10**9))
+        tp_us = tp_minutes * 60 * US_PER_SECOND
+        n = data.draw(st.integers(0, 40))
+        timestamps = data.draw(st.lists(
+            st.integers(max(0, start_us - tp_us), start_us + (num_tps + 1) * tp_us), min_size=n, max_size=n
+        ))
+        # Amounts and scales whose rounded products reach 2**63, and non-finite amounts.
+        amount = st.one_of(
+            st.floats(0.0, 50.0), st.integers(0, 400).map(lambda v: v / 8),
+            st.sampled_from([1e17, 9.3e18, 1e300, math.inf, math.nan]),
+        )
+        amounts = st.lists(amount, min_size=n, max_size=n)
+        events = Events(timestamps, data.draw(amounts), data.draw(amounts))
+        scale = data.draw(st.sampled_from([1.0, 0.25, 0.37, 100.0, 1e4, 1e17, 5e-324]))
+        for metric in MetricKind:
+            args = (events, start_us, num_tps, tp_minutes, pp_tps, metric, sub_bin_seconds, scale)
+            try:
+                expected = oracles.aggregate_span(*args)
+            except (ValueError, OverflowError):
+                expected = None
+            if expected is None or max(max(o.samples) for o in expected) >= 2**63:
+                with pytest.raises(ValueError):
+                    aggregate_span(*args)
+                continue
+            got = aggregate_span(*args)
+            assert isinstance(got, Observations) and got.samples.dtype == np.int64
+            assert list(got) == expected
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected_for_every_metric(self, scale):
+        for metric in MetricKind:
+            with pytest.raises(ValueError, match="scale must be finite"):
+                _one_period(Events([0], [0.5], [0.5]), metric, scale=scale)
+
+    def test_count_beyond_int64_rejected(self):
+        events = Events([0, 1], [0.5, 1e18], [0.0, 0.0])
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            _one_period(events, MetricKind.CPU, scale=10.0)
