@@ -269,15 +269,20 @@ def run(
     Emits exactly one record per observation, and leaves ``ds`` (a fresh
     store if None) as ``observe_step`` over the stream would: the records
     are those of ``predict_step``/``observe_step`` per observation, bit for
-    bit. Warm-up steps (empty window) carry ``predicted=None``.
+    bit, for every stream that ``Observations`` can hold. Warm-up steps
+    (empty window) carry ``predicted=None``.
+
+    ``PeriodObservation``s are converted to ``Observations`` on the way
+    (see ``_fit``), so their samples must be integers below 2**63 and their
+    sub-bins at least 1 second wide. ``observe_step`` takes a period outside
+    that domain (a float sample, a sample of 2**63 or more, a 0 s sub-bin);
+    ``run`` raises ``ValueError`` for it.
 
     A store whose shape is not the configuration's raises ``ValueError``.
     Every period is checked for stream order before ``ds`` changes, so a
     bad stream raises the step loop's ``ValueError`` for the first bad
-    observation and leaves ``ds`` as it was. ``PeriodObservation``s are
-    converted to ``Observations`` on the way (see ``_fit``): their samples
-    must be integers below 2**63. The predictions are then read from the
-    fitted rates.
+    observation and leaves ``ds`` as it was. The predictions are then read
+    from the fitted rates.
     """
     if ds is None:
         ds = cfg.new_store()

@@ -21,12 +21,12 @@ continuous requests are multiplied by a recorded scale and rounded).
 
 Per-period samples travel as ``Observations``: columns of period stamps
 and units, plus every period's samples in one int64 array. Aggregation
-returns them, the observations writer formats them a row at a time from a
-table of short integer strings, and the reader parses a file's sample text
-with one numpy call when every token is provably plain, else token by token
-with ``int`` as before. ``PeriodObservation`` is the one-period form that
-the online forecasting steps take; a sequence of them converts to columns
-with ``Observations.of``.
+returns them, the observations writer formats every sample once and joins
+each row from a slice of those strings, and the reader parses a file's
+sample text with one numpy call when every token is provably plain, else
+token by token with ``int`` as before. ``PeriodObservation`` is the
+one-period form that the online forecasting steps take; a sequence of them
+converts to columns with ``Observations.of``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import operator
 import re
 from array import array
 from collections.abc import Sequence as _Sequence
@@ -67,7 +68,6 @@ _UTF8_BOM = b"\xef\xbb\xbf"
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
 _INT64_LIMIT = 2**63
 _PLAIN_DIGITS = 18  # a token of at most 18 decimal digits is below 2**63
-_SHORT_INTS = np.array([str(i) for i in range(1 << 10)], dtype=object)  # sample texts, looked up
 # The line ends the observations reader splits at: those of a text file opened with newline="".
 _LINE_END = re.compile("\r\n|\r|\n")
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
@@ -144,9 +144,9 @@ class Observations(_Sequence):
     ``sub_bin_seconds`` hold one entry per period, ``counts`` its number of
     samples; ``samples`` holds every period's samples in period order, as
     int64. ``len`` is the number of periods. Indexing with an integer gives
-    that period as a ``PeriodObservation``, with a slice, mask or index
-    array the selected periods as ``Observations`` (views of these columns
-    for a slice of step 1). It has no ``==``.
+    that period as a ``PeriodObservation``, with a slice of step 1 those
+    periods as ``Observations`` whose columns are views of these; any other
+    index raises ``TypeError``. It has no ``==``.
 
     The invariants are ``PeriodObservation``'s plus int64 range: indices,
     sub-bin width and counts at least 1, samples nonnegative.
@@ -174,8 +174,11 @@ class Observations(_Sequence):
             raise ValueError("a sub-bin is at least 1 second wide")
         if n and self.counts.min() < 1:
             raise ValueError("a period observation needs at least one sample")
-        if int(self.counts.sum()) != len(self.samples):
-            raise ValueError(f"counts add up to {int(self.counts.sum())}, not to the {len(self.samples)} samples")
+        # Where each period's samples end; computed once, so indexing a period is O(1).
+        object.__setattr__(self, "_ends", np.cumsum(self.counts))
+        total = int(self._ends[-1]) if n else 0
+        if total != len(self.samples):
+            raise ValueError(f"counts add up to {total}, not to the {len(self.samples)} samples")
         if len(self.samples) and self.samples.min() < 0:
             raise ValueError("samples are counts and cannot be negative")
         if not all(isinstance(m, MetricKind) for m in metric):
@@ -208,33 +211,30 @@ class Observations(_Sequence):
         return len(self.tp_index)
 
     def __getitem__(self, index):
-        if isinstance(index, slice) and index.step in (None, 1):
+        if isinstance(index, slice):
+            if index.step not in (None, 1):
+                raise TypeError("Observations take an integer or a slice of step 1")
             # A run of periods: every column is a view, so nothing is copied.
             lo, hi, _ = index.indices(len(self))
             hi = max(lo, hi)
-            bounds = np.cumsum(self.counts[:hi])
-            first = int(bounds[lo - 1]) if lo else 0
-            last = int(bounds[-1]) if hi else 0
+            first = int(self._ends[lo - 1]) if lo else 0
+            last = int(self._ends[hi - 1]) if hi else 0
             return Observations(
                 self.tp_index[lo:hi], self.cycle_index[lo:hi], self.metric[lo:hi],
                 self.sub_bin_seconds[lo:hi], self.counts[lo:hi], self.samples[first:last],
             )
-        rows = np.arange(len(self))[index]
-        starts = (np.cumsum(self.counts) - self.counts)[rows]  # where each period's samples start
-        if rows.ndim == 0:
-            return PeriodObservation(
-                int(self.tp_index[rows]),
-                int(self.cycle_index[rows]),
-                self.metric[rows],
-                self.samples[starts : starts + self.counts[rows]].tolist(),
-                int(self.sub_bin_seconds[rows]),
-            )
-        counts = self.counts[rows]
-        # Sample j of the selection lies ``starts - (its period's new start)`` further on.
-        take = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-        return Observations(
-            self.tp_index[rows], self.cycle_index[rows], self.metric[rows],
-            self.sub_bin_seconds[rows], counts, self.samples[take],
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"period {index} of {len(self)}")
+        end = int(self._ends[i])
+        return PeriodObservation(
+            int(self.tp_index[i]),
+            int(self.cycle_index[i]),
+            self.metric[i],
+            self.samples[end - int(self.counts[i]) : end].tolist(),
+            int(self.sub_bin_seconds[i]),
         )
 
 
@@ -570,18 +570,14 @@ def write_observations(
     obs = Observations.of(observations)
     scale_text = repr(scale)
     _check_scale(scale_text)
-    # Every sample is formatted once: looked up when all are small, as they usually are.
-    if obs.samples.max(initial=0) < len(_SHORT_INTS):
-        texts = _SHORT_INTS[obs.samples].tolist()
-    else:
-        texts = list(map(str, obs.samples.tolist()))
+    texts = list(map(str, obs.samples.tolist()))  # every sample formatted once
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n")
         fh.writelines(
             f"{tp},{cycle},{metric},{width},{scale_text},{' '.join(texts[end - n:end])}\n"
             for tp, cycle, metric, width, n, end in zip(
                 obs.tp_index.tolist(), obs.cycle_index.tolist(), [m.value for m in obs.metric],
-                obs.sub_bin_seconds.tolist(), obs.counts.tolist(), np.cumsum(obs.counts).tolist(),
+                obs.sub_bin_seconds.tolist(), obs.counts.tolist(), obs._ends.tolist(),
             )
         )
 

@@ -18,6 +18,7 @@ from cyclecast.forecaster import (
     write_records,
 )
 from cyclecast.llr import Fallback, KernelFamily, KernelSpec, llr_fit
+from cyclecast.poisson import poisson_mle
 from cyclecast.store import CyclicDataset, EmptyWindowError, restore, snapshot
 from cyclecast.trace import MetricKind, PeriodObservation
 
@@ -226,6 +227,23 @@ class TestRun:
         bad = [_obs(1, [1]), _obs(3, [1])]
         with pytest.raises(ValueError):
             run(bad, cfg)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            _obs(2, [1, 1.5]),
+            _obs(2, [1, 2**63]),
+            PeriodObservation(2, 1, MetricKind.ARRIVALS, [1, 2], 0),
+        ],
+    )
+    def test_run_refuses_periods_outside_the_columns(self, bad):
+        # The step loop fits these; run's int64 columns cannot hold them.
+        cfg = ForecastConfig(pp_tps=4, up_tps=2, cycles=1, kernel=KernelSpec(k=2))
+        stream = [_obs(1, [1, 3]), bad]
+        records = oracles.run_per_step(stream, cfg)
+        assert len(records) == 2 and records[1].actual == poisson_mle(bad.samples)
+        with pytest.raises(ValueError):
+            run(stream, cfg)
 
     def test_resume_from_snapshot_matches_uninterrupted_run(self):
         from cyclecast.store import restore, snapshot

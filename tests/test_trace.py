@@ -642,17 +642,17 @@ class TestObservationColumns:
     def test_indexing_gives_periods(self):
         periods = _periods()
         obs = Observations.of(periods)
-        assert list(obs) == periods and obs[-1] == periods[-1]
-        indices = (
-            slice(1, 3), slice(-3, None), slice(None, 10), slice(0, 0), slice(3, 1), slice(None, None, -2),
-            [3, 0], obs.metric == MetricKind.ARRIVALS,
-        )
-        for index in indices:
+        assert list(obs) == periods and obs[-1] == periods[-1] and obs[np.int64(1)] == periods[1]
+        for index in (slice(1, 3), slice(-3, None), slice(None, 10), slice(0, 0), slice(3, 1), slice(1, None, 1)):
             part = obs[index]
             assert isinstance(part, Observations)
-            assert list(part) == np.array(periods, dtype=object)[index].tolist()
-        with pytest.raises(IndexError):
-            obs[4]
+            assert list(part) == periods[index]
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                obs[index]
+        for index in (slice(None, None, -2), [3, 0], obs.metric == MetricKind.ARRIVALS, 1.0):
+            with pytest.raises(TypeError):
+                obs[index]
 
     def test_concat(self):
         periods = _periods()
