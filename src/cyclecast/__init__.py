@@ -10,7 +10,7 @@ evaluation harness with baseline comparators.
 
 __version__ = "0.1.0"
 
-from .evaluation import EvaluationReport, compare, evaluate_records, mape, sweep
+from .evaluation import EvaluationReport, evaluate_records, mape, sweep
 from .forecaster import (
     ForecastConfig,
     PredictionRecord,
@@ -26,7 +26,6 @@ from .llr import (
     KernelSpec,
     effective_bandwidth,
     kernel_weight,
-    llr_fit,
 )
 from .poisson import (
     log_likelihood,
@@ -35,7 +34,7 @@ from .poisson import (
     poisson_pmf,
     poisson_quantile,
 )
-from .store import CyclicDataset, EmptyWindowError, SnapshotError, new_dataset, restore, snapshot
+from .store import CyclicDataset, EmptyWindowError, new_dataset
 from .synthetic import SyntheticSpec, generate, true_rate
 from .trace import (
     ColumnMapping,
@@ -51,7 +50,6 @@ from .trace import (
 __all__ = [
     "__version__",
     "EvaluationReport",
-    "compare",
     "evaluate_records",
     "mape",
     "sweep",
@@ -67,7 +65,6 @@ __all__ = [
     "KernelSpec",
     "effective_bandwidth",
     "kernel_weight",
-    "llr_fit",
     "log_likelihood",
     "poisson_cdf",
     "poisson_mle",
@@ -75,10 +72,7 @@ __all__ = [
     "poisson_quantile",
     "CyclicDataset",
     "EmptyWindowError",
-    "SnapshotError",
     "new_dataset",
-    "restore",
-    "snapshot",
     "SyntheticSpec",
     "generate",
     "true_rate",

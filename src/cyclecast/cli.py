@@ -32,7 +32,6 @@ from .evaluation import (
 from .forecaster import ForecastConfig, read_records, run, write_records
 from .llr import KernelFamily, KernelSpec
 from .poisson import poisson_mle_rows
-from .store import snapshot
 from .synthetic import RNG_NAME, SyntheticSpec, generate, write_truth
 from .trace import (
     ColumnMapping,
@@ -415,10 +414,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ds = cfg.new_store()
     records = run(Observations.concat([train, test]), cfg, ds)
     write_records(out / "records.csv", records)
-    outputs = ["records.csv"]
-    if args.save_store:
-        (out / "store.snapshot").write_text(snapshot(ds), encoding="utf-8")
-        outputs.append("store.snapshot")
     _write_manifest(
         out,
         "predict",
@@ -430,7 +425,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             "test_tps": len(test),
         },
         inputs=[Path(args.train), Path(args.test)],
-        outputs=outputs,
+        outputs=["records.csv"],
         seed=None,
     )
     return EXIT_OK
@@ -593,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="run the cyclic-window forecaster over train+test streams")
     p.add_argument("--train", required=True, help="training observations file")
     p.add_argument("--test", required=True, help="test observations file")
-    p.add_argument("--save-store", action="store_true", help="also write the final store snapshot")
     _add_shared_flags(p)
     p.set_defaults(func=cmd_predict)
 

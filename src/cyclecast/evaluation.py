@@ -35,7 +35,6 @@ __all__ = [
     "EvaluationReport",
     "mape",
     "relative_improvement",
-    "compare",
     "evaluate_records",
     "sweep",
     "config_id",
@@ -88,11 +87,6 @@ class EvaluationReport:
     @property
     def retained(self) -> int:
         return len(self.errors)
-
-
-def compare(report_a: EvaluationReport, report_b: EvaluationReport) -> float:
-    """Improvement of report_a over report_b, percent of report_b's error."""
-    return relative_improvement(report_a.mape, report_b.mape)
 
 
 def config_id(cfg: ForecastConfig) -> str:

@@ -356,8 +356,9 @@ def _rate(text: str) -> float:
 def read_records(path: str | Path) -> list[PredictionRecord]:
     """Read records produced by ``write_records``.
 
-    Rates must be finite and nonnegative, as ``run`` writes them; every row
-    error names the file and line.
+    Rates must be finite and nonnegative and the steps must run t = 1, 2, 3,
+    ... in row order, as ``run`` writes them; every row error names the file
+    and line.
     """
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -372,9 +373,12 @@ def read_records(path: str | Path) -> list[PredictionRecord]:
             try:
                 if len(parts) != 5:
                     raise ValueError(f"expected 5 fields, got {len(parts)}")
+                t = int(parts[0])
+                if t != len(records) + 1:
+                    raise ValueError(f"step t={t} out of order: expected t={len(records) + 1}")
                 records.append(
                     PredictionRecord(
-                        t=int(parts[0]),
+                        t=t,
                         tp_index=int(parts[1]),
                         predicted=None if parts[2] == "NA" else _rate(parts[2]),
                         actual=_rate(parts[3]),

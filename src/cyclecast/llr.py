@@ -6,20 +6,20 @@ fixed radius ``h`` or adaptive: the distance to the k-th nearest observation,
 so a compact kernel's window always spans the query point's k neighbors.
 
 History parameters stack several values at the same x (one per stored cycle),
-so degenerate geometry is structural here, not an error. ``llr_fit`` never
-fails on nonempty input: when the weighted system is singular it walks a
+so degenerate geometry is structural here, not an error. A fit never fails
+on nonempty input: when the weighted system is singular the plan walks a
 fallback chain (widen the bandwidth up to 3 doublings, then a kernel-weighted
-mean, then a global unweighted line) and reports which step produced the
-value.
+mean, then a global unweighted line) and ``plan.fallback`` reports which step
+produced the value.
 
 A fit is two steps. ``llr_plan`` looks only at the xs, the query and the
 spec: it resolves the bandwidth, walks the fallback chain and keeps the
 weights ``w``, the products ``w * (x - xbar)`` and the normal-equation
 scalars. ``llr_apply`` then needs two correctly rounded sums over the ys, so
 the fit is a fixed linear functional of the ys (the "equivalent kernel" of
-local polynomial regression). ``llr_fit`` is ``llr_apply(llr_plan(xs), ys)``;
-a caller that meets the same xs again (the forecaster, once its store is
-full) can keep the plan and pay only for the sums. Splitting the solve this
+local polynomial regression). A caller that meets the same xs again (the
+forecaster, once its store is full) can keep the plan and pay only for the
+sums. Splitting the solve this
 way changes no result bit: every product is the same IEEE operation on the
 same operands, ``math.fsum`` is correctly rounded whatever the order of its
 terms, and the sums run over the same points as a one-pass solve (the
@@ -39,13 +39,11 @@ __all__ = [
     "KernelFamily",
     "KernelSpec",
     "Fallback",
-    "LocalFit",
     "LLRPlan",
     "kernel_weight",
     "effective_bandwidth",
     "llr_plan",
     "llr_apply",
-    "llr_fit",
 ]
 
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
@@ -259,24 +257,3 @@ def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float | np.nda
     alpha = (plan.s2 * sy - plan.s1 * sxy) / plan.det
     beta = (plan.s0 * sxy - plan.s1 * sy) / plan.det
     return alpha + beta * plan.du
-
-
-@dataclass(frozen=True)
-class LocalFit:
-    value: float
-    fallback: Fallback
-
-
-def llr_fit(
-    points: Sequence[tuple[float, float]], x_u: float, spec: KernelSpec
-) -> LocalFit:
-    """Local linear fit at ``x_u``; always yields a value for nonempty input.
-
-    Raises
-    ------
-    ValueError
-        If ``points`` is empty, or a k-nearest spec asks for more neighbors
-        than there are points.
-    """
-    plan = llr_plan([x for x, _ in points], x_u, spec)
-    return LocalFit(llr_apply(plan, [y for _, y in points]), plan.fallback)

@@ -8,53 +8,23 @@ holds the most recent ``m*l`` fits.
 
 ``window_cells`` gathers the trailing cyclic window of n positions ending at
 the current cursor (wrapping across the pattern-period boundary) in one
-fancy index, which is the history slice the forecaster regresses over;
-``extract_window`` lists the same cells as (offset, rate) pairs. Cells never
-written are skipped rather than zero-filled: a fabricated zero rate would
-poison the regression during warm-up.
+fancy index, which is the history slice the forecaster regresses over.
+Cells never written come back NaN and flagged in an empty mask, so callers
+skip them rather than read a zero: a fabricated zero rate would poison the
+regression during warm-up.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "CyclicDataset",
-    "UtilizationWindow",
-    "EmptyWindowError",
-    "SnapshotError",
-    "new_dataset",
-    "snapshot",
-    "restore",
-]
-
-_MAGIC = "CYCLECAST-STORE"
-_VERSION = 1
+__all__ = ["CyclicDataset", "EmptyWindowError", "new_dataset"]
 
 
 class EmptyWindowError(ValueError):
     """Raised when a requested utilization window contains no stored rates."""
-
-
-class SnapshotError(ValueError):
-    """Raised when a snapshot image fails validation on restore."""
-
-
-@dataclass(frozen=True)
-class UtilizationWindow:
-    """Trailing window of n positions; entries are (offset, rate) pairs.
-
-    Offsets run 1..n with n the newest (the position being predicted).
-    Several cycles stored at one position contribute replicate entries at
-    the same offset.
-    """
-
-    n: int
-    entries: list[tuple[int, float]]
 
 
 def _check_rate(rate: float) -> None:
@@ -116,48 +86,28 @@ class CyclicDataset:
         self.cells[self.p - 1, self.w - 1] = rate
         self.t += 1
 
-    def _window_rows(self, n: int) -> np.ndarray:
-        """0-based rows of the n positions {p-n+1..p} modulo m, oldest first."""
-        if not 1 <= n <= self.m:
-            raise ValueError(f"window size must lie in [1, m={self.m}], got {n}")
-        p = self.p
-        return np.arange(p - n, p) % self.m
-
-    def window_positions(self, n: int) -> list[int]:
-        """The n positions {p-n+1..p} taken modulo m, oldest first."""
-        return (self._window_rows(n) + 1).tolist()
-
     def window_cells(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The trailing window as an n x l block of rates and its empty mask.
 
-        Row i holds offset i + 1 (offset n is the position at the cursor),
-        column j cycle row j + 1; empty cells are NaN and flagged True in
-        the mask.
+        Row i holds offset i + 1, the position p - n + 1 + i modulo m
+        (offset n is the position at the cursor), column j cycle row j + 1;
+        empty cells are NaN and flagged True in the mask.
 
         Raises
         ------
+        ValueError
+            If n lies outside [1, m].
         EmptyWindowError
             If no cell in the window has been written yet (warm-up).
         """
-        block = self.cells[self._window_rows(n)]
+        if not 1 <= n <= self.m:
+            raise ValueError(f"window size must lie in [1, m={self.m}], got {n}")
+        p = self.p
+        block = self.cells[np.arange(p - n, p) % self.m]
         empty = np.isnan(block)
         if empty.all():
             raise EmptyWindowError(f"no stored rates in the {n}-position window ending at p={self.p}")
         return block, empty
-
-    def extract_window(self, n: int) -> UtilizationWindow:
-        """All populated (offset, rate) entries of the trailing window.
-
-        Entries run offset by offset, cycle rows in order within an offset.
-
-        Raises
-        ------
-        EmptyWindowError
-            If no cell in the window has been written yet (warm-up).
-        """
-        block, empty = self.window_cells(n)
-        rows, cols = np.nonzero(~empty)
-        return UtilizationWindow(n=n, entries=list(zip((rows + 1).tolist(), block[rows, cols].tolist())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclicDataset):
@@ -170,84 +120,3 @@ class CyclicDataset:
 def new_dataset(m: int, l: int) -> CyclicDataset:
     """Fresh empty m x l store with cursors at (1, 1) and t = 1."""
     return CyclicDataset(m, l)
-
-
-def snapshot(ds: CyclicDataset) -> str:
-    """Serialize a store to checksummed text; inverse of ``restore``.
-
-    Layout: a magic/version header, the dimensions and cursors, one line per
-    cell (populated flag and decimal rate) in position-major order, then a
-    sha256 line over everything above it.
-    """
-    lines = [
-        f"{_MAGIC} v{_VERSION}",
-        f"m={ds.m} l={ds.l} p={ds.p} w={ds.w} t={ds.t}",
-    ]
-    for position in range(1, ds.m + 1):
-        for cycle in range(1, ds.l + 1):
-            v = ds.cells[position - 1, cycle - 1]
-            lines.append("0 -" if np.isnan(v) else f"1 {float(v)!r}")
-    body = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return body + f"sha256={digest}\n"
-
-
-def restore(image: str) -> CyclicDataset:
-    """Rebuild a store from ``snapshot`` output, verifying the checksum.
-
-    Accepts only states that ``update`` can reach: t >= 1, cursors equal to
-    the ones t implies, exactly the first min(t - 1, m * l) cells in write
-    order populated, and every stored rate finite and nonnegative.
-    """
-    lines = image.splitlines()
-    if len(lines) < 3 or not lines[-1].startswith("sha256="):
-        raise SnapshotError("snapshot image is truncated or missing its checksum")
-    body = "\n".join(lines[:-1]) + "\n"
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if lines[-1] != f"sha256={digest}":
-        raise SnapshotError("snapshot checksum mismatch")
-    if lines[0] != f"{_MAGIC} v{_VERSION}":
-        raise SnapshotError(f"unrecognized snapshot header: {lines[0]!r}")
-    try:
-        fields = dict(kv.split("=") for kv in lines[1].split())
-        m, l = int(fields["m"]), int(fields["l"])
-        p, w, t = int(fields["p"]), int(fields["w"]), int(fields["t"])
-    except (ValueError, KeyError) as exc:
-        raise SnapshotError(f"malformed snapshot dimension line: {lines[1]!r}") from exc
-    if m < 1 or l < 1 or t < 1:
-        raise SnapshotError(f"dimensions and step counter must be positive: {lines[1]!r}")
-    cell_lines = lines[2:-1]
-    if len(cell_lines) != m * l:
-        raise SnapshotError(f"expected {m * l} cell lines, found {len(cell_lines)}")
-    ds = CyclicDataset(m, l)
-    ds.t = t
-    if (p, w) != (ds.p, ds.w):
-        raise SnapshotError(f"cursors p={p} w={w} disagree with t={t} (expected p={ds.p} w={ds.w})")
-    idx = 0
-    for position in range(1, m + 1):
-        for cycle in range(1, l + 1):
-            line = cell_lines[idx]
-            idx += 1
-            flag, _, value = line.partition(" ")
-            if flag == "0" and value == "-":
-                rate = None
-            elif flag == "1":
-                try:
-                    rate = float(value)
-                except ValueError as exc:
-                    raise SnapshotError(f"malformed cell line: {line!r}") from exc
-                if not (np.isfinite(rate) and rate >= 0):
-                    raise SnapshotError(
-                        f"cell ({position}, {cycle}) holds {rate!r}; stored rates are finite and nonnegative"
-                    )
-            else:
-                raise SnapshotError(f"malformed cell line: {line!r}")
-            written = (cycle - 1) * m + position <= ds.populated
-            if (rate is not None) != written:
-                raise SnapshotError(
-                    f"cell ({position}, {cycle}) is {'empty' if rate is None else 'populated'}, "
-                    f"but at t={t} exactly the first {ds.populated} cells in write order are populated"
-                )
-            if rate is not None:
-                ds.cells[position - 1, cycle - 1] = rate
-    return ds

@@ -698,7 +698,7 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
     Consecutive rows with the same period, cpu and memory form a run, and a
     run's shared tail ``,j<n>,j<n>,<cpu>,<mem>`` is formatted once; each row
     is then its timestamp followed by its run's tail. Runs are split where the
-    bits of cpu or memory change, not where the floats compare unequal:
+    bits of cpu or memory change, not where the floats are unequal:
     ``0.0 == -0.0`` although they print differently, so only bit equality
     guarantees that the rows of a run print the same text (every NaN prints
     ``nan``, whatever its bits).

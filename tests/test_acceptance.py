@@ -12,7 +12,7 @@ import numpy as np
 
 from cyclecast.evaluation import evaluate_records, read_report_rows, sweep
 from cyclecast.forecaster import ForecastConfig, run
-from cyclecast.llr import Fallback, KernelFamily, KernelSpec, llr_fit
+from cyclecast.llr import Fallback, KernelFamily, KernelSpec, llr_apply, llr_plan
 from cyclecast.poisson import log_likelihood, poisson_mle, poisson_quantile
 from cyclecast.store import new_dataset
 from cyclecast.synthetic import SyntheticSpec, generate
@@ -65,12 +65,13 @@ def test_llr_exactness():
 
     # Affine reproduction across every kernel family and both bandwidth modes.
     slope, intercept = -2.25, 7.0
-    points = [(float(x), slope * x + intercept) for x in range(14)]
+    xs = [float(x) for x in range(14)]
+    line = [slope * x + intercept for x in xs]
     for family in ALL_FAMILIES:
         for spec in (KernelSpec(family=family, h=5.0), KernelSpec(family=family, k=6)):
             for x_u in (0.0, 3.5, 9.0, 13.0, 14.0):
                 expected = slope * x_u + intercept
-                got = llr_fit(points, x_u, spec).value
+                got = llr_apply(llr_plan(xs, x_u, spec), line)
                 assert abs(got - expected) < 1e-9, (family, spec, x_u)
 
     # Oracle equivalence on 500 random primary-path instances.
@@ -97,11 +98,11 @@ def test_llr_exactness():
                 continue
         else:
             h = float(spec.h)
-        fit = llr_fit(pts, x_u, spec)
-        if fit.fallback is not Fallback.NONE:
+        plan = llr_plan(xs.tolist(), x_u, spec)
+        if plan.fallback is not Fallback.NONE:
             continue
         expected = oracles.llr_normal_equations(pts, x_u, family.value, h, dps=40)
-        err = abs(fit.value - expected)
+        err = abs(llr_apply(plan, ys) - expected)
         worst = max(worst, err)
         assert err <= 1e-9
         checked += 1
@@ -139,12 +140,18 @@ def test_cyclic_store_law():
             for position in range(1, m + 1):
                 for cycle in range(1, l + 1):
                     assert ds.get(position, cycle) == reference.get((position, cycle))
-            # Wrap-around window positions for every cursor position.
+            # Wrap-around windows for every cursor position: row i of the
+            # window holds the replay's cells at the i-th of its n positions.
             for n in {1, max(1, m // 2), m}:
                 for _ in range(m):
-                    ds.update(float(rng.uniform(0, 100)))
-                    expected = sorted(((ds.p - 1 - i) % m) + 1 for i in range(n))
-                    assert sorted(ds.window_positions(n)) == expected
+                    value = float(rng.uniform(0, 100))
+                    ds.update(value)
+                    reference[(p, w)] = value
+                    p, w = (p + 1, w) if p < m else (1, w % l + 1)
+                    positions = [(p - n + i) % m + 1 for i in range(n)]
+                    expected = [[reference[(pos, c)] for c in range(1, l + 1)] for pos in positions]
+                    block, empty = ds.window_cells(n)
+                    assert not empty.any() and block.tolist() == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _announce(

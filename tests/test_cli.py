@@ -6,7 +6,6 @@ from cyclecast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cyclecast.evaluation import read_report_rows
 from cyclecast.forecaster import read_records
 from cyclecast.poisson import poisson_mle
-from cyclecast.store import restore
 from cyclecast.trace import read_observations
 
 
@@ -41,7 +40,6 @@ def _run_pipeline(out_dir, seed=3):
             "predict", "--train", f"{out}/observations_arrivals_train.csv",
             "--test", f"{out}/observations_arrivals_test.csv", "--out-dir", out,
             "--pp-tps", "24", "--up-tps", "8", "--cycles", "2", "--bandwidth-k", "6",
-            "--save-store",
         ],
         [
             "evaluate", "--records", f"{out}/records.csv", "--test-from-t", "49",
@@ -59,7 +57,7 @@ class TestPipeline:
         assert {
             "trace.csv", "truth.csv", "observations_arrivals_train.csv",
             "observations_arrivals_test.csv", "lambdas_arrivals.csv",
-            "records.csv", "store.snapshot", "report.csv", "errors.csv",
+            "records.csv", "report.csv", "errors.csv",
         } <= names
         assert {
             "synth.manifest.json", "ingest.manifest.json", "fit.manifest.json",
@@ -67,8 +65,6 @@ class TestPipeline:
         } <= names
         records = read_records(tmp_path / "records.csv")
         assert len(records) == 96
-        store = restore((tmp_path / "store.snapshot").read_text())
-        assert store.m == 24 and store.populated == 48
         rows = read_report_rows(tmp_path / "report.csv")
         assert len(rows) == 1
         assert rows[0]["improvement_vs_naive_pct"] != ""
@@ -90,7 +86,7 @@ class TestPipeline:
             "observations_arrivals_train.csv", "observations_arrivals_test.csv",
         }
         assert all(len(i["sha256"]) == 64 for i in manifest["inputs"])
-        assert manifest["outputs"] == ["records.csv", "store.snapshot"]
+        assert manifest["outputs"] == ["records.csv"]
         # Only settings the run uses or checks against the data are echoed.
         assert manifest["config"]["metric"] == "arrivals"
         assert manifest["config"]["sub_bin_seconds"] == 60
@@ -320,6 +316,23 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert f"{records}:3: rate must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_records_out_of_step_order_are_data_error(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
+            "1,1,NA,2.0,none\n3,3,2.5,3.0,none\n2,2,2.0,2.0,none\n2,2,2.0,5.0,none\n"
+        )
+        code = main(["evaluate", "--records", str(records), "--baselines", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert f"{records}:3: step t=3 out of order: expected t=2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_save_store_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--train", "t.csv", "--test", "u.csv", "--save-store", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
 
     def test_nonpositive_period_flags_are_usage_errors(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

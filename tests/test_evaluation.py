@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cyclecast import evaluation
 from cyclecast.evaluation import (
     EvaluationReport,
-    compare,
     config_id,
     evaluate_records,
     mape,
@@ -67,13 +66,10 @@ class TestMape:
 
 class TestCompare:
     def test_twenty_percent(self):
-        a = EvaluationReport("a", 0, 0.0, 0.4, [0.4], 0, 0)
-        b = EvaluationReport("b", 0, 0.0, 0.5, [0.5], 0, 0)
-        assert compare(a, b) == pytest.approx(20.0, rel=1e-12)
+        assert relative_improvement(0.4, 0.5) == pytest.approx(20.0, rel=1e-12)
 
     def test_equal_reports(self):
-        a = EvaluationReport("a", 0, 0.0, 0.37, [0.37], 0, 0)
-        assert compare(a, a) == 0.0
+        assert relative_improvement(0.37, 0.37) == 0.0
 
     def test_formula_identity(self):
         b = 0.45

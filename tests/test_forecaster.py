@@ -17,9 +17,9 @@ from cyclecast.forecaster import (
     run,
     write_records,
 )
-from cyclecast.llr import Fallback, KernelFamily, KernelSpec, llr_fit
+from cyclecast.llr import Fallback, KernelFamily, KernelSpec, llr_apply, llr_plan
 from cyclecast.poisson import poisson_mle
-from cyclecast.store import CyclicDataset, EmptyWindowError, restore, snapshot
+from cyclecast.store import CyclicDataset, EmptyWindowError
 from cyclecast.trace import MetricKind, PeriodObservation
 
 import oracles
@@ -27,6 +27,13 @@ import oracles
 
 def _obs(tp_index, samples, cycle=1):
     return PeriodObservation(tp_index, cycle, MetricKind.ARRIVALS, samples, 60)
+
+
+def _window_fit(ds, n, kernel):
+    """The LLR fit at offset n over the store's trailing window, read cell by cell."""
+    entries = oracles.window_entries(ds, n)
+    plan = llr_plan([float(x) for x, _ in entries], float(n), kernel)
+    return llr_apply(plan, [y for _, y in entries]), plan.fallback
 
 
 def _constant_stream(m, n_steps, value):
@@ -80,12 +87,10 @@ class TestPredictStep:
         ds = cfg.new_store()
         for _ in range(60):
             ds.update(float(rng.uniform(0.5, 30)))
-        window = ds.extract_window(cfg.up_tps)
-        points = [(float(x), y) for x, y in window.entries]
-        expected = llr_fit(points, float(cfg.up_tps), cfg.kernel)
+        expected, expected_fallback = _window_fit(ds, cfg.up_tps, cfg.kernel)
         value, fallback = predict_step(ds, cfg)
-        assert value == max(expected.value, 0.0)
-        assert fallback == expected.fallback
+        assert value == max(expected, 0.0)
+        assert fallback == expected_fallback
 
     def test_clamps_negative_extrapolation(self):
         cfg = ForecastConfig(pp_tps=8, up_tps=4, cycles=1, kernel=KernelSpec(k=3))
@@ -133,16 +138,15 @@ class TestPredictStep:
         ds = cfg.new_store()
         for rate in rates:
             ds.update(rate)
-        try:
-            points = [(float(x), y) for x, y in ds.extract_window(n).entries]
-        except EmptyWindowError:
+        population = len(oracles.window_entries(ds, n))
+        if not population:
             with pytest.raises(EmptyWindowError):
                 predict_step(ds, cfg)
             return
-        if kernel.k is not None and kernel.k > len(points):
-            kernel = dataclasses.replace(kernel, k=len(points))
-        expected = llr_fit(points, float(n), kernel)
-        assert predict_step(ds, cfg) == (max(expected.value, 0.0), expected.fallback)
+        if kernel.k is not None and kernel.k > population:
+            kernel = dataclasses.replace(kernel, k=population)
+        expected, fallback = _window_fit(ds, n, kernel)
+        assert predict_step(ds, cfg) == (max(expected, 0.0), fallback)
 
 
 class TestObserveStep:
@@ -245,9 +249,7 @@ class TestRun:
         with pytest.raises(ValueError):
             run(stream, cfg)
 
-    def test_resume_from_snapshot_matches_uninterrupted_run(self):
-        from cyclecast.store import restore, snapshot
-
+    def test_resumed_run_matches_uninterrupted_run(self):
         rng = np.random.default_rng(67)
         cfg = ForecastConfig(pp_tps=6, up_tps=4, cycles=2, kernel=KernelSpec(k=4))
         stream = [
@@ -258,7 +260,7 @@ class TestRun:
 
         ds = cfg.new_store()
         run(stream[:12], cfg, ds)
-        resumed = run(stream[12:], cfg, restore(snapshot(ds)))
+        resumed = run(stream[12:], cfg, ds)
         assert [(r.predicted, r.actual, r.fallback) for r in resumed] == [
             (r.predicted, r.actual, r.fallback) for r in full[12:]
         ]
@@ -303,14 +305,19 @@ def _hexed(records):
     ]
 
 
-def _stores(cfg, prefix, resume):
-    """Two equal, independent stores: fresh, or after ``prefix`` observed."""
+def _stores(cfg, prefix):
+    """Two equal, independent stores after ``prefix`` observed."""
     stores = []
     for _ in range(2):
         ds = cfg.new_store()
         oracles.run_per_step(prefix, cfg, ds)
-        stores.append(restore(snapshot(ds)) if resume == "snapshot" else ds)
+        stores.append(ds)
     return stores
+
+
+def _state(ds):
+    """The store's step counter and cell bits, to compare before and after a call."""
+    return ds.t, ds.cells.tobytes()
 
 
 def _assert_same_store(a, b):
@@ -335,7 +342,7 @@ class TestBatchedRun:
         h=st.one_of(st.sampled_from([0.1, 0.5, 0.75, 1.0]), st.floats(0.05, 12.0)),
         fixed=st.booleans(),
         length=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]),
-        resume=st.sampled_from(["fresh", "partial", "snapshot"]),
+        resume=st.sampled_from(["fresh", "partial"]),
         seed=st.integers(0, 2**16),
     )
     def test_matches_step_loop(self, m, l, data, family, k, h, fixed, length, resume, seed):
@@ -344,7 +351,7 @@ class TestBatchedRun:
         kernel = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=k)
         cfg = ForecastConfig(pp_tps=m, up_tps=n, cycles=l, kernel=kernel)
         stream = _poisson_stream(m, done + length, seed)
-        batch_ds, step_ds = _stores(cfg, stream[:done], resume)
+        batch_ds, step_ds = _stores(cfg, stream[:done])
 
         records = run(stream[done:], cfg, batch_ds)
         assert _hexed(records) == _hexed(oracles.run_per_step(stream[done:], cfg, step_ds))
@@ -355,7 +362,7 @@ class TestBatchedRun:
         ]
         assert _hexed(records) == _hexed(reference)
 
-    @pytest.mark.parametrize("resume", ["fresh", "partial", "snapshot"])
+    @pytest.mark.parametrize("resume", ["fresh", "partial"])
     @pytest.mark.parametrize(
         "kernel, forced",
         [
@@ -367,9 +374,10 @@ class TestBatchedRun:
     def test_forced_fallbacks_across_chunks(self, kernel, forced, resume):
         cfg = ForecastConfig(pp_tps=12, up_tps=4, cycles=3, kernel=kernel)
         stream = _poisson_stream(12, 5 + 2 * CHUNK + 1, seed=17)
-        batch_ds, step_ds = _stores(cfg, stream[:5], resume)
-        records = run(stream[5:], cfg, batch_ds)
-        assert _hexed(records) == _hexed(oracles.run_per_step(stream[5:], cfg, step_ds))
+        done = 0 if resume == "fresh" else 5
+        batch_ds, step_ds = _stores(cfg, stream[:done])
+        records = run(stream[done:], cfg, batch_ds)
+        assert _hexed(records) == _hexed(oracles.run_per_step(stream[done:], cfg, step_ds))
         _assert_same_store(batch_ds, step_ds)
         assert forced <= {r.fallback for r in records}
 
@@ -384,15 +392,15 @@ class TestBatchedRun:
     def test_bad_stream_leaves_store_unchanged(self, bad):
         cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
         stream = _poisson_stream(6, 30, seed=23)
-        ds, step_ds = _stores(cfg, stream[:4], "partial")
-        before = snapshot(ds)
+        ds, step_ds = _stores(cfg, stream[:4])
+        before = _state(ds)
         stream = bad(stream[4:])
         with pytest.raises(ValueError) as step_error:
             oracles.run_per_step(stream, cfg, step_ds)
         with pytest.raises(ValueError) as batch_error:
             run(stream, cfg, ds)
         assert str(batch_error.value) == str(step_error.value)
-        assert snapshot(ds) == before
+        assert _state(ds) == before
 
     def test_store_of_another_shape_rejected(self):
         # A window that fits the store and a stream in the store's order: only
@@ -403,7 +411,7 @@ class TestBatchedRun:
             ds = CyclicDataset(m, l)
             for obs in stream[:5]:
                 observe_step(ds, obs)
-            before = snapshot(ds)
+            before = _state(ds)
             message = f"store of {m} positions x {l} cycles does not fit a configuration of pp_tps=6, cycles=2"
             with pytest.raises(ValueError, match=re.escape(message)):
                 predict_step(ds, cfg)
@@ -411,7 +419,7 @@ class TestBatchedRun:
                 run(stream[5:], cfg, ds)
             with pytest.raises(ValueError, match=re.escape(message)):
                 run([], cfg, ds)
-            assert snapshot(ds) == before
+            assert _state(ds) == before
 
 
 class TestPlanCache:
@@ -517,6 +525,22 @@ class TestRecordsFile:
         for bad in ("2,2,nan,2.0,none", "2,2,2.0,inf,none", "2,2,-0.5,2.0,none", "2,2,2.0,-5.0,none"):
             path.write_text(header + good + bad + "\n")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: rate must be finite"):
+                read_records(path)
+
+    def test_rejects_steps_out_of_order(self, tmp_path):
+        # run writes t = 1..N; any other order would pair the baselines with
+        # the wrong history.
+        path = tmp_path / "records.csv"
+        header = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
+        for rows, lineno, t, expected in [
+            ("1,1,NA,2.0,none\n3,3,2.5,3.0,none\n2,2,2.0,2.0,none\n", 3, 3, 2),
+            ("1,1,NA,2.0,none\n2,2,2.0,2.0,none\n2,2,2.0,5.0,none\n", 4, 2, 3),
+            ("0,1,NA,2.0,none\n", 2, 0, 1),
+            ("2,2,2.0,2.0,none\n", 2, 2, 1),
+        ]:
+            path.write_text(header + rows)
+            message = f"{path}:{lineno}: step t={t} out of order: expected t={expected}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 read_records(path)
 
     def test_row_errors_name_the_line(self, tmp_path):

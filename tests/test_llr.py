@@ -11,7 +11,6 @@ from cyclecast.llr import (
     effective_bandwidth,
     kernel_weight,
     llr_apply,
-    llr_fit,
     llr_plan,
 )
 
@@ -19,6 +18,12 @@ import oracles
 
 EPAN = KernelSpec(family=KernelFamily.EPANECHNIKOV, h=1.0)
 ALL_FAMILIES = [KernelFamily.EPANECHNIKOV, KernelFamily.BIWEIGHT, KernelFamily.GAUSSIAN]
+
+
+def _fit(points, x_u, spec):
+    """The planned fit's value over (x, y) ``points`` and its fallback step."""
+    plan = llr_plan([x for x, _ in points], x_u, spec)
+    return llr_apply(plan, [y for _, y in points]), plan.fallback
 
 
 class TestKernelWeight:
@@ -99,12 +104,12 @@ class TestFitPredict:
         points = [(float(x), 5.0) for x in range(8)]
         for family in ALL_FAMILIES:
             for spec in _specs_for(family):
-                assert llr_fit(points, 3.5, spec).value == pytest.approx(5.0, abs=1e-9)
+                assert _fit(points, 3.5, spec)[0] == pytest.approx(5.0, abs=1e-9)
 
     def test_affine_extrapolation(self):
         points = [(float(x), 2.0 * x + 1.0) for x in range(10)]
         spec = KernelSpec(family=KernelFamily.GAUSSIAN, h=3.0)
-        assert llr_fit(points, 10.0, spec).value == pytest.approx(21.0, abs=1e-9)
+        assert _fit(points, 10.0, spec)[0] == pytest.approx(21.0, abs=1e-9)
 
     def test_affine_reproduction_all_kernels_and_modes(self):
         points = [(float(x), -1.5 * x + 4.0) for x in range(12)]
@@ -112,7 +117,7 @@ class TestFitPredict:
             for spec in _specs_for(family):
                 for x_u in (0.0, 5.5, 11.0, 12.0):
                     expected = -1.5 * x_u + 4.0
-                    assert llr_fit(points, x_u, spec).value == pytest.approx(expected, abs=1e-9)
+                    assert _fit(points, x_u, spec)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(77)
@@ -134,11 +139,11 @@ class TestFitPredict:
                 h = oracles.knearest_bandwidth(x_u, xs.tolist(), spec.k)
                 if h == 0:
                     continue
-            fit = llr_fit(points, x_u, spec)
-            if fit.fallback is not Fallback.NONE:
+            value, fallback = _fit(points, x_u, spec)
+            if fallback is not Fallback.NONE:
                 continue
             expected = oracles.llr_normal_equations(points, x_u, family.value, h)
-            assert fit.value == pytest.approx(expected, abs=1e-9)
+            assert value == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize(
         "points, x_u, h",
@@ -148,10 +153,10 @@ class TestFitPredict:
         # Only the third widening (8h) weighs both points, with Gaussian
         # weights near 1e-29 and 1e-290, or 1e-158 and 1e-183: their products
         # underflow unless the weights are rescaled first.
-        fit = llr_fit(points, x_u, KernelSpec(family=KernelFamily.GAUSSIAN, h=h))
-        assert fit.fallback is Fallback.WIDENED_H
+        value, fallback = _fit(points, x_u, KernelSpec(family=KernelFamily.GAUSSIAN, h=h))
+        assert fallback is Fallback.WIDENED_H
         expected = oracles.llr_normal_equations(points, x_u, "gaussian", 8 * h, dps=400)
-        assert fit.value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_conditioning_at_large_coordinates(self):
         # Period indices can be large; the centered solve must not lose the
@@ -161,18 +166,18 @@ class TestFitPredict:
         x_u = base + 12.0
         expected = 0.5 * x_u - 7.0
         for spec in (KernelSpec(k=6), KernelSpec(family=KernelFamily.GAUSSIAN, h=4.0)):
-            assert llr_fit(points, x_u, spec).value == pytest.approx(expected, abs=1e-6)
+            assert _fit(points, x_u, spec)[0] == pytest.approx(expected, abs=1e-6)
 
     def test_locality_zero_weight_points_removable(self):
         points = [(0.0, 3.0), (1.0, 4.0), (2.0, 2.0), (50.0, 99.0)]
         spec = KernelSpec(family=KernelFamily.EPANECHNIKOV, h=3.0)
-        with_far = llr_fit(points, 1.0, spec).value
-        without_far = llr_fit(points[:3], 1.0, spec).value
+        with_far = _fit(points, 1.0, spec)[0]
+        without_far = _fit(points[:3], 1.0, spec)[0]
         assert with_far == without_far
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            llr_fit([], 0.0, EPAN).value
+            _fit([], 0.0, EPAN)
 
     @given(
         lo=st.integers(-5, 40),
@@ -192,13 +197,13 @@ class TestFitPredict:
         points = [(float(x), a + b * x) for x, r in zip(range(lo, hi + 1), reps) for _ in range(r)]
         x_u = data.draw(st.integers(4 * lo - 8, 4 * hi + 8)) / 4
         spec = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=min(k, len(points)))
-        fit = llr_fit(points, x_u, spec)
-        exact = abs(fit.value - (a + b * x_u)) <= 1e-9 * (1 + abs(a + b * x_u))
-        if fit.fallback is not Fallback.WEIGHTED_MEAN:
-            assert exact, fit
+        value, fallback = _fit(points, x_u, spec)
+        exact = abs(value - (a + b * x_u)) <= 1e-9 * (1 + abs(a + b * x_u))
+        if fallback is not Fallback.WEIGHTED_MEAN:
+            assert exact, (value, fallback)
         if family is KernelFamily.GAUSSIAN:
             # Gaussian weights are positive everywhere: no fit may give up the line.
-            assert exact, fit
+            assert exact, (value, fallback)
 
 
 class TestPlanApply:
@@ -226,8 +231,6 @@ class TestPlanApply:
             value, fallback = oracles.llr_one_pass(points, x_u, spec)
             assert llr_apply(plan, ys).hex() == value.hex()
             assert plan.fallback is fallback
-            fit = llr_fit(points, x_u, spec)
-            assert (fit.value.hex(), fit.fallback) == (value.hex(), fallback)
             rows.append(ys)
             values.append(value.hex())
         # One call over all the ys sets, one per row, gives the same floats.
@@ -241,39 +244,39 @@ class TestPlanApply:
 class TestFallbackChain:
     def test_all_points_at_one_x_uses_mean(self):
         points = [(2.0, 1.0), (2.0, 3.0), (2.0, 8.0)]
-        fit = llr_fit(points, 2.0, KernelSpec(k=2))
-        assert fit.fallback is Fallback.WEIGHTED_MEAN
-        assert fit.value == pytest.approx(4.0)
+        value, fallback = _fit(points, 2.0, KernelSpec(k=2))
+        assert fallback is Fallback.WEIGHTED_MEAN
+        assert value == pytest.approx(4.0)
 
     def test_out_of_support_falls_back_to_global_line(self):
         points = [(0.0, 1.0), (10.0, 21.0), (20.0, 41.0)]
-        fit = llr_fit(points, 5.0, KernelSpec(h=0.1))
-        assert fit.fallback is Fallback.GLOBAL_LINE
-        assert fit.value == pytest.approx(11.0, abs=1e-9)
+        value, fallback = _fit(points, 5.0, KernelSpec(h=0.1))
+        assert fallback is Fallback.GLOBAL_LINE
+        assert value == pytest.approx(11.0, abs=1e-9)
 
     def test_replicated_x_widens_bandwidth(self):
         points = [(1.0, 2.0), (1.0, 4.0), (2.0, 6.0), (2.0, 8.0)]
-        fit = llr_fit(points, 2.0, KernelSpec(k=2))
-        assert fit.fallback is Fallback.WIDENED_H
+        value, fallback = _fit(points, 2.0, KernelSpec(k=2))
+        assert fallback is Fallback.WIDENED_H
         # Widened fit sees both x positions; the line passes through the
         # per-x weighted centroids, hitting y=7 at x=2.
-        assert fit.value == pytest.approx(7.0, abs=1e-9)
+        assert value == pytest.approx(7.0, abs=1e-9)
 
     def test_single_point_uses_mean(self):
-        fit = llr_fit([(3.0, 9.0)], 3.0, KernelSpec(k=1))
-        assert fit.fallback is Fallback.WEIGHTED_MEAN
-        assert fit.value == 9.0
+        value, fallback = _fit([(3.0, 9.0)], 3.0, KernelSpec(k=1))
+        assert fallback is Fallback.WEIGHTED_MEAN
+        assert value == 9.0
 
 
 class TestCurve:
     def test_constant_curve(self):
         points = [(float(x), 2.0) for x in range(6)]
         spec = KernelSpec(k=4)
-        assert [llr_fit(points, q, spec).value for q in [0.0, 2.5, 5.0]] == pytest.approx([2.0] * 3)
+        assert [_fit(points, q, spec)[0] for q in [0.0, 2.5, 5.0]] == pytest.approx([2.0] * 3)
 
     def test_affine_curve(self):
         points = [(float(x), 3.0 * x - 2.0) for x in range(10)]
         queries = [1.0, 4.5, 8.0]
         spec = KernelSpec(family=KernelFamily.GAUSSIAN, h=2.0)
-        got = [llr_fit(points, q, spec).value for q in queries]
+        got = [_fit(points, q, spec)[0] for q in queries]
         assert got == pytest.approx([3.0 * q - 2.0 for q in queries], abs=1e-9)
