@@ -43,7 +43,6 @@ from .trace import (
     Observations,
     PeriodObservation,
     aggregate_span,
-    build_histogram,
     parse_trace,
 )
 
@@ -82,6 +81,5 @@ __all__ = [
     "Observations",
     "PeriodObservation",
     "aggregate_span",
-    "build_histogram",
     "parse_trace",
 ]

@@ -157,11 +157,22 @@ def evaluate_records(
             continue
         errors.append(abs(r.predicted - r.actual) / r.actual)
         retained_idx.append(i)
+    baselines = None
+    if with_baselines and retained_idx:
+        baselines = _baseline_mapes(np.asarray(actuals), np.asarray(retained_idx), baseline_window)
+    return _report(cid, up_tps, bandwidth, errors, skipped_zero, warmup, baselines)
 
-    return _report(
-        cid, up_tps, bandwidth, errors, skipped_zero, warmup,
-        actuals, retained_idx, with_baselines, baseline_window,
-    )
+
+def _baseline_mapes(actuals: np.ndarray, steps: np.ndarray, window: int) -> tuple[float, float] | None:
+    """The naive and Poisson-window baselines' MAPE over ``steps`` (indices
+    into ``actuals``, the actual rates of the whole stream), or None if no
+    step has history."""
+    if window < 1:
+        raise ValueError(f"window must be a positive integer, got {window}")
+    naive_err, window_err = _baseline_errors(actuals, steps, window)
+    if not naive_err:
+        return None
+    return math.fsum(naive_err) / len(naive_err), math.fsum(window_err) / len(window_err)
 
 
 def _report(
@@ -171,33 +182,20 @@ def _report(
     errors: list[float],
     skipped_zero: int,
     warmup: int,
-    actuals: Sequence[float],
-    retained_idx: Sequence[int],
-    with_baselines: bool,
-    baseline_window: int,
+    baselines: tuple[float, float] | None,
 ) -> EvaluationReport:
-    """The report of a scored span: its errors, counts and baseline deltas.
-
-    ``retained_idx`` gives the step of each error as an index into
-    ``actuals``, the actual rates of the whole stream.
-    """
+    """The report of a scored span: its errors, counts and the deltas
+    against ``baselines``, the naive and Poisson-window MAPE if measured."""
     value = math.fsum(errors) / len(errors) if errors else math.nan
     deltas: dict[str, float] = {}
-    if with_baselines and len(retained_idx):
-        if baseline_window < 1:
-            raise ValueError(f"window must be a positive integer, got {baseline_window}")
-        naive_err, window_err = _baseline_errors(
-            np.asarray(actuals), np.asarray(retained_idx), baseline_window
-        )
+    if baselines is not None:
+        naive_mape, window_mape = baselines
         # A baseline error of exactly zero admits no percentage improvement;
         # leave that delta out rather than divide by it.
-        if naive_err:
-            naive_mape = math.fsum(naive_err) / len(naive_err)
-            window_mape = math.fsum(window_err) / len(window_err)
-            if naive_mape > 0:
-                deltas["naive"] = relative_improvement(value, naive_mape)
-            if window_mape > 0:
-                deltas["poisson_window"] = relative_improvement(value, window_mape)
+        if naive_mape > 0:
+            deltas["naive"] = relative_improvement(value, naive_mape)
+        if window_mape > 0:
+            deltas["poisson_window"] = relative_improvement(value, window_mape)
     return EvaluationReport(
         config_id=cid,
         up_tps=up_tps,
@@ -228,6 +226,8 @@ def sweep(
     it fails. Each configuration then predicts only
     the test steps, from a fresh store, and they are scored as columns:
     every field equals that of ``evaluate_records`` on ``run``'s records.
+    The baselines are scored once per store size, window and set of
+    retained steps, which is all they depend on.
     """
     if isinstance(train, Observations) and isinstance(test, Observations):
         stream: Observations | list[PeriodObservation] = Observations.concat([train, test])
@@ -236,6 +236,8 @@ def sweep(
     lo = len(train)
     reports = []
     fits: dict[int, np.ndarray] = {}  # fitted rates per store size
+    # Baseline MAPEs per (store size, window, retained steps): they depend on nothing else.
+    baselines: dict[tuple[int, int, bytes], tuple[float, float] | None] = {}
     for cfg in configs:
         m = cfg.pp_tps
         if m not in fits:
@@ -247,11 +249,17 @@ def sweep(
         zero = target <= 0
         keep = ~warm & ~zero
         errors = (np.abs(predicted[keep] - target[keep]) / target[keep]).tolist()
+        retained = np.flatnonzero(keep) + lo
+        scores = None
+        if with_baselines and len(retained):
+            key = (m, cfg.up_tps, retained.tobytes())
+            if key not in baselines:
+                baselines[key] = _baseline_mapes(actuals, retained, cfg.up_tps)
+            scores = baselines[key]
         reports.append(
             _report(
                 config_id(cfg), cfg.up_tps, _bandwidth_value(cfg), errors,
-                int(np.count_nonzero(~warm & zero)), int(np.count_nonzero(warm)),
-                actuals, np.flatnonzero(keep) + lo, with_baselines, cfg.up_tps,
+                int(np.count_nonzero(~warm & zero)), int(np.count_nonzero(warm)), scores,
             )
         )
     reports.sort(key=lambda r: (r.up_tps, r.bandwidth))

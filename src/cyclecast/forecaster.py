@@ -356,9 +356,11 @@ def _rate(text: str) -> float:
 def read_records(path: str | Path) -> list[PredictionRecord]:
     """Read records produced by ``write_records``.
 
-    Rates must be finite and nonnegative and the steps must run t = 1, 2, 3,
-    ... in row order, as ``run`` writes them; every row error names the file
-    and line.
+    Refuses what ``run`` cannot write: rates must be finite and
+    nonnegative, the steps must run t = 1, 2, 3, ... in row order, each
+    ``tp_index`` must be at least 1 and follow the one before it or wrap
+    to 1, and ``NA`` (a warm-up step) may only lead the file. Every row
+    error names the file and line.
     """
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -376,11 +378,22 @@ def read_records(path: str | Path) -> list[PredictionRecord]:
                 t = int(parts[0])
                 if t != len(records) + 1:
                     raise ValueError(f"step t={t} out of order: expected t={len(records) + 1}")
+                tp_index = int(parts[1])
+                if tp_index < 1:
+                    raise ValueError(f"tp_index={tp_index} is below 1")
+                if records and tp_index not in (records[-1].tp_index + 1, 1):
+                    raise ValueError(
+                        f"tp_index={tp_index} follows tp_index={records[-1].tp_index}: "
+                        f"expected {records[-1].tp_index + 1} or a wrap to 1"
+                    )
+                predicted = None if parts[2] == "NA" else _rate(parts[2])
+                if predicted is None and records and records[-1].predicted is not None:
+                    raise ValueError("NA prediction after a numeric one: warm-up steps only lead a run")
                 records.append(
                     PredictionRecord(
                         t=t,
-                        tp_index=int(parts[1]),
-                        predicted=None if parts[2] == "NA" else _rate(parts[2]),
+                        tp_index=tp_index,
+                        predicted=predicted,
                         actual=_rate(parts[3]),
                         fallback=Fallback(parts[4]),
                     )

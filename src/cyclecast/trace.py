@@ -35,6 +35,7 @@ import csv
 import enum
 import math
 import operator
+import os
 import re
 from array import array
 from collections.abc import Sequence as _Sequence
@@ -54,7 +55,6 @@ __all__ = [
     "ParseResult",
     "parse_trace",
     "aggregate_span",
-    "build_histogram",
     "write_observations",
     "read_observations",
     "write_trace",
@@ -64,6 +64,8 @@ US_PER_SECOND = 1_000_000
 _WRITE_BLOCK = 8192  # events per block that write_trace converts to Python values
 _SCAN_BLOCK = 1 << 20  # bytes per read of the bulk reader's pre-scan
 _UTF8_BOM = b"\xef\xbb\xbf"
+# The suffixes that np.loadtxt decompresses a file by, given its name.
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 # Bytes of a plain trace file: printable ASCII but the double quote, tab, newline.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
 _INT64_LIMIT = 2**63
@@ -332,20 +334,24 @@ def _plain_line_count(path: str | Path) -> int | None:
     whatever its size.
     """
     lines = 0
-    at_line_start = True
+    # Offset of the last newline from the start of the block being scanned:
+    # -1 when the previous block ended with one, as at the start of the file.
+    last = -1
     with open(path, "rb") as fh:
         block = fh.read(_SCAN_BLOCK).removeprefix(_UTF8_BOM)
         while block:
-            if (
-                block.translate(None, _PLAIN_BYTES)
-                or b"\n\n" in block
-                or (at_line_start and block.startswith(b"\n"))
-            ):
+            if block.translate(None, _PLAIN_BYTES):
                 return None
-            lines += block.count(b"\n")
-            at_line_start = block.endswith(b"\n")
+            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+            if len(ends):
+                # An empty line is a newline right after the one before it.
+                if ends[0] == last + 1 or (np.diff(ends) == 1).any():
+                    return None
+                lines += len(ends)
+                last = int(ends[-1])
+            last -= len(block)
             block = fh.read(_SCAN_BLOCK)
-    return lines + (not at_line_start)
+    return lines + (last != -1)
 
 
 def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
@@ -361,6 +367,17 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
       turns some non-ASCII characters within an integer into digits
       (``"7\\u24271"`` reads as 92771), where ``int`` raises. An empty line
       is skipped by both, but one before a header would shift it.
+    * loadtxt reads the file the per-row reader opens, as the same text. It
+      is given the absolute path as a ``str``, so that its C reader pulls the
+      file in chunks rather than a line at a time, and opens it through
+      ``np.lib._datasource``. That treats a path of the form
+      ``scheme://netloc/...`` as a URL, which an absolute path never is, and
+      decompresses a file by its suffix (``_COMPRESSED``), so such a file is
+      refused. It opens the rest as text in the given encoding,
+      ``utf-8-sig`` (which drops a byte order mark) with universal newlines,
+      the same as ``newline=""`` on a file with no carriage return. With no
+      empty line and no comment character, ``skiprows`` skips exactly the
+      header line that ``readline`` read.
     * The file holds at least one data row (numpy warns on none), and the
       timestamp column is not also the cpu or memory column: it is read
       once, and ``int`` and ``float`` read "-0" as 0 and -0.0. A negative
@@ -377,29 +394,35 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
     """
     import warnings
 
+    if os.path.splitext(path)[1] in _COMPRESSED:
+        return None
     lines = _plain_line_count(path)
     if lines is None or lines <= mapping.has_header:
         return None
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
-            header = None
-            if mapping.has_header:
+    try:
+        header = None
+        if mapping.has_header:
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
                 header = fh.readline().removesuffix("\n").split(mapping.delimiter)
-            c_ts = _resolve(mapping.timestamp, header, "timestamp")
-            c_cpu = _resolve(mapping.cpu, header, "cpu")
-            c_mem = _resolve(mapping.mem, header, "mem")
-            mapped = {c_ts, c_cpu, c_mem} - {None}
-            if c_ts is None or c_ts in (c_cpu, c_mem):
-                return None
-            usecols = sorted(mapped)
-            dtype = np.dtype([(f"c{c}", np.int64 if c == c_ts else np.float64) for c in usecols])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(
-                    fh, dtype=dtype, comments=None, delimiter=mapping.delimiter, usecols=usecols, ndmin=1
-                )
-        except (ValueError, Warning):  # _parse_rows raises or rejects as it always did
+        c_ts = _resolve(mapping.timestamp, header, "timestamp")
+        c_cpu = _resolve(mapping.cpu, header, "cpu")
+        c_mem = _resolve(mapping.mem, header, "mem")
+        mapped = {c_ts, c_cpu, c_mem} - {None}
+        if c_ts is None or c_ts in (c_cpu, c_mem):
             return None
+        usecols = sorted(mapped)
+        dtype = np.dtype([(f"c{c}", np.int64 if c == c_ts else np.float64) for c in usecols])
+        # Made absolute but not normalised: os.path.abspath folds "link/.." by
+        # name, which can lead to another file than the one the system opens.
+        name = os.path.join(os.getcwd(), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                name, dtype=dtype, comments=None, delimiter=mapping.delimiter, skiprows=int(mapping.has_header),
+                usecols=usecols, ndmin=1, encoding="utf-8-sig",
+            )
+    except (ValueError, Warning):  # _parse_rows raises or rejects as it always did
+        return None
     rows = lines - mapping.has_header
     if len(table) != rows:
         return None
@@ -526,26 +549,6 @@ def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
     if not len(after):
         return 0
     return int(after.max() - start_us) // (tp_minutes * 60 * US_PER_SECOND) + 1
-
-
-def build_histogram(samples: Sequence[int], bin_width: int = 1) -> list[tuple[int, int]]:
-    """Frequency histogram of count samples, for distribution inspection.
-
-    Bin edges are multiples of ``bin_width``; returned bins run contiguously
-    from the bin containing min(samples) to the one containing max(samples),
-    so interior zero-frequency bins are present and frequencies sum to
-    len(samples).
-    """
-    if not samples:
-        raise ValueError("cannot build a histogram of zero samples")
-    if bin_width < 1:
-        raise ValueError(f"bin width must be a positive integer, got {bin_width}")
-    lo = min(samples) // bin_width
-    hi = max(samples) // bin_width
-    freq = [0] * (hi - lo + 1)
-    for s in samples:
-        freq[s // bin_width - lo] += 1
-    return [((lo + i) * bin_width, f) for i, f in enumerate(freq)]
 
 
 def _check_scale(value: str | float) -> None:

@@ -8,7 +8,8 @@ reads and the forecasting loop), the reference keeps the plain one-pass,
 per-period, per-cell or per-step loop with the same float operations; the
 LLR and loop references take only the kernel weight, the bandwidth rule and
 the observe step from the package. The trace reader reference is the
-per-row ``csv`` reader, kept verbatim with its two helpers; the trace and
+per-row ``csv`` reader, kept verbatim with its two helpers, and so is the
+bulk reader's pre-scan with bytes methods (``plain_line_count``); the trace and
 observation writer references format one row and one sample at a time, also
 kept verbatim, and so are the per-period aggregation (``aggregate_span``,
 one list of Python ints per period) and the line-at-a-time observations
@@ -45,6 +46,9 @@ from cyclecast.store import EmptyWindowError
 from cyclecast.trace import US_PER_SECOND, ColumnMapping, Events, MetricKind, ParseResult, PeriodObservation
 
 _WRITE_BLOCK = 8192
+_SCAN_BLOCK = 1 << 20
+_UTF8_BOM = b"\xef\xbb\xbf"
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
 
 
 def cyclic_store_walk(m: int, l: int, rates: Sequence[float]):
@@ -124,6 +128,25 @@ def parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
     return ParseResult(events=events, rejected=rejected)
 
 
+def plain_line_count(path: str | Path) -> int | None:
+    """The bulk trace reader's pre-scan with bytes methods, a block of ``_SCAN_BLOCK`` bytes at a time."""
+    lines = 0
+    at_line_start = True
+    with open(path, "rb") as fh:
+        block = fh.read(_SCAN_BLOCK).removeprefix(_UTF8_BOM)
+        while block:
+            if (
+                block.translate(None, _PLAIN_BYTES)
+                or b"\n\n" in block
+                or (at_line_start and block.startswith(b"\n"))
+            ):
+                return None
+            lines += block.count(b"\n")
+            at_line_start = block.endswith(b"\n")
+            block = fh.read(_SCAN_BLOCK)
+    return lines + (not at_line_start)
+
+
 def write_trace_rows(path: str | Path, events: Events, tp_minutes: int) -> None:
     """The trace writer that formats every row on its own, one ``fh.write`` per row."""
     tp_us = tp_minutes * 60 * US_PER_SECOND
@@ -195,7 +218,8 @@ def aggregate_span(
         values = (events.cpu if metric is MetricKind.CPU else events.mem)[inside]
         sums = np.bincount(idx, weights=values, minlength=n_bins).reshape(num_tps, sub_bins)
         # Round half up rather than half even so output is predictable from the text.
-        rows = [[int(v) for v in row] for row in np.floor(scale * sums + 0.5).tolist()]
+        with np.errstate(over="ignore"):  # huge scales overflow to inf, which int() refuses
+            rows = [[int(v) for v in row] for row in np.floor(scale * sums + 0.5).tolist()]
     return [
         PeriodObservation(
             tp_index=i % pp_tps + 1,

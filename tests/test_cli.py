@@ -328,6 +328,24 @@ class TestExitCodes:
         assert f"{records}:3: step t=3 out of order: expected t=2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "rows, lineno, message",
+        [
+            # The rows that evaluate once scored with warmup_steps 2.
+            ("1,-7,NA,2.0,none\n2,0,2.0,2.0,none\n3,99,3.0,2.0,none\n4,5,NA,2.0,none\n", 2, "tp_index=-7 is below 1"),
+            ("1,1,NA,2.0,none\n2,2,2.0,2.0,none\n3,99,3.0,2.0,none\n", 4, "tp_index=99 follows tp_index=2"),
+            ("1,1,NA,2.0,none\n2,2,2.0,2.0,none\n3,3,NA,2.0,none\n", 4, "NA prediction after a numeric one"),
+        ],
+        ids=["below-one", "no-follow", "late-na"],
+    )
+    def test_records_run_cannot_write_are_data_error(self, tmp_path, capsys, rows, lineno, message):
+        records = tmp_path / "records.csv"
+        records.write_text("t,tp_index,predicted_lambda,actual_lambda,fallback_used\n" + rows)
+        code = main(["evaluate", "--records", str(records), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert f"{records}:{lineno}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_save_store_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--train", "t.csv", "--test", "u.csv", "--save-store", "--out-dir", str(tmp_path / "out")])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,6 +245,21 @@ class TestSweep:
         assert len(reports) == 9
         keys = [(r.up_tps, r.bandwidth) for r in reports]
         assert keys == sorted(keys)
+
+    def test_baselines_computed_once_per_window(self):
+        # They depend on the window and the retained steps, not on the bandwidth.
+        stream = _periodic_stream(6, 24, [3, 6, 9, 6, 3, 2])
+        configs = [
+            ForecastConfig(pp_tps=6, up_tps=up, cycles=2, kernel=KernelSpec(k=k))
+            for up in (4, 2, 3)
+            for k in (3, 2, 4)
+        ]
+        with mock.patch.object(evaluation, "_baseline_errors", wraps=evaluation._baseline_errors) as computed:
+            reports = sweep(configs, stream[:12], stream[12:], with_baselines=True)
+        assert sorted(call.args[2] for call in computed.call_args_list) == [2, 3, 4]
+        expected = oracles.sweep_per_config(configs, stream[:12], stream[12:], with_baselines=True)
+        assert [_fields(r) for r in reports] == [_fields(r) for r in expected]
+        assert all(r.baseline_deltas for r in reports)
 
     def test_insufficient_train_flagged(self):
         # No training data at all: the single test step predicts from an

@@ -501,6 +501,9 @@ class TestBaselines:
             baseline_poisson_window([1.0], 0)
 
 
+_RECORDS_HEADER = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
+
+
 class TestRecordsFile:
     def test_round_trip_including_warmup(self, tmp_path):
         records = [
@@ -542,6 +545,46 @@ class TestRecordsFile:
             message = f"{path}:{lineno}: step t={t} out of order: expected t={expected}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 read_records(path)
+
+    @pytest.mark.parametrize("tp_index", [0, -7])
+    def test_rejects_tp_index_below_one(self, tmp_path, tp_index):
+        path = tmp_path / "records.csv"
+        path.write_text(_RECORDS_HEADER + f"1,1,NA,2.0,none\n2,{tp_index},2.0,2.0,none\n")
+        message = f"{path}:3: tp_index={tp_index} is below 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_records(path)
+
+    @pytest.mark.parametrize("tp_index", [2, 3, 99])
+    def test_rejects_tp_index_that_neither_follows_nor_wraps(self, tmp_path, tp_index):
+        path = tmp_path / "records.csv"
+        path.write_text(_RECORDS_HEADER + f"1,2,NA,2.0,none\n2,3,2.0,2.0,none\n3,{tp_index},2.0,2.0,none\n")
+        message = f"{path}:4: tp_index={tp_index} follows tp_index=3: expected 4 or a wrap to 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_records(path)
+
+    def test_tp_index_may_start_anywhere_and_wrap(self, tmp_path):
+        # A run on a store that was already fed starts at its cursor.
+        path = tmp_path / "records.csv"
+        path.write_text(_RECORDS_HEADER + "1,3,NA,2.0,none\n2,1,NA,2.0,none\n3,2,2.0,2.0,none\n4,1,2.0,2.0,none\n")
+        assert [r.tp_index for r in read_records(path)] == [3, 1, 2, 1]
+
+    def test_rejects_na_after_a_numeric_prediction(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(_RECORDS_HEADER + "1,1,NA,2.0,none\n2,2,2.0,2.0,none\n3,3,NA,2.0,none\n")
+        message = f"{path}:4: NA prediction after a numeric one: warm-up steps only lead a run"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_records(path)
+
+    def test_run_output_reads_back(self, tmp_path):
+        # Warm-up runs of several steps (up_tps=1), wraps, and a run on a fed store.
+        cfg = ForecastConfig(pp_tps=4, up_tps=1, cycles=2, kernel=KernelSpec(k=2))
+        stream = _poisson_stream(4, 14, seed=5)
+        ds = cfg.new_store()
+        path = tmp_path / "records.csv"
+        for part in (stream[:5], stream[5:]):
+            records = run(part, cfg, ds)
+            write_records(path, records)
+            assert read_records(path) == records
 
     def test_row_errors_name_the_line(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import urllib.request
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,6 @@ from cyclecast.trace import (
     Observations,
     PeriodObservation,
     aggregate_span,
-    build_histogram,
     parse_trace,
     read_observations,
     span_tps,
@@ -325,6 +325,76 @@ class TestBulkReader:
         assert sum(taken) >= len(taken) / 4, (sum(taken), len(taken))
 
 
+def _no_network(*args, **kwargs):
+    raise AssertionError("a URL was opened")
+
+
+class TestBulkReaderOpensByName:
+    """loadtxt opens the file by its name, through numpy's data source."""
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_still_plain_text(self, tmp_path, suffix):
+        # numpy decompresses a file named so; the per-row reader reads it as text.
+        events = Events(np.arange(199) * 60 * US_PER_SECOND, np.full(199, 0.5), np.full(199, 0.25))
+        path = tmp_path / f"plain.csv{suffix}"
+        write_trace(path, events, tp_minutes=30)
+        mapping = ColumnMapping(has_header=True)
+        reference = _reference_parse(path, mapping)
+        assert trace._parse_bulk(path, mapping) is None
+        res = parse_trace(path, mapping)
+        _assert_same_parse(res, reference)
+        assert (len(res.events), res.rejected) == (199, 0)
+
+    def test_relative_path_that_reads_as_a_url(self, tmp_path, monkeypatch):
+        # Relative to the working directory, "http://x/trace.csv" is the file
+        # http:/x/trace.csv; numpy would take the name for a URL and fetch it.
+        spec = SyntheticSpec(pp_tps=12, tps=24, base_rate=5.0, noise_sigma=0.1, seed=3)
+        events, _ = generate(spec)
+        (tmp_path / "http:" / "x").mkdir(parents=True)
+        path = tmp_path / "http:" / "x" / "trace.csv"
+        write_trace(path, events, spec.tp_minutes)
+        mapping = ColumnMapping(has_header=True)
+        reference = _reference_parse(path, mapping)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(urllib.request, "urlopen", _no_network)
+        monkeypatch.setattr(trace, "_parse_rows", _fail)
+        res = parse_trace("http://x/trace.csv", mapping)
+        _assert_same_parse(res, reference)
+        assert len(res.events) == len(events)
+
+
+# Pieces of a file for the pre-scan: plain text, line ends, and each byte it refuses.
+_SCAN_PIECES = st.sampled_from(
+    [b"\n", b"\n", b"\n\n", b"7", b"12,0.5", b" ", b"\t", b"\xef\xbb\xbf", b"\xef", b'"', b"\r", b"\x7f", b"\x00",
+     "\u2028".encode("utf-8")]
+)
+
+
+class TestPlainScan:
+    def test_equals_bytes_method_scan(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        answers = []
+
+        @settings(max_examples=800)
+        @given(
+            bom=st.booleans(),
+            pieces=st.lists(st.one_of(_SCAN_PIECES, st.sampled_from([b"1,2\n", b"3,4\n"])), max_size=24),
+            block=st.one_of(st.integers(1, 7), st.just(trace._SCAN_BLOCK)),
+        )
+        def check(bom, pieces, block):
+            # Small blocks put byte order marks, newlines and empty lines across block boundaries.
+            path.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(pieces))
+            with mock.patch.object(trace, "_SCAN_BLOCK", block), mock.patch.object(oracles, "_SCAN_BLOCK", block):
+                expected = oracles.plain_line_count(path)
+                assert trace._plain_line_count(path) == expected
+            answers.append(expected)
+
+        check()
+        # Both answers occur often, so the property is not vacuous.
+        plain = sum(answer is not None for answer in answers)
+        assert len(answers) / 5 <= plain <= len(answers) * 4 / 5, (plain, len(answers))
+
+
 def _one_period(events, metric=MetricKind.ARRIVALS, tp_minutes=1, sub_bin_seconds=60, scale=100.0):
     """The samples of a single target period starting at 0."""
     (obs,) = aggregate_span(events, 0, 1, tp_minutes, 1, metric, sub_bin_seconds, scale)
@@ -429,32 +499,6 @@ class TestAggregate:
                 (i % pp_tps + 1, i // pp_tps + 1) for i in range(num_tps)
             ]
             assert all(o.metric is metric and o.sub_bin_seconds == sub_bin_seconds for o in observations)
-
-
-class TestHistogram:
-    def test_unit_bins(self):
-        assert build_histogram([1, 1, 2, 3], 1) == [(1, 2), (2, 1), (3, 1)]
-
-    def test_single_sample(self):
-        assert build_histogram([5], 4) == [(4, 1)]
-
-    def test_wide_bins(self):
-        assert build_histogram([0, 0, 0, 9], 5) == [(0, 3), (5, 1)]
-
-    def test_interior_gap_bins_present(self):
-        assert build_histogram([0, 11], 5) == [(0, 1), (5, 0), (10, 1)]
-
-    def test_frequencies_sum_to_count(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            samples = [int(v) for v in rng.integers(0, 100, size=int(rng.integers(1, 80)))]
-            width = int(rng.integers(1, 9))
-            hist = build_histogram(samples, width)
-            assert sum(f for _, f in hist) == len(samples)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            build_histogram([], 1)
 
 
 class TestObservationFiles:
