@@ -69,8 +69,14 @@ class DataError(Exception):
     """Unreadable or malformed data files (exit code 1)."""
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
+    """Each ``key=value`` entry of a config file, as ``key: (value, line)``.
+
+    Keys take ``-`` or ``_``. Refuses, naming the file and line, a line
+    without ``=``, a key that is not a setting, a key given twice, and
+    ``bandwidth_h`` beside ``bandwidth_k``.
+    """
+    values: dict[str, tuple[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -79,7 +85,15 @@ def _read_config_file(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _DEFAULTS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; the keys are {', '.join(_DEFAULTS)}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: {key} given twice, first on line {values[key][1]}")
+            other = {"bandwidth_h": "bandwidth_k", "bandwidth_k": "bandwidth_h"}.get(key)
+            if other in values:
+                raise ValueError(f"{path}:{lineno}: {key} and {other} (line {values[other][1]}) are mutually exclusive")
+            values[key] = (value.strip(), lineno)
     return values
 
 
@@ -90,12 +104,20 @@ class _Resolver:
         self.args = args
         self.file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
 
+    def _from_file(self, key: str, cast):
+        """``cast`` of the file's value for ``key``; a failure names the file, line and key."""
+        text, lineno = self.file_values[key]
+        try:
+            return cast(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{self.args.config}:{lineno}: {key}={text!r}: {exc}") from None
+
     def get(self, key: str, cast):
         flag = getattr(self.args, key, None)
         if flag is not None:
             return flag
         if key in self.file_values:
-            return cast(self.file_values[key])
+            return self._from_file(key, cast)
         return _DEFAULTS.get(key)
 
     def kernel_spec(self) -> KernelSpec:
@@ -109,9 +131,9 @@ class _Resolver:
         if flag_k is not None:
             return KernelSpec(family=family, k=flag_k)
         if "bandwidth_h" in self.file_values:
-            return KernelSpec(family=family, h=float(self.file_values["bandwidth_h"]))
+            return self._from_file("bandwidth_h", lambda v: KernelSpec(family=family, h=float(v)))
         if "bandwidth_k" in self.file_values:
-            return KernelSpec(family=family, k=int(self.file_values["bandwidth_k"]))
+            return self._from_file("bandwidth_k", lambda v: KernelSpec(family=family, k=int(v)))
         return KernelSpec(family=family, k=int(_DEFAULTS["bandwidth_k"]))  # type: ignore[arg-type]
 
     def forecast_config(self, up_tps: int | None = None) -> ForecastConfig:

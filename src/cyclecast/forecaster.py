@@ -359,10 +359,13 @@ def read_records(path: str | Path) -> list[PredictionRecord]:
     Refuses what ``run`` cannot write: rates must be finite and
     nonnegative, the steps must run t = 1, 2, 3, ... in row order, each
     ``tp_index`` must be at least 1 and follow the one before it or wrap
-    to 1, and ``NA`` (a warm-up step) may only lead the file. Every row
-    error names the file and line.
+    to 1, and ``NA`` (a warm-up step) may only lead the file. The wraps
+    must agree on one pattern length P: every wrap comes from ``tp_index``
+    P, and no ``tp_index`` after the first wrap exceeds P. Every row error
+    names the file and line.
     """
     records = []
+    period = None  # the pattern length, from the first wrap on
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline()
         if not header.startswith("t,tp_index,"):
@@ -386,6 +389,16 @@ def read_records(path: str | Path) -> list[PredictionRecord]:
                         f"tp_index={tp_index} follows tp_index={records[-1].tp_index}: "
                         f"expected {records[-1].tp_index + 1} or a wrap to 1"
                     )
+                if records and tp_index == 1:
+                    if period is None:
+                        period = records[-1].tp_index
+                    elif records[-1].tp_index != period:
+                        raise ValueError(
+                            f"wrap to 1 after tp_index={records[-1].tp_index}: "
+                            f"the first wrap set the pattern length to {period}"
+                        )
+                if period is not None and tp_index > period:
+                    raise ValueError(f"tp_index={tp_index} exceeds the pattern length {period} set by the first wrap")
                 predicted = None if parts[2] == "NA" else _rate(parts[2])
                 if predicted is None and records and records[-1].predicted is not None:
                     raise ValueError("NA prediction after a numeric one: warm-up steps only lead a run")

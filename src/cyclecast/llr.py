@@ -24,6 +24,14 @@ way changes no result bit: every product is the same IEEE operation on the
 same operands, ``math.fsum`` is correctly rounded whatever the order of its
 terms, and the sums run over the same points as a one-pass solve (the
 positive-weight support for a line, every point for a mean).
+
+A batch of ys (one row each) is summed row by row without a Python loop:
+an exact split of each term against a power of two per row (Rump, Ogita
+and Oishi's ExtractVector) gives a sum whose error is bounded, and a row's
+result is kept only when that bound proves it is the correctly rounded
+sum. The rows it cannot prove (non-finite terms, overflow, cancellation to
+or near zero, near-ties) go to ``math.fsum``, so every row's value, signed
+zero and exception is ``math.fsum``'s.
 """
 
 from __future__ import annotations
@@ -235,11 +243,59 @@ def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
     return plan if plan is not None else _mean_plan(ones, float(len(xs)), Fallback.GLOBAL_LINE)
 
 
+# Batches of fewer terms than this are summed row by row with math.fsum. The
+# certified row sum costs about 35 us a batch plus 9 ns a term, the per-row
+# loop 55-70 ns a term, so they break even between 700 and 1200 terms
+# (measured on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4, batches of 1-256
+# rows of 19-100 terms).
+_BATCH_MIN_TERMS = 1024
+
+
 def _fsum(terms: np.ndarray) -> float | np.ndarray:
     """Correctly rounded sum of a 1-D array, or of each row of a 2-D one."""
     if terms.ndim == 1:
         return math.fsum(terms.tolist())
-    return np.array([math.fsum(row) for row in terms.tolist()])
+    if terms.size < _BATCH_MIN_TERMS:
+        return np.array([math.fsum(row) for row in terms.tolist()])
+    return _fsum_rows(terms)
+
+
+def _fsum_rows(p: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of ``p``, vectorised where it can be certified.
+
+    Per row, with ``2**e`` above max|p| and ``sigma = 2**(e + ceil(log2(n + 2)))``,
+    ``q = (sigma + p) - sigma`` and ``r = p - q`` are exact, every ``q`` is a
+    multiple of ``2**-53 * sigma`` and ``|sum(q)| < sigma``, so ``tau = sum(q)``
+    is exact in any order and ``|r| <= 2**-53 * sigma`` (Rump, Ogita and Oishi,
+    SIAM J. Sci. Comput. 31(1), 2008, the ExtractVector lemma). The exact sum
+    is then ``hi + lo + err``: ``hi = tau + sum(r)``, ``lo`` the TwoSum error
+    of that addition, and ``|err| <= delta``, a bound on the rounding of
+    ``sum(r)`` (gamma_{n-1} * sum|r|, rounded up). ``hi`` is kept only when it
+    is finite and nonzero and ``|lo| + delta``, rounded up, is below half the
+    gap from ``|hi|`` to the next smaller double: the exact sum then rounds to
+    ``hi`` under any tie rule, which is what ``math.fsum`` returns. Every other
+    row (inf or NaN, overflow, cancellation to or near zero, a sum within
+    ``delta`` of a tie) is ``math.fsum`` of the row, in row order, so its
+    value, signed zero or exception is fsum's own.
+    """
+    n = p.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, e = np.frexp(np.abs(p).max(axis=1))
+        sigma = np.ldexp(1.0, e + (n + 1).bit_length())[:, None]
+        q = (sigma + p) - sigma
+        r = p - q
+        tau = q.sum(axis=1)
+        rho = r.sum(axis=1)
+        hi = tau + rho
+        b = hi - tau
+        lo = (tau - (hi - b)) + (rho - b)
+        delta = np.nextafter(np.abs(r).sum(axis=1) * ((n + 1) * 2.0**-53 * 1.01), np.inf)
+        bound = np.nextafter(np.abs(lo) + delta, np.inf)
+        mag = np.abs(hi)
+        ok = np.isfinite(hi) & (hi != 0) & (bound < (mag - np.nextafter(mag, 0.0)) * 0.5)
+    for i in np.flatnonzero(~ok).tolist():
+        hi[i] = math.fsum(p[i].tolist())
+    return hi
 
 
 def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float | np.ndarray:
@@ -248,6 +304,10 @@ def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float | np.nda
     A 2-D ``ys`` holds one such sequence per row and gives an array with one
     value per row, each the same float a 1-D call on that row returns: the
     sums are per row, and the rest is the same IEEE operations elementwise.
+    A 1-D call sums with ``math.fsum``. A batch of 1024 terms or more is
+    summed by a vectorised row sum that certifies each row's result equals
+    ``math.fsum``'s, and calls ``math.fsum`` on the rows it cannot certify
+    (see ``_fsum_rows``); a smaller batch calls ``math.fsum`` on every row.
     """
     y = np.asarray(ys, dtype=np.float64)[..., plan.support]
     sy = _fsum(plan.w * y)

@@ -17,7 +17,9 @@ reader (``read_observations``, every sample through ``int``) that the
 columnar forms replaced. So are the step-by-step forecasting run (one
 ``predict_step``/``observe_step`` pair per observation), the per-step
 baseline loop of ``evaluate_records``, and the sweep that runs and scores
-the whole stream once per configuration.
+the whole stream once per configuration. ``fsum_rows`` is the per-row
+``math.fsum`` loop that the LLR's batch sum used before it was vectorised,
+kept verbatim.
 """
 
 from __future__ import annotations
@@ -402,6 +404,11 @@ def window_entries(ds, n: int) -> list[tuple[int, float]]:
             if v is not None:
                 entries.append((offset, v))
     return entries
+
+
+def fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D array, one row at a time."""
+    return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 def _one_pass_line(points, weights, x_u):

@@ -335,8 +335,14 @@ class TestExitCodes:
             ("1,-7,NA,2.0,none\n2,0,2.0,2.0,none\n3,99,3.0,2.0,none\n4,5,NA,2.0,none\n", 2, "tp_index=-7 is below 1"),
             ("1,1,NA,2.0,none\n2,2,2.0,2.0,none\n3,99,3.0,2.0,none\n", 4, "tp_index=99 follows tp_index=2"),
             ("1,1,NA,2.0,none\n2,2,2.0,2.0,none\n3,3,NA,2.0,none\n", 4, "NA prediction after a numeric one"),
+            # tp_index 1, 2, 3, 1, 2, 1: the second wrap comes from 2, not 3.
+            ("1,1,NA,2.0,none\n2,2,NA,2.0,none\n3,3,2.0,2.0,none\n4,1,2.0,2.0,none\n"
+             "5,2,2.0,2.0,none\n6,1,2.0,2.0,none\n", 7, "wrap to 1 after tp_index=2"),
+            # tp_index 1, 2, 3, 1, 2, 3, 4: past the length the first wrap set.
+            ("1,1,NA,2.0,none\n2,2,NA,2.0,none\n3,3,2.0,2.0,none\n4,1,2.0,2.0,none\n"
+             "5,2,2.0,2.0,none\n6,3,2.0,2.0,none\n7,4,2.0,2.0,none\n", 8, "tp_index=4 exceeds the pattern length 3"),
         ],
-        ids=["below-one", "no-follow", "late-na"],
+        ids=["below-one", "no-follow", "late-na", "wrap-lengths-differ", "past-the-length"],
     )
     def test_records_run_cannot_write_are_data_error(self, tmp_path, capsys, rows, lineno, message):
         records = tmp_path / "records.csv"
@@ -489,3 +495,26 @@ class TestConfigFile:
         assert manifest["config"]["pp_tps"] == 24      # from file
         assert manifest["config"]["up_tps"] == 8       # flag wins
         assert manifest["config"]["bandwidth_k"] == 4  # from file
+
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            ("pp-tps=24\nup_tp = 10\n", 2, "unknown key 'up_tp'"),
+            ("pp-tps=24\nup-tps=6\npp_tps=12\n", 3, "pp_tps given twice, first on line 1"),
+            ("bandwidth-h=2.5\n# both modes\nbandwidth_k=4\n", 3,
+             "bandwidth_k and bandwidth_h (line 1) are mutually exclusive"),
+            ("pp-tps=24\nup_tps=abc\n", 2, "up_tps='abc': invalid literal for int()"),
+            ("pp-tps=24\nbandwidth_h=-1\n", 2, "bandwidth_h='-1': fixed radius must be positive"),
+        ],
+        ids=["unknown-key", "twice", "both-bandwidths", "uncastable", "bad-bandwidth"],
+    )
+    def test_bad_entries_are_usage_errors_naming_the_line(self, tmp_path, capsys, text, lineno, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        obs = _obs_file(tmp_path / "obs.csv", 48, 24)
+        out = tmp_path / "out"
+        code = main(["predict", "--train", obs, "--test", obs, "--config", str(cfg), "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cfg}:{lineno}: {message}" in err and "Traceback" not in err
+        assert not (out / "predict.manifest.json").exists()

@@ -565,8 +565,39 @@ class TestRecordsFile:
     def test_tp_index_may_start_anywhere_and_wrap(self, tmp_path):
         # A run on a store that was already fed starts at its cursor.
         path = tmp_path / "records.csv"
-        path.write_text(_RECORDS_HEADER + "1,3,NA,2.0,none\n2,1,NA,2.0,none\n3,2,2.0,2.0,none\n4,1,2.0,2.0,none\n")
-        assert [r.tp_index for r in read_records(path)] == [3, 1, 2, 1]
+        path.write_text(
+            _RECORDS_HEADER + "1,3,NA,2.0,none\n2,1,NA,2.0,none\n3,2,2.0,2.0,none\n4,3,2.0,2.0,none\n5,1,2.0,2.0,none\n"
+        )
+        assert [r.tp_index for r in read_records(path)] == [3, 1, 2, 3, 1]
+
+    @pytest.mark.parametrize(
+        "tp_indices, message",
+        [
+            ([1, 2, 3, 1, 2, 1], "wrap to 1 after tp_index=2: the first wrap set the pattern length to 3"),
+            ([3, 1, 2, 1], "wrap to 1 after tp_index=2: the first wrap set the pattern length to 3"),
+            ([1, 2, 3, 1, 2, 3, 4], "tp_index=4 exceeds the pattern length 3 set by the first wrap"),
+            ([2, 1, 2, 3], "tp_index=3 exceeds the pattern length 2 set by the first wrap"),
+        ],
+        ids=["second-wrap-early", "start-mid-pattern", "past-the-length", "past-a-short-length"],
+    )
+    def test_rejects_wraps_that_disagree_on_the_pattern_length(self, tmp_path, tp_indices, message):
+        path = tmp_path / "records.csv"
+        path.write_text(_RECORDS_HEADER + "".join(f"{t},{tp},2.0,2.0,none\n" for t, tp in enumerate(tp_indices, 1)))
+        lineno = len(tp_indices) + 1
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
+            read_records(path)
+
+    @pytest.mark.parametrize("pp_tps, first", [(1, 0), (3, 0), (3, 2), (4, 1), (4, 5)])
+    def test_run_output_with_any_start_reads_back(self, tmp_path, pp_tps, first):
+        # A fed store puts the run's first step anywhere in the pattern.
+        cfg = ForecastConfig(pp_tps=pp_tps, up_tps=1, cycles=2, kernel=KernelSpec(k=2))
+        stream = _poisson_stream(pp_tps, first + 3 * pp_tps + 2, seed=7)
+        ds = cfg.new_store()
+        run(stream[:first], cfg, ds)
+        records = run(stream[first:], cfg, ds)
+        path = tmp_path / "records.csv"
+        write_records(path, records)
+        assert read_records(path) == records
 
     def test_rejects_na_after_a_numeric_prediction(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cyclecast import llr
 from cyclecast.llr import (
     Fallback,
     KernelFamily,
@@ -236,9 +237,117 @@ class TestPlanApply:
         # One call over all the ys sets, one per row, gives the same floats.
         assert [v.hex() for v in llr_apply(plan, np.array(rows)).tolist()] == values
 
+    @given(
+        xs=st.lists(st.one_of(st.integers(-6, 12).map(float), st.floats(-20.0, 20.0)), min_size=1, max_size=40),
+        data=st.data(),
+        family=st.sampled_from(ALL_FAMILIES),
+        k=st.integers(1, 40),
+        x_u=st.floats(-25.0, 25.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batches_on_both_sides_of_the_crossover_give_the_1d_floats(self, xs, data, family, k, x_u, seed):
+        plan = llr_plan(xs, x_u, KernelSpec(family=family, k=min(k, len(xs))))
+        # 1-3 rows are summed row by row; ``above`` rows reach the certified row sum.
+        above = -(-llr._BATCH_MIN_TERMS // len(plan.support))
+        count = data.draw(st.sampled_from([1, 2, 3, above, above + 37]))
+        ys_strategy = st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)),
+            min_size=len(xs),
+            max_size=len(xs),
+        )
+        drawn = [data.draw(ys_strategy) for _ in range(min(count, 3))]
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-12, 1, size=(count - len(drawn), 1))
+        batch = np.concatenate([np.array(drawn), rng.uniform(-1e6, 1e6, size=(count - len(drawn), len(xs))) * scale])
+        got = [v.hex() for v in llr_apply(plan, batch).tolist()]
+        assert got == [llr_apply(plan, row).hex() for row in batch]
+
     def test_empty_xs_raise(self):
         with pytest.raises(ValueError):
             llr_plan([], 0.0, EPAN)
+
+
+_NONFINITE = [math.inf, -math.inf, math.nan]
+_FINITE_TERMS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-300, 1e-300),  # subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308, 8.9e307]),
+)
+
+
+@st.composite
+def _fsum_row(draw, n):
+    """A row of ``n`` summands, drawn to sit near the hard cases of a sum.
+
+    "tie": a base, half an ulp of it and a few terms far below that ulp, so
+    the exact sum is a tie or just off one; "cancel": large terms with their
+    negatives plus a few small ones; "huge": terms near 1e308, whose sums can
+    overflow; "plain": any floats, now and then inf, -inf or NaN. Cancelling
+    pairs and zeros pad every kind, and the row is shuffled.
+    """
+    kind = draw(st.sampled_from(["tie", "cancel", "huge", "plain"]))
+    if kind == "tie":
+        base = draw(st.floats(-1e300, 1e300).filter(lambda b: b != 0))
+        half = math.ulp(base) / 2
+        terms = [base, draw(st.sampled_from([half, -half]))]
+        tiny = half * 2.0 ** -draw(st.integers(30, 60))
+        terms += [k * tiny for k in draw(st.lists(st.integers(-3, 3), max_size=4))]
+    elif kind == "cancel":
+        big = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=3))
+        terms = [*big, *(-b for b in big), *draw(st.lists(st.floats(-1.0, 1.0), max_size=3))]
+    elif kind == "huge":
+        huge = st.floats(1e307, 1.7976931348623157e308)
+        terms = draw(st.lists(huge | huge.map(lambda v: -v), min_size=1, max_size=4))
+    else:
+        terms = draw(st.lists(st.one_of(_FINITE_TERMS, _FINITE_TERMS, _FINITE_TERMS, st.sampled_from(_NONFINITE)),
+                              min_size=1, max_size=n))
+    terms = terms[:n]
+    while len(terms) < n:
+        pad = draw(st.one_of(st.just(0.0), st.just(-0.0), _FINITE_TERMS))
+        terms += [pad, -pad] if len(terms) + 2 <= n else [0.0]
+    return draw(st.permutations(terms))
+
+
+def _sum_outcome(fsum, terms):
+    """Each row's sum as ``float.hex`` (NaN as 'nan'), or the exception type."""
+    try:
+        return [v.hex() for v in fsum(terms).tolist()]
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestBatchSum:
+    @settings(max_examples=400)
+    @given(data=st.data(), n=st.integers(1, 40), distinct=st.integers(1, 6), fill=st.booleans())
+    def test_rows_sum_as_math_fsum(self, data, n, distinct, fill):
+        rows = [data.draw(_fsum_row(n)) for _ in range(distinct)]
+        if fill:  # enough rows to reach the certified row sum
+            rows *= -(-llr._BATCH_MIN_TERMS // (n * distinct))
+        terms = np.array(rows)
+        assert _sum_outcome(llr._fsum, terms) == _sum_outcome(oracles.fsum_rows, terms)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.0, 2.0**-53],  # a tie, rounded to even
+            [1.0 + 2.0**-52, 2.0**-53],
+            [1.0, 2.0**-53, 2.0**-106],  # just above a tie
+            [1e16, 1.0, -1e16],
+            [0.5, -0.5, -0.0],
+            [-0.0, -0.0],
+            [5e-324, 5e-324, -1e-323],
+            [1.7e308, 1.7e308, -1.7e308],  # intermediate overflow
+            [math.inf, 1.0],
+            [math.inf, -math.inf],
+            [math.nan, 1.0],
+        ],
+    )
+    def test_hard_rows_in_a_large_batch(self, row):
+        easy = np.linspace(1.0, 2.0, len(row))
+        terms = np.array([easy] * 600 + [row] + [easy] * 600)
+        assert terms.size >= llr._BATCH_MIN_TERMS
+        assert _sum_outcome(llr._fsum, terms) == _sum_outcome(oracles.fsum_rows, terms)
 
 
 class TestFallbackChain:
