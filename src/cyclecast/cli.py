@@ -113,15 +113,14 @@ class _Resolver:
             raise ValueError(f"{self.args.config}:{lineno}: {key}={text!r}: {exc}") from None
 
     def get(self, key: str, cast):
+        """``cast`` of the flag for ``key``, else of its file entry, else of its default."""
         flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file_values:
+        if flag is None and key in self.file_values:
             return self._from_file(key, cast)
-        return _DEFAULTS.get(key)
+        return cast(flag if flag is not None else _DEFAULTS[key])
 
     def kernel_spec(self) -> KernelSpec:
-        family = KernelFamily(str(self.get("kernel", str)).lower())
+        family = self.get("kernel", lambda v: KernelFamily(v.lower()))
         flag_h = getattr(self.args, "bandwidth_h", None)
         flag_k = getattr(self.args, "bandwidth_k", None)
         if flag_h is not None and flag_k is not None:
@@ -139,15 +138,15 @@ class _Resolver:
     def forecast_config(self, up_tps: int | None = None) -> ForecastConfig:
         """The forecaster settings; ``up_tps`` stands in for --up-tps (a sweep grid value)."""
         return ForecastConfig(
-            pp_tps=int(self.get("pp_tps", int)),
-            up_tps=int(self.get("up_tps", int)) if up_tps is None else up_tps,
-            cycles=int(self.get("cycles", int)),
+            pp_tps=self.get("pp_tps", int),
+            up_tps=self.get("up_tps", int) if up_tps is None else up_tps,
+            cycles=self.get("cycles", int),
             kernel=self.kernel_spec(),
         )
 
     def stream_units(self) -> tuple[MetricKind, int]:
         """The metric and sub-bin width the observation streams must carry."""
-        return MetricKind(str(self.get("metric", str))), int(self.get("sub_bin_sec", int))
+        return self.get("metric", MetricKind), self.get("sub_bin_sec", int)
 
 
 def _sha256(path: Path) -> str:
@@ -265,17 +264,17 @@ def _read_streams(
 
 def cmd_synth(args: argparse.Namespace) -> int:
     res = _Resolver(args)
-    seed = int(res.get("seed", int))
+    seed = res.get("seed", int)
     spec = SyntheticSpec(
-        pp_tps=int(res.get("pp_tps", int)),
+        pp_tps=res.get("pp_tps", int),
         tps=args.tps,
         base_rate=args.base_rate,
         daily_amplitude=args.daily_amp,
         weekly_amplitude=args.weekly_amp,
         noise_sigma=args.noise_sigma,
         seed=seed,
-        tp_minutes=int(res.get("tp_min", int)),
-        sub_bin_seconds=int(res.get("sub_bin_sec", int)),
+        tp_minutes=res.get("tp_min", int),
+        sub_bin_seconds=res.get("sub_bin_sec", int),
     )
     out = _out_dir(args)
     events, truths = generate(spec)
@@ -304,11 +303,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     res = _Resolver(args)
-    metrics = _metric_list(str(res.get("metric", str)))
-    tp_min = int(res.get("tp_min", int))
-    pp_tps = int(res.get("pp_tps", int))
-    sub_bin_sec = int(res.get("sub_bin_sec", int))
-    scale = float(res.get("scale", _scale))
+    metrics = res.get("metric", _metric_list)
+    tp_min = res.get("tp_min", int)
+    pp_tps = res.get("pp_tps", int)
+    sub_bin_sec = res.get("sub_bin_sec", int)
+    scale = res.get("scale", _scale)
     mapping = ColumnMapping(
         timestamp=args.col_ts,
         cpu=args.col_cpu,
@@ -517,7 +516,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     up_grid = (
         _int_grid(args.up_tps_grid, "--up-tps-grid")
         if args.up_tps_grid
-        else [int(res.get("up_tps", int))]
+        else [res.get("up_tps", int)]
     )
     if args.bandwidth_grid:
         if kernel.h is not None:

@@ -311,9 +311,12 @@ def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float | np.nda
     """
     y = np.asarray(ys, dtype=np.float64)[..., plan.support]
     sy = _fsum(plan.w * y)
-    if plan.wdx is None:
-        return sy / plan.s0
-    sxy = _fsum(plan.wdx * y)
-    alpha = (plan.s2 * sy - plan.s1 * sxy) / plan.det
-    beta = (plan.s0 * sxy - plan.s1 * sy) / plan.det
-    return alpha + beta * plan.du
+    sxy = None if plan.wdx is None else _fsum(plan.wdx * y)
+    # A 1-D call's sums are Python floats, whose arithmetic overflows to inf
+    # or gives nan without a word; a batch's rows must do the same.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sxy is None:
+            return sy / plan.s0
+        alpha = (plan.s2 * sy - plan.s1 * sxy) / plan.det
+        beta = (plan.s0 * sxy - plan.s1 * sy) / plan.det
+        return alpha + beta * plan.du

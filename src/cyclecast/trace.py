@@ -9,10 +9,13 @@ A trace file is read in bulk by numpy's C reader when that provably gives
 what the per-row ``csv`` reader gives; otherwise, and for streams and line
 iterables, the per-row reader runs. ``_parse_bulk`` holds the conditions.
 
-A trace is written a run at a time: consecutive rows that share their
-period, cpu and memory bits share one formatted tail, so a row costs one
-integer to text. Bit equality, not float equality, decides a run, so the
-output is the same bytes as formatting every row on its own.
+Both writers turn integers into text with one numpy kernel, ``_decimal``,
+which builds every value's digits as 4-byte words from lookup tables and
+makes no Python object per value. A trace is written a run at a time:
+consecutive rows that share their period, cpu and memory bits share one
+tail, formatted once in Python, and each row is its timestamp's digits
+followed by its run's tail. Bit equality, not float equality, decides a
+run, so the output is the same bytes as formatting every row on its own.
 
 Aggregation slices a time window into fixed sub-bins and produces one
 integer sample per sub-bin: event counts for the arrivals metric, scaled
@@ -21,18 +24,19 @@ continuous requests are multiplied by a recorded scale and rounded).
 
 Per-period samples travel as ``Observations``: columns of period stamps
 and units, plus every period's samples in one int64 array. Aggregation
-returns them, the observations writer formats every sample once and joins
-each row from a slice of those strings, and the reader parses a file's
-sample text with one numpy call when every token is provably plain, else
-token by token with ``int`` as before. ``PeriodObservation`` is the
-one-period form that the online forecasting steps take; a sequence of them
-converts to columns with ``Observations.of``.
+returns them, the observations writer formats all samples in one kernel
+call and puts each period's fields in front of its line, and the reader
+parses a file's sample text with one numpy call when every token is
+provably plain, else token by token with ``int`` as before.
+``PeriodObservation`` is the one-period form that the online forecasting
+steps take; a sequence of them converts to columns with ``Observations.of``.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 import operator
 import os
@@ -40,7 +44,7 @@ import re
 from array import array
 from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -61,7 +65,7 @@ __all__ = [
 ]
 
 US_PER_SECOND = 1_000_000
-_WRITE_BLOCK = 8192  # events per block that write_trace converts to Python values
+_WRITE_BLOCK = 8192  # events per block that write_trace formats at once; bounds its word arrays
 _SCAN_BLOCK = 1 << 20  # bytes per read of the bulk reader's pre-scan
 _UTF8_BOM = b"\xef\xbb\xbf"
 # The suffixes that np.loadtxt decompresses a file by, given its name.
@@ -551,6 +555,72 @@ def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
     return int(after.max() - start_us) // (tp_minutes * 60 * US_PER_SECOND) + 1
 
 
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The 4-byte words of 0..9999 zero-padded, then null-padded, then one empty word.
+
+    Entry ``c`` is ``f"{c:04d}"``, entry ``10_000 + c`` the same digits with
+    the leading zeros as null bytes (``"0"`` for 0), and entry 20_000 is
+    four null bytes. Built on first use, so a process that writes no file
+    never pays for it.
+    """
+    n = np.arange(10_000, dtype=np.uint16)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1).astype(np.uint8) + ord("0")
+    null_padded = np.where(n[:, None] >= np.array([1000, 100, 10, 0], dtype=np.uint16), digits, np.uint8(0))
+    words = np.concatenate([t.view(np.uint32).ravel() for t in (digits, null_padded)] + [np.zeros(1, np.uint32)])
+    words.flags.writeable = False
+    return words
+
+
+_MINUS = np.frombuffer(b"-\0\0\0", np.uint32)[0]
+_CHUNK = np.uint64(10_000)
+
+
+def _words(texts: Sequence[str]) -> np.ndarray:
+    """ASCII ``texts`` as rows of 4-byte words, each null-padded to the longest."""
+    width = -(-max(map(len, texts)) // 4) * 4
+    joined = "".join(text.ljust(width, "\0") for text in texts)
+    return np.frombuffer(joined.encode("ascii"), np.uint32).reshape(len(texts), width // 4)
+
+
+def _decimal(values: np.ndarray, after: np.ndarray) -> bytes:
+    """The decimal text of each int64 in ``values``, followed by its row of ``after``.
+
+    ``after`` holds words as ``_words`` makes them: one row for every value,
+    or one row per value. The result is ``str(v)`` plus the text of the
+    row, for each value in turn, built without a Python object per value:
+    every value becomes a row of words, a ``-`` word (when any value is
+    negative), then its magnitude's digits 4 at a time from ``_digit_words``
+    (null-padded for its leading chunk, zero-padded below it, empty above
+    it), then ``after``; one ``translate`` deletes the null bytes.
+    """
+    n = len(values)
+    neg = values < 0
+    signed = bool(neg.any())
+    mag = values.view(np.uint64)
+    if signed:
+        mag = np.where(neg, -mag, mag)  # modulo 2**64, so -(2**63) gives 2**63
+    chunks = (len(str(int(mag.max()))) + 3) // 4 if n else 1
+    # 10_000 where a value has digits in chunk j or above; every value has some in chunk 0.
+    reach = [10_000, *((mag >= np.uint64(10 ** (4 * j))) * 10_000 for j in range(1, chunks)), 0]
+    out = np.empty((n, signed + chunks + after.shape[-1]), np.uint32)
+    if signed:
+        out[:, 0] = np.where(neg, _MINUS, 0)
+    out[:, signed + chunks :] = after
+    digit_words = _digit_words()
+    rest = mag
+    for j in range(chunks):  # chunk j holds digits 4j to 4j + 3, counted from the last
+        if j < chunks - 1:
+            high = rest // _CHUNK
+            chunk, rest = rest - high * _CHUNK, high
+        else:
+            chunk = rest
+        # Table offset 0 (zero-padded) below the leading chunk, 10_000 (null-padded) at it, 20_000 above.
+        table = 20_000 - reach[j] - reach[j + 1]
+        out[:, signed + chunks - 1 - j] = digit_words[table + chunk.astype(np.intp)]
+    return out.tobytes().translate(None, b"\0")
+
+
 def _check_scale(value: str | float) -> None:
     """Raise ValueError unless ``value`` reads as a finite positive float."""
     try:
@@ -569,20 +639,28 @@ def write_observations(
     The scale used for CPU/memory rounding rides along in every record so a
     fitted rate stays interpretable in original units. Its text, ``repr(scale)``,
     must read back as a finite positive float, as the reader requires.
+
+    Every sample is formatted by one ``_decimal`` call, each followed by a
+    space or, after a period's last, a newline; each period's fields, formatted
+    once, go in front of its line.
     """
     obs = Observations.of(observations)
     scale_text = repr(scale)
     _check_scale(scale_text)
-    texts = list(map(str, obs.samples.tolist()))  # every sample formatted once
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n")
-        fh.writelines(
-            f"{tp},{cycle},{metric},{width},{scale_text},{' '.join(texts[end - n:end])}\n"
-            for tp, cycle, metric, width, n, end in zip(
-                obs.tp_index.tolist(), obs.cycle_index.tolist(), [m.value for m in obs.metric],
-                obs.sub_bin_seconds.tolist(), obs.counts.tolist(), obs._ends.tolist(),
-            )
+    last = np.zeros((len(obs.samples), 1), dtype=bool)
+    last[obs._ends - 1] = True
+    space, newline = _words([" ", "\n"])
+    lines = _decimal(obs.samples, np.where(last, newline, space)).splitlines(keepends=True)
+    fields = [
+        f"{tp},{cycle},{metric},{width},{scale_text},".encode("ascii")
+        for tp, cycle, metric, width in zip(
+            obs.tp_index.tolist(), obs.cycle_index.tolist(), [m.value for m in obs.metric],
+            obs.sub_bin_seconds.tolist(),
         )
+    ]
+    with open(path, "wb") as fh:
+        fh.write(b"tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n")
+        fh.write(b"".join(chain.from_iterable(zip(fields, lines))))
 
 
 def read_observations(path: str | Path) -> Observations:
@@ -699,18 +777,17 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
     ``tp_minutes`` that holds the event.
 
     Consecutive rows with the same period, cpu and memory form a run, and a
-    run's shared tail ``,j<n>,j<n>,<cpu>,<mem>`` is formatted once; each row
-    is then its timestamp followed by its run's tail. Runs are split where the
-    bits of cpu or memory change, not where the floats are unequal:
+    run's shared tail ``,j<n>,j<n>,<cpu>,<mem>`` is formatted once in Python;
+    each row is then its timestamp, from one ``_decimal`` call per block of
+    rows, followed by its run's tail. Runs are split where the bits of cpu
+    or memory change, not where the floats are unequal:
     ``0.0 == -0.0`` although they print differently, so only bit equality
     guarantees that the rows of a run print the same text (every NaN prints
     ``nan``, whatever its bits).
     """
     tp_us = tp_minutes * 60 * US_PER_SECOND
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("timestamp,job_id,task_id,cpu_request,mem_request\n")
-        # Plain Python values: repr of a numpy float is not its text form.
-        # Converted a block at a time, so the lists stay small.
+    with open(path, "wb") as fh:
+        fh.write(b"timestamp,job_id,task_id,cpu_request,mem_request\n")
         for lo in range(0, len(events), _WRITE_BLOCK):
             block = slice(lo, lo + _WRITE_BLOCK)
             stamps = events.timestamp[block]
@@ -720,12 +797,9 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
             new_run = np.ones(len(stamps), dtype=bool)
             new_run[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
             starts = np.flatnonzero(new_run)
-            tails = [
+            # Plain Python values: repr of a numpy float is not its text form.
+            tails = _words([
                 f",j{tp},j{tp},{c!r},{m!r}\n"
                 for tp, c, m in zip(tps[starts].tolist(), cpu[starts].tolist(), mem[starts].tolist())
-            ]
-            # Row i is pieces 2i and 2i+1: its timestamp, then its run's tail.
-            pieces = [""] * (2 * len(stamps))
-            pieces[0::2] = map(str, stamps.tolist())
-            pieces[1::2] = chain.from_iterable(map(repeat, tails, np.diff(starts, append=len(stamps)).tolist()))
-            fh.write("".join(pieces))
+            ])
+            fh.write(_decimal(stamps, np.repeat(tails, np.diff(starts, append=len(stamps)), axis=0)))

@@ -518,3 +518,31 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}:{lineno}: {message}" in err and "Traceback" not in err
         assert not (out / "predict.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, lineno, message",
+        [
+            ("predict", "pp-tps=24\nkernel=tophat\n", 2, "kernel='tophat': 'tophat' is not a valid KernelFamily"),
+            ("predict", "metric=requests\n", 1, "metric='requests': 'requests' is not a valid MetricKind"),
+            ("evaluate", "pp-tps=24\n\nkernel = Cosine\n", 3, "kernel='Cosine': 'cosine' is not a valid KernelFamily"),
+            ("evaluate", "pp-tps=24\nmetric=all\n", 2, "metric='all': 'all' is not a valid MetricKind"),
+            ("ingest", "# metrics\nmetric=arrivals,cpu\n", 2,
+             "metric='arrivals,cpu': 'arrivals,cpu' is not a valid MetricKind"),
+        ],
+    )
+    def test_unknown_kernel_or_metric_names_the_line(self, tmp_path, capsys, command, text, lineno, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        if command == "ingest":
+            trace = tmp_path / "trace.csv"
+            trace.write_text("0,j1,j1,0.1,0.1\n60000000,j2,j2,0.2,0.1\n")
+            argv = ["ingest", "--trace", str(trace)]
+        else:
+            obs = _obs_file(tmp_path / "obs.csv", 48, 24)
+            argv = [command, "--train", obs, "--test", obs, "--up-tps", "6"]
+        code = main([*argv, "--config", str(cfg), "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cfg}:{lineno}: {message}" in err and "Traceback" not in err
+        assert not list(out.glob("*.manifest.json"))

@@ -262,6 +262,30 @@ class TestPlanApply:
         got = [v.hex() for v in llr_apply(plan, batch).tolist()]
         assert got == [llr_apply(plan, row).hex() for row in batch]
 
+    @pytest.mark.parametrize(
+        "xs, x_u, spec",
+        [
+            # det is about 9e-269, so the line's division overflows.
+            ([0.0, 6.3e-135], 0.0, KernelSpec(h=10.0)),
+            ([0.0, 6.3e-135], 1.0, KernelSpec(h=10.0)),
+            ([0.0, 6.3e-135], 1e-134, KernelSpec(h=10.0)),
+            # One distinct x: a weighted mean, whose weights are about 7e-4.
+            ([2.0, 2.0], 0.0, KernelSpec(family=KernelFamily.GAUSSIAN, h=0.07)),
+        ],
+    )
+    @pytest.mark.parametrize("crossing", [-1, 0])
+    def test_overflowing_rows_give_the_1d_floats_without_a_warning(self, xs, x_u, spec, crossing):
+        # The tier-1 filter turns a RuntimeWarning into a failure.
+        plan = llr_plan(xs, x_u, spec)
+        hard = [[1e306, -1e306], [-1e306, 1e306], [1e306, 0.0], [0.0, -1e306], [8e307, -8e307],
+                [1e306, 1e306], [5e307, 5e307], [math.inf, 1.0], [1.0, -math.inf], [1.0, 2.0]]
+        # 2 terms a row: batches just below and at the certified row sum's crossover.
+        rows = llr._BATCH_MIN_TERMS // len(plan.support) + crossing
+        batch = np.array([hard[i % len(hard)] for i in range(rows)])
+        assert (batch.size >= llr._BATCH_MIN_TERMS) is (crossing == 0)
+        got = [v.hex() for v in llr_apply(plan, batch).tolist()]
+        assert got == [llr_apply(plan, row).hex() for row in batch]
+
     def test_empty_xs_raise(self):
         with pytest.raises(ValueError):
             llr_plan([], 0.0, EPAN)

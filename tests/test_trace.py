@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 import urllib.request
 from unittest import mock
@@ -648,6 +649,62 @@ class TestWriters:
         write_observations(out / "new.csv", observations, scale)
         oracles.write_observations_per_sample(out / "ref.csv", observations, scale)
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    def test_many_periods_of_every_width_equal_per_sample_reference(self, tmp_path):
+        rng = random.Random(13)
+        widths = itertools.cycle(range(1, 20))
+        observations = [
+            PeriodObservation(
+                i % 48 + 1, i // 48 + 1, list(MetricKind)[i % 3],
+                [rng.randrange(10 ** (d - 1) if d > 1 else 0, min(10**d, 2**63))
+                 for d in itertools.islice(widths, rng.randint(1, 40))],
+                rng.choice([1, 30, 60, 3600]),
+            )
+            for i in range(1100)
+        ]
+        assert {len(str(s)) for p in observations for s in p.samples} == set(range(1, 20))
+        write_observations(tmp_path / "new.csv", observations, 0.1)
+        oracles.write_observations_per_sample(tmp_path / "ref.csv", observations, 0.1)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# The ends of every decimal width: 0, ±(10**k - 1) and ±10**k for k = 1..18, and the int64 extremes.
+_EDGE_INTS = [0, -(2**63), 2**63 - 1, *(s * (10**k + d) for k in range(1, 19) for d in (-1, 0) for s in (1, -1))]
+# A nonnegative int64 of d decimal digits, d drawn from 1..19.
+_WIDE_INTS = st.integers(1, 19).flatmap(lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d, 2**63) - 1))
+_INT64S = st.one_of(
+    st.integers(-(2**63), 2**63 - 1), st.sampled_from(_EDGE_INTS), _WIDE_INTS, _WIDE_INTS.map(lambda v: -v - 1)
+)
+
+
+class TestDecimal:
+    """The writers' integer-to-text kernel against ``str``."""
+
+    @staticmethod
+    def _spaced(values) -> str:
+        return trace._decimal(np.array(values, dtype=np.int64), trace._words([" "])[0]).decode("ascii")
+
+    @settings(max_examples=300)
+    @given(values=st.lists(_INT64S, max_size=60), negative=st.booleans())
+    def test_text_equals_str(self, values, negative):
+        if negative:  # all negative: 0..2**63-1 maps onto -1..-(2**63)
+            values = [v if v < 0 else -v - 1 for v in values]
+        assert self._spaced(values) == " ".join(map(str, values)) + " " * bool(values)
+
+    def test_every_width_and_extreme_in_one_array(self):
+        for values in (_EDGE_INTS, [v for v in _EDGE_INTS if v < 0], [], [0], [7, -(2**63), 0, 10**18]):
+            assert self._spaced(values) == " ".join(map(str, values)) + " " * bool(values)
+
+    @given(
+        rows=st.lists(
+            st.tuples(_INT64S, st.text(st.characters(min_codepoint=1, max_codepoint=127), min_size=1, max_size=9)),
+            min_size=1, max_size=30,
+        )
+    )
+    def test_each_value_takes_its_own_row_of_after(self, rows):
+        values, texts = zip(*rows)
+        text = trace._decimal(np.array(values, dtype=np.int64), trace._words(texts))
+        assert text.decode("ascii") == "".join(f"{v}{t}" for v, t in rows)
 
 
 class TestObservationType:
