@@ -14,8 +14,6 @@ from .evaluation import EvaluationReport, evaluate_records, mape, sweep
 from .forecaster import (
     ForecastConfig,
     PredictionRecord,
-    baseline_naive,
-    baseline_poisson_window,
     observe_step,
     predict_step,
     run,
@@ -54,8 +52,6 @@ __all__ = [
     "sweep",
     "ForecastConfig",
     "PredictionRecord",
-    "baseline_naive",
-    "baseline_poisson_window",
     "observe_step",
     "predict_step",
     "run",

@@ -432,8 +432,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     metric, sub_bin_seconds = res.stream_units()
     train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds, cfg.pp_tps)
     out = _out_dir(args)
-    ds = cfg.new_store()
-    records = run(Observations.concat([train, test]), cfg, ds)
+    records = run(Observations.concat([train, test]), cfg)
     write_records(out / "records.csv", records)
     _write_manifest(
         out,

@@ -6,15 +6,20 @@ excluded and counted rather than patched with an epsilon, which would let an
 arbitrary constant dominate the metric. Targets here are the fitted rates of
 the test span, not raw counts.
 
+One scorer, ``_score``, holds that rule as array operations, and scores two
+reference predictors on the same retained steps: a naive last-value
+forecast and a moving window that weights recent history with a Poisson PMF
+keyed to the window size. ``evaluate_records`` scores a record list with it.
 ``sweep`` fits the train+test observation stream once, predicts only the
-test span under each configuration, and reports each configuration's error
-next to two reference predictors, so the effect of window length and
-bandwidth can be tabulated for plotting. Its reports are the ones that
-``run`` plus ``evaluate_records`` give per configuration, field for field.
+test span under each configuration and scores it with the same function,
+so the effect of window length and bandwidth can be tabulated for plotting.
+Its reports are the ones that ``run`` plus ``evaluate_records`` give per
+configuration, field for field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,14 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .forecaster import (
-    ForecastConfig,
-    PredictionRecord,
-    _fit,
-    _poisson_window_weights,
-    _predict,
-)
-from .trace import Observations, PeriodObservation
+from .forecaster import ForecastConfig, PredictionRecord, _fit, _predict
+from .poisson import poisson_pmf
+from .trace import Observations
 
 __all__ = [
     "EvaluationReport",
@@ -97,16 +97,27 @@ def _bandwidth_value(cfg: ForecastConfig) -> float:
     return float(cfg.kernel.k) if cfg.kernel.k is not None else float(cfg.kernel.h)
 
 
+@functools.lru_cache(maxsize=8)
+def _poisson_window_weights(window: int, take: int) -> tuple[float, ...]:
+    """Poisson(window) masses at 0..take-1, newest value first."""
+    if window < 1:
+        raise ValueError(f"window must be a positive integer, got {window}")
+    return tuple(poisson_pmf(float(window), i) for i in range(take))
+
+
 def _baseline_errors(
     actuals: np.ndarray, steps: np.ndarray, window: int
 ) -> tuple[list[float], list[float]]:
     """Naive and Poisson-window baseline errors at the given steps.
 
     Step i's history is the actuals before it, at most ``window`` of them;
-    steps without history are left out. The windowed forecast adds one lag
-    at a time, newest first, over the steps whose history reaches that lag:
-    the same operations in the same order as ``baseline_poisson_window``
-    (and ``baseline_naive``) on each step's history, so the same floats.
+    steps without history are left out. The naive forecast is the newest
+    value of the history. The windowed forecast weights the value ``lag``
+    steps back by the Poisson(window) mass at ``lag`` and divides by the
+    weights' sum, adding one lag at a time, newest first, over the steps
+    whose history reaches that lag: the same operations in the same order
+    as a loop over each step's history, so the same floats, and no warning
+    where that loop's float arithmetic overflows silently.
     """
     steps = steps[steps > 0]
     if not len(steps):
@@ -115,13 +126,60 @@ def _baseline_errors(
     depth = np.minimum(steps, window)
     num = np.zeros(len(steps))
     den = np.zeros(len(steps))
-    for lag, w in enumerate(_poisson_window_weights(window, int(depth.max()))):
-        reach = depth > lag
-        num[reach] += w * actuals[steps[reach] - 1 - lag]
-        den[reach] += w
-    naive = np.abs(actuals[steps - 1] - target) / target
-    windowed = np.abs(num / den - target) / target
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lag, w in enumerate(_poisson_window_weights(window, int(depth.max()))):
+            reach = depth > lag
+            num[reach] += w * actuals[steps[reach] - 1 - lag]
+            den[reach] += w
+        naive = np.abs(actuals[steps - 1] - target) / target
+        windowed = np.abs(num / den - target) / target
     return naive.tolist(), windowed.tolist()
+
+
+def _score(
+    cid: str,
+    up_tps: int,
+    bandwidth: float,
+    actuals: np.ndarray,
+    steps: np.ndarray,
+    predicted: np.ndarray,
+    warm: np.ndarray,
+    baseline_window: int | None,
+    baselines: dict[tuple[int, bytes], tuple[float, float] | None],
+) -> EvaluationReport:
+    """The report of the scored ``steps``, positions in ``actuals``, the
+    actual rates of the whole stream; ``predicted`` and the warm-up mask
+    ``warm`` hold each scored step's prediction.
+
+    A warm-up step and a step whose target is zero (or below) are counted;
+    every other step's error is |p - a| / a. With a ``baseline_window``,
+    the naive and Poisson-window baselines are scored on the retained
+    steps, with the history of the whole stream; their MAPEs are kept in
+    ``baselines`` per window and retained steps, which is all they depend
+    on for one stream.
+    """
+    if baseline_window is not None and baseline_window < 1:
+        raise ValueError(f"window must be a positive integer, got {baseline_window}")
+    target = actuals[steps]
+    zero = target <= 0
+    keep = ~warm & ~zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = (np.abs(predicted[keep] - target[keep]) / target[keep]).tolist()
+    retained = steps[keep]
+    scores = None
+    if baseline_window is not None and len(retained):
+        key = (baseline_window, retained.tobytes())
+        if key not in baselines:
+            naive_err, window_err = _baseline_errors(actuals, retained, baseline_window)
+            baselines[key] = (
+                (math.fsum(naive_err) / len(naive_err), math.fsum(window_err) / len(window_err))
+                if naive_err else None
+            )
+        scores = baselines[key]
+    return _report(
+        cid, up_tps, bandwidth, errors,
+        int(np.count_nonzero(~warm & zero)), int(np.count_nonzero(warm)), scores,
+    )
 
 
 def evaluate_records(
@@ -133,46 +191,23 @@ def evaluate_records(
     with_baselines: bool = False,
     baseline_window: int = 50,
 ) -> EvaluationReport:
-    """Score the test portion of a prediction-record sequence.
+    """Score the records whose step ``t`` is at least ``test_from_t``.
 
     A record enters the error list only if it has a numeric prediction and a
     nonzero actual; warm-up steps and zero targets are counted separately.
-    Baseline predictors see the actual-rate history up to each scored step
-    and are measured on exactly the same retained steps, so their deltas are
-    like-for-like.
+    Baseline predictors see the actual-rate history of the records before
+    each scored one and are measured on exactly the same retained steps, so
+    their deltas are like-for-like. A baseline window below 1 raises
+    ``ValueError`` whether or not any step is retained.
     """
-    actuals = [r.actual for r in records]
-    errors: list[float] = []
-    skipped_zero = 0
-    warmup = 0
-    retained_idx: list[int] = []
-    for i, r in enumerate(records):
-        if r.t < test_from_t:
-            continue
-        if r.predicted is None:
-            warmup += 1
-            continue
-        if r.actual <= 0:
-            skipped_zero += 1
-            continue
-        errors.append(abs(r.predicted - r.actual) / r.actual)
-        retained_idx.append(i)
-    baselines = None
-    if with_baselines and retained_idx:
-        baselines = _baseline_mapes(np.asarray(actuals), np.asarray(retained_idx), baseline_window)
-    return _report(cid, up_tps, bandwidth, errors, skipped_zero, warmup, baselines)
-
-
-def _baseline_mapes(actuals: np.ndarray, steps: np.ndarray, window: int) -> tuple[float, float] | None:
-    """The naive and Poisson-window baselines' MAPE over ``steps`` (indices
-    into ``actuals``, the actual rates of the whole stream), or None if no
-    step has history."""
-    if window < 1:
-        raise ValueError(f"window must be a positive integer, got {window}")
-    naive_err, window_err = _baseline_errors(actuals, steps, window)
-    if not naive_err:
-        return None
-    return math.fsum(naive_err) / len(naive_err), math.fsum(window_err) / len(window_err)
+    predicted = [r.predicted for r in records]
+    warm = np.array([p is None for p in predicted], dtype=bool)
+    values = np.array([0.0 if p is None else p for p in predicted], dtype=np.float64)
+    steps = np.flatnonzero(np.array([r.t >= test_from_t for r in records], dtype=bool))
+    return _score(
+        cid, up_tps, bandwidth, np.array([r.actual for r in records], dtype=np.float64),
+        steps, values[steps], warm[steps], baseline_window if with_baselines else None, {},
+    )
 
 
 def _report(
@@ -210,8 +245,8 @@ def _report(
 
 def sweep(
     configs: Sequence[ForecastConfig],
-    train: Observations | Sequence[PeriodObservation],
-    test: Observations | Sequence[PeriodObservation],
+    train: Observations,
+    test: Observations,
     with_baselines: bool = False,
 ) -> list[EvaluationReport]:
     """Run every configuration over train+test online and score the test span.
@@ -223,43 +258,27 @@ def sweep(
 
     The stream is fitted once per store size, with ``run``'s order checks,
     so a bad stream raises what ``run`` raises for the first configuration
-    it fails. Each configuration then predicts only
-    the test steps, from a fresh store, and they are scored as columns:
-    every field equals that of ``evaluate_records`` on ``run``'s records.
-    The baselines are scored once per store size, window and set of
-    retained steps, which is all they depend on.
+    it fails. Each configuration then predicts only the test steps, from a
+    fresh store, and they are scored as ``evaluate_records`` scores
+    ``run``'s records, field for field. The baselines are scored once per
+    store size, window and set of retained steps.
     """
-    if isinstance(train, Observations) and isinstance(test, Observations):
-        stream: Observations | list[PeriodObservation] = Observations.concat([train, test])
-    else:
-        stream = [*train, *test]  # converted by ``_fit``, with its errors
-    lo = len(train)
+    stream = Observations.concat([train, test])
+    steps = np.arange(len(train), len(stream))
     reports = []
-    fits: dict[int, np.ndarray] = {}  # fitted rates per store size
-    # Baseline MAPEs per (store size, window, retained steps): they depend on nothing else.
-    baselines: dict[tuple[int, int, bytes], tuple[float, float] | None] = {}
+    # Per store size: the fitted rates, and the baseline MAPEs scored on them.
+    fits: dict[int, tuple[np.ndarray, dict]] = {}
     for cfg in configs:
         m = cfg.pp_tps
         if m not in fits:
-            fits[m] = _fit(stream, m, 0)
-        actuals = fits[m]
+            fits[m] = (_fit(stream, m, 0), {})
+        actuals, baselines = fits[m]
         rates = np.concatenate([cfg.new_store().cells.ravel(), actuals])
-        predicted, warm, _ = _predict(rates, cfg, 0, lo, len(stream))
-        target = actuals[lo:]
-        zero = target <= 0
-        keep = ~warm & ~zero
-        errors = (np.abs(predicted[keep] - target[keep]) / target[keep]).tolist()
-        retained = np.flatnonzero(keep) + lo
-        scores = None
-        if with_baselines and len(retained):
-            key = (m, cfg.up_tps, retained.tobytes())
-            if key not in baselines:
-                baselines[key] = _baseline_mapes(actuals, retained, cfg.up_tps)
-            scores = baselines[key]
+        predicted, warm, _ = _predict(rates, cfg, 0, len(train), len(stream))
         reports.append(
-            _report(
-                config_id(cfg), cfg.up_tps, _bandwidth_value(cfg), errors,
-                int(np.count_nonzero(~warm & zero)), int(np.count_nonzero(warm)), scores,
+            _score(
+                config_id(cfg), cfg.up_tps, _bandwidth_value(cfg), actuals, steps, predicted, warm,
+                cfg.up_tps if with_baselines else None, baselines,
             )
         )
     reports.sort(key=lambda r: (r.up_tps, r.bandwidth))

@@ -16,10 +16,6 @@ and final store are the ones the step-by-step loop produces, bit for bit.
 Its two phases, ``_fit`` and ``_predict``, are also what the evaluation
 sweep runs: one fit for all configurations, and predictions for only the
 steps it scores.
-
-Also hosts two reference predictors used for accuracy comparisons: a naive
-last-value forecaster and a moving-window scheme that weights recent history
-with a Poisson PMF keyed to the window size.
 """
 
 from __future__ import annotations
@@ -28,13 +24,13 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .llr import Fallback, KernelSpec, LLRPlan, llr_apply, llr_plan
-from .poisson import poisson_mle, poisson_mle_rows, poisson_pmf
-from .store import CyclicDataset, EmptyWindowError, _check_rate
+from .poisson import poisson_mle, poisson_mle_rows
+from .store import CyclicDataset, EmptyWindowError
 from .trace import Observations, PeriodObservation
 
 __all__ = [
@@ -43,8 +39,6 @@ __all__ = [
     "predict_step",
     "observe_step",
     "run",
-    "baseline_naive",
-    "baseline_poisson_window",
     "write_records",
     "read_records",
 ]
@@ -175,7 +169,7 @@ def _sources(writes: int | np.ndarray, rows: np.ndarray, m: int, l: int, w0: int
     return np.where(i < w0, rows[..., None] * l + cycles, m * l + i - w0)
 
 
-def _fit(observations: Observations | Iterable[PeriodObservation], m: int, w0: int) -> np.ndarray:
+def _fit(observations: Observations, m: int, w0: int) -> np.ndarray:
     """The fitted rate of each period of a stream that follows write ``w0``.
 
     Checks each period's position against the cursor of an m-position
@@ -183,23 +177,7 @@ def _fit(observations: Observations | Iterable[PeriodObservation], m: int, w0: i
     ``ValueError`` for its first misplaced period. The rates are
     ``poisson_mle``'s, bit for bit, and always storable: a mean of int64
     counts is finite and nonnegative. Touches no store.
-
-    ``PeriodObservation``s are converted to ``Observations`` first. If they
-    do not convert (say, a sample that is not an integer below 2**63), the
-    error is the step loop's for the first observation it rejects, if it
-    rejects one, else the conversion's.
     """
-    if not isinstance(observations, Observations):
-        periods = list(observations)
-        try:
-            observations = Observations.of(periods)
-        except ValueError:
-            for s, obs in enumerate(periods):
-                cursor = (w0 + s) % m + 1
-                if obs.tp_index != cursor:
-                    raise _misplaced(obs.tp_index, cursor) from None
-                _check_rate(poisson_mle(obs.samples))
-            raise
     cursor = (w0 + np.arange(len(observations))) % m + 1
     bad = np.flatnonzero(observations.tp_index != cursor)
     if len(bad):
@@ -260,7 +238,7 @@ def _predict(
 
 
 def run(
-    observations: Observations | Iterable[PeriodObservation],
+    observations: Observations,
     cfg: ForecastConfig,
     ds: CyclicDataset | None = None,
 ) -> list[PredictionRecord]:
@@ -269,14 +247,7 @@ def run(
     Emits exactly one record per observation, and leaves ``ds`` (a fresh
     store if None) as ``observe_step`` over the stream would: the records
     are those of ``predict_step``/``observe_step`` per observation, bit for
-    bit, for every stream that ``Observations`` can hold. Warm-up steps
-    (empty window) carry ``predicted=None``.
-
-    ``PeriodObservation``s are converted to ``Observations`` on the way
-    (see ``_fit``), so their samples must be integers below 2**63 and their
-    sub-bins at least 1 second wide. ``observe_step`` takes a period outside
-    that domain (a float sample, a sample of 2**63 or more, a 0 s sub-bin);
-    ``run`` raises ``ValueError`` for it.
+    bit. Warm-up steps (empty window) carry ``predicted=None``.
 
     A store whose shape is not the configuration's raises ``ValueError``.
     Every period is checked for stream order before ``ds`` changes, so a
@@ -303,38 +274,6 @@ def run(
         ds.cells[...] = rates[_sources(w0 + len(actuals), np.arange(m), m, l, w0)]
         ds.t += len(actuals)
     return records
-
-
-def baseline_naive(history: Sequence[float]) -> float:
-    """Persistence forecast: the newest historical rate."""
-    if not history:
-        raise ValueError("naive baseline needs at least one historical value")
-    return history[-1]
-
-
-@functools.lru_cache(maxsize=8)
-def _poisson_window_weights(window: int, take: int) -> tuple[float, ...]:
-    """Poisson(window) masses at 0..take-1, newest value first."""
-    if window < 1:
-        raise ValueError(f"window must be a positive integer, got {window}")
-    return tuple(poisson_pmf(float(window), i) for i in range(take))
-
-
-def baseline_poisson_window(history: Sequence[float], window: int) -> float:
-    """Moving-window forecast with Poisson-PMF weights.
-
-    Averages the last ``window`` values (oldest-to-newest input), weighting
-    the value ``i`` steps back from the newest by the Poisson(window) mass
-    at i. With fewer than ``window`` values, uses what there is.
-    """
-    if not history:
-        raise ValueError("windowed baseline needs at least one historical value")
-    num = 0.0
-    den = 0.0
-    for w, v in zip(_poisson_window_weights(window, min(window, len(history))), reversed(history)):
-        num += w * v
-        den += w
-    return num / den
 
 
 def write_records(path: str | Path, records: Sequence[PredictionRecord]) -> None:

@@ -29,7 +29,8 @@ call and puts each period's fields in front of its line, and the reader
 parses a file's sample text with one numpy call when every token is
 provably plain, else token by token with ``int`` as before.
 ``PeriodObservation`` is the one-period form that the online forecasting
-steps take; a sequence of them converts to columns with ``Observations.of``.
+steps take; a sequence of them converts to columns with ``Observations.of``,
+which is what the writer, ``run`` and ``sweep`` take.
 """
 
 from __future__ import annotations
@@ -631,9 +632,7 @@ def _check_scale(value: str | float) -> None:
         raise ValueError(f"scale must be a finite positive number, got {value!r}")
 
 
-def write_observations(
-    path: str | Path, observations: Observations | Sequence[PeriodObservation], scale: float
-) -> None:
+def write_observations(path: str | Path, observations: Observations, scale: float) -> None:
     """Write one record per target period as delimited text.
 
     The scale used for CPU/memory rounding rides along in every record so a
@@ -644,18 +643,17 @@ def write_observations(
     space or, after a period's last, a newline; each period's fields, formatted
     once, go in front of its line.
     """
-    obs = Observations.of(observations)
     scale_text = repr(scale)
     _check_scale(scale_text)
-    last = np.zeros((len(obs.samples), 1), dtype=bool)
-    last[obs._ends - 1] = True
+    last = np.zeros((len(observations.samples), 1), dtype=bool)
+    last[observations._ends - 1] = True
     space, newline = _words([" ", "\n"])
-    lines = _decimal(obs.samples, np.where(last, newline, space)).splitlines(keepends=True)
+    lines = _decimal(observations.samples, np.where(last, newline, space)).splitlines(keepends=True)
     fields = [
         f"{tp},{cycle},{metric},{width},{scale_text},".encode("ascii")
         for tp, cycle, metric, width in zip(
-            obs.tp_index.tolist(), obs.cycle_index.tolist(), [m.value for m in obs.metric],
-            obs.sub_bin_seconds.tolist(),
+            observations.tp_index.tolist(), observations.cycle_index.tolist(),
+            [m.value for m in observations.metric], observations.sub_bin_seconds.tolist(),
         )
     ]
     with open(path, "wb") as fh:
@@ -793,9 +791,11 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
             stamps = events.timestamp[block]
             tps = stamps // tp_us + 1
             cpu, mem = events.cpu[block], events.mem[block]
-            keys = np.stack((tps, cpu.view(np.int64), mem.view(np.int64)))
+            cpu_bits, mem_bits = cpu.view(np.int64), mem.view(np.int64)
             new_run = np.ones(len(stamps), dtype=bool)
-            new_run[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+            new_run[1:] = (
+                (tps[1:] != tps[:-1]) | (cpu_bits[1:] != cpu_bits[:-1]) | (mem_bits[1:] != mem_bits[:-1])
+            )
             starts = np.flatnonzero(new_run)
             # Plain Python values: repr of a numpy float is not its text form.
             tails = _words([

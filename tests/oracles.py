@@ -15,8 +15,11 @@ kept verbatim, and so are the per-period aggregation (``aggregate_span``,
 one list of Python ints per period) and the line-at-a-time observations
 reader (``read_observations``, every sample through ``int``) that the
 columnar forms replaced. So are the step-by-step forecasting run (one
-``predict_step``/``observe_step`` pair per observation), the per-step
-baseline loop of ``evaluate_records``, and the sweep that runs and scores
+``predict_step``/``observe_step`` pair per observation), the two baseline
+predictors (``baseline_naive`` and ``baseline_poisson_window``, one history
+at a time) with the per-step baseline loop built on them, the per-record
+scoring loop of ``evaluate_records`` (``evaluate_records_per_record``, whose
+baselines come from that per-step loop), and the sweep that runs and scores
 the whole stream once per configuration. ``fsum_rows`` is the per-row
 ``math.fsum`` loop that the LLR's batch sum used before it was vectorised,
 kept verbatim.
@@ -34,18 +37,25 @@ from typing import Iterable, Sequence
 import mpmath as mp
 import numpy as np
 
-from cyclecast.evaluation import _bandwidth_value, config_id, evaluate_records
-from cyclecast.forecaster import (
-    PredictionRecord,
-    baseline_naive,
-    baseline_poisson_window,
-    observe_step,
-    predict_step,
-    run,
+from cyclecast.evaluation import (
+    EvaluationReport,
+    _bandwidth_value,
+    _poisson_window_weights,
+    _report,
+    config_id,
 )
+from cyclecast.forecaster import PredictionRecord, observe_step, predict_step, run
 from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
 from cyclecast.store import EmptyWindowError
-from cyclecast.trace import US_PER_SECOND, ColumnMapping, Events, MetricKind, ParseResult, PeriodObservation
+from cyclecast.trace import (
+    US_PER_SECOND,
+    ColumnMapping,
+    Events,
+    MetricKind,
+    Observations,
+    ParseResult,
+    PeriodObservation,
+)
 
 _WRITE_BLOCK = 8192
 _SCAN_BLOCK = 1 << 20
@@ -503,6 +513,30 @@ def run_per_step(observations, cfg, ds=None) -> list:
     return records
 
 
+def baseline_naive(history: Sequence[float]) -> float:
+    """Persistence forecast: the newest historical rate."""
+    if not history:
+        raise ValueError("naive baseline needs at least one historical value")
+    return history[-1]
+
+
+def baseline_poisson_window(history: Sequence[float], window: int) -> float:
+    """Moving-window forecast with Poisson-PMF weights.
+
+    Averages the last ``window`` values (oldest-to-newest input), weighting
+    the value ``i`` steps back from the newest by the Poisson(window) mass
+    at i. With fewer than ``window`` values, uses what there is.
+    """
+    if not history:
+        raise ValueError("windowed baseline needs at least one historical value")
+    num = 0.0
+    den = 0.0
+    for w, v in zip(_poisson_window_weights(window, min(window, len(history))), reversed(history)):
+        num += w * v
+        den += w
+    return num / den
+
+
 def baseline_errors_per_step(actuals, retained_idx, baseline_window):
     """Naive and Poisson-window baseline errors, one history slice per retained step."""
     naive_err = []
@@ -518,14 +552,65 @@ def baseline_errors_per_step(actuals, retained_idx, baseline_window):
     return naive_err, window_err
 
 
+def _baseline_mapes(actuals: np.ndarray, steps: np.ndarray, window: int) -> tuple[float, float] | None:
+    """The naive and Poisson-window baselines' MAPE over ``steps`` (indices
+    into ``actuals``, the actual rates of the whole stream), or None if no
+    step has history. The errors come from ``baseline_errors_per_step``."""
+    if window < 1:
+        raise ValueError(f"window must be a positive integer, got {window}")
+    naive_err, window_err = baseline_errors_per_step(actuals.tolist(), steps.tolist(), window)
+    if not naive_err:
+        return None
+    return math.fsum(naive_err) / len(naive_err), math.fsum(window_err) / len(window_err)
+
+
+def evaluate_records_per_record(
+    records: Sequence[PredictionRecord],
+    test_from_t: int = 1,
+    cid: str = "run",
+    up_tps: int = 0,
+    bandwidth: float = 0.0,
+    with_baselines: bool = False,
+    baseline_window: int = 50,
+) -> EvaluationReport:
+    """Score the test portion of a prediction-record sequence.
+
+    A record enters the error list only if it has a numeric prediction and a
+    nonzero actual; warm-up steps and zero targets are counted separately.
+    Baseline predictors see the actual-rate history up to each scored step
+    and are measured on exactly the same retained steps, so their deltas are
+    like-for-like.
+    """
+    actuals = [r.actual for r in records]
+    errors: list[float] = []
+    skipped_zero = 0
+    warmup = 0
+    retained_idx: list[int] = []
+    for i, r in enumerate(records):
+        if r.t < test_from_t:
+            continue
+        if r.predicted is None:
+            warmup += 1
+            continue
+        if r.actual <= 0:
+            skipped_zero += 1
+            continue
+        errors.append(abs(r.predicted - r.actual) / r.actual)
+        retained_idx.append(i)
+    baselines = None
+    if with_baselines and retained_idx:
+        baselines = _baseline_mapes(np.asarray(actuals), np.asarray(retained_idx), baseline_window)
+    return _report(cid, up_tps, bandwidth, errors, skipped_zero, warmup, baselines)
+
+
 def sweep_per_config(configs, train, test, with_baselines=False):
-    """Every configuration's report, from ``run`` plus ``evaluate_records`` over train+test."""
-    stream = list(train) + list(test)
+    """Every configuration's report, from ``run`` plus ``evaluate_records_per_record`` over train+test."""
+    stream = Observations.of([*train, *test])
     reports = []
     for cfg in configs:
         records = run(stream, cfg)
         reports.append(
-            evaluate_records(
+            evaluate_records_per_record(
                 records,
                 test_from_t=len(train) + 1,
                 cid=config_id(cfg),

@@ -329,6 +329,22 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "report.csv").exists()
 
     @pytest.mark.parametrize(
+        "rows",
+        ["1,1,NA,2.0,none\n2,2,NA,2.0,none\n", "1,1,NA,2.0,none\n2,2,2.0,2.0,none\n"],
+        ids=["warm-up-only", "one-retained"],
+    )
+    def test_bad_baseline_window_is_usage_error(self, tmp_path, capsys, rows):
+        records = tmp_path / "records.csv"
+        records.write_text("t,tp_index,predicted_lambda,actual_lambda,fallback_used\n" + rows)
+        code = main([
+            "evaluate", "--records", str(records), "--baselines", "--baseline-window", "0",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_USAGE
+        assert "window must be a positive integer, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize(
         "rows, lineno, message",
         [
             # The rows that evaluate once scored with warmup_steps 2.

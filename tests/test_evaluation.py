@@ -19,7 +19,7 @@ from cyclecast.evaluation import (
 )
 from cyclecast.forecaster import ForecastConfig, PredictionRecord
 from cyclecast.llr import Fallback, KernelFamily, KernelSpec
-from cyclecast.trace import MetricKind, PeriodObservation
+from cyclecast.trace import MetricKind, Observations, PeriodObservation
 
 import oracles
 
@@ -121,6 +121,65 @@ class TestEvaluateRecords:
         assert report.baseline_deltas["naive"] == pytest.approx(0.0, abs=1e-12)
         assert "poisson_window" in report.baseline_deltas
 
+    @pytest.mark.parametrize("window", [0, -3])
+    @pytest.mark.parametrize("records", [[], [PredictionRecord(1, 1, None, 4.0)]], ids=["empty", "warm-up-only"])
+    def test_bad_baseline_window_refused_without_retained_steps(self, records, window):
+        with pytest.raises(ValueError, match=f"window must be a positive integer, got {window}"):
+            evaluate_records(records, with_baselines=True, baseline_window=window)
+        # Without baselines the window is not read.
+        assert evaluate_records(records, baseline_window=window).retained == 0
+
+    def test_subnormal_target_scores_without_a_warning(self):
+        # |1 - a| / a overflows to inf for the naive baseline; the per-record loop is silent.
+        records = [PredictionRecord(1, 1, None, 1.0), PredictionRecord(2, 2, 1.0, 2.2250738585e-313)]
+        got = evaluate_records(records, with_baselines=True, baseline_window=2)
+        expected = oracles.evaluate_records_per_record(records, with_baselines=True, baseline_window=2)
+        assert _hexed(got) == _hexed(expected)
+        assert got.errors == [math.inf]
+
+
+_RATES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585e-313, 1e308, math.inf, -math.inf, math.nan]),
+)
+
+
+def _scored(evaluate, records, **kwargs):
+    """``evaluate``'s report with every float as its bit pattern, or the error it raises."""
+    try:
+        return _hexed(evaluate(records, **kwargs))
+    except (ValueError, OverflowError) as exc:  # math.fsum refuses inf - inf and overflowing sums
+        return type(exc), str(exc)
+
+
+class TestEvaluateRecordsMatchesPerRecordLoop:
+    """``evaluate_records`` (arrays, one scorer) against its per-record loop, field for field."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        records=st.lists(
+            st.builds(
+                PredictionRecord,
+                t=st.integers(-5, 50),
+                tp_index=st.integers(1, 6),
+                predicted=st.one_of(st.none(), _RATES),
+                actual=_RATES,
+            ),
+            max_size=40,
+        ),
+        test_from_t=st.integers(-2, 45),
+        with_baselines=st.booleans(),
+        baseline_window=st.integers(1, 60),
+    )
+    def test_every_field_equal(self, records, test_from_t, with_baselines, baseline_window):
+        kwargs = dict(
+            test_from_t=test_from_t, cid="c", up_tps=3, bandwidth=2.5,
+            with_baselines=with_baselines, baseline_window=baseline_window,
+        )
+        assert _scored(evaluate_records, records, **kwargs) == _scored(
+            oracles.evaluate_records_per_record, records, **kwargs
+        )
+
 
 class TestBaselineErrors:
     @given(
@@ -137,6 +196,14 @@ class TestBaselineErrors:
         got = evaluation._baseline_errors(np.array(actuals), np.array(retained, dtype=np.int64), window)
         assert [[v.hex() for v in e] for e in got] == [[v.hex() for v in e] for e in expected]
 
+    def test_subnormal_target_matches_per_step_loop(self):
+        # The naive error |1 - a| / a overflows to inf, with no warning.
+        actuals = [1.0, 2.2250738585e-313]
+        expected = oracles.baseline_errors_per_step(actuals, [1], 2)
+        got = evaluation._baseline_errors(np.array(actuals), np.array([1]), 2)
+        assert [[v.hex() for v in e] for e in got] == [[v.hex() for v in e] for e in expected]
+        assert got[0] == [math.inf]
+
 
 def _poisson_stream(m, n_steps, seed):
     """Periodic Poisson counts with idle periods, so some rates are zero."""
@@ -146,6 +213,15 @@ def _poisson_stream(m, n_steps, seed):
         _obs(i % m + 1, [int(v) for v in rng.poisson(pattern[i % m], size=3)], cycle=i // m + 1)
         for i in range(n_steps)
     ]
+
+
+def _hexed(report):
+    """Every field of a report, floats by their bit pattern."""
+    return (
+        report.config_id, report.up_tps, report.bandwidth.hex(), report.mape.hex(),
+        [e.hex() for e in report.errors], report.skipped_zero_targets, report.warmup_steps,
+        {k: v.hex() for k, v in report.baseline_deltas.items()},
+    )
 
 
 def _fields(report):
@@ -196,7 +272,7 @@ class TestSweepMatchesPerConfigSweep:
         )
         stream = _poisson_stream(m, train_len + test_len, seed)
         train, test = stream[:train_len], stream[train_len:]
-        got = sweep(configs, train, test, with_baselines=with_baselines)
+        got = sweep(configs, Observations.of(train), Observations.of(test), with_baselines=with_baselines)
         expected = oracles.sweep_per_config(configs, train, test, with_baselines=with_baselines)
         assert [_fields(r) for r in got] == [_fields(r) for r in expected]
 
@@ -207,11 +283,8 @@ class TestSweepMatchesPerConfigSweep:
             ((6, 6), lambda stream: stream[:7] + [stream[8], stream[7]] + stream[9:]),
             # In order for the first configuration only.
             ((6, 4), lambda stream: stream),
-            # An unstorable rate in the test span, after a misplaced period
-            # that only the second configuration sees.
-            ((6, 4), lambda stream: stream[:20] + [_obs(stream[20].tp_index, [float("nan")])] + stream[21:]),
         ],
-        ids=["swapped", "other-period", "unstorable-rate"],
+        ids=["swapped", "other-period"],
     )
     def test_bad_stream_same_error(self, pp_tps, bad):
         configs = [ForecastConfig(pp_tps=m, up_tps=3, cycles=2, kernel=KernelSpec(k=3)) for m in pp_tps]
@@ -219,7 +292,7 @@ class TestSweepMatchesPerConfigSweep:
         with pytest.raises(ValueError) as expected:
             oracles.sweep_per_config(configs, stream[:12], stream[12:])
         with pytest.raises(ValueError) as got:
-            sweep(configs, stream[:12], stream[12:])
+            sweep(configs, Observations.of(stream[:12]), Observations.of(stream[12:]))
         assert str(got.value) == str(expected.value)
 
 
@@ -228,7 +301,7 @@ class TestSweep:
         pattern = [3, 6, 9, 6, 3, 2]
         cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
         stream = _periodic_stream(6, 24, pattern)
-        reports = sweep([cfg], stream[:12], stream[12:])
+        reports = sweep([cfg], Observations.of(stream[:12]), Observations.of(stream[12:]))
         assert len(reports) == 1
         assert math.isfinite(reports[0].mape)
         assert not reports[0].warmup_only
@@ -241,7 +314,7 @@ class TestSweep:
             for up in (4, 2, 3)
             for k in (3, 2, 4)
         ]
-        reports = sweep(configs, stream[:12], stream[12:])
+        reports = sweep(configs, Observations.of(stream[:12]), Observations.of(stream[12:]))
         assert len(reports) == 9
         keys = [(r.up_tps, r.bandwidth) for r in reports]
         assert keys == sorted(keys)
@@ -255,7 +328,9 @@ class TestSweep:
             for k in (3, 2, 4)
         ]
         with mock.patch.object(evaluation, "_baseline_errors", wraps=evaluation._baseline_errors) as computed:
-            reports = sweep(configs, stream[:12], stream[12:], with_baselines=True)
+            reports = sweep(
+                configs, Observations.of(stream[:12]), Observations.of(stream[12:]), with_baselines=True
+            )
         assert sorted(call.args[2] for call in computed.call_args_list) == [2, 3, 4]
         expected = oracles.sweep_per_config(configs, stream[:12], stream[12:], with_baselines=True)
         assert [_fields(r) for r in reports] == [_fields(r) for r in expected]
@@ -266,7 +341,7 @@ class TestSweep:
         # empty store, so the report is warm-up-only.
         cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=1, kernel=KernelSpec(k=2))
         stream = _periodic_stream(6, 1, [5, 5, 5, 5, 5, 5])
-        reports = sweep([cfg], [], stream)
+        reports = sweep([cfg], Observations.of([]), Observations.of(stream))
         assert reports[0].warmup_only
         assert reports[0].warmup_steps == 1
         assert math.isnan(reports[0].mape)
@@ -275,7 +350,7 @@ class TestSweep:
         # Constant pattern: all predictions equal the constant rate.
         cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
         stream = _periodic_stream(6, 24, [7, 7, 7, 7, 7, 7])
-        reports = sweep([cfg], stream[:12], stream[12:])
+        reports = sweep([cfg], Observations.of(stream[:12]), Observations.of(stream[12:]))
         assert reports[0].mape == pytest.approx(0.0, abs=1e-9)
 
     def test_perfect_baselines_do_not_break_deltas(self):
@@ -284,7 +359,7 @@ class TestSweep:
         # complete and simply omit that delta.
         cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
         stream = _periodic_stream(6, 24, [7, 7, 7, 7, 7, 7])
-        reports = sweep([cfg], stream[:12], stream[12:], with_baselines=True)
+        reports = sweep([cfg], Observations.of(stream[:12]), Observations.of(stream[12:]), with_baselines=True)
         assert "naive" not in reports[0].baseline_deltas
 
 

@@ -9,8 +9,6 @@ from cyclecast import forecaster
 from cyclecast.forecaster import (
     ForecastConfig,
     PredictionRecord,
-    baseline_naive,
-    baseline_poisson_window,
     observe_step,
     predict_step,
     read_records,
@@ -20,7 +18,7 @@ from cyclecast.forecaster import (
 from cyclecast.llr import Fallback, KernelFamily, KernelSpec, llr_apply, llr_plan
 from cyclecast.poisson import poisson_mle
 from cyclecast.store import CyclicDataset, EmptyWindowError
-from cyclecast.trace import MetricKind, PeriodObservation
+from cyclecast.trace import MetricKind, Observations, PeriodObservation
 
 import oracles
 
@@ -180,7 +178,7 @@ class TestRun:
         m, l = 6, 2
         cfg = ForecastConfig(pp_tps=m, up_tps=3, cycles=l, kernel=KernelSpec(k=3))
         stream = _constant_stream(m, m * l, 5)
-        records = run(stream, cfg)
+        records = run(Observations.of(stream), cfg)
         assert len(records) == m * l
         assert records[0].predicted is None
         assert all(r.predicted is not None for r in records[1:])
@@ -190,7 +188,7 @@ class TestRun:
     def test_stream_equals_batch(self):
         cfg = ForecastConfig(pp_tps=5, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
         stream = _constant_stream(5, 20, 7)
-        assert run(iter(stream), cfg) == run(list(stream), cfg)
+        assert run(Observations.of(iter(stream)), cfg) == run(Observations.of(stream), cfg)
 
     def test_deterministic_replay(self):
         rng = np.random.default_rng(53)
@@ -199,7 +197,7 @@ class TestRun:
             _obs(i % 8 + 1, [int(v) for v in rng.integers(0, 20, size=5)], cycle=i // 8 + 1)
             for i in range(32)
         ]
-        assert run(stream, cfg) == run(stream, cfg)
+        assert run(Observations.of(stream), cfg) == run(Observations.of(stream), cfg)
 
     def test_predictions_nonnegative(self):
         rng = np.random.default_rng(59)
@@ -208,7 +206,7 @@ class TestRun:
             _obs(i % 8 + 1, [int(v) for v in rng.integers(0, 12, size=5)], cycle=i // 8 + 1)
             for i in range(48)
         ]
-        records = run(stream, cfg)
+        records = run(Observations.of(stream), cfg)
         assert all(r.predicted is None or r.predicted >= 0 for r in records)
 
     def test_periodic_affine_pattern_captured(self):
@@ -221,7 +219,7 @@ class TestRun:
         stream = [
             _obs(i % m + 1, [int(pattern[i % m])] * 6, cycle=i // m + 1) for i in range(3 * m)
         ]
-        records = run(stream, cfg)
+        records = run(Observations.of(stream), cfg)
         for r in records[m:]:
             if r.tp_index >= n:  # window does not cross the wrap
                 assert r.predicted == pytest.approx(pattern[r.tp_index - 1], abs=1e-6)
@@ -230,7 +228,7 @@ class TestRun:
         cfg = ForecastConfig(pp_tps=4, up_tps=2, cycles=1, kernel=KernelSpec(k=2))
         bad = [_obs(1, [1]), _obs(3, [1])]
         with pytest.raises(ValueError):
-            run(bad, cfg)
+            run(Observations.of(bad), cfg)
 
     @pytest.mark.parametrize(
         "bad",
@@ -240,14 +238,14 @@ class TestRun:
             PeriodObservation(2, 1, MetricKind.ARRIVALS, [1, 2], 0),
         ],
     )
-    def test_run_refuses_periods_outside_the_columns(self, bad):
-        # The step loop fits these; run's int64 columns cannot hold them.
+    def test_columns_refuse_periods_the_step_loop_takes(self, bad):
+        # The step loop fits these; the int64 columns that run takes cannot hold them.
         cfg = ForecastConfig(pp_tps=4, up_tps=2, cycles=1, kernel=KernelSpec(k=2))
         stream = [_obs(1, [1, 3]), bad]
         records = oracles.run_per_step(stream, cfg)
         assert len(records) == 2 and records[1].actual == poisson_mle(bad.samples)
         with pytest.raises(ValueError):
-            run(stream, cfg)
+            Observations.of(stream)
 
     def test_resumed_run_matches_uninterrupted_run(self):
         rng = np.random.default_rng(67)
@@ -256,11 +254,11 @@ class TestRun:
             _obs(i % 6 + 1, [int(v) for v in rng.integers(0, 15, size=5)], cycle=i // 6 + 1)
             for i in range(24)
         ]
-        full = run(stream, cfg)
+        full = run(Observations.of(stream), cfg)
 
         ds = cfg.new_store()
-        run(stream[:12], cfg, ds)
-        resumed = run(stream[12:], cfg, ds)
+        run(Observations.of(stream[:12]), cfg, ds)
+        resumed = run(Observations.of(stream[12:]), cfg, ds)
         assert [(r.predicted, r.actual, r.fallback) for r in resumed] == [
             (r.predicted, r.actual, r.fallback) for r in full[12:]
         ]
@@ -292,7 +290,7 @@ class TestRunMatchesReferenceLoop:
     def test_records_equal(self, m, n, l, kernel, forced):
         cfg = ForecastConfig(pp_tps=m, up_tps=n, cycles=l, kernel=kernel)
         stream = _poisson_stream(m, 3 * m * l + 5, seed=m * n + l)
-        records = run(stream, cfg)
+        records = run(Observations.of(stream), cfg)
         assert records == oracles.forecast_loop(stream, cfg)
         assert forced <= {r.fallback for r in records}
 
@@ -353,7 +351,7 @@ class TestBatchedRun:
         stream = _poisson_stream(m, done + length, seed)
         batch_ds, step_ds = _stores(cfg, stream[:done])
 
-        records = run(stream[done:], cfg, batch_ds)
+        records = run(Observations.of(stream[done:]), cfg, batch_ds)
         assert _hexed(records) == _hexed(oracles.run_per_step(stream[done:], cfg, step_ds))
         _assert_same_store(batch_ds, step_ds)
         # The uninterrupted reference loop, from its step done + 1 on.
@@ -376,18 +374,15 @@ class TestBatchedRun:
         stream = _poisson_stream(12, 5 + 2 * CHUNK + 1, seed=17)
         done = 0 if resume == "fresh" else 5
         batch_ds, step_ds = _stores(cfg, stream[:done])
-        records = run(stream[done:], cfg, batch_ds)
+        records = run(Observations.of(stream[done:]), cfg, batch_ds)
         assert _hexed(records) == _hexed(oracles.run_per_step(stream[done:], cfg, step_ds))
         _assert_same_store(batch_ds, step_ds)
         assert forced <= {r.fallback for r in records}
 
     @pytest.mark.parametrize(
         "bad",
-        [
-            lambda stream: stream[:7] + [_obs(stream[7].tp_index % 6 + 1, [1])] + stream[8:],
-            lambda stream: stream[:7] + [_obs(stream[7].tp_index, [float("nan")])] + stream[8:],
-        ],
-        ids=["out-of-order", "unstorable-rate"],
+        [lambda stream: stream[:7] + [_obs(stream[7].tp_index % 6 + 1, [1])] + stream[8:]],
+        ids=["out-of-order"],
     )
     def test_bad_stream_leaves_store_unchanged(self, bad):
         cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
@@ -398,9 +393,20 @@ class TestBatchedRun:
         with pytest.raises(ValueError) as step_error:
             oracles.run_per_step(stream, cfg, step_ds)
         with pytest.raises(ValueError) as batch_error:
-            run(stream, cfg, ds)
+            run(Observations.of(stream), cfg, ds)
         assert str(batch_error.value) == str(step_error.value)
         assert _state(ds) == before
+
+    def test_unstorable_rate_stream_cannot_be_built(self):
+        # The step loop refuses the NaN rate when it reaches it; run never
+        # sees the stream, because its columns refuse the NaN sample.
+        cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
+        stream = _poisson_stream(6, 26, seed=23)
+        stream = stream[:7] + [_obs(stream[7].tp_index, [float("nan")])] + stream[8:]
+        with pytest.raises(ValueError, match="rate must be finite"):
+            oracles.run_per_step(stream, cfg)
+        with pytest.raises(ValueError, match="samples must be integers below 2\\*\\*63"):
+            Observations.of(stream)
 
     def test_store_of_another_shape_rejected(self):
         # A window that fits the store and a stream in the store's order: only
@@ -416,9 +422,9 @@ class TestBatchedRun:
             with pytest.raises(ValueError, match=re.escape(message)):
                 predict_step(ds, cfg)
             with pytest.raises(ValueError, match=re.escape(message)):
-                run(stream[5:], cfg, ds)
+                run(Observations.of(stream[5:]), cfg, ds)
             with pytest.raises(ValueError, match=re.escape(message)):
-                run([], cfg, ds)
+                run(Observations.of([]), cfg, ds)
             assert _state(ds) == before
 
 
@@ -426,7 +432,7 @@ class TestPlanCache:
     def test_bounded_after_run(self):
         bound = forecaster._window_plan.cache_info().maxsize
         cfg = ForecastConfig(pp_tps=10, up_tps=6, cycles=3, kernel=KernelSpec(k=5))
-        run(_poisson_stream(10, 200, seed=3), cfg)
+        run(Observations.of(_poisson_stream(10, 200, seed=3)), cfg)
         assert 0 < forecaster._window_plan.cache_info().currsize <= bound
 
     @pytest.mark.parametrize(
@@ -464,41 +470,41 @@ class TestPlanCache:
         # state, and a run over a full store builds at most that one.
         forecaster._window_plan.cache_clear()
         ds = cfg.new_store()
-        run(stream[: m * l], cfg, ds)
+        run(Observations.of(stream[: m * l]), cfg, ds)
         warmup_misses = forecaster._window_plan.cache_info().misses
-        run(stream[m * l :], cfg, ds)
+        run(Observations.of(stream[m * l :]), cfg, ds)
         misses = forecaster._window_plan.cache_info().misses
         assert misses <= len(warmup_masks) + 1
         assert misses - warmup_misses <= 1
         forecaster._window_plan.cache_clear()
-        run(stream, cfg)
+        run(Observations.of(stream), cfg)
         assert forecaster._window_plan.cache_info().misses <= len(warmup_masks) + 1
 
 
 class TestBaselines:
     def test_naive_examples(self):
-        assert baseline_naive([1.0, 2.0, 3.0]) == 3.0
-        assert baseline_naive([4.5]) == 4.5
+        assert oracles.baseline_naive([1.0, 2.0, 3.0]) == 3.0
+        assert oracles.baseline_naive([4.5]) == 4.5
         with pytest.raises(ValueError):
-            baseline_naive([])
+            oracles.baseline_naive([])
 
     def test_windowed_constant_history(self):
-        assert baseline_poisson_window([6.0] * 10, 4) == pytest.approx(6.0, rel=1e-12)
+        assert oracles.baseline_poisson_window([6.0] * 10, 4) == pytest.approx(6.0, rel=1e-12)
 
     def test_windowed_single_value(self):
-        assert baseline_poisson_window([5.0], 7) == pytest.approx(5.0, rel=1e-12)
+        assert oracles.baseline_poisson_window([5.0], 7) == pytest.approx(5.0, rel=1e-12)
 
     def test_windowed_matches_reference(self):
         history = [3.0, 8.0, 2.0, 5.0, 13.0, 1.0]
         for window in (1, 3, 6, 10):
             expected = oracles.weighted_window_mean(history, window)
-            assert baseline_poisson_window(history, window) == pytest.approx(expected, rel=1e-12)
+            assert oracles.baseline_poisson_window(history, window) == pytest.approx(expected, rel=1e-12)
 
     def test_windowed_validation(self):
         with pytest.raises(ValueError):
-            baseline_poisson_window([], 3)
+            oracles.baseline_poisson_window([], 3)
         with pytest.raises(ValueError):
-            baseline_poisson_window([1.0], 0)
+            oracles.baseline_poisson_window([1.0], 0)
 
 
 _RECORDS_HEADER = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
@@ -593,8 +599,8 @@ class TestRecordsFile:
         cfg = ForecastConfig(pp_tps=pp_tps, up_tps=1, cycles=2, kernel=KernelSpec(k=2))
         stream = _poisson_stream(pp_tps, first + 3 * pp_tps + 2, seed=7)
         ds = cfg.new_store()
-        run(stream[:first], cfg, ds)
-        records = run(stream[first:], cfg, ds)
+        run(Observations.of(stream[:first]), cfg, ds)
+        records = run(Observations.of(stream[first:]), cfg, ds)
         path = tmp_path / "records.csv"
         write_records(path, records)
         assert read_records(path) == records
@@ -613,7 +619,7 @@ class TestRecordsFile:
         ds = cfg.new_store()
         path = tmp_path / "records.csv"
         for part in (stream[:5], stream[5:]):
-            records = run(part, cfg, ds)
+            records = run(Observations.of(part), cfg, ds)
             write_records(path, records)
             assert read_records(path) == records
 

@@ -509,7 +509,7 @@ class TestObservationFiles:
             PeriodObservation(2, 1, MetricKind.ARRIVALS, [5, 5, 5], 60),
         ]
         path = tmp_path / "obs.csv"
-        write_observations(path, observations, scale=100.0)
+        write_observations(path, Observations.of(observations), scale=100.0)
         assert list(read_observations(path)) == observations
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, np.float64(100.0)])
@@ -517,7 +517,7 @@ class TestObservationFiles:
         # A numpy float prints as np.float64(100.0), which reads back as no number.
         path = tmp_path / "obs.csv"
         with pytest.raises(ValueError, match="scale must be a finite positive number"):
-            write_observations(path, [PeriodObservation(1, 1, MetricKind.CPU, [1], 60)], scale)
+            write_observations(path, Observations.of([PeriodObservation(1, 1, MetricKind.CPU, [1], 60)]), scale)
         assert not path.exists()
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -613,6 +613,17 @@ class TestWriters:
             "4,j1,j1,-5e-324,-0.0", "5,j1,j1,nan,-0.0", "6,j1,j1,nan,-0.0", "7,j1,j1,nan,-0.0", "8,j1,j1,0.0,-0.0",
         ]
 
+    def test_memory_bits_alone_split_runs(self, tmp_path):
+        # Same period and cpu throughout: only the memory column's bits split the runs.
+        nan_a, nan_b = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+        mem = [0.0, -0.0, -0.0, 0.0, nan_a, nan_b, 0.0]
+        events = Events(np.arange(len(mem)), [0.5] * len(mem), mem)
+        write_trace(tmp_path / "trace.csv", events, tp_minutes=1)
+        assert (tmp_path / "trace.csv").read_text().splitlines()[1:] == [
+            "0,j1,j1,0.5,0.0", "1,j1,j1,0.5,-0.0", "2,j1,j1,0.5,-0.0", "3,j1,j1,0.5,0.0",
+            "4,j1,j1,0.5,nan", "5,j1,j1,0.5,nan", "6,j1,j1,0.5,0.0",
+        ]
+
     def test_runs_across_block_boundaries(self, tmp_path):
         # One run over three blocks, then runs that end just before, at and after a boundary.
         block = trace._WRITE_BLOCK
@@ -641,12 +652,11 @@ class TestWriters:
         observations = [PeriodObservation(*p) for p in periods]
         out = tmp_path_factory.mktemp("obs")
         if any(s >= 2**63 for p in periods for s in p[3]):
-            # Observations hold int64 samples: a larger one is refused, and no file is written.
+            # Observations hold int64 samples: a larger one is refused.
             with pytest.raises(ValueError, match="below 2\\*\\*63"):
-                write_observations(out / "new.csv", observations, scale)
-            assert not (out / "new.csv").exists()
+                Observations.of(observations)
             return
-        write_observations(out / "new.csv", observations, scale)
+        write_observations(out / "new.csv", Observations.of(observations), scale)
         oracles.write_observations_per_sample(out / "ref.csv", observations, scale)
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
@@ -663,7 +673,7 @@ class TestWriters:
             for i in range(1100)
         ]
         assert {len(str(s)) for p in observations for s in p.samples} == set(range(1, 20))
-        write_observations(tmp_path / "new.csv", observations, 0.1)
+        write_observations(tmp_path / "new.csv", Observations.of(observations), 0.1)
         oracles.write_observations_per_sample(tmp_path / "ref.csv", observations, 0.1)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
