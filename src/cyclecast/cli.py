@@ -151,9 +151,10 @@ class _Resolver:
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
+    buffer = bytearray(1 << 16)  # reused, so hashing a trace adds one small buffer to peak memory
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+        while size := fh.readinto(buffer):
+            digest.update(memoryview(buffer)[:size])
     return digest.hexdigest()
 
 
@@ -324,7 +325,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not parsed.events:
         raise DataError(f"{args.trace}: no usable events ({parsed.rejected} rows rejected)")
     start_us = args.start_sec * 1_000_000
-    num_tps = span_tps(parsed.events, start_us, tp_min)
+    try:
+        num_tps = span_tps(parsed.events, start_us, tp_min)
+    except ValueError as exc:
+        raise ValueError(f"--start-sec {args.start_sec} with --tp-min {tp_min}: {exc}") from None
     if num_tps == 0:
         raise DataError(f"{args.trace}: no events at or after start offset {args.start_sec}s")
 

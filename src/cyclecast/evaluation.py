@@ -118,6 +118,10 @@ def _baseline_errors(
     whose history reaches that lag: the same operations in the same order
     as a loop over each step's history, so the same floats, and no warning
     where that loop's float arithmetic overflows silently.
+
+    Raises ValueError if the Poisson(window) mass underflows to zero at
+    every lag that some step's history reaches: that step's windowed
+    forecast is undefined (0/0), and its MAPE would be NaN.
     """
     steps = steps[steps > 0]
     if not len(steps):
@@ -131,6 +135,14 @@ def _baseline_errors(
             reach = depth > lag
             num[reach] += w * actuals[steps[reach] - 1 - lag]
             den[reach] += w
+        undefined = np.flatnonzero(den == 0)
+        if len(undefined):
+            step = int(steps[undefined[0]])
+            raise ValueError(
+                f"baseline window {window}: the Poisson({window}) mass of every lag in the "
+                f"{min(step, window)}-step history of step {step + 1} underflows to zero, "
+                "so its windowed forecast is undefined; use a smaller window"
+            )
         naive = np.abs(actuals[steps - 1] - target) / target
         windowed = np.abs(num / den - target) / target
     return naive.tolist(), windowed.tolist()

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import trace
 from .trace import US_PER_SECOND, Events
 
 __all__ = ["SyntheticSpec", "generate", "true_rate", "write_truth", "read_truth", "RNG_NAME"]
@@ -104,11 +105,21 @@ def generate(spec: SyntheticSpec) -> tuple[Events, list[float]]:
     # Event i of a sub-bin holding `count` events sits at
     # bin_start + int((i + 0.5) * (sub_bin_us / count)).
     counts = counts.ravel()
-    bins = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    i = np.arange(len(bins), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    step = sub_bin_us / counts[bins]
-    timestamps = bins * sub_bin_us + ((i + 0.5) * step).astype(np.int64)
-    n = len(bins)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    n = int(ends[-1])
+    timestamps = np.empty(n, dtype=np.int64)
+    # Placed in blocks of whole sub-bins, cut where the running event count
+    # passes a multiple of the block size, so a block's temporaries are
+    # about _EVENT_BLOCK events long whatever the number of sub-bins.
+    cuts = np.searchsorted(ends, np.arange(trace._EVENT_BLOCK, n, trace._EVENT_BLOCK), side="right")
+    edges = list(dict.fromkeys([0, *cuts.tolist(), len(counts)]))  # a sub-bin may pass several multiples
+    for first, stop in zip(edges, edges[1:]):
+        lo, hi = int(starts[first]), int(ends[stop - 1])
+        bins = np.repeat(np.arange(first, stop, dtype=np.int64), counts[first:stop])
+        i = np.arange(lo, hi, dtype=np.int64) - np.repeat(starts[first:stop], counts[first:stop])
+        timestamps[lo:hi] = bins * sub_bin_us + ((i + 0.5) * (sub_bin_us / counts[bins])).astype(np.int64)
+    del bins, i  # the last block's, before the request columns are allocated
     return Events(timestamps, np.full(n, spec.cpu_per_event), np.full(n, spec.mem_per_event)), truths
 
 

@@ -21,6 +21,9 @@ Aggregation slices a time window into fixed sub-bins and produces one
 integer sample per sub-bin: event counts for the arrivals metric, scaled
 rounded request sums for CPU/memory (rate fitting needs count data, so
 continuous requests are multiplied by a recorded scale and rounded).
+It bins a block of ``_EVENT_BLOCK`` events at a time, and so do the parse
+checks, so beyond the events themselves neither holds an array that
+grows with the trace.
 
 Per-period samples travel as ``Observations``: columns of period stamps
 and units, plus every period's samples in one int64 array. Aggregation
@@ -67,6 +70,9 @@ __all__ = [
 
 US_PER_SECOND = 1_000_000
 _WRITE_BLOCK = 8192  # events per block that write_trace formats at once; bounds its word arrays
+# Events per block of synthetic placement, aggregation and the parse checks: their
+# temporaries are a few arrays of this length, whatever the number of events.
+_EVENT_BLOCK = 1 << 16
 _SCAN_BLOCK = 1 << 20  # bytes per read of the bulk reader's pre-scan
 _UTF8_BOM = b"\xef\xbb\xbf"
 # The suffixes that np.loadtxt decompresses a file by, given its name.
@@ -433,16 +439,37 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
         return None
     ts = table[f"c{c_ts}"]
     cpu, mem = (table[f"c{c}"] if c is not None else np.zeros(rows) for c in (c_cpu, c_mem))
-    keep = (ts >= 0) & np.isfinite(cpu) & (cpu >= 0) & np.isfinite(mem) & (mem >= 0)
-    if not keep.all():
+    if not all(_usable(ts[b], cpu[b], mem[b]).all() for b in _blocks(rows)):
+        keep = _usable(ts, cpu, mem)
         ts, cpu, mem = ts[keep], cpu[keep], mem[keep]
     # Without rejects the columns stay views into the table: copying them
     # would double what a parse adds to peak memory.
-    events = Events(ts, cpu, mem)
-    if np.any(events.timestamp[1:] < events.timestamp[:-1]):
-        order = np.argsort(events.timestamp, kind="stable")
-        events = Events(events.timestamp[order], events.cpu[order], events.mem[order])
-    return ParseResult(events=events, rejected=rows - len(events))
+    return ParseResult(events=_in_time_order(Events(ts, cpu, mem)), rejected=rows - len(ts))
+
+
+def _blocks(n: int) -> Iterable[slice]:
+    """Consecutive slices of ``_EVENT_BLOCK`` events that cover ``n`` events."""
+    return (slice(lo, lo + _EVENT_BLOCK) for lo in range(0, n, _EVENT_BLOCK))
+
+
+def _usable(ts: np.ndarray, cpu: np.ndarray, mem: np.ndarray) -> np.ndarray:
+    """Which rows the per-row reader keeps: a timestamp of 0 or more, finite nonnegative requests."""
+    return (ts >= 0) & np.isfinite(cpu) & (cpu >= 0) & np.isfinite(mem) & (mem >= 0)
+
+
+def _in_time_order(events: Events) -> Events:
+    """``events`` sorted by timestamp, stably; ``events`` itself if already sorted.
+
+    Sortedness is checked a block at a time, each block with the first
+    timestamp of the next, so the check adds no per-event array.
+    """
+    ts = events.timestamp
+    for b in _blocks(len(ts)):
+        window = ts[b.start : b.stop + 1]
+        if (window[1:] < window[:-1]).any():
+            order = np.argsort(ts, kind="stable")
+            return Events(ts[order], events.cpu[order], events.mem[order])
+    return events
 
 
 def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
@@ -477,11 +504,7 @@ def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
         timestamps.append(ts)
         cpus.append(cpu)
         mems.append(mem)
-    events = Events(timestamps, cpus, mems)
-    if np.any(events.timestamp[1:] < events.timestamp[:-1]):
-        order = np.argsort(events.timestamp, kind="stable")
-        events = Events(events.timestamp[order], events.cpu[order], events.mem[order])
-    return ParseResult(events=events, rejected=rejected)
+    return ParseResult(events=_in_time_order(Events(timestamps, cpus, mems)), rejected=rejected)
 
 
 def aggregate_span(
@@ -502,7 +525,14 @@ def aggregate_span(
     need not be sorted. The period must divide evenly into sub-bins. For
     CPU/memory the per-sub-bin request sums, added in event order, are
     multiplied by ``scale`` and rounded to the nearest integer, which must
-    be below 2**63.
+    be below 2**63. ``start_us`` and every event's offset from it must fit
+    int64, or ValueError is raised.
+
+    Events are binned a block of ``_EVENT_BLOCK`` at a time, so the
+    temporaries are a block's offsets and bin indices, whatever the event
+    count; ``np.add.at`` adds each block to its bins in event order, the
+    order in which one weighted ``bincount`` over all events adds them, so
+    the sums are the same floats however the events are blocked.
     """
     if num_tps < 1 or pp_tps < 1:
         raise ValueError(f"need at least one target period and pattern period, got {num_tps}, {pp_tps}")
@@ -514,20 +544,32 @@ def aggregate_span(
         )
     if not math.isfinite(scale) or (metric is not MetricKind.ARRIVALS and scale <= 0):
         raise ValueError(f"scale must be finite and positive, got {scale}")
+    if not -_INT64_LIMIT <= start_us < _INT64_LIMIT:
+        raise ValueError(f"start {start_us}us is outside int64")
+    timestamps = events.timestamp
+    if len(timestamps):
+        _check_offset(int(timestamps.min()), start_us)
+        _check_offset(int(timestamps.max()), start_us)
     sub_bin_us = sub_bin_seconds * US_PER_SECOND
     sub_bins = tp_minutes * 60 // sub_bin_seconds
     n_bins = num_tps * sub_bins
-    offset = events.timestamp - start_us
-    inside = (offset >= 0) & (offset < n_bins * sub_bin_us)
-    idx = offset[inside] // sub_bin_us
-    if metric is MetricKind.ARRIVALS:
-        samples = np.bincount(idx, minlength=n_bins)
+    arrivals = metric is MetricKind.ARRIVALS
+    values = None if arrivals else (events.cpu if metric is MetricKind.CPU else events.mem)
+    # Bin n_bins collects the events outside the span and is dropped.
+    totals = np.zeros(n_bins + 1, dtype=np.int64 if arrivals else np.float64)
+    for block in _blocks(len(timestamps)):
+        idx = timestamps[block] - start_us
+        before = idx < 0
+        idx //= sub_bin_us
+        np.minimum(idx, n_bins, out=idx)
+        idx[before] = n_bins
+        np.add.at(totals, idx, 1 if arrivals else values[block])
+    if arrivals:
+        samples = totals[:n_bins]
     else:
-        values = (events.cpu if metric is MetricKind.CPU else events.mem)[inside]
-        sums = np.bincount(idx, weights=values, minlength=n_bins)
         # Round half up rather than half even so output is predictable from the text.
         with np.errstate(over="ignore"):  # an overflow is refused below
-            rounded = np.floor(scale * sums + 0.5)
+            rounded = np.floor(scale * totals[:n_bins] + 0.5)
         big = np.flatnonzero(~(rounded < _INT64_LIMIT))  # NaN included
         if len(big):
             raise ValueError(
@@ -547,13 +589,30 @@ def aggregate_span(
 
 
 def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
-    """Number of target periods needed to cover every event at/after start."""
+    """Number of target periods needed to cover every event at/after start.
+
+    Raises ValueError if the latest event's offset from ``start_us`` does
+    not fit int64, as ``aggregate_span`` would refuse it.
+    """
     if tp_minutes < 1:
         raise ValueError(f"target period must be at least one minute, got {tp_minutes}")
-    after = events.timestamp[events.timestamp >= start_us]
-    if not len(after):
+    if not len(events):
         return 0
-    return int(after.max() - start_us) // (tp_minutes * 60 * US_PER_SECOND) + 1
+    # The latest event at or after the start, if there is one, is the latest event.
+    last = int(events.timestamp.max())
+    if last < start_us:
+        return 0
+    _check_offset(last, start_us)
+    return (last - start_us) // (tp_minutes * 60 * US_PER_SECOND) + 1
+
+
+def _check_offset(timestamp: int, start_us: int) -> None:
+    """Raise ValueError unless ``timestamp - start_us`` fits int64."""
+    if not -_INT64_LIMIT <= timestamp - start_us < _INT64_LIMIT:
+        raise ValueError(
+            f"event at {timestamp}us lies {timestamp - start_us}us from the start {start_us}us, "
+            "an offset outside int64"
+        )
 
 
 @functools.cache

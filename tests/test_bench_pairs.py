@@ -81,3 +81,33 @@ def test_claim_rule(walls, met):
     assert claim["met"] is met
     assert claim["change_wins"] == f"{summary['w']['wall_s']['change_wins']}/10"
     assert "median_difference_s" in claim and "parent_iqr_s" in claim
+
+
+@pytest.mark.parametrize(
+    "walls, verdict",
+    [
+        # Medians 1.0 and 1.3: worse by 30%, over the 25% bound.
+        ([(1.0, 1.3)] * 5, "regressed"),
+        # A quiet parent (IQR 0) and a median 20% worse: within the bound.
+        ([(1.0, 1.2)] * 5, "within bound"),
+        # Parent IQR 0.4 of its median, over the bound, and runs that overlap.
+        ([(0.8, 1.0), (0.8, 0.7), (1.0, 0.9), (1.2, 1.1), (1.2, 1.0)], "unresolved"),
+        # The same noisy parent, but every change run beats every parent run.
+        ([(0.8, 0.7), (0.8, 0.6), (1.0, 0.7), (1.2, 0.75), (1.2, 0.7)], "within bound"),
+        # A noisy parent and a median worse by more than the bound: regressed first.
+        ([(0.8, 1.3), (0.8, 1.3), (1.0, 1.3), (1.2, 1.3), (1.2, 1.3)], "regressed"),
+    ],
+    ids=["regressed", "quiet-within", "noisy-unresolved", "noisy-every-run-better", "noisy-regressed"],
+)
+def test_verdict_against_the_bound(walls, verdict):
+    summary = bench_pairs.summarise(_runs(walls), METRICS)["w"]
+    assert summary["wall_s"]["verdict"] == verdict
+    assert summary["peak_rss_mb"]["verdict"] == "within bound"
+
+
+def test_verdict_for_a_metric_where_higher_is_better():
+    metric = {"name": "ops", "unit": "1/s", "better": "higher", "bound": 0.1}
+    assert bench_pairs.verdict([100.0, 100.0, 100.0], [85.0, 85.0, 85.0], metric) == "regressed"
+    assert bench_pairs.verdict([100.0, 100.0, 100.0], [95.0, 95.0, 95.0], metric) == "within bound"
+    assert bench_pairs.verdict([80.0, 100.0, 120.0], [100.0, 110.0, 90.0], metric) == "unresolved"
+    assert bench_pairs.verdict([80.0, 100.0, 120.0], [121.0, 130.0, 125.0], metric) == "within bound"

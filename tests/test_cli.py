@@ -368,6 +368,41 @@ class TestExitCodes:
         assert f"{records}:{lineno}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.csv").exists()
 
+    @pytest.mark.parametrize("window, code", [(5000, EXIT_USAGE), (800, EXIT_OK)])
+    def test_baseline_window_whose_weights_underflow_is_usage_error(self, tmp_path, capsys, window, code):
+        # 700 records of a 336-period pattern, scored from step 673 on: a
+        # 672-step history, where every Poisson(5000) mass underflows to zero.
+        rows = "".join(
+            f"{t},{(t - 1) % 336 + 1},{'NA' if t == 1 else 3.0},{2.0 + t % 5},none\n" for t in range(1, 701)
+        )
+        records = tmp_path / "records.csv"
+        records.write_text("t,tp_index,predicted_lambda,actual_lambda,fallback_used\n" + rows)
+        out = tmp_path / "out"
+        assert main([
+            "evaluate", "--records", str(records), "--test-from-t", "673", "--baselines",
+            "--baseline-window", str(window), "--out-dir", str(out),
+        ]) == code
+        if code == EXIT_OK:
+            (row,) = read_report_rows(out / "report.csv")
+            assert row["improvement_vs_poisson_window_pct"] != ""
+        else:
+            assert "baseline window 5000" in capsys.readouterr().err
+            assert not (out / "report.csv").exists()
+
+    def test_start_sec_beyond_int64_offsets_is_usage_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,job_id,task_id,cpu_request,mem_request\n60000000,j1,j1,0.1,0.1\n")
+        out = tmp_path / "out"
+        ingest = ["ingest", "--trace", str(trace), "--header", "--out-dir", str(out)]
+        code = main([*ingest, "--start-sec=-9223372036854"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and "--start-sec -9223372036854" in err and "outside int64" in err
+        assert not (out / "observations_arrivals.csv").exists()
+        # A negative start that fits prepends empty periods.
+        assert main([*ingest, "--start-sec=-3600", "--pp-tps", "4"]) == EXIT_OK
+        (first, _, last) = read_observations(out / "observations_arrivals.csv")
+        assert sum(first.samples) == 0 and last.samples[1] == 1
+
     def test_save_store_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--train", "t.csv", "--test", "u.csv", "--save-store", "--out-dir", str(tmp_path / "out")])

@@ -205,6 +205,20 @@ class TestBaselineErrors:
         assert got[0] == [math.inf]
 
 
+    def test_window_whose_weights_underflow_is_refused(self):
+        # e**-800 and e**-5000 underflow: Poisson(800) has nonzero masses
+        # only from lag 11 on, Poisson(5000) none within 672 lags.
+        actuals = np.arange(700) % 7 + 2.0
+        with pytest.raises(ValueError, match="baseline window 5000: .* 672-step history of step 673 "):
+            evaluation._baseline_errors(actuals, np.arange(672, 700), 5000)
+        with pytest.raises(ValueError, match="baseline window 800: .* 5-step history of step 6 "):
+            evaluation._baseline_errors(actuals, np.arange(5, 700), 800)
+        got = evaluation._baseline_errors(actuals, np.arange(672, 700), 800)
+        expected = oracles.baseline_errors_per_step(actuals.tolist(), list(range(672, 700)), 800)
+        assert [[v.hex() for v in e] for e in got] == [[v.hex() for v in e] for e in expected]
+        assert all(math.isfinite(v) for v in got[1])
+
+
 def _poisson_stream(m, n_steps, seed):
     """Periodic Poisson counts with idle periods, so some rates are zero."""
     rng = np.random.default_rng(seed)

@@ -1,10 +1,13 @@
 import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclecast import trace
 from cyclecast.synthetic import SyntheticSpec, generate, read_truth, true_rate, write_truth
 from cyclecast.trace import US_PER_SECOND, MetricKind, aggregate_span, write_trace
 
@@ -113,6 +116,52 @@ class TestGenerate:
         counts = [c for o in observations for c in o.samples]
         expected = oracles.place_events(counts, spec.sub_bin_seconds * US_PER_SECOND)
         assert events.timestamp.tolist() == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        base_rate=st.floats(0.5, 12.0),
+        sub_bin_seconds=st.sampled_from([7, 60, 120]),
+        block=st.integers(1, 7),
+    )
+    def test_any_block_size_places_the_same_events(self, seed, base_rate, sub_bin_seconds, block):
+        # Sub-bins of several events and blocks of 1 to 7: a sub-bin may pass several block multiples.
+        spec = SyntheticSpec(
+            pp_tps=3, tps=4, base_rate=base_rate, noise_sigma=0.3, seed=seed,
+            tp_minutes=14, sub_bin_seconds=sub_bin_seconds,
+        )
+        with mock.patch.object(trace, "_EVENT_BLOCK", block):
+            events, _ = generate(spec)
+        observations = aggregate_span(
+            events, 0, spec.tps, spec.tp_minutes, spec.pp_tps, MetricKind.ARRIVALS, spec.sub_bin_seconds
+        )
+        counts = [c for o in observations for c in o.samples]
+        expected = oracles.place_events(counts, spec.sub_bin_seconds * US_PER_SECOND)
+        assert events.timestamp.tolist() == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 7])
+    def test_trace_bytes_do_not_depend_on_the_block_size(self, tmp_path, block):
+        spec = SyntheticSpec(pp_tps=12, tps=36, base_rate=5.0, noise_sigma=0.1, seed=8)
+        write_trace(tmp_path / "default.csv", generate(spec)[0], spec.tp_minutes)
+        with mock.patch.object(trace, "_EVENT_BLOCK", block):
+            write_trace(tmp_path / "blocked.csv", generate(spec)[0], spec.tp_minutes)
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+    def test_peak_memory_is_the_output_and_one_block(self):
+        # About 500k events in 720 sub-bins.
+        spec = SyntheticSpec(pp_tps=12, tps=24, base_rate=700.0, seed=3)
+        generate(spec)  # numpy's first-call allocations are not the generator's
+        out = []
+        tracemalloc.start()
+        try:
+            out.append(generate(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        events = out[0][0]
+        output = events.timestamp.nbytes + events.cpu.nbytes + events.mem.nbytes
+        # Eight 8-byte arrays of one block: a block's temporaries.
+        assert len(events) > 400_000 and peak <= output + 8 * 8 * trace._EVENT_BLOCK, (peak, output)
 
     def test_trace_file_bytes_pinned(self, tmp_path):
         # Digest of the file the scalar per-event generator and writer produced.

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 import urllib.request
 from unittest import mock
 
@@ -325,6 +326,31 @@ class TestBulkReader:
         # Most files are well formed, so the property is not vacuous.
         assert sum(taken) >= len(taken) / 4, (sum(taken), len(taken))
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 7])
+    def test_checks_made_a_block_at_a_time(self, tmp_path, monkeypatch, block):
+        # The one descent falls on each block boundary in turn, and so does the one reject.
+        path = tmp_path / "trace.csv"
+        mapping = ColumnMapping(has_header=True)
+        monkeypatch.setattr(trace, "_EVENT_BLOCK", block)
+        for at in range(1, 9):
+            for bad in (None, "ts", "cpu"):
+                stamps = list(range(10, 19))
+                if bad is None:
+                    stamps[at:] = [t - 5 for t in stamps[at:]]
+                rows = [[str(t), "j1", "j1", "0.5", "0.25"] for t in stamps]
+                if bad == "ts":
+                    rows[at][0] = "-1"
+                elif bad == "cpu":
+                    rows[at][3] = "nan"
+                path.write_text("timestamp,job_id,task_id,cpu_request,mem_request\n"
+                                + "".join(",".join(row) + "\n" for row in rows))
+                reference = _reference_parse(path, mapping)
+                bulk = trace._parse_bulk(path, mapping)
+                assert bulk is not None
+                _assert_same_parse(bulk, reference)
+                with open(path, encoding="utf-8") as fh:
+                    _assert_same_parse(parse_trace(fh, mapping), reference)
+
 
 def _no_network(*args, **kwargs):
     raise AssertionError("a URL was opened")
@@ -466,6 +492,33 @@ class TestAggregate:
         events = _arrivals(0, 95 * 60 * US_PER_SECOND)
         assert span_tps(events, 0, 30) == 4
         assert span_tps(events, 96 * 60 * US_PER_SECOND, 30) == 0
+
+    def test_offsets_outside_int64_refused(self):
+        events = _arrivals(5, 2**62)
+        # 2**62 - start reaches 2**63: the offset would wrap in int64.
+        start = 2**62 - 2**63
+        for call in (
+            lambda: span_tps(events, start, 30),
+            lambda: aggregate_span(events, start, 1, 30, 1, MetricKind.ARRIVALS, 60),
+        ):
+            with pytest.raises(ValueError, match="outside int64"):
+                call()
+        assert span_tps(events, start + 1, 30) == (2**63 - 1) // (30 * 60 * US_PER_SECOND) + 1
+        # The earliest event's offset below -2**63, and a start beyond int64.
+        late = _arrivals(-(2**62), 0)
+        with pytest.raises(ValueError, match="outside int64"):
+            aggregate_span(late, 2**62 + 1, 1, 30, 1, MetricKind.ARRIVALS, 60)
+        with pytest.raises(ValueError, match="outside int64"):
+            aggregate_span(_arrivals(), 2**63, 1, 30, 1, MetricKind.ARRIVALS, 60)
+        # span_tps needs no offset of an event before the start.
+        assert span_tps(late, 2**63, 30) == 0
+
+    def test_negative_start_prepends_empty_periods(self):
+        events = _arrivals(0, 61 * US_PER_SECOND)
+        start = -2 * 60 * US_PER_SECOND
+        assert span_tps(events, start, 1) == 4
+        observations = aggregate_span(events, start, 4, 1, 4, MetricKind.ARRIVALS, 60)
+        assert [o.samples for o in observations] == [[0], [0], [1], [1]]
 
     @given(data=st.data())
     def test_span_equals_per_period_reference(self, data):
@@ -987,6 +1040,42 @@ class TestAggregateReference:
             assert isinstance(got, Observations) and got.samples.dtype == np.int64
             assert list(got) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_block_size_gives_the_same_span(self, data):
+        # Up to 40 events in at most 12 sub-bins of 15 s, and blocks of 1 to
+        # 7 events: most sub-bins hold events of more than one block.
+        block = data.draw(st.integers(1, 7))
+        num_tps = data.draw(st.integers(1, 3))
+        pp_tps = data.draw(st.integers(1, 4))
+        start_us = data.draw(st.integers(-(10**9), 10**9))
+        sub_bin_us = 15 * US_PER_SECOND
+        n = data.draw(st.integers(0, 40))
+        # Events before the span, in it and past its end; sorted or not.
+        timestamps = data.draw(st.lists(
+            st.integers(start_us - sub_bin_us, start_us + (4 * num_tps + 1) * sub_bin_us), min_size=n, max_size=n
+        ))
+        if data.draw(st.booleans()):
+            timestamps.sort()
+        amount = st.one_of(
+            st.floats(0.0, 50.0), st.integers(0, 400).map(lambda v: v / 8), st.sampled_from([1e300, math.nan])
+        )
+        amounts = st.lists(amount, min_size=n, max_size=n)
+        events = Events(timestamps, data.draw(amounts), data.draw(amounts))
+        scale = data.draw(st.sampled_from([1.0, 0.37, 100.0]))
+        with mock.patch.object(trace, "_EVENT_BLOCK", block):
+            for metric in MetricKind:
+                args = (events, start_us, num_tps, 1, pp_tps, metric, 15, scale)
+                try:
+                    expected = oracles.aggregate_span(*args)
+                except (ValueError, OverflowError):
+                    expected = None
+                if expected is None or max(max(o.samples) for o in expected) >= 2**63:
+                    with pytest.raises(ValueError):
+                        aggregate_span(*args)
+                    continue
+                assert list(aggregate_span(*args)) == expected
+
     @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
     def test_non_finite_scale_rejected_for_every_metric(self, scale):
         for metric in MetricKind:
@@ -997,3 +1086,30 @@ class TestAggregateReference:
         events = Events([0, 1], [0.5, 1e18], [0.0, 0.0])
         with pytest.raises(ValueError, match="below 2\\*\\*63"):
             _one_period(events, MetricKind.CPU, scale=10.0)
+
+
+def _traced_peak(call) -> int:
+    """The most bytes that ``call()`` held at once, as ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_span_and_arrivals_do_not_grow_with_the_events(self):
+        # The same 48 periods, with 250k and then 2M events in them.
+        span_us = 48 * 30 * 60 * US_PER_SECOND
+        peaks = []
+        for n in (250_000, 2_000_000):
+            zero = np.broadcast_to(0.0, n)  # arrivals read no request column
+            events = Events(np.arange(n, dtype=np.int64) * (span_us // n), zero, zero)
+            peaks.append((
+                _traced_peak(lambda: aggregate_span(events, 0, 48, 30, 336, MetricKind.ARRIVALS)),
+                _traced_peak(lambda: span_tps(events, 0, 30)),
+            ))
+        (aggregate_small, span_small), (aggregate_big, span_big) = peaks
+        assert aggregate_big <= aggregate_small + 16 * 1024, peaks
+        assert span_big <= span_small + 16 * 1024, peaks

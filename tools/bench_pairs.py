@@ -15,7 +15,8 @@ once in each directory, N being ``run_seconds`` from ``BENCHMARK.json``: the
 parent first in even pairs and the change first in odd ones. ``--traced W=S`` adds one ``--trace 1`` pair for the per-layer
 metrics. The result file holds what was run (``what``), ``parent_commit``,
 the ``machine``, the ``claim`` (if one is named), a ``summary`` per workload
-and end-to-end metric (pairs, change wins, medians and quartiles), the
+and end-to-end metric (pairs, change wins, medians and quartiles, and a
+``verdict`` against the metric's bound in ``BENCHMARK.json``), the
 traced per-layer metrics of each side, and every run in ``runs``. A pair
 with a failed run counts as run and not won; medians and quartiles are over
 the pairs whose two runs both succeeded, whose seeds the summary lists.
@@ -79,9 +80,29 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
+def verdict(parent: list[float], change: list[float], metric: dict) -> str:
+    """``metric`` against its bound, from the runs of the complete pairs.
+
+    ``regressed`` if the change's median is worse than the parent's by more
+    than the bound (a fraction of the parent's median); else ``unresolved``
+    if the parent's IQR over its median exceeds the bound, unless every
+    change run reads better than every parent run; else ``within bound``.
+    """
+    lower = metric["better"] == "lower"
+    sign = 1.0 if lower else -1.0
+    parent_median = statistics.median(parent)
+    if sign * (statistics.median(change) - parent_median) > metric["bound"] * abs(parent_median):
+        return "regressed"
+    q1, q3 = _quartiles(parent)
+    every_run_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > metric["bound"] * abs(parent_median) and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and end-to-end metric: every pair run, and wins, medians and quartiles
-    over the pairs whose two runs both succeeded."""
+    """Per workload and end-to-end metric: every pair run, and wins, medians, quartiles and
+    the verdict over the pairs whose two runs both succeeded."""
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs if r["trace"] == 0):
         pairs: dict[int, dict] = {}
@@ -105,6 +126,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_median": statistics.median(change),
                 "change_quartiles": _quartiles(change),
                 "change_over_parent": statistics.median(change) / statistics.median(parent),
+                "verdict": verdict(parent, change, metric),
             }
         summary[workload]["failed"] = {
             side: sum(r.get("failed", 0) for p in pairs.values() for s, r in p.items() if s == side)
