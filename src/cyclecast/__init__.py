@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .evaluation import EvaluationReport, evaluate_records, mape, sweep
 from .forecaster import (
     ForecastConfig,
-    PredictionRecord,
+    Records,
     observe_step,
     predict_step,
     run,
@@ -26,7 +26,6 @@ from .llr import (
     kernel_weight,
 )
 from .poisson import (
-    log_likelihood,
     poisson_cdf,
     poisson_mle,
     poisson_pmf,
@@ -51,7 +50,7 @@ __all__ = [
     "mape",
     "sweep",
     "ForecastConfig",
-    "PredictionRecord",
+    "Records",
     "observe_step",
     "predict_step",
     "run",
@@ -60,7 +59,6 @@ __all__ = [
     "KernelSpec",
     "effective_bandwidth",
     "kernel_weight",
-    "log_likelihood",
     "poisson_cdf",
     "poisson_mle",
     "poisson_pmf",

@@ -38,6 +38,7 @@ from .trace import (
     MetricKind,
     Observations,
     _check_scale,
+    _SpanTooLarge,
     aggregate_span,
     parse_trace,
     read_observations,
@@ -334,9 +335,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     outputs: list[str] = []
     for metric in metrics:
-        observations = aggregate_span(
-            parsed.events, start_us, num_tps, tp_min, pp_tps, metric, sub_bin_sec, scale
-        )
+        try:
+            observations = aggregate_span(
+                parsed.events, start_us, num_tps, tp_min, pp_tps, metric, sub_bin_sec, scale
+            )
+        except _SpanTooLarge as exc:
+            last = int(parsed.events.timestamp.max())
+            raise DataError(
+                f"{args.trace}: the latest event, at timestamp {last}, implies {num_tps} target periods "
+                f"of {tp_min}min from --start-sec {args.start_sec}: {exc}"
+            ) from None
         if args.split_tp is not None:
             if not 1 <= args.split_tp < len(observations):
                 raise ValueError(

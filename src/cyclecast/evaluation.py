@@ -9,7 +9,8 @@ the test span, not raw counts.
 One scorer, ``_score``, holds that rule as array operations, and scores two
 reference predictors on the same retained steps: a naive last-value
 forecast and a moving window that weights recent history with a Poisson PMF
-keyed to the window size. ``evaluate_records`` scores a record list with it.
+keyed to the window size. ``evaluate_records`` scores the ``Records`` of a
+run with it, straight from their columns.
 ``sweep`` fits the train+test observation stream once, predicts only the
 test span under each configuration and scores it with the same function,
 so the effect of window length and bandwidth can be tabulated for plotting.
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forecaster import ForecastConfig, PredictionRecord, _fit, _predict
+from .forecaster import ForecastConfig, Records, _fit, _predict
 from .poisson import poisson_pmf
 from .trace import Observations
 
@@ -39,7 +40,6 @@ __all__ = [
     "sweep",
     "config_id",
     "write_reports",
-    "read_report_rows",
     "write_plot_data",
 ]
 
@@ -195,7 +195,7 @@ def _score(
 
 
 def evaluate_records(
-    records: Sequence[PredictionRecord],
+    records: Records,
     test_from_t: int = 1,
     cid: str = "run",
     up_tps: int = 0,
@@ -203,22 +203,19 @@ def evaluate_records(
     with_baselines: bool = False,
     baseline_window: int = 50,
 ) -> EvaluationReport:
-    """Score the records whose step ``t`` is at least ``test_from_t``.
+    """Score the steps ``t`` of ``records`` from ``test_from_t`` on.
 
-    A record enters the error list only if it has a numeric prediction and a
-    nonzero actual; warm-up steps and zero targets are counted separately.
-    Baseline predictors see the actual-rate history of the records before
+    A step enters the error list only if it is not warm-up and its actual
+    rate is nonzero; warm-up steps and zero targets are counted separately.
+    Baseline predictors see the actual-rate history of the steps before
     each scored one and are measured on exactly the same retained steps, so
     their deltas are like-for-like. A baseline window below 1 raises
     ``ValueError`` whether or not any step is retained.
     """
-    predicted = [r.predicted for r in records]
-    warm = np.array([p is None for p in predicted], dtype=bool)
-    values = np.array([0.0 if p is None else p for p in predicted], dtype=np.float64)
-    steps = np.flatnonzero(np.array([r.t >= test_from_t for r in records], dtype=bool))
+    steps = np.arange(max(test_from_t - 1, 0), len(records))
     return _score(
-        cid, up_tps, bandwidth, np.array([r.actual for r in records], dtype=np.float64),
-        steps, values[steps], warm[steps], baseline_window if with_baselines else None, {},
+        cid, up_tps, bandwidth, records.actual, steps, records.predicted[steps], records.warm[steps],
+        baseline_window if with_baselines else None, {},
     )
 
 
@@ -313,13 +310,6 @@ def write_reports(path: str | Path, reports: Sequence[EvaluationReport]) -> None
                 f"{'' if naive is None else repr(naive)},"
                 f"{'' if window is None else repr(window)}\n"
             )
-
-
-def read_report_rows(path: str | Path) -> list[dict[str, str]]:
-    """Report rows as dicts of raw strings (for tooling and tests)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip().split(",")
-        return [dict(zip(header, line.strip().split(","))) for line in fh if line.strip()]
 
 
 def write_plot_data(path: str | Path, reports: Sequence[EvaluationReport]) -> None:

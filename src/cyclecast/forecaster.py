@@ -11,11 +11,13 @@ instead of a number.
 one period at a time. ``run`` is the offline form over a whole stream: the
 store's contents are a function of the rate stream alone, so it fits every
 period first, reads each step's window straight from the rates, and solves
-each group of steps that share a window shape with one plan. Its records
-and final store are the ones the step-by-step loop produces, bit for bit.
-Its two phases, ``_fit`` and ``_predict``, are also what the evaluation
-sweep runs: one fit for all configurations, and predictions for only the
-steps it scores.
+each group of steps that share a window shape with one plan. It returns
+the steps as ``Records``, five columns with one entry per step, which
+``write_records`` and ``read_records`` move to and from text a row per
+step. Its records and final store are the ones the step-by-step loop
+produces, bit for bit. Its two phases, ``_fit`` and ``_predict``, are also
+what the evaluation sweep runs: one fit for all configurations, and
+predictions for only the steps it scores.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .trace import Observations, PeriodObservation
 
 __all__ = [
     "ForecastConfig",
-    "PredictionRecord",
+    "Records",
     "predict_step",
     "observe_step",
     "run",
@@ -72,15 +73,37 @@ class ForecastConfig:
         return CyclicDataset(self.pp_tps, self.cycles)
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One step's outcome: predicted rate (None during warm-up) and actual."""
+@dataclass(frozen=True, eq=False)
+class Records:
+    """A run's steps as five equal-length columns; ``len`` is the step count.
 
-    t: int
-    tp_index: int
-    predicted: float | None
-    actual: float
-    fallback: Fallback = Fallback.NONE
+    Entry i is step ``t = i + 1``: ``tp_index`` (int64) its pattern
+    position, ``predicted`` (float64) its clamped prediction, 0.0 at a
+    warm-up step, ``warm`` (bool) whether the step was warm-up (its window
+    held no rate yet), ``actual`` (float64) the rate fitted to the period
+    and ``fallback`` (``Fallback`` members, an object array) the step of
+    the fallback chain that made the prediction. Inputs are converted to
+    those dtypes on construction. It has no ``==`` and no indexing.
+    """
+
+    tp_index: np.ndarray
+    predicted: np.ndarray
+    warm: np.ndarray
+    actual: np.ndarray
+    fallback: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tp_index", np.asarray(self.tp_index, dtype=np.int64))
+        object.__setattr__(self, "predicted", np.asarray(self.predicted, dtype=np.float64))
+        object.__setattr__(self, "warm", np.asarray(self.warm, dtype=bool))
+        object.__setattr__(self, "actual", np.asarray(self.actual, dtype=np.float64))
+        object.__setattr__(self, "fallback", np.asarray(self.fallback, dtype=object))
+        n = len(self.tp_index)
+        if not len(self.predicted) == len(self.warm) == len(self.actual) == len(self.fallback) == n:
+            raise ValueError("record columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return len(self.tp_index)
 
 
 @functools.lru_cache(maxsize=16)
@@ -187,7 +210,7 @@ def _fit(observations: Observations, m: int, w0: int) -> np.ndarray:
 
 def _predict(
     rates: np.ndarray, cfg: ForecastConfig, w0: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, list[Fallback]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predictions for steps ``lo..hi-1`` of a run that starts after write ``w0``.
 
     ``rates`` is ``[the store's cells before the run (raveled), the run's
@@ -201,8 +224,7 @@ def _predict(
     m, l, n = cfg.pp_tps, cfg.cycles, cfg.up_tps
     predicted = np.zeros(hi - lo)
     warm = np.ones(hi - lo, dtype=bool)
-    fallbacks = [Fallback.NONE] * (hi - lo)
-    plans: dict[bytes, LLRPlan] = {}
+    fallbacks = np.full(hi - lo, Fallback.NONE, dtype=object)
     for c in range(lo, hi, _CHUNK):
         writes = w0 + np.arange(c, min(c + _CHUNK, hi))
         size = len(writes)
@@ -224,16 +246,13 @@ def _predict(
             mask = empty[a]
             if mask.all():
                 continue  # warm-up: the window holds no rate yet
-            key = mask.tobytes()
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = _window_plan(key, n, l, cfg.kernel)
+            plan = _window_plan(mask.tobytes(), n, l, cfg.kernel)
             values = llr_apply(plan, block[a:b, ~mask])
             steps = slice(c - lo + a, c - lo + b)
             # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
             predicted[steps] = np.where(values < 0, 0.0, values)
             warm[steps] = False
-            fallbacks[steps] = [plan.fallback] * (b - a)
+            fallbacks[steps] = plan.fallback
     return predicted, warm, fallbacks
 
 
@@ -241,13 +260,13 @@ def run(
     observations: Observations,
     cfg: ForecastConfig,
     ds: CyclicDataset | None = None,
-) -> list[PredictionRecord]:
+) -> Records:
     """Predict-then-observe over an ordered observation stream, as one batch.
 
-    Emits exactly one record per observation, and leaves ``ds`` (a fresh
-    store if None) as ``observe_step`` over the stream would: the records
-    are those of ``predict_step``/``observe_step`` per observation, bit for
-    bit. Warm-up steps (empty window) carry ``predicted=None``.
+    Returns one step per observation, and leaves ``ds`` (a fresh store if
+    None) as ``observe_step`` over the stream would: the steps are those of
+    ``predict_step``/``observe_step`` per observation, bit for bit. A
+    warm-up step (empty window) is marked in ``warm`` and predicts 0.0.
 
     A store whose shape is not the configuration's raises ``ValueError``.
     Every period is checked for stream order before ``ds`` changes, so a
@@ -261,28 +280,30 @@ def run(
     m, l, w0 = ds.m, ds.l, ds.t - 1
     fitted = _fit(observations, m, w0)
     rates = np.concatenate([ds.cells.ravel(), fitted])
-    predicted, warm, fallbacks = _predict(rates, cfg, w0, 0, len(fitted))
-    values: list[float | None] = predicted.tolist()
-    for i in np.flatnonzero(warm).tolist():
-        values[i] = None
-    actuals = fitted.tolist()
-    positions = ((w0 + np.arange(len(actuals))) % m + 1).tolist()
-    records = list(
-        map(PredictionRecord, range(1, len(actuals) + 1), positions, values, actuals, fallbacks)
-    )
-    if actuals:
-        ds.cells[...] = rates[_sources(w0 + len(actuals), np.arange(m), m, l, w0)]
-        ds.t += len(actuals)
+    predicted, warm, fallback = _predict(rates, cfg, w0, 0, len(fitted))
+    records = Records((w0 + np.arange(len(fitted))) % m + 1, predicted, warm, fitted, fallback)
+    if len(fitted):
+        ds.cells[...] = rates[_sources(w0 + len(fitted), np.arange(m), m, l, w0)]
+        ds.t += len(fitted)
     return records
 
 
-def write_records(path: str | Path, records: Sequence[PredictionRecord]) -> None:
-    """Write prediction records as delimited text; warm-ups print NA."""
+def write_records(path: str | Path, records: Records) -> None:
+    """Write records as delimited text, one step per row; warm-ups print NA.
+
+    Each rate is written as the ``repr`` of its Python float, which reads
+    back to the same bits.
+    """
+    columns = (
+        records.tp_index.tolist(), records.predicted.tolist(), records.warm.tolist(),
+        records.actual.tolist(), records.fallback.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,tp_index,predicted_lambda,actual_lambda,fallback_used\n")
-        for r in records:
-            predicted = "NA" if r.predicted is None else repr(r.predicted)
-            fh.write(f"{r.t},{r.tp_index},{predicted},{r.actual!r},{r.fallback.value}\n")
+        fh.writelines(
+            f"{t},{tp},{'NA' if warm else repr(p)},{a!r},{f.value}\n"
+            for t, (tp, p, warm, a, f) in enumerate(zip(*columns), start=1)
+        )
 
 
 def _rate(text: str) -> float:
@@ -292,7 +313,7 @@ def _rate(text: str) -> float:
     return v
 
 
-def read_records(path: str | Path) -> list[PredictionRecord]:
+def read_records(path: str | Path) -> Records:
     """Read records produced by ``write_records``.
 
     Refuses what ``run`` cannot write: rates must be finite and
@@ -303,7 +324,11 @@ def read_records(path: str | Path) -> list[PredictionRecord]:
     P, and no ``tp_index`` after the first wrap exceeds P. Every row error
     names the file and line.
     """
-    records = []
+    tp_index: list[int] = []
+    predicted: list[float] = []
+    warm: list[bool] = []
+    actual: list[float] = []
+    fallback: list[Fallback] = []
     period = None  # the pattern length, from the first wrap on
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline()
@@ -318,38 +343,36 @@ def read_records(path: str | Path) -> list[PredictionRecord]:
                 if len(parts) != 5:
                     raise ValueError(f"expected 5 fields, got {len(parts)}")
                 t = int(parts[0])
-                if t != len(records) + 1:
-                    raise ValueError(f"step t={t} out of order: expected t={len(records) + 1}")
-                tp_index = int(parts[1])
-                if tp_index < 1:
-                    raise ValueError(f"tp_index={tp_index} is below 1")
-                if records and tp_index not in (records[-1].tp_index + 1, 1):
+                if t != len(tp_index) + 1:
+                    raise ValueError(f"step t={t} out of order: expected t={len(tp_index) + 1}")
+                tp = int(parts[1])
+                if tp < 1:
+                    raise ValueError(f"tp_index={tp} is below 1")
+                if tp_index and tp not in (tp_index[-1] + 1, 1):
                     raise ValueError(
-                        f"tp_index={tp_index} follows tp_index={records[-1].tp_index}: "
-                        f"expected {records[-1].tp_index + 1} or a wrap to 1"
+                        f"tp_index={tp} follows tp_index={tp_index[-1]}: "
+                        f"expected {tp_index[-1] + 1} or a wrap to 1"
                     )
-                if records and tp_index == 1:
+                if tp_index and tp == 1:
                     if period is None:
-                        period = records[-1].tp_index
-                    elif records[-1].tp_index != period:
+                        period = tp_index[-1]
+                    elif tp_index[-1] != period:
                         raise ValueError(
-                            f"wrap to 1 after tp_index={records[-1].tp_index}: "
+                            f"wrap to 1 after tp_index={tp_index[-1]}: "
                             f"the first wrap set the pattern length to {period}"
                         )
-                if period is not None and tp_index > period:
-                    raise ValueError(f"tp_index={tp_index} exceeds the pattern length {period} set by the first wrap")
-                predicted = None if parts[2] == "NA" else _rate(parts[2])
-                if predicted is None and records and records[-1].predicted is not None:
+                if period is not None and tp > period:
+                    raise ValueError(f"tp_index={tp} exceeds the pattern length {period} set by the first wrap")
+                p = None if parts[2] == "NA" else _rate(parts[2])
+                if p is None and warm and not warm[-1]:
                     raise ValueError("NA prediction after a numeric one: warm-up steps only lead a run")
-                records.append(
-                    PredictionRecord(
-                        t=t,
-                        tp_index=tp_index,
-                        predicted=predicted,
-                        actual=_rate(parts[3]),
-                        fallback=Fallback(parts[4]),
-                    )
-                )
+                a = _rate(parts[3])
+                f = Fallback(parts[4])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return records
+            tp_index.append(tp)
+            predicted.append(0.0 if p is None else p)
+            warm.append(p is None)
+            actual.append(a)
+            fallback.append(f)
+    return Records(tp_index, predicted, warm, actual, fallback)

@@ -23,7 +23,6 @@ __all__ = [
     "poisson_pmf",
     "poisson_cdf",
     "poisson_quantile",
-    "log_likelihood",
 ]
 
 
@@ -116,17 +115,3 @@ def poisson_quantile(lam: float, p: float) -> int:
         if total >= p:
             return k
     return cap
-
-
-def log_likelihood(samples: Sequence[float], lam: float) -> float:
-    """Poisson log-likelihood of a sample vector at rate ``lam``."""
-    n = len(samples)
-    if n == 0:
-        raise ValueError("log-likelihood of an empty sample vector is undefined")
-    if lam < 0 or not math.isfinite(lam):
-        raise ValueError(f"rate must be finite and nonnegative, got {lam}")
-    s = math.fsum(samples)
-    if lam == 0.0:
-        return 0.0 if s == 0 else -math.inf
-    log_fact = math.fsum(math.lgamma(x + 1.0) for x in samples)
-    return s * math.log(lam) - n * lam - log_fact

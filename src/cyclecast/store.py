@@ -66,20 +66,6 @@ class CyclicDataset:
         """
         return (self.t - 1) // self.m % self.l + 1
 
-    @property
-    def populated(self) -> int:
-        """Number of cells holding a rate: min(t - 1, m * l)."""
-        return min(self.t - 1, self.m * self.l)
-
-    def get(self, position: int, cycle: int) -> float | None:
-        """Rate stored at (position, cycle), or None if that cell is empty."""
-        if not (1 <= position <= self.m and 1 <= cycle <= self.l):
-            raise ValueError(
-                f"cell ({position}, {cycle}) lies outside [1, {self.m}] x [1, {self.l}]"
-            )
-        v = self.cells[position - 1, cycle - 1]
-        return None if np.isnan(v) else float(v)
-
     def update(self, rate: float) -> None:
         """Write ``rate`` at the cursor (p, w), then advance the step counter."""
         _check_rate(rate)

@@ -23,7 +23,7 @@ import numpy as np
 from . import trace
 from .trace import US_PER_SECOND, Events
 
-__all__ = ["SyntheticSpec", "generate", "true_rate", "write_truth", "read_truth", "RNG_NAME"]
+__all__ = ["SyntheticSpec", "generate", "true_rate", "write_truth", "RNG_NAME"]
 
 RNG_NAME = "numpy-pcg64"
 
@@ -129,11 +129,3 @@ def write_truth(path: str | Path, truths: Sequence[float]) -> None:
         fh.write("tp,true_rate\n")
         for tp, rate in enumerate(truths, start=1):
             fh.write(f"{tp},{rate!r}\n")
-
-
-def read_truth(path: str | Path) -> list[float]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline()
-        if not header.startswith("tp,"):
-            raise ValueError(f"{path}: not a truth file")
-        return [float(line.split(",")[1]) for line in fh if line.strip()]

@@ -73,6 +73,9 @@ _WRITE_BLOCK = 8192  # events per block that write_trace formats at once; bounds
 # Events per block of synthetic placement, aggregation and the parse checks: their
 # temporaries are a few arrays of this length, whatever the number of events.
 _EVENT_BLOCK = 1 << 16
+# The most sub-bins one span may hold: about 850 times the 29-day Google cluster
+# trace at 1 s sub-bins. A longer span is refused before its totals are allocated.
+_MAX_SPAN_SUB_BINS = 2**31
 _SCAN_BLOCK = 1 << 20  # bytes per read of the bulk reader's pre-scan
 _UTF8_BOM = b"\xef\xbb\xbf"
 # The suffixes that np.loadtxt decompresses a file by, given its name.
@@ -526,7 +529,8 @@ def aggregate_span(
     CPU/memory the per-sub-bin request sums, added in event order, are
     multiplied by ``scale`` and rounded to the nearest integer, which must
     be below 2**63. ``start_us`` and every event's offset from it must fit
-    int64, or ValueError is raised.
+    int64, and the span may hold at most ``_MAX_SPAN_SUB_BINS`` sub-bins,
+    or ValueError is raised before anything the size of the span is made.
 
     Events are binned a block of ``_EVENT_BLOCK`` at a time, so the
     temporaries are a block's offsets and bin indices, whatever the event
@@ -553,6 +557,11 @@ def aggregate_span(
     sub_bin_us = sub_bin_seconds * US_PER_SECOND
     sub_bins = tp_minutes * 60 // sub_bin_seconds
     n_bins = num_tps * sub_bins
+    if n_bins > _MAX_SPAN_SUB_BINS:
+        raise _SpanTooLarge(
+            f"{num_tps} periods of {sub_bins} sub-bins are {n_bins} sub-bins, "
+            f"more than the {_MAX_SPAN_SUB_BINS} a span may hold"
+        )
     arrivals = metric is MetricKind.ARRIVALS
     values = None if arrivals else (events.cpu if metric is MetricKind.CPU else events.mem)
     # Bin n_bins collects the events outside the span and is dropped.
@@ -604,6 +613,10 @@ def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
         return 0
     _check_offset(last, start_us)
     return (last - start_us) // (tp_minutes * 60 * US_PER_SECOND) + 1
+
+
+class _SpanTooLarge(ValueError):
+    """A span of more sub-bins than ``_MAX_SPAN_SUB_BINS``."""
 
 
 def _check_offset(timestamp: int, start_us: int) -> None:

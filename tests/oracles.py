@@ -22,7 +22,14 @@ scoring loop of ``evaluate_records`` (``evaluate_records_per_record``, whose
 baselines come from that per-step loop), and the sweep that runs and scores
 the whole stream once per configuration. ``fsum_rows`` is the per-row
 ``math.fsum`` loop that the LLR's batch sum used before it was vectorised,
-kept verbatim.
+kept verbatim. ``PredictionRecord``, one object per step, is the form
+``run`` returned before its ``Records`` columns, and ``write_records`` the
+writer of that form, both kept verbatim; ``prediction_records`` turns
+``Records`` into that list, so the step-loop references above compare
+against ``run`` unchanged. Also kept verbatim, as functions, are readers
+and accessors that the package no longer exports: ``read_truth``,
+``read_report_rows``, ``log_likelihood`` and the store's ``get`` and
+``populated`` (``store_get`` and ``store_populated``).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,7 +52,7 @@ from cyclecast.evaluation import (
     _report,
     config_id,
 )
-from cyclecast.forecaster import PredictionRecord, observe_step, predict_step, run
+from cyclecast.forecaster import Records, observe_step, predict_step, run
 from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
 from cyclecast.store import EmptyWindowError
 from cyclecast.trace import (
@@ -61,6 +69,82 @@ _WRITE_BLOCK = 8192
 _SCAN_BLOCK = 1 << 20
 _UTF8_BOM = b"\xef\xbb\xbf"
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
+
+
+@dataclass(frozen=True)
+class PredictionRecord:
+    """One step's outcome: predicted rate (None during warm-up) and actual."""
+
+    t: int
+    tp_index: int
+    predicted: float | None
+    actual: float
+    fallback: Fallback = Fallback.NONE
+
+
+def write_records(path: str | Path, records: Sequence[PredictionRecord]) -> None:
+    """Write prediction records as delimited text; warm-ups print NA."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,tp_index,predicted_lambda,actual_lambda,fallback_used\n")
+        for r in records:
+            predicted = "NA" if r.predicted is None else repr(r.predicted)
+            fh.write(f"{r.t},{r.tp_index},{predicted},{r.actual!r},{r.fallback.value}\n")
+
+
+def prediction_records(records: Records) -> list[PredictionRecord]:
+    """``records`` as one ``PredictionRecord`` per step, t = 1..N, warm-up steps predicting None."""
+    columns = (
+        records.tp_index.tolist(), records.predicted.tolist(), records.warm.tolist(),
+        records.actual.tolist(), records.fallback.tolist(),
+    )
+    return [
+        PredictionRecord(t, tp_index, None if warm else predicted, actual, fallback)
+        for t, (tp_index, predicted, warm, actual, fallback) in enumerate(zip(*columns), start=1)
+    ]
+
+
+def store_populated(ds) -> int:
+    """Number of cells holding a rate: min(t - 1, m * l)."""
+    return min(ds.t - 1, ds.m * ds.l)
+
+
+def store_get(ds, position: int, cycle: int) -> float | None:
+    """Rate stored at (position, cycle), or None if that cell is empty."""
+    if not (1 <= position <= ds.m and 1 <= cycle <= ds.l):
+        raise ValueError(
+            f"cell ({position}, {cycle}) lies outside [1, {ds.m}] x [1, {ds.l}]"
+        )
+    v = ds.cells[position - 1, cycle - 1]
+    return None if np.isnan(v) else float(v)
+
+
+def read_truth(path: str | Path) -> list[float]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = fh.readline()
+        if not header.startswith("tp,"):
+            raise ValueError(f"{path}: not a truth file")
+        return [float(line.split(",")[1]) for line in fh if line.strip()]
+
+
+def read_report_rows(path: str | Path) -> list[dict[str, str]]:
+    """Report rows as dicts of raw strings (for tooling and tests)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = fh.readline().strip().split(",")
+        return [dict(zip(header, line.strip().split(","))) for line in fh if line.strip()]
+
+
+def log_likelihood(samples: Sequence[float], lam: float) -> float:
+    """Poisson log-likelihood of a sample vector at rate ``lam``."""
+    n = len(samples)
+    if n == 0:
+        raise ValueError("log-likelihood of an empty sample vector is undefined")
+    if lam < 0 or not math.isfinite(lam):
+        raise ValueError(f"rate must be finite and nonnegative, got {lam}")
+    s = math.fsum(samples)
+    if lam == 0.0:
+        return 0.0 if s == 0 else -math.inf
+    log_fact = math.fsum(math.lgamma(x + 1.0) for x in samples)
+    return s * math.log(lam) - n * lam - log_fact
 
 
 def cyclic_store_walk(m: int, l: int, rates: Sequence[float]):
@@ -404,13 +488,13 @@ def window_entries(ds, n: int) -> list[tuple[int, float]]:
     """Populated (offset, rate) cells of the trailing n-position window.
 
     Walks offsets 1..n (offset n is the cursor's position) and, within an
-    offset, the cycle rows in order, reading each cell through ``get``.
+    offset, the cycle rows in order, reading each cell through ``store_get``.
     """
     entries = []
     for offset in range(1, n + 1):
         position = (ds.p - n + offset - 1) % ds.m + 1
         for cycle in range(1, ds.l + 1):
-            v = ds.get(position, cycle)
+            v = store_get(ds, position, cycle)
             if v is not None:
                 entries.append((offset, v))
     return entries
@@ -608,7 +692,7 @@ def sweep_per_config(configs, train, test, with_baselines=False):
     stream = Observations.of([*train, *test])
     reports = []
     for cfg in configs:
-        records = run(stream, cfg)
+        records = prediction_records(run(stream, cfg))
         reports.append(
             evaluate_records_per_record(
                 records,

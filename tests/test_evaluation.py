@@ -11,13 +11,12 @@ from cyclecast.evaluation import (
     config_id,
     evaluate_records,
     mape,
-    read_report_rows,
     relative_improvement,
     sweep,
     write_plot_data,
     write_reports,
 )
-from cyclecast.forecaster import ForecastConfig, PredictionRecord
+from cyclecast.forecaster import ForecastConfig, Records
 from cyclecast.llr import Fallback, KernelFamily, KernelSpec
 from cyclecast.trace import MetricKind, Observations, PeriodObservation
 
@@ -26,6 +25,17 @@ import oracles
 
 def _obs(tp_index, samples, cycle=1):
     return PeriodObservation(tp_index, cycle, MetricKind.ARRIVALS, samples, 60)
+
+
+def _records_of(predicted, actual, fallback=None):
+    """``Records`` of steps at positions 1..N; a None prediction is a warm-up step."""
+    return Records(
+        list(range(1, len(actual) + 1)),
+        [0.0 if p is None else p for p in predicted],
+        [p is None for p in predicted],
+        actual,
+        fallback or [Fallback.NONE] * len(actual),
+    )
 
 
 def _periodic_stream(m, n_steps, pattern):
@@ -83,12 +93,10 @@ class TestCompare:
 
 class TestEvaluateRecords:
     def _records(self):
-        return [
-            PredictionRecord(1, 1, None, 4.0),
-            PredictionRecord(2, 2, 4.0, 5.0),
-            PredictionRecord(3, 3, 3.0, 0.0),
-            PredictionRecord(4, 4, 6.0, 4.0, Fallback.WEIGHTED_MEAN),
-        ]
+        return _records_of(
+            [None, 4.0, 3.0, 6.0], [4.0, 5.0, 0.0, 4.0],
+            [Fallback.NONE, Fallback.NONE, Fallback.NONE, Fallback.WEIGHTED_MEAN],
+        )
 
     def test_counts_reconcile(self):
         report = evaluate_records(self._records(), test_from_t=1)
@@ -104,17 +112,13 @@ class TestEvaluateRecords:
         assert report.mape == pytest.approx(0.5, rel=1e-12)
 
     def test_warmup_only_flagged(self):
-        records = [PredictionRecord(1, 1, None, 4.0)]
+        records = _records_of([None], [4.0])
         report = evaluate_records(records)
         assert report.warmup_only
         assert math.isnan(report.mape)
 
     def test_baseline_deltas_same_retained_set(self):
-        records = [
-            PredictionRecord(1, 1, None, 4.0),
-            PredictionRecord(2, 2, 4.0, 4.0),
-            PredictionRecord(3, 3, 4.0, 8.0),
-        ]
+        records = _records_of([None, 4.0, 4.0], [4.0, 4.0, 8.0])
         report = evaluate_records(records, with_baselines=True, baseline_window=2)
         # cyclic errors: 0 and 0.5; naive predicts 4 then 4: same errors
         assert report.mape == pytest.approx(0.25, rel=1e-12)
@@ -122,7 +126,7 @@ class TestEvaluateRecords:
         assert "poisson_window" in report.baseline_deltas
 
     @pytest.mark.parametrize("window", [0, -3])
-    @pytest.mark.parametrize("records", [[], [PredictionRecord(1, 1, None, 4.0)]], ids=["empty", "warm-up-only"])
+    @pytest.mark.parametrize("records", [_records_of([], []), _records_of([None], [4.0])], ids=["empty", "warm-up-only"])
     def test_bad_baseline_window_refused_without_retained_steps(self, records, window):
         with pytest.raises(ValueError, match=f"window must be a positive integer, got {window}"):
             evaluate_records(records, with_baselines=True, baseline_window=window)
@@ -131,9 +135,11 @@ class TestEvaluateRecords:
 
     def test_subnormal_target_scores_without_a_warning(self):
         # |1 - a| / a overflows to inf for the naive baseline; the per-record loop is silent.
-        records = [PredictionRecord(1, 1, None, 1.0), PredictionRecord(2, 2, 1.0, 2.2250738585e-313)]
+        records = _records_of([None, 1.0], [1.0, 2.2250738585e-313])
         got = evaluate_records(records, with_baselines=True, baseline_window=2)
-        expected = oracles.evaluate_records_per_record(records, with_baselines=True, baseline_window=2)
+        expected = oracles.evaluate_records_per_record(
+            oracles.prediction_records(records), with_baselines=True, baseline_window=2
+        )
         assert _hexed(got) == _hexed(expected)
         assert got.errors == [math.inf]
 
@@ -157,27 +163,24 @@ class TestEvaluateRecordsMatchesPerRecordLoop:
 
     @settings(max_examples=400, deadline=None)
     @given(
-        records=st.lists(
-            st.builds(
-                PredictionRecord,
-                t=st.integers(-5, 50),
-                tp_index=st.integers(1, 6),
-                predicted=st.one_of(st.none(), _RATES),
-                actual=_RATES,
-            ),
-            max_size=40,
-        ),
+        steps=st.lists(st.tuples(st.integers(1, 6), st.one_of(st.none(), _RATES), _RATES), max_size=40),
         test_from_t=st.integers(-2, 45),
         with_baselines=st.booleans(),
         baseline_window=st.integers(1, 60),
     )
-    def test_every_field_equal(self, records, test_from_t, with_baselines, baseline_window):
+    def test_every_field_equal(self, steps, test_from_t, with_baselines, baseline_window):
+        # Warm-up steps anywhere, not only in a leading run; t is 1..N.
+        tp_index, predicted, actual = zip(*steps) if steps else ((), (), ())
+        records = Records(
+            tp_index, [0.0 if p is None else p for p in predicted], [p is None for p in predicted],
+            actual, [Fallback.NONE] * len(steps),
+        )
         kwargs = dict(
             test_from_t=test_from_t, cid="c", up_tps=3, bandwidth=2.5,
             with_baselines=with_baselines, baseline_window=baseline_window,
         )
         assert _scored(evaluate_records, records, **kwargs) == _scored(
-            oracles.evaluate_records_per_record, records, **kwargs
+            oracles.evaluate_records_per_record, oracles.prediction_records(records), **kwargs
         )
 
 
@@ -385,7 +388,7 @@ class TestReportFiles:
         ]
         path = tmp_path / "reports.csv"
         write_reports(path, reports)
-        rows = read_report_rows(path)
+        rows = oracles.read_report_rows(path)
         assert len(rows) == 2
         assert rows[0]["config_id"] == "up3-epanechnikov-k=2"
         assert float(rows[0]["mape"]) == 0.125

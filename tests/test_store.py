@@ -46,11 +46,11 @@ class TestConstruction:
     def test_weekly_dimensions(self):
         ds = new_dataset(336, 4)
         assert (ds.m, ds.l, ds.p, ds.w, ds.t) == (336, 4, 1, 1, 1)
-        assert ds.populated == 0
+        assert oracles.store_populated(ds) == 0
 
     def test_single_cell(self):
         ds = new_dataset(1, 1)
-        assert ds.populated == 0
+        assert oracles.store_populated(ds) == 0
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -64,27 +64,27 @@ class TestUpdate:
         ds = new_dataset(3, 2)
         for v in range(1, 7):
             ds.update(float(v))
-        assert ds.get(1, 1) == 1.0
-        assert ds.get(2, 1) == 2.0
-        assert ds.get(3, 1) == 3.0
-        assert ds.get(1, 2) == 4.0
-        assert ds.get(2, 2) == 5.0
-        assert ds.get(3, 2) == 6.0
+        assert oracles.store_get(ds, 1, 1) == 1.0
+        assert oracles.store_get(ds, 2, 1) == 2.0
+        assert oracles.store_get(ds, 3, 1) == 3.0
+        assert oracles.store_get(ds, 1, 2) == 4.0
+        assert oracles.store_get(ds, 2, 2) == 5.0
+        assert oracles.store_get(ds, 3, 2) == 6.0
         ds.update(7.0)
-        assert ds.get(1, 1) == 7.0
+        assert oracles.store_get(ds, 1, 1) == 7.0
 
     def test_single_cell_overwrites(self):
         ds = new_dataset(1, 1)
         for v in range(5):
             ds.update(float(v))
-        assert ds.get(1, 1) == 4.0
-        assert ds.populated == 1
+        assert oracles.store_get(ds, 1, 1) == 4.0
+        assert oracles.store_populated(ds) == 1
 
     def test_oldest_replaced_after_full(self):
         ds = new_dataset(4, 2)
         for v in range(9):
             ds.update(float(v))
-        stored = {ds.get(p, w) for p in range(1, 5) for w in range(1, 3)}
+        stored = {oracles.store_get(ds, p, w) for p in range(1, 5) for w in range(1, 3)}
         assert 0.0 not in stored
         assert stored == {float(v) for v in range(1, 9)}
 
@@ -100,10 +100,10 @@ class TestUpdate:
         ds, rates = case
         p, w, t, cells = oracles.cyclic_store_walk(ds.m, ds.l, rates)
         assert (ds.p, ds.w, ds.t) == (p, w, t)
-        assert ds.populated == len(cells)
+        assert oracles.store_populated(ds) == len(cells)
         for position in range(1, ds.m + 1):
             for cycle in range(1, ds.l + 1):
-                assert ds.get(position, cycle) == cells.get((position, cycle))
+                assert oracles.store_get(ds, position, cycle) == cells.get((position, cycle))
 
     def test_state_is_the_step_counter_and_cells(self):
         ds = new_dataset(3, 2)
@@ -117,7 +117,7 @@ class TestUpdate:
             ds.update(float(v))
         for position, cycle in [(0, 1), (-1, 0), (4, 1), (1, 0), (1, 3), (-1, 1)]:
             with pytest.raises(ValueError):
-                ds.get(position, cycle)
+                oracles.store_get(ds, position, cycle)
 
     def test_cursor_law_random_replay(self):
         rng = np.random.default_rng(5)
@@ -128,9 +128,9 @@ class TestUpdate:
                 ds.update(float(v))
             p, w, t, cells = oracles.cyclic_store_walk(m, l, [float(v) for v in range(n_updates)])
             assert (ds.p, ds.w, ds.t) == (p, w, t)
-            assert ds.populated == min(n_updates, m * l)
+            assert oracles.store_populated(ds) == min(n_updates, m * l)
             for (pp, ww), value in cells.items():
-                assert ds.get(pp, ww) == float(value)
+                assert oracles.store_get(ds, pp, ww) == float(value)
 
 
 class TestWindow:

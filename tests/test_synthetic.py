@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecast import trace
-from cyclecast.synthetic import SyntheticSpec, generate, read_truth, true_rate, write_truth
+from cyclecast.synthetic import SyntheticSpec, generate, true_rate, write_truth
 from cyclecast.trace import US_PER_SECOND, MetricKind, aggregate_span, write_trace
 
 import oracles
@@ -180,4 +180,4 @@ class TestTruthFile:
         truths = [4.0, 5.5, 3.25]
         path = tmp_path / "truth.csv"
         write_truth(path, truths)
-        assert read_truth(path) == truths
+        assert oracles.read_truth(path) == truths

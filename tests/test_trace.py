@@ -1113,3 +1113,24 @@ class TestBoundedMemory:
         (aggregate_small, span_small), (aggregate_big, span_big) = peaks
         assert aggregate_big <= aggregate_small + 16 * 1024, peaks
         assert span_big <= span_small + 16 * 1024, peaks
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_span_past_the_limit_is_refused_before_allocating(self, metric):
+        # The Google schema's "after the trace" timestamp: 5.1e9 periods of
+        # 30 one-minute sub-bins, whose totals alone would take 1.12 TiB.
+        events = Events([0, 2**63 - 1], [0.01, 0.01], [0.005, 0.005])
+        num_tps = span_tps(events, 0, 30)
+        message = f"{num_tps} periods of 30 sub-bins are {30 * num_tps} sub-bins, more than the 2147483648 "
+
+        def call():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                aggregate_span(events, 0, num_tps, 30, 24, metric)
+
+        assert _traced_peak(call) < 64 * 1024
+
+    def test_span_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(trace, "_MAX_SPAN_SUB_BINS", 4 * 30)
+        events = Events([0, 5 * 30 * 60 * US_PER_SECOND], [0.01, 0.01], [0.005, 0.005])
+        assert len(aggregate_span(events, 0, 4, 30, 24, MetricKind.CPU)) == 4
+        with pytest.raises(ValueError, match="^5 periods of 30 sub-bins are 150 sub-bins, more than the 120 "):
+            aggregate_span(events, 0, 5, 30, 24, MetricKind.CPU)
