@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,19 +51,48 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 
-_DEFAULTS: dict[str, object] = {
-    "tp_min": 30,
-    "pp_tps": 336,
-    "up_tps": 50,
-    "cycles": 4,
-    "kernel": "epanechnikov",
-    "bandwidth_k": 20,
-    "bandwidth_h": None,
-    "metric": "arrivals",
-    "sub_bin_sec": 60,
-    "scale": 100.0,
-    "seed": 0,
+
+class _Setting(NamedTuple):
+    """A setting that commands may take as a flag and a config file may hold."""
+
+    type: Callable[[str], Any]  # parses the flag
+    default: Any
+    help: str
+    cast: Callable[[Any], Any] | None = None  # of the flag, a file value or the default; None means ``type``
+    choices: tuple[str, ...] | None = None
+
+
+def _scale(value: str | float) -> float:
+    try:
+        _check_scale(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return float(value)
+
+
+_SETTINGS: dict[str, _Setting] = {
+    "tp_min": _Setting(int, 30, "target-period length in minutes"),
+    "pp_tps": _Setting(int, 336, "target periods per pattern period"),
+    "up_tps": _Setting(int, 50, "utilization-window length in target periods"),
+    "cycles": _Setting(int, 4, "pattern-period cycles kept in the store"),
+    "kernel": _Setting(
+        str, "epanechnikov", "kernel family",
+        cast=lambda v: KernelFamily(v.lower()), choices=tuple(f.value for f in KernelFamily),
+    ),
+    # KernelSpec checks a bandwidth, so a bad file entry is named with its line.
+    "bandwidth_k": _Setting(int, 20, "k-nearest bandwidth", cast=lambda v: KernelSpec(k=int(v)).k),
+    "bandwidth_h": _Setting(
+        float, None, "fixed-radius bandwidth; give it or --bandwidth-k, not both",
+        cast=lambda v: KernelSpec(h=float(v)).h,
+    ),
+    "metric": _Setting(str, "arrivals", "arrivals, cpu or memory; ingest also takes all", cast=MetricKind),
+    "sub_bin_sec": _Setting(int, 60, "sample sub-bin width in seconds"),
+    "scale": _Setting(_scale, 100.0, "count scale for cpu/memory requests"),
+    "seed": _Setting(int, 0, "random seed"),
 }
+
+# The settings the forecaster and its stream checks read: predict's, and the evaluate sweep's.
+_FORECAST_SETTINGS = ("pp_tps", "up_tps", "cycles", "kernel", "bandwidth_k", "bandwidth_h", "metric", "sub_bin_sec")
 
 
 class DataError(Exception):
@@ -87,8 +116,8 @@ def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key = key.strip().replace("-", "_")
-            if key not in _DEFAULTS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; the keys are {', '.join(_DEFAULTS)}")
+            if key not in _SETTINGS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; the keys are {', '.join(_SETTINGS)}")
             if key in values:
                 raise ValueError(f"{path}:{lineno}: {key} given twice, first on line {values[key][1]}")
             other = {"bandwidth_h": "bandwidth_k", "bandwidth_k": "bandwidth_h"}.get(key)
@@ -99,55 +128,50 @@ def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
 
 
 class _Resolver:
-    """Merge layer: command-line flag > config file entry > built-in default."""
+    """Merge layer: command-line flag > config file entry > built-in default.
+
+    ``get`` reads only settings the command registers as flags; the file
+    may hold any setting.
+    """
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        self.file_values = _read_config_file(args.config) if args.config else {}
 
-    def _from_file(self, key: str, cast):
-        """``cast`` of the file's value for ``key``; a failure names the file, line and key."""
+    def get(self, key: str, cast: Callable[[Any], Any] | None = None):
+        """The flag for ``key``, else its file entry, else its default, through the table's cast or ``cast``."""
+        setting = _SETTINGS[key]
+        cast = cast or setting.cast or setting.type
+        flag = getattr(self.args, key)
+        if flag is not None or key not in self.file_values:
+            return cast(flag if flag is not None else setting.default)
         text, lineno = self.file_values[key]
         try:
             return cast(text)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"{self.args.config}:{lineno}: {key}={text!r}: {exc}") from None
 
-    def get(self, key: str, cast):
-        """``cast`` of the flag for ``key``, else of its file entry, else of its default."""
-        flag = getattr(self.args, key, None)
-        if flag is None and key in self.file_values:
-            return self._from_file(key, cast)
-        return cast(flag if flag is not None else _DEFAULTS[key])
-
     def kernel_spec(self) -> KernelSpec:
-        family = self.get("kernel", lambda v: KernelFamily(v.lower()))
-        flag_h = getattr(self.args, "bandwidth_h", None)
-        flag_k = getattr(self.args, "bandwidth_k", None)
-        if flag_h is not None and flag_k is not None:
-            raise ValueError("--bandwidth-h and --bandwidth-k are mutually exclusive")
-        if flag_h is not None:
-            return KernelSpec(family=family, h=flag_h)
-        if flag_k is not None:
-            return KernelSpec(family=family, k=flag_k)
-        if "bandwidth_h" in self.file_values:
-            return self._from_file("bandwidth_h", lambda v: KernelSpec(family=family, h=float(v)))
-        if "bandwidth_k" in self.file_values:
-            return self._from_file("bandwidth_k", lambda v: KernelSpec(family=family, k=int(v)))
-        return KernelSpec(family=family, k=int(_DEFAULTS["bandwidth_k"]))  # type: ignore[arg-type]
+        """The kernel; a fixed radius, by flag or else by file entry, takes the place of ``k``."""
+        family = self.get("kernel")
+        if self.args.bandwidth_h is not None or (
+            self.args.bandwidth_k is None and "bandwidth_h" in self.file_values
+        ):
+            return KernelSpec(family=family, h=self.get("bandwidth_h"))
+        return KernelSpec(family=family, k=self.get("bandwidth_k"))
 
     def forecast_config(self, up_tps: int | None = None) -> ForecastConfig:
         """The forecaster settings; ``up_tps`` stands in for --up-tps (a sweep grid value)."""
         return ForecastConfig(
-            pp_tps=self.get("pp_tps", int),
-            up_tps=self.get("up_tps", int) if up_tps is None else up_tps,
-            cycles=self.get("cycles", int),
+            pp_tps=self.get("pp_tps"),
+            up_tps=self.get("up_tps") if up_tps is None else up_tps,
+            cycles=self.get("cycles"),
             kernel=self.kernel_spec(),
         )
 
     def stream_units(self) -> tuple[MetricKind, int]:
         """The metric and sub-bin width the observation streams must carry."""
-        return self.get("metric", MetricKind), self.get("sub_bin_sec", int)
+        return self.get("metric"), self.get("sub_bin_sec")
 
 
 def _sha256(path: Path) -> str:
@@ -212,14 +236,6 @@ def _delimiter(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _scale(value: str) -> float:
-    try:
-        _check_scale(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return float(value)
-
-
 def _data_read(fn, *fnargs):
     try:
         return fn(*fnargs)
@@ -266,17 +282,17 @@ def _read_streams(
 
 def cmd_synth(args: argparse.Namespace) -> int:
     res = _Resolver(args)
-    seed = res.get("seed", int)
+    seed = res.get("seed")
     spec = SyntheticSpec(
-        pp_tps=res.get("pp_tps", int),
+        pp_tps=res.get("pp_tps"),
         tps=args.tps,
         base_rate=args.base_rate,
         daily_amplitude=args.daily_amp,
         weekly_amplitude=args.weekly_amp,
         noise_sigma=args.noise_sigma,
         seed=seed,
-        tp_minutes=res.get("tp_min", int),
-        sub_bin_seconds=res.get("sub_bin_sec", int),
+        tp_minutes=res.get("tp_min"),
+        sub_bin_seconds=res.get("sub_bin_sec"),
     )
     out = _out_dir(args)
     events, truths = generate(spec)
@@ -306,10 +322,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     metrics = res.get("metric", _metric_list)
-    tp_min = res.get("tp_min", int)
-    pp_tps = res.get("pp_tps", int)
-    sub_bin_sec = res.get("sub_bin_sec", int)
-    scale = res.get("scale", _scale)
+    tp_min = res.get("tp_min")
+    pp_tps = res.get("pp_tps")
+    sub_bin_sec = res.get("sub_bin_sec")
+    scale = res.get("scale")
     mapping = ColumnMapping(
         timestamp=args.col_ts,
         cpu=args.col_cpu,
@@ -487,19 +503,30 @@ def _int_grid(text: str, what: str) -> list[int]:
     return values
 
 
+def _given(args: argparse.Namespace, *keys: str) -> str:
+    """The flags among ``keys`` that the command line gave, as it spells them."""
+    return ", ".join(f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is not None)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     res = _Resolver(args)
-    out = _out_dir(args)
     if args.records is not None:
         if args.train or args.test:
             raise ValueError("--records and --train/--test are mutually exclusive")
+        if sweep_flags := _given(args, *_FORECAST_SETTINGS, "up_tps_grid", "bandwidth_grid"):
+            raise ValueError(f"{sweep_flags}: --records scores a finished run, so it takes no sweep flags")
+        if args.baseline_window is not None and not args.baselines:
+            raise ValueError("--baseline-window sets the window of --baselines, which is not given")
+        test_from_t = 1 if args.test_from_t is None else args.test_from_t
+        baseline_window = 50 if args.baseline_window is None else args.baseline_window
+        out = _out_dir(args)
         records = _data_read(read_records, args.records)
         report = evaluate_records(
             records,
-            test_from_t=args.test_from_t,
+            test_from_t=test_from_t,
             cid="records",
             with_baselines=args.baselines,
-            baseline_window=args.baseline_window,
+            baseline_window=baseline_window,
         )
         write_reports(out / "report.csv", [report])
         with open(out / "errors.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -511,9 +538,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "evaluate",
             {
                 "mode": "records",
-                "test_from_t": args.test_from_t,
+                "test_from_t": test_from_t,
                 "baselines": args.baselines,
-                "baseline_window": args.baseline_window,
+                "baseline_window": baseline_window,
             },
             inputs=[Path(args.records)],
             outputs=["report.csv", "errors.csv"],
@@ -523,11 +550,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if not (args.train and args.test):
         raise ValueError("evaluate needs either --records or both --train and --test")
+    if records_flags := _given(args, "test_from_t", "baseline_window"):
+        raise ValueError(f"{records_flags}: a sweep scores every test step, so these apply to --records only")
+    out = _out_dir(args)
     kernel = res.kernel_spec()
     up_grid = (
         _int_grid(args.up_tps_grid, "--up-tps-grid")
         if args.up_tps_grid
-        else [res.get("up_tps", int)]
+        else [res.get("up_tps")]
     )
     if args.bandwidth_grid:
         if kernel.h is not None:
@@ -563,23 +593,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tp-min", type=int, help="target-period length in minutes (default 30)")
-    p.add_argument("--pp-tps", type=int, help="target periods per pattern period (default 336)")
-    p.add_argument("--up-tps", type=int, help="utilization-window length in target periods (default 50)")
-    p.add_argument("--cycles", type=int, help="pattern-period cycles kept in the store (default 4)")
-    p.add_argument(
-        "--kernel",
-        choices=[f.value for f in KernelFamily],
-        help="kernel family (default epanechnikov)",
-    )
-    p.add_argument("--bandwidth-k", type=int, help="k-nearest bandwidth (default 20)")
-    p.add_argument("--bandwidth-h", type=float, help="fixed-radius bandwidth (overrides --bandwidth-k)")
-    p.add_argument("--metric", help="arrivals, cpu, memory (ingest also accepts all)")
-    p.add_argument("--sub-bin-sec", type=int, help="sample sub-bin width in seconds (default 60)")
-    p.add_argument("--scale", type=_scale, help="count scale for cpu/memory requests (default 100)")
-    p.add_argument("--seed", type=int, help="random seed (synth)")
-    p.add_argument("--config", help="key=value config file; flags override it")
+def _add_run_flags(p: argparse.ArgumentParser, keys: Sequence[str]) -> None:
+    """Flags for the settings ``keys``, ``--config`` if there are any, and ``--out-dir``."""
+    bandwidth = p.add_mutually_exclusive_group() if "bandwidth_k" in keys else p
+    for key in keys:
+        setting = _SETTINGS[key]
+        default = "" if setting.default is None else f" (default {setting.default})"
+        (bandwidth if key.startswith("bandwidth_") else p).add_argument(
+            f"--{key.replace('_', '-')}", type=setting.type, choices=setting.choices,
+            help=setting.help + default,
+        )
+    if keys:
+        p.add_argument("--config", help="key=value config file of any settings; flags override it")
     p.add_argument("--out-dir", required=True, help="directory for outputs and the run manifest")
 
 
@@ -597,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--daily-amp", type=float, default=0.4, help="daily modulation amplitude [0,1)")
     p.add_argument("--weekly-amp", type=float, default=0.2, help="weekly modulation amplitude [0,1)")
     p.add_argument("--noise-sigma", type=float, default=0.0, help="lognormal noise sigma per period")
-    _add_shared_flags(p)
+    _add_run_flags(p, ("tp_min", "pp_tps", "sub_bin_sec", "seed"))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="parse a trace and aggregate per-period observations")
@@ -609,30 +634,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true", help="first row is a header")
     p.add_argument("--start-sec", type=int, default=0, help="aggregation start offset in seconds")
     p.add_argument("--split-tp", type=int, help="split observations into train/test after this period")
-    _add_shared_flags(p)
+    _add_run_flags(p, ("tp_min", "pp_tps", "sub_bin_sec", "metric", "scale"))
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("fit", help="fit per-period rates from observation files")
     p.add_argument("--observations", nargs="+", required=True, help="observation files")
-    _add_shared_flags(p)
+    _add_run_flags(p, ())
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="run the cyclic-window forecaster over train+test streams")
     p.add_argument("--train", required=True, help="training observations file")
     p.add_argument("--test", required=True, help="test observations file")
-    _add_shared_flags(p)
+    _add_run_flags(p, _FORECAST_SETTINGS)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score prediction records, or sweep configurations")
     p.add_argument("--records", help="prediction records file (single-run mode)")
-    p.add_argument("--test-from-t", type=int, default=1, help="first step counted as test")
+    p.add_argument("--test-from-t", type=int, help="first step counted as test (records mode; default 1)")
     p.add_argument("--train", help="training observations file (sweep mode)")
     p.add_argument("--test", help="test observations file (sweep mode)")
     p.add_argument("--up-tps-grid", help="comma-separated utilization-window lengths to sweep")
     p.add_argument("--bandwidth-grid", help="comma-separated k-nearest bandwidths to sweep")
     p.add_argument("--baselines", action="store_true", help="include baseline comparator deltas")
-    p.add_argument("--baseline-window", type=int, default=50, help="baseline window (records mode)")
-    _add_shared_flags(p)
+    p.add_argument("--baseline-window", type=int, help="window of the --baselines (records mode; default 50)")
+    _add_run_flags(p, _FORECAST_SETTINGS)
     p.set_defaults(func=cmd_evaluate)
 
     return parser

@@ -27,6 +27,10 @@ __all__ = ["SyntheticSpec", "generate", "true_rate", "write_truth", "RNG_NAME"]
 
 RNG_NAME = "numpy-pcg64"
 
+# The cpu and memory request of every generated event.
+CPU_PER_EVENT = 0.01
+MEM_PER_EVENT = 0.005
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -46,21 +50,19 @@ class SyntheticSpec:
     seed: int = 0
     tp_minutes: int = 30
     sub_bin_seconds: int = 60
-    cpu_per_event: float = 0.01
-    mem_per_event: float = 0.005
 
     def __post_init__(self) -> None:
         if self.pp_tps < 1 or self.tps < 1:
             raise ValueError(f"pp_tps and tps must be positive, got {self.pp_tps}, {self.tps}")
-        if self.base_rate <= 0:
-            raise ValueError(f"base rate must be positive, got {self.base_rate}")
+        if not (math.isfinite(self.base_rate) and self.base_rate > 0):
+            raise ValueError(f"base_rate must be finite and positive, got {self.base_rate}")
         for name, amp in (("daily", self.daily_amplitude), ("weekly", self.weekly_amplitude)):
             if not 0 <= amp < 1:
                 raise ValueError(f"{name} amplitude must lie in [0, 1), got {amp}")
         if self.daily_amplitude + self.weekly_amplitude >= 1:
             raise ValueError("amplitudes must sum below 1 to keep the rate positive")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise sigma must be nonnegative, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         if self.tp_minutes < 1 or self.sub_bin_seconds < 1:
             raise ValueError("tp_minutes and sub_bin_seconds must be positive")
         if (self.tp_minutes * 60) % self.sub_bin_seconds != 0:
@@ -120,7 +122,7 @@ def generate(spec: SyntheticSpec) -> tuple[Events, list[float]]:
         i = np.arange(lo, hi, dtype=np.int64) - np.repeat(starts[first:stop], counts[first:stop])
         timestamps[lo:hi] = bins * sub_bin_us + ((i + 0.5) * (sub_bin_us / counts[bins])).astype(np.int64)
     del bins, i  # the last block's, before the request columns are allocated
-    return Events(timestamps, np.full(n, spec.cpu_per_event), np.full(n, spec.mem_per_event)), truths
+    return Events(timestamps, np.full(n, CPU_PER_EVENT), np.full(n, MEM_PER_EVENT)), truths
 
 
 def write_truth(path: str | Path, truths: Sequence[float]) -> None:

@@ -1,8 +1,13 @@
+import argparse
+import importlib.util
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cyclecast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from cyclecast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from cyclecast.forecaster import read_records
 from cyclecast.poisson import poisson_mle
 from cyclecast.trace import read_observations
@@ -11,6 +16,7 @@ import oracles
 
 
 OBS_HEADER = "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
+TWO_RECORDS = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n1,1,NA,2.0,none\n2,2,2.0,3.0,none\n"
 
 
 def _obs_file(path, periods, pp_tps, metric="arrivals"):
@@ -279,6 +285,53 @@ class TestExitCodes:
             "--out-dir", str(tmp_path),
         ])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "mode, flags, named",
+        [
+            *(("records", ["--baselines", *flag], flag[0]) for flag in (
+                ["--pp-tps", "24"], ["--up-tps", "8"], ["--cycles", "2"], ["--kernel", "gaussian"],
+                ["--bandwidth-k", "6"], ["--bandwidth-h", "2.5"], ["--metric", "cpu"],
+                ["--sub-bin-sec", "60"], ["--up-tps-grid", "4,8"], ["--bandwidth-grid", "5,10"],
+            )),
+            ("records", ["--baseline-window", "10"], "--baseline-window"),
+            ("sweep", ["--test-from-t", "3"], "--test-from-t"),
+            ("sweep", ["--baselines", "--baseline-window", "10"], "--baseline-window"),
+        ],
+    )
+    def test_flag_of_the_other_evaluate_mode_is_usage_error(self, tmp_path, capsys, mode, flags, named):
+        obs = _obs_file(tmp_path / "obs.csv", 8, 4)
+        records = tmp_path / "records.csv"
+        records.write_text(TWO_RECORDS)
+        source = ["--records", str(records)] if mode == "records" else [
+            "--train", obs, "--test", obs, "--pp-tps", "4", "--up-tps", "2",
+        ]
+        out = tmp_path / "out"
+        assert main(["evaluate", *source, "--out-dir", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "refused"
+        assert main(["evaluate", *source, *flags, "--out-dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_records_mode_echoes_its_defaults(self, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text(TWO_RECORDS)
+        assert main(["evaluate", "--records", str(records), "--out-dir", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "evaluate.manifest.json").read_text())
+        assert manifest["config"] == {
+            "mode": "records", "test_from_t": 1, "baselines": False, "baseline_window": 50,
+        }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--base-rate", "--noise-sigma"])
+    def test_non_finite_synth_rate_or_noise_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["synth", "--tps", "2", f"{flag}={value}", "--out-dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be finite" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_metric_mismatch_is_data_error(self, tmp_path, capsys):
         cpu = _obs_file(tmp_path / "cpu.csv", 4, 4, metric="cpu")
@@ -616,3 +669,107 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}:{lineno}: {message}" in err and "Traceback" not in err
         assert not list(out.glob("*.manifest.json"))
+
+
+# The settings each command reads; every other setting, and --config where it reads none, is refused.
+SETTINGS = ["tp_min", "pp_tps", "up_tps", "cycles", "kernel", "bandwidth_k", "bandwidth_h",
+            "metric", "sub_bin_sec", "scale", "seed"]
+FORECAST = ["pp_tps", "up_tps", "cycles", "kernel", "bandwidth_k", "bandwidth_h", "metric", "sub_bin_sec"]
+READS = {
+    "synth": ["tp_min", "pp_tps", "sub_bin_sec", "seed"],
+    "ingest": ["tp_min", "pp_tps", "sub_bin_sec", "metric", "scale"],
+    "fit": [],
+    "predict": FORECAST,
+    "evaluate": FORECAST,
+}
+UNREAD = [
+    (command, key)
+    for command, reads in READS.items()
+    for key in [*SETTINGS, "config"]
+    if key not in reads and not (key == "config" and reads)
+]
+
+# Each command's flags, in the order its help lists them.
+FLAGS = {
+    "synth": "--tps --base-rate --daily-amp --weekly-amp --noise-sigma "
+             "--tp-min --pp-tps --sub-bin-sec --seed --config --out-dir",
+    "ingest": "--trace --col-ts --col-cpu --col-mem --delimiter --header --start-sec --split-tp "
+              "--tp-min --pp-tps --sub-bin-sec --metric --scale --config --out-dir",
+    "fit": "--observations --out-dir",
+    "predict": "--train --test --pp-tps --up-tps --cycles --kernel --bandwidth-k --bandwidth-h "
+               "--metric --sub-bin-sec --config --out-dir",
+    "evaluate": "--records --test-from-t --train --test --up-tps-grid --bandwidth-grid --baselines "
+                "--baseline-window --pp-tps --up-tps --cycles --kernel --bandwidth-k --bandwidth-h "
+                "--metric --sub-bin-sec --config --out-dir",
+}
+
+
+def _commands():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestFlagSurface:
+    def test_each_command_takes_only_its_flags(self):
+        commands = _commands()
+        assert set(commands) == set(FLAGS)
+        for name, command in commands.items():
+            flags = [opt for action in command._actions for opt in action.option_strings if opt not in ("-h", "--help")]
+            assert flags == FLAGS[name].split(), name
+        assert sum(len(flags.split()) for flags in FLAGS.values()) == 58
+
+    @pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_setting_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, command, key):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0,j1,j1,0.1,0.1\n60000000,j2,j2,0.2,0.1\n")
+        obs = _obs_file(tmp_path / "obs.csv", 48, 24)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pp-tps=24\n")
+        value = {
+            "tp_min": "30", "pp_tps": "24", "up_tps": "8", "cycles": "2", "kernel": "gaussian",
+            "bandwidth_k": "6", "bandwidth_h": "2.5", "metric": "arrivals", "sub_bin_sec": "60",
+            "scale": "100", "seed": "9", "config": str(cfg),
+        }[key]
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--tps", "2"],
+            "ingest": ["ingest", "--trace", str(trace)],
+            "fit": ["fit", "--observations", obs],
+            "predict": ["predict", "--train", obs, "--test", obs],
+            "evaluate": ["evaluate", "--train", obs, "--test", obs],
+        }[command] + ["--out-dir", str(out)]
+        build_parser().parse_args(argv)
+        flag = f"--{key.replace('_', '-')}"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists() and not list(tmp_path.rglob("*.manifest.json"))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+class TestDocumentedCommandLines:
+    """The command lines that the README shows and the benchmark runs parse; none is run."""
+
+    def test_readme_command_lines_parse(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        argvs = [shlex.split(line)[1:] for line in lines if line.startswith("cyclecast ")]
+        assert len(argvs) == 7
+        for argv in argvs:
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("size", sorted(workloads.SIZES))
+    @pytest.mark.parametrize("workload", ["readme", "long-sweep"])
+    def test_benchmark_command_lines_parse(self, size, workload):
+        p = workloads.SIZES[size][workload]
+        commands = workloads.offline_commands(workload, p, workloads.HELD_OUT_SEEDS[workload], Path("out"))
+        assert commands
+        for _, argv in commands:
+            build_parser().parse_args(argv)

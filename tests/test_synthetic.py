@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecast import trace
-from cyclecast.synthetic import SyntheticSpec, generate, true_rate, write_truth
+from cyclecast.synthetic import CPU_PER_EVENT, MEM_PER_EVENT, SyntheticSpec, generate, true_rate, write_truth
 from cyclecast.trace import US_PER_SECOND, MetricKind, aggregate_span, write_trace
 
 import oracles
@@ -31,6 +31,12 @@ class TestSpecValidation:
     def test_positive_rate_required(self):
         with pytest.raises(ValueError):
             SyntheticSpec(base_rate=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["base_rate", "noise_sigma"])
+    def test_non_finite_rate_or_noise_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SyntheticSpec(**{field: value})
 
     def test_sub_bin_must_divide_period(self):
         with pytest.raises(ValueError):
@@ -95,7 +101,7 @@ class TestGenerate:
         events, truths = generate(spec)
         assert len(truths) == 24
         assert np.all(np.diff(events.timestamp) >= 0)
-        assert np.all(events.cpu == spec.cpu_per_event) and np.all(events.mem == spec.mem_per_event)
+        assert np.all(events.cpu == CPU_PER_EVENT) and np.all(events.mem == MEM_PER_EVENT)
 
     @settings(max_examples=25, deadline=None)
     @given(
