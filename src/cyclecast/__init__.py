@@ -10,7 +10,7 @@ evaluation harness with baseline comparators.
 
 __version__ = "0.1.0"
 
-from .evaluation import EvaluationReport, evaluate_records, mape, sweep
+from .evaluation import EvaluationReport, evaluate_records, sweep
 from .forecaster import (
     ForecastConfig,
     Records,
@@ -47,7 +47,6 @@ __all__ = [
     "__version__",
     "EvaluationReport",
     "evaluate_records",
-    "mape",
     "sweep",
     "ForecastConfig",
     "Records",

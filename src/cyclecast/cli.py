@@ -12,6 +12,7 @@ problems (missing or malformed files).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -521,13 +522,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         baseline_window = 50 if args.baseline_window is None else args.baseline_window
         out = _out_dir(args)
         records = _data_read(read_records, args.records)
-        report = evaluate_records(
-            records,
-            test_from_t=test_from_t,
-            cid="records",
-            with_baselines=args.baselines,
-            baseline_window=baseline_window,
-        )
+        report = evaluate_records(records, test_from_t, "records", baseline_window if args.baselines else None)
         write_reports(out / "report.csv", [report])
         with open(out / "errors.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("seq,absolute_percentage_error\n")
@@ -609,14 +604,17 @@ def _add_run_flags(p: argparse.ArgumentParser, keys: Sequence[str]) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags must be spelled in full: a prefix would keep a renamed flag answering to its old name.
     parser = argparse.ArgumentParser(
         prog="cyclecast",
         description="Cyclic-window workload forecasting: rate fitting, prediction, evaluation.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"cyclecast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic trace with known rates")
+    p = add_parser("synth", help="generate a seeded synthetic trace with known rates")
     p.add_argument("--tps", type=int, default=1008, help="total target periods to generate")
     p.add_argument("--base-rate", type=float, default=20.0, help="base events per sub-bin")
     p.add_argument("--daily-amp", type=float, default=0.4, help="daily modulation amplitude [0,1)")
@@ -625,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p, ("tp_min", "pp_tps", "sub_bin_sec", "seed"))
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse a trace and aggregate per-period observations")
+    p = add_parser("ingest", help="parse a trace and aggregate per-period observations")
     p.add_argument("--trace", required=True, help="delimited trace file")
     p.add_argument("--col-ts", type=_column, default=0, help="timestamp column (index or header name)")
     p.add_argument("--col-cpu", type=_column, default=3, help="cpu request column (index or header name)")
@@ -637,18 +635,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p, ("tp_min", "pp_tps", "sub_bin_sec", "metric", "scale"))
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("fit", help="fit per-period rates from observation files")
+    p = add_parser("fit", help="fit per-period rates from observation files")
     p.add_argument("--observations", nargs="+", required=True, help="observation files")
     _add_run_flags(p, ())
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="run the cyclic-window forecaster over train+test streams")
+    p = add_parser("predict", help="run the cyclic-window forecaster over train+test streams")
     p.add_argument("--train", required=True, help="training observations file")
     p.add_argument("--test", required=True, help="test observations file")
     _add_run_flags(p, _FORECAST_SETTINGS)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="score prediction records, or sweep configurations")
+    p = add_parser("evaluate", help="score prediction records, or sweep configurations")
     p.add_argument("--records", help="prediction records file (single-run mode)")
     p.add_argument("--test-from-t", type=int, help="first step counted as test (records mode; default 1)")
     p.add_argument("--train", help="training observations file (sweep mode)")

@@ -14,7 +14,7 @@ run with it, straight from their columns.
 ``sweep`` fits the train+test observation stream once, predicts only the
 test span under each configuration and scores it with the same function,
 so the effect of window length and bandwidth can be tabulated for plotting.
-Its reports are the ones that ``run`` plus ``evaluate_records`` give per
+Its scores are the ones that ``run`` plus ``evaluate_records`` give per
 configuration, field for field.
 """
 
@@ -28,13 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .forecaster import ForecastConfig, Records, _fit, _predict
+from .forecaster import ForecastConfig, Records, _fit, _history, _predict
 from .poisson import poisson_pmf
 from .trace import Observations
 
 __all__ = [
     "EvaluationReport",
-    "mape",
     "relative_improvement",
     "evaluate_records",
     "sweep",
@@ -42,22 +41,6 @@ __all__ = [
     "write_reports",
     "write_plot_data",
 ]
-
-
-def mape(predicted: Sequence[float], target: Sequence[float]) -> float:
-    """Mean of |P - T| / T over pairs with T > 0.
-
-    Raises
-    ------
-    ValueError
-        On length mismatch, or when every target is zero.
-    """
-    if len(predicted) != len(target):
-        raise ValueError(f"length mismatch: {len(predicted)} predictions vs {len(target)} targets")
-    errors = [abs(p - t) / t for p, t in zip(predicted, target) if t > 0]
-    if not errors:
-        raise ValueError("no nonzero targets to measure against")
-    return math.fsum(errors) / len(errors)
 
 
 def relative_improvement(mape_a: float, mape_b: float) -> float:
@@ -188,52 +171,10 @@ def _score(
                 if naive_err else None
             )
         scores = baselines[key]
-    return _report(
-        cid, up_tps, bandwidth, errors,
-        int(np.count_nonzero(~warm & zero)), int(np.count_nonzero(warm)), scores,
-    )
-
-
-def evaluate_records(
-    records: Records,
-    test_from_t: int = 1,
-    cid: str = "run",
-    up_tps: int = 0,
-    bandwidth: float = 0.0,
-    with_baselines: bool = False,
-    baseline_window: int = 50,
-) -> EvaluationReport:
-    """Score the steps ``t`` of ``records`` from ``test_from_t`` on.
-
-    A step enters the error list only if it is not warm-up and its actual
-    rate is nonzero; warm-up steps and zero targets are counted separately.
-    Baseline predictors see the actual-rate history of the steps before
-    each scored one and are measured on exactly the same retained steps, so
-    their deltas are like-for-like. A baseline window below 1 raises
-    ``ValueError`` whether or not any step is retained.
-    """
-    steps = np.arange(max(test_from_t - 1, 0), len(records))
-    return _score(
-        cid, up_tps, bandwidth, records.actual, steps, records.predicted[steps], records.warm[steps],
-        baseline_window if with_baselines else None, {},
-    )
-
-
-def _report(
-    cid: str,
-    up_tps: int,
-    bandwidth: float,
-    errors: list[float],
-    skipped_zero: int,
-    warmup: int,
-    baselines: tuple[float, float] | None,
-) -> EvaluationReport:
-    """The report of a scored span: its errors, counts and the deltas
-    against ``baselines``, the naive and Poisson-window MAPE if measured."""
     value = math.fsum(errors) / len(errors) if errors else math.nan
     deltas: dict[str, float] = {}
-    if baselines is not None:
-        naive_mape, window_mape = baselines
+    if scores is not None:
+        naive_mape, window_mape = scores
         # A baseline error of exactly zero admits no percentage improvement;
         # leave that delta out rather than divide by it.
         if naive_mape > 0:
@@ -241,14 +182,31 @@ def _report(
         if window_mape > 0:
             deltas["poisson_window"] = relative_improvement(value, window_mape)
     return EvaluationReport(
-        config_id=cid,
-        up_tps=up_tps,
-        bandwidth=bandwidth,
-        mape=value,
-        errors=errors,
-        skipped_zero_targets=skipped_zero,
-        warmup_steps=warmup,
-        baseline_deltas=deltas,
+        cid, up_tps, bandwidth, value, errors,
+        int(np.count_nonzero(~warm & zero)), int(np.count_nonzero(warm)), deltas,
+    )
+
+
+def evaluate_records(
+    records: Records,
+    test_from_t: int = 1,
+    cid: str = "run",
+    baseline_window: int | None = None,
+) -> EvaluationReport:
+    """Score the steps ``t`` of ``records`` from ``test_from_t`` on.
+
+    A step enters the error list only if it is not warm-up and its actual
+    rate is nonzero; warm-up steps and zero targets are counted separately.
+    With a ``baseline_window`` (None scores no baselines), the baseline
+    predictors see at most that many actual rates before each scored step
+    and are measured on exactly the same retained steps, so their deltas
+    are like-for-like. A baseline window below 1 raises ``ValueError``
+    whether or not any step is retained. Records do not name their
+    configuration, so the report's ``up_tps`` and ``bandwidth`` are 0.
+    """
+    steps = np.arange(max(test_from_t - 1, 0), len(records))
+    return _score(
+        cid, 0, 0.0, records.actual, steps, records.predicted[steps], records.warm[steps], baseline_window, {}
     )
 
 
@@ -282,8 +240,7 @@ def sweep(
         if m not in fits:
             fits[m] = (_fit(stream, m, 0), {})
         actuals, baselines = fits[m]
-        rates = np.concatenate([cfg.new_store().cells.ravel(), actuals])
-        predicted, warm, _ = _predict(rates, cfg, 0, len(train), len(stream))
+        predicted, warm, _ = _predict(_history(cfg.new_store(), actuals), cfg, 0, len(train), len(stream))
         reports.append(
             _score(
                 config_id(cfg), cfg.up_tps, _bandwidth_value(cfg), actuals, steps, predicted, warm,

@@ -10,7 +10,7 @@ instead of a number.
 ``predict_step`` and ``observe_step`` are that step, for a caller that sees
 one period at a time. ``run`` is the offline form over a whole stream: the
 store's contents are a function of the rate stream alone, so it fits every
-period first, reads each step's window straight from the rates, and solves
+period first, reads each step's window from the write-ordered rates, and solves
 each group of steps that share a window shape with one plan. It returns
 the steps as ``Records``, five columns with one entry per step, which
 ``write_records`` and ``read_records`` move to and from text a row per
@@ -175,21 +175,14 @@ def observe_step(ds: CyclicDataset, obs: PeriodObservation) -> float:
 _CHUNK = 256
 
 
-def _sources(writes: int | np.ndarray, rows: np.ndarray, m: int, l: int, w0: int) -> np.ndarray:
-    """Where cell (row, cycle) of an m x l store reads from after ``writes`` writes.
+def _history(ds: CyclicDataset, fitted: np.ndarray) -> np.ndarray:
+    """The rate of every write from write ``ds.t - 1 - m*l`` on, then ``fitted``.
 
-    Write i lands on row i mod m, cycle column (i // m) mod l, so the cell
-    (r, c) holds write q*m + r, with q the newest cycle index congruent to c
-    (mod l) that row r had reached. Returns, per ``rows`` entry and cycle
-    column, an index into ``[store cells before the run (raveled), rates of
-    writes w0, w0 + 1, ...]``: a write from before the run (i < w0, which
-    includes never-written cells) is read from the store as it stood.
-    ``writes`` broadcasts against ``rows``.
+    Write i sits in cell (i mod m, (i // m) mod l), position i mod m*l of
+    ``ds.cells.T`` raveled: the store is a ring of its last m*l writes. A
+    write i < 0 was never made; its cell reads NaN.
     """
-    cycles = np.arange(l)
-    qmax = ((writes - rows - 1) // m)[..., None]
-    i = (qmax - (qmax - cycles) % l) * m + rows[..., None]
-    return np.where(i < w0, rows[..., None] * l + cycles, m * l + i - w0)
+    return np.concatenate([np.roll(ds.cells.T.ravel(), 1 - ds.t), fitted])
 
 
 def _fit(observations: Observations, m: int, w0: int) -> np.ndarray:
@@ -209,19 +202,24 @@ def _fit(observations: Observations, m: int, w0: int) -> np.ndarray:
 
 
 def _predict(
-    rates: np.ndarray, cfg: ForecastConfig, w0: int, lo: int, hi: int
+    history: np.ndarray, cfg: ForecastConfig, w0: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predictions for steps ``lo..hi-1`` of a run that starts after write ``w0``.
 
-    ``rates`` is ``[the store's cells before the run (raveled), the run's
-    fitted rates]``. Returns each step's clamped prediction (0.0 at a
-    warm-up step), the warm-up mask and each step's fallback: the values of
+    ``history`` is ``_history`` of the store before the run and the run's
+    fitted rates. Returns each step's clamped prediction (0.0 at a warm-up
+    step), the warm-up mask and each step's fallback: the values of
     ``predict_step`` at those steps, bit for bit.
 
-    The windows are read from ``rates`` a chunk of steps at a time, and each
-    run of steps that share a window shape is solved with one plan.
+    The windows are read from ``history`` a chunk of steps at a time, and
+    each run of steps that share a window shape is solved with one plan.
     """
     m, l, n = cfg.pp_tps, cfg.cycles, cfg.up_tps
+
+    def rows(us: np.ndarray) -> np.ndarray:
+        # Column c of the row that write u wrote last holds write u - ((u // m - c) mod l) * m.
+        return history[us[:, None] - (us[:, None] // m - np.arange(l)) % l * m + (m * l - w0)]
+
     predicted = np.zeros(hi - lo)
     warm = np.ones(hi - lo, dtype=bool)
     fallbacks = np.full(hi - lo, Fallback.NONE, dtype=object)
@@ -231,10 +229,10 @@ def _predict(
         # After W writes, window offset j < n is the row of write
         # u = W - n + j, which no later write has reached yet: its cells
         # hold what they held after write u, one row of ``earlier`` that
-        # n - 1 consecutive steps share. Offset n is the cursor's row.
-        us = np.arange(writes[0] + 1 - n, writes[-1])
-        earlier = rates[_sources(us + 1, us % m, m, l, w0)]
-        cursor = rates[_sources(writes, writes % m, m, l, w0)]
+        # n - 1 consecutive steps share. Offset n is the cursor's row,
+        # last written by write W - m.
+        earlier = rows(np.arange(writes[0] + 1 - n, writes[-1]))
+        cursor = rows(writes - m)
         block = np.concatenate(
             [earlier[np.arange(size)[:, None] + np.arange(n - 1)], cursor[:, None]], axis=1
         ).reshape(size, n * l)
@@ -247,7 +245,12 @@ def _predict(
             if mask.all():
                 continue  # warm-up: the window holds no rate yet
             plan = _window_plan(mask.tobytes(), n, l, cfg.kernel)
-            values = llr_apply(plan, block[a:b, ~mask])
+            try:
+                values = llr_apply(plan, block[a:b, ~mask])
+            except (ValueError, OverflowError):
+                # A batch sums every row's sy before any row's sxy, so it can fail at a
+                # later step than the step loop; one row at a time, the first step fails.
+                values = np.array([llr_apply(plan, ys) for ys in block[a:b, ~mask]])
             steps = slice(c - lo + a, c - lo + b)
             # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
             predicted[steps] = np.where(values < 0, 0.0, values)
@@ -279,13 +282,11 @@ def run(
     _check_shape(ds, cfg)
     m, l, w0 = ds.m, ds.l, ds.t - 1
     fitted = _fit(observations, m, w0)
-    rates = np.concatenate([ds.cells.ravel(), fitted])
-    predicted, warm, fallback = _predict(rates, cfg, w0, 0, len(fitted))
-    records = Records((w0 + np.arange(len(fitted))) % m + 1, predicted, warm, fitted, fallback)
-    if len(fitted):
-        ds.cells[...] = rates[_sources(w0 + len(fitted), np.arange(m), m, l, w0)]
-        ds.t += len(fitted)
-    return records
+    history = _history(ds, fitted)
+    predicted, warm, fallback = _predict(history, cfg, w0, 0, len(fitted))
+    ds.t += len(fitted)
+    ds.cells[...] = np.roll(history[len(fitted):], ds.t - 1).reshape(l, m).T
+    return Records((w0 + np.arange(len(fitted))) % m + 1, predicted, warm, fitted, fallback)
 
 
 def write_records(path: str | Path, records: Records) -> None:

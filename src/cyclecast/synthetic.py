@@ -30,6 +30,9 @@ RNG_NAME = "numpy-pcg64"
 # The cpu and memory request of every generated event.
 CPU_PER_EVENT = 0.01
 MEM_PER_EVENT = 0.005
+# The most events a spec may expect at its peak rate; its event columns take
+# 24 bytes per event. The lognormal noise may draw more.
+_MAX_EVENTS = 2**31
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,13 @@ class SyntheticSpec:
             raise ValueError(
                 f"target period of {self.tp_minutes}min is not a whole number of "
                 f"{self.sub_bin_seconds}s sub-bins"
+            )
+        sub_bins = self.tp_minutes * 60 // self.sub_bin_seconds
+        events = self.tps * sub_bins * self.base_rate * (1 + self.daily_amplitude + self.weekly_amplitude)
+        if events > _MAX_EVENTS:
+            raise ValueError(
+                f"base_rate={self.base_rate} over tps={self.tps} periods of {sub_bins} sub-bins "
+                f"expects up to {events:.4g} events, more than the {_MAX_EVENTS} a trace may hold"
             )
 
 

@@ -19,7 +19,9 @@ columnar forms replaced. So are the step-by-step forecasting run (one
 predictors (``baseline_naive`` and ``baseline_poisson_window``, one history
 at a time) with the per-step baseline loop built on them, the per-record
 scoring loop of ``evaluate_records`` (``evaluate_records_per_record``, whose
-baselines come from that per-step loop), and the sweep that runs and scores
+baselines come from that per-step loop and whose report comes from
+``_report``, the report builder the scorer used before it folded it in,
+kept verbatim), and the sweep that runs and scores
 the whole stream once per configuration. ``fsum_rows`` is the per-row
 ``math.fsum`` loop that the LLR's batch sum used before it was vectorised,
 kept verbatim. ``PredictionRecord``, one object per step, is the form
@@ -28,8 +30,10 @@ writer of that form, both kept verbatim; ``prediction_records`` turns
 ``Records`` into that list, so the step-loop references above compare
 against ``run`` unchanged. Also kept verbatim, as functions, are readers
 and accessors that the package no longer exports: ``read_truth``,
-``read_report_rows``, ``log_likelihood`` and the store's ``get`` and
-``populated`` (``store_get`` and ``store_populated``).
+``read_report_rows``, ``log_likelihood``, ``mape`` (the list-based MAPE,
+which scores every pair with a positive target and knows no warm-up) and
+the store's ``get`` and ``populated`` (``store_get`` and
+``store_populated``).
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from cyclecast.evaluation import (
     EvaluationReport,
     _bandwidth_value,
     _poisson_window_weights,
-    _report,
     config_id,
+    relative_improvement,
 )
 from cyclecast.forecaster import Records, observe_step, predict_step, run
 from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
@@ -646,6 +650,55 @@ def _baseline_mapes(actuals: np.ndarray, steps: np.ndarray, window: int) -> tupl
     if not naive_err:
         return None
     return math.fsum(naive_err) / len(naive_err), math.fsum(window_err) / len(window_err)
+
+
+def mape(predicted: Sequence[float], target: Sequence[float]) -> float:
+    """Mean of |P - T| / T over pairs with T > 0.
+
+    Raises
+    ------
+    ValueError
+        On length mismatch, or when every target is zero.
+    """
+    if len(predicted) != len(target):
+        raise ValueError(f"length mismatch: {len(predicted)} predictions vs {len(target)} targets")
+    errors = [abs(p - t) / t for p, t in zip(predicted, target) if t > 0]
+    if not errors:
+        raise ValueError("no nonzero targets to measure against")
+    return math.fsum(errors) / len(errors)
+
+
+def _report(
+    cid: str,
+    up_tps: int,
+    bandwidth: float,
+    errors: list[float],
+    skipped_zero: int,
+    warmup: int,
+    baselines: tuple[float, float] | None,
+) -> EvaluationReport:
+    """The report of a scored span: its errors, counts and the deltas
+    against ``baselines``, the naive and Poisson-window MAPE if measured."""
+    value = math.fsum(errors) / len(errors) if errors else math.nan
+    deltas: dict[str, float] = {}
+    if baselines is not None:
+        naive_mape, window_mape = baselines
+        # A baseline error of exactly zero admits no percentage improvement;
+        # leave that delta out rather than divide by it.
+        if naive_mape > 0:
+            deltas["naive"] = relative_improvement(value, naive_mape)
+        if window_mape > 0:
+            deltas["poisson_window"] = relative_improvement(value, window_mape)
+    return EvaluationReport(
+        config_id=cid,
+        up_tps=up_tps,
+        bandwidth=bandwidth,
+        mape=value,
+        errors=errors,
+        skipped_zero_targets=skipped_zero,
+        warmup_steps=warmup,
+        baseline_deltas=deltas,
+    )
 
 
 def evaluate_records_per_record(

@@ -195,7 +195,7 @@ def test_synthetic_recovery_beats_baselines():
     cfg = ForecastConfig(up_tps=50, cycles=2, kernel=KernelSpec(k=20))
     records = run(observations, cfg)
     report = evaluate_records(
-        records, test_from_t=673, cid="recovery", with_baselines=True, baseline_window=50
+        records, test_from_t=673, cid="recovery", baseline_window=50
     )
     elapsed = time.perf_counter() - start
 

@@ -333,6 +333,15 @@ class TestExitCodes:
         assert f"{flag[2:].replace('-', '_')} must be finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tps, rate", [("1", "1e300"), ("1000", "1e5")])
+    def test_synth_beyond_the_event_bound_is_usage_error(self, tmp_path, capsys, tps, rate):
+        out = tmp_path / "out"
+        argv = ["synth", "--tps", tps, "--pp-tps", "1", "--base-rate", rate, "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"base_rate={float(rate)!r} over tps={tps} periods" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_metric_mismatch_is_data_error(self, tmp_path, capsys):
         cpu = _obs_file(tmp_path / "cpu.csv", 4, 4, metric="cpu")
         arrivals = _obs_file(tmp_path / "arrivals.csv", 4, 4)
@@ -745,6 +754,38 @@ class TestFlagSurface:
         assert exc.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists() and not list(tmp_path.rglob("*.manifest.json"))
+
+    # Unambiguous prefixes of a flag of the command: each named a flag when
+    # argparse's abbreviations were on, so each ran and exited 0.
+    PREFIXES = [
+        ["synth", "--tps", "2", "--pp-tps", "1", "--noise", "0.1"],
+        ["synth", "--tps", "2", "--pp-tps", "1", "--base", "3"],
+        ["ingest", "--trace", "{trace}", "--split", "1"],
+        ["fit", "--obs", "{obs}"],
+        ["predict", "--train", "{obs}", "--test", "{obs}", "--up", "8"],
+        ["evaluate", "--records", "{records}", "--test-from", "2"],
+        ["evaluate", "--train", "{obs}", "--test", "{obs}", "--up-tps-g", "4,8"],
+    ]
+
+    @pytest.mark.parametrize("argv", PREFIXES, ids=[" ".join(a[:1] + a[-2:-1]) for a in PREFIXES])
+    def test_flag_prefix_is_usage_error(self, tmp_path, capsys, argv):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0,j1,j1,0.1,0.1\n60000000,j2,j2,0.2,0.1\n")
+        records = tmp_path / "records.csv"
+        records.write_text(TWO_RECORDS)
+        paths = {"trace": str(trace), "obs": _obs_file(tmp_path / "obs.csv", 48, 24), "records": str(records)}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv] + ["--out-dir", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists() and not list(tmp_path.rglob("*.manifest.json"))
+
+    def test_version_prefix_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--vers"])
+        assert exc.value.code == EXIT_USAGE
+        assert "cyclecast 0" not in capsys.readouterr().out
 
 
 ROOT = Path(__file__).resolve().parent.parent

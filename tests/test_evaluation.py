@@ -10,7 +10,6 @@ from cyclecast.evaluation import (
     EvaluationReport,
     config_id,
     evaluate_records,
-    mape,
     relative_improvement,
     sweep,
     write_plot_data,
@@ -46,33 +45,33 @@ def _periodic_stream(m, n_steps, pattern):
 
 class TestMape:
     def test_basic(self):
-        assert mape([110.0, 90.0], [100.0, 100.0]) == pytest.approx(0.1, rel=1e-14)
+        assert oracles.mape([110.0, 90.0], [100.0, 100.0]) == pytest.approx(0.1, rel=1e-14)
 
     def test_perfect_fit(self):
-        assert mape([3.0, 4.0], [3.0, 4.0]) == 0.0
+        assert oracles.mape([3.0, 4.0], [3.0, 4.0]) == 0.0
 
     def test_zero_targets_excluded(self):
-        assert mape([110.0, 50.0], [100.0, 0.0]) == pytest.approx(0.1, rel=1e-14)
+        assert oracles.mape([110.0, 50.0], [100.0, 0.0]) == pytest.approx(0.1, rel=1e-14)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            mape([1.0], [1.0, 2.0])
+            oracles.mape([1.0], [1.0, 2.0])
 
     def test_all_zero_targets(self):
         with pytest.raises(ValueError):
-            mape([1.0, 2.0], [0.0, 0.0])
+            oracles.mape([1.0, 2.0], [0.0, 0.0])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(61)
         predicted = list(rng.uniform(1, 50, size=40))
         target = list(rng.uniform(1, 50, size=40))
         for c in (0.25, 3.0, 1000.0):
-            scaled = mape([c * p for p in predicted], [c * t for t in target])
-            assert scaled == pytest.approx(mape(predicted, target), rel=1e-12)
+            scaled = oracles.mape([c * p for p in predicted], [c * t for t in target])
+            assert scaled == pytest.approx(oracles.mape(predicted, target), rel=1e-12)
 
     def test_zero_iff_equal(self):
-        assert mape([2.0, 5.0], [2.0, 5.0]) == 0.0
-        assert mape([2.0, 5.000001], [2.0, 5.0]) > 0.0
+        assert oracles.mape([2.0, 5.0], [2.0, 5.0]) == 0.0
+        assert oracles.mape([2.0, 5.000001], [2.0, 5.0]) > 0.0
 
 
 class TestCompare:
@@ -119,7 +118,7 @@ class TestEvaluateRecords:
 
     def test_baseline_deltas_same_retained_set(self):
         records = _records_of([None, 4.0, 4.0], [4.0, 4.0, 8.0])
-        report = evaluate_records(records, with_baselines=True, baseline_window=2)
+        report = evaluate_records(records, baseline_window=2)
         # cyclic errors: 0 and 0.5; naive predicts 4 then 4: same errors
         assert report.mape == pytest.approx(0.25, rel=1e-12)
         assert report.baseline_deltas["naive"] == pytest.approx(0.0, abs=1e-12)
@@ -129,14 +128,12 @@ class TestEvaluateRecords:
     @pytest.mark.parametrize("records", [_records_of([], []), _records_of([None], [4.0])], ids=["empty", "warm-up-only"])
     def test_bad_baseline_window_refused_without_retained_steps(self, records, window):
         with pytest.raises(ValueError, match=f"window must be a positive integer, got {window}"):
-            evaluate_records(records, with_baselines=True, baseline_window=window)
-        # Without baselines the window is not read.
-        assert evaluate_records(records, baseline_window=window).retained == 0
+            evaluate_records(records, baseline_window=window)
 
     def test_subnormal_target_scores_without_a_warning(self):
         # |1 - a| / a overflows to inf for the naive baseline; the per-record loop is silent.
         records = _records_of([None, 1.0], [1.0, 2.2250738585e-313])
-        got = evaluate_records(records, with_baselines=True, baseline_window=2)
+        got = evaluate_records(records, baseline_window=2)
         expected = oracles.evaluate_records_per_record(
             oracles.prediction_records(records), with_baselines=True, baseline_window=2
         )
@@ -175,12 +172,13 @@ class TestEvaluateRecordsMatchesPerRecordLoop:
             tp_index, [0.0 if p is None else p for p in predicted], [p is None for p in predicted],
             actual, [Fallback.NONE] * len(steps),
         )
-        kwargs = dict(
-            test_from_t=test_from_t, cid="c", up_tps=3, bandwidth=2.5,
-            with_baselines=with_baselines, baseline_window=baseline_window,
+        got = _scored(
+            evaluate_records, records,
+            test_from_t=test_from_t, cid="c", baseline_window=baseline_window if with_baselines else None,
         )
-        assert _scored(evaluate_records, records, **kwargs) == _scored(
-            oracles.evaluate_records_per_record, oracles.prediction_records(records), **kwargs
+        assert got == _scored(
+            oracles.evaluate_records_per_record, oracles.prediction_records(records),
+            test_from_t=test_from_t, cid="c", with_baselines=with_baselines, baseline_window=baseline_window,
         )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -441,6 +442,82 @@ class TestBatchedRun:
             with pytest.raises(ValueError, match=re.escape(message)):
                 run(Observations.of([]), cfg, ds)
             assert _state(ds) == before
+
+    @staticmethod
+    def _float_fed(cfg, rates):
+        """A store that ``observe_step`` fed one sample per period, ``rates[i]``."""
+        ds = cfg.new_store()
+        for i, r in enumerate(rates):
+            observe_step(ds, _obs(i % cfg.pp_tps + 1, [r], cycle=i // cfg.pp_tps + 1))
+        return ds
+
+    def _outcomes(self, cfg, rates, tail):
+        """``run`` and the step loop over ``tail`` from two stores fed ``rates``:
+        each one's steps (rates by bit pattern) and cells, or its error's type
+        and message. A failing ``run`` must leave its store as it was."""
+        outcomes = []
+        for call in (lambda ds: run(Observations.of(tail), cfg, ds), lambda ds: oracles.run_per_step(tail, cfg, ds)):
+            ds = self._float_fed(cfg, rates)
+            before = _state(ds)
+            try:
+                records = call(ds)
+            except (ValueError, OverflowError) as exc:
+                outcomes.append((type(exc), str(exc)))
+                if len(outcomes) == 1:
+                    assert _state(ds) == before
+                continue
+            steps = _steps(records) if isinstance(records, Records) else _hexed(records)
+            outcomes.append((steps, ds.cells.tobytes()))
+        return outcomes
+
+    # A batch sums every row's sy before any row's sxy, so it used to fail at
+    # a later step than the step loop: OverflowError in fsum against the step
+    # loop's ValueError.
+    _OVERFLOWING = [
+        2.5e-310, 1e300, .5, 0, .5, 1e300, .5, 0, 0, 2.375, 1e300, 1.7e308, 1.7e308, 0, 1.7e308, 2.375, 0, .5,
+    ]
+
+    def test_overflowing_store_fails_at_the_step_loops_step(self):
+        cfg = ForecastConfig(pp_tps=5, up_tps=5, cycles=2, kernel=KernelSpec(family=KernelFamily.GAUSSIAN, k=7))
+        tail = [_obs((18 + i) % 5 + 1, [1], cycle=(18 + i) // 5 + 1) for i in range(3)]
+        # A library caller's default: numpy warns on overflow and goes on.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            batch, step = self._outcomes(cfg, self._OVERFLOWING, tail)
+        assert batch == step == (ValueError, "-inf + inf in fsum")
+        # Where overflow warnings are errors, both fail at the same multiply.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (run, oracles.run_per_step):
+                stream = Observations.of(tail) if call is run else tail
+                with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
+                    call(stream, cfg, self._float_fed(cfg, self._OVERFLOWING))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        l=st.integers(1, 3),
+        data=st.data(),
+        family=st.sampled_from(list(KernelFamily)),
+        k=st.integers(1, 12),
+        h=st.sampled_from([0.1, 1.0, 2.5, 8.0]),
+        fixed=st.booleans(),
+        tail=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3), max_size=12),
+    )
+    def test_float_fed_store_matches_step_loop(self, m, l, data, family, k, h, fixed, tail):
+        n = data.draw(st.integers(1, m))
+        rates = data.draw(
+            st.lists(st.sampled_from([0.0, 0.5, 2.375, 2.5e-310, 1e300, 1.7e308]), max_size=3 * m * l + 2)
+        )
+        kernel = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=k)
+        cfg = ForecastConfig(pp_tps=m, up_tps=n, cycles=l, kernel=kernel)
+        stream = [
+            _obs((len(rates) + i) % m + 1, samples, cycle=(len(rates) + i) // m + 1) for i, samples in enumerate(tail)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            batch, step = self._outcomes(cfg, rates, stream)
+        assert batch == step
 
 
 class TestPlanCache:

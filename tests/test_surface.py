@@ -26,3 +26,46 @@ def test_readme_library_usage_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert lines[1].startswith("1008 ")
+
+
+# Every module's public names, as its __all__ lists them (None: it has no
+# __all__). Adding or removing a public name takes an edit here.
+ALL = {
+    "cyclecast": [
+        "__version__", "EvaluationReport", "evaluate_records", "sweep", "ForecastConfig", "Records",
+        "observe_step", "predict_step", "run", "Fallback", "KernelFamily", "KernelSpec",
+        "effective_bandwidth", "kernel_weight", "poisson_cdf", "poisson_mle", "poisson_pmf",
+        "poisson_quantile", "CyclicDataset", "EmptyWindowError", "new_dataset", "SyntheticSpec",
+        "generate", "true_rate", "ColumnMapping", "Events", "MetricKind", "Observations",
+        "PeriodObservation", "aggregate_span", "parse_trace",
+    ],
+    "cyclecast.cli": None,
+    "cyclecast.evaluation": [
+        "EvaluationReport", "relative_improvement", "evaluate_records", "sweep", "config_id",
+        "write_reports", "write_plot_data",
+    ],
+    "cyclecast.forecaster": [
+        "ForecastConfig", "Records", "predict_step", "observe_step", "run", "write_records", "read_records",
+    ],
+    "cyclecast.llr": [
+        "KernelFamily", "KernelSpec", "Fallback", "LLRPlan", "kernel_weight", "effective_bandwidth",
+        "llr_plan", "llr_apply",
+    ],
+    "cyclecast.poisson": [
+        "poisson_mle", "poisson_mle_rows", "poisson_log_pmf", "poisson_pmf", "poisson_cdf", "poisson_quantile",
+    ],
+    "cyclecast.store": ["CyclicDataset", "EmptyWindowError", "new_dataset"],
+    "cyclecast.synthetic": ["SyntheticSpec", "generate", "true_rate", "write_truth", "RNG_NAME"],
+    "cyclecast.trace": [
+        "MetricKind", "Events", "PeriodObservation", "Observations", "ColumnMapping", "ParseResult",
+        "parse_trace", "aggregate_span", "write_observations", "read_observations", "write_trace",
+    ],
+}
+
+
+def test_public_names_are_pinned():
+    assert sorted(MODULES) == sorted(ALL)
+    for name in MODULES:
+        exports = getattr(importlib.import_module(name), "__all__", None)
+        assert (None if exports is None else list(exports)) == ALL[name], name
+    assert len(ALL["cyclecast"]) == 31

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclecast import trace
+from cyclecast import synthetic, trace
 from cyclecast.synthetic import CPU_PER_EVENT, MEM_PER_EVENT, SyntheticSpec, generate, true_rate, write_truth
 from cyclecast.trace import US_PER_SECOND, MetricKind, aggregate_span, write_trace
 
@@ -37,6 +38,22 @@ class TestSpecValidation:
     def test_non_finite_rate_or_noise_is_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SyntheticSpec(**{field: value})
+
+    def test_expected_event_count_is_bounded(self):
+        # One 60 s sub-bin per period and no modulation: the expected count is tps * base_rate.
+        one_bin = dict(tp_minutes=1, sub_bin_seconds=60, daily_amplitude=0.0, weekly_amplitude=0.0)
+        SyntheticSpec(tps=1, base_rate=float(synthetic._MAX_EVENTS), **one_bin)
+        SyntheticSpec(tps=2**21, base_rate=1024.0, **one_bin)
+        for tps, rate in [(1, math.nextafter(2.0**31, math.inf)), (2**21 + 1, 1024.0), (1, 1e300)]:
+            with pytest.raises(ValueError, match=re.escape(f"base_rate={rate!r} over tps={tps} periods of 1 sub-bins")):
+                SyntheticSpec(tps=tps, base_rate=rate, **one_bin)
+
+    def test_event_bound_counts_the_peak_modulation(self):
+        # 30 sub-bins per period, peak factor 1 + 0.4 + 0.2.
+        rate = 2**31 / (1000 * 30 * 1.6)
+        SyntheticSpec(tps=1000, base_rate=rate * 0.999)
+        with pytest.raises(ValueError, match="more than the 2147483648 a trace may hold"):
+            SyntheticSpec(tps=1000, base_rate=rate * 1.001)
 
     def test_sub_bin_must_divide_period(self):
         with pytest.raises(ValueError):
