@@ -71,6 +71,12 @@ def _scale(value: str | float) -> float:
     return float(value)
 
 
+def _metric_list(value: str) -> list[MetricKind]:
+    if value == "all":
+        return [MetricKind.ARRIVALS, MetricKind.CPU, MetricKind.MEMORY]
+    return [MetricKind(value)]
+
+
 _SETTINGS: dict[str, _Setting] = {
     "tp_min": _Setting(int, 30, "target-period length in minutes"),
     "pp_tps": _Setting(int, 336, "target periods per pattern period"),
@@ -86,14 +92,14 @@ _SETTINGS: dict[str, _Setting] = {
         float, None, "fixed-radius bandwidth; give it or --bandwidth-k, not both",
         cast=lambda v: KernelSpec(h=float(v)).h,
     ),
-    "metric": _Setting(str, "arrivals", "arrivals, cpu or memory; ingest also takes all", cast=MetricKind),
+    "metric": _Setting(str, "arrivals", "arrivals, cpu, memory or all", cast=_metric_list),
     "sub_bin_sec": _Setting(int, 60, "sample sub-bin width in seconds"),
     "scale": _Setting(_scale, 100.0, "count scale for cpu/memory requests"),
     "seed": _Setting(int, 0, "random seed"),
 }
 
-# The settings the forecaster and its stream checks read: predict's, and the evaluate sweep's.
-_FORECAST_SETTINGS = ("pp_tps", "up_tps", "cycles", "kernel", "bandwidth_k", "bandwidth_h", "metric", "sub_bin_sec")
+# The settings the forecaster reads: predict's, and the evaluate sweep's.
+_FORECAST_SETTINGS = ("pp_tps", "up_tps", "cycles", "kernel", "bandwidth_k", "bandwidth_h")
 
 
 class DataError(Exception):
@@ -139,10 +145,10 @@ class _Resolver:
         self.args = args
         self.file_values = _read_config_file(args.config) if args.config else {}
 
-    def get(self, key: str, cast: Callable[[Any], Any] | None = None):
-        """The flag for ``key``, else its file entry, else its default, through the table's cast or ``cast``."""
+    def get(self, key: str):
+        """The flag for ``key``, else its file entry, else its default, through the table's cast."""
         setting = _SETTINGS[key]
-        cast = cast or setting.cast or setting.type
+        cast = setting.cast or setting.type
         flag = getattr(self.args, key)
         if flag is not None or key not in self.file_values:
             return cast(flag if flag is not None else setting.default)
@@ -169,10 +175,6 @@ class _Resolver:
             cycles=self.get("cycles"),
             kernel=self.kernel_spec(),
         )
-
-    def stream_units(self) -> tuple[MetricKind, int]:
-        """The metric and sub-bin width the observation streams must carry."""
-        return self.get("metric"), self.get("sub_bin_sec")
 
 
 def _sha256(path: Path) -> str:
@@ -212,12 +214,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _metric_list(value: str) -> list[MetricKind]:
-    if value == "all":
-        return [MetricKind.ARRIVALS, MetricKind.CPU, MetricKind.MEMORY]
-    return [MetricKind(value)]
-
-
 def _column(value: str) -> int | str:
     try:
         index = int(value)
@@ -248,19 +244,22 @@ def _period(path: str, obs: Observations, i: int) -> str:
     return f"{path}: period tp_index={obs.tp_index[i]} cycle_index={obs.cycle_index[i]}"
 
 
-def _read_streams(
-    train_path: str, test_path: str, metric: MetricKind, sub_bin_seconds: int, pp_tps: int
-) -> tuple[Observations, Observations]:
-    """Read the train and test streams as one run's input.
+def _read_streams(train_path: str, test_path: str, pp_tps: int) -> tuple[Observations, Observations, dict]:
+    """Read the train and test streams as one run's input, and the units they carry.
 
-    Rejects any period in other units than the run's, and any period out of
+    The first period of the stream sets the units, its metric and sub-bin
+    width, which come back as the manifests echo them (``None`` for an empty
+    stream). Rejects any later period in other units, and any period out of
     place: the forecaster consumes pattern positions 1..pp_tps in turn. The
     first bad period of the stream is named.
     """
     streams = []
+    metric = sub_bin_seconds = None
     step = 0
     for path in (train_path, test_path):
         obs = _data_read(read_observations, path)
+        if metric is None and len(obs):
+            metric, sub_bin_seconds = obs.metric[0], int(obs.sub_bin_seconds[0])
         position = (step + np.arange(len(obs))) % pp_tps + 1
         foreign = (obs.metric != metric) | (obs.sub_bin_seconds != sub_bin_seconds)
         bad = np.flatnonzero(foreign | (obs.tp_index != position))
@@ -269,7 +268,7 @@ def _read_streams(
             if foreign[i]:
                 raise DataError(
                     f"{_period(path, obs, i)} carries metric {obs.metric[i].value!r} with "
-                    f"{obs.sub_bin_seconds[i]}s sub-bins, but the run is configured for "
+                    f"{obs.sub_bin_seconds[i]}s sub-bins, but the stream began with "
                     f"{metric.value!r} with {sub_bin_seconds}s sub-bins"
                 )
             raise DataError(
@@ -278,7 +277,8 @@ def _read_streams(
             )
         step += len(obs)
         streams.append(obs)
-    return streams[0], streams[1]
+    units = {"metric": metric and metric.value, "sub_bin_seconds": sub_bin_seconds}
+    return streams[0], streams[1], units
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -322,7 +322,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     res = _Resolver(args)
-    metrics = res.get("metric", _metric_list)
+    metrics = res.get("metric")
     tp_min = res.get("tp_min")
     pp_tps = res.get("pp_tps")
     sub_bin_sec = res.get("sub_bin_sec")
@@ -334,7 +334,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         delimiter=args.delimiter,
         has_header=args.header,
     )
-    out = _out_dir(args)
 
     try:
         parsed = parse_trace(args.trace, mapping)
@@ -374,6 +373,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             }
         else:
             parts = {f"observations_{metric.value}.csv": observations}
+        out = _out_dir(args)
         for name, obs in parts.items():
             write_observations(out / name, obs, scale)
             outputs.append(name)
@@ -407,7 +407,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     widths: dict[MetricKind, int] = {}  # per metric, the sub-bin width of its first period
     files = []
     for path in args.observations:
@@ -427,6 +426,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         files.append(obs)
     stream = Observations.concat(files)
     rates = poisson_mle_rows(stream.samples, stream.counts)
+    out = _out_dir(args)
     outputs = []
     for metric in widths:
         rows = np.flatnonzero(stream.metric == metric)
@@ -458,21 +458,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     cfg = res.forecast_config()
-    metric, sub_bin_seconds = res.stream_units()
-    train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds, cfg.pp_tps)
+    train, test, units = _read_streams(args.train, args.test, cfg.pp_tps)
     out = _out_dir(args)
     records = run(Observations.concat([train, test]), cfg)
     write_records(out / "records.csv", records)
     _write_manifest(
         out,
         "predict",
-        _config_echo(cfg)
-        | {
-            "metric": metric.value,
-            "sub_bin_seconds": sub_bin_seconds,
-            "train_tps": len(train),
-            "test_tps": len(test),
-        },
+        _config_echo(cfg) | units | {"train_tps": len(train), "test_tps": len(test)},
         inputs=[Path(args.train), Path(args.test)],
         outputs=["records.csv"],
         seed=None,
@@ -519,10 +512,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.baseline_window is not None and not args.baselines:
             raise ValueError("--baseline-window sets the window of --baselines, which is not given")
         test_from_t = 1 if args.test_from_t is None else args.test_from_t
+        if test_from_t < 1:
+            raise ValueError(f"--test-from-t {test_from_t} is below 1, the first step")
         baseline_window = 50 if args.baseline_window is None else args.baseline_window
-        out = _out_dir(args)
         records = _data_read(read_records, args.records)
+        if test_from_t > len(records):
+            raise ValueError(f"--test-from-t {test_from_t} is past the last step of {args.records}, "
+                             f"which holds {len(records)} steps")
         report = evaluate_records(records, test_from_t, "records", baseline_window if args.baselines else None)
+        out = _out_dir(args)
         write_reports(out / "report.csv", [report])
         with open(out / "errors.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("seq,absolute_percentage_error\n")
@@ -547,7 +545,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("evaluate needs either --records or both --train and --test")
     if records_flags := _given(args, "test_from_t", "baseline_window"):
         raise ValueError(f"{records_flags}: a sweep scores every test step, so these apply to --records only")
-    out = _out_dir(args)
     kernel = res.kernel_spec()
     up_grid = (
         _int_grid(args.up_tps_grid, "--up-tps-grid")
@@ -561,9 +558,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         kernels = [kernel]
     configs = [replace(res.forecast_config(up), kernel=kern) for up in up_grid for kern in kernels]
-    metric, sub_bin_seconds = res.stream_units()
-    train, test = _read_streams(args.train, args.test, metric, sub_bin_seconds, configs[0].pp_tps)
+    train, test, units = _read_streams(args.train, args.test, configs[0].pp_tps)
+    if not len(test):
+        raise DataError(f"{args.test}: no period to score")
     reports = sweep(configs, train, test, with_baselines=args.baselines)
+    out = _out_dir(args)
     write_reports(out / "reports.csv", reports)
     write_plot_data(out / "sweep_mape.csv", reports)
     _write_manifest(
@@ -574,8 +573,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "up_tps_grid": up_grid,
             "bandwidth_grid": [kern.k if kern.h is None else kern.h for kern in kernels],
             "kernel": kernel.family.value,
-            "metric": metric.value,
-            "sub_bin_seconds": sub_bin_seconds,
+            **units,
             "pp_tps": configs[0].pp_tps,
             "cycles": configs[0].cycles,
             "baselines": args.baselines,

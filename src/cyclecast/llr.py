@@ -89,8 +89,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if (self.h is None) == (self.k is None):
             raise ValueError("exactly one of h (fixed radius) or k (nearest count) must be set")
-        if self.h is not None and not self.h > 0:
-            raise ValueError(f"fixed radius must be positive, got {self.h}")
+        if self.h is not None and not 0 < self.h < math.inf:
+            raise ValueError(f"fixed radius must be positive and finite, got {self.h}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"nearest-neighbor count must be >= 1, got {self.k}")
 

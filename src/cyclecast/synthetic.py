@@ -66,6 +66,8 @@ class SyntheticSpec:
             raise ValueError("amplitudes must sum below 1 to keep the rate positive")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.tp_minutes < 1 or self.sub_bin_seconds < 1:
             raise ValueError("tp_minutes and sub_bin_seconds must be positive")
         if (self.tp_minutes * 60) % self.sub_bin_seconds != 0:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the measured
 values next to each criterion.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -323,3 +324,23 @@ def test_pipeline_determinism(tmp_path):
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
     _announce("determinism", f"two pipeline runs produced {len(names)} byte-identical files")
+
+
+def test_every_manifest_is_json(tmp_path):
+    run_reference_pipeline(tmp_path)
+    streams = [
+        "--train", str(tmp_path / "observations_arrivals_train.csv"),
+        "--test", str(tmp_path / "observations_arrivals_test.csv"),
+        "--pp-tps", "48", "--cycles", "2", "--bandwidth-h", "4.5",
+    ]
+    assert cli_main(["predict", *streams, "--up-tps", "12", "--out-dir", str(tmp_path / "radius")]) == EXIT_OK
+    assert cli_main(["evaluate", *streams, "--up-tps-grid", "6,12", "--out-dir", str(tmp_path / "radius")]) == EXIT_OK
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    manifests = sorted(tmp_path.rglob("*.manifest.json"))
+    for path in manifests:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert len(manifests) == 8
+    _announce("manifests-json", f"{len(manifests)} manifests, fixed-radius runs included, parse as strict JSON")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclecast import cli
 from cyclecast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from cyclecast.forecaster import read_records
 from cyclecast.poisson import poisson_mle
@@ -185,11 +186,36 @@ class TestResourceMetrics:
             "predict", "--train", f"{out}/observations_cpu_train.csv",
             "--test", f"{out}/observations_cpu_test.csv", "--out-dir", out,
             "--pp-tps", "12", "--up-tps", "4", "--cycles", "2",
-            "--bandwidth-k", "4", "--metric", "cpu",
+            "--bandwidth-k", "4",
         ]) == EXIT_OK
         records = read_records(tmp_path / "records.csv")
         assert len(records) == 48
         assert (records.predicted >= 0).all()
+
+
+class TestStreamUnits:
+    """predict and the sweep take the metric and sub-bin width from the streams' first period."""
+
+    def test_manifests_echo_the_units_of_the_stream(self, tmp_path):
+        train = _obs_file(tmp_path / "train.csv", 8, 4, metric="memory")
+        test = _obs_file(tmp_path / "test.csv", 4, 4, metric="memory")
+        streams = ["--train", train, "--test", test, "--pp-tps", "4", "--up-tps", "2"]
+        assert main(["predict", *streams, "--out-dir", str(tmp_path / "predict")]) == EXIT_OK
+        assert main(["evaluate", *streams, "--out-dir", str(tmp_path / "sweep")]) == EXIT_OK
+        for manifest in (tmp_path / "predict" / "predict.manifest.json", tmp_path / "sweep" / "evaluate.manifest.json"):
+            config = json.loads(manifest.read_text())["config"]
+            assert (config["metric"], config["sub_bin_seconds"]) == ("memory", 60), manifest
+
+    def test_an_empty_train_stream_takes_the_units_of_test(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(OBS_HEADER)
+        cpu = _obs_file(tmp_path / "cpu.csv", 8, 4, metric="cpu")
+        for test, units in ((cpu, ["cpu", 60]), (str(empty), [None, None])):
+            out = tmp_path / Path(test).stem
+            argv = ["predict", "--train", str(empty), "--test", test, "--pp-tps", "4", "--up-tps", "2"]
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+            config = json.loads((out / "predict.manifest.json").read_text())["config"]
+            assert [config["metric"], config["sub_bin_seconds"]] == units
 
 
 class TestFit:
@@ -291,8 +317,8 @@ class TestExitCodes:
         [
             *(("records", ["--baselines", *flag], flag[0]) for flag in (
                 ["--pp-tps", "24"], ["--up-tps", "8"], ["--cycles", "2"], ["--kernel", "gaussian"],
-                ["--bandwidth-k", "6"], ["--bandwidth-h", "2.5"], ["--metric", "cpu"],
-                ["--sub-bin-sec", "60"], ["--up-tps-grid", "4,8"], ["--bandwidth-grid", "5,10"],
+                ["--bandwidth-k", "6"], ["--bandwidth-h", "2.5"], ["--up-tps-grid", "4,8"],
+                ["--bandwidth-grid", "5,10"],
             )),
             ("records", ["--baseline-window", "10"], "--baseline-window"),
             ("sweep", ["--test-from-t", "3"], "--test-from-t"),
@@ -313,6 +339,81 @@ class TestExitCodes:
         assert main(["evaluate", *source, *flags, "--out-dir", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "test_from_t, records, message",
+        [
+            ("0", TWO_RECORDS, "--test-from-t 0 is below 1, the first step"),
+            ("-5", TWO_RECORDS, "--test-from-t -5 is below 1, the first step"),
+            ("3", TWO_RECORDS, "--test-from-t 3 is past the last step of {path}, which holds 2 steps"),
+            ("500", TWO_RECORDS, "--test-from-t 500 is past the last step of {path}, which holds 2 steps"),
+            ("1", TWO_RECORDS.splitlines(keepends=True)[0], "--test-from-t 1 is past the last step of {path}, "
+             "which holds 0 steps"),
+        ],
+        ids=["zero", "negative", "one-past", "far-past", "no-steps"],
+    )
+    def test_test_from_t_outside_the_records_is_usage_error(self, tmp_path, capsys, test_from_t, records, message):
+        path = tmp_path / "records.csv"
+        path.write_text(records)
+        out = tmp_path / "out"
+        code = main(["evaluate", "--records", str(path), f"--test-from-t={test_from_t}", "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message.format(path=path) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_test_from_t_may_be_the_last_step(self, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text(TWO_RECORDS)
+        assert main(["evaluate", "--records", str(records), "--test-from-t", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
+        (row,) = oracles.read_report_rows(tmp_path / "report.csv")
+        assert row["retained"] == "1"
+
+    def test_sweep_of_an_empty_test_stream_is_data_error(self, tmp_path, capsys):
+        train = _obs_file(tmp_path / "train.csv", 8, 4)
+        empty = tmp_path / "empty.csv"
+        empty.write_text(OBS_HEADER)
+        out = tmp_path / "out"
+        code = main(["evaluate", "--train", train, "--test", str(empty), "--pp-tps", "4", "--up-tps", "2",
+                     "--out-dir", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{empty}: no period to score" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_infinite_fixed_radius_is_usage_error(self, tmp_path, capsys):
+        obs = _obs_file(tmp_path / "obs.csv", 8, 4)
+        for command in ("predict", "evaluate"):
+            out = tmp_path / command
+            argv = [command, "--train", obs, "--test", obs, "--pp-tps", "4", "--up-tps", "2", "--bandwidth-h", "inf"]
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE, command
+            err = capsys.readouterr().err
+            assert "fixed radius must be positive and finite, got inf" in err and "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["ingest", "--trace", "{missing}"], EXIT_DATA, "{missing}"),
+            (["fit", "--observations", "{missing}"], EXIT_DATA, "{missing}"),
+            (["evaluate", "--records", "{missing}"], EXIT_DATA, "{missing}"),
+            (["evaluate", "--train", "{missing}", "--test", "{missing}"], EXIT_DATA, "{missing}"),
+            (["synth", "--tps", "10", "--pp-tps", "5", "--seed=-1"], EXIT_USAGE,
+             "seed must be a nonnegative integer, got -1"),
+            (["synth", "--tps", "10", "--pp-tps", "5", "--config", "{cfg}"], EXIT_USAGE,
+             "seed must be a nonnegative integer, got -1"),
+        ],
+        ids=["ingest", "fit", "records", "sweep", "seed-flag", "seed-entry"],
+    )
+    def test_refused_run_makes_no_output_directory(self, tmp_path, capsys, argv, code, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        paths = {"missing": str(tmp_path / "nope.csv"), "cfg": str(cfg)}
+        out = tmp_path / "out"
+        assert main([arg.format(**paths) for arg in argv] + ["--out-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message.format(**paths) in err and "Traceback" not in err
         assert not out.exists()
 
     def test_records_mode_echoes_its_defaults(self, tmp_path):
@@ -346,13 +447,13 @@ class TestExitCodes:
         cpu = _obs_file(tmp_path / "cpu.csv", 4, 4, metric="cpu")
         arrivals = _obs_file(tmp_path / "arrivals.csv", 4, 4)
         window = ["--pp-tps", "4", "--up-tps", "2", "--out-dir", str(tmp_path)]
-        for train, test in [(cpu, cpu), (arrivals, cpu)]:
-            for command in ("predict", "evaluate"):
-                code = main([command, "--train", train, "--test", test, *window])
-                assert code == EXIT_DATA, (command, train, test)
-                err = capsys.readouterr().err
-                assert f"{cpu}: period tp_index=1 cycle_index=1 carries metric 'cpu'" in err
-                assert "Traceback" not in err
+        for command in ("predict", "evaluate"):
+            code = main([command, "--train", arrivals, "--test", cpu, *window])
+            assert code == EXIT_DATA, command
+            err = capsys.readouterr().err
+            assert f"{cpu}: period tp_index=1 cycle_index=1 carries metric 'cpu'" in err
+            assert "but the stream began with 'arrivals' with 60s sub-bins" in err
+            assert "Traceback" not in err
 
     def test_out_of_order_stream_is_data_error(self, tmp_path, capsys):
         train = _obs_file(tmp_path / "train.csv", 4, 4)
@@ -599,12 +700,17 @@ class TestExitCodes:
 
     def test_sub_bin_mismatch_is_data_error(self, tmp_path, capsys):
         obs = _obs_file(tmp_path / "obs.csv", 8, 4)
-        window = ["--pp-tps", "4", "--up-tps", "2", "--out-dir", str(tmp_path)]
-        for sub_bin in ("30", "7"):
-            for command in ("predict", "evaluate"):
-                code = main([command, "--train", obs, "--test", obs, "--sub-bin-sec", sub_bin, *window])
-                assert code == EXIT_DATA, (command, sub_bin)
-                assert "with 60s sub-bins" in capsys.readouterr().err
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(Path(obs).read_text().replace("1,2,arrivals,60,", "1,2,arrivals,30,"))
+        window = ["--pp-tps", "4", "--up-tps", "2"]
+        for command in ("predict", "evaluate"):
+            out = tmp_path / command
+            code = main([command, "--train", obs, "--test", str(mixed), *window, "--out-dir", str(out)])
+            assert code == EXIT_DATA, command
+            err = capsys.readouterr().err
+            assert f"{mixed}: period tp_index=1 cycle_index=2 carries metric 'arrivals' with 30s sub-bins" in err
+            assert "but the stream began with 'arrivals' with 60s sub-bins" in err
+            assert not out.exists()
 
 
 class TestConfigFile:
@@ -637,8 +743,9 @@ class TestConfigFile:
              "bandwidth_k and bandwidth_h (line 1) are mutually exclusive"),
             ("pp-tps=24\nup_tps=abc\n", 2, "up_tps='abc': invalid literal for int()"),
             ("pp-tps=24\nbandwidth_h=-1\n", 2, "bandwidth_h='-1': fixed radius must be positive"),
+            ("bandwidth_h=inf\n", 1, "bandwidth_h='inf': fixed radius must be positive and finite, got inf"),
         ],
-        ids=["unknown-key", "twice", "both-bandwidths", "uncastable", "bad-bandwidth"],
+        ids=["unknown-key", "twice", "both-bandwidths", "uncastable", "bad-bandwidth", "infinite-bandwidth"],
     )
     def test_bad_entries_are_usage_errors_naming_the_line(self, tmp_path, capsys, text, lineno, message):
         cfg = tmp_path / "run.cfg"
@@ -655,9 +762,8 @@ class TestConfigFile:
         "command, text, lineno, message",
         [
             ("predict", "pp-tps=24\nkernel=tophat\n", 2, "kernel='tophat': 'tophat' is not a valid KernelFamily"),
-            ("predict", "metric=requests\n", 1, "metric='requests': 'requests' is not a valid MetricKind"),
             ("evaluate", "pp-tps=24\n\nkernel = Cosine\n", 3, "kernel='Cosine': 'cosine' is not a valid KernelFamily"),
-            ("evaluate", "pp-tps=24\nmetric=all\n", 2, "metric='all': 'all' is not a valid MetricKind"),
+            ("ingest", "metric=requests\n", 1, "metric='requests': 'requests' is not a valid MetricKind"),
             ("ingest", "# metrics\nmetric=arrivals,cpu\n", 2,
              "metric='arrivals,cpu': 'arrivals,cpu' is not a valid MetricKind"),
         ],
@@ -679,11 +785,28 @@ class TestConfigFile:
         assert f"{cfg}:{lineno}: {message}" in err and "Traceback" not in err
         assert not list(out.glob("*.manifest.json"))
 
+    def test_one_file_with_metric_all_serves_every_command(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("metric=all\npp-tps=24\nup-tps=6\ncycles=2\nbandwidth-k=4\nsub-bin-sec=60\nseed=5\n")
+        out = str(tmp_path)
+        config = ["--config", str(cfg)]
+        assert main(["synth", "--tps", "72", "--base-rate", "5", *config, "--out-dir", out]) == EXIT_OK
+        ingest = ["ingest", "--trace", f"{out}/trace.csv", "--header", "--split-tp", "48", *config]
+        assert main([*ingest, "--out-dir", out]) == EXIT_OK
+        for metric in ("arrivals", "cpu", "memory"):
+            streams = ["--train", f"{out}/observations_{metric}_train.csv",
+                       "--test", f"{out}/observations_{metric}_test.csv", *config]
+            assert main(["predict", *streams, "--out-dir", f"{out}/{metric}"]) == EXIT_OK, metric
+            assert main(["evaluate", *streams, "--up-tps-grid", "3,6", "--out-dir", f"{out}/{metric}"]) == EXIT_OK
+            for command in ("predict", "evaluate"):
+                manifest = json.loads((tmp_path / metric / f"{command}.manifest.json").read_text())
+                assert manifest["config"]["metric"] == metric, (metric, command)
+
 
 # The settings each command reads; every other setting, and --config where it reads none, is refused.
 SETTINGS = ["tp_min", "pp_tps", "up_tps", "cycles", "kernel", "bandwidth_k", "bandwidth_h",
             "metric", "sub_bin_sec", "scale", "seed"]
-FORECAST = ["pp_tps", "up_tps", "cycles", "kernel", "bandwidth_k", "bandwidth_h", "metric", "sub_bin_sec"]
+FORECAST = ["pp_tps", "up_tps", "cycles", "kernel", "bandwidth_k", "bandwidth_h"]
 READS = {
     "synth": ["tp_min", "pp_tps", "sub_bin_sec", "seed"],
     "ingest": ["tp_min", "pp_tps", "sub_bin_sec", "metric", "scale"],
@@ -706,10 +829,10 @@ FLAGS = {
               "--tp-min --pp-tps --sub-bin-sec --metric --scale --config --out-dir",
     "fit": "--observations --out-dir",
     "predict": "--train --test --pp-tps --up-tps --cycles --kernel --bandwidth-k --bandwidth-h "
-               "--metric --sub-bin-sec --config --out-dir",
+               "--config --out-dir",
     "evaluate": "--records --test-from-t --train --test --up-tps-grid --bandwidth-grid --baselines "
                 "--baseline-window --pp-tps --up-tps --cycles --kernel --bandwidth-k --bandwidth-h "
-                "--metric --sub-bin-sec --config --out-dir",
+                "--config --out-dir",
 }
 
 
@@ -725,7 +848,7 @@ class TestFlagSurface:
         for name, command in commands.items():
             flags = [opt for action in command._actions for opt in action.option_strings if opt not in ("-h", "--help")]
             assert flags == FLAGS[name].split(), name
-        assert sum(len(flags.split()) for flags in FLAGS.values()) == 58
+        assert sum(len(flags.split()) for flags in FLAGS.values()) == 54
 
     @pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
     def test_setting_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, command, key):
@@ -805,6 +928,20 @@ class TestDocumentedCommandLines:
         assert len(argvs) == 7
         for argv in argvs:
             build_parser().parse_args(argv)
+
+    def test_readme_settings_table_matches_the_parser(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Each command takes a flag only for a setting it reads:\n\n", 1)[1].split("\n\n")[0]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            commands, settings = (cell.strip() for cell in row.strip("|").split("|"))
+            for command in re.findall(r"`(\w+)`", commands):
+                documented[command] = re.findall(r"`(--[\w-]+)`", settings)
+        registered = {
+            name: [opt for action in command._actions if action.dest in cli._SETTINGS for opt in action.option_strings]
+            for name, command in _commands().items()
+        }
+        assert documented == registered
 
     @pytest.mark.parametrize("size", sorted(workloads.SIZES))
     @pytest.mark.parametrize("workload", ["readme", "long-sweep"])

@@ -69,6 +69,11 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(k=0)
 
+    @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_radius_that_is_not_finite(self, h):
+        with pytest.raises(ValueError, match=f"fixed radius must be positive and finite, got {h}"):
+            KernelSpec(h=h)
+
 
 class TestEffectiveBandwidth:
     def test_fixed_radius_passthrough(self):

@@ -39,6 +39,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SyntheticSpec(**{field: value})
 
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+            SyntheticSpec(seed=-1)
+
     def test_expected_event_count_is_bounded(self):
         # One 60 s sub-bin per period and no modulation: the expected count is tps * base_rate.
         one_bin = dict(tp_minutes=1, sub_bin_seconds=60, daily_amplitude=0.0, weekly_amplitude=0.0)
