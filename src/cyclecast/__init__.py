@@ -22,8 +22,6 @@ from .llr import (
     Fallback,
     KernelFamily,
     KernelSpec,
-    effective_bandwidth,
-    kernel_weight,
 )
 from .poisson import (
     poisson_cdf,
@@ -56,8 +54,6 @@ __all__ = [
     "Fallback",
     "KernelFamily",
     "KernelSpec",
-    "effective_bandwidth",
-    "kernel_weight",
     "poisson_cdf",
     "poisson_mle",
     "poisson_pmf",

@@ -39,6 +39,7 @@ from .trace import (
     MetricKind,
     Observations,
     _check_scale,
+    _CountTooLarge,
     _SpanTooLarge,
     aggregate_span,
     parse_trace,
@@ -349,7 +350,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if num_tps == 0:
         raise DataError(f"{args.trace}: no events at or after start offset {args.start_sec}s")
 
-    outputs: list[str] = []
+    # Every metric is aggregated before any file is written, so a refused
+    # metric leaves no output behind.
+    parts: dict[str, Observations] = {}
     for metric in metrics:
         try:
             observations = aggregate_span(
@@ -361,22 +364,21 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 f"{args.trace}: the latest event, at timestamp {last}, implies {num_tps} target periods "
                 f"of {tp_min}min from --start-sec {args.start_sec}: {exc}"
             ) from None
+        except _CountTooLarge as exc:
+            raise DataError(f"{args.trace}: {exc} at --scale {scale!r}") from None
         if args.split_tp is not None:
             if not 1 <= args.split_tp < len(observations):
                 raise ValueError(
                     f"--split-tp {args.split_tp} outside [1, {len(observations) - 1}] "
                     f"for a {len(observations)}-period span"
                 )
-            parts = {
-                f"observations_{metric.value}_train.csv": observations[: args.split_tp],
-                f"observations_{metric.value}_test.csv": observations[args.split_tp :],
-            }
+            parts[f"observations_{metric.value}_train.csv"] = observations[: args.split_tp]
+            parts[f"observations_{metric.value}_test.csv"] = observations[args.split_tp :]
         else:
-            parts = {f"observations_{metric.value}.csv": observations}
-        out = _out_dir(args)
-        for name, obs in parts.items():
-            write_observations(out / name, obs, scale)
-            outputs.append(name)
+            parts[f"observations_{metric.value}.csv"] = observations
+    out = _out_dir(args)
+    for name, obs in parts.items():
+        write_observations(out / name, obs, scale)
 
     print(f"parsed {len(parsed.events)} events ({parsed.rejected} rejected), {num_tps} target periods")
     _write_manifest(
@@ -400,7 +402,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             "rejected_rows": parsed.rejected,
         },
         inputs=[Path(args.trace)],
-        outputs=outputs,
+        outputs=list(parts),
         seed=None,
     )
     return EXIT_OK

@@ -10,26 +10,32 @@ instead of a number.
 ``predict_step`` and ``observe_step`` are that step, for a caller that sees
 one period at a time. ``run`` is the offline form over a whole stream: the
 store's contents are a function of the rate stream alone, so it fits every
-period first, reads each step's window from the write-ordered rates, and solves
-each group of steps that share a window shape with one plan. It returns
-the steps as ``Records``, five columns with one entry per step, which
+period first and reads each step's window from the write-ordered rates.
+It takes the steps a chunk of 256 at a time, in one pass per chunk: one
+call plans every window shape the chunk holds, and one batch of certified
+row sums applies every step (see ``cyclecast.llr``). It returns the steps
+as ``Records``, five columns with one entry per step, which
 ``write_records`` and ``read_records`` move to and from text a row per
-step. Its records and final store are the ones the step-by-step loop
-produces, bit for bit. Its two phases, ``_fit`` and ``_predict``, are also
-what the evaluation sweep runs: one fit for all configurations, and
-predictions for only the steps it scores.
+step, a column at a time. Its records and final store are the ones the
+step-by-step loop produces, bit for bit. Its two phases, ``_fit`` and
+``_predict``, are also what the evaluation sweep runs: one fit for all
+configurations, and predictions for only the steps it scores.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
+from operator import attrgetter
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .llr import Fallback, KernelSpec, LLRPlan, llr_apply, llr_plan
+from .llr import Fallback, KernelSpec, _apply_shapes, _Plans, _plan_shapes, llr_apply
 from .poisson import poisson_mle, poisson_mle_rows
 from .store import CyclicDataset, EmptyWindowError
 from .trace import Observations, PeriodObservation
@@ -107,17 +113,16 @@ class Records:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_plan(empty: bytes, n: int, l: int, kernel: KernelSpec) -> LLRPlan:
-    """LLR plan for a window whose empty cells are the n x l mask ``empty``.
+def _window_plan(empty: bytes, n: int, l: int, kernel: KernelSpec) -> _Plans:
+    """LLR plans of the windows whose empty cells are the n x l masks in ``empty``.
 
-    The xs are the offsets of the populated cells, in ``window_cells`` order;
-    a k-nearest count is clamped to their number (see ``predict_step``).
+    ``empty`` holds one mask after another, n * l bytes each, and plan i is
+    mask i's. The xs are the offsets of all n x l cells, in ``window_cells``
+    order, and each plan's support counts over them; a k-nearest count is
+    clamped to each window's population (see ``predict_step``).
     """
-    populated = ~np.frombuffer(empty, dtype=bool).reshape(n, l)
-    xs = (np.nonzero(populated)[0] + 1).astype(np.float64).tolist()
-    if kernel.k is not None and kernel.k > len(xs):
-        kernel = replace(kernel, k=len(xs))
-    return llr_plan(xs, float(n), kernel)
+    populated = ~np.frombuffer(empty, dtype=bool).reshape(-1, n * l)
+    return _plan_shapes(np.repeat(np.arange(1.0, n + 1), l), float(n), kernel, populated)
 
 
 def _check_shape(ds: CyclicDataset, cfg: ForecastConfig) -> None:
@@ -153,8 +158,8 @@ def predict_step(ds: CyclicDataset, cfg: ForecastConfig) -> tuple[float, Fallbac
     """
     _check_shape(ds, cfg)
     block, empty = ds.window_cells(cfg.up_tps)
-    plan = _window_plan(empty.tobytes(), cfg.up_tps, ds.l, cfg.kernel)
-    return max(llr_apply(plan, block[~empty]), 0.0), plan.fallback
+    plan = _window_plan(empty.tobytes(), cfg.up_tps, ds.l, cfg.kernel).plan(0)
+    return max(llr_apply(plan, block.ravel()), 0.0), plan.fallback
 
 
 def observe_step(ds: CyclicDataset, obs: PeriodObservation) -> float:
@@ -211,8 +216,13 @@ def _predict(
     step), the warm-up mask and each step's fallback: the values of
     ``predict_step`` at those steps, bit for bit.
 
-    The windows are read from ``history`` a chunk of steps at a time, and
-    each run of steps that share a window shape is solved with one plan.
+    The windows are read from ``history`` a chunk of ``_CHUNK`` steps at a
+    time, as a cells x steps block. The chunk's distinct window shapes (which
+    cells hold a rate) are planned by one call, cached per set of shapes,
+    and every step is applied in one batch: each step's sy and, for a line,
+    its sxy are summed together. Once every cell has been written, a chunk
+    holds one shape, the full window, and its plan is the one
+    ``predict_step`` uses.
     """
     m, l, n = cfg.pp_tps, cfg.cycles, cfg.up_tps
 
@@ -228,34 +238,40 @@ def _predict(
         size = len(writes)
         # After W writes, window offset j < n is the row of write
         # u = W - n + j, which no later write has reached yet: its cells
-        # hold what they held after write u, one row of ``earlier`` that
-        # n - 1 consecutive steps share. Offset n is the cursor's row,
-        # last written by write W - m.
-        earlier = rows(np.arange(writes[0] + 1 - n, writes[-1]))
-        cursor = rows(writes - m)
-        block = np.concatenate(
-            [earlier[np.arange(size)[:, None] + np.arange(n - 1)], cursor[:, None]], axis=1
-        ).reshape(size, n * l)
-        empty = np.isnan(block)
-        # Runs of consecutive steps whose windows share one empty mask.
-        starts = np.flatnonzero((empty[1:] != empty[:-1]).any(axis=1)) + 1
-        bounds = [0, *starts.tolist(), size]
-        for a, b in zip(bounds, bounds[1:]):
-            mask = empty[a]
-            if mask.all():
-                continue  # warm-up: the window holds no rate yet
-            plan = _window_plan(mask.tobytes(), n, l, cfg.kernel)
-            try:
-                values = llr_apply(plan, block[a:b, ~mask])
-            except (ValueError, OverflowError):
-                # A batch sums every row's sy before any row's sxy, so it can fail at a
-                # later step than the step loop; one row at a time, the first step fails.
-                values = np.array([llr_apply(plan, ys) for ys in block[a:b, ~mask]])
-            steps = slice(c - lo + a, c - lo + b)
-            # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
-            predicted[steps] = np.where(values < 0, 0.0, values)
-            warm[steps] = False
-            fallbacks[steps] = plan.fallback
+        # hold what they held after write u, a row that n - 1 consecutive
+        # steps share, read once and slid. Offset n is the cursor's row,
+        # last written by write W - m. One column per step, one row per cell.
+        block = np.empty((n, l, size))
+        if n > 1:
+            block[:-1] = sliding_window_view(rows(np.arange(writes[0] + 1 - n, writes[-1])), size, axis=0)
+        block[-1] = rows(writes - m).T
+        block = block.reshape(n * l, size)
+        if writes[0] >= l * m:
+            # Every window reads writes from writes[0] - l*m on: all written, one shape.
+            shapes = {bytes(n * l): 0}
+            which = np.zeros(size, dtype=np.intp)
+        else:
+            # Runs of consecutive steps whose windows share one empty mask; each
+            # distinct mask is a shape, and a window with no rate is warm-up.
+            empty = np.isnan(block)
+            starts = [0, *(np.flatnonzero((empty[:, 1:] != empty[:, :-1]).any(axis=0)) + 1).tolist()]
+            shapes = {}
+            run_shape = [
+                -1 if empty[:, a].all() else shapes.setdefault(empty[:, a].tobytes(), len(shapes)) for a in starts
+            ]
+            which = np.repeat(run_shape, np.diff([*starts, size]))
+        live = np.flatnonzero(which >= 0)
+        if not len(live):
+            continue
+        plans = _window_plan(b"".join(shapes), n, l, cfg.kernel)
+        # Warm-up steps lead a run, so the live steps are most often a slice.
+        ys = block[:, live[0] :] if len(live) == size - live[0] else block[:, live]
+        values = _apply_shapes(plans, which[live], ys)
+        steps = c - lo + live
+        # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
+        predicted[steps] = np.where(values < 0, 0.0, values)
+        warm[steps] = False
+        fallbacks[steps] = plans.fallback[which[live]]
     return predicted, warm, fallbacks
 
 
@@ -289,22 +305,37 @@ def run(
     return Records((w0 + np.arange(len(fitted))) % m + 1, predicted, warm, fitted, fallback)
 
 
+_RECORDS_HEADER = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
+_FALLBACKS = {f.value: f for f in Fallback}
+_ROWS_PER_BLOCK = 256  # records formatted or parsed at once; bounds the strings held
+
+
 def write_records(path: str | Path, records: Records) -> None:
     """Write records as delimited text, one step per row; warm-ups print NA.
 
     Each rate is written as the ``repr`` of its Python float, which reads
-    back to the same bits.
+    back to the same bits. The columns are formatted a block of rows at a
+    time and interleaved, with their separators, into one string.
     """
-    columns = (
-        records.tp_index.tolist(), records.predicted.tolist(), records.warm.tolist(),
-        records.actual.tolist(), records.fallback.tolist(),
-    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,tp_index,predicted_lambda,actual_lambda,fallback_used\n")
-        fh.writelines(
-            f"{t},{tp},{'NA' if warm else repr(p)},{a!r},{f.value}\n"
-            for t, (tp, p, warm, a, f) in enumerate(zip(*columns), start=1)
-        )
+        fh.write(_RECORDS_HEADER)
+        for lo in range(0, len(records), _ROWS_PER_BLOCK):
+            block = slice(lo, lo + _ROWS_PER_BLOCK)
+            predicted = list(map(repr, records.predicted[block].tolist()))
+            for i in np.flatnonzero(records.warm[block]).tolist():
+                predicted[i] = "NA"
+            columns = (
+                list(map(str, range(lo + 1, lo + 1 + len(predicted)))),
+                list(map(str, records.tp_index[block].tolist())),
+                predicted,
+                list(map(repr, records.actual[block].tolist())),
+                list(map(attrgetter("value"), records.fallback[block].tolist())),
+            )
+            text = [","] * (10 * len(predicted))
+            for j, column in enumerate(columns):
+                text[2 * j :: 10] = column
+            text[9::10] = ["\n"] * len(predicted)
+            fh.write("".join(text))
 
 
 def _rate(text: str) -> float:
@@ -312,6 +343,104 @@ def _rate(text: str) -> float:
     if not math.isfinite(v) or v < 0:
         raise ValueError(f"rate must be finite and nonnegative, got {text!r}")
     return v
+
+
+def _parse_records(lines: Iterator[str]) -> Records | None:
+    """The records of the rows of ``lines``, or None if any breaks a rule.
+
+    Blank lines are skipped, and the rest read a block of rows at a time,
+    each block as five columns. The rules of ``read_records`` then hold as
+    column checks: every field parses, t runs 1..N, each tp_index is at
+    least 1 and follows the one before it or wraps to 1, every wrap comes
+    from the first wrap's tp_index P and no tp_index after it exceeds P, NA
+    only leads, and the rates are finite and nonnegative.
+    """
+    tp: list[np.ndarray] = []
+    rates: list[np.ndarray] = []
+    fallback: list[Fallback] = []
+    n = warmup = 0
+    while block := list(islice(lines, _ROWS_PER_BLOCK)):
+        rows = [line for line in map(str.strip, block) if line]
+        if not rows:
+            continue
+        if any(c != 4 for c in map(str.count, rows, repeat(","))):
+            return None
+        fields = ",".join(rows).split(",")
+        try:
+            if list(map(int, fields[::5])) != list(range(n + 1, n + len(rows) + 1)):
+                return None
+            tp.append(np.fromiter(map(int, fields[1::5]), dtype=np.int64, count=len(rows)))
+            predicted = fields[2::5]
+            if warmup == n:
+                lead = next((i for i, p in enumerate(predicted) if p != "NA"), len(rows))
+                warmup, predicted = n + lead, predicted[lead:]
+            rates.append(np.fromiter(map(float, predicted + fields[3::5]), dtype=np.float64))
+            fallback += map(_FALLBACKS.__getitem__, fields[4::5])
+        except (ValueError, OverflowError, KeyError):
+            return None
+        n += len(rows)
+    tp_index = np.concatenate([np.zeros(0, dtype=np.int64), *tp])
+    # Each block's rates: its numeric predictions, then its actual rates.
+    split = [len(r) - len(t) for r, t in zip(rates, tp)]
+    predicted = np.concatenate([np.zeros(warmup), *(r[:k] for r, k in zip(rates, split))])
+    actual = np.concatenate([np.zeros(0), *(r[k:] for r, k in zip(rates, split))])
+    numeric = np.concatenate([predicted[warmup:], actual])
+    if not (np.isfinite(numeric) & ~(numeric < 0)).all() or (tp_index < 1).any():
+        return None
+    if not ((tp_index[1:] == tp_index[:-1] + 1) | (tp_index[1:] == 1)).all():
+        return None
+    wraps = np.flatnonzero(tp_index[1:] == 1)
+    if len(wraps) and ((tp_index[wraps] != tp_index[wraps[0]]).any() or (tp_index[wraps[0] + 1 :] > tp_index[wraps[0]]).any()):
+        return None
+    return Records(tp_index, predicted, np.arange(n) < warmup, actual, fallback)
+
+
+def _read_rows(path: str | Path, rows: Iterable[tuple[int, str]]) -> Records:
+    """The records of ``rows`` (line number, text), read a row at a time; a
+    row that breaks a rule of ``read_records`` raises, naming its line."""
+    tp_index: list[int] = []
+    predicted: list[float] = []
+    actual: list[float] = []
+    fallback: list[Fallback] = []
+    warmup = 0
+    period = None  # the pattern length, from the first wrap on
+    for lineno, line in rows:
+        parts = line.split(",")
+        try:
+            if len(parts) != 5:
+                raise ValueError(f"expected 5 fields, got {len(parts)}")
+            t = int(parts[0])
+            if t != len(tp_index) + 1:
+                raise ValueError(f"step t={t} out of order: expected t={len(tp_index) + 1}")
+            tp = int(parts[1])
+            if tp < 1:
+                raise ValueError(f"tp_index={tp} is below 1")
+            if tp_index and tp not in (tp_index[-1] + 1, 1):
+                raise ValueError(
+                    f"tp_index={tp} follows tp_index={tp_index[-1]}: expected {tp_index[-1] + 1} or a wrap to 1"
+                )
+            if tp_index and tp == 1:
+                if period is None:
+                    period = tp_index[-1]
+                elif tp_index[-1] != period:
+                    raise ValueError(
+                        f"wrap to 1 after tp_index={tp_index[-1]}: the first wrap set the pattern length to {period}"
+                    )
+            if period is not None and tp > period:
+                raise ValueError(f"tp_index={tp} exceeds the pattern length {period} set by the first wrap")
+            if parts[2] == "NA" and warmup < len(tp_index):
+                raise ValueError("NA prediction after a numeric one: warm-up steps only lead a run")
+            p = 0.0 if parts[2] == "NA" else _rate(parts[2])
+            a = _rate(parts[3])
+            f = Fallback(parts[4])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        warmup += parts[2] == "NA"
+        tp_index.append(tp)
+        predicted.append(p)
+        actual.append(a)
+        fallback.append(f)
+    return Records(tp_index, predicted, np.arange(len(tp_index)) < warmup, actual, fallback)
 
 
 def read_records(path: str | Path) -> Records:
@@ -324,56 +453,17 @@ def read_records(path: str | Path) -> Records:
     must agree on one pattern length P: every wrap comes from ``tp_index``
     P, and no ``tp_index`` after the first wrap exceeds P. Every row error
     names the file and line.
+
+    Blank lines are skipped. The rows are read as columns and the rules
+    checked on the columns; only a file that breaks one is read again a row
+    at a time, which names the first row at fault.
     """
-    tp_index: list[int] = []
-    predicted: list[float] = []
-    warm: list[bool] = []
-    actual: list[float] = []
-    fallback: list[Fallback] = []
-    period = None  # the pattern length, from the first wrap on
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline()
-        if not header.startswith("t,tp_index,"):
+    with open(path, "r", encoding="utf-8") as fh:
+        if not fh.readline().startswith("t,tp_index,"):
             raise ValueError(f"{path}: not a prediction records file")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) != 5:
-                    raise ValueError(f"expected 5 fields, got {len(parts)}")
-                t = int(parts[0])
-                if t != len(tp_index) + 1:
-                    raise ValueError(f"step t={t} out of order: expected t={len(tp_index) + 1}")
-                tp = int(parts[1])
-                if tp < 1:
-                    raise ValueError(f"tp_index={tp} is below 1")
-                if tp_index and tp not in (tp_index[-1] + 1, 1):
-                    raise ValueError(
-                        f"tp_index={tp} follows tp_index={tp_index[-1]}: "
-                        f"expected {tp_index[-1] + 1} or a wrap to 1"
-                    )
-                if tp_index and tp == 1:
-                    if period is None:
-                        period = tp_index[-1]
-                    elif tp_index[-1] != period:
-                        raise ValueError(
-                            f"wrap to 1 after tp_index={tp_index[-1]}: "
-                            f"the first wrap set the pattern length to {period}"
-                        )
-                if period is not None and tp > period:
-                    raise ValueError(f"tp_index={tp} exceeds the pattern length {period} set by the first wrap")
-                p = None if parts[2] == "NA" else _rate(parts[2])
-                if p is None and warm and not warm[-1]:
-                    raise ValueError("NA prediction after a numeric one: warm-up steps only lead a run")
-                a = _rate(parts[3])
-                f = Fallback(parts[4])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            tp_index.append(tp)
-            predicted.append(0.0 if p is None else p)
-            warm.append(p is None)
-            actual.append(a)
-            fallback.append(f)
-    return Records(tp_index, predicted, warm, actual, fallback)
+        records = _parse_records(fh)
+    if records is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            records = _read_rows(path, ((lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=2) if line))
+    return records

@@ -19,11 +19,28 @@ scalars. ``llr_apply`` then needs two correctly rounded sums over the ys, so
 the fit is a fixed linear functional of the ys (the "equivalent kernel" of
 local polynomial regression). A caller that meets the same xs again (the
 forecaster, once its store is full) can keep the plan and pay only for the
-sums. Splitting the solve this
-way changes no result bit: every product is the same IEEE operation on the
-same operands, ``math.fsum`` is correctly rounded whatever the order of its
-terms, and the sums run over the same points as a one-pass solve (the
-positive-weight support for a line, every point for a mean).
+sums. Splitting the solve this way changes no result bit: every product is
+the same IEEE operation on the same operands, ``math.fsum`` is correctly
+rounded whatever the order of its terms, and the sums run over the same
+points as a one-pass solve (the positive-weight support for a line, every
+point for a mean).
+
+``_plan_shapes`` plans many shapes at once: shapes that share one set of
+cells (their xs) and the query, and differ in which cells are populated,
+as the forecaster's windows do. Each step of the chain is array work over
+a shapes x cells matrix, for every shape still unresolved; ``llr_plan`` is
+its one-shape case. ``+``, ``-``, ``*``, ``/`` and ``abs`` round the same in
+numpy as in Python, but ``np.exp`` and numpy's square need not equal
+``math.exp`` and Python's ``** 2`` (the C library's ``pow``). So those two
+go through Python once per distinct operand: the kernel is tabulated over
+the distinct distances and bandwidths, and ``(x - xbar) ** 2`` is taken
+per support point. Every plan field is the float of the scalar formula.
+``_apply_shapes`` is ``llr_apply`` for rows that each name their shape's
+plan; it sums all of them, ``sy`` and ``sxy`` alike, in one batch. Cells off
+a plan's support enter the batch with weight +0.0 and value -0.0: their
+product is -0.0, which ``math.fsum`` drops and which leaves every IEEE sum
+as it was (+0.0 would turn a sum of -0.0 into +0.0), while an empty cell's
+NaN never meets a weight.
 
 A batch of ys (one row each) is summed row by row without a Python loop:
 an exact split of each term against a power of two per row (Rump, Ogita
@@ -39,6 +56,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -48,8 +66,6 @@ __all__ = [
     "KernelSpec",
     "Fallback",
     "LLRPlan",
-    "kernel_weight",
-    "effective_bandwidth",
     "llr_plan",
     "llr_apply",
 ]
@@ -99,53 +115,6 @@ class KernelSpec:
         return f"h={self.h!r}" if self.h is not None else f"k={self.k}"
 
 
-def kernel_weight(spec: KernelSpec, x_u: float, x_i: float, h: float) -> float:
-    """Weight of observation ``x_i`` for a fit at ``x_u`` with bandwidth ``h``.
-
-    Nonincreasing in ``|x_i - x_u|`` for every family; the compact-support
-    families are exactly zero at and beyond one bandwidth.
-    """
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    u = abs(x_i - x_u) / h
-    if spec.family is KernelFamily.EPANECHNIKOV:
-        return 0.75 * (1.0 - u * u) if u < 1.0 else 0.0
-    if spec.family is KernelFamily.BIWEIGHT:
-        return (15.0 / 16.0) * (1.0 - u * u) ** 2 if u < 1.0 else 0.0
-    return _GAUSS_NORM * math.exp(-0.5 * u * u)
-
-
-def effective_bandwidth(spec: KernelSpec, x_u: float, xs: Sequence[float]) -> float:
-    """Resolve the spec's bandwidth mode to a numeric bandwidth at ``x_u``.
-
-    Fixed-radius mode returns ``h`` unchanged. k-nearest mode returns the
-    distance from ``x_u`` to its k-th nearest x. A zero k-th distance (cycle
-    replicates stacked at the query x) is promoted to the smallest positive
-    spacing between distinct xs; if every x coincides there is no usable
-    bandwidth and 0.0 is returned so callers can fall back to a local mean.
-
-    Raises
-    ------
-    ValueError
-        If ``xs`` is empty, or k exceeds the number of observations.
-    """
-    if not xs:
-        raise ValueError("no observations to derive a bandwidth from")
-    if spec.h is not None:
-        return spec.h
-    k = spec.k
-    assert k is not None
-    if k > len(xs):
-        raise ValueError(f"k={k} exceeds the {len(xs)} available observations")
-    dists = sorted(abs(x - x_u) for x in xs)
-    h = dists[k - 1]
-    if h > 0:
-        return h
-    uniq = sorted(set(xs))
-    gaps = [b - a for a, b in zip(uniq, uniq[1:])]
-    return min(gaps) if gaps else 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class LLRPlan:
     """Everything of a fit that depends on the xs alone.
@@ -173,37 +142,205 @@ class LLRPlan:
                 a.flags.writeable = False
 
 
-def _line_plan(
-    xs: Sequence[float], weights: Sequence[float], x_u: float, fallback: Fallback
-) -> LLRPlan | None:
-    """Weighted least-squares line at x_u, or None if the system is singular.
+class _Plans:
+    """The plans of several shapes over one set of cells; row i is shape i.
+
+    ``support`` is a shapes x cells mask; ``w`` and ``wdx`` are shapes x
+    cells and +0.0 off the support (``wdx`` is +0.0 throughout for a mean).
+    Per shape: ``line`` (a line, or a mean), ``s0``, ``s1``, ``s2``, ``det``,
+    ``du`` (0.0 for a mean) and ``fallback``. A shape whose planning raised
+    keeps the exception in ``error``. ``plan(i)`` is shape i's ``LLRPlan``,
+    its support counted over all the cells, or raises shape i's exception.
+    """
+
+    def __init__(self, shapes: int, cells: int) -> None:
+        self.support = np.zeros((shapes, cells), dtype=bool)
+        self.w = np.zeros((shapes, cells))
+        self.wdx = np.zeros((shapes, cells))
+        self.line = np.zeros(shapes, dtype=bool)
+        self.s0, self.s1, self.s2, self.det, self.du = np.zeros((5, shapes))
+        self.fallback = np.full(shapes, Fallback.NONE, dtype=object)
+        self.error: list[Exception | None] = [None] * shapes
+        self._plans: dict[int, LLRPlan] = {}
+
+    def plan(self, i: int) -> LLRPlan:
+        if self.error[i] is not None:
+            raise self.error[i]
+        if i not in self._plans:
+            support = np.flatnonzero(self.support[i])
+            scalars = (float(self.s0[i]), float(self.s1[i]), float(self.s2[i]), float(self.det[i]), float(self.du[i]))
+            wdx = self.wdx[i, support] if self.line[i] else None
+            self._plans[i] = LLRPlan(self.fallback[i], support, self.w[i, support], wdx, *scalars)
+        return self._plans[i]
+
+
+def _pow2(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each value as Python computes it (the C library's ``pow``)."""
+    return np.array(list(map(pow, values.tolist(), repeat(2))), dtype=np.float64)
+
+
+def _kernel(family: KernelFamily, u: np.ndarray) -> np.ndarray:
+    """The kernel at each scaled distance ``u``, the float of the scalar formula.
+
+    Nonincreasing in ``u`` for every family; the compact-support families
+    are exactly zero at and beyond 1.
+    """
+    if family is KernelFamily.GAUSSIAN:
+        return _GAUSS_NORM * np.array(list(map(math.exp, (-0.5 * u * u).ravel().tolist()))).reshape(u.shape)
+    inside = u < 1.0
+    base = 1.0 - u * u
+    if family is KernelFamily.EPANECHNIKOV:
+        return np.where(inside, 0.75 * base, 0.0)
+    weights = np.zeros(u.shape)
+    weights[inside] = (15.0 / 16.0) * _pow2(base[inside])
+    return weights
+
+
+def _bandwidths(spec: KernelSpec, xs: np.ndarray, d: np.ndarray, populated: np.ndarray) -> np.ndarray:
+    """Each shape's bandwidth: ``h``, or the distance ``d`` to its k-th nearest populated cell.
+
+    A k-nearest count above a shape's population is clamped to it. A zero
+    k-th distance (replicates stacked at the query x) is promoted to the
+    smallest positive gap between the shape's distinct xs, or 0.0 if every
+    x coincides, so the chain can fall back to a local mean.
+    """
+    shapes = len(populated)
+    if spec.h is not None:
+        return np.full(shapes, spec.h)
+    count = populated.sum(axis=1)
+    nearest = np.sort(np.where(populated, d, np.inf), axis=1)
+    h = nearest[np.arange(shapes), np.minimum(spec.k, count) - 1]
+    flat = np.flatnonzero(~(h > 0))
+    if len(flat):
+        # Sorted with the empty cells last: a gap counts between two populated xs.
+        sx = np.sort(np.where(populated[flat], xs, np.inf), axis=1)
+        with np.errstate(invalid="ignore"):  # inf - inf past the last populated x
+            gaps = np.diff(sx, axis=1)
+        real = (np.arange(gaps.shape[1]) < count[flat, None] - 1) & (gaps > 0)
+        h[flat] = np.where(real.any(axis=1), np.min(np.where(real, gaps, np.inf), axis=1, initial=np.inf), 0.0)
+    return h
+
+
+def _weights(family: KernelFamily, d: np.ndarray, h: np.ndarray, populated: np.ndarray) -> np.ndarray:
+    """Kernel weights ``K(d / h)`` of each shape's populated cells, 0.0 at the others.
+
+    The kernel is evaluated once per distinct distance and bandwidth.
+    """
+    uh, h_at = np.unique(h, return_inverse=True)
+    ud, d_at = np.unique(d, return_inverse=True)
+    with np.errstate(over="ignore"):  # as in Python, a huge distance's u * u is inf
+        table = _kernel(family, ud[None, :] / uh[:, None])
+    return np.where(populated, table[h_at[:, None], d_at[None, :]], 0.0)
+
+
+def _plan_lines(plans: _Plans, rows: np.ndarray, xs: np.ndarray, x_u: float, weights: np.ndarray,
+                fallback: Fallback) -> np.ndarray:
+    """Weighted least-squares lines at x_u for shapes ``rows``; which of them are not singular.
 
     Solves the 2x2 normal equations in coordinates centered on the weighted
     mean of x, which keeps the system conditioned at large period indices.
-    The weights are first scaled by the power of two that brings the largest
-    into [1, 2): far-tail Gaussian weights can be so small that their
-    products underflow. The scaling is exact, so the fitted value is the
-    same wherever nothing underflowed; it only changes the plan's weights.
+    A line needs two distinct xs of positive weight and a positive
+    determinant. The weights are first scaled by the power of two that
+    brings the largest into [1, 2): far-tail Gaussian weights can be so
+    small that their products underflow. The scaling is exact, so the
+    fitted value is the same wherever nothing underflowed; it only changes
+    the plan's weights. A largest weight below 2**-1022 overflows that
+    power of two in Python, and the shape keeps Python's ``OverflowError``.
     """
-    support = [i for i, w in enumerate(weights) if w > 0]
-    if len({xs[i] for i in support}) < 2:
-        return None
-    sx = [xs[i] for i in support]
-    shift = 2.0 ** (1 - math.frexp(max(weights[i] for i in support))[1])
-    sw = [weights[i] * shift for i in support]
-    s0 = math.fsum(sw)
-    xbar = math.fsum(w * x for x, w in zip(sx, sw)) / s0
-    wdx = [w * (x - xbar) for x, w in zip(sx, sw)]
-    s1 = math.fsum(wdx)
-    s2 = math.fsum(w * (x - xbar) ** 2 for x, w in zip(sx, sw))
-    det = s0 * s2 - s1 * s1
-    if det <= 0:
-        return None
-    return LLRPlan(fallback, np.array(support), np.array(sw), np.array(wdx), s0, s1, s2, det, x_u - xbar)
+    support = weights > 0
+    low = np.where(support, xs, np.inf).min(axis=1)
+    high = np.where(support, xs, -np.inf).max(axis=1)
+    two = low < high
+    _, e = np.frexp(weights.max(axis=1))
+    done = np.zeros(len(rows), dtype=bool)
+    for i in np.flatnonzero(two & (e <= -1023)).tolist():
+        try:
+            2.0 ** (1 - int(e[i]))
+        except OverflowError as exc:
+            plans.error[rows[i]] = exc
+            two[i] = False
+            done[i] = True
+    go = np.flatnonzero(two)
+    if not len(go):
+        return done
+    support = support[go]
+    w = weights[go] * np.ldexp(1.0, 1 - e[go])[:, None]
+    # Python float arithmetic overflows to inf and makes nan silently; so must this.
+    k = len(go)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _fsum(np.concatenate([np.where(support, w, -0.0), np.where(support, w * xs, -0.0)]))
+        s0, xbar = sums[:k], sums[k:] / sums[:k]
+        dx = xs - xbar[:, None]
+        wdx = w * dx
+        square = np.zeros(dx.shape)
+        square[support] = _pow2(dx[support])
+        sums = _fsum(np.concatenate([np.where(support, wdx, -0.0), np.where(support, w * square, -0.0)]))
+        s1, s2 = sums[:k], sums[k:]
+        det = s0 * s2 - s1 * s1
+    ok = ~(det <= 0)
+    at = rows[go[ok]]
+    plans.support[at] = support[ok]
+    plans.w[at] = np.where(support[ok], w[ok], 0.0)
+    plans.wdx[at] = np.where(support[ok], wdx[ok], 0.0)
+    plans.line[at] = True
+    plans.s0[at], plans.s1[at], plans.s2[at], plans.det[at] = s0[ok], s1[ok], s2[ok], det[ok]
+    plans.du[at] = x_u - xbar[ok]
+    plans.fallback[at] = fallback
+    done[go[ok]] = True
+    return done
 
 
-def _mean_plan(weights: Sequence[float], s0: float, fallback: Fallback) -> LLRPlan:
-    return LLRPlan(fallback, np.arange(len(weights)), np.array(weights, dtype=np.float64), None, s0)
+def _plan_means(plans: _Plans, rows: np.ndarray, populated: np.ndarray, weights: np.ndarray, s0: np.ndarray,
+                fallback: Fallback) -> None:
+    """Weighted means for shapes ``rows``: every populated cell, zero weights included."""
+    plans.support[rows] = populated
+    plans.w[rows] = weights
+    plans.s0[rows] = s0
+    plans.fallback[rows] = fallback
+
+
+def _plan_shapes(xs: np.ndarray, x_u: float, spec: KernelSpec, populated: np.ndarray) -> _Plans:
+    """Plan the fit at ``x_u`` of each shape, a row of ``populated`` over cells at ``xs``.
+
+    Every shape walks the chain of ``llr_plan`` on the xs of its populated
+    cells, and gets the plan that ``llr_plan`` gives them, field for field,
+    with its support counted over all the cells. A k-nearest count above a
+    shape's population is clamped to it. Each link of the chain is one array
+    step over the shapes it has not resolved yet. Every shape must populate
+    a cell.
+    """
+    shapes, cells = populated.shape
+    plans = _Plans(shapes, cells)
+    count = populated.sum(axis=1).astype(np.float64)
+    with np.errstate(over="ignore"):
+        d = np.abs(xs - x_u)
+    h0 = _bandwidths(spec, xs, d, populated)
+    rows = np.flatnonzero(h0 > 0)
+    weights = np.zeros((0, cells))
+    for widen in range(4):
+        if not len(rows):
+            break
+        with np.errstate(over="ignore"):
+            h = h0[rows] * 2.0**widen
+        weights = _weights(spec.family, d, h, populated[rows])
+        left = ~_plan_lines(plans, rows, xs, x_u, weights, Fallback.NONE if widen == 0 else Fallback.WIDENED_H)
+        rows, weights = rows[left], weights[left]
+    if len(rows):
+        wsum = _fsum(np.where(populated[rows], weights, -0.0))
+        mean = wsum > 0
+        _plan_means(plans, rows[mean], populated[rows[mean]], weights[mean], wsum[mean], Fallback.WEIGHTED_MEAN)
+        rows = rows[~mean]
+    flat = np.flatnonzero(~(h0 > 0))
+    if len(flat):
+        # No usable bandwidth: every x coincides, and the local constant fit is the mean.
+        stacked = flat[h0[flat] == 0]
+        _plan_means(plans, stacked, populated[stacked], populated[stacked], count[stacked], Fallback.WEIGHTED_MEAN)
+        rows = np.concatenate([rows, flat[~(h0[flat] == 0)]])
+    if len(rows):
+        ones = populated[rows].astype(np.float64)
+        left = ~_plan_lines(plans, rows, xs, x_u, ones, Fallback.GLOBAL_LINE)
+        _plan_means(plans, rows[left], populated[rows[left]], ones[left], count[rows[left]], Fallback.GLOBAL_LINE)
+    return plans
 
 
 def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
@@ -219,28 +356,12 @@ def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
         If ``xs`` is empty, or a k-nearest spec asks for more neighbors
         than there are observations.
     """
-    if not xs:
+    xs = np.asarray(xs, dtype=np.float64)
+    if not len(xs):
         raise ValueError("cannot fit with zero points")
-    h0 = effective_bandwidth(spec, x_u, xs)
-
-    weights: list[float] = [0.0] * len(xs)
-    if h0 > 0:
-        for widen in range(4):
-            h = h0 * (2.0**widen)
-            weights = [kernel_weight(spec, x_u, x, h) for x in xs]
-            plan = _line_plan(xs, weights, x_u, Fallback.NONE if widen == 0 else Fallback.WIDENED_H)
-            if plan is not None:
-                return plan
-
-    wsum = math.fsum(weights)
-    if wsum > 0:
-        return _mean_plan(weights, wsum, Fallback.WEIGHTED_MEAN)
-    ones = [1.0] * len(xs)
-    if h0 == 0:
-        # Every observation sits at one x: the local constant fit is the mean.
-        return _mean_plan(ones, float(len(xs)), Fallback.WEIGHTED_MEAN)
-    plan = _line_plan(xs, ones, x_u, Fallback.GLOBAL_LINE)
-    return plan if plan is not None else _mean_plan(ones, float(len(xs)), Fallback.GLOBAL_LINE)
+    if spec.k is not None and spec.k > len(xs):
+        raise ValueError(f"k={spec.k} exceeds the {len(xs)} available observations")
+    return _plan_shapes(xs, x_u, spec, np.ones((1, len(xs)), dtype=bool)).plan(0)
 
 
 # Batches of fewer terms than this are summed row by row with math.fsum. The
@@ -270,7 +391,8 @@ def _fsum_rows(p: np.ndarray) -> np.ndarray:
     SIAM J. Sci. Comput. 31(1), 2008, the ExtractVector lemma). The exact sum
     is then ``hi + lo + err``: ``hi = tau + sum(r)``, ``lo`` the TwoSum error
     of that addition, and ``|err| <= delta``, a bound on the rounding of
-    ``sum(r)`` (gamma_{n-1} * sum|r|, rounded up). ``hi`` is kept only when it
+    ``sum(r)``: gamma_{n-1} * sum|r| <= (n + 1) * 2**-53 * 1.01 * n * 2**-53 * sigma,
+    rounded up, so ``sum|r|`` is never formed. ``hi`` is kept only when it
     is finite and nonzero and ``|lo| + delta``, rounded up, is below half the
     gap from ``|hi|`` to the next smaller double: the exact sum then rounds to
     ``hi`` under any tie rule, which is what ``math.fsum`` returns. Every other
@@ -278,23 +400,28 @@ def _fsum_rows(p: np.ndarray) -> np.ndarray:
     ``delta`` of a tie) is ``math.fsum`` of the row, in row order, so its
     value, signed zero or exception is fsum's own.
     """
-    n = p.shape[1]
+    # The passes run down the columns of ``p.T``: fast when ``p`` is the
+    # transpose of a C-ordered array, and the same sums in any layout.
+    t = p.T
+    n = len(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, e = np.frexp(np.abs(p).max(axis=1))
-        sigma = np.ldexp(1.0, e + (n + 1).bit_length())[:, None]
-        q = (sigma + p) - sigma
-        r = p - q
-        tau = q.sum(axis=1)
-        rho = r.sum(axis=1)
+        _, e = np.frexp(np.maximum(t.max(axis=0), -t.min(axis=0)))
+        sigma = np.ldexp(1.0, e + (n + 1).bit_length())
+        q = t + sigma
+        q -= sigma
+        tau = q.sum(axis=0)
+        np.subtract(t, q, out=q)
+        rho = q.sum(axis=0)
         hi = tau + rho
         b = hi - tau
         lo = (tau - (hi - b)) + (rho - b)
-        delta = np.nextafter(np.abs(r).sum(axis=1) * ((n + 1) * 2.0**-53 * 1.01), np.inf)
+        delta = np.nextafter(sigma * (n * (n + 1) * 1.01 * 2.0**-106), np.inf)
         bound = np.nextafter(np.abs(lo) + delta, np.inf)
         mag = np.abs(hi)
         ok = np.isfinite(hi) & (hi != 0) & (bound < (mag - np.nextafter(mag, 0.0)) * 0.5)
-    for i in np.flatnonzero(~ok).tolist():
-        hi[i] = math.fsum(p[i].tolist())
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        hi[bad] = [math.fsum(row) for row in p[bad].tolist()]
     return hi
 
 
@@ -320,3 +447,42 @@ def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float | np.nda
         alpha = (plan.s2 * sy - plan.s1 * sxy) / plan.det
         beta = (plan.s0 * sxy - plan.s1 * sy) / plan.det
         return alpha + beta * plan.du
+
+
+def _apply_shapes(plans: _Plans, which: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``llr_apply(plans.plan(which[i]), ys[:, i])`` for every column i of ``ys``, in one batch.
+
+    Column i of ``ys`` holds a value per cell; cells off its shape's support
+    may hold anything, NaN included. The ``sy`` of every column and the
+    ``sxy`` of every line are summed together, one sum per column of a
+    cells x sums matrix. A batch cannot raise where the column loop does:
+    if a shape of ``plans`` failed to plan, or a sum fails, the columns are
+    applied again one at a time, in order, so the first failing one raises.
+    """
+    rows = len(which)
+    line = plans.line[which]
+    at = which[line]
+    sums = None
+    if not any(plans.error):
+        # With one shape, its plan arrays broadcast over the columns.
+        one = len(plans.line) == 1
+        pick = slice(0, 1) if one else which
+        support = plans.support[pick]
+        y = ys if support.all() else np.where(support.T, ys, -0.0)
+        terms = np.empty((len(ys), rows + len(at)))
+        np.multiply(plans.w[pick].T, y, out=terms[:, :rows])
+        np.multiply(plans.wdx[pick if one else at].T, y if line.all() else y[:, line], out=terms[:, rows:])
+        try:
+            sums = _fsum(terms.T)
+        except (ValueError, OverflowError):
+            pass
+    if sums is None:
+        return np.array([llr_apply(plans.plan(i), ys[:, j]) for j, i in enumerate(which.tolist())])
+    sy, sxy = sums[:rows], sums[rows:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = sy / plans.s0[which]
+        sy = sy[line]
+        alpha = (plans.s2[at] * sy - plans.s1[at] * sxy) / plans.det[at]
+        beta = (plans.s0[at] * sxy - plans.s1[at] * sy) / plans.det[at]
+        values[line] = alpha + beta * plans.du[at]
+    return values

@@ -440,14 +440,23 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
     rows = lines - mapping.has_header
     if len(table) != rows:
         return None
-    ts = table[f"c{c_ts}"]
-    cpu, mem = (table[f"c{c}"] if c is not None else np.zeros(rows) for c in (c_cpu, c_mem))
-    if not all(_usable(ts[b], cpu[b], mem[b]).all() for b in _blocks(rows)):
-        keep = _usable(ts, cpu, mem)
-        ts, cpu, mem = ts[keep], cpu[keep], mem[keep]
-    # Without rejects the columns stay views into the table: copying them
-    # would double what a parse adds to peak memory.
-    return ParseResult(events=_in_time_order(Events(ts, cpu, mem)), rejected=rows - len(ts))
+    def columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return table[f"c{c_ts}"], *(table[f"c{c}"] if c is not None else np.zeros(len(table)) for c in (c_cpu, c_mem))
+
+    # Rejected rows are dropped in place, a block at a time: the rows kept
+    # move up within the table. The columns stay views into it, so a parse
+    # adds no copy of the table to peak memory, with rejects or without.
+    ts, cpu, mem = columns(table)
+    kept = 0
+    for b in _blocks(rows):
+        keep = _usable(ts[b], cpu[b], mem[b])
+        count = int(np.count_nonzero(keep))
+        if kept < b.start or count < len(keep):
+            table[kept : kept + count] = table[b][keep]
+        kept += count
+    if kept < rows:
+        ts, cpu, mem = columns(table[:kept])
+    return ParseResult(events=_in_time_order(Events(ts, cpu, mem)), rejected=rows - kept)
 
 
 def _blocks(n: int) -> Iterable[slice]:
@@ -581,8 +590,8 @@ def aggregate_span(
             rounded = np.floor(scale * totals[:n_bins] + 0.5)
         big = np.flatnonzero(~(rounded < _INT64_LIMIT))  # NaN included
         if len(big):
-            raise ValueError(
-                f"scaled {metric.value} sum {rounded[big[0]]!r} of period {big[0] // sub_bins + 1} "
+            raise _CountTooLarge(
+                f"scaled {metric.value} sum {float(rounded[big[0]])!r} of period {big[0] // sub_bins + 1} "
                 f"is not a count below 2**63"
             )
         samples = rounded.astype(np.int64)
@@ -617,6 +626,10 @@ def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
 
 class _SpanTooLarge(ValueError):
     """A span of more sub-bins than ``_MAX_SPAN_SUB_BINS``."""
+
+
+class _CountTooLarge(ValueError):
+    """A scaled cpu or memory sum of 2**63 or more: the data, not a setting, is at fault."""
 
 
 def _check_offset(timestamp: int, start_us: int) -> None:

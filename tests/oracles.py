@@ -6,9 +6,9 @@ with the package internals it verifies. Where the package must match to the
 bit (trace aggregation, synthetic event placement, the LLR solve, window
 reads and the forecasting loop), the reference keeps the plain one-pass,
 per-period, per-cell or per-step loop with the same float operations; the
-LLR and loop references take only the kernel weight, the bandwidth rule and
-the observe step from the package. The trace reader reference is the
-per-row ``csv`` reader, kept verbatim with its two helpers, and so is the
+LLR and loop references take only the observe step from the package. The
+trace reader reference is the per-row ``csv`` reader, kept verbatim with its
+two helpers, and so is the
 bulk reader's pre-scan with bytes methods (``plain_line_count``); the trace and
 observation writer references format one row and one sample at a time, also
 kept verbatim, and so are the per-period aggregation (``aggregate_span``,
@@ -24,7 +24,16 @@ baselines come from that per-step loop and whose report comes from
 kept verbatim), and the sweep that runs and scores
 the whole stream once per configuration. ``fsum_rows`` is the per-row
 ``math.fsum`` loop that the LLR's batch sum used before it was vectorised,
-kept verbatim. ``PredictionRecord``, one object per step, is the form
+kept verbatim. So is the scalar LLR planner that the shape planner
+replaced: ``kernel_weight``, ``effective_bandwidth``, ``_line_plan``,
+``_mean_plan`` and ``llr_plan``, one point and one widening at a time, with
+the forecaster's per-shape plan lookup (``window_plan``) and its per-shape
+loop (``predict_per_shape``: one plan and one batch of sums per run of
+steps that share a window shape). ``write_record_rows`` and
+``read_records_rows`` are the records writer and reader that formatted
+and parsed a row at a time, also verbatim. The one-pass LLR reference
+scales its weights by the same power of two as the plan does, which is
+exact, so both round alike when a product underflows. ``PredictionRecord``, one object per step, is the form
 ``run`` returned before its ``Records`` columns, and ``write_records`` the
 writer of that form, both kept verbatim; ``prediction_records`` turns
 ``Records`` into that list, so the step-loop references above compare
@@ -39,9 +48,10 @@ the store's ``get`` and ``populated`` (``store_get`` and
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -56,8 +66,8 @@ from cyclecast.evaluation import (
     config_id,
     relative_improvement,
 )
-from cyclecast.forecaster import Records, observe_step, predict_step, run
-from cyclecast.llr import Fallback, effective_bandwidth, kernel_weight
+from cyclecast.forecaster import _CHUNK, Records, observe_step, predict_step, run
+from cyclecast.llr import Fallback, KernelFamily, KernelSpec, LLRPlan, llr_apply
 from cyclecast.store import EmptyWindowError
 from cyclecast.trace import (
     US_PER_SECOND,
@@ -73,6 +83,7 @@ _WRITE_BLOCK = 8192
 _SCAN_BLOCK = 1 << 20
 _UTF8_BOM = b"\xef\xbb\xbf"
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
+_GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -509,10 +520,294 @@ def fsum_rows(terms: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
+def kernel_weight(spec: KernelSpec, x_u: float, x_i: float, h: float) -> float:
+    """Weight of observation ``x_i`` for a fit at ``x_u`` with bandwidth ``h``.
+
+    Nonincreasing in ``|x_i - x_u|`` for every family; the compact-support
+    families are exactly zero at and beyond one bandwidth.
+    """
+    if not h > 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    u = abs(x_i - x_u) / h
+    if spec.family is KernelFamily.EPANECHNIKOV:
+        return 0.75 * (1.0 - u * u) if u < 1.0 else 0.0
+    if spec.family is KernelFamily.BIWEIGHT:
+        return (15.0 / 16.0) * (1.0 - u * u) ** 2 if u < 1.0 else 0.0
+    return _GAUSS_NORM * math.exp(-0.5 * u * u)
+
+
+def effective_bandwidth(spec: KernelSpec, x_u: float, xs: Sequence[float]) -> float:
+    """Resolve the spec's bandwidth mode to a numeric bandwidth at ``x_u``.
+
+    Fixed-radius mode returns ``h`` unchanged. k-nearest mode returns the
+    distance from ``x_u`` to its k-th nearest x. A zero k-th distance (cycle
+    replicates stacked at the query x) is promoted to the smallest positive
+    spacing between distinct xs; if every x coincides there is no usable
+    bandwidth and 0.0 is returned so callers can fall back to a local mean.
+
+    Raises
+    ------
+    ValueError
+        If ``xs`` is empty, or k exceeds the number of observations.
+    """
+    if not xs:
+        raise ValueError("no observations to derive a bandwidth from")
+    if spec.h is not None:
+        return spec.h
+    k = spec.k
+    assert k is not None
+    if k > len(xs):
+        raise ValueError(f"k={k} exceeds the {len(xs)} available observations")
+    dists = sorted(abs(x - x_u) for x in xs)
+    h = dists[k - 1]
+    if h > 0:
+        return h
+    uniq = sorted(set(xs))
+    gaps = [b - a for a, b in zip(uniq, uniq[1:])]
+    return min(gaps) if gaps else 0.0
+
+
+def _line_plan(
+    xs: Sequence[float], weights: Sequence[float], x_u: float, fallback: Fallback
+) -> LLRPlan | None:
+    """Weighted least-squares line at x_u, or None if the system is singular.
+
+    Solves the 2x2 normal equations in coordinates centered on the weighted
+    mean of x, which keeps the system conditioned at large period indices.
+    The weights are first scaled by the power of two that brings the largest
+    into [1, 2): far-tail Gaussian weights can be so small that their
+    products underflow. The scaling is exact, so the fitted value is the
+    same wherever nothing underflowed; it only changes the plan's weights.
+    """
+    support = [i for i, w in enumerate(weights) if w > 0]
+    if len({xs[i] for i in support}) < 2:
+        return None
+    sx = [xs[i] for i in support]
+    shift = 2.0 ** (1 - math.frexp(max(weights[i] for i in support))[1])
+    sw = [weights[i] * shift for i in support]
+    s0 = math.fsum(sw)
+    xbar = math.fsum(w * x for x, w in zip(sx, sw)) / s0
+    wdx = [w * (x - xbar) for x, w in zip(sx, sw)]
+    s1 = math.fsum(wdx)
+    s2 = math.fsum(w * (x - xbar) ** 2 for x, w in zip(sx, sw))
+    det = s0 * s2 - s1 * s1
+    if det <= 0:
+        return None
+    return LLRPlan(fallback, np.array(support), np.array(sw), np.array(wdx), s0, s1, s2, det, x_u - xbar)
+
+
+def _mean_plan(weights: Sequence[float], s0: float, fallback: Fallback) -> LLRPlan:
+    return LLRPlan(fallback, np.arange(len(weights)), np.array(weights, dtype=np.float64), None, s0)
+
+
+def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
+    """Plan the local linear fit at ``x_u`` over observations at ``xs``.
+
+    Resolves the bandwidth and walks the fallback chain (widen up to 3
+    doublings, kernel-weighted mean, global line, plain mean); none of it
+    looks at the ys.
+
+    Raises
+    ------
+    ValueError
+        If ``xs`` is empty, or a k-nearest spec asks for more neighbors
+        than there are observations.
+    """
+    if not xs:
+        raise ValueError("cannot fit with zero points")
+    h0 = effective_bandwidth(spec, x_u, xs)
+
+    weights: list[float] = [0.0] * len(xs)
+    if h0 > 0:
+        for widen in range(4):
+            h = h0 * (2.0**widen)
+            weights = [kernel_weight(spec, x_u, x, h) for x in xs]
+            plan = _line_plan(xs, weights, x_u, Fallback.NONE if widen == 0 else Fallback.WIDENED_H)
+            if plan is not None:
+                return plan
+
+    wsum = math.fsum(weights)
+    if wsum > 0:
+        return _mean_plan(weights, wsum, Fallback.WEIGHTED_MEAN)
+    ones = [1.0] * len(xs)
+    if h0 == 0:
+        # Every observation sits at one x: the local constant fit is the mean.
+        return _mean_plan(ones, float(len(xs)), Fallback.WEIGHTED_MEAN)
+    plan = _line_plan(xs, ones, x_u, Fallback.GLOBAL_LINE)
+    return plan if plan is not None else _mean_plan(ones, float(len(xs)), Fallback.GLOBAL_LINE)
+
+
+@functools.lru_cache(maxsize=16)
+def window_plan(empty: bytes, n: int, l: int, kernel: KernelSpec) -> LLRPlan:
+    """LLR plan for a window whose empty cells are the n x l mask ``empty``.
+
+    The xs are the offsets of the populated cells, in ``window_cells`` order;
+    a k-nearest count is clamped to their number (see ``predict_step``).
+    """
+    populated = ~np.frombuffer(empty, dtype=bool).reshape(n, l)
+    xs = (np.nonzero(populated)[0] + 1).astype(np.float64).tolist()
+    if kernel.k is not None and kernel.k > len(xs):
+        kernel = replace(kernel, k=len(xs))
+    return llr_plan(xs, float(n), kernel)
+
+
+def predict_per_shape(
+    history: np.ndarray, cfg: ForecastConfig, w0: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predictions for steps ``lo..hi-1`` of a run that starts after write ``w0``.
+
+    ``history`` is ``_history`` of the store before the run and the run's
+    fitted rates. Returns each step's clamped prediction (0.0 at a warm-up
+    step), the warm-up mask and each step's fallback: the values of
+    ``predict_step`` at those steps, bit for bit.
+
+    The windows are read from ``history`` a chunk of steps at a time, and
+    each run of steps that share a window shape is solved with one plan.
+    """
+    m, l, n = cfg.pp_tps, cfg.cycles, cfg.up_tps
+
+    def rows(us: np.ndarray) -> np.ndarray:
+        # Column c of the row that write u wrote last holds write u - ((u // m - c) mod l) * m.
+        return history[us[:, None] - (us[:, None] // m - np.arange(l)) % l * m + (m * l - w0)]
+
+    predicted = np.zeros(hi - lo)
+    warm = np.ones(hi - lo, dtype=bool)
+    fallbacks = np.full(hi - lo, Fallback.NONE, dtype=object)
+    for c in range(lo, hi, _CHUNK):
+        writes = w0 + np.arange(c, min(c + _CHUNK, hi))
+        size = len(writes)
+        # After W writes, window offset j < n is the row of write
+        # u = W - n + j, which no later write has reached yet: its cells
+        # hold what they held after write u, one row of ``earlier`` that
+        # n - 1 consecutive steps share. Offset n is the cursor's row,
+        # last written by write W - m.
+        earlier = rows(np.arange(writes[0] + 1 - n, writes[-1]))
+        cursor = rows(writes - m)
+        block = np.concatenate(
+            [earlier[np.arange(size)[:, None] + np.arange(n - 1)], cursor[:, None]], axis=1
+        ).reshape(size, n * l)
+        empty = np.isnan(block)
+        # Runs of consecutive steps whose windows share one empty mask.
+        starts = np.flatnonzero((empty[1:] != empty[:-1]).any(axis=1)) + 1
+        bounds = [0, *starts.tolist(), size]
+        for a, b in zip(bounds, bounds[1:]):
+            mask = empty[a]
+            if mask.all():
+                continue  # warm-up: the window holds no rate yet
+            plan = window_plan(mask.tobytes(), n, l, cfg.kernel)
+            try:
+                values = llr_apply(plan, block[a:b, ~mask])
+            except (ValueError, OverflowError):
+                # A batch sums every row's sy before any row's sxy, so it can fail at a
+                # later step than the step loop; one row at a time, the first step fails.
+                values = np.array([llr_apply(plan, ys) for ys in block[a:b, ~mask]])
+            steps = slice(c - lo + a, c - lo + b)
+            # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
+            predicted[steps] = np.where(values < 0, 0.0, values)
+            warm[steps] = False
+            fallbacks[steps] = plan.fallback
+    return predicted, warm, fallbacks
+
+
+def write_record_rows(path: str | Path, records: Records) -> None:
+    """Write records as delimited text, one step per row; warm-ups print NA.
+
+    Each rate is written as the ``repr`` of its Python float, which reads
+    back to the same bits.
+    """
+    columns = (
+        records.tp_index.tolist(), records.predicted.tolist(), records.warm.tolist(),
+        records.actual.tolist(), records.fallback.tolist(),
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,tp_index,predicted_lambda,actual_lambda,fallback_used\n")
+        fh.writelines(
+            f"{t},{tp},{'NA' if warm else repr(p)},{a!r},{f.value}\n"
+            for t, (tp, p, warm, a, f) in enumerate(zip(*columns), start=1)
+        )
+
+
+def _rate(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v) or v < 0:
+        raise ValueError(f"rate must be finite and nonnegative, got {text!r}")
+    return v
+
+
+def read_records_rows(path: str | Path) -> Records:
+    """Read records produced by ``write_records``.
+
+    Refuses what ``run`` cannot write: rates must be finite and
+    nonnegative, the steps must run t = 1, 2, 3, ... in row order, each
+    ``tp_index`` must be at least 1 and follow the one before it or wrap
+    to 1, and ``NA`` (a warm-up step) may only lead the file. The wraps
+    must agree on one pattern length P: every wrap comes from ``tp_index``
+    P, and no ``tp_index`` after the first wrap exceeds P. Every row error
+    names the file and line.
+    """
+    tp_index: list[int] = []
+    predicted: list[float] = []
+    warm: list[bool] = []
+    actual: list[float] = []
+    fallback: list[Fallback] = []
+    period = None  # the pattern length, from the first wrap on
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = fh.readline()
+        if not header.startswith("t,tp_index,"):
+            raise ValueError(f"{path}: not a prediction records file")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            try:
+                if len(parts) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(parts)}")
+                t = int(parts[0])
+                if t != len(tp_index) + 1:
+                    raise ValueError(f"step t={t} out of order: expected t={len(tp_index) + 1}")
+                tp = int(parts[1])
+                if tp < 1:
+                    raise ValueError(f"tp_index={tp} is below 1")
+                if tp_index and tp not in (tp_index[-1] + 1, 1):
+                    raise ValueError(
+                        f"tp_index={tp} follows tp_index={tp_index[-1]}: "
+                        f"expected {tp_index[-1] + 1} or a wrap to 1"
+                    )
+                if tp_index and tp == 1:
+                    if period is None:
+                        period = tp_index[-1]
+                    elif tp_index[-1] != period:
+                        raise ValueError(
+                            f"wrap to 1 after tp_index={tp_index[-1]}: "
+                            f"the first wrap set the pattern length to {period}"
+                        )
+                if period is not None and tp > period:
+                    raise ValueError(f"tp_index={tp} exceeds the pattern length {period} set by the first wrap")
+                p = None if parts[2] == "NA" else _rate(parts[2])
+                if p is None and warm and not warm[-1]:
+                    raise ValueError("NA prediction after a numeric one: warm-up steps only lead a run")
+                a = _rate(parts[3])
+                f = Fallback(parts[4])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            tp_index.append(tp)
+            predicted.append(0.0 if p is None else p)
+            warm.append(p is None)
+            actual.append(a)
+            fallback.append(f)
+    return Records(tp_index, predicted, warm, actual, fallback)
+
+
 def _one_pass_line(points, weights, x_u):
     support = [(x, y, w) for (x, y), w in zip(points, weights) if w > 0]
     if len({x for x, _, _ in support}) < 2:
         return None
+    # Weights scaled by the power of two that brings the largest into [1, 2),
+    # as the plan scales them: exact, and it keeps far-tail products and
+    # subnormal ys from rounding differently.
+    shift = 2.0 ** (1 - math.frexp(max(w for _, _, w in support))[1])
+    support = [(x, y, w * shift) for x, y, w in support]
     s0 = math.fsum(w for _, _, w in support)
     xbar = math.fsum(w * x for x, _, w in support) / s0
     s1 = math.fsum(w * (x - xbar) for x, _, w in support)

@@ -416,6 +416,18 @@ class TestExitCodes:
         assert message.format(**paths) in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_count_beyond_int64_is_data_error_and_writes_nothing(self, tmp_path, capsys):
+        # The arrivals aggregate; the cpu sum, 1e17 x 100, is not a count below 2**63.
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,job_id,task_id,cpu_request,mem_request\n0,j1,j1,1.0,0.5\n60000000,j1,j1,1e17,0.5\n")
+        out = tmp_path / "out"
+        argv = ["ingest", "--trace", str(trace), "--header", "--metric", "all", "--scale", "100", "--out-dir", str(out)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{trace}: scaled cpu sum 1e+19 of period 1 is not a count below 2**63 at --scale 100.0" in err
+        assert "np.float64" not in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_records_mode_echoes_its_defaults(self, tmp_path):
         records = tmp_path / "records.csv"
         records.write_text(TWO_RECORDS)

@@ -520,6 +520,73 @@ class TestBatchedRun:
         assert batch == step
 
 
+def _predict_outcome(predict, history, cfg, w0, lo, hi):
+    """``predict``'s values (by bit pattern), warm-up mask and fallbacks, or its error's type and message."""
+    try:
+        predicted, warm, fallbacks = predict(history, cfg, w0, lo, hi)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in predicted.tolist()], warm.tolist(), fallbacks.tolist()
+
+
+class TestChunkPass:
+    """``_predict``, one planner call and one batch of sums per chunk, against the
+    per-shape loop it replaced (``oracles.predict_per_shape``), bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 9),
+        l=st.integers(1, 3),
+        data=st.data(),
+        family=st.sampled_from(list(KernelFamily)),
+        k=st.integers(1, 30),
+        h=st.one_of(st.sampled_from([0.1, 0.5, 0.75, 1.0, 2.5]), st.floats(0.05, 12.0)),
+        fixed=st.booleans(),
+        length=st.sampled_from([1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 9]),
+        w0=st.integers(0, 30),
+        rates=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.375, 7.0, 1e-310, 1e300, 1.7e308]), min_size=1, max_size=12),
+    )
+    def test_values_warm_and_fallbacks_equal_the_per_shape_loop(
+        self, m, l, data, family, k, h, fixed, length, w0, rates
+    ):
+        n = data.draw(st.integers(1, m))
+        kernel = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=k)
+        cfg = ForecastConfig(pp_tps=m, up_tps=n, cycles=l, kernel=kernel)
+        ds = cfg.new_store()
+        for i in range(w0):
+            ds.update(rates[i % len(rates)])
+        fitted = np.array([rates[(w0 + i) % len(rates)] for i in range(length)])
+        history = forecaster._history(ds, fitted)
+        lo = data.draw(st.integers(0, length - 1))
+        hi = data.draw(st.integers(lo, length))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = _predict_outcome(forecaster._predict, history, cfg, w0, lo, hi)
+            expected = _predict_outcome(oracles.predict_per_shape, history, cfg, w0, lo, hi)
+        assert got == expected
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_planner_runs_at_most_once_per_chunk(self, monkeypatch, family):
+        # A 2016-period stream with n = 50 and l = 2 meets about 100 window
+        # shapes while its store fills; they are planned a chunk at a time.
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return planner(*args)
+
+        planner = forecaster._plan_shapes
+        monkeypatch.setattr(forecaster, "_plan_shapes", counted)
+        forecaster._window_plan.cache_clear()
+        cfg = ForecastConfig(pp_tps=336, up_tps=50, cycles=2, kernel=KernelSpec(family=family, k=20))
+        fitted = np.array([poisson_mle(o.samples) for o in _poisson_stream(336, 2016, seed=11)])
+        predicted, warm, _ = forecaster._predict(forecaster._history(cfg.new_store(), fitted), cfg, 0, 0, 2016)
+        forecaster._window_plan.cache_clear()
+        assert len(calls) <= -(-2016 // CHUNK)
+        assert sum(calls) >= 90  # the shapes were all planned, a chunk's worth per call
+        assert warm.tolist() == [True] + [False] * 2015
+
+
 class TestPlanCache:
     def test_bounded_after_run(self):
         bound = forecaster._window_plan.cache_info().maxsize
@@ -638,8 +705,65 @@ class TestRecordsFile:
         out = tmp_path_factory.mktemp("records")
         write_records(out / "columns.csv", records)
         oracles.write_records(out / "per_record.csv", oracles.prediction_records(records))
+        oracles.write_record_rows(out / "rows.csv", records)
         assert (out / "columns.csv").read_bytes() == (out / "per_record.csv").read_bytes()
+        assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
         assert _columns(read_records(out / "columns.csv")) == _columns(records)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 12),
+        period=st.integers(1, 5),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 13),
+                st.integers(0, 4),
+                st.sampled_from(
+                    ["NA", "nan", "inf", "-1.0", "-0.0", "0", "1e400", " 2.5", "2.5 ", "1_0", "", "x", "1", "2", "0",
+                     "-7", "+3", " 4", "9" * 20, "-" + "9" * 20, "none", "bogus", "widened_h", "1,2", "5e-324"]
+                ),
+            ),
+            max_size=3,
+        ),
+        layout=st.sampled_from(["\n", "\r\n", "\r", "blank lines", "no final newline", "drop a row", "swap rows"]),
+    )
+    def test_reader_accepts_and_refuses_as_the_row_reader(self, tmp_path_factory, data, n, period, edits, layout):
+        # A file run could write, then a few fields replaced and the lines laid
+        # out anew: both readers return the same columns or the same error.
+        warmup = data.draw(st.integers(0, n))
+        start = data.draw(st.integers(1, period))
+        records = Records(
+            [(start - 1 + i) % period + 1 for i in range(n)],
+            [0.0] * warmup + [float(i) / 4 for i in range(n - warmup)],
+            [i < warmup for i in range(n)],
+            [float(i % 3) for i in range(n)],
+            [list(Fallback)[i % 4] for i in range(n)],
+        )
+        out = tmp_path_factory.mktemp("records")
+        write_records(out / "records.csv", records)
+        header, *rows = (out / "records.csv").read_text().splitlines()
+        rows = [row.split(",") for row in rows]
+        for row, field, text in edits:
+            if row < len(rows):
+                rows[row][field] = text
+        lines = [",".join(row) for row in rows]
+        if layout == "blank lines" and lines:
+            lines = ["", *lines[:1], "  ", *lines[1:], ""]
+        elif layout == "drop a row" and lines:
+            del lines[len(lines) // 2]
+        elif layout == "swap rows" and len(lines) > 1:
+            lines[0], lines[-1] = lines[-1], lines[0]
+        newline = layout if layout in ("\n", "\r\n", "\r") else "\n"
+        text = newline.join([header, *lines]) + ("" if layout == "no final newline" else newline)
+        (out / "edited.csv").write_bytes(text.encode())
+        outcomes = []
+        for reader in (read_records, oracles.read_records_rows):
+            try:
+                outcomes.append(_columns(reader(out / "edited.csv")))
+            except (ValueError, OverflowError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_columns_must_have_equal_lengths(self):
         with pytest.raises(ValueError, match="record columns must have equal lengths"):

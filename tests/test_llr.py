@@ -2,20 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclecast import llr
 from cyclecast.llr import (
     Fallback,
     KernelFamily,
     KernelSpec,
-    effective_bandwidth,
-    kernel_weight,
     llr_apply,
     llr_plan,
 )
 
 import oracles
+from oracles import effective_bandwidth, kernel_weight
 
 EPAN = KernelSpec(family=KernelFamily.EPANECHNIKOV, h=1.0)
 ALL_FAMILIES = [KernelFamily.EPANECHNIKOV, KernelFamily.BIWEIGHT, KernelFamily.GAUSSIAN]
@@ -215,24 +214,29 @@ class TestFitPredict:
 class TestPlanApply:
     @given(
         xs=st.lists(st.one_of(st.integers(-6, 12).map(float), st.floats(-20.0, 20.0)), min_size=1, max_size=40),
-        data=st.data(),
+        # Three ys sets; each fit reads the first len(xs) values of one.
+        ys_sets=st.lists(
+            st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)), min_size=40, max_size=40),
+            min_size=3,
+            max_size=3,
+        ),
         family=st.sampled_from(ALL_FAMILIES),
         h=st.floats(0.01, 30.0),
         k=st.integers(1, 40),
         fixed=st.booleans(),
         x_u=st.floats(-25.0, 25.0),
     )
-    def test_one_plan_serves_every_ys_bit_for_bit(self, xs, data, family, h, k, fixed, x_u):
+    # A line through a subnormal: the plan's weights are scaled to [1, 2) and
+    # give 0.0, the exact value (test_subnormal_line_is_exact).
+    @example(
+        xs=[0.0, 7.0], ys_sets=[[0.0, 5e-324]] * 3, family=KernelFamily.EPANECHNIKOV, h=1.0, k=1, fixed=False, x_u=0.0
+    )
+    def test_one_plan_serves_every_ys_bit_for_bit(self, xs, ys_sets, family, h, k, fixed, x_u):
         spec = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=min(k, len(xs)))
         plan = llr_plan(xs, x_u, spec)
-        ys_strategy = st.lists(
-            st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)),
-            min_size=len(xs),
-            max_size=len(xs),
-        )
         rows, values = [], []
-        for _ in range(3):
-            ys = data.draw(ys_strategy)
+        for ys in ys_sets:
+            ys = ys[: len(xs)]
             points = list(zip(xs, ys))
             value, fallback = oracles.llr_one_pass(points, x_u, spec)
             assert llr_apply(plan, ys).hex() == value.hex()
@@ -294,6 +298,140 @@ class TestPlanApply:
     def test_empty_xs_raise(self):
         with pytest.raises(ValueError):
             llr_plan([], 0.0, EPAN)
+
+    def test_subnormal_line_is_exact(self):
+        # Both points lie on the line y = x * 5e-324 / 7, which is 0 at x = 0:
+        # the plan gives the exact value. A one-pass solve with unscaled
+        # weights rounds its underflowing products otherwise and gives 5e-324.
+        points = [(0.0, 0.0), (7.0, 5e-324)]
+        plan = llr_plan([0.0, 7.0], 0.0, KernelSpec(k=1))
+        assert plan.fallback is Fallback.WIDENED_H  # k = 1 gives h = 7, widened once to 14
+        assert oracles.llr_normal_equations(points, 0.0, "epanechnikov", 14.0, dps=400) == 0.0
+        assert llr_apply(plan, [0.0, 5e-324]) == 0.0
+        assert oracles.llr_one_pass(points, 0.0, KernelSpec(k=1)) == (0.0, Fallback.WIDENED_H)
+
+
+def _plan_fields(plan):
+    """Every field of ``plan``, floats as their bit patterns."""
+    floats = lambda a: None if a is None else [v.hex() for v in a.tolist()]
+    return (
+        plan.fallback, plan.support.tolist(), floats(plan.w), floats(plan.wdx),
+        *(float(v).hex() for v in (plan.s0, plan.s1, plan.s2, plan.det, plan.du)),
+    )
+
+
+def _planned(call):
+    """``call()``'s plan fields, or its error's type and message."""
+    try:
+        return _plan_fields(call())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _shape_outcomes(xs, x_u, spec, populated):
+    """Each shape's plan from the shape planner, and from the verbatim scalar
+    planner on the shape's populated xs with its support mapped to the cells."""
+    plans = llr._plan_shapes(np.array(xs), x_u, spec, populated)
+    got, expected = [], []
+    for i, row in enumerate(populated):
+        cells = np.flatnonzero(row)
+        shape_spec = spec if spec.k is None else KernelSpec(family=spec.family, k=min(spec.k, len(cells)))
+        got.append(_planned(lambda: plans.plan(i)))
+        reference = _planned(lambda: oracles.llr_plan([xs[c] for c in cells], x_u, shape_spec))
+        if not isinstance(reference[0], type):
+            reference = (reference[0], cells[reference[1]].tolist(), *reference[2:])
+        expected.append(reference)
+    return got, expected
+
+
+class TestShapePlanner:
+    """``_plan_shapes`` against the verbatim scalar planner, field by field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xs=st.lists(st.one_of(st.integers(-6, 12).map(float), st.floats(-20.0, 20.0)), min_size=1, max_size=30),
+        data=st.data(),
+        family=st.sampled_from(ALL_FAMILIES),
+        h=st.one_of(st.sampled_from([0.05, 0.1, 0.5, 1.0]), st.floats(0.01, 30.0)),
+        k=st.integers(1, 40),
+        fixed=st.booleans(),
+        x_u=st.one_of(st.integers(-8, 14).map(float), st.floats(-25.0, 25.0)),
+    )
+    def test_every_field_equals_the_scalar_planner(self, xs, data, family, h, k, fixed, x_u):
+        # Shapes of 1 to len(xs) populated cells, replicated xs among them.
+        shapes = data.draw(st.integers(1, 6))
+        populated = np.array(
+            [data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs))) for _ in range(shapes)]
+        )
+        populated[np.arange(shapes), data.draw(st.lists(st.integers(0, len(xs) - 1), min_size=shapes, max_size=shapes))] = True
+        spec = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=k)
+        got, expected = _shape_outcomes(xs, x_u, spec, populated)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "xs, x_u, spec, fallback",
+        [
+            ([1.0, 2.0, 4.0], 3.0, KernelSpec(k=3), Fallback.NONE),
+            ([1.0, 1.0, 2.0, 2.0], 2.0, KernelSpec(k=2), Fallback.WIDENED_H),
+            ([2.0, 2.0, 2.0], 2.0, KernelSpec(k=2), Fallback.WEIGHTED_MEAN),  # h = 0: every x coincides
+            ([0.0, 1.0, 9.0], 9.0, KernelSpec(h=0.5), Fallback.WEIGHTED_MEAN),
+            ([0.0, 10.0, 20.0], 5.0, KernelSpec(h=0.1), Fallback.GLOBAL_LINE),
+            ([4.0, 4.0], 0.0, KernelSpec(h=0.1), Fallback.GLOBAL_LINE),  # the global line is singular too
+            # The largest weight is subnormal: 2**(1 - e) overflows in Python.
+            ([0.0, 0.5], 38.5, KernelSpec(family=KernelFamily.GAUSSIAN, h=1.0), OverflowError),
+        ],
+    )
+    @pytest.mark.parametrize("families", ["same", "all"])
+    def test_each_link_of_the_chain(self, xs, x_u, spec, fallback, families):
+        specs = [spec] if families == "same" else [KernelSpec(family=f, h=spec.h, k=spec.k) for f in ALL_FAMILIES]
+        for spec in specs:
+            # The whole set of cells, and each cell set that drops one cell, at once.
+            populated = np.array([[True] * len(xs)] + [[j != i for j in range(len(xs))] for i in range(len(xs))])
+            got, expected = _shape_outcomes(xs, x_u, spec, populated)
+            assert got == expected
+        if families == "same":
+            assert got[0][0] is fallback
+
+
+class TestApplyShapes:
+    """``_apply_shapes`` against ``llr_apply`` of each column's plan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        xs=st.lists(st.integers(-6, 12).map(float), min_size=1, max_size=12),
+        data=st.data(),
+        family=st.sampled_from(ALL_FAMILIES),
+        h=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+        k=st.integers(1, 12),
+        fixed=st.booleans(),
+        columns=st.integers(1, 120),
+    )
+    def test_columns_equal_llr_apply(self, xs, data, family, h, k, fixed, columns):
+        shapes = data.draw(st.integers(1, 4))
+        populated = np.array(
+            [data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs))) for _ in range(shapes)]
+        )
+        populated[:, 0] = True
+        spec = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=k)
+        plans = llr._plan_shapes(np.array(xs), float(len(xs)), spec, populated)
+        which = np.array(data.draw(st.lists(st.integers(0, shapes - 1), min_size=columns, max_size=columns)))
+        # Empty cells hold NaN, as the forecaster's windows do; the rest -0.0 and up.
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1e6))
+        ys = np.array(data.draw(st.lists(values, min_size=columns * len(xs), max_size=columns * len(xs))))
+        ys = np.where(populated[which], ys.reshape(columns, len(xs)), np.nan).T.copy()
+        expected = [llr_apply(plans.plan(i), ys[:, j]).hex() for j, i in enumerate(which.tolist())]
+        assert [v.hex() for v in llr._apply_shapes(plans, which, ys).tolist()] == expected
+
+    def test_a_shape_that_failed_to_plan_raises_at_its_first_column(self):
+        # Shape 0's largest Gaussian weight is subnormal; shape 1 also holds x = 10.
+        populated = np.array([[True, True, False], [True, True, True]])
+        plans = llr._plan_shapes(np.array([0.0, 0.5, 10.0]), 38.5, KernelSpec(family=KernelFamily.GAUSSIAN, h=1.0), populated)
+        assert isinstance(plans.error[0], OverflowError) and plans.error[1] is None
+        ys = np.array([[1.0, 2.0, 3.0]] * 3).T
+        with pytest.raises(OverflowError):
+            llr._apply_shapes(plans, np.array([1, 0, 1]), ys)
+        expected = [llr_apply(plans.plan(1), ys[:, j]).hex() for j in range(2)]
+        assert [v.hex() for v in llr._apply_shapes(plans, np.array([1, 1]), ys[:, :2]).tolist()] == expected
 
 
 _NONFINITE = [math.inf, -math.inf, math.nan]

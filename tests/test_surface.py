@@ -34,7 +34,7 @@ ALL = {
     "cyclecast": [
         "__version__", "EvaluationReport", "evaluate_records", "sweep", "ForecastConfig", "Records",
         "observe_step", "predict_step", "run", "Fallback", "KernelFamily", "KernelSpec",
-        "effective_bandwidth", "kernel_weight", "poisson_cdf", "poisson_mle", "poisson_pmf",
+        "poisson_cdf", "poisson_mle", "poisson_pmf",
         "poisson_quantile", "CyclicDataset", "EmptyWindowError", "new_dataset", "SyntheticSpec",
         "generate", "true_rate", "ColumnMapping", "Events", "MetricKind", "Observations",
         "PeriodObservation", "aggregate_span", "parse_trace",
@@ -48,8 +48,7 @@ ALL = {
         "ForecastConfig", "Records", "predict_step", "observe_step", "run", "write_records", "read_records",
     ],
     "cyclecast.llr": [
-        "KernelFamily", "KernelSpec", "Fallback", "LLRPlan", "kernel_weight", "effective_bandwidth",
-        "llr_plan", "llr_apply",
+        "KernelFamily", "KernelSpec", "Fallback", "LLRPlan", "llr_plan", "llr_apply",
     ],
     "cyclecast.poisson": [
         "poisson_mle", "poisson_mle_rows", "poisson_log_pmf", "poisson_pmf", "poisson_cdf", "poisson_quantile",
@@ -68,4 +67,4 @@ def test_public_names_are_pinned():
     for name in MODULES:
         exports = getattr(importlib.import_module(name), "__all__", None)
         assert (None if exports is None else list(exports)) == ALL[name], name
-    assert len(ALL["cyclecast"]) == 31
+    assert len(ALL["cyclecast"]) == 29

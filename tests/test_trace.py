@@ -1087,6 +1087,12 @@ class TestAggregateReference:
         with pytest.raises(ValueError, match="below 2\\*\\*63"):
             _one_period(events, MetricKind.CPU, scale=10.0)
 
+    def test_count_beyond_int64_prints_the_sum_as_a_number(self):
+        events = Events([0, 60 * US_PER_SECOND], [1.0, 1e17], [0.5, 0.5])
+        message = "scaled cpu sum 1e+19 of period 1 is not a count below 2**63"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            aggregate_span(events, 0, 1, 30, 24, MetricKind.CPU, 60, 100.0)
+
 
 def _traced_peak(call) -> int:
     """The most bytes that ``call()`` held at once, as ``tracemalloc`` counts them."""
@@ -1127,6 +1133,26 @@ class TestBoundedMemory:
                 aggregate_span(events, 0, num_tps, 30, 24, metric)
 
         assert _traced_peak(call) < 64 * 1024
+
+    def test_one_reject_copies_no_column(self, tmp_path, monkeypatch):
+        # 150,000 rows, then the same behind one row of negative cpu: the
+        # reject moves the rows after it up within the table, a block at a time.
+        monkeypatch.setattr(trace, "_EVENT_BLOCK", 4096)
+        n = 150_000
+        rows = "".join(f"{i * 1000},j1,j1,{i % 7 / 8},{i % 5 / 4}\n" for i in range(n))
+        header = "timestamp,job_id,task_id,cpu_request,mem_request\n"
+        clean, rejected = tmp_path / "clean.csv", tmp_path / "rejected.csv"
+        clean.write_text(header + rows)
+        rejected.write_text(header + "5,j1,j1,-1.0,0.5\n" + rows)
+        mapping = ColumnMapping(has_header=True)
+        peaks = [_traced_peak(lambda: parse_trace(path, mapping)) for path in (clean, rejected)]
+        # Within one block's kept records (24 bytes each) and its masks of the
+        # clean parse; a copy of the three columns would add 3.6 MB.
+        assert peaks[1] <= peaks[0] + 4096 * (24 + 8) + 16 * 1024, peaks
+        res, ref = parse_trace(rejected, mapping), parse_trace(clean, mapping)
+        assert res.rejected == 1 and ref.rejected == 0
+        for column in ("timestamp", "cpu", "mem"):
+            assert getattr(res.events, column).tobytes() == getattr(ref.events, column).tobytes()
 
     def test_span_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(trace, "_MAX_SPAN_SUB_BINS", 4 * 30)
