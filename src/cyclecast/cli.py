@@ -35,6 +35,7 @@ from .llr import KernelFamily, KernelSpec
 from .poisson import poisson_mle_rows
 from .synthetic import RNG_NAME, SyntheticSpec, generate, write_truth
 from .trace import (
+    _INT64_LIMIT,
     ColumnMapping,
     MetricKind,
     Observations,
@@ -64,6 +65,17 @@ class _Setting(NamedTuple):
     choices: tuple[str, ...] | None = None
 
 
+def _int(value: str | int) -> int:
+    """An integer setting. The pipeline keeps integers as int64, so 2**63 and more are refused."""
+    try:
+        number = int(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if number >= _INT64_LIMIT:
+        raise argparse.ArgumentTypeError(f"{number} is not below 2**63")
+    return number
+
+
 def _scale(value: str | float) -> float:
     try:
         _check_scale(value)
@@ -79,24 +91,24 @@ def _metric_list(value: str) -> list[MetricKind]:
 
 
 _SETTINGS: dict[str, _Setting] = {
-    "tp_min": _Setting(int, 30, "target-period length in minutes"),
-    "pp_tps": _Setting(int, 336, "target periods per pattern period"),
-    "up_tps": _Setting(int, 50, "utilization-window length in target periods"),
-    "cycles": _Setting(int, 4, "pattern-period cycles kept in the store"),
+    "tp_min": _Setting(_int, 30, "target-period length in minutes"),
+    "pp_tps": _Setting(_int, 336, "target periods per pattern period"),
+    "up_tps": _Setting(_int, 50, "utilization-window length in target periods"),
+    "cycles": _Setting(_int, 4, "pattern-period cycles kept in the store"),
     "kernel": _Setting(
         str, "epanechnikov", "kernel family",
         cast=lambda v: KernelFamily(v.lower()), choices=tuple(f.value for f in KernelFamily),
     ),
     # KernelSpec checks a bandwidth, so a bad file entry is named with its line.
-    "bandwidth_k": _Setting(int, 20, "k-nearest bandwidth", cast=lambda v: KernelSpec(k=int(v)).k),
+    "bandwidth_k": _Setting(_int, 20, "k-nearest bandwidth", cast=lambda v: KernelSpec(k=_int(v)).k),
     "bandwidth_h": _Setting(
         float, None, "fixed-radius bandwidth; give it or --bandwidth-k, not both",
         cast=lambda v: KernelSpec(h=float(v)).h,
     ),
     "metric": _Setting(str, "arrivals", "arrivals, cpu, memory or all", cast=_metric_list),
-    "sub_bin_sec": _Setting(int, 60, "sample sub-bin width in seconds"),
+    "sub_bin_sec": _Setting(_int, 60, "sample sub-bin width in seconds"),
     "scale": _Setting(_scale, 100.0, "count scale for cpu/memory requests"),
-    "seed": _Setting(int, 0, "random seed"),
+    "seed": _Setting(_int, 0, "random seed"),
 }
 
 # The settings the forecaster reads: predict's, and the evaluate sweep's.
@@ -224,6 +236,8 @@ def _column(value: str) -> int | str:
     # it would read a different column on each row.
     if index < 0:
         raise argparse.ArgumentTypeError(f"column index must be 0 or more, got {index}")
+    if index >= _INT64_LIMIT:
+        raise argparse.ArgumentTypeError(f"column index {index} is not below 2**63")
     return index
 
 
@@ -493,6 +507,8 @@ def _int_grid(text: str, what: str) -> list[int]:
         raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}") from None
     if not values:
         raise ValueError(f"{what} is empty")
+    if max(values) >= _INT64_LIMIT:
+        raise ValueError(f"{what} lists {max(values)}, which is not below 2**63")
     repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
     if repeated is not None:
         raise ValueError(f"{what} lists {repeated} more than once")
@@ -654,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-tps-grid", help="comma-separated utilization-window lengths to sweep")
     p.add_argument("--bandwidth-grid", help="comma-separated k-nearest bandwidths to sweep")
     p.add_argument("--baselines", action="store_true", help="include baseline comparator deltas")
-    p.add_argument("--baseline-window", type=int, help="window of the --baselines (records mode; default 50)")
+    p.add_argument("--baseline-window", type=_int, help="window of the --baselines (records mode; default 50)")
     _add_run_flags(p, _FORECAST_SETTINGS)
     p.set_defaults(func=cmd_evaluate)
 

@@ -12,8 +12,9 @@ one period at a time. ``run`` is the offline form over a whole stream: the
 store's contents are a function of the rate stream alone, so it fits every
 period first and reads each step's window from the write-ordered rates.
 It takes the steps a chunk of 256 at a time, in one pass per chunk: one
-call plans every window shape the chunk holds, and one batch of certified
-row sums applies every step (see ``cyclecast.llr``). It returns the steps
+call plans every window shape the chunk holds into one ``LLRPlan``, and one
+``llr_apply`` call, a batch of certified row sums, applies every step with
+its window's shape (see ``cyclecast.llr``). It returns the steps
 as ``Records``, five columns with one entry per step, which
 ``write_records`` and ``read_records`` move to and from text a row per
 step, a column at a time. Its records and final store are the ones the
@@ -35,10 +36,10 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .llr import Fallback, KernelSpec, _apply_shapes, _Plans, _plan_shapes, llr_apply
+from .llr import Fallback, KernelSpec, LLRPlan, _plan_shapes, llr_apply
 from .poisson import poisson_mle, poisson_mle_rows
 from .store import CyclicDataset, EmptyWindowError
-from .trace import Observations, PeriodObservation
+from .trace import _INT64_LIMIT, Observations, PeriodObservation
 
 __all__ = [
     "ForecastConfig",
@@ -113,13 +114,13 @@ class Records:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_plan(empty: bytes, n: int, l: int, kernel: KernelSpec) -> _Plans:
-    """LLR plans of the windows whose empty cells are the n x l masks in ``empty``.
+def _window_plan(empty: bytes, n: int, l: int, kernel: KernelSpec) -> LLRPlan:
+    """The LLR plan of the windows whose empty cells are the n x l masks in ``empty``.
 
-    ``empty`` holds one mask after another, n * l bytes each, and plan i is
-    mask i's. The xs are the offsets of all n x l cells, in ``window_cells``
-    order, and each plan's support counts over them; a k-nearest count is
-    clamped to each window's population (see ``predict_step``).
+    ``empty`` holds one mask after another, n * l bytes each, and shape i
+    is mask i's. The xs are the offsets of all n x l cells, in
+    ``window_cells`` order; a k-nearest count is clamped to each window's
+    population (see ``predict_step``).
     """
     populated = ~np.frombuffer(empty, dtype=bool).reshape(-1, n * l)
     return _plan_shapes(np.repeat(np.arange(1.0, n + 1), l), float(n), kernel, populated)
@@ -158,8 +159,8 @@ def predict_step(ds: CyclicDataset, cfg: ForecastConfig) -> tuple[float, Fallbac
     """
     _check_shape(ds, cfg)
     block, empty = ds.window_cells(cfg.up_tps)
-    plan = _window_plan(empty.tobytes(), cfg.up_tps, ds.l, cfg.kernel).plan(0)
-    return max(llr_apply(plan, block.ravel()), 0.0), plan.fallback
+    plan = _window_plan(empty.tobytes(), cfg.up_tps, ds.l, cfg.kernel)
+    return max(llr_apply(plan, block.ravel()), 0.0), plan.fallback[0]
 
 
 def observe_step(ds: CyclicDataset, obs: PeriodObservation) -> float:
@@ -263,15 +264,15 @@ def _predict(
         live = np.flatnonzero(which >= 0)
         if not len(live):
             continue
-        plans = _window_plan(b"".join(shapes), n, l, cfg.kernel)
+        plan = _window_plan(b"".join(shapes), n, l, cfg.kernel)
         # Warm-up steps lead a run, so the live steps are most often a slice.
         ys = block[:, live[0] :] if len(live) == size - live[0] else block[:, live]
-        values = _apply_shapes(plans, which[live], ys)
+        values = llr_apply(plan, ys.T, which[live])
         steps = c - lo + live
         # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
         predicted[steps] = np.where(values < 0, 0.0, values)
         warm[steps] = False
-        fallbacks[steps] = plans.fallback[which[live]]
+        fallbacks[steps] = plan.fallback[which[live]]
     return predicted, warm, fallbacks
 
 
@@ -415,6 +416,8 @@ def _read_rows(path: str | Path, rows: Iterable[tuple[int, str]]) -> Records:
             tp = int(parts[1])
             if tp < 1:
                 raise ValueError(f"tp_index={tp} is below 1")
+            if tp >= _INT64_LIMIT:
+                raise ValueError(f"tp_index={tp} is not below 2**63")
             if tp_index and tp not in (tp_index[-1] + 1, 1):
                 raise ValueError(
                     f"tp_index={tp} follows tp_index={tp_index[-1]}: expected {tp_index[-1] + 1} or a wrap to 1"
@@ -448,11 +451,11 @@ def read_records(path: str | Path) -> Records:
 
     Refuses what ``run`` cannot write: rates must be finite and
     nonnegative, the steps must run t = 1, 2, 3, ... in row order, each
-    ``tp_index`` must be at least 1 and follow the one before it or wrap
-    to 1, and ``NA`` (a warm-up step) may only lead the file. The wraps
-    must agree on one pattern length P: every wrap comes from ``tp_index``
-    P, and no ``tp_index`` after the first wrap exceeds P. Every row error
-    names the file and line.
+    ``tp_index`` must be at least 1, below 2**63 (an int64) and follow the
+    one before it or wrap to 1, and ``NA`` (a warm-up step) may only lead
+    the file. The wraps must agree on one pattern length P: every wrap
+    comes from ``tp_index`` P, and no ``tp_index`` after the first wrap
+    exceeds P. Every row error names the file and line.
 
     Blank lines are skipped. The rows are read as columns and the rules
     checked on the columns; only a file that breaks one is read again a row

@@ -9,8 +9,8 @@ History parameters stack several values at the same x (one per stored cycle),
 so degenerate geometry is structural here, not an error. A fit never fails
 on nonempty input: when the weighted system is singular the plan walks a
 fallback chain (widen the bandwidth up to 3 doublings, then a kernel-weighted
-mean, then a global unweighted line) and ``plan.fallback`` reports which step
-produced the value.
+mean, then a global unweighted line) and ``plan.fallback`` reports, per
+shape, which step produced the value.
 
 A fit is two steps. ``llr_plan`` looks only at the xs, the query and the
 spec: it resolves the bandwidth, walks the fallback chain and keeps the
@@ -25,30 +25,30 @@ rounded whatever the order of its terms, and the sums run over the same
 points as a one-pass solve (the positive-weight support for a line, every
 point for a mean).
 
-``_plan_shapes`` plans many shapes at once: shapes that share one set of
-cells (their xs) and the query, and differ in which cells are populated,
-as the forecaster's windows do. Each step of the chain is array work over
-a shapes x cells matrix, for every shape still unresolved; ``llr_plan`` is
-its one-shape case. ``+``, ``-``, ``*``, ``/`` and ``abs`` round the same in
+One ``LLRPlan`` holds the plans of several shapes: shapes that share one
+set of cells (their xs) and the query, and differ in which cells are
+populated, as the forecaster's windows do. ``_plan_shapes`` plans them
+all at once, and ``llr_plan`` is its one-shape case. Each step of the
+chain is array work over a shapes x cells matrix, for every shape still
+unresolved. ``+``, ``-``, ``*``, ``/`` and ``abs`` round the same in
 numpy as in Python, but ``np.exp`` and numpy's square need not equal
 ``math.exp`` and Python's ``** 2`` (the C library's ``pow``). So those two
 go through Python once per distinct operand: the kernel is tabulated over
 the distinct distances and bandwidths, and ``(x - xbar) ** 2`` is taken
 per support point. Every plan field is the float of the scalar formula.
-``_apply_shapes`` is ``llr_apply`` for rows that each name their shape's
-plan; it sums all of them, ``sy`` and ``sxy`` alike, in one batch. Cells off
-a plan's support enter the batch with weight +0.0 and value -0.0: their
-product is -0.0, which ``math.fsum`` drops and which leaves every IEEE sum
-as it was (+0.0 would turn a sum of -0.0 into +0.0), while an empty cell's
-NaN never meets a weight.
 
-A batch of ys (one row each) is summed row by row without a Python loop:
-an exact split of each term against a power of two per row (Rump, Ogita
-and Oishi's ExtractVector) gives a sum whose error is bounded, and a row's
-result is kept only when that bound proves it is the correctly rounded
-sum. The rows it cannot prove (non-finite terms, overflow, cancellation to
-or near zero, near-ties) go to ``math.fsum``, so every row's value, signed
-zero and exception is ``math.fsum``'s.
+``llr_apply`` fits one window, or a batch of windows that each name their
+shape; a batch sums all of them, ``sy`` and ``sxy`` alike, at once. Cells
+off a shape's support enter the batch with weight +0.0 and value -0.0:
+their product is -0.0, which ``math.fsum`` drops and which leaves every
+IEEE sum as it was (+0.0 would turn a sum of -0.0 into +0.0), while an
+empty cell's NaN never meets a weight. The batch is summed row by row
+without a Python loop: an exact split of each term against a power of two
+per row (Rump, Ogita and Oishi's ExtractVector) gives a sum whose error is
+bounded, and a row's result is kept only when that bound proves it is the
+correctly rounded sum. The rows it cannot prove (non-finite terms,
+overflow, cancellation to or near zero, near-ties) go to ``math.fsum``, so
+every row's value, signed zero and exception is ``math.fsum``'s.
 """
 
 from __future__ import annotations
@@ -115,42 +115,21 @@ class KernelSpec:
         return f"h={self.h!r}" if self.h is not None else f"k={self.k}"
 
 
-@dataclass(frozen=True, eq=False)
 class LLRPlan:
-    """Everything of a fit that depends on the xs alone.
+    """Everything of a fit that depends on the xs alone, for several shapes.
 
-    The fitted value is ``(s2 * sy - s1 * sxy) / det + beta * du`` with
-    ``sy = fsum(w * y)`` and ``sxy = fsum(wdx * y)`` over the ``support``
-    points, ``beta = (s0 * sxy - s1 * sy) / det`` and ``du = x_u - xbar``;
-    a mean (``wdx`` is None) is ``sy / s0``.
-    """
+    The shapes share one set of cells (the xs) and the query ``x_u``, and
+    differ in which cells are populated; row i is shape i. ``support`` is a
+    shapes x cells mask of the cells a fit sums over; ``w`` and ``wdx`` are
+    shapes x cells and +0.0 off the support (``wdx`` is +0.0 throughout for
+    a mean). Per shape: ``line`` (a line, or a mean), ``s0``, ``s1``,
+    ``s2``, ``det``, ``du`` (0.0 for a mean) and ``fallback``.
 
-    fallback: Fallback
-    support: np.ndarray
-    w: np.ndarray
-    wdx: np.ndarray | None
-    s0: float
-    s1: float = 0.0
-    s2: float = 0.0
-    det: float = 0.0
-    du: float = 0.0
-
-    def __post_init__(self) -> None:
-        # Callers cache and share plans, so their arrays must not change.
-        for a in (self.support, self.w, self.wdx):
-            if a is not None:
-                a.flags.writeable = False
-
-
-class _Plans:
-    """The plans of several shapes over one set of cells; row i is shape i.
-
-    ``support`` is a shapes x cells mask; ``w`` and ``wdx`` are shapes x
-    cells and +0.0 off the support (``wdx`` is +0.0 throughout for a mean).
-    Per shape: ``line`` (a line, or a mean), ``s0``, ``s1``, ``s2``, ``det``,
-    ``du`` (0.0 for a mean) and ``fallback``. A shape whose planning raised
-    keeps the exception in ``error``. ``plan(i)`` is shape i's ``LLRPlan``,
-    its support counted over all the cells, or raises shape i's exception.
+    With ``sy = fsum(w * y)`` and ``sxy = fsum(wdx * y)`` over the support,
+    a line's value is its intercept plus slope times ``du = x_u - xbar``,
+    from the 2x2 normal equations in ``s0``, ``s1``, ``s2`` and ``det``
+    (``_line_value``); a mean's is ``sy / s0``. Callers cache and share
+    plans, so the planner leaves every array read-only.
     """
 
     def __init__(self, shapes: int, cells: int) -> None:
@@ -160,18 +139,6 @@ class _Plans:
         self.line = np.zeros(shapes, dtype=bool)
         self.s0, self.s1, self.s2, self.det, self.du = np.zeros((5, shapes))
         self.fallback = np.full(shapes, Fallback.NONE, dtype=object)
-        self.error: list[Exception | None] = [None] * shapes
-        self._plans: dict[int, LLRPlan] = {}
-
-    def plan(self, i: int) -> LLRPlan:
-        if self.error[i] is not None:
-            raise self.error[i]
-        if i not in self._plans:
-            support = np.flatnonzero(self.support[i])
-            scalars = (float(self.s0[i]), float(self.s1[i]), float(self.s2[i]), float(self.det[i]), float(self.du[i]))
-            wdx = self.wdx[i, support] if self.line[i] else None
-            self._plans[i] = LLRPlan(self.fallback[i], support, self.w[i, support], wdx, *scalars)
-        return self._plans[i]
 
 
 def _pow2(values: np.ndarray) -> np.ndarray:
@@ -233,7 +200,7 @@ def _weights(family: KernelFamily, d: np.ndarray, h: np.ndarray, populated: np.n
     return np.where(populated, table[h_at[:, None], d_at[None, :]], 0.0)
 
 
-def _plan_lines(plans: _Plans, rows: np.ndarray, xs: np.ndarray, x_u: float, weights: np.ndarray,
+def _plan_lines(plan: LLRPlan, rows: np.ndarray, xs: np.ndarray, x_u: float, weights: np.ndarray,
                 fallback: Fallback) -> np.ndarray:
     """Weighted least-squares lines at x_u for shapes ``rows``; which of them are not singular.
 
@@ -242,29 +209,20 @@ def _plan_lines(plans: _Plans, rows: np.ndarray, xs: np.ndarray, x_u: float, wei
     A line needs two distinct xs of positive weight and a positive
     determinant. The weights are first scaled by the power of two that
     brings the largest into [1, 2): far-tail Gaussian weights can be so
-    small that their products underflow. The scaling is exact, so the
-    fitted value is the same wherever nothing underflowed; it only changes
-    the plan's weights. A largest weight below 2**-1022 overflows that
-    power of two in Python, and the shape keeps Python's ``OverflowError``.
+    small that their products underflow, and the largest can be subnormal.
+    The scaling is exact, so the fitted value is the same wherever nothing
+    underflowed; it only changes the plan's weights.
     """
     support = weights > 0
     low = np.where(support, xs, np.inf).min(axis=1)
     high = np.where(support, xs, -np.inf).max(axis=1)
-    two = low < high
-    _, e = np.frexp(weights.max(axis=1))
     done = np.zeros(len(rows), dtype=bool)
-    for i in np.flatnonzero(two & (e <= -1023)).tolist():
-        try:
-            2.0 ** (1 - int(e[i]))
-        except OverflowError as exc:
-            plans.error[rows[i]] = exc
-            two[i] = False
-            done[i] = True
-    go = np.flatnonzero(two)
+    go = np.flatnonzero(low < high)
     if not len(go):
         return done
     support = support[go]
-    w = weights[go] * np.ldexp(1.0, 1 - e[go])[:, None]
+    _, e = np.frexp(weights[go].max(axis=1))
+    w = np.ldexp(weights[go], (1 - e)[:, None])
     # Python float arithmetic overflows to inf and makes nan silently; so must this.
     k = len(go)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,38 +237,37 @@ def _plan_lines(plans: _Plans, rows: np.ndarray, xs: np.ndarray, x_u: float, wei
         det = s0 * s2 - s1 * s1
     ok = ~(det <= 0)
     at = rows[go[ok]]
-    plans.support[at] = support[ok]
-    plans.w[at] = np.where(support[ok], w[ok], 0.0)
-    plans.wdx[at] = np.where(support[ok], wdx[ok], 0.0)
-    plans.line[at] = True
-    plans.s0[at], plans.s1[at], plans.s2[at], plans.det[at] = s0[ok], s1[ok], s2[ok], det[ok]
-    plans.du[at] = x_u - xbar[ok]
-    plans.fallback[at] = fallback
+    plan.support[at] = support[ok]
+    plan.w[at] = np.where(support[ok], w[ok], 0.0)
+    plan.wdx[at] = np.where(support[ok], wdx[ok], 0.0)
+    plan.line[at] = True
+    plan.s0[at], plan.s1[at], plan.s2[at], plan.det[at] = s0[ok], s1[ok], s2[ok], det[ok]
+    plan.du[at] = x_u - xbar[ok]
+    plan.fallback[at] = fallback
     done[go[ok]] = True
     return done
 
 
-def _plan_means(plans: _Plans, rows: np.ndarray, populated: np.ndarray, weights: np.ndarray, s0: np.ndarray,
+def _plan_means(plan: LLRPlan, rows: np.ndarray, populated: np.ndarray, weights: np.ndarray, s0: np.ndarray,
                 fallback: Fallback) -> None:
     """Weighted means for shapes ``rows``: every populated cell, zero weights included."""
-    plans.support[rows] = populated
-    plans.w[rows] = weights
-    plans.s0[rows] = s0
-    plans.fallback[rows] = fallback
+    plan.support[rows] = populated
+    plan.w[rows] = weights
+    plan.s0[rows] = s0
+    plan.fallback[rows] = fallback
 
 
-def _plan_shapes(xs: np.ndarray, x_u: float, spec: KernelSpec, populated: np.ndarray) -> _Plans:
+def _plan_shapes(xs: np.ndarray, x_u: float, spec: KernelSpec, populated: np.ndarray) -> LLRPlan:
     """Plan the fit at ``x_u`` of each shape, a row of ``populated`` over cells at ``xs``.
 
-    Every shape walks the chain of ``llr_plan`` on the xs of its populated
-    cells, and gets the plan that ``llr_plan`` gives them, field for field,
-    with its support counted over all the cells. A k-nearest count above a
-    shape's population is clamped to it. Each link of the chain is one array
-    step over the shapes it has not resolved yet. Every shape must populate
-    a cell.
+    Every shape walks the fallback chain on the xs of its populated cells,
+    as ``llr_plan`` does for one shape. A k-nearest count above a shape's
+    population is clamped to it. Each link of the chain is one array step
+    over the shapes it has not resolved yet. Every shape must populate a
+    cell.
     """
     shapes, cells = populated.shape
-    plans = _Plans(shapes, cells)
+    plan = LLRPlan(shapes, cells)
     count = populated.sum(axis=1).astype(np.float64)
     with np.errstate(over="ignore"):
         d = np.abs(xs - x_u)
@@ -323,28 +280,30 @@ def _plan_shapes(xs: np.ndarray, x_u: float, spec: KernelSpec, populated: np.nda
         with np.errstate(over="ignore"):
             h = h0[rows] * 2.0**widen
         weights = _weights(spec.family, d, h, populated[rows])
-        left = ~_plan_lines(plans, rows, xs, x_u, weights, Fallback.NONE if widen == 0 else Fallback.WIDENED_H)
+        left = ~_plan_lines(plan, rows, xs, x_u, weights, Fallback.NONE if widen == 0 else Fallback.WIDENED_H)
         rows, weights = rows[left], weights[left]
     if len(rows):
         wsum = _fsum(np.where(populated[rows], weights, -0.0))
         mean = wsum > 0
-        _plan_means(plans, rows[mean], populated[rows[mean]], weights[mean], wsum[mean], Fallback.WEIGHTED_MEAN)
+        _plan_means(plan, rows[mean], populated[rows[mean]], weights[mean], wsum[mean], Fallback.WEIGHTED_MEAN)
         rows = rows[~mean]
     flat = np.flatnonzero(~(h0 > 0))
     if len(flat):
         # No usable bandwidth: every x coincides, and the local constant fit is the mean.
         stacked = flat[h0[flat] == 0]
-        _plan_means(plans, stacked, populated[stacked], populated[stacked], count[stacked], Fallback.WEIGHTED_MEAN)
+        _plan_means(plan, stacked, populated[stacked], populated[stacked], count[stacked], Fallback.WEIGHTED_MEAN)
         rows = np.concatenate([rows, flat[~(h0[flat] == 0)]])
     if len(rows):
         ones = populated[rows].astype(np.float64)
-        left = ~_plan_lines(plans, rows, xs, x_u, ones, Fallback.GLOBAL_LINE)
-        _plan_means(plans, rows[left], populated[rows[left]], ones[left], count[rows[left]], Fallback.GLOBAL_LINE)
-    return plans
+        left = ~_plan_lines(plan, rows, xs, x_u, ones, Fallback.GLOBAL_LINE)
+        _plan_means(plan, rows[left], populated[rows[left]], ones[left], count[rows[left]], Fallback.GLOBAL_LINE)
+    for a in vars(plan).values():
+        a.flags.writeable = False
+    return plan
 
 
 def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
-    """Plan the local linear fit at ``x_u`` over observations at ``xs``.
+    """Plan the local linear fit at ``x_u`` over observations at ``xs``: a one-shape plan.
 
     Resolves the bandwidth and walks the fallback chain (widen up to 3
     doublings, kernel-weighted mean, global line, plain mean); none of it
@@ -361,7 +320,7 @@ def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
         raise ValueError("cannot fit with zero points")
     if spec.k is not None and spec.k > len(xs):
         raise ValueError(f"k={spec.k} exceeds the {len(xs)} available observations")
-    return _plan_shapes(xs, x_u, spec, np.ones((1, len(xs)), dtype=bool)).plan(0)
+    return _plan_shapes(xs, x_u, spec, np.ones((1, len(xs)), dtype=bool))
 
 
 # Batches of fewer terms than this are summed row by row with math.fsum. The
@@ -425,64 +384,71 @@ def _fsum_rows(p: np.ndarray) -> np.ndarray:
     return hi
 
 
-def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float | np.ndarray:
-    """The planned fit's value for ``ys``, given in the order of the plan's xs.
+def _line_value(s0, s1, s2, det, du, sy, sxy):
+    """A line's value at the query: ``alpha + beta * du``, from the normal equations.
 
-    A 2-D ``ys`` holds one such sequence per row and gives an array with one
-    value per row, each the same float a 1-D call on that row returns: the
-    sums are per row, and the rest is the same IEEE operations elementwise.
-    A 1-D call sums with ``math.fsum``. A batch of 1024 terms or more is
-    summed by a vectorised row sum that certifies each row's result equals
-    ``math.fsum``'s, and calls ``math.fsum`` on the rows it cannot certify
-    (see ``_fsum_rows``); a smaller batch calls ``math.fsum`` on every row.
+    Plain operators only, so a call on Python floats and a call on arrays
+    make the same IEEE operations, the latter elementwise.
     """
-    y = np.asarray(ys, dtype=np.float64)[..., plan.support]
-    sy = _fsum(plan.w * y)
-    sxy = None if plan.wdx is None else _fsum(plan.wdx * y)
-    # A 1-D call's sums are Python floats, whose arithmetic overflows to inf
-    # or gives nan without a word; a batch's rows must do the same.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if sxy is None:
-            return sy / plan.s0
-        alpha = (plan.s2 * sy - plan.s1 * sxy) / plan.det
-        beta = (plan.s0 * sxy - plan.s1 * sy) / plan.det
-        return alpha + beta * plan.du
+    return (s2 * sy - s1 * sxy) / det + (s0 * sxy - s1 * sy) / det * du
 
 
-def _apply_shapes(plans: _Plans, which: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``llr_apply(plans.plan(which[i]), ys[:, i])`` for every column i of ``ys``, in one batch.
+def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray, which: int | np.ndarray = 0) -> float | np.ndarray:
+    """The planned fit's value for each window of ``ys``, fitted by shape ``which``.
 
-    Column i of ``ys`` holds a value per cell; cells off its shape's support
-    may hold anything, NaN included. The ``sy`` of every column and the
-    ``sxy`` of every line are summed together, one sum per column of a
-    cells x sums matrix. A batch cannot raise where the column loop does:
-    if a shape of ``plans`` failed to plan, or a sum fails, the columns are
-    applied again one at a time, in order, so the first failing one raises.
+    A window holds a value per cell, in the order of the plan's xs; cells
+    off its shape's support may hold anything, NaN included. A 1-D ``ys``
+    is one window and gives a float, from two ``math.fsum`` sums over the
+    support of shape ``which``. A 2-D ``ys`` holds one window per row, and
+    ``which`` names each row's shape (one int names it for every row). It
+    gives an array with one value per row, each the float that the 1-D call
+    on that row returns: the sums are per row, and the rest is the same
+    IEEE operations elementwise.
+
+    A 2-D call sums the ``sy`` of every row and the ``sxy`` of every line in
+    one batch, one sum per column of a cells x sums matrix, so the sums run
+    down contiguous memory when ``ys`` is the transpose of a C-ordered
+    block. Cells off a row's support enter it with weight +0.0 and value
+    -0.0. A batch of 1024 terms or more is summed by a vectorised row sum
+    that certifies each row's result equals ``math.fsum``'s, and calls
+    ``math.fsum`` on the rows it cannot certify (see ``_fsum_rows``); a
+    smaller batch calls ``math.fsum`` on every row. A batch whose sums fail
+    is applied again a row at a time, in order, so the first failing row
+    raises.
     """
-    rows = len(which)
-    line = plans.line[which]
+    y = np.asarray(ys, dtype=np.float64)
+    if y.ndim == 1:
+        support = plan.support[which]
+        y = y[support]
+        sy = math.fsum((plan.w[which][support] * y).tolist())
+        if not plan.line[which]:
+            return sy / plan.s0.item(which)
+        sxy = math.fsum((plan.wdx[which][support] * y).tolist())
+        return _line_value(*(a.item(which) for a in (plan.s0, plan.s1, plan.s2, plan.det, plan.du)), sy, sxy)
+    cells = y.T
+    rows = cells.shape[1]
+    which = np.broadcast_to(which, rows)
+    line = plan.line[which]
     at = which[line]
-    sums = None
-    if not any(plans.error):
-        # With one shape, its plan arrays broadcast over the columns.
-        one = len(plans.line) == 1
-        pick = slice(0, 1) if one else which
-        support = plans.support[pick]
-        y = ys if support.all() else np.where(support.T, ys, -0.0)
-        terms = np.empty((len(ys), rows + len(at)))
-        np.multiply(plans.w[pick].T, y, out=terms[:, :rows])
-        np.multiply(plans.wdx[pick if one else at].T, y if line.all() else y[:, line], out=terms[:, rows:])
-        try:
-            sums = _fsum(terms.T)
-        except (ValueError, OverflowError):
-            pass
-    if sums is None:
-        return np.array([llr_apply(plans.plan(i), ys[:, j]) for j, i in enumerate(which.tolist())])
+    # With one shape, its plan arrays broadcast over the rows.
+    one = len(plan.line) == 1
+    pick = slice(0, 1) if one else which
+    support = plan.support[pick]
+    if not support.all():
+        cells = np.where(support.T, cells, -0.0)
+    terms = np.empty((len(cells), rows + len(at)))
+    np.multiply(plan.w[pick].T, cells, out=terms[:, :rows])
+    np.multiply(plan.wdx[pick if one else at].T, cells if line.all() else cells[:, line], out=terms[:, rows:])
+    try:
+        sums = _fsum(terms.T)
+    except (ValueError, OverflowError):
+        # The batch sums every sy before any sxy, so it can fail at a later
+        # row than the row loop does.
+        return np.array([llr_apply(plan, row, i) for row, i in zip(y, which.tolist())])
     sy, sxy = sums[:rows], sums[rows:]
+    # A 1-D call's arithmetic is on Python floats, which overflow to inf or
+    # give nan without a word; a batch's rows must do the same.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = sy / plans.s0[which]
-        sy = sy[line]
-        alpha = (plans.s2[at] * sy - plans.s1[at] * sxy) / plans.det[at]
-        beta = (plans.s0[at] * sxy - plans.s1[at] * sy) / plans.det[at]
-        values[line] = alpha + beta * plans.du[at]
+        values = sy / plan.s0[which]
+        values[line] = _line_value(plan.s0[at], plan.s1[at], plan.s2[at], plan.det[at], plan.du[at], sy[line], sxy)
     return values

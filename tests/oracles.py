@@ -26,7 +26,9 @@ the whole stream once per configuration. ``fsum_rows`` is the per-row
 ``math.fsum`` loop that the LLR's batch sum used before it was vectorised,
 kept verbatim. So is the scalar LLR planner that the shape planner
 replaced: ``kernel_weight``, ``effective_bandwidth``, ``_line_plan``,
-``_mean_plan`` and ``llr_plan``, one point and one widening at a time, with
+``_mean_plan`` and ``llr_plan``, one point and one widening at a time, and
+the one-shape plan it returns (``LLRPlan``, the support as point indices)
+with its apply (``llr_apply``, whose batch sums are ``fsum_rows``), with
 the forecaster's per-shape plan lookup (``window_plan``) and its per-shape
 loop (``predict_per_shape``: one plan and one batch of sums per run of
 steps that share a window shape). ``write_record_rows`` and
@@ -67,7 +69,7 @@ from cyclecast.evaluation import (
     relative_improvement,
 )
 from cyclecast.forecaster import _CHUNK, Records, observe_step, predict_step, run
-from cyclecast.llr import Fallback, KernelFamily, KernelSpec, LLRPlan, llr_apply
+from cyclecast.llr import Fallback, KernelFamily, KernelSpec
 from cyclecast.store import EmptyWindowError
 from cyclecast.trace import (
     US_PER_SECOND,
@@ -518,6 +520,58 @@ def window_entries(ds, n: int) -> list[tuple[int, float]]:
 def fsum_rows(terms: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row of a 2-D array, one row at a time."""
     return np.array([math.fsum(row) for row in terms.tolist()])
+
+
+@dataclass(frozen=True, eq=False)
+class LLRPlan:
+    """Everything of a fit that depends on the xs alone.
+
+    The fitted value is ``(s2 * sy - s1 * sxy) / det + beta * du`` with
+    ``sy = fsum(w * y)`` and ``sxy = fsum(wdx * y)`` over the ``support``
+    points, ``beta = (s0 * sxy - s1 * sy) / det`` and ``du = x_u - xbar``;
+    a mean (``wdx`` is None) is ``sy / s0``.
+    """
+
+    fallback: Fallback
+    support: np.ndarray
+    w: np.ndarray
+    wdx: np.ndarray | None
+    s0: float
+    s1: float = 0.0
+    s2: float = 0.0
+    det: float = 0.0
+    du: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Callers cache and share plans, so their arrays must not change.
+        for a in (self.support, self.w, self.wdx):
+            if a is not None:
+                a.flags.writeable = False
+
+
+def _fsum(terms: np.ndarray) -> float | np.ndarray:
+    """Correctly rounded sum of a 1-D array, or of each row of a 2-D one."""
+    return math.fsum(terms.tolist()) if terms.ndim == 1 else fsum_rows(terms)
+
+
+def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """The planned fit's value for ``ys``, given in the order of the plan's xs.
+
+    A 2-D ``ys`` holds one such sequence per row and gives an array with one
+    value per row, each the same float a 1-D call on that row returns: the
+    sums are per row, and the rest is the same IEEE operations elementwise.
+    """
+    y = np.asarray(ys, dtype=np.float64)[..., plan.support]
+    sy = _fsum(plan.w * y)
+    sxy = None if plan.wdx is None else _fsum(plan.wdx * y)
+    # A 1-D call's sums are Python floats, whose arithmetic overflows to inf
+    # or gives nan without a word; a batch's rows must do the same.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sxy is None:
+            return sy / plan.s0
+        alpha = (plan.s2 * sy - plan.s1 * sxy) / plan.det
+        beta = (plan.s0 * sxy - plan.s1 * sy) / plan.det
+        return alpha + beta * plan.du
 
 
 def kernel_weight(spec: KernelSpec, x_u: float, x_i: float, h: float) -> float:

@@ -416,6 +416,51 @@ class TestExitCodes:
         assert message.format(**paths) in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_records_tp_index_beyond_int64_is_data_error(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text(TWO_RECORDS.splitlines(keepends=True)[0] + "1,9223372036854775808,NA,1.0,none\n")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--records", str(records), "--out-dir", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{records}:2: tp_index=9223372036854775808 is not below 2**63" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["synth", "--tps", "10", "--pp-tps", "5", "--seed", str(2**63)], "--seed"),
+            (["ingest", "--trace", "{trace}", "--pp-tps", "{big}"], "--pp-tps"),
+            (["ingest", "--trace", "{trace}", "--col-cpu", "{big}"], "--col-cpu"),
+            (["predict", "--train", "{obs}", "--test", "{obs}", "--pp-tps", "{big}"], "--pp-tps"),
+            (["predict", "--train", "{obs}", "--test", "{obs}", "--pp-tps", "4", "--up-tps", "2",
+              "--bandwidth-k", "{big}"], "--bandwidth-k"),
+            (["predict", "--train", "{obs}", "--test", "{obs}", "--config", "{cfg}"], "{cfg}:2: bandwidth_k="),
+            (["evaluate", "--train", "{obs}", "--test", "{obs}", "--pp-tps", "4", "--up-tps", "2",
+              "--bandwidth-grid", "5,{big}"], "--bandwidth-grid"),
+            (["evaluate", "--records", "{records}", "--baselines", "--baseline-window", "{big}"], "--baseline-window"),
+        ],
+        ids=["synth", "ingest", "ingest-column", "predict", "predict-k", "predict-entry", "evaluate-grid",
+             "evaluate-window"],
+    )
+    def test_integer_of_2_63_or_more_is_usage_error(self, tmp_path, capsys, argv, named):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0,j1,j1,0.1,0.1\n60000000,j2,j2,0.2,0.1\n")
+        records = tmp_path / "records.csv"
+        records.write_text(TWO_RECORDS)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"pp_tps=4\nbandwidth_k={2**63}\nup_tps=2\n")
+        paths = {"trace": trace, "records": records, "cfg": cfg, "obs": _obs_file(tmp_path / "obs.csv", 8, 4),
+                 "big": str(10**20)}
+        out = tmp_path / "out"
+        try:
+            code = main([arg.format(**paths) for arg in argv] + ["--out-dir", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert named.format(**paths) in err and "is not below 2**63" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_count_beyond_int64_is_data_error_and_writes_nothing(self, tmp_path, capsys):
         # The arrivals aggregate; the cpu sum, 1e17 x 100, is not a count below 2**63.
         trace = tmp_path / "trace.csv"

@@ -32,7 +32,7 @@ def _window_fit(ds, n, kernel):
     """The LLR fit at offset n over the store's trailing window, read cell by cell."""
     entries = oracles.window_entries(ds, n)
     plan = llr_plan([float(x) for x, _ in entries], float(n), kernel)
-    return llr_apply(plan, [y for _, y in entries]), plan.fallback
+    return llr_apply(plan, [y for _, y in entries]), plan.fallback[0]
 
 
 def _constant_stream(m, n_steps, value):
@@ -588,6 +588,15 @@ class TestChunkPass:
 
 
 class TestPlanCache:
+    @pytest.mark.parametrize("masks", [[bytes(12)], [bytes(12), bytes([1] * 6 + [0] * 6), bytes([1] * 11 + [0])]])
+    def test_cached_plans_are_read_only(self, masks):
+        # Every later step that finds the plan in the cache shares its arrays.
+        plan = forecaster._window_plan(b"".join(masks), 4, 3, KernelSpec(k=5))
+        assert len(plan.fallback) == len(masks)
+        for a in vars(plan).values():
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a.copy()
+
     def test_bounded_after_run(self):
         bound = forecaster._window_plan.cache_info().maxsize
         cfg = ForecastConfig(pp_tps=10, up_tps=6, cycles=3, kernel=KernelSpec(k=5))
@@ -805,6 +814,14 @@ class TestRecordsFile:
         path = tmp_path / "records.csv"
         path.write_text(_RECORDS_HEADER + f"1,1,NA,2.0,none\n2,{tp_index},2.0,2.0,none\n")
         message = f"{path}:3: tp_index={tp_index} is below 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_records(path)
+
+    @pytest.mark.parametrize("tp_index", [2**63, 10**20])
+    def test_rejects_tp_index_beyond_int64(self, tmp_path, tp_index):
+        path = tmp_path / "records.csv"
+        path.write_text(_RECORDS_HEADER + f"1,{tp_index},NA,1.0,none\n")
+        message = f"{path}:2: tp_index={tp_index} is not below 2**63"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_records(path)
 

@@ -23,7 +23,7 @@ ALL_FAMILIES = [KernelFamily.EPANECHNIKOV, KernelFamily.BIWEIGHT, KernelFamily.G
 def _fit(points, x_u, spec):
     """The planned fit's value over (x, y) ``points`` and its fallback step."""
     plan = llr_plan([x for x, _ in points], x_u, spec)
-    return llr_apply(plan, [y for _, y in points]), plan.fallback
+    return llr_apply(plan, [y for _, y in points]), plan.fallback[0]
 
 
 class TestKernelWeight:
@@ -240,7 +240,7 @@ class TestPlanApply:
             points = list(zip(xs, ys))
             value, fallback = oracles.llr_one_pass(points, x_u, spec)
             assert llr_apply(plan, ys).hex() == value.hex()
-            assert plan.fallback is fallback
+            assert plan.fallback[0] is fallback
             rows.append(ys)
             values.append(value.hex())
         # One call over all the ys sets, one per row, gives the same floats.
@@ -257,7 +257,7 @@ class TestPlanApply:
     def test_batches_on_both_sides_of_the_crossover_give_the_1d_floats(self, xs, data, family, k, x_u, seed):
         plan = llr_plan(xs, x_u, KernelSpec(family=family, k=min(k, len(xs))))
         # 1-3 rows are summed row by row; ``above`` rows reach the certified row sum.
-        above = -(-llr._BATCH_MIN_TERMS // len(plan.support))
+        above = -(-llr._BATCH_MIN_TERMS // len(xs))
         count = data.draw(st.sampled_from([1, 2, 3, above, above + 37]))
         ys_strategy = st.lists(
             st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)),
@@ -288,10 +288,12 @@ class TestPlanApply:
         plan = llr_plan(xs, x_u, spec)
         hard = [[1e306, -1e306], [-1e306, 1e306], [1e306, 0.0], [0.0, -1e306], [8e307, -8e307],
                 [1e306, 1e306], [5e307, 5e307], [math.inf, 1.0], [1.0, -math.inf], [1.0, 2.0]]
-        # 2 terms a row: batches just below and at the certified row sum's crossover.
-        rows = llr._BATCH_MIN_TERMS // len(plan.support) + crossing
+        # 2 terms a row per sum, sy and a line's sxy summed in one batch:
+        # batches just below and at the certified row sum's crossover.
+        sums = 1 + int(plan.line[0])
+        rows = llr._BATCH_MIN_TERMS // (2 * sums) + crossing
         batch = np.array([hard[i % len(hard)] for i in range(rows)])
-        assert (batch.size >= llr._BATCH_MIN_TERMS) is (crossing == 0)
+        assert (batch.size * sums >= llr._BATCH_MIN_TERMS) is (crossing == 0)
         got = [v.hex() for v in llr_apply(plan, batch).tolist()]
         assert got == [llr_apply(plan, row).hex() for row in batch]
 
@@ -305,42 +307,51 @@ class TestPlanApply:
         # weights rounds its underflowing products otherwise and gives 5e-324.
         points = [(0.0, 0.0), (7.0, 5e-324)]
         plan = llr_plan([0.0, 7.0], 0.0, KernelSpec(k=1))
-        assert plan.fallback is Fallback.WIDENED_H  # k = 1 gives h = 7, widened once to 14
+        assert plan.fallback[0] is Fallback.WIDENED_H  # k = 1 gives h = 7, widened once to 14
         assert oracles.llr_normal_equations(points, 0.0, "epanechnikov", 14.0, dps=400) == 0.0
         assert llr_apply(plan, [0.0, 5e-324]) == 0.0
         assert oracles.llr_one_pass(points, 0.0, KernelSpec(k=1)) == (0.0, Fallback.WIDENED_H)
 
+    def test_a_subnormal_largest_weight_plans(self):
+        # At 38 and 38.5 from the query the Gaussian weights are near 1e-314
+        # and 1e-322, both subnormal; they are scaled to [1, 2) exactly.
+        plan = llr_plan([0.0, 0.5], 38.5, KernelSpec(family=KernelFamily.GAUSSIAN, h=1.0))
+        assert plan.fallback[0] is Fallback.NONE
+        assert llr_apply(plan, [3.0, 4.0]) == pytest.approx(3.0 + 2.0 * 38.5, rel=1e-12)
 
-def _plan_fields(plan):
-    """Every field of ``plan``, floats as their bit patterns."""
+
+def _plan_fields(fallback, support, w, wdx, *scalars):
+    """A one-shape plan's fields, floats as their bit patterns."""
     floats = lambda a: None if a is None else [v.hex() for v in a.tolist()]
-    return (
-        plan.fallback, plan.support.tolist(), floats(plan.w), floats(plan.wdx),
-        *(float(v).hex() for v in (plan.s0, plan.s1, plan.s2, plan.det, plan.du)),
-    )
+    return fallback, support.tolist(), floats(w), floats(wdx), *(float(v).hex() for v in scalars)
 
 
-def _planned(call):
-    """``call()``'s plan fields, or its error's type and message."""
-    try:
-        return _plan_fields(call())
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
+def _shape_fields(plan, i):
+    """Shape i's fields of ``plan``, its row mapped to its support; a mean has no ``wdx``."""
+    support = np.flatnonzero(plan.support[i])
+    wdx = plan.wdx[i, support] if plan.line[i] else None
+    scalars = (a[i] for a in (plan.s0, plan.s1, plan.s2, plan.det, plan.du))
+    return _plan_fields(plan.fallback[i], support, plan.w[i, support], wdx, *scalars)
 
 
 def _shape_outcomes(xs, x_u, spec, populated):
     """Each shape's plan from the shape planner, and from the verbatim scalar
-    planner on the shape's populated xs with its support mapped to the cells."""
-    plans = llr._plan_shapes(np.array(xs), x_u, spec, populated)
+    planner on the shape's populated xs with its support mapped to the cells,
+    for every shape that the scalar planner plans."""
+    plan = llr._plan_shapes(np.array(xs), x_u, spec, populated)
     got, expected = [], []
     for i, row in enumerate(populated):
         cells = np.flatnonzero(row)
         shape_spec = spec if spec.k is None else KernelSpec(family=spec.family, k=min(spec.k, len(cells)))
-        got.append(_planned(lambda: plans.plan(i)))
-        reference = _planned(lambda: oracles.llr_plan([xs[c] for c in cells], x_u, shape_spec))
-        if not isinstance(reference[0], type):
-            reference = (reference[0], cells[reference[1]].tolist(), *reference[2:])
-        expected.append(reference)
+        try:
+            reference = oracles.llr_plan([xs[c] for c in cells], x_u, shape_spec)
+        except OverflowError:
+            continue  # its 2.0 ** (1 - e) overflows on a subnormal largest weight
+        got.append(_shape_fields(plan, i))
+        expected.append(_plan_fields(
+            reference.fallback, cells[reference.support], reference.w, reference.wdx,
+            reference.s0, reference.s1, reference.s2, reference.det, reference.du,
+        ))
     return got, expected
 
 
@@ -377,24 +388,25 @@ class TestShapePlanner:
             ([0.0, 1.0, 9.0], 9.0, KernelSpec(h=0.5), Fallback.WEIGHTED_MEAN),
             ([0.0, 10.0, 20.0], 5.0, KernelSpec(h=0.1), Fallback.GLOBAL_LINE),
             ([4.0, 4.0], 0.0, KernelSpec(h=0.1), Fallback.GLOBAL_LINE),  # the global line is singular too
-            # The largest weight is subnormal: 2**(1 - e) overflows in Python.
-            ([0.0, 0.5], 38.5, KernelSpec(family=KernelFamily.GAUSSIAN, h=1.0), OverflowError),
+            # The largest weight is subnormal: the scalar planner's 2.0 ** (1 - e)
+            # overflows, and the shape planner scales the weights exactly.
+            ([0.0, 0.5], 38.5, KernelSpec(family=KernelFamily.GAUSSIAN, h=1.0), Fallback.NONE),
         ],
     )
     @pytest.mark.parametrize("families", ["same", "all"])
     def test_each_link_of_the_chain(self, xs, x_u, spec, fallback, families):
+        if families == "same":
+            assert llr_plan(xs, x_u, spec).fallback[0] is fallback
         specs = [spec] if families == "same" else [KernelSpec(family=f, h=spec.h, k=spec.k) for f in ALL_FAMILIES]
         for spec in specs:
             # The whole set of cells, and each cell set that drops one cell, at once.
             populated = np.array([[True] * len(xs)] + [[j != i for j in range(len(xs))] for i in range(len(xs))])
             got, expected = _shape_outcomes(xs, x_u, spec, populated)
             assert got == expected
-        if families == "same":
-            assert got[0][0] is fallback
 
 
 class TestApplyShapes:
-    """``_apply_shapes`` against ``llr_apply`` of each column's plan."""
+    """A batch over several shapes against the one-window ``llr_apply`` of each column."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -413,25 +425,15 @@ class TestApplyShapes:
         )
         populated[:, 0] = True
         spec = KernelSpec(family=family, h=h) if fixed else KernelSpec(family=family, k=k)
-        plans = llr._plan_shapes(np.array(xs), float(len(xs)), spec, populated)
+        plan = llr._plan_shapes(np.array(xs), float(len(xs)), spec, populated)
         which = np.array(data.draw(st.lists(st.integers(0, shapes - 1), min_size=columns, max_size=columns)))
         # Empty cells hold NaN, as the forecaster's windows do; the rest -0.0 and up.
         values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1e6))
         ys = np.array(data.draw(st.lists(values, min_size=columns * len(xs), max_size=columns * len(xs))))
+        # One column per window, as the forecaster lays its chunk out.
         ys = np.where(populated[which], ys.reshape(columns, len(xs)), np.nan).T.copy()
-        expected = [llr_apply(plans.plan(i), ys[:, j]).hex() for j, i in enumerate(which.tolist())]
-        assert [v.hex() for v in llr._apply_shapes(plans, which, ys).tolist()] == expected
-
-    def test_a_shape_that_failed_to_plan_raises_at_its_first_column(self):
-        # Shape 0's largest Gaussian weight is subnormal; shape 1 also holds x = 10.
-        populated = np.array([[True, True, False], [True, True, True]])
-        plans = llr._plan_shapes(np.array([0.0, 0.5, 10.0]), 38.5, KernelSpec(family=KernelFamily.GAUSSIAN, h=1.0), populated)
-        assert isinstance(plans.error[0], OverflowError) and plans.error[1] is None
-        ys = np.array([[1.0, 2.0, 3.0]] * 3).T
-        with pytest.raises(OverflowError):
-            llr._apply_shapes(plans, np.array([1, 0, 1]), ys)
-        expected = [llr_apply(plans.plan(1), ys[:, j]).hex() for j in range(2)]
-        assert [v.hex() for v in llr._apply_shapes(plans, np.array([1, 1]), ys[:, :2]).tolist()] == expected
+        expected = [llr_apply(plan, ys[:, j], i).hex() for j, i in enumerate(which.tolist())]
+        assert [v.hex() for v in llr_apply(plan, ys.T, which).tolist()] == expected
 
 
 _NONFINITE = [math.inf, -math.inf, math.nan]
