@@ -40,6 +40,7 @@ from .trace import (
     MetricKind,
     Observations,
     _check_scale,
+    _check_span_settings,
     _CountTooLarge,
     _SpanTooLarge,
     aggregate_span,
@@ -349,6 +350,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         delimiter=args.delimiter,
         has_header=args.header,
     )
+    for metric in metrics:  # refused settings exit before the trace is read
+        _check_span_settings(tp_min, sub_bin_sec, metric, scale)
 
     try:
         parsed = parse_trace(args.trace, mapping)
@@ -474,9 +477,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     cfg = res.forecast_config()
+    ds = cfg.new_store()  # a store too large is refused before any stream is read
     train, test, units = _read_streams(args.train, args.test, cfg.pp_tps)
     out = _out_dir(args)
-    records = run(Observations.concat([train, test]), cfg)
+    records = run(Observations.concat([train, test]), cfg, ds)
     write_records(out / "records.csv", records)
     _write_manifest(
         out,
@@ -619,7 +623,9 @@ def _add_run_flags(p: argparse.ArgumentParser, keys: Sequence[str]) -> None:
     p.add_argument("--out-dir", required=True, help="directory for outputs and the run manifest")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process and shared by every caller, so no caller may add to it.
     # Flags must be spelled in full: a prefix would keep a renamed flag answering to its old name.
     parser = argparse.ArgumentParser(
         prog="cyclecast",

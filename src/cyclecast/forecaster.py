@@ -16,22 +16,19 @@ call plans every window shape the chunk holds into one ``LLRPlan``, and one
 ``llr_apply`` call, a batch of certified row sums, applies every step with
 its window's shape (see ``cyclecast.llr``). It returns the steps
 as ``Records``, five columns with one entry per step, which
-``write_records`` and ``read_records`` move to and from text a row per
-step, a column at a time. Its records and final store are the ones the
-step-by-step loop produces, bit for bit. Its two phases, ``_fit`` and
-``_predict``, are also what the evaluation sweep runs: one fit for all
-configurations, and predictions for only the steps it scores.
+``write_records`` and ``read_records`` move to and from text, one row per
+step, in a single pass over the file. Its records and final store are
+the ones the step-by-step loop produces, bit for bit. Its two phases,
+``_fit`` and ``_predict``, are also what the evaluation sweep runs: one
+fit for all configurations, and predictions for only the steps it scores.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import islice, repeat
-from operator import attrgetter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -308,35 +305,24 @@ def run(
 
 _RECORDS_HEADER = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
 _FALLBACKS = {f.value: f for f in Fallback}
-_ROWS_PER_BLOCK = 256  # records formatted or parsed at once; bounds the strings held
 
 
 def write_records(path: str | Path, records: Records) -> None:
     """Write records as delimited text, one step per row; warm-ups print NA.
 
     Each rate is written as the ``repr`` of its Python float, which reads
-    back to the same bits. The columns are formatted a block of rows at a
-    time and interleaved, with their separators, into one string.
+    back to the same bits.
     """
+    columns = (
+        records.tp_index.tolist(), records.predicted.tolist(), records.warm.tolist(),
+        records.actual.tolist(), records.fallback.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_RECORDS_HEADER)
-        for lo in range(0, len(records), _ROWS_PER_BLOCK):
-            block = slice(lo, lo + _ROWS_PER_BLOCK)
-            predicted = list(map(repr, records.predicted[block].tolist()))
-            for i in np.flatnonzero(records.warm[block]).tolist():
-                predicted[i] = "NA"
-            columns = (
-                list(map(str, range(lo + 1, lo + 1 + len(predicted)))),
-                list(map(str, records.tp_index[block].tolist())),
-                predicted,
-                list(map(repr, records.actual[block].tolist())),
-                list(map(attrgetter("value"), records.fallback[block].tolist())),
-            )
-            text = [","] * (10 * len(predicted))
-            for j, column in enumerate(columns):
-                text[2 * j :: 10] = column
-            text[9::10] = ["\n"] * len(predicted)
-            fh.write("".join(text))
+        fh.writelines(
+            f"{t},{tp},{'NA' if warm else repr(p)},{a!r},{f.value}\n"
+            for t, (tp, p, warm, a, f) in enumerate(zip(*columns), start=1)
+        )
 
 
 def _rate(text: str) -> float:
@@ -344,106 +330,6 @@ def _rate(text: str) -> float:
     if not math.isfinite(v) or v < 0:
         raise ValueError(f"rate must be finite and nonnegative, got {text!r}")
     return v
-
-
-def _parse_records(lines: Iterator[str]) -> Records | None:
-    """The records of the rows of ``lines``, or None if any breaks a rule.
-
-    Blank lines are skipped, and the rest read a block of rows at a time,
-    each block as five columns. The rules of ``read_records`` then hold as
-    column checks: every field parses, t runs 1..N, each tp_index is at
-    least 1 and follows the one before it or wraps to 1, every wrap comes
-    from the first wrap's tp_index P and no tp_index after it exceeds P, NA
-    only leads, and the rates are finite and nonnegative.
-    """
-    tp: list[np.ndarray] = []
-    rates: list[np.ndarray] = []
-    fallback: list[Fallback] = []
-    n = warmup = 0
-    while block := list(islice(lines, _ROWS_PER_BLOCK)):
-        rows = [line for line in map(str.strip, block) if line]
-        if not rows:
-            continue
-        if any(c != 4 for c in map(str.count, rows, repeat(","))):
-            return None
-        fields = ",".join(rows).split(",")
-        try:
-            if list(map(int, fields[::5])) != list(range(n + 1, n + len(rows) + 1)):
-                return None
-            tp.append(np.fromiter(map(int, fields[1::5]), dtype=np.int64, count=len(rows)))
-            predicted = fields[2::5]
-            if warmup == n:
-                lead = next((i for i, p in enumerate(predicted) if p != "NA"), len(rows))
-                warmup, predicted = n + lead, predicted[lead:]
-            rates.append(np.fromiter(map(float, predicted + fields[3::5]), dtype=np.float64))
-            fallback += map(_FALLBACKS.__getitem__, fields[4::5])
-        except (ValueError, OverflowError, KeyError):
-            return None
-        n += len(rows)
-    tp_index = np.concatenate([np.zeros(0, dtype=np.int64), *tp])
-    # Each block's rates: its numeric predictions, then its actual rates.
-    split = [len(r) - len(t) for r, t in zip(rates, tp)]
-    predicted = np.concatenate([np.zeros(warmup), *(r[:k] for r, k in zip(rates, split))])
-    actual = np.concatenate([np.zeros(0), *(r[k:] for r, k in zip(rates, split))])
-    numeric = np.concatenate([predicted[warmup:], actual])
-    if not (np.isfinite(numeric) & ~(numeric < 0)).all() or (tp_index < 1).any():
-        return None
-    if not ((tp_index[1:] == tp_index[:-1] + 1) | (tp_index[1:] == 1)).all():
-        return None
-    wraps = np.flatnonzero(tp_index[1:] == 1)
-    if len(wraps) and ((tp_index[wraps] != tp_index[wraps[0]]).any() or (tp_index[wraps[0] + 1 :] > tp_index[wraps[0]]).any()):
-        return None
-    return Records(tp_index, predicted, np.arange(n) < warmup, actual, fallback)
-
-
-def _read_rows(path: str | Path, rows: Iterable[tuple[int, str]]) -> Records:
-    """The records of ``rows`` (line number, text), read a row at a time; a
-    row that breaks a rule of ``read_records`` raises, naming its line."""
-    tp_index: list[int] = []
-    predicted: list[float] = []
-    actual: list[float] = []
-    fallback: list[Fallback] = []
-    warmup = 0
-    period = None  # the pattern length, from the first wrap on
-    for lineno, line in rows:
-        parts = line.split(",")
-        try:
-            if len(parts) != 5:
-                raise ValueError(f"expected 5 fields, got {len(parts)}")
-            t = int(parts[0])
-            if t != len(tp_index) + 1:
-                raise ValueError(f"step t={t} out of order: expected t={len(tp_index) + 1}")
-            tp = int(parts[1])
-            if tp < 1:
-                raise ValueError(f"tp_index={tp} is below 1")
-            if tp >= _INT64_LIMIT:
-                raise ValueError(f"tp_index={tp} is not below 2**63")
-            if tp_index and tp not in (tp_index[-1] + 1, 1):
-                raise ValueError(
-                    f"tp_index={tp} follows tp_index={tp_index[-1]}: expected {tp_index[-1] + 1} or a wrap to 1"
-                )
-            if tp_index and tp == 1:
-                if period is None:
-                    period = tp_index[-1]
-                elif tp_index[-1] != period:
-                    raise ValueError(
-                        f"wrap to 1 after tp_index={tp_index[-1]}: the first wrap set the pattern length to {period}"
-                    )
-            if period is not None and tp > period:
-                raise ValueError(f"tp_index={tp} exceeds the pattern length {period} set by the first wrap")
-            if parts[2] == "NA" and warmup < len(tp_index):
-                raise ValueError("NA prediction after a numeric one: warm-up steps only lead a run")
-            p = 0.0 if parts[2] == "NA" else _rate(parts[2])
-            a = _rate(parts[3])
-            f = Fallback(parts[4])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        warmup += parts[2] == "NA"
-        tp_index.append(tp)
-        predicted.append(p)
-        actual.append(a)
-        fallback.append(f)
-    return Records(tp_index, predicted, np.arange(len(tp_index)) < warmup, actual, fallback)
 
 
 def read_records(path: str | Path) -> Records:
@@ -455,18 +341,63 @@ def read_records(path: str | Path) -> Records:
     one before it or wrap to 1, and ``NA`` (a warm-up step) may only lead
     the file. The wraps must agree on one pattern length P: every wrap
     comes from ``tp_index`` P, and no ``tp_index`` after the first wrap
-    exceeds P. Every row error names the file and line.
+    exceeds P.
 
-    Blank lines are skipped. The rows are read as columns and the rules
-    checked on the columns; only a file that breaks one is read again a row
-    at a time, which names the first row at fault.
+    The file is read once, a row at a time, and blank lines are skipped.
+    The first row that breaks a rule raises ``ValueError`` naming the file
+    and line.
     """
+    tp_index: list[int] = []
+    predicted: list[float] = []
+    actual: list[float] = []
+    fallback: list[Fallback] = []
+    n = warmup = 0
+    prev = period = None  # the tp_index before; the pattern length, from the first wrap on
     with open(path, "r", encoding="utf-8") as fh:
         if not fh.readline().startswith("t,tp_index,"):
             raise ValueError(f"{path}: not a prediction records file")
-        records = _parse_records(fh)
-    if records is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            records = _read_rows(path, ((lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=2) if line))
-    return records
+        for lineno, line in enumerate(fh, start=2):
+            if not (line := line.strip()):
+                continue
+            parts = line.split(",")
+            try:
+                if len(parts) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(parts)}")
+                t = int(parts[0])
+                if t != n + 1:
+                    raise ValueError(f"step t={t} out of order: expected t={n + 1}")
+                tp = int(parts[1])
+                if tp < 1:
+                    raise ValueError(f"tp_index={tp} is below 1")
+                if tp >= _INT64_LIMIT:
+                    raise ValueError(f"tp_index={tp} is not below 2**63")
+                if prev is not None and tp != prev + 1:
+                    if tp != 1:
+                        raise ValueError(f"tp_index={tp} follows tp_index={prev}: expected {prev + 1} or a wrap to 1")
+                    if period is None:
+                        period = prev
+                    elif prev != period:
+                        raise ValueError(
+                            f"wrap to 1 after tp_index={prev}: the first wrap set the pattern length to {period}"
+                        )
+                if period is not None and tp > period:
+                    raise ValueError(f"tp_index={tp} exceeds the pattern length {period} set by the first wrap")
+                if parts[2] == "NA":
+                    if warmup < n:
+                        raise ValueError("NA prediction after a numeric one: warm-up steps only lead a run")
+                    warmup += 1
+                    p = 0.0
+                else:
+                    p = _rate(parts[2])
+                a = _rate(parts[3])
+                # A name that is no Fallback's raises the enum's own message.
+                f = _FALLBACKS.get(parts[4]) or Fallback(parts[4])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            n += 1
+            prev = tp
+            tp_index.append(tp)
+            predicted.append(p)
+            actual.append(a)
+            fallback.append(f)
+    return Records(tp_index, predicted, np.arange(n) < warmup, actual, fallback)

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .trace import _MAX_SPAN_SUB_BINS
+
 __all__ = ["CyclicDataset", "EmptyWindowError", "new_dataset"]
 
 
@@ -47,6 +49,12 @@ class CyclicDataset:
     def __init__(self, m: int, l: int) -> None:
         if m < 1 or l < 1:
             raise ValueError(f"matrix dimensions must be positive, got m={m}, l={l}")
+        # The cap of a span's sub-bins: a store is refused before its cells are allocated.
+        if m * l > _MAX_SPAN_SUB_BINS:
+            raise ValueError(
+                f"a store of m={m} positions x l={l} cycles holds {m * l} cells, "
+                f"more than the {_MAX_SPAN_SUB_BINS} a store may hold"
+            )
         self.m = m
         self.l = l
         self.cells = np.full((m, l), np.nan)

@@ -519,6 +519,18 @@ def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
     return ParseResult(events=_in_time_order(Events(timestamps, cpus, mems)), rejected=rejected)
 
 
+def _check_span_settings(
+    tp_minutes: int, sub_bin_seconds: int = 60, metric: MetricKind = MetricKind.ARRIVALS, scale: float = 100.0
+) -> None:
+    """Raise ValueError unless ``aggregate_span`` takes these settings; the defaults are its own."""
+    if tp_minutes < 1:
+        raise ValueError(f"target period must be at least one minute, got {tp_minutes}")
+    if sub_bin_seconds < 1 or (tp_minutes * 60) % sub_bin_seconds != 0:
+        raise ValueError(f"target period of {tp_minutes}min is not a whole number of {sub_bin_seconds}s sub-bins")
+    if not math.isfinite(scale) or (metric is not MetricKind.ARRIVALS and scale <= 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+
+
 def aggregate_span(
     events: Events,
     start_us: int,
@@ -549,14 +561,7 @@ def aggregate_span(
     """
     if num_tps < 1 or pp_tps < 1:
         raise ValueError(f"need at least one target period and pattern period, got {num_tps}, {pp_tps}")
-    if tp_minutes < 1:
-        raise ValueError(f"target period must be at least one minute, got {tp_minutes}")
-    if sub_bin_seconds < 1 or (tp_minutes * 60) % sub_bin_seconds != 0:
-        raise ValueError(
-            f"target period of {tp_minutes}min is not a whole number of {sub_bin_seconds}s sub-bins"
-        )
-    if not math.isfinite(scale) or (metric is not MetricKind.ARRIVALS and scale <= 0):
-        raise ValueError(f"scale must be finite and positive, got {scale}")
+    _check_span_settings(tp_minutes, sub_bin_seconds, metric, scale)
     if not -_INT64_LIMIT <= start_us < _INT64_LIMIT:
         raise ValueError(f"start {start_us}us is outside int64")
     timestamps = events.timestamp
@@ -612,8 +617,7 @@ def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
     Raises ValueError if the latest event's offset from ``start_us`` does
     not fit int64, as ``aggregate_span`` would refuse it.
     """
-    if tp_minutes < 1:
-        raise ValueError(f"target period must be at least one minute, got {tp_minutes}")
+    _check_span_settings(tp_minutes)
     if not len(events):
         return 0
     # The latest event at or after the start, if there is one, is the latest event.

@@ -33,7 +33,9 @@ the forecaster's per-shape plan lookup (``window_plan``) and its per-shape
 loop (``predict_per_shape``: one plan and one batch of sums per run of
 steps that share a window shape). ``write_record_rows`` and
 ``read_records_rows`` are the records writer and reader that formatted
-and parsed a row at a time, also verbatim. The one-pass LLR reference
+and parsed a row at a time, also verbatim, but for the reader's refusal of
+a ``tp_index`` of 2**63 or more, a rule of the records file that the
+verbatim copy lacked. The one-pass LLR reference
 scales its weights by the same power of two as the plan does, which is
 exact, so both round alike when a product underflows. ``PredictionRecord``, one object per step, is the form
 ``run`` returned before its ``Records`` columns, and ``write_records`` the
@@ -793,11 +795,11 @@ def read_records_rows(path: str | Path) -> Records:
 
     Refuses what ``run`` cannot write: rates must be finite and
     nonnegative, the steps must run t = 1, 2, 3, ... in row order, each
-    ``tp_index`` must be at least 1 and follow the one before it or wrap
-    to 1, and ``NA`` (a warm-up step) may only lead the file. The wraps
-    must agree on one pattern length P: every wrap comes from ``tp_index``
-    P, and no ``tp_index`` after the first wrap exceeds P. Every row error
-    names the file and line.
+    ``tp_index`` must be at least 1, below 2**63 (an int64) and follow the
+    one before it or wrap to 1, and ``NA`` (a warm-up step) may only lead
+    the file. The wraps must agree on one pattern length P: every wrap
+    comes from ``tp_index`` P, and no ``tp_index`` after the first wrap
+    exceeds P. Every row error names the file and line.
     """
     tp_index: list[int] = []
     predicted: list[float] = []
@@ -823,6 +825,8 @@ def read_records_rows(path: str | Path) -> Records:
                 tp = int(parts[1])
                 if tp < 1:
                     raise ValueError(f"tp_index={tp} is below 1")
+                if tp >= 2**63:
+                    raise ValueError(f"tp_index={tp} is not below 2**63")
                 if tp_index and tp not in (tp_index[-1] + 1, 1):
                     raise ValueError(
                         f"tp_index={tp} follows tp_index={tp_index[-1]}: "

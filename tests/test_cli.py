@@ -416,6 +416,29 @@ class TestExitCodes:
         assert message.format(**paths) in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_store_too_large_is_usage_error_before_any_output(self, tmp_path, capsys):
+        obs = _obs_file(tmp_path / "obs.csv", 24, 12)
+        out = tmp_path / "out"
+        argv = ["predict", "--train", obs, "--test", obs, "--pp-tps", "12", "--up-tps", "5",
+                "--cycles", str(2**63 - 1), "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"a store of m=12 positions x l={2**63 - 1} cycles holds {12 * (2**63 - 1)} cells" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("present", [True, False], ids=["trace", "missing-trace"])
+    def test_ingest_checks_its_settings_before_reading_the_trace(self, tmp_path, capsys, monkeypatch, present):
+        trace = tmp_path / "trace.csv"
+        if present:
+            trace.write_text("0,j1,j1,0.1,0.1\n60000000,j2,j2,0.2,0.1\n")
+        monkeypatch.setattr(cli, "parse_trace", None)  # the trace must not be read
+        out = tmp_path / "out"
+        assert main(["ingest", "--trace", str(trace), "--sub-bin-sec", "7", "--out-dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "target period of 30min is not a whole number of 7s sub-bins" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_records_tp_index_beyond_int64_is_data_error(self, tmp_path, capsys):
         records = tmp_path / "records.csv"
         records.write_text(TWO_RECORDS.splitlines(keepends=True)[0] + "1,9223372036854775808,NA,1.0,none\n")
@@ -891,6 +914,10 @@ FLAGS = {
                 "--baseline-window --pp-tps --up-tps --cycles --kernel --bandwidth-k --bandwidth-h "
                 "--config --out-dir",
 }
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def _commands():

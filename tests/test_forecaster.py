@@ -678,6 +678,14 @@ class TestBaselines:
 _RECORDS_HEADER = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n"
 
 
+def _outcome(reader, path):
+    """What ``reader`` makes of ``path``: its columns, or the type and message of its error."""
+    try:
+        return _columns(reader(path))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
 class TestRecordsFile:
     def test_round_trip_including_warmup(self, tmp_path):
         records = Records(
@@ -766,13 +774,17 @@ class TestRecordsFile:
         newline = layout if layout in ("\n", "\r\n", "\r") else "\n"
         text = newline.join([header, *lines]) + ("" if layout == "no final newline" else newline)
         (out / "edited.csv").write_bytes(text.encode())
-        outcomes = []
-        for reader in (read_records, oracles.read_records_rows):
-            try:
-                outcomes.append(_columns(reader(out / "edited.csv")))
-            except (ValueError, OverflowError) as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1]
+        assert _outcome(read_records, out / "edited.csv") == _outcome(oracles.read_records_rows, out / "edited.csv")
+
+    @pytest.mark.parametrize(
+        "rows", ["1,99999999999999999999,NA,1.0,none\n2,2,NA,1.0,none\n", "1,99999999999999999999,NA,1.0,none\n"],
+        ids=["followed", "last"],
+    )
+    def test_tp_index_beyond_int64_is_refused_as_the_row_reader_does(self, tmp_path, rows):
+        path = tmp_path / "records.csv"
+        path.write_text(_RECORDS_HEADER + rows)
+        message = f"{path}:2: tp_index=99999999999999999999 is not below 2**63"
+        assert _outcome(read_records, path) == _outcome(oracles.read_records_rows, path) == (ValueError, message)
 
     def test_columns_must_have_equal_lengths(self):
         with pytest.raises(ValueError, match="record columns must have equal lengths"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclecast import store
 from cyclecast.store import EmptyWindowError, new_dataset
 
 import oracles
@@ -57,6 +58,13 @@ class TestConstruction:
             new_dataset(0, 3)
         with pytest.raises(ValueError):
             new_dataset(3, 0)
+
+    @pytest.mark.parametrize("m, l", [(2**31 + 1, 1), (2**16, 2**15 + 1), (12, 2**63 - 1)])
+    def test_more_cells_than_the_cap_is_refused_before_allocation(self, monkeypatch, m, l):
+        monkeypatch.setattr(store.np, "full", None)  # the cells must not be allocated
+        message = f"a store of m={m} positions x l={l} cycles holds {m * l} cells, more than the 2147483648"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            new_dataset(m, l)
 
 
 class TestUpdate:
