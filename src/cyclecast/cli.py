@@ -580,6 +580,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         kernels = [kernel]
     configs = [replace(res.forecast_config(up), kernel=kern) for up in up_grid for kern in kernels]
+    configs[0].new_store()  # every configuration shares the store's size: refuse it before any stream is read
     train, test, units = _read_streams(args.train, args.test, configs[0].pp_tps)
     if not len(test):
         raise DataError(f"{args.test}: no period to score")

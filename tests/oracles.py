@@ -46,7 +46,10 @@ and accessors that the package no longer exports: ``read_truth``,
 ``read_report_rows``, ``log_likelihood``, ``mape`` (the list-based MAPE,
 which scores every pair with a positive target and knows no warm-up) and
 the store's ``get`` and ``populated`` (``store_get`` and
-``store_populated``).
+``store_populated``). So are the Poisson CDF and quantile walk that
+called ``poisson_pmf`` (and through it ``poisson_log_pmf``) once per term
+(``cdf_sum`` and ``quantile_walk``, with those two as ``_pmf`` and
+``_log_pmf``), before the package wrote the term inline.
 """
 
 from __future__ import annotations
@@ -448,6 +451,59 @@ def quantile_bruteforce(lam: float, p: float, dps: int = 60) -> int:
             term = term * lam_mp / k
             total += term
         return k
+
+
+def _log_pmf(lam: float, k: int) -> float:
+    """Natural log of P(X = k) for X ~ Poisson(lam); -inf where the mass is 0."""
+    if k < 0:
+        raise ValueError(f"count must be nonnegative, got {k}")
+    if lam < 0 or not math.isfinite(lam):
+        raise ValueError(f"rate must be finite and nonnegative, got {lam}")
+    if lam == 0.0:
+        return 0.0 if k == 0 else -math.inf
+    # lgamma keeps k up to ~1e6 stable where a naive factorial overflows.
+    return k * math.log(lam) - lam - math.lgamma(k + 1.0)
+
+
+def _pmf(lam: float, k: int) -> float:
+    """P(X = k) for X ~ Poisson(lam), evaluated in log space."""
+    logp = _log_pmf(lam, k)
+    if logp == -math.inf:
+        return 0.0
+    return math.exp(logp)
+
+
+def cdf_sum(lam: float, k: int) -> float:
+    """P(X <= k) by cumulative PMF summation, capped at 1.0."""
+    if k < 0:
+        raise ValueError(f"count must be nonnegative, got {k}")
+    total = math.fsum(_pmf(lam, i) for i in range(k + 1))
+    return min(total, 1.0)
+
+
+def quantile_walk(lam: float, p: float) -> int:
+    """Smallest integer k with CDF(k) >= p.
+
+    Raises
+    ------
+    ValueError
+        If ``p`` is outside the open interval (0, 1).
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"probability must lie in (0, 1), got {p}")
+    if lam < 0 or not math.isfinite(lam):
+        raise ValueError(f"rate must be finite and nonnegative, got {lam}")
+    if lam == 0.0:
+        return 0
+    # Walk the CDF upward; the hard cap is far beyond any p < 1 of interest
+    # and only guards against float round-off near 1.
+    cap = int(lam + 40.0 * math.sqrt(lam + 1.0) + 1000.0)
+    total = 0.0
+    for k in range(cap + 1):
+        total += _pmf(lam, k)
+        if total >= p:
+            return k
+    return cap
 
 
 def _kernel_highprec(family: str, u: mp.mpf) -> mp.mpf:

@@ -24,7 +24,7 @@ def _runs(walls, rss=50.0, failed_change=0):
             runs.append({
                 "pair": pair, "order": len(runs) + 1, "side": side, "workload": "w", "seed": pair,
                 "trace": 0, "attempted": 10, "failed": failed_change if side == "change" else 0,
-                "wall_s": wall, "setup_s": 0.1, "peak_rss_mb": rss,
+                "wall_s": wall, "setup_s": 0.1, "peak_rss_mb": rss, "iterations": [10, 10, 10],
             })
     return runs
 
@@ -39,6 +39,20 @@ def test_summary_counts_wins_and_quartiles():
     # Equal values are ties, which count for neither side.
     assert summary["peak_rss_mb"]["change_wins"] == 0
     assert summary["failed"] == {"parent": 0, "change": 5}
+
+
+def test_summary_gives_each_sides_median_iterations_per_child():
+    runs = _runs([(1.0, 0.5), (1.0, 0.5), (1.0, 0.5)])
+    iterations = {"parent": [[16, 17, 16], [17, 17, 16], [16, 16, 18]],
+                  "change": [[30, 34, 29], [35, 33, 31], [32, 30, 29]]}
+    for r in runs:
+        r["iterations"] = iterations[r["side"]][r["pair"]]
+    summary = bench_pairs.summarise(runs, METRICS)["w"]
+    assert summary["median_iterations_per_child"] == {"parent": 16, "change": 31}
+    # A pair with a failed run is left out, as from the medians of the metrics.
+    del runs[5]["wall_s"]
+    summary = bench_pairs.summarise(runs, METRICS)["w"]
+    assert summary["median_iterations_per_child"] == {"parent": 16.5, "change": 32}
 
 
 def test_pair_with_a_failed_run_counts_as_run_and_not_won():

@@ -427,6 +427,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("present", [True, False], ids=["streams", "missing-streams"])
+    def test_sweep_refuses_a_store_too_large_before_reading_the_streams(self, tmp_path, capsys, present):
+        obs = _obs_file(tmp_path / "obs.csv", 24, 12) if present else str(tmp_path / "nope.csv")
+        out = tmp_path / "out"
+        argv = ["evaluate", "--train", obs, "--test", obs, "--pp-tps", "12", "--up-tps", "5",
+                "--cycles", str(2**63 - 1), "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"a store of m=12 positions x l={2**63 - 1} cycles holds {12 * (2**63 - 1)} cells" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("present", [True, False], ids=["trace", "missing-trace"])
     def test_ingest_checks_its_settings_before_reading_the_trace(self, tmp_path, capsys, monkeypatch, present):
         trace = tmp_path / "trace.csv"

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import cyclecast.poisson
 from cyclecast.poisson import (
     poisson_cdf,
     poisson_mle,
@@ -13,6 +15,20 @@ from cyclecast.poisson import (
 )
 
 import oracles
+
+# Rates: the point mass, subnormals, whole numbers and floats up to 5000.
+RATES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.integers(1, 5000).map(float),
+    st.floats(min_value=0.0, max_value=5000.0),
+)
+# Probabilities in (0, 1), with edges where the walk ends at its first term
+# or runs to its cap.
+PROBABILITIES = st.one_of(
+    st.sampled_from([1e-300, 5e-324, 0.5, 0.99, 1 - 2**-52, 1 - 2**-53]),
+    st.floats(min_value=1e-300, max_value=1 - 2**-53),
+)
 
 
 def _rows_hex(rows):
@@ -144,6 +160,25 @@ class TestQuantile:
             with pytest.raises(ValueError):
                 poisson_quantile(2.0, p)
 
+    @settings(max_examples=300)
+    @given(lam=RATES, p=PROBABILITIES)
+    def test_equals_the_per_term_walk(self, lam, p):
+        assert poisson_quantile(lam, p) == oracles.quantile_walk(lam, p)
+
+    def test_walk_reaches_its_cap(self):
+        # Round-off keeps these sums below 1 - 2**-53, so the walk returns its cap.
+        for lam in (7.5, 50.0, 1000.0, 2500.0):
+            cap = int(lam + 40.0 * math.sqrt(lam + 1.0) + 1000.0)
+            assert poisson_quantile(lam, 1 - 2**-53) == oracles.quantile_walk(lam, 1 - 2**-53) == cap
+
+    def test_walk_calls_no_pmf(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the walk must not call the PMF per term")
+
+        monkeypatch.setattr(cyclecast.poisson, "poisson_pmf", refuse)
+        monkeypatch.setattr(cyclecast.poisson, "poisson_log_pmf", refuse)
+        assert poisson_quantile(1000.0, 0.99) == oracles.quantile_walk(1000.0, 0.99)
+
 
 class TestCdf:
     def test_matches_scipy(self):
@@ -159,6 +194,22 @@ class TestCdf:
 
     def test_capped_at_one(self):
         assert poisson_cdf(0.5, 200) == 1.0
+
+    @settings(max_examples=200)
+    @given(lam=RATES, data=st.data())
+    def test_equals_the_per_term_sum_bit_for_bit(self, lam, data):
+        k = data.draw(st.integers(0, int(3 * lam) + 300), label="k")
+        assert poisson_cdf(lam, k).hex() == oracles.cdf_sum(lam, k).hex()
+
+    def test_count_far_past_the_mode_returns_at_once(self):
+        start = time.perf_counter()
+        assert poisson_cdf(2.0, 10**12) == 1.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_invalid_rate_raises(self):
+        for lam in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                poisson_cdf(lam, 3)
 
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,10 @@ and end-to-end metric (pairs, change wins, medians and quartiles, and a
 traced per-layer metrics of each side, and every run in ``runs``. A pair
 with a failed run counts as run and not won; medians and quartiles are over
 the pairs whose two runs both succeeded, whose seeds the summary lists.
+Each run also records its children's timed ``iterations`` and ``rss_mb``,
+and the summary gives each side's median iterations per child: a faster
+loop runs more iterations in the same seconds, and the worker keeps check
+data per iteration, so a ``peak_rss_mb`` move is read against them.
 """
 
 from __future__ import annotations
@@ -134,6 +138,11 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         }
         summary[workload]["failed_runs"] = sum("wall_s" not in r for p in pairs.values() for r in p.values())
         summary[workload]["seeds"] = [p["parent"]["seed"] for p in both]
+        if both:
+            summary[workload]["median_iterations_per_child"] = {
+                side: statistics.median(n for p in both for n in p[side]["iterations"])
+                for side in ("parent", "change")
+            }
     return summary
 
 
@@ -193,7 +202,10 @@ def main() -> int:
             else:
                 result = out["result"]
                 machine = machine or out["info"]["machine"]
-                run.update(attempted=result["attempted"], failed=result["failed"])
+                children = out["info"]["children"]
+                run.update(attempted=result["attempted"], failed=result["failed"],
+                           iterations=[len(c["walls"]) for c in children],
+                           rss_mb=[c["rss_mb"] for c in children])
                 values = {k: v["value"] for k, v in result["metrics"].items()}
                 if trace:
                     run["per_layer"] = values
