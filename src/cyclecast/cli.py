@@ -43,6 +43,7 @@ from .trace import (
     _check_span_settings,
     _CountTooLarge,
     _SpanTooLarge,
+    _units_text,
     aggregate_span,
     parse_trace,
     read_observations,
@@ -79,10 +80,9 @@ def _int(value: str | int) -> int:
 
 def _scale(value: str | float) -> float:
     try:
-        _check_scale(value)
+        return _check_scale(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return float(value)
 
 
 def _metric_list(value: str) -> list[MetricKind]:
@@ -256,45 +256,39 @@ def _data_read(fn, *fnargs):
         raise DataError(str(exc)) from exc
 
 
-def _period(path: str, obs: Observations, i: int) -> str:
-    return f"{path}: period tp_index={obs.tp_index[i]} cycle_index={obs.cycle_index[i]}"
+def _check_units(path: str, obs: Observations, first_path: str, first: Observations) -> None:
+    """Refuse, naming both files, a stream ``obs`` whose units are not those of ``first``."""
+    if len(obs) and len(first) and obs._units != first._units:
+        raise DataError(
+            f"{path} carries {_units_text(*obs._units)}, but {first_path} carries {_units_text(*first._units)}"
+        )
 
 
 def _read_streams(train_path: str, test_path: str, pp_tps: int) -> tuple[Observations, Observations, dict]:
     """Read the train and test streams as one run's input, and the units they carry.
 
-    The first period of the stream sets the units, its metric and sub-bin
-    width, which come back as the manifests echo them (``None`` for an empty
-    stream). Rejects any later period in other units, and any period out of
-    place: the forecaster consumes pattern positions 1..pp_tps in turn. The
-    first bad period of the stream is named.
+    Each file holds one unit set, its metric, sub-bin width and scale; those
+    of the two files must agree, and come back as the manifests echo them
+    (``None`` when neither file has a period). Rejects any period out of
+    place, naming the first: the forecaster consumes pattern positions
+    1..pp_tps in turn.
     """
-    streams = []
-    metric = sub_bin_seconds = None
+    train, test = (_data_read(read_observations, path) for path in (train_path, test_path))
+    _check_units(test_path, test, train_path, train)
     step = 0
-    for path in (train_path, test_path):
-        obs = _data_read(read_observations, path)
-        if metric is None and len(obs):
-            metric, sub_bin_seconds = obs.metric[0], int(obs.sub_bin_seconds[0])
+    for path, obs in ((train_path, train), (test_path, test)):
         position = (step + np.arange(len(obs))) % pp_tps + 1
-        foreign = (obs.metric != metric) | (obs.sub_bin_seconds != sub_bin_seconds)
-        bad = np.flatnonzero(foreign | (obs.tp_index != position))
+        bad = np.flatnonzero(obs.tp_index != position)
         if len(bad):
             i = bad[0]
-            if foreign[i]:
-                raise DataError(
-                    f"{_period(path, obs, i)} carries metric {obs.metric[i].value!r} with "
-                    f"{obs.sub_bin_seconds[i]}s sub-bins, but the stream began with "
-                    f"{metric.value!r} with {sub_bin_seconds}s sub-bins"
-                )
             raise DataError(
-                f"{_period(path, obs, i)} is out of order: the stream is at position {position[i]} "
-                f"of a {pp_tps}-period pattern"
+                f"{path}: period tp_index={obs.tp_index[i]} cycle_index={obs.cycle_index[i]} is out of order: "
+                f"the stream is at position {position[i]} of a {pp_tps}-period pattern"
             )
         step += len(obs)
-        streams.append(obs)
-    units = {"metric": metric and metric.value, "sub_bin_seconds": sub_bin_seconds}
-    return streams[0], streams[1], units
+    metric, sub_bin_seconds, scale = (train if len(train) else test)._units
+    units = {"metric": metric and metric.value, "sub_bin_seconds": sub_bin_seconds, "scale": scale}
+    return train, test, units
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -350,8 +344,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         delimiter=args.delimiter,
         has_header=args.header,
     )
-    for metric in metrics:  # refused settings exit before the trace is read
-        _check_span_settings(tp_min, sub_bin_sec, metric, scale)
+    _check_span_settings(tp_min, sub_bin_sec, scale)  # refused settings exit before the trace is read
 
     try:
         parsed = parse_trace(args.trace, mapping)
@@ -395,7 +388,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             parts[f"observations_{metric.value}.csv"] = observations
     out = _out_dir(args)
     for name, obs in parts.items():
-        write_observations(out / name, obs, scale)
+        write_observations(out / name, obs)
 
     print(f"parsed {len(parsed.events)} events ({parsed.rejected} rejected), {num_tps} target periods")
     _write_manifest(
@@ -426,29 +419,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    widths: dict[MetricKind, int] = {}  # per metric, the sub-bin width of its first period
-    files = []
+    # Per metric, its files in the order given: one rate file each, in one set of units.
+    groups: dict[MetricKind, list[tuple[str, Observations]]] = {}
     for path in args.observations:
         obs = _data_read(read_observations, path)
-        mixed = []  # the first period of each metric whose width differs from that metric's first
-        for metric in dict.fromkeys(obs.metric.tolist()):
-            rows = np.flatnonzero(obs.metric == metric)
-            width = widths.setdefault(metric, int(obs.sub_bin_seconds[rows[0]]))
-            mixed.extend(rows[obs.sub_bin_seconds[rows] != width][:1].tolist())
-        if mixed:
-            i = min(mixed)
-            raise DataError(
-                f"{_period(path, obs, i)} carries {obs.sub_bin_seconds[i]}s sub-bins, but the "
-                f"{obs.metric[i].value} periods before it carry {widths[obs.metric[i]]}s sub-bins; "
-                "one rate file cannot mix units"
-            )
-        files.append(obs)
-    stream = Observations.concat(files)
-    rates = poisson_mle_rows(stream.samples, stream.counts)
+        if len(obs):
+            group = groups.setdefault(obs.metric, [])
+            if group:
+                _check_units(path, obs, *group[0])
+            group.append((path, obs))
     out = _out_dir(args)
     outputs = []
-    for metric in widths:
-        rows = np.flatnonzero(stream.metric == metric)
+    for metric, group in groups.items():
+        stream = Observations.concat([obs for _, obs in group])
+        rates = poisson_mle_rows(stream.samples, stream.counts)
         name = f"lambdas_{metric.value}.csv"
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("seq,tp_index,cycle_index,metric,lambda,empty\n")
@@ -456,17 +440,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
             fh.writelines(
                 f"{seq},{tp},{cycle},{metric.value},{rate!r},{int(rate == 0)}\n"
                 for seq, tp, cycle, rate in zip(
-                    range(1, len(rows) + 1),
-                    stream.tp_index[rows].tolist(),
-                    stream.cycle_index[rows].tolist(),
-                    rates[rows].tolist(),
+                    range(1, len(stream) + 1), stream.tp_index.tolist(), stream.cycle_index.tolist(), rates.tolist()
                 )
             )
         outputs.append(name)
     _write_manifest(
         out,
         "fit",
-        {"metrics": sorted(m.value for m in widths)},
+        {"metrics": sorted(m.value for m in groups)},
         inputs=[Path(p) for p in args.observations],
         outputs=outputs,
         seed=None,

@@ -25,12 +25,13 @@ It bins a block of ``_EVENT_BLOCK`` events at a time, and so do the parse
 checks, so beyond the events themselves neither holds an array that
 grows with the trace.
 
-Per-period samples travel as ``Observations``: columns of period stamps
-and units, plus every period's samples in one int64 array. Aggregation
-returns them, the observations writer formats all samples in one kernel
-call and puts each period's fields in front of its line, and the reader
-parses a file's sample text with one numpy call when every token is
-provably plain, else token by token with ``int`` as before.
+Per-period samples travel as ``Observations``: a stream's units (metric,
+sub-bin width, scale), held once, and columns of period stamps plus every
+period's samples in one int64 array. Aggregation returns them, the
+observations writer formats all samples in one kernel call and puts each
+period's fields in front of its line, and the reader, which refuses a file
+in mixed units, parses a file's sample text with one numpy call when every
+token is provably plain, else token by token with ``int`` as before.
 ``PeriodObservation`` is the one-period form that the online forecasting
 steps take; a sequence of them converts to columns with ``Observations.of``,
 which is what the writer, ``run`` and ``sweep`` take.
@@ -152,42 +153,50 @@ def _int64(values, what: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+_COLUMNS = ("tp_index", "cycle_index", "counts", "samples")  # the per-period fields of Observations
+
+
+def _units_text(metric, sub_bin_seconds, scale=None) -> str:
+    """A unit set as errors name it: ``metric 'cpu' with 60s sub-bins at scale 100.0``."""
+    text = f"metric {getattr(metric, 'value', metric)!r} with {sub_bin_seconds}s sub-bins"
+    return text if scale is None else f"{text} at scale {scale!r}"
+
+
 @dataclass(frozen=True, eq=False)
 class Observations(_Sequence):
-    """Periods as columns: a ``PeriodObservation`` per entry, stored as arrays.
+    """A stream of periods in one set of units, stored as columns.
 
-    ``tp_index``, ``cycle_index``, ``metric`` (MetricKind objects) and
-    ``sub_bin_seconds`` hold one entry per period, ``counts`` its number of
-    samples; ``samples`` holds every period's samples in period order, as
-    int64. ``len`` is the number of periods. Indexing with an integer gives
-    that period as a ``PeriodObservation``, with a slice of step 1 those
-    periods as ``Observations`` whose columns are views of these; any other
-    index raises ``TypeError``. It has no ``==``.
+    ``tp_index``, ``cycle_index`` and ``counts`` (its number of samples)
+    hold one entry per period; ``samples`` holds every period's samples in
+    period order, as int64. ``metric``, ``sub_bin_seconds`` and ``scale``
+    (of cpu and memory requests) are the units of every period; a stream
+    with no periods may carry None for all three. ``len`` is the number of
+    periods. Indexing with an integer gives that period as a
+    ``PeriodObservation``, with a slice of step 1 those periods, in the same
+    units, with columns that are views of these; any other index raises
+    ``TypeError``. It has no ``==``.
 
     The invariants are ``PeriodObservation``'s plus int64 range: indices,
-    sub-bin width and counts at least 1, samples nonnegative.
+    sub-bin width and counts at least 1, samples nonnegative, and a finite
+    positive scale.
     """
 
     tp_index: np.ndarray
     cycle_index: np.ndarray
-    metric: np.ndarray
-    sub_bin_seconds: np.ndarray
     counts: np.ndarray
     samples: np.ndarray
+    metric: MetricKind | None
+    sub_bin_seconds: int | None
+    scale: float | None
 
     def __post_init__(self) -> None:
-        for name in ("tp_index", "cycle_index", "sub_bin_seconds", "counts", "samples"):
+        for name in _COLUMNS:
             object.__setattr__(self, name, _int64(getattr(self, name), name))
-        metric = np.empty(len(self.metric), dtype=object)
-        metric[:] = list(self.metric)
-        object.__setattr__(self, "metric", metric)
         n = len(self.tp_index)
-        if not len(self.cycle_index) == len(metric) == len(self.sub_bin_seconds) == len(self.counts) == n:
+        if not len(self.cycle_index) == len(self.counts) == n:
             raise ValueError("period columns must have equal lengths")
         if n and min(self.tp_index.min(), self.cycle_index.min()) < 1:
             raise ValueError("indices are 1-based")
-        if n and self.sub_bin_seconds.min() < 1:
-            raise ValueError("a sub-bin is at least 1 second wide")
         if n and self.counts.min() < 1:
             raise ValueError("a period observation needs at least one sample")
         # Where each period's samples end; computed once, so indexing a period is O(1).
@@ -197,31 +206,52 @@ class Observations(_Sequence):
             raise ValueError(f"counts add up to {total}, not to the {len(self.samples)} samples")
         if len(self.samples) and self.samples.min() < 0:
             raise ValueError("samples are counts and cannot be negative")
-        if not all(isinstance(m, MetricKind) for m in metric):
-            raise ValueError("metrics must be MetricKind members")
+        if n or self._units != (None, None, None):
+            if not isinstance(self.metric, MetricKind):
+                raise ValueError(f"the metric must be a MetricKind member, got {self.metric!r}")
+            width = int(_int64(self.sub_bin_seconds, "sub_bin_seconds"))
+            if width < 1:
+                raise ValueError(f"a sub-bin is at least 1 second wide, got {width}")
+            object.__setattr__(self, "sub_bin_seconds", width)
+            object.__setattr__(self, "scale", _check_scale(self.scale))
+
+    @property
+    def _units(self) -> tuple:
+        return self.metric, self.sub_bin_seconds, self.scale
 
     @classmethod
-    def of(cls, observations: Observations | Iterable[PeriodObservation]) -> Observations:
-        """``observations`` as columns: as it is if it already is, else converted."""
+    def of(cls, observations: Observations | Iterable[PeriodObservation], scale: float = 100.0) -> Observations:
+        """``observations`` as columns: as it is if it already is, else converted.
+
+        Every period must carry the first's metric and sub-bin width; no periods give no units.
+        """
         if isinstance(observations, Observations):
             return observations
         periods = list(observations)
+        if not periods:
+            return cls([], [], [], [], None, None, None)
+        first = periods[0]
+        units = (first.metric, first.sub_bin_seconds)
+        for i, p in enumerate(periods):
+            if (p.metric, p.sub_bin_seconds) != units:
+                raise ValueError(
+                    f"period {i} (tp_index={p.tp_index}, cycle_index={p.cycle_index}) carries "
+                    f"{_units_text(p.metric, p.sub_bin_seconds)}, but period 0 carries {_units_text(*units)}"
+                )
         return cls(
-            [p.tp_index for p in periods],
-            [p.cycle_index for p in periods],
-            [p.metric for p in periods],
-            [p.sub_bin_seconds for p in periods],
-            [len(p.samples) for p in periods],
-            list(chain.from_iterable(p.samples for p in periods)),
+            [p.tp_index for p in periods], [p.cycle_index for p in periods], [len(p.samples) for p in periods],
+            list(chain.from_iterable(p.samples for p in periods)), *units, scale,
         )
 
     @classmethod
     def concat(cls, parts: Sequence[Observations]) -> Observations:
-        """The periods of ``parts``, one after the other."""
-        return cls(*(
-            np.concatenate([getattr(p, name) for p in parts])
-            for name in ("tp_index", "cycle_index", "metric", "sub_bin_seconds", "counts", "samples")
-        ))
+        """The periods of ``parts``, one after the other, in the units of those with periods."""
+        columns = [np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS]
+        first, *rest = [p for p in parts if len(p)] or parts[:1]
+        for part in rest:
+            if part._units != first._units:
+                raise ValueError(f"a part in {_units_text(*part._units)} follows one in {_units_text(*first._units)}")
+        return cls(*columns, *first._units)
 
     def __len__(self) -> int:
         return len(self.tp_index)
@@ -236,8 +266,8 @@ class Observations(_Sequence):
             first = int(self._ends[lo - 1]) if lo else 0
             last = int(self._ends[hi - 1]) if hi else 0
             return Observations(
-                self.tp_index[lo:hi], self.cycle_index[lo:hi], self.metric[lo:hi],
-                self.sub_bin_seconds[lo:hi], self.counts[lo:hi], self.samples[first:last],
+                self.tp_index[lo:hi], self.cycle_index[lo:hi], self.counts[lo:hi], self.samples[first:last],
+                *self._units,
             )
         i = operator.index(index)
         if i < 0:
@@ -245,12 +275,9 @@ class Observations(_Sequence):
         if not 0 <= i < len(self):
             raise IndexError(f"period {index} of {len(self)}")
         end = int(self._ends[i])
+        samples = self.samples[end - int(self.counts[i]) : end].tolist()
         return PeriodObservation(
-            int(self.tp_index[i]),
-            int(self.cycle_index[i]),
-            self.metric[i],
-            self.samples[end - int(self.counts[i]) : end].tolist(),
-            int(self.sub_bin_seconds[i]),
+            int(self.tp_index[i]), int(self.cycle_index[i]), self.metric, samples, self.sub_bin_seconds
         )
 
 
@@ -519,15 +546,13 @@ def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
     return ParseResult(events=_in_time_order(Events(timestamps, cpus, mems)), rejected=rejected)
 
 
-def _check_span_settings(
-    tp_minutes: int, sub_bin_seconds: int = 60, metric: MetricKind = MetricKind.ARRIVALS, scale: float = 100.0
-) -> None:
+def _check_span_settings(tp_minutes: int, sub_bin_seconds: int = 60, scale: float = 100.0) -> None:
     """Raise ValueError unless ``aggregate_span`` takes these settings; the defaults are its own."""
     if tp_minutes < 1:
         raise ValueError(f"target period must be at least one minute, got {tp_minutes}")
     if sub_bin_seconds < 1 or (tp_minutes * 60) % sub_bin_seconds != 0:
         raise ValueError(f"target period of {tp_minutes}min is not a whole number of {sub_bin_seconds}s sub-bins")
-    if not math.isfinite(scale) or (metric is not MetricKind.ARRIVALS and scale <= 0):
+    if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive, got {scale}")
 
 
@@ -541,15 +566,16 @@ def aggregate_span(
     sub_bin_seconds: int = 60,
     scale: float = 100.0,
 ) -> Observations:
-    """Aggregate events into consecutive target periods of fixed sub-bins.
+    """Aggregate events into consecutive target periods of fixed sub-bins, in one set of units.
 
     Period i (0-based) covers [start_us + i*TP, start_us + (i+1)*TP) and is
     stamped with pattern position ``i % pp_tps + 1`` and cycle
     ``i // pp_tps + 1``. Events outside the span are ignored; the events
-    need not be sorted. The period must divide evenly into sub-bins. For
-    CPU/memory the per-sub-bin request sums, added in event order, are
-    multiplied by ``scale`` and rounded to the nearest integer, which must
-    be below 2**63. ``start_us`` and every event's offset from it must fit
+    need not be sorted. The period must divide evenly into sub-bins, and
+    ``scale`` must be finite and positive for every metric. For CPU/memory
+    the per-sub-bin request sums, added in event order, are multiplied by
+    ``scale`` and rounded to the nearest integer, which must be below
+    2**63. ``start_us`` and every event's offset from it must fit
     int64, and the span may hold at most ``_MAX_SPAN_SUB_BINS`` sub-bins,
     or ValueError is raised before anything the size of the span is made.
 
@@ -561,7 +587,7 @@ def aggregate_span(
     """
     if num_tps < 1 or pp_tps < 1:
         raise ValueError(f"need at least one target period and pattern period, got {num_tps}, {pp_tps}")
-    _check_span_settings(tp_minutes, sub_bin_seconds, metric, scale)
+    _check_span_settings(tp_minutes, sub_bin_seconds, scale)
     if not -_INT64_LIMIT <= start_us < _INT64_LIMIT:
         raise ValueError(f"start {start_us}us is outside int64")
     timestamps = events.timestamp
@@ -601,14 +627,8 @@ def aggregate_span(
             )
         samples = rounded.astype(np.int64)
     periods = np.arange(num_tps)
-    return Observations(
-        periods % pp_tps + 1,
-        periods // pp_tps + 1,
-        np.full(num_tps, metric, dtype=object),
-        np.full(num_tps, sub_bin_seconds),
-        np.full(num_tps, sub_bins),
-        samples,
-    )
+    stamps = (periods % pp_tps + 1, periods // pp_tps + 1)
+    return Observations(*stamps, np.full(num_tps, sub_bins), samples, metric, sub_bin_seconds, scale)
 
 
 def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
@@ -711,39 +731,38 @@ def _decimal(values: np.ndarray, after: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _check_scale(value: str | float) -> None:
-    """Raise ValueError unless ``value`` reads as a finite positive float."""
+def _check_scale(value: str | float) -> float:
+    """``value`` as a float; ValueError unless it reads as a finite positive one."""
     try:
         scale = float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         scale = math.nan
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be a finite positive number, got {value!r}")
+    return scale
 
 
-def write_observations(path: str | Path, observations: Observations, scale: float) -> None:
+def write_observations(path: str | Path, observations: Observations) -> None:
     """Write one record per target period as delimited text.
 
-    The scale used for CPU/memory rounding rides along in every record so a
-    fitted rate stays interpretable in original units. Its text, ``repr(scale)``,
-    must read back as a finite positive float, as the reader requires.
+    Every record carries the stream's units: its metric, sub-bin width and
+    the scale used for CPU/memory rounding, so a fitted rate stays
+    interpretable in original units. The scale is written as its ``repr``,
+    which reads back as the same float.
 
     Every sample is formatted by one ``_decimal`` call, each followed by a
-    space or, after a period's last, a newline; each period's fields, formatted
-    once, go in front of its line.
+    space or, after a period's last, a newline; each period's indices go in
+    front of its line, followed by the units' text, formatted once.
     """
-    scale_text = repr(scale)
-    _check_scale(scale_text)
+    metric, width, scale = observations._units  # None only for a stream with no periods
+    units = "" if metric is None else f",{metric.value},{width},{scale!r},"
     last = np.zeros((len(observations.samples), 1), dtype=bool)
     last[observations._ends - 1] = True
     space, newline = _words([" ", "\n"])
     lines = _decimal(observations.samples, np.where(last, newline, space)).splitlines(keepends=True)
     fields = [
-        f"{tp},{cycle},{metric},{width},{scale_text},".encode("ascii")
-        for tp, cycle, metric, width in zip(
-            observations.tp_index.tolist(), observations.cycle_index.tolist(),
-            [m.value for m in observations.metric], observations.sub_bin_seconds.tolist(),
-        )
+        f"{tp},{cycle}{units}".encode("ascii")
+        for tp, cycle in zip(observations.tp_index.tolist(), observations.cycle_index.tolist())
     ]
     with open(path, "wb") as fh:
         fh.write(b"tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n")
@@ -751,19 +770,22 @@ def write_observations(path: str | Path, observations: Observations, scale: floa
 
 
 def read_observations(path: str | Path) -> Observations:
-    """Read records produced by ``write_observations``.
+    """Read records produced by ``write_observations``, as one stream.
 
     Lines end at ``\\n``, ``\\r`` or ``\\r\\n``; blank lines are skipped,
     and fields are split at commas and samples at whitespace, each record
     stripped of surrounding whitespace. Every error names the file and
     line: besides what ``PeriodObservation`` refuses, a sub-bin under 1
-    second, a scale that is not a finite positive number, and an index or
-    sample of 2**63 or more.
+    second, a scale that is not a finite positive number, an index or
+    sample of 2**63 or more, and a record whose metric, sub-bin width or
+    scale differs from the first record's. A file with no records gives a
+    stream with no units.
 
     The columns are parsed in bulk when every integer field is plain ASCII
-    digits (see ``_plain_ints``) and every metric and scale valid; any other
-    file is read a line at a time, every token with ``int``. Both give the
-    same periods, and errors come from the line reader only.
+    digits (see ``_plain_ints``), the metric, width and scale texts are the
+    same on every line, and those units are valid; any other file is read a
+    line at a time, every token with ``int``. Both give the same periods,
+    and errors come from the line reader only.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if not fh.readline().startswith("tp_index,"):
@@ -771,9 +793,6 @@ def read_observations(path: str | Path) -> Observations:
         lines = _LINE_END.split(fh.read())
     obs = _read_columns([text for line in lines if (text := line.strip())])
     return obs if obs is not None else _read_records(path, lines)
-
-
-_METRICS = {m.value: m for m in MetricKind}
 
 
 def _plain_ints(texts: Sequence[str]) -> np.ndarray | None:
@@ -807,21 +826,15 @@ def _read_columns(texts: list[str]) -> Observations | None:
     # One flat list of fields rather than a list per record: fewer objects to allocate.
     fields = ",".join(texts).split(",")
     columns = [fields[i::6] for i in range(6)]
-    ints = [_plain_ints(columns[i]) for i in (0, 1, 3, 5)]
-    if any(v is None for v in ints) or any(len(v) != len(texts) for v in ints[:3]):
+    # One text per unit column; a file of several is left to the line reader.
+    if any(len(set(columns[i])) != 1 for i in (2, 3, 4)):
         return None
-    metrics = [_METRICS.get(text) for text in columns[2]]
-    if None in metrics:
-        return None
-    try:
-        for text in set(columns[4]):
-            _check_scale(text)
-    except ValueError:
+    tp, cycle, width, samples = ints = [_plain_ints(columns[i]) for i in (0, 1, 3, 5)]
+    if any(v is None for v in ints) or not len(tp) == len(cycle) == len(width) == len(texts):
         return None
     counts = [text.count(" ") + 1 for text in columns[5]]
-    tp, cycle, width, samples = ints
     try:
-        return Observations(tp, cycle, metrics, width, counts, samples)
+        return Observations(tp, cycle, counts, samples, MetricKind(columns[2][0]), width[0], columns[4][0])
     except ValueError:
         return None
 
@@ -830,6 +843,7 @@ def _read_records(path: str | Path, lines: list[str]) -> Observations:
     """The records of ``lines`` (the file's from line 2 on), one line and one
     token at a time; raises at the first bad line."""
     periods = []
+    first = None  # the first record's units
     for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
@@ -847,14 +861,17 @@ def _read_records(path: str | Path, lines: list[str]) -> Observations:
             )
             if period.sub_bin_seconds < 1:
                 raise ValueError(f"a sub-bin is at least 1 second wide, got {period.sub_bin_seconds}")
-            _check_scale(parts[4])
+            units = (period.metric, period.sub_bin_seconds, _check_scale(parts[4]))
             largest = max(period.tp_index, period.cycle_index, period.sub_bin_seconds, max(period.samples))
             if largest >= _INT64_LIMIT:
                 raise ValueError(f"{largest} is not below 2**63")
+            first = first or units
+            if units != first:
+                raise ValueError(f"{_units_text(*units)}, but the file began with {_units_text(*first)}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         periods.append(period)
-    return Observations.of(periods)
+    return Observations.of(periods, scale=first and first[2])
 
 
 def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:

@@ -20,10 +20,10 @@ OBS_HEADER = "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
 TWO_RECORDS = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n1,1,NA,2.0,none\n2,2,2.0,3.0,none\n"
 
 
-def _obs_file(path, periods, pp_tps, metric="arrivals"):
+def _obs_file(path, periods, pp_tps, metric="arrivals", scale="100.0"):
     """An observations file of ``periods`` consecutive 60 s-sub-bin periods with varying counts."""
     rows = "".join(
-        f"{i % pp_tps + 1},{i // pp_tps + 1},{metric},60,100.0,"
+        f"{i % pp_tps + 1},{i // pp_tps + 1},{metric},60,{scale},"
         f"{3 + i % 5} {4 + i % 3} 5\n"
         for i in range(periods)
     )
@@ -98,7 +98,8 @@ class TestPipeline:
         # Only settings the run uses or checks against the data are echoed.
         assert manifest["config"]["metric"] == "arrivals"
         assert manifest["config"]["sub_bin_seconds"] == 60
-        assert "tp_minutes" not in manifest["config"] and "scale" not in manifest["config"]
+        assert manifest["config"]["scale"] == 100.0
+        assert "tp_minutes" not in manifest["config"]
 
     def test_sweep_mode(self, tmp_path):
         _run_pipeline(tmp_path)
@@ -194,28 +195,72 @@ class TestResourceMetrics:
 
 
 class TestStreamUnits:
-    """predict and the sweep take the metric and sub-bin width from the streams' first period."""
+    """predict and the sweep take the metric, sub-bin width and scale of the streams, which share them."""
 
     def test_manifests_echo_the_units_of_the_stream(self, tmp_path):
-        train = _obs_file(tmp_path / "train.csv", 8, 4, metric="memory")
-        test = _obs_file(tmp_path / "test.csv", 4, 4, metric="memory")
+        train = _obs_file(tmp_path / "train.csv", 8, 4, metric="memory", scale="250.0")
+        test = _obs_file(tmp_path / "test.csv", 4, 4, metric="memory", scale="250.0")
         streams = ["--train", train, "--test", test, "--pp-tps", "4", "--up-tps", "2"]
         assert main(["predict", *streams, "--out-dir", str(tmp_path / "predict")]) == EXIT_OK
         assert main(["evaluate", *streams, "--out-dir", str(tmp_path / "sweep")]) == EXIT_OK
         for manifest in (tmp_path / "predict" / "predict.manifest.json", tmp_path / "sweep" / "evaluate.manifest.json"):
             config = json.loads(manifest.read_text())["config"]
-            assert (config["metric"], config["sub_bin_seconds"]) == ("memory", 60), manifest
+            assert (config["metric"], config["sub_bin_seconds"], config["scale"]) == ("memory", 60, 250.0), manifest
 
     def test_an_empty_train_stream_takes_the_units_of_test(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text(OBS_HEADER)
         cpu = _obs_file(tmp_path / "cpu.csv", 8, 4, metric="cpu")
-        for test, units in ((cpu, ["cpu", 60]), (str(empty), [None, None])):
+        for test, units in ((cpu, ["cpu", 60, 100.0]), (str(empty), [None, None, None])):
             out = tmp_path / Path(test).stem
             argv = ["predict", "--train", str(empty), "--test", test, "--pp-tps", "4", "--up-tps", "2"]
             assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
             config = json.loads((out / "predict.manifest.json").read_text())["config"]
-            assert [config["metric"], config["sub_bin_seconds"]] == units
+            assert [config["metric"], config["sub_bin_seconds"], config["scale"]] == units
+
+    def test_streams_ingested_at_two_scales_are_data_error(self, tmp_path, capsys):
+        # One trace ingested at --scale 100 into a/ and at --scale 10000 into b/: a cpu
+        # count at one scale is 100 times one at the other, so no run may mix them.
+        assert main(["synth", "--out-dir", str(tmp_path), "--tps", "48", "--pp-tps", "12", "--seed", "4"]) == EXIT_OK
+        for name, scale in (("a", "100"), ("b", "10000")):
+            assert main([
+                "ingest", "--trace", str(tmp_path / "trace.csv"), "--header", "--pp-tps", "12",
+                "--metric", "cpu", "--split-tp", "24", "--scale", scale, "--out-dir", str(tmp_path / name),
+            ]) == EXIT_OK
+        train, test = tmp_path / "a" / "observations_cpu_train.csv", tmp_path / "b" / "observations_cpu_test.csv"
+        window = ["--pp-tps", "12", "--up-tps", "4", "--cycles", "2", "--bandwidth-k", "4"]
+        for argv in (
+            ["predict", "--train", str(train), "--test", str(test), *window],
+            ["evaluate", "--train", str(train), "--test", str(test), *window],
+            ["fit", "--observations", str(train), str(test)],
+        ):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_DATA, argv
+            err = capsys.readouterr().err
+            assert (
+                f"{test} carries metric 'cpu' with 60s sub-bins at scale 10000.0, "
+                f"but {train} carries metric 'cpu' with 60s sub-bins at scale 100.0"
+            ) in err, err
+            assert not out.exists()
+
+    def test_one_file_at_two_scales_is_data_error(self, tmp_path, capsys):
+        obs = _obs_file(tmp_path / "obs.csv", 8, 4, metric="cpu")
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(Path(obs).read_text().replace("1,2,cpu,60,100.0,", "1,2,cpu,60,10000.0,"))
+        window = ["--pp-tps", "4", "--up-tps", "2"]
+        for argv in (
+            ["predict", "--train", str(mixed), "--test", obs, *window],
+            ["evaluate", "--train", obs, "--test", str(mixed), *window],
+            ["fit", "--observations", str(mixed)],
+        ):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_DATA, argv
+            err = capsys.readouterr().err
+            assert (
+                f"{mixed}:6: metric 'cpu' with 60s sub-bins at scale 10000.0, "
+                "but the file began with metric 'cpu' with 60s sub-bins at scale 100.0"
+            ) in err, err
+            assert not out.exists()
 
 
 class TestFit:
@@ -231,16 +276,16 @@ class TestFit:
         assert lines[1] == "1,1,1,arrivals,3.0,0"
         assert lines[2] == "2,2,1,arrivals,0.0,1"
 
-    def test_metrics_interleaved_across_files(self, tmp_path):
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        first.write_text(OBS_HEADER + "1,1,cpu,30,100.0,7 0 2\n2,1,arrivals,60,100.0,1 1\n3,1,cpu,30,100.0,0 0\n")
-        second.write_text(OBS_HEADER + "4,1,arrivals,60,100.0,9007199254740993 2\n5,2,memory,1,100.0,3\n")
+    def test_metrics_interleaved_across_files(self, tmp_path, capsys):
+        first, second, third = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        first.write_text(OBS_HEADER + "2,1,arrivals,60,100.0,1 1\n")
+        second.write_text(OBS_HEADER + "1,1,cpu,30,100.0,7 0 2\n3,1,cpu,30,100.0,0 0\n")
+        third.write_text(OBS_HEADER + "4,1,arrivals,60,100.0,9007199254740993 2\n")
         out = tmp_path / "out"
-        assert main(["fit", "--observations", str(first), str(second), "--out-dir", str(out)]) == EXIT_OK
+        assert main(["fit", "--observations", str(first), str(second), str(third), "--out-dir", str(out)]) == EXIT_OK
         expected = {
             "cpu": [(1, 1, [7, 0, 2]), (3, 1, [0, 0])],
             "arrivals": [(2, 1, [1, 1]), (4, 1, [9007199254740993, 2])],
-            "memory": [(5, 2, [3])],
         }
         for metric, periods in expected.items():
             lines = (out / f"lambdas_{metric}.csv").read_text().splitlines()
@@ -249,7 +294,13 @@ class TestFit:
                 for seq, (tp, cycle, samples) in enumerate(periods, start=1)
             ]
         manifest = json.loads((out / "fit.manifest.json").read_text())
-        assert manifest["outputs"] == ["lambdas_arrivals.csv", "lambdas_cpu.csv", "lambdas_memory.csv"]
+        assert manifest["outputs"] == ["lambdas_arrivals.csv", "lambdas_cpu.csv"]
+        # One file of several metrics is refused at its first line in another.
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(OBS_HEADER + "1,1,cpu,30,100.0,7 0 2\n2,1,arrivals,60,100.0,1 1\n")
+        assert main(["fit", "--observations", str(mixed), "--out-dir", str(tmp_path / "mixed")]) == EXIT_DATA
+        assert f"{mixed}:3: metric 'arrivals' with 60s sub-bins" in capsys.readouterr().err
+        assert not (tmp_path / "mixed").exists()
 
     def test_negative_count_is_data_error(self, tmp_path, capsys):
         obs_file = tmp_path / "obs.csv"
@@ -269,7 +320,7 @@ class TestFit:
         code = main(["fit", "--observations", minute, str(half), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"{half}: period tp_index=4 cycle_index=1 carries 30s sub-bins" in err
+        assert f"{half}:3: metric 'arrivals' with 30s sub-bins" in err
         assert not (tmp_path / "out" / "lambdas_arrivals.csv").exists()
 
 
@@ -543,8 +594,8 @@ class TestExitCodes:
             code = main([command, "--train", arrivals, "--test", cpu, *window])
             assert code == EXIT_DATA, command
             err = capsys.readouterr().err
-            assert f"{cpu}: period tp_index=1 cycle_index=1 carries metric 'cpu'" in err
-            assert "but the stream began with 'arrivals' with 60s sub-bins" in err
+            assert f"{cpu} carries metric 'cpu' with 60s sub-bins at scale 100.0" in err
+            assert f"but {arrivals} carries metric 'arrivals' with 60s sub-bins at scale 100.0" in err
             assert "Traceback" not in err
 
     def test_out_of_order_stream_is_data_error(self, tmp_path, capsys):
@@ -800,8 +851,8 @@ class TestExitCodes:
             code = main([command, "--train", obs, "--test", str(mixed), *window, "--out-dir", str(out)])
             assert code == EXIT_DATA, command
             err = capsys.readouterr().err
-            assert f"{mixed}: period tp_index=1 cycle_index=2 carries metric 'arrivals' with 30s sub-bins" in err
-            assert "but the stream began with 'arrivals' with 60s sub-bins" in err
+            assert f"{mixed}:6: metric 'arrivals' with 30s sub-bins" in err
+            assert "but the file began with metric 'arrivals' with 60s sub-bins" in err
             assert not out.exists()
 
 

@@ -1,10 +1,13 @@
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import cyclecast
+from cyclecast.trace import Observations, write_observations
 
 MODULES = ["cyclecast"] + [f"cyclecast.{info.name}" for info in pkgutil.iter_modules(cyclecast.__path__)]
 
@@ -68,3 +71,11 @@ def test_public_names_are_pinned():
         exports = getattr(importlib.import_module(name), "__all__", None)
         assert (None if exports is None else list(exports)) == ALL[name], name
     assert len(ALL["cyclecast"]) == 29
+
+
+def test_persisted_observations_are_pinned():
+    # The observations file holds these fields; changing them takes an edit here.
+    assert [f.name for f in dataclasses.fields(Observations)] == [
+        "tp_index", "cycle_index", "counts", "samples", "metric", "sub_bin_seconds", "scale",
+    ]
+    assert list(inspect.signature(write_observations).parameters) == ["path", "observations"]

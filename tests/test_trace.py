@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -458,9 +459,11 @@ class TestAggregate:
             with pytest.raises(ValueError, match="at least one minute"):
                 _one_period(_arrivals(), tp_minutes=tp_minutes)
 
-    def test_nonpositive_scale_rejected_for_resource_metrics(self):
-        with pytest.raises(ValueError, match="scale"):
-            _one_period(_arrivals(), MetricKind.CPU, scale=0.0)
+    def test_nonpositive_scale_rejected_for_every_metric(self):
+        for metric in MetricKind:
+            for scale in (0.0, -1.0, -0.0):
+                with pytest.raises(ValueError, match="scale"):
+                    _one_period(_arrivals(), metric, scale=scale)
 
     def test_nonpositive_pattern_period_raises(self):
         with pytest.raises(ValueError):
@@ -553,6 +556,9 @@ class TestAggregate:
                 (i % pp_tps + 1, i // pp_tps + 1) for i in range(num_tps)
             ]
             assert all(o.metric is metric and o.sub_bin_seconds == sub_bin_seconds for o in observations)
+            assert (observations.metric, observations.sub_bin_seconds, observations.scale) == (
+                metric, sub_bin_seconds, scale
+            )
 
 
 class TestObservationFiles:
@@ -562,16 +568,25 @@ class TestObservationFiles:
             PeriodObservation(2, 1, MetricKind.ARRIVALS, [5, 5, 5], 60),
         ]
         path = tmp_path / "obs.csv"
-        write_observations(path, Observations.of(observations), scale=100.0)
-        assert list(read_observations(path)) == observations
+        write_observations(path, Observations.of(observations, scale=2.5))
+        got = read_observations(path)
+        assert list(got) == observations
+        assert (got.metric, got.sub_bin_seconds, got.scale) == (MetricKind.ARRIVALS, 60, 2.5)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, np.float64(100.0)])
     def test_writer_refuses_a_scale_the_reader_refuses(self, tmp_path, scale):
-        # A numpy float prints as np.float64(100.0), which reads back as no number.
+        # No stream holds a scale the reader refuses, so none reaches the writer.
         path = tmp_path / "obs.csv"
-        with pytest.raises(ValueError, match="scale must be a finite positive number"):
-            write_observations(path, Observations.of([PeriodObservation(1, 1, MetricKind.CPU, [1], 60)]), scale)
-        assert not path.exists()
+        periods = [PeriodObservation(1, 1, MetricKind.CPU, [1], 60)]
+        if not (math.isfinite(scale) and scale > 0):
+            with pytest.raises(ValueError, match="scale must be a finite positive number"):
+                Observations.of(periods, scale=scale)
+            return
+        # A numpy float would print as np.float64(100.0), which reads back as no
+        # number: the stream holds it as a float, and the file reads back.
+        write_observations(path, Observations.of(periods, scale=scale))
+        assert "1,1,cpu,60,100.0,1" in path.read_text()
+        assert read_observations(path).scale == 100.0
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"
@@ -693,42 +708,45 @@ class TestWriters:
             st.tuples(
                 st.integers(1, 10**6),
                 st.integers(1, 10**6),
-                st.sampled_from(list(MetricKind)),
                 st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**70)), min_size=1, max_size=30),
-                st.integers(1, 3600),
             ),
             max_size=6,
         ),
+        metric=st.sampled_from(list(MetricKind)),
+        width=st.integers(1, 3600),
         scale=st.floats(min_value=5e-324, allow_infinity=False),
     )
-    def test_observations_equal_per_sample_reference(self, tmp_path_factory, periods, scale):
-        observations = [PeriodObservation(*p) for p in periods]
+    def test_observations_equal_per_sample_reference(self, tmp_path_factory, periods, metric, width, scale):
+        # One unit set per file.
+        observations = [PeriodObservation(tp, cycle, metric, samples, width) for tp, cycle, samples in periods]
         out = tmp_path_factory.mktemp("obs")
-        if any(s >= 2**63 for p in periods for s in p[3]):
+        if any(s >= 2**63 for p in periods for s in p[2]):
             # Observations hold int64 samples: a larger one is refused.
             with pytest.raises(ValueError, match="below 2\\*\\*63"):
                 Observations.of(observations)
             return
-        write_observations(out / "new.csv", Observations.of(observations), scale)
+        write_observations(out / "new.csv", Observations.of(observations, scale=scale))
         oracles.write_observations_per_sample(out / "ref.csv", observations, scale)
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
     def test_many_periods_of_every_width_equal_per_sample_reference(self, tmp_path):
         rng = random.Random(13)
         widths = itertools.cycle(range(1, 20))
-        observations = [
-            PeriodObservation(
-                i % 48 + 1, i // 48 + 1, list(MetricKind)[i % 3],
-                [rng.randrange(10 ** (d - 1) if d > 1 else 0, min(10**d, 2**63))
-                 for d in itertools.islice(widths, rng.randint(1, 40))],
-                rng.choice([1, 30, 60, 3600]),
-            )
-            for i in range(1100)
-        ]
-        assert {len(str(s)) for p in observations for s in p.samples} == set(range(1, 20))
-        write_observations(tmp_path / "new.csv", Observations.of(observations), 0.1)
-        oracles.write_observations_per_sample(tmp_path / "ref.csv", observations, 0.1)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # One file per metric, each in one sub-bin width.
+        for metric, sub_bin_seconds in zip(MetricKind, (1, 60, 3600)):
+            observations = [
+                PeriodObservation(
+                    i % 48 + 1, i // 48 + 1, metric,
+                    [rng.randrange(10 ** (d - 1) if d > 1 else 0, min(10**d, 2**63))
+                     for d in itertools.islice(widths, rng.randint(1, 40))],
+                    sub_bin_seconds,
+                )
+                for i in range(1100)
+            ]
+            assert {len(str(s)) for p in observations for s in p.samples} == set(range(1, 20))
+            write_observations(tmp_path / "new.csv", Observations.of(observations, scale=0.1))
+            oracles.write_observations_per_sample(tmp_path / "ref.csv", observations, 0.1)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # The ends of every decimal width: 0, ±(10**k - 1) and ±10**k for k = 1..18, and the int64 extremes.
@@ -784,12 +802,13 @@ class TestObservationType:
             PeriodObservation(0, 1, MetricKind.ARRIVALS, [1], 60)
 
 
-def _periods():
+def _periods(metric=MetricKind.CPU, sub_bin_seconds=30):
+    """Four periods in one set of units."""
     return [
-        PeriodObservation(1, 1, MetricKind.ARRIVALS, [0, 3, 1], 60),
-        PeriodObservation(2, 1, MetricKind.CPU, [5], 30),
-        PeriodObservation(1, 2, MetricKind.ARRIVALS, [7, 2**62, 0, 4], 60),
-        PeriodObservation(2, 2, MetricKind.MEMORY, [1, 1], 1),
+        PeriodObservation(1, 1, metric, [0, 3, 1], sub_bin_seconds),
+        PeriodObservation(2, 1, metric, [5], sub_bin_seconds),
+        PeriodObservation(1, 2, metric, [7, 2**62, 0, 4], sub_bin_seconds),
+        PeriodObservation(2, 2, metric, [1, 1], sub_bin_seconds),
     ]
 
 
@@ -798,9 +817,9 @@ class TestObservationColumns:
         obs = Observations.of(_periods())
         assert len(obs) == 4
         assert obs.tp_index.tolist() == [1, 2, 1, 2] and obs.cycle_index.tolist() == [1, 1, 2, 2]
-        assert obs.metric.tolist() == [MetricKind.ARRIVALS, MetricKind.CPU, MetricKind.ARRIVALS, MetricKind.MEMORY]
-        assert obs.sub_bin_seconds.tolist() == [60, 30, 60, 1] and obs.counts.tolist() == [3, 1, 4, 2]
+        assert obs.counts.tolist() == [3, 1, 4, 2]
         assert obs.samples.dtype == np.int64 and obs.samples.tolist() == [0, 3, 1, 5, 7, 2**62, 0, 4, 1, 1]
+        assert (obs.metric, obs.sub_bin_seconds, obs.scale) == (MetricKind.CPU, 30, 100.0)
         assert Observations.of(obs) is obs
 
     def test_indexing_gives_periods(self):
@@ -811,10 +830,11 @@ class TestObservationColumns:
             part = obs[index]
             assert isinstance(part, Observations)
             assert list(part) == periods[index]
+            assert (part.metric, part.sub_bin_seconds, part.scale) == (obs.metric, obs.sub_bin_seconds, obs.scale)
         for index in (4, -5):
             with pytest.raises(IndexError):
                 obs[index]
-        for index in (slice(None, None, -2), [3, 0], obs.metric == MetricKind.ARRIVALS, 1.0):
+        for index in (slice(None, None, -2), [3, 0], obs.tp_index == 1, 1.0):
             with pytest.raises(TypeError):
                 obs[index]
 
@@ -822,10 +842,37 @@ class TestObservationColumns:
         periods = _periods()
         obs = Observations.of(periods)
         assert list(Observations.concat([obs[:1], obs[1:1], obs[1:]])) == periods
+        # A part with no periods, with units or without, takes on those of the rest.
+        empty = Observations.of([])
+        for parts in ([empty, obs], [Observations.of(_periods(MetricKind.MEMORY))[:0], obs, empty]):
+            joined = Observations.concat(parts)
+            assert list(joined) == periods and (joined.metric, joined.scale) == (MetricKind.CPU, 100.0)
 
     def test_empty(self):
         obs = Observations.of([])
         assert len(obs) == 0 and obs.samples.dtype == np.int64 and list(obs) == []
+        assert (obs.metric, obs.sub_bin_seconds, obs.scale) == (None, None, None)
+
+    @pytest.mark.parametrize(
+        "i, change, units",
+        [
+            (2, dict(metric=MetricKind.MEMORY), "period 2 (tp_index=1, cycle_index=2) carries metric 'memory' with 30s"),
+            (1, dict(sub_bin_seconds=60), "period 1 (tp_index=2, cycle_index=1) carries metric 'cpu' with 60s"),
+        ],
+    )
+    def test_of_refuses_periods_in_other_units(self, i, change, units):
+        periods = _periods()
+        periods[i] = dataclasses.replace(periods[i], **change)
+        message = f"{units} sub-bins, but period 0 carries metric 'cpu' with 30s sub-bins"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Observations.of(periods)
+
+    def test_concat_refuses_parts_in_other_units(self):
+        obs = Observations.of(_periods())
+        for other in (Observations.of(_periods(MetricKind.ARRIVALS)), Observations.of(_periods(sub_bin_seconds=60)),
+                      Observations.of(_periods(), scale=1e4)):
+            with pytest.raises(ValueError, match="follows one in metric"):
+                Observations.concat([obs, other])
 
     @pytest.mark.parametrize(
         "change, message",
@@ -837,16 +884,27 @@ class TestObservationColumns:
             (dict(counts=[3, 0, 5, 2]), "at least one sample"),
             (dict(tp_index=[1, 0, 1, 2]), "1-based"),
             (dict(cycle_index=[1, 1, -2, 2]), "1-based"),
-            (dict(sub_bin_seconds=[60, 0, 60, 1]), "1 second"),
-            (dict(metric=[MetricKind.CPU, "cpu", MetricKind.CPU, MetricKind.CPU]), "MetricKind"),
+            (dict(sub_bin_seconds=0), "1 second"),
+            (dict(sub_bin_seconds=2.5), "below 2\\*\\*63"),
+            (dict(metric="cpu"), "MetricKind"),
+            (dict(metric=None), "MetricKind"),
+            (dict(scale=0.0), "scale must be a finite positive number"),
+            (dict(scale=math.nan), "scale must be a finite positive number"),
+            (dict(scale=None), "scale must be a finite positive number"),
             (dict(tp_index=[1, 2, 1]), "equal lengths"),
         ],
     )
     def test_invariants(self, change, message):
         obs = Observations.of(_periods())
-        columns = {name: getattr(obs, name) for name in ("tp_index", "cycle_index", "metric", "sub_bin_seconds", "counts", "samples")}
+        fields = ("tp_index", "cycle_index", "counts", "samples", "metric", "sub_bin_seconds", "scale")
+        columns = {name: getattr(obs, name) for name in fields}
         with pytest.raises(ValueError, match=message):
             Observations(**(columns | change))
+        # A stream with no periods may carry no units, but not some of them.
+        empty = dict(tp_index=[], cycle_index=[], counts=[], samples=[])
+        assert len(Observations(**empty, metric=None, sub_bin_seconds=None, scale=None)) == 0
+        with pytest.raises(ValueError):
+            Observations(**empty, metric=None, sub_bin_seconds=60, scale=100.0)
 
 
 _HEADER = "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
@@ -880,7 +938,7 @@ class TestObservationReader:
         path = tmp_path / "obs.csv"
         for metric in MetricKind:
             obs = aggregate_span(events, 0, 30, 30, 12, metric, 60, 100.0)
-            write_observations(path, obs, 100.0)
+            write_observations(path, obs)
             monkeypatch.setattr(trace, "_read_records", None)  # the per-line reader must not run
             got = read_observations(path)
             monkeypatch.undo()
@@ -891,13 +949,31 @@ class TestObservationReader:
         path.write_bytes(
             _HEADER.encode()
             + "+1,1_0,arrivals,60,100.0,+5 1_0 \u0663 007\t0000000000000000000001\r\n\r\n".encode()
-            + " 2 , 01,cpu, 6_0,1e2,4  4 \x1c\r".encode()
-            + "3,1,memory,60,100.0,9223372036854775807\n\n".encode()
+            + " 2 , 01,arrivals, 6_0,1e2,4  4 \x1c\r".encode()
+            + "3,1,arrivals,60,100.0,9223372036854775807\n\n".encode()
         )
         got = read_observations(path)
         assert list(got) == oracles.read_observations(path)
         assert got.samples.tolist() == [5, 10, 3, 7, 1, 4, 4, 2**63 - 1]
-        assert got.tp_index.tolist() == [1, 2, 3] and got.sub_bin_seconds.tolist() == [60, 60, 60]
+        # 6_0 and 60, 1e2 and 100.0: the units are compared as numbers, not as text.
+        assert got.tp_index.tolist() == [1, 2, 3] and (got.sub_bin_seconds, got.scale) == (60, 100.0)
+
+    @pytest.mark.parametrize(
+        "row, units",
+        [
+            ("2,1,cpu,60,100.0,3", "metric 'cpu' with 60s sub-bins at scale 100.0"),
+            ("2,1,arrivals,30,100.0,3", "metric 'arrivals' with 30s sub-bins at scale 100.0"),
+            ("2,1,arrivals,60,10000.0,3", "metric 'arrivals' with 60s sub-bins at scale 10000.0"),
+        ],
+    )
+    def test_lines_in_other_units_name_the_line(self, tmp_path, row, units):
+        path = tmp_path / "obs.csv"
+        path.write_text(_HEADER + "1,1,arrivals,60,100.0,1 2\n" + row + "\n")
+        with pytest.raises(ValueError) as err:
+            read_observations(path)
+        assert str(err.value) == (
+            f"{path}:3: {units}, but the file began with metric 'arrivals' with 60s sub-bins at scale 100.0"
+        )
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -938,7 +1014,11 @@ _SCALES = ["100.0", "1e-3", "5e-324", "0.37", "1_0.5", " 2.5", "nonsense", "nan"
 
 @st.composite
 def _observation_files(draw, clean):
-    """Observation file texts; ``clean`` ones hold only records the bulk reader takes."""
+    """Observation file texts; ``clean`` ones hold only records the bulk reader takes.
+
+    A file draws one metric, width and scale text; the records of a clean one
+    all carry them, and most records of another do.
+    """
     if clean:
         integer = _PLAIN_INT
         positive = st.integers(1, 40).map(str)
@@ -956,11 +1036,11 @@ def _observation_files(draw, clean):
         sep = st.sampled_from([" ", " ", " ", "  ", "\t", " 　 "])
         blank = st.sampled_from(["", "   ", "\t", "\x1c", " "])
         ending = st.sampled_from(["\n", "\r\n", "\r"])
+    units = draw(st.tuples(metric, positive, scale))
     record = st.builds(
-        lambda tp, cycle, m, width, sc, samples, s, extra: ",".join(
-            [tp, cycle, m, width, sc, s.join(samples)] + extra
-        ),
-        positive, positive, metric, positive, scale,
+        lambda tp, cycle, units, samples, s, extra: ",".join([tp, cycle, *units, s.join(samples)] + extra),
+        positive, positive,
+        st.just(units) if clean else st.one_of(*[st.just(units)] * 3, st.tuples(metric, positive, scale)),
         st.lists(integer, min_size=1, max_size=6), sep,
         st.just([]) if clean else st.sampled_from([[], [], [], ["1"]]),
     )
@@ -977,7 +1057,8 @@ def _strict_reference(path):
 
     The old line reader's result, with the rules it lacked applied to every
     line it read before its first error: sub-bins of at least 1 second, a
-    finite positive scale, indices and samples below 2**63.
+    finite positive scale, indices and samples below 2**63, and every line
+    in the first record's metric, width and scale.
     """
     try:
         expected, failed = oracles.read_observations(path), None
@@ -988,6 +1069,7 @@ def _strict_reference(path):
         expected, failed = str(exc), int(match[1])
     with open(path, "r", encoding="utf-8", newline="") as fh:
         fh.readline()
+        first = None  # the first record's units
         for lineno, line in enumerate(fh, start=2):
             if failed is not None and lineno >= failed:
                 break
@@ -1000,6 +1082,10 @@ def _strict_reference(path):
                 scale = math.nan
             numbers = [int(parts[0]), int(parts[1]), int(parts[3]), *map(int, parts[5].split())]
             if int(parts[3]) < 1 or not (math.isfinite(scale) and scale > 0) or max(numbers) >= 2**63:
+                return "line", lineno
+            units = (MetricKind(parts[2]), int(parts[3]), scale)
+            first = first or units
+            if units != first:
                 return "line", lineno
     return ("periods" if failed is None else "error"), expected
 
