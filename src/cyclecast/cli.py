@@ -12,6 +12,7 @@ problems (missing or malformed files).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
@@ -350,6 +351,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         parsed = parse_trace(args.trace, mapping)
     except UnicodeDecodeError as exc:
         raise DataError(f"{args.trace}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise DataError(f"{args.trace}: {exc}") from exc
     if not parsed.events:
         raise DataError(f"{args.trace}: no usable events ({parsed.rejected} rows rejected)")
     start_us = args.start_sec * 1_000_000

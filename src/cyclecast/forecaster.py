@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .llr import Fallback, KernelSpec, LLRPlan, _plan_shapes, llr_apply
 from .poisson import poisson_mle, poisson_mle_rows
-from .store import CyclicDataset, EmptyWindowError
+from .store import CyclicDataset
 from .trace import _INT64_LIMIT, Observations, PeriodObservation
 
 __all__ = [

@@ -331,10 +331,8 @@ def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
 _BATCH_MIN_TERMS = 1024
 
 
-def _fsum(terms: np.ndarray) -> float | np.ndarray:
-    """Correctly rounded sum of a 1-D array, or of each row of a 2-D one."""
-    if terms.ndim == 1:
-        return math.fsum(terms.tolist())
+def _fsum(terms: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of a 2-D array."""
     if terms.size < _BATCH_MIN_TERMS:
         return np.array([math.fsum(row) for row in terms.tolist()])
     return _fsum_rows(terms)

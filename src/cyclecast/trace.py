@@ -7,7 +7,8 @@ run auditable.
 
 A trace file is read in bulk by numpy's C reader when that provably gives
 what the per-row ``csv`` reader gives; otherwise, and for streams and line
-iterables, the per-row reader runs. ``_parse_bulk`` holds the conditions.
+iterables, the per-row reader runs. ``_parse_bulk`` holds the conditions;
+its pre-scan checks only the file's bytes, and both readers skip empty lines.
 
 Both writers turn integers into text with one numpy kernel, ``_decimal``,
 which builds every value's digits as 4-byte words from lookup tables and
@@ -77,7 +78,8 @@ _EVENT_BLOCK = 1 << 16
 # The most sub-bins one span may hold: about 850 times the 29-day Google cluster
 # trace at 1 s sub-bins. A longer span is refused before its totals are allocated.
 _MAX_SPAN_SUB_BINS = 2**31
-_SCAN_BLOCK = 1 << 20  # bytes per read of the bulk reader's pre-scan
+_SCAN_BLOCK = 1 << 20  # bytes per read of the bulk reader's pre-scan, which checks bytes only
+_NEWLINE_STRETCH = 1 << 15  # keeps a plain line under 98,302 bytes, below csv's field limit
 _UTF8_BOM = b"\xef\xbb\xbf"
 # The suffixes that np.loadtxt decompresses a file by, given its name.
 _COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
@@ -353,6 +355,8 @@ def parse_trace(
         If a path cannot be opened.
     UnicodeDecodeError
         If a path is not UTF-8 text.
+    csv.Error
+        If a field is longer than ``csv.field_size_limit()``; it names the line.
     ValueError
         If a header-name column mapping cannot be resolved.
     """
@@ -366,33 +370,25 @@ def parse_trace(
     return _parse_rows(source, mapping)
 
 
-def _plain_line_count(path: str | Path) -> int | None:
-    """Count the lines of a plain file, or return None if the file is not plain.
-
-    Plain means printable ASCII other than the double quote, tabs and
-    newlines, with no empty line; a leading UTF-8 byte order mark is not part
-    of the first line. The file is read in blocks, so memory stays bounded
-    whatever its size.
+def _is_plain(path: str | Path) -> bool:
+    """Whether a file's bytes are plain: all ``_PLAIN_BYTES`` after a leading
+    UTF-8 byte order mark, with a newline in each whole stretch of
+    ``_NEWLINE_STRETCH`` bytes from the start of a ``_SCAN_BLOCK`` read. A
+    run of ``3 * _NEWLINE_STRETCH - 2`` bytes with no newline covers such a
+    stretch, even across a block edge, so no line that long is plain.
     """
-    lines = 0
-    # Offset of the last newline from the start of the block being scanned:
-    # -1 when the previous block ended with one, as at the start of the file.
-    last = -1
-    with open(path, "rb") as fh:
-        block = fh.read(_SCAN_BLOCK).removeprefix(_UTF8_BOM)
-        while block:
+    # Reads go into one buffer: fh.read per block raised the readme benchmark's peak RSS by 1.4 MB.
+    buffer = memoryview(bytearray(_SCAN_BLOCK))
+    with open(path, "rb", buffering=0) as fh:
+        fh.seek(len(_UTF8_BOM) if fh.read(len(_UTF8_BOM)) == _UTF8_BOM else 0)
+        while size := fh.readinto(buffer):
+            block = bytes(buffer[:size])  # bytes.translate is faster than bytearray's
             if block.translate(None, _PLAIN_BYTES):
-                return None
-            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
-            if len(ends):
-                # An empty line is a newline right after the one before it.
-                if ends[0] == last + 1 or (np.diff(ends) == 1).any():
-                    return None
-                lines += len(ends)
-                last = int(ends[-1])
-            last -= len(block)
-            block = fh.read(_SCAN_BLOCK)
-    return lines + (last != -1)
+                return False
+            for i in range(0, len(block) - _NEWLINE_STRETCH + 1, _NEWLINE_STRETCH):
+                if block.find(b"\n", i, i + _NEWLINE_STRETCH) < 0:
+                    return False
+    return True
 
 
 def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
@@ -400,14 +396,18 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
 
     The result equals ``_parse_rows``'s whenever it is returned, because:
 
-    * The file is plain (see ``_plain_line_count``). Without a double quote
-      or a carriage return, csv splits every line exactly at the delimiter,
-      as the C reader and ``str.split`` of the header do; both readers strip
-      spaces and tabs around a field alike. Other characters are refused
-      because the readers differ on them: the C reader strips ``\\x1f`` and
-      turns some non-ASCII characters within an integer into digits
-      (``"7\\u24271"`` reads as 92771), where ``int`` raises. An empty line
-      is skipped by both, but one before a header would shift it.
+    * The file is plain (see ``_is_plain``). With no double quote or carriage
+      return, csv splits every line exactly at the delimiter, as the C reader
+      and ``str.split`` of the header do, and loadtxt neither splits nor drops
+      a line that csv keeps; both strip spaces and tabs around a field alike.
+      Other characters are refused because the readers differ on them: the C
+      reader strips ``\\x1f`` and turns some non-ASCII characters within an
+      integer into digits (``"7\\u24271"`` reads as 92771), where ``int``
+      raises. No line reaches csv's field limit (131,072 characters).
+    * Both readers skip exactly the empty lines: on a line of spaces or a
+      lone tab loadtxt raises, and the per-row reader rejects the row. An
+      empty line before a header would differ (csv takes the next row as
+      the header), so with ``has_header`` an empty first line is refused.
     * loadtxt reads the file the per-row reader opens, as the same text. It
       is given the absolute path as a ``str``, so that its C reader pulls the
       file in chunks rather than a line at a time, and opens it through
@@ -417,8 +417,8 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
       refused. It opens the rest as text in the given encoding,
       ``utf-8-sig`` (which drops a byte order mark) with universal newlines,
       the same as ``newline=""`` on a file with no carriage return. With no
-      empty line and no comment character, ``skiprows`` skips exactly the
-      header line that ``readline`` read.
+      comment character and a first line that is not empty, ``skiprows``
+      skips exactly the header line that ``readline`` read.
     * The file holds at least one data row (numpy warns on none), and the
       timestamp column is not also the cpu or memory column: it is read
       once, and ``int`` and ``float`` read "-0" as 0 and -0.0. A negative
@@ -428,17 +428,13 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
       what only ``int``/``float`` accept (``_`` between digits, a float where
       an integer belongs, a timestamp beyond int64) and a row too short for
       a mapped column. A float both accept rounds to the same double.
-    * loadtxt returned one row per line, so it neither split nor skipped one.
 
     The per-row rules then apply as one mask: a timestamp below 0, or a cpu
     or memory request that is negative or not finite, rejects the row.
     """
     import warnings
 
-    if os.path.splitext(path)[1] in _COMPRESSED:
-        return None
-    lines = _plain_line_count(path)
-    if lines is None or lines <= mapping.has_header:
+    if os.path.splitext(path)[1] in _COMPRESSED or not _is_plain(path):
         return None
     try:
         header = None
@@ -449,7 +445,7 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
         c_cpu = _resolve(mapping.cpu, header, "cpu")
         c_mem = _resolve(mapping.mem, header, "mem")
         mapped = {c_ts, c_cpu, c_mem} - {None}
-        if c_ts is None or c_ts in (c_cpu, c_mem):
+        if c_ts is None or c_ts in (c_cpu, c_mem) or header == [""]:  # [""]: an empty first line
             return None
         usecols = sorted(mapped)
         dtype = np.dtype([(f"c{c}", np.int64 if c == c_ts else np.float64) for c in usecols])
@@ -464,9 +460,8 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
             )
     except (ValueError, Warning):  # _parse_rows raises or rejects as it always did
         return None
-    rows = lines - mapping.has_header
-    if len(table) != rows:
-        return None
+    rows = len(table)
+
     def columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return table[f"c{c_ts}"], *(table[f"c{c}"] if c is not None else np.zeros(len(table)) for c in (c_cpu, c_mem))
 
@@ -513,36 +508,39 @@ def _in_time_order(events: Events) -> Events:
 
 def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
     reader = csv.reader(lines, delimiter=mapping.delimiter)
-    header: list[str] | None = None
-    if mapping.has_header:
-        # The header is the first non-empty row: empty rows are skipped here as below.
-        header = next((row for row in reader if row), None)
-        if header is None:
-            return ParseResult(events=Events([], [], []), rejected=0)
-    c_ts = _resolve(mapping.timestamp, header, "timestamp")
-    c_cpu = _resolve(mapping.cpu, header, "cpu")
-    c_mem = _resolve(mapping.mem, header, "mem")
-    assert c_ts is not None
+    try:
+        header: list[str] | None = None
+        if mapping.has_header:
+            # The header is the first non-empty row: empty rows are skipped here as below.
+            header = next((row for row in reader if row), None)
+            if header is None:
+                return ParseResult(events=Events([], [], []), rejected=0)
+        c_ts = _resolve(mapping.timestamp, header, "timestamp")
+        c_cpu = _resolve(mapping.cpu, header, "cpu")
+        c_mem = _resolve(mapping.mem, header, "mem")
+        assert c_ts is not None
 
-    timestamps = array("q")
-    cpus = array("d")
-    mems = array("d")
-    rejected = 0
-    for row in reader:
-        if not row:
-            continue
-        try:
-            ts = int(row[c_ts])
-            if not 0 <= ts < 2**63:  # stored as int64
-                raise ValueError(row[c_ts])
-            cpu = _nonneg_float(row[c_cpu]) if c_cpu is not None else 0.0
-            mem = _nonneg_float(row[c_mem]) if c_mem is not None else 0.0
-        except (ValueError, IndexError):
-            rejected += 1
-            continue
-        timestamps.append(ts)
-        cpus.append(cpu)
-        mems.append(mem)
+        timestamps = array("q")
+        cpus = array("d")
+        mems = array("d")
+        rejected = 0
+        for row in reader:
+            if not row:
+                continue
+            try:
+                ts = int(row[c_ts])
+                if not 0 <= ts < 2**63:  # stored as int64
+                    raise ValueError(row[c_ts])
+                cpu = _nonneg_float(row[c_cpu]) if c_cpu is not None else 0.0
+                mem = _nonneg_float(row[c_mem]) if c_mem is not None else 0.0
+            except (ValueError, IndexError):
+                rejected += 1
+                continue
+            timestamps.append(ts)
+            cpus.append(cpu)
+            mems.append(mem)
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise csv.Error(f"line {reader.line_num}: {exc}") from exc
     return ParseResult(events=_in_time_order(Events(timestamps, cpus, mems)), rejected=rejected)
 
 

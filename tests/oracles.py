@@ -8,8 +8,8 @@ reads and the forecasting loop), the reference keeps the plain one-pass,
 per-period, per-cell or per-step loop with the same float operations; the
 LLR and loop references take only the observe step from the package. The
 trace reader reference is the per-row ``csv`` reader, kept verbatim with its
-two helpers, and so is the
-bulk reader's pre-scan with bytes methods (``plain_line_count``); the trace and
+two helpers. The
+bulk reader's pre-scan is restated with bytes methods (``plain_file``); the trace and
 observation writer references format one row and one sample at a time, also
 kept verbatim, and so are the per-period aggregation (``aggregate_span``,
 one list of Python ints per period) and the line-at-a-time observations
@@ -88,6 +88,7 @@ from cyclecast.trace import (
 
 _WRITE_BLOCK = 8192
 _SCAN_BLOCK = 1 << 20
+_NEWLINE_STRETCH = 1 << 15
 _UTF8_BOM = b"\xef\xbb\xbf"
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
@@ -246,23 +247,20 @@ def parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
     return ParseResult(events=events, rejected=rejected)
 
 
-def plain_line_count(path: str | Path) -> int | None:
-    """The bulk trace reader's pre-scan with bytes methods, a block of ``_SCAN_BLOCK`` bytes at a time."""
-    lines = 0
-    at_line_start = True
+def plain_file(path: str | Path) -> bool:
+    """The bulk trace reader's pre-scan with bytes methods, on the whole file at once.
+
+    After a leading byte order mark, every byte must be plain, and each
+    block of ``_SCAN_BLOCK`` bytes must hold a newline in every whole slice
+    of ``_NEWLINE_STRETCH`` bytes from its start.
+    """
     with open(path, "rb") as fh:
-        block = fh.read(_SCAN_BLOCK).removeprefix(_UTF8_BOM)
-        while block:
-            if (
-                block.translate(None, _PLAIN_BYTES)
-                or b"\n\n" in block
-                or (at_line_start and block.startswith(b"\n"))
-            ):
-                return None
-            lines += block.count(b"\n")
-            at_line_start = block.endswith(b"\n")
-            block = fh.read(_SCAN_BLOCK)
-    return lines + (not at_line_start)
+        data = fh.read().removeprefix(_UTF8_BOM)
+    if data.translate(None, _PLAIN_BYTES):
+        return False
+    blocks = [data[i : i + _SCAN_BLOCK] for i in range(0, len(data), _SCAN_BLOCK)]
+    stretches = [block[i : i + _NEWLINE_STRETCH] for block in blocks for i in range(0, len(block), _NEWLINE_STRETCH)]
+    return all(b"\n" in stretch for stretch in stretches if len(stretch) == _NEWLINE_STRETCH)
 
 
 def write_trace_rows(path: str | Path, events: Events, tp_minutes: int) -> None:

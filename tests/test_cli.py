@@ -800,6 +800,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{trace}: not UTF-8 text" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cpu", ["", "0.01"])
+    def test_field_past_csv_limit_is_data_error(self, tmp_path, capsys, cpu):
+        # A field longer than csv.field_size_limit() (131,072); the empty cpu
+        # field keeps the file from the bulk reader even without the long line.
+        rows = [f"{i * 1_000_000},j1,j1,0.01,0.005" for i in range(100)]
+        rows[49] = f"5000000,{'x' * 200_000},j1,{cpu},0.005"
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,job_id,task_id,cpu_request,mem_request\n" + "".join(r + "\n" for r in rows))
+        out = tmp_path / "out"
+        code = main(["ingest", "--trace", str(trace), "--header", "--tp-min", "1", "--pp-tps", "2",
+                     "--out-dir", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{trace}: line 51: field larger than field limit" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("metric, scale", [("arrivals", "nan"), ("cpu", "inf"), ("all", "-inf"),
                                                ("memory", "0"), ("arrivals", "-2.5"), ("cpu", "lots")])
     def test_bad_scale_is_usage_error(self, tmp_path, capsys, metric, scale):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import math
@@ -272,14 +273,52 @@ class TestBulkReader:
         write_trace(path, events, spec.tp_minutes)
         mapping = ColumnMapping(has_header=True)
         reference = _reference_parse(path, mapping)
-        bom = tmp_path / "bom.csv"
-        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        text = path.read_bytes()
+        header, body = text.split(b"\n", 1)
+        mid = body.index(b"\n", len(body) // 2) + 1
+        named = ColumnMapping(timestamp="timestamp", cpu="cpu_request", mem="mem_request", has_header=True)
+        # Both readers skip empty lines, so none of these leaves the bulk path.
+        variants = {
+            "bom.csv": (b"\xef\xbb\xbf" + text, named),
+            "trailing_empty.csv": (text + b"\n", mapping),
+            "mid_empty.csv": (header + b"\n" + body[:mid] + b"\n" + body[mid:], mapping),
+            "headerless_empty_first.csv": (b"\n\n" + body, ColumnMapping()),
+        }
+        for name, (data, _) in variants.items():
+            (tmp_path / name).write_bytes(data)
+        references = {name: _reference_parse(tmp_path / name, m) for name, (_, m) in variants.items()}
+        # An empty line before a header: csv takes the next row as the header,
+        # a row of numbers too, so the per-row reader runs.
+        empty_first = tmp_path / "empty_first.csv"
+        for data in (text, body):
+            empty_first.write_bytes(b"\n" + data)
+            assert trace._parse_bulk(empty_first, mapping) is None
+            _assert_same_parse(parse_trace(empty_first, mapping), _reference_parse(empty_first, mapping))
         monkeypatch.setattr(trace, "_parse_rows", _fail)
         res = parse_trace(path, mapping)
         _assert_same_parse(res, reference)
         assert len(res.events) == len(events) and res.rejected == 0
-        named = ColumnMapping(timestamp="timestamp", cpu="cpu_request", mem="mem_request", has_header=True)
-        _assert_same_parse(parse_trace(bom, named), reference)
+        for name, (_, m) in variants.items():
+            _assert_same_parse(references[name], reference)
+            _assert_same_parse(parse_trace(tmp_path / name, m), references[name])
+
+    def test_line_past_csv_field_limit_is_refused(self, tmp_path):
+        # The per-row reader raises on a field longer than csv.field_size_limit()
+        # (131,072), so no file with such a line may take the bulk path.
+        rows = [f"{i * 1_000_000},j1,j1,0.01,0.005" for i in range(100)]
+        rows[49] = f"5000000,{'x' * 200_000},j1,0.01,0.005"
+        path = tmp_path / "trace.csv"
+        path.write_text("timestamp,job_id,task_id,cpu_request,mem_request\n" + "".join(r + "\n" for r in rows))
+        mapping = ColumnMapping(has_header=True)
+        assert trace._parse_bulk(path, mapping) is None
+        with pytest.raises(csv.Error, match="^line 51: field larger than field limit"):
+            parse_trace(path, mapping)
+        # Any run of 3 * _NEWLINE_STRETCH - 2 bytes without a newline is refused, across a block edge too.
+        run = 3 * trace._NEWLINE_STRETCH - 2
+        for start in range(trace._SCAN_BLOCK - run, trace._SCAN_BLOCK + 1, trace._NEWLINE_STRETCH // 4):
+            for bom in (b"", b"\xef\xbb\xbf"):
+                path.write_bytes(bom + b"1\n" * (start // 2) + b"2" * (start % 2) + b"7" * run + b"\n1\n")
+                assert not trace._is_plain(path), (start, bom)
 
     def test_every_written_value_takes_bulk_path(self, tmp_path, monkeypatch):
         # write_trace prints int64 timestamps and float reprs; some fail the reject rules.
@@ -407,19 +446,33 @@ class TestPlainScan:
         @given(
             bom=st.booleans(),
             pieces=st.lists(st.one_of(_SCAN_PIECES, st.sampled_from([b"1,2\n", b"3,4\n"])), max_size=24),
-            block=st.one_of(st.integers(1, 7), st.just(trace._SCAN_BLOCK)),
+            sizes=st.one_of(
+                st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                st.just((trace._SCAN_BLOCK, trace._NEWLINE_STRETCH)),
+            ),
         )
-        def check(bom, pieces, block):
-            # Small blocks put byte order marks, newlines and empty lines across block boundaries.
-            path.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(pieces))
-            with mock.patch.object(trace, "_SCAN_BLOCK", block), mock.patch.object(oracles, "_SCAN_BLOCK", block):
-                expected = oracles.plain_line_count(path)
-                assert trace._plain_line_count(path) == expected
+        def check(bom, pieces, sizes):
+            # Small blocks and stretches put byte order marks and runs without a
+            # newline across block boundaries.
+            block, stretch = sizes
+            data = b"\xef\xbb\xbf" * bom + b"".join(pieces)
+            path.write_bytes(data)
+            with (
+                mock.patch.object(trace, "_SCAN_BLOCK", block), mock.patch.object(oracles, "_SCAN_BLOCK", block),
+                mock.patch.object(trace, "_NEWLINE_STRETCH", stretch),
+                mock.patch.object(oracles, "_NEWLINE_STRETCH", stretch),
+            ):
+                expected = oracles.plain_file(path)
+                assert trace._is_plain(path) == expected
+            # Only the first byte order mark is skipped; a second one counts as line bytes.
+            lines = data.removeprefix(b"\xef\xbb\xbf").split(b"\n")
+            if stretch <= block and max(map(len, lines)) >= 3 * stretch - 2:
+                assert not expected
             answers.append(expected)
 
         check()
         # Both answers occur often, so the property is not vacuous.
-        plain = sum(answer is not None for answer in answers)
+        plain = sum(answers)
         assert len(answers) / 5 <= plain <= len(answers) * 4 / 5, (plain, len(answers))
 
 
