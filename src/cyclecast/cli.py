@@ -124,12 +124,12 @@ class DataError(Exception):
 def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
     """Each ``key=value`` entry of a config file, as ``key: (value, line)``.
 
-    Keys take ``-`` or ``_``. Refuses, naming the file and line, a line
-    without ``=``, a key that is not a setting, a key given twice, and
-    ``bandwidth_h`` beside ``bandwidth_k``.
+    Keys take ``-`` or ``_``; a byte order mark is dropped. Refuses, naming
+    the file and line, a line without ``=``, a key that is not a setting, a
+    key given twice, and ``bandwidth_h`` beside ``bandwidth_k``.
     """
     values: dict[str, tuple[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -306,8 +306,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         tp_minutes=res.get("tp_min"),
         sub_bin_seconds=res.get("sub_bin_sec"),
     )
-    out = _out_dir(args)
     events, truths = generate(spec)
+    out = _out_dir(args)
     write_trace(out / "trace.csv", events, spec.tp_minutes)
     write_truth(out / "truth.csv", truths)
     _write_manifest(

@@ -20,7 +20,6 @@ configuration, field for field.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,7 +79,6 @@ def _bandwidth_value(cfg: ForecastConfig) -> float:
     return float(cfg.kernel.k) if cfg.kernel.k is not None else float(cfg.kernel.h)
 
 
-@functools.lru_cache(maxsize=8)
 def _poisson_window_weights(window: int, take: int) -> tuple[float, ...]:
     """Poisson(window) masses at 0..take-1, newest value first."""
     if window < 1:

@@ -262,9 +262,8 @@ def _predict(
         if not len(live):
             continue
         plan = _window_plan(b"".join(shapes), n, l, cfg.kernel)
-        # Warm-up steps lead a run, so the live steps are most often a slice.
-        ys = block[:, live[0] :] if len(live) == size - live[0] else block[:, live]
-        values = llr_apply(plan, ys.T, which[live])
+        # A window never loses a rate, so warm-up steps lead a run and the live steps are a slice.
+        values = llr_apply(plan, block[:, live[0] :].T, which[live])
         steps = c - lo + live
         # max(v, 0.0) per value: -0.0 and NaN pass through as they are.
         predicted[steps] = np.where(values < 0, 0.0, values)

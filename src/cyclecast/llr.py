@@ -169,7 +169,8 @@ def _bandwidths(spec: KernelSpec, xs: np.ndarray, d: np.ndarray, populated: np.n
     A k-nearest count above a shape's population is clamped to it. A zero
     k-th distance (replicates stacked at the query x) is promoted to the
     smallest positive gap between the shape's distinct xs, or 0.0 if every
-    x coincides, so the chain can fall back to a local mean.
+    x coincides, so the chain can fall back to a local mean. A NaN k-th
+    distance is promoted the same way, so no bandwidth is NaN or negative.
     """
     shapes = len(populated)
     if spec.h is not None:
@@ -287,12 +288,9 @@ def _plan_shapes(xs: np.ndarray, x_u: float, spec: KernelSpec, populated: np.nda
         mean = wsum > 0
         _plan_means(plan, rows[mean], populated[rows[mean]], weights[mean], wsum[mean], Fallback.WEIGHTED_MEAN)
         rows = rows[~mean]
-    flat = np.flatnonzero(~(h0 > 0))
-    if len(flat):
-        # No usable bandwidth: every x coincides, and the local constant fit is the mean.
-        stacked = flat[h0[flat] == 0]
-        _plan_means(plan, stacked, populated[stacked], populated[stacked], count[stacked], Fallback.WEIGHTED_MEAN)
-        rows = np.concatenate([rows, flat[~(h0[flat] == 0)]])
+    # A zero bandwidth: every x coincides, and the local constant fit is the mean.
+    flat = np.flatnonzero(h0 == 0)
+    _plan_means(plan, flat, populated[flat], populated[flat], count[flat], Fallback.WEIGHTED_MEAN)
     if len(rows):
         ones = populated[rows].astype(np.float64)
         left = ~_plan_lines(plan, rows, xs, x_u, ones, Fallback.GLOBAL_LINE)
@@ -323,23 +321,8 @@ def llr_plan(xs: Sequence[float], x_u: float, spec: KernelSpec) -> LLRPlan:
     return _plan_shapes(xs, x_u, spec, np.ones((1, len(xs)), dtype=bool))
 
 
-# Batches of fewer terms than this are summed row by row with math.fsum. The
-# certified row sum costs about 35 us a batch plus 9 ns a term, the per-row
-# loop 55-70 ns a term, so they break even between 700 and 1200 terms
-# (measured on a 2-vCPU Xeon VM, Python 3.11, numpy 2.4, batches of 1-256
-# rows of 19-100 terms).
-_BATCH_MIN_TERMS = 1024
-
-
-def _fsum(terms: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each row of a 2-D array."""
-    if terms.size < _BATCH_MIN_TERMS:
-        return np.array([math.fsum(row) for row in terms.tolist()])
-    return _fsum_rows(terms)
-
-
-def _fsum_rows(p: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of ``p``, vectorised where it can be certified.
+def _fsum(p: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D array, vectorised where it can be certified.
 
     Per row, with ``2**e`` above max|p| and ``sigma = 2**(e + ceil(log2(n + 2)))``,
     ``q = (sigma + p) - sigma`` and ``r = p - q`` are exact, every ``q`` is a
@@ -355,14 +338,15 @@ def _fsum_rows(p: np.ndarray) -> np.ndarray:
     ``hi`` under any tie rule, which is what ``math.fsum`` returns. Every other
     row (inf or NaN, overflow, cancellation to or near zero, a sum within
     ``delta`` of a tie) is ``math.fsum`` of the row, in row order, so its
-    value, signed zero or exception is fsum's own.
+    value, signed zero or exception is fsum's own. A row of no terms is one
+    of them, and sums to 0.0.
     """
     # The passes run down the columns of ``p.T``: fast when ``p`` is the
     # transpose of a C-ordered array, and the same sums in any layout.
     t = p.T
     n = len(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, e = np.frexp(np.maximum(t.max(axis=0), -t.min(axis=0)))
+        _, e = np.frexp(np.maximum(t.max(axis=0, initial=0.0), -t.min(axis=0, initial=0.0)))
         sigma = np.ldexp(1.0, e + (n + 1).bit_length())
         q = t + sigma
         q -= sigma
@@ -407,11 +391,10 @@ def llr_apply(plan: LLRPlan, ys: Sequence[float] | np.ndarray, which: int | np.n
     one batch, one sum per column of a cells x sums matrix, so the sums run
     down contiguous memory when ``ys`` is the transpose of a C-ordered
     block. Cells off a row's support enter it with weight +0.0 and value
-    -0.0. A batch of 1024 terms or more is summed by a vectorised row sum
-    that certifies each row's result equals ``math.fsum``'s, and calls
-    ``math.fsum`` on the rows it cannot certify (see ``_fsum_rows``); a
-    smaller batch calls ``math.fsum`` on every row. A batch whose sums fail
-    is applied again a row at a time, in order, so the first failing row
+    -0.0. The batch is summed by a vectorised row sum that certifies each
+    row's result equals ``math.fsum``'s, and calls ``math.fsum`` on the
+    rows it cannot certify (see ``_fsum``). A batch whose sums fail is
+    applied again a row at a time, in order, so the first failing row
     raises.
     """
     y = np.asarray(ys, dtype=np.float64)

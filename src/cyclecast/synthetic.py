@@ -64,8 +64,10 @@ class SyntheticSpec:
                 raise ValueError(f"{name} amplitude must lie in [0, 1), got {amp}")
         if self.daily_amplitude + self.weekly_amplitude >= 1:
             raise ValueError("amplitudes must sum below 1 to keep the rate positive")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
+        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma * self.noise_sigma)):
+            raise ValueError(
+                f"noise_sigma must be finite and nonnegative, at most about 1.34e154, got {self.noise_sigma}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.tp_minutes < 1 or self.sub_bin_seconds < 1:

@@ -577,6 +577,16 @@ class TestExitCodes:
         assert f"{flag[2:].replace('-', '_')} must be finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_synth_noise_whose_square_overflows_is_usage_error(self, tmp_path, capsys):
+        # 2e154 squared overflows a double; a noise that large was a traceback and an empty --out-dir.
+        out = tmp_path / "out"
+        argv = ["synth", "--tps", "48", "--pp-tps", "24", "--noise-sigma", "2e154", "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "noise_sigma must be finite and nonnegative, at most about 1.34e154, got 2e+154" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tps, rate", [("1", "1e300"), ("1000", "1e5")])
     def test_synth_beyond_the_event_bound_is_usage_error(self, tmp_path, capsys, tps, rate):
         out = tmp_path / "out"
@@ -892,6 +902,17 @@ class TestConfigFile:
         assert manifest["config"]["pp_tps"] == 24      # from file
         assert manifest["config"]["up_tps"] == 8       # flag wins
         assert manifest["config"]["bandwidth_k"] == 4  # from file
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pp_tps=24\nup-tps=6\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbfpp_tps")
+        obs = _obs_file(tmp_path / "obs.csv", 48, 24)
+        out = tmp_path / "out"
+        code = main(["predict", "--train", obs, "--test", obs, "--config", str(cfg), "--out-dir", str(out)])
+        assert code == EXIT_OK
+        manifest = json.loads((out / "predict.manifest.json").read_text())
+        assert (manifest["config"]["pp_tps"], manifest["config"]["up_tps"]) == (24, 6)
 
     @pytest.mark.parametrize(
         "text, lineno, message",

@@ -375,6 +375,9 @@ class TestBatchedRun:
             dataclasses.replace(r, t=r.t - done) for r in oracles.forecast_loop(stream, cfg)[done:]
         ]
         assert _steps(records) == _hexed(reference)
+        # A window never loses a rate: the warm-up steps lead the run.
+        warm = records.warm.tolist()
+        assert warm == sorted(warm, reverse=True)
 
     @pytest.mark.parametrize("resume", ["fresh", "partial"])
     @pytest.mark.parametrize(

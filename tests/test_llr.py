@@ -254,11 +254,10 @@ class TestPlanApply:
         x_u=st.floats(-25.0, 25.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batches_on_both_sides_of_the_crossover_give_the_1d_floats(self, xs, data, family, k, x_u, seed):
+    def test_small_and_large_batches_give_the_1d_floats(self, xs, data, family, k, x_u, seed):
         plan = llr_plan(xs, x_u, KernelSpec(family=family, k=min(k, len(xs))))
-        # 1-3 rows are summed row by row; ``above`` rows reach the certified row sum.
-        above = -(-llr._BATCH_MIN_TERMS // len(xs))
-        count = data.draw(st.sampled_from([1, 2, 3, above, above + 37]))
+        # Batches of 1-3 rows, and of 1,024 terms or more: one row sum serves every size.
+        count = data.draw(st.sampled_from([1, 2, 3, 1024, 1061]))
         ys_strategy = st.lists(
             st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)),
             min_size=len(xs),
@@ -282,18 +281,14 @@ class TestPlanApply:
             ([2.0, 2.0], 0.0, KernelSpec(family=KernelFamily.GAUSSIAN, h=0.07)),
         ],
     )
-    @pytest.mark.parametrize("crossing", [-1, 0])
-    def test_overflowing_rows_give_the_1d_floats_without_a_warning(self, xs, x_u, spec, crossing):
+    @pytest.mark.parametrize("rows", [10, 512])
+    def test_overflowing_rows_give_the_1d_floats_without_a_warning(self, xs, x_u, spec, rows):
         # The tier-1 filter turns a RuntimeWarning into a failure.
         plan = llr_plan(xs, x_u, spec)
         hard = [[1e306, -1e306], [-1e306, 1e306], [1e306, 0.0], [0.0, -1e306], [8e307, -8e307],
                 [1e306, 1e306], [5e307, 5e307], [math.inf, 1.0], [1.0, -math.inf], [1.0, 2.0]]
-        # 2 terms a row per sum, sy and a line's sxy summed in one batch:
-        # batches just below and at the certified row sum's crossover.
-        sums = 1 + int(plan.line[0])
-        rows = llr._BATCH_MIN_TERMS // (2 * sums) + crossing
+        # Every hard row once, and a batch of 1,024 terms or more.
         batch = np.array([hard[i % len(hard)] for i in range(rows)])
-        assert (batch.size * sums >= llr._BATCH_MIN_TERMS) is (crossing == 0)
         got = [v.hex() for v in llr_apply(plan, batch).tolist()]
         assert got == [llr_apply(plan, row).hex() for row in batch]
 
@@ -405,6 +400,32 @@ class TestShapePlanner:
             assert got == expected
 
 
+class TestBandwidths:
+    @settings(max_examples=300)
+    @given(
+        xs=st.lists(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf]),
+                    min_size=1, max_size=12),
+        data=st.data(),
+        h=st.floats(1e-300, 1e300),
+        k=st.integers(1, 15),
+        fixed=st.booleans(),
+        x_u=st.floats() | st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]),
+    )
+    def test_no_bandwidth_is_nan_or_negative(self, xs, data, h, k, fixed, x_u):
+        # _plan_shapes plans a shape by h > 0 or h == 0, so any other h would go unplanned.
+        shapes = data.draw(st.integers(1, 4))
+        populated = np.array(
+            [data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs))) for _ in range(shapes)]
+        )
+        populated[:, data.draw(st.integers(0, len(xs) - 1))] = True
+        spec = KernelSpec(h=h) if fixed else KernelSpec(k=k)
+        xs = np.array(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.abs(xs - x_u)
+        h = llr._bandwidths(spec, xs, d, populated)
+        assert ((h > 0) | (h == 0)).all(), h
+
+
 class TestApplyShapes:
     """A batch over several shapes against the one-window ``llr_apply`` of each column."""
 
@@ -491,8 +512,8 @@ class TestBatchSum:
     @given(data=st.data(), n=st.integers(1, 40), distinct=st.integers(1, 6), fill=st.booleans())
     def test_rows_sum_as_math_fsum(self, data, n, distinct, fill):
         rows = [data.draw(_fsum_row(n)) for _ in range(distinct)]
-        if fill:  # enough rows to reach the certified row sum
-            rows *= -(-llr._BATCH_MIN_TERMS // (n * distinct))
+        if fill:  # a batch of 1,024 terms or more
+            rows *= -(-1024 // (n * distinct))
         terms = np.array(rows)
         assert _sum_outcome(llr._fsum, terms) == _sum_outcome(oracles.fsum_rows, terms)
 
@@ -515,8 +536,13 @@ class TestBatchSum:
     def test_hard_rows_in_a_large_batch(self, row):
         easy = np.linspace(1.0, 2.0, len(row))
         terms = np.array([easy] * 600 + [row] + [easy] * 600)
-        assert terms.size >= llr._BATCH_MIN_TERMS
         assert _sum_outcome(llr._fsum, terms) == _sum_outcome(oracles.fsum_rows, terms)
+
+    @pytest.mark.parametrize("shape", [(1, 0), (3, 0), (0, 4), (0, 0)])
+    def test_a_batch_of_empty_rows_sums_as_math_fsum(self, shape):
+        # Rows that hold no terms sum to 0.0 each, as math.fsum([]) does; no rows give no sums.
+        terms = np.zeros(shape)
+        assert _sum_outcome(llr._fsum, terms) == _sum_outcome(oracles.fsum_rows, terms) == ["0x0.0p+0"] * shape[0]
 
 
 class TestFallbackChain:
