@@ -17,7 +17,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -37,12 +37,13 @@ from .poisson import poisson_mle_rows
 from .synthetic import RNG_NAME, SyntheticSpec, generate, write_truth
 from .trace import (
     _INT64_LIMIT,
+    US_PER_SECOND,
     ColumnMapping,
     MetricKind,
     Observations,
     _check_scale,
-    _check_span_settings,
     _CountTooLarge,
+    _span_geometry,
     _SpanTooLarge,
     _units_text,
     aggregate_span,
@@ -313,17 +314,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write_manifest(
         out,
         "synth",
-        {
-            "pp_tps": spec.pp_tps,
-            "tps": spec.tps,
-            "base_rate": spec.base_rate,
-            "daily_amplitude": spec.daily_amplitude,
-            "weekly_amplitude": spec.weekly_amplitude,
-            "noise_sigma": spec.noise_sigma,
-            "tp_minutes": spec.tp_minutes,
-            "sub_bin_seconds": spec.sub_bin_seconds,
-            "rng": RNG_NAME,
-        },
+        {k: v for k, v in asdict(spec).items() if k != "seed"} | {"rng": RNG_NAME},  # seed is top level
         inputs=[],
         outputs=["trace.csv", "truth.csv"],
         seed=seed,
@@ -345,7 +336,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         delimiter=args.delimiter,
         has_header=args.header,
     )
-    _check_span_settings(tp_min, sub_bin_sec, scale)  # refused settings exit before the trace is read
+    _span_geometry(tp_min, sub_bin_sec)  # refused settings exit before the trace is read
 
     try:
         parsed = parse_trace(args.trace, mapping)
@@ -355,7 +346,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise DataError(f"{args.trace}: {exc}") from exc
     if not parsed.events:
         raise DataError(f"{args.trace}: no usable events ({parsed.rejected} rows rejected)")
-    start_us = args.start_sec * 1_000_000
+    start_us = US_PER_SECOND * args.start_sec
     try:
         num_tps = span_tps(parsed.events, start_us, tp_min)
     except ValueError as exc:

@@ -196,7 +196,7 @@ def _weights(family: KernelFamily, d: np.ndarray, h: np.ndarray, populated: np.n
     """
     uh, h_at = np.unique(h, return_inverse=True)
     ud, d_at = np.unique(d, return_inverse=True)
-    with np.errstate(over="ignore"):  # as in Python, a huge distance's u * u is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # as in Python: a huge u * u is inf, inf / inf nan
         table = _kernel(family, ud[None, :] / uh[:, None])
     return np.where(populated, table[h_at[:, None], d_at[None, :]], 0.0)
 
@@ -236,6 +236,7 @@ def _plan_lines(plan: LLRPlan, rows: np.ndarray, xs: np.ndarray, x_u: float, wei
         sums = _fsum(np.concatenate([np.where(support, wdx, -0.0), np.where(support, w * square, -0.0)]))
         s1, s2 = sums[:k], sums[k:]
         det = s0 * s2 - s1 * s1
+        du = x_u - xbar
     ok = ~(det <= 0)
     at = rows[go[ok]]
     plan.support[at] = support[ok]
@@ -243,7 +244,7 @@ def _plan_lines(plan: LLRPlan, rows: np.ndarray, xs: np.ndarray, x_u: float, wei
     plan.wdx[at] = np.where(support[ok], wdx[ok], 0.0)
     plan.line[at] = True
     plan.s0[at], plan.s1[at], plan.s2[at], plan.det[at] = s0[ok], s1[ok], s2[ok], det[ok]
-    plan.du[at] = x_u - xbar[ok]
+    plan.du[at] = du[ok]
     plan.fallback[at] = fallback
     done[go[ok]] = True
     return done
@@ -270,7 +271,7 @@ def _plan_shapes(xs: np.ndarray, x_u: float, spec: KernelSpec, populated: np.nda
     shapes, cells = populated.shape
     plan = LLRPlan(shapes, cells)
     count = populated.sum(axis=1).astype(np.float64)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, as in Python
         d = np.abs(xs - x_u)
     h0 = _bandwidths(spec, xs, d, populated)
     rows = np.flatnonzero(h0 > 0)

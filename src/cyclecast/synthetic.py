@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import trace
-from .trace import US_PER_SECOND, Events
+from .trace import Events
 
 __all__ = ["SyntheticSpec", "generate", "true_rate", "write_truth", "RNG_NAME"]
 
@@ -41,7 +41,9 @@ class SyntheticSpec:
 
     ``tps`` is the total number of target periods to emit; ``pp_tps`` the
     pattern-period length in target periods. Amplitudes must sum below 1 so
-    the intensity stays positive.
+    the intensity stays positive. ``trace._span_geometry`` checks the period
+    and caps the ``tps`` periods at ``_MAX_SPAN_SUB_BINS`` sub-bins, as for
+    ``ingest``; they must end by 2**63 us, as every timestamp lies below.
     """
 
     pp_tps: int = 336
@@ -70,14 +72,11 @@ class SyntheticSpec:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.tp_minutes < 1 or self.sub_bin_seconds < 1:
-            raise ValueError("tp_minutes and sub_bin_seconds must be positive")
-        if (self.tp_minutes * 60) % self.sub_bin_seconds != 0:
+        period_us, _, sub_bins = trace._span_geometry(self.tp_minutes, self.sub_bin_seconds, self.tps)
+        if self.tps * period_us > trace._INT64_LIMIT:
             raise ValueError(
-                f"target period of {self.tp_minutes}min is not a whole number of "
-                f"{self.sub_bin_seconds}s sub-bins"
+                f"{self.tps} periods of {self.tp_minutes}min end at {self.tps * period_us}us, past 2**63us"
             )
-        sub_bins = self.tp_minutes * 60 // self.sub_bin_seconds
         events = self.tps * sub_bins * self.base_rate * (1 + self.daily_amplitude + self.weekly_amplitude)
         if events > _MAX_EVENTS:
             raise ValueError(
@@ -105,8 +104,7 @@ def generate(spec: SyntheticSpec) -> tuple[Events, list[float]]:
     the drawn counts exactly and output is byte-stable under a fixed seed.
     """
     rng = np.random.default_rng(spec.seed)
-    sub_bins = spec.tp_minutes * 60 // spec.sub_bin_seconds
-    sub_bin_us = spec.sub_bin_seconds * US_PER_SECOND
+    _, sub_bin_us, sub_bins = trace._span_geometry(spec.tp_minutes, spec.sub_bin_seconds)
     truths = [true_rate(spec, tp) for tp in range(spec.tps)]
 
     counts = np.empty((spec.tps, sub_bins), dtype=np.int64)

@@ -46,7 +46,6 @@ import functools
 import math
 import operator
 import os
-import re
 from array import array
 from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass
@@ -87,8 +86,6 @@ _COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
 _INT64_LIMIT = 2**63
 _PLAIN_DIGITS = 18  # a token of at most 18 decimal digits is below 2**63
-# The line ends the observations reader splits at: those of a text file opened with newline="".
-_LINE_END = re.compile("\r\n|\r|\n")
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 
 
@@ -544,14 +541,28 @@ def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
     return ParseResult(events=_in_time_order(Events(timestamps, cpus, mems)), rejected=rejected)
 
 
-def _check_span_settings(tp_minutes: int, sub_bin_seconds: int = 60, scale: float = 100.0) -> None:
-    """Raise ValueError unless ``aggregate_span`` takes these settings; the defaults are its own."""
+def _span_geometry(tp_minutes: int, sub_bin_seconds: int = 60, num_tps: int | None = None) -> tuple[int, int, int]:
+    """A span's target period and sub-bin in microseconds, and its sub-bins per period.
+
+    The one rule for a span's lengths. Raises ValueError unless the period
+    is at least a minute, a whole number of ``sub_bin_seconds`` sub-bins
+    and shorter than 2**63 us; given ``num_tps``, raises ``_SpanTooLarge``
+    if that many periods hold more than ``_MAX_SPAN_SUB_BINS`` sub-bins.
+    """
     if tp_minutes < 1:
         raise ValueError(f"target period must be at least one minute, got {tp_minutes}")
     if sub_bin_seconds < 1 or (tp_minutes * 60) % sub_bin_seconds != 0:
         raise ValueError(f"target period of {tp_minutes}min is not a whole number of {sub_bin_seconds}s sub-bins")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be finite and positive, got {scale}")
+    period_us = tp_minutes * 60 * US_PER_SECOND
+    if period_us >= _INT64_LIMIT:
+        raise ValueError(f"target period of {tp_minutes}min is {period_us}us, not below 2**63us")
+    sub_bins = tp_minutes * 60 // sub_bin_seconds
+    if num_tps is not None and num_tps * sub_bins > _MAX_SPAN_SUB_BINS:
+        raise _SpanTooLarge(
+            f"{num_tps} periods of {sub_bins} sub-bins are {num_tps * sub_bins} sub-bins, "
+            f"more than the {_MAX_SPAN_SUB_BINS} a span may hold"
+        )
+    return period_us, sub_bin_seconds * US_PER_SECOND, sub_bins
 
 
 def aggregate_span(
@@ -569,13 +580,14 @@ def aggregate_span(
     Period i (0-based) covers [start_us + i*TP, start_us + (i+1)*TP) and is
     stamped with pattern position ``i % pp_tps + 1`` and cycle
     ``i // pp_tps + 1``. Events outside the span are ignored; the events
-    need not be sorted. The period must divide evenly into sub-bins, and
-    ``scale`` must be finite and positive for every metric. For CPU/memory
-    the per-sub-bin request sums, added in event order, are multiplied by
-    ``scale`` and rounded to the nearest integer, which must be below
-    2**63. ``start_us`` and every event's offset from it must fit
-    int64, and the span may hold at most ``_MAX_SPAN_SUB_BINS`` sub-bins,
-    or ValueError is raised before anything the size of the span is made.
+    need not be sorted. The lengths come from ``_span_geometry``, which
+    refuses a bad period or a span of more than ``_MAX_SPAN_SUB_BINS``
+    sub-bins, and ``scale`` must be a finite positive number for every
+    metric. For CPU/memory the per-sub-bin request sums, added in event
+    order, are multiplied by ``scale`` and rounded to the nearest integer,
+    which must be below 2**63. ``start_us`` and every event's offset from
+    it must fit int64. Every refusal is a ValueError, raised before
+    anything the size of the span is made.
 
     Events are binned a block of ``_EVENT_BLOCK`` at a time, so the
     temporaries are a block's offsets and bin indices, whatever the event
@@ -585,21 +597,15 @@ def aggregate_span(
     """
     if num_tps < 1 or pp_tps < 1:
         raise ValueError(f"need at least one target period and pattern period, got {num_tps}, {pp_tps}")
-    _check_span_settings(tp_minutes, sub_bin_seconds, scale)
+    _, sub_bin_us, sub_bins = _span_geometry(tp_minutes, sub_bin_seconds, num_tps)
+    scale = _check_scale(scale)
     if not -_INT64_LIMIT <= start_us < _INT64_LIMIT:
         raise ValueError(f"start {start_us}us is outside int64")
     timestamps = events.timestamp
     if len(timestamps):
         _check_offset(int(timestamps.min()), start_us)
         _check_offset(int(timestamps.max()), start_us)
-    sub_bin_us = sub_bin_seconds * US_PER_SECOND
-    sub_bins = tp_minutes * 60 // sub_bin_seconds
     n_bins = num_tps * sub_bins
-    if n_bins > _MAX_SPAN_SUB_BINS:
-        raise _SpanTooLarge(
-            f"{num_tps} periods of {sub_bins} sub-bins are {n_bins} sub-bins, "
-            f"more than the {_MAX_SPAN_SUB_BINS} a span may hold"
-        )
     arrivals = metric is MetricKind.ARRIVALS
     values = None if arrivals else (events.cpu if metric is MetricKind.CPU else events.mem)
     # Bin n_bins collects the events outside the span and is dropped.
@@ -632,10 +638,11 @@ def aggregate_span(
 def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
     """Number of target periods needed to cover every event at/after start.
 
-    Raises ValueError if the latest event's offset from ``start_us`` does
-    not fit int64, as ``aggregate_span`` would refuse it.
+    Raises ValueError if ``_span_geometry`` refuses the period, or if the
+    latest event's offset from ``start_us`` does not fit int64, as
+    ``aggregate_span`` would refuse either.
     """
-    _check_span_settings(tp_minutes)
+    period_us = _span_geometry(tp_minutes)[0]
     if not len(events):
         return 0
     # The latest event at or after the start, if there is one, is the latest event.
@@ -643,7 +650,7 @@ def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
     if last < start_us:
         return 0
     _check_offset(last, start_us)
-    return (last - start_us) // (tp_minutes * 60 * US_PER_SECOND) + 1
+    return (last - start_us) // period_us + 1
 
 
 class _SpanTooLarge(ValueError):
@@ -785,10 +792,10 @@ def read_observations(path: str | Path) -> Observations:
     line at a time, every token with ``int``. Both give the same periods,
     and errors come from the line reader only.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8") as fh:  # universal newlines: \r\n and \r read as \n
         if not fh.readline().startswith("tp_index,"):
             raise ValueError(f"{path}: not an observations file")
-        lines = _LINE_END.split(fh.read())
+        lines = fh.read().split("\n")
     obs = _read_columns([text for line in lines if (text := line.strip())])
     return obs if obs is not None else _read_records(path, lines)
 
@@ -876,7 +883,8 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
     """Write events in the packaged trace layout (with header row).
 
     The job and task ids are both ``j<n>``, the 1-based target period of
-    ``tp_minutes`` that holds the event.
+    ``tp_minutes`` that holds the event; ValueError if ``_span_geometry``
+    refuses that period.
 
     Consecutive rows with the same period, cpu and memory form a run, and a
     run's shared tail ``,j<n>,j<n>,<cpu>,<mem>`` is formatted once in Python;
@@ -887,7 +895,7 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
     guarantees that the rows of a run print the same text (every NaN prints
     ``nan``, whatever its bits).
     """
-    tp_us = tp_minutes * 60 * US_PER_SECOND
+    tp_us = _span_geometry(tp_minutes)[0]
     with open(path, "wb") as fh:
         fh.write(b"timestamp,job_id,task_id,cpu_request,mem_request\n")
         for lo in range(0, len(events), _WRITE_BLOCK):

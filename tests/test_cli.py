@@ -454,13 +454,53 @@ class TestExitCodes:
              "seed must be a nonnegative integer, got -1"),
             (["synth", "--tps", "10", "--pp-tps", "5", "--config", "{cfg}"], EXIT_USAGE,
              "seed must be a nonnegative integer, got -1"),
+            (["synth", "--tps", "10", "--pp-tps", "5", "--config", "{plain}"], EXIT_USAGE,
+             "{plain}:1: expected key=value"),
+            (["ingest", "--trace", "{rejected}", "--header"], EXIT_DATA, "no usable events (2 rows rejected)"),
+            (["ingest", "--trace", "{trace}", "--start-sec", "3601"], EXIT_DATA,
+             "no events at or after start offset 3601s"),
+            (["ingest", "--trace", "{trace}", "--split-tp", "0"], EXIT_USAGE,
+             "--split-tp 0 outside [1, 2] for a 3-period span"),
+            (["ingest", "--trace", "{trace}", "--split-tp", "3"], EXIT_USAGE,
+             "--split-tp 3 outside [1, 2] for a 3-period span"),
+            (["evaluate", "--train", "{obs}", "--test", "{obs}", "--pp-tps", "24", "--up-tps-grid", "1,x"],
+             EXIT_USAGE, "--up-tps-grid must be a comma-separated integer list, got '1,x'"),
+            (["evaluate", "--train", "{obs}", "--test", "{obs}", "--pp-tps", "24", "--up-tps-grid", ","],
+             EXIT_USAGE, "--up-tps-grid is empty"),
+            (["evaluate", "--train", "{obs}", "--pp-tps", "24"], EXIT_USAGE,
+             "evaluate needs either --records or both --train and --test"),
+            # A period of 2**63 us or more: one sub-bin of it, or two.
+            (["synth", "--tp-min", "1000000000000", "--sub-bin-sec", "60000000000000", "--tps", "2",
+              "--pp-tps", "2", "--base-rate", "1"], EXIT_USAGE,
+             "target period of 1000000000000min is 60000000000000000000us, not below 2**63us"),
+            (["synth", "--tp-min", "200000000000", "--sub-bin-sec", "6000000000000", "--tps", "2",
+              "--pp-tps", "2", "--base-rate", "1"], EXIT_USAGE,
+             "target period of 200000000000min is 12000000000000000000us, not below 2**63us"),
+            # Three periods of 6e18 us, whose timestamps int64 cannot hold.
+            (["synth", "--tp-min", "100000000000", "--sub-bin-sec", "3000000000000", "--tps", "3",
+              "--pp-tps", "3", "--base-rate", "1"], EXIT_USAGE,
+             "3 periods of 100000000000min end at 18000000000000000000us, past 2**63us"),
         ],
-        ids=["ingest", "fit", "records", "sweep", "seed-flag", "seed-entry"],
+        ids=[
+            "ingest", "fit", "records", "sweep", "seed-flag", "seed-entry", "entry-without-equals",
+            "every-row-rejected", "start-past-the-last-event", "split-at-0", "split-at-the-end",
+            "grid-not-integers", "grid-empty", "train-alone", "synth-period-of-one-sub-bin-past-int64",
+            "synth-period-of-two-sub-bins-past-int64", "synth-trace-ending-past-int64",
+        ],
     )
     def test_refused_run_makes_no_output_directory(self, tmp_path, capsys, argv, code, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=-1\n")
-        paths = {"missing": str(tmp_path / "nope.csv"), "cfg": str(cfg)}
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("pp-tps 24\n")
+        rejected = tmp_path / "rejected.csv"
+        rejected.write_text("timestamp,job_id,task_id,cpu_request,mem_request\nx,j1,j1,0.1,0.1\n5,j1,j1,-1,0.1\n")
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0,j1,j1,0.1,0.1\n3600000000,j3,j3,0.2,0.1\n")  # three 30-minute periods
+        paths = {
+            "missing": str(tmp_path / "nope.csv"), "cfg": str(cfg), "plain": str(plain), "rejected": str(rejected),
+            "trace": str(trace), "obs": _obs_file(tmp_path / "obs.csv", 48, 24),
+        }
         out = tmp_path / "out"
         assert main([arg.format(**paths) for arg in argv] + ["--out-dir", str(out)]) == code
         err = capsys.readouterr().err
@@ -501,6 +541,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "target period of 30min is not a whole number of 7s sub-bins" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_ingest_refuses_a_period_past_int64_before_reading_the_trace(self, tmp_path, capsys, monkeypatch):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0,j1,j1,0.1,0.1\n60000000,j2,j2,0.2,0.1\n")
+        monkeypatch.setattr(cli, "parse_trace", None)  # the trace must not be read
+        out = tmp_path / "out"
+        argv = ["ingest", "--trace", str(trace), "--tp-min", "1000000000000", "--sub-bin-sec", "60000000000000",
+                "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "target period of 1000000000000min is 60000000000000000000us, not below 2**63us" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_synth_trace_may_end_just_below_2_63_us(self, tmp_path):
+        # Three periods of two sub-bins, ending 54,775,808 us below 2**63 us.
+        tp_min = 2**63 // (3 * 60 * 10**6)
+        out = str(tmp_path)
+        assert main(["synth", "--out-dir", out, "--tp-min", str(tp_min), "--sub-bin-sec", str(tp_min * 30),
+                     "--tps", "3", "--pp-tps", "3", "--base-rate", "2", "--seed", "5"]) == EXIT_OK
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        stamps = [int(row.split(",")[0]) for row in rows]
+        assert stamps == sorted(stamps) and 0 <= stamps[0] and stamps[-1] < 3 * tp_min * 60 * 10**6
+        assert main(["ingest", "--trace", f"{out}/trace.csv", "--header", "--out-dir", out, "--tp-min", str(tp_min),
+                     "--sub-bin-sec", str(tp_min * 30), "--pp-tps", "3"]) == EXIT_OK
+        observations = read_observations(tmp_path / "observations_arrivals.csv")
+        assert len(observations) == 3 and sum(observations.samples.tolist()) == len(rows)
+
+    def test_synth_span_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        # As ingest's: at most _MAX_SPAN_SUB_BINS sub-bins, here four periods of 30.
+        monkeypatch.setattr("cyclecast.trace._MAX_SPAN_SUB_BINS", 4 * 30)
+        synth = ["synth", "--pp-tps", "4", "--base-rate", "2"]
+        assert main([*synth, "--tps", "4", "--out-dir", str(tmp_path / "four")]) == EXIT_OK
+        out = tmp_path / "five"
+        assert main([*synth, "--tps", "5", "--out-dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "5 periods of 30 sub-bins are 150 sub-bins, more than the 120 a span may hold" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_records_tp_index_beyond_int64_is_data_error(self, tmp_path, capsys):
         records = tmp_path / "records.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,36 @@ class TestShapePlanner:
             populated = np.array([[True] * len(xs)] + [[j != i for j in range(len(xs))] for i in range(len(xs))])
             got, expected = _shape_outcomes(xs, x_u, spec, populated)
             assert got == expected
+
+
+def _plan_outcome(plan):
+    """``plan()``'s one-shape fields, or the ValueError it raised (``math.fsum``'s ``-inf + inf``)."""
+    try:
+        return plan()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestInfinitePlans:
+    @pytest.mark.parametrize(
+        "xs", [[math.inf, 1.0], [1.0, 2.0], [1.0, -math.inf, 3.0], [math.inf, math.inf, 2.0], [-math.inf, math.inf]]
+    )
+    @pytest.mark.parametrize("x_u", [math.inf, -math.inf, 1.5])
+    def test_infinite_x_or_query_plans_silently_as_the_scalar_planner(self, xs, x_u):
+        # Python's float arithmetic makes inf - inf and inf / inf NaN without a word; so must the planner.
+        for family in ALL_FAMILIES:
+            for spec in (KernelSpec(family=family, k=1), KernelSpec(family=family, k=2),
+                         KernelSpec(family=family, h=0.5), KernelSpec(family=family, h=1e300)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = _plan_outcome(lambda: _shape_fields(llr_plan(xs, x_u, spec), 0))
+
+                def scalar():
+                    r = oracles.llr_plan(xs, x_u, spec)
+                    support = np.arange(len(xs))[r.support]
+                    return _plan_fields(r.fallback, support, r.w, r.wdx, r.s0, r.s1, r.s2, r.det, r.du)
+
+                assert got == _plan_outcome(scalar), spec
 
 
 class TestBandwidths:

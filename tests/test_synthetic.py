@@ -63,6 +63,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(tp_minutes=30, sub_bin_seconds=7)
 
+    def test_span_past_the_sub_bin_cap_is_refused(self):
+        # 3e10 sub-bins, though about 48 events are expected. Construction only:
+        # a spec that constructs would generate a 3e10-cell count matrix.
+        message = "1000000000 periods of 30 sub-bins are 30000000000 sub-bins, more than the 2147483648 a span may hold"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec(tps=10**9, base_rate=1e-9)
+
+    def test_trace_ending_past_2_63_us_is_refused(self):
+        # The longest period below 2**63 us, in whole minutes, as one sub-bin: one such period fits, two do not.
+        tp_minutes = 2**63 // (60 * US_PER_SECOND)
+        longest = dict(tp_minutes=tp_minutes, sub_bin_seconds=tp_minutes * 60)
+        SyntheticSpec(tps=1, pp_tps=1, **longest)
+        end = 2 * tp_minutes * 60 * US_PER_SECOND
+        with pytest.raises(ValueError, match=f"^2 periods of {tp_minutes}min end at {end}us, past 2\\*\\*63us$"):
+            SyntheticSpec(tps=2, pp_tps=2, **longest)
+
 
 class TestTrueRate:
     def test_periodic_by_construction(self):

@@ -512,6 +512,22 @@ class TestAggregate:
             with pytest.raises(ValueError, match="at least one minute"):
                 _one_period(_arrivals(), tp_minutes=tp_minutes)
 
+    def test_span_geometry_is_the_period_the_sub_bin_and_their_ratio(self):
+        assert trace._span_geometry(30) == (30 * 60 * US_PER_SECOND, 60 * US_PER_SECOND, 30)
+        assert trace._span_geometry(14, 7, num_tps=4) == (14 * 60 * US_PER_SECOND, 7 * US_PER_SECOND, 120)
+
+    def test_period_of_2_63_us_or_more_raises(self):
+        # The longest period below 2**63 us, in whole minutes, and one minute more.
+        longest = (2**63 - 1) // (60 * US_PER_SECOND)
+        assert trace._span_geometry(longest)[0] == longest * 60 * US_PER_SECOND < 2**63
+        message = f"target period of {longest + 1}min is {(longest + 1) * 60 * US_PER_SECOND}us, not below 2**63us"
+        for call in (
+            lambda: _one_period(_arrivals(0), tp_minutes=longest + 1),
+            lambda: span_tps(_arrivals(0), 0, longest + 1),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
     def test_nonpositive_scale_rejected_for_every_metric(self):
         for metric in MetricKind:
             for scale in (0.0, -1.0, -0.0):
@@ -723,6 +739,16 @@ class TestWriters:
         write_trace(out / "new.csv", events, tp_minutes)
         oracles.write_trace_rows(out / "ref.csv", events, tp_minutes)
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "tp_minutes, message",
+        [(0, "at least one minute"), (-1, "at least one minute"), (2**57, "not below 2\\*\\*63us")],
+        ids=["zero", "negative", "past-int64"],
+    )
+    def test_refused_period_raises_before_writing(self, tmp_path, tp_minutes, message):
+        with pytest.raises(ValueError, match=message):
+            write_trace(tmp_path / "trace.csv", _arrivals(1), tp_minutes)
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_equal_values_with_unequal_bits_split_runs(self, tmp_path):
         nan_a, nan_b = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
@@ -1218,7 +1244,7 @@ class TestAggregateReference:
     @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
     def test_non_finite_scale_rejected_for_every_metric(self, scale):
         for metric in MetricKind:
-            with pytest.raises(ValueError, match="scale must be finite"):
+            with pytest.raises(ValueError, match="scale must be a finite positive number"):
                 _one_period(Events([0], [0.5], [0.5]), metric, scale=scale)
 
     def test_count_beyond_int64_rejected(self):
