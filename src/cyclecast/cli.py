@@ -32,7 +32,7 @@ from .evaluation import (
     write_reports,
 )
 from .forecaster import ForecastConfig, read_records, run, write_records
-from .llr import KernelFamily, KernelSpec
+from .llr import Fallback, KernelFamily, KernelSpec
 from .poisson import poisson_mle_rows
 from .synthetic import RNG_NAME, SyntheticSpec, generate, write_truth
 from .trace import (
@@ -209,6 +209,7 @@ def _write_manifest(
     inputs: Sequence[Path],
     outputs: Sequence[str],
     seed: int | None,
+    stats: dict[str, object] | None = None,
 ) -> None:
     manifest = {
         "command": command,
@@ -218,6 +219,8 @@ def _write_manifest(
         "seed": seed,
         "version": __version__,
     }
+    if stats is not None:
+        manifest["stats"] = stats
     path = out_dir / f"{command}.manifest.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -269,11 +272,11 @@ def _check_units(path: str, obs: Observations, first_path: str, first: Observati
 def _read_streams(train_path: str, test_path: str, pp_tps: int) -> tuple[Observations, Observations, dict]:
     """Read the train and test streams as one run's input, and the units they carry.
 
-    Each file holds one unit set, its metric, sub-bin width and scale; those
-    of the two files must agree, and come back as the manifests echo them
-    (``None`` when neither file has a period). Rejects any period out of
-    place, naming the first: the forecaster consumes pattern positions
-    1..pp_tps in turn.
+    Each file holds one unit set, its metric, sub-bin width, sub-bins per
+    period and scale; those of the two files must agree, and come back as
+    the manifests echo them (``None`` when neither file has a period).
+    Rejects any period out of place, naming the first: the forecaster
+    consumes pattern positions 1..pp_tps in turn.
     """
     train, test = (_data_read(read_observations, path) for path in (train_path, test_path))
     _check_units(test_path, test, train_path, train)
@@ -288,8 +291,8 @@ def _read_streams(train_path: str, test_path: str, pp_tps: int) -> tuple[Observa
                 f"the stream is at position {position[i]} of a {pp_tps}-period pattern"
             )
         step += len(obs)
-    metric, sub_bin_seconds, scale = (train if len(train) else test)._units
-    units = {"metric": metric and metric.value, "sub_bin_seconds": sub_bin_seconds, "scale": scale}
+    metric, sub_bin_seconds, sub_bins, scale = (train if len(train) else test)._units
+    units = dict(metric=metric and metric.value, sub_bin_seconds=sub_bin_seconds, sub_bins=sub_bins, scale=scale)
     return train, test, units
 
 
@@ -426,7 +429,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     outputs = []
     for metric, group in groups.items():
         stream = Observations.concat([obs for _, obs in group])
-        rates = poisson_mle_rows(stream.samples, stream.counts)
+        rates = poisson_mle_rows(stream.samples)
         name = f"lambdas_{metric.value}.csv"
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("seq,tp_index,cycle_index,metric,lambda,empty\n")
@@ -457,6 +460,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     records = run(Observations.concat([train, test]), cfg, ds)
     write_records(out / "records.csv", records)
+    # Past warm-up, each step's prediction came from one step of the fallback chain.
+    live = records.fallback[~records.warm]
     _write_manifest(
         out,
         "predict",
@@ -464,6 +469,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
         inputs=[Path(args.train), Path(args.test)],
         outputs=["records.csv"],
         seed=None,
+        stats={
+            "warmup_steps": int(records.warm.sum()),
+            "fallbacks": {f.value: int(np.count_nonzero(live == f)) for f in Fallback},
+        },
     )
     return EXIT_OK
 

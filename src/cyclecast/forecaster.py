@@ -201,7 +201,7 @@ def _fit(observations: Observations, m: int, w0: int) -> np.ndarray:
     bad = np.flatnonzero(observations.tp_index != cursor)
     if len(bad):
         raise _misplaced(int(observations.tp_index[bad[0]]), int(cursor[bad[0]]))
-    return poisson_mle_rows(observations.samples, observations.counts)
+    return poisson_mle_rows(observations.samples)
 
 
 def _predict(

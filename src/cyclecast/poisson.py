@@ -50,25 +50,24 @@ def poisson_mle(samples: Sequence[float]) -> float:
     return math.fsum(samples) / n
 
 
-def poisson_mle_rows(samples: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``poisson_mle`` of each row of a ragged table, bit for bit.
+def poisson_mle_rows(samples: np.ndarray) -> np.ndarray:
+    """``poisson_mle`` of each row of an int64 matrix of nonnegative counts, bit for bit.
 
-    Row i is the next ``counts[i]`` (at least 1) of the nonnegative int64
-    ``samples``. A row whose samples are all below 2**53 and whose sum
-    stays below 2**62 is summed exactly in int64: the sum's conversion to
-    float is then the correctly rounded sum of the samples as floats, which
-    is what ``math.fsum`` returns. Any other row is summed by ``math.fsum``.
+    With n samples a row, a row whose samples are all below 2**53 and whose
+    peak times n stays below 2**62 is summed exactly in int64: the sum's
+    conversion to float is then the correctly rounded sum of the samples as
+    floats, which is what ``math.fsum`` returns. Any other row is summed by
+    ``math.fsum``. Rows of no samples raise ``ValueError``.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if not len(counts):
+    rows, n = samples.shape
+    if not rows:
         return np.zeros(0)
-    if counts.min() < 1:
+    if n < 1:
         raise ValueError("cannot fit a Poisson rate to an empty sample vector")
-    starts = np.cumsum(counts) - counts
-    peaks = np.maximum.reduceat(samples, starts)
-    rates = np.add.reduceat(samples, starts) / counts
-    for i in np.flatnonzero((peaks >= 2**53) | (peaks * counts.astype(np.float64) >= 2.0**62)).tolist():
-        rates[i] = poisson_mle(samples[starts[i] : starts[i] + counts[i]].tolist())
+    peaks = samples.max(axis=1)
+    rates = samples.sum(axis=1) / n
+    for i in np.flatnonzero((peaks >= 2**53) | (peaks * float(n) >= 2.0**62)).tolist():
+        rates[i] = poisson_mle(samples[i].tolist())
     return rates
 
 

@@ -27,12 +27,13 @@ checks, so beyond the events themselves neither holds an array that
 grows with the trace.
 
 Per-period samples travel as ``Observations``: a stream's units (metric,
-sub-bin width, scale), held once, and columns of period stamps plus every
-period's samples in one int64 array. Aggregation returns them, the
-observations writer formats all samples in one kernel call and puts each
-period's fields in front of its line, and the reader, which refuses a file
-in mixed units, parses a file's sample text with one numpy call when every
-token is provably plain, else token by token with ``int`` as before.
+sub-bins per period, sub-bin width, scale), held once, and columns of
+period stamps plus a periods x sub-bins int64 matrix of samples.
+Aggregation returns them, the observations writer formats all samples in
+one kernel call and puts each period's fields in front of its line, and the
+reader, which refuses a file in mixed units, parses a file's sample text
+with one numpy call when every token is provably plain, else token by token
+with ``int`` as before.
 ``PeriodObservation`` is the one-period form that the online forecasting
 steps take; a sequence of them converts to columns with ``Observations.of``,
 which is what the writer, ``run`` and ``sweep`` take.
@@ -48,7 +49,7 @@ import operator
 import os
 from array import array
 from collections.abc import Sequence as _Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -152,37 +153,37 @@ def _int64(values, what: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-_COLUMNS = ("tp_index", "cycle_index", "counts", "samples")  # the per-period fields of Observations
+_COLUMNS = ("tp_index", "cycle_index", "samples")  # the per-period fields of Observations
 
 
-def _units_text(metric, sub_bin_seconds, scale=None) -> str:
-    """A unit set as errors name it: ``metric 'cpu' with 60s sub-bins at scale 100.0``."""
-    text = f"metric {getattr(metric, 'value', metric)!r} with {sub_bin_seconds}s sub-bins"
-    return text if scale is None else f"{text} at scale {scale!r}"
+def _units_text(metric, sub_bin_seconds, sub_bins, scale=None) -> str:
+    """A unit set as errors name it: ``metric 'cpu' with 60s sub-bins, 30 per period, at scale 100.0``."""
+    text = f"metric {getattr(metric, 'value', metric)!r} with {sub_bin_seconds}s sub-bins, {sub_bins} per period"
+    return text if scale is None else f"{text}, at scale {scale!r}"
 
 
 @dataclass(frozen=True, eq=False)
 class Observations(_Sequence):
     """A stream of periods in one set of units, stored as columns.
 
-    ``tp_index``, ``cycle_index`` and ``counts`` (its number of samples)
-    hold one entry per period; ``samples`` holds every period's samples in
-    period order, as int64. ``metric``, ``sub_bin_seconds`` and ``scale``
-    (of cpu and memory requests) are the units of every period; a stream
-    with no periods may carry None for all three. ``len`` is the number of
+    ``tp_index`` and ``cycle_index`` hold one entry per period, and
+    ``samples`` is an int64 matrix with one row per period and one column
+    per sub-bin. ``metric``, ``sub_bin_seconds``, ``scale`` (of cpu and
+    memory requests) and the sub-bins per period (the matrix's width) are
+    the units of every period; a stream with no periods may carry None for
+    the first three, and then has no units at all. ``len`` is the number of
     periods. Indexing with an integer gives that period as a
     ``PeriodObservation``, with a slice of step 1 those periods, in the same
     units, with columns that are views of these; any other index raises
     ``TypeError``. It has no ``==``.
 
     The invariants are ``PeriodObservation``'s plus int64 range: indices,
-    sub-bin width and counts at least 1, samples nonnegative, and a finite
-    positive scale.
+    sub-bin width and sub-bins per period at least 1, samples nonnegative,
+    and a finite positive scale.
     """
 
     tp_index: np.ndarray
     cycle_index: np.ndarray
-    counts: np.ndarray
     samples: np.ndarray
     metric: MetricKind | None
     sub_bin_seconds: int | None
@@ -192,22 +193,17 @@ class Observations(_Sequence):
         for name in _COLUMNS:
             object.__setattr__(self, name, _int64(getattr(self, name), name))
         n = len(self.tp_index)
-        if not len(self.cycle_index) == len(self.counts) == n:
-            raise ValueError("period columns must have equal lengths")
+        if self.samples.ndim != 2 or not len(self.cycle_index) == len(self.samples) == n:
+            raise ValueError("period columns must have equal lengths, and samples one row per period")
         if n and min(self.tp_index.min(), self.cycle_index.min()) < 1:
             raise ValueError("indices are 1-based")
-        if n and self.counts.min() < 1:
-            raise ValueError("a period observation needs at least one sample")
-        # Where each period's samples end; computed once, so indexing a period is O(1).
-        object.__setattr__(self, "_ends", np.cumsum(self.counts))
-        total = int(self._ends[-1]) if n else 0
-        if total != len(self.samples):
-            raise ValueError(f"counts add up to {total}, not to the {len(self.samples)} samples")
-        if len(self.samples) and self.samples.min() < 0:
+        if self.samples.size and self.samples.min() < 0:
             raise ValueError("samples are counts and cannot be negative")
-        if n or self._units != (None, None, None):
+        if n or (self.metric, self.sub_bin_seconds, self.scale) != (None, None, None):
             if not isinstance(self.metric, MetricKind):
                 raise ValueError(f"the metric must be a MetricKind member, got {self.metric!r}")
+            if self.samples.shape[1] < 1:
+                raise ValueError("a period observation needs at least one sample")
             width = int(_int64(self.sub_bin_seconds, "sub_bin_seconds"))
             if width < 1:
                 raise ValueError(f"a sub-bin is at least 1 second wide, got {width}")
@@ -216,41 +212,43 @@ class Observations(_Sequence):
 
     @property
     def _units(self) -> tuple:
-        return self.metric, self.sub_bin_seconds, self.scale
+        """The metric, sub-bin width, sub-bins per period and scale; all None for a stream without units."""
+        sub_bins = None if self.metric is None else self.samples.shape[1]
+        return self.metric, self.sub_bin_seconds, sub_bins, self.scale
 
     @classmethod
     def of(cls, observations: Observations | Iterable[PeriodObservation], scale: float = 100.0) -> Observations:
         """``observations`` as columns: as it is if it already is, else converted.
 
-        Every period must carry the first's metric and sub-bin width; no periods give no units.
+        Every period must carry the first's metric, sub-bin width and number
+        of samples; no periods give no units.
         """
         if isinstance(observations, Observations):
             return observations
         periods = list(observations)
         if not periods:
-            return cls([], [], [], [], None, None, None)
+            return cls([], [], np.zeros((0, 0)), None, None, None)
         first = periods[0]
-        units = (first.metric, first.sub_bin_seconds)
+        units = (first.metric, first.sub_bin_seconds, len(first.samples))
         for i, p in enumerate(periods):
-            if (p.metric, p.sub_bin_seconds) != units:
+            if (own := (p.metric, p.sub_bin_seconds, len(p.samples))) != units:
                 raise ValueError(
                     f"period {i} (tp_index={p.tp_index}, cycle_index={p.cycle_index}) carries "
-                    f"{_units_text(p.metric, p.sub_bin_seconds)}, but period 0 carries {_units_text(*units)}"
+                    f"{_units_text(*own)}, but period 0 carries {_units_text(*units)}"
                 )
         return cls(
-            [p.tp_index for p in periods], [p.cycle_index for p in periods], [len(p.samples) for p in periods],
-            list(chain.from_iterable(p.samples for p in periods)), *units, scale,
+            [p.tp_index for p in periods], [p.cycle_index for p in periods], [p.samples for p in periods],
+            first.metric, first.sub_bin_seconds, scale,
         )
 
     @classmethod
     def concat(cls, parts: Sequence[Observations]) -> Observations:
         """The periods of ``parts``, one after the other, in the units of those with periods."""
-        columns = [np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS]
         first, *rest = [p for p in parts if len(p)] or parts[:1]
         for part in rest:
             if part._units != first._units:
                 raise ValueError(f"a part in {_units_text(*part._units)} follows one in {_units_text(*first._units)}")
-        return cls(*columns, *first._units)
+        return replace(first, **{name: np.concatenate([getattr(p, name) for p in (first, *rest)]) for name in _COLUMNS})
 
     def __len__(self) -> int:
         return len(self.tp_index)
@@ -260,23 +258,12 @@ class Observations(_Sequence):
             if index.step not in (None, 1):
                 raise TypeError("Observations take an integer or a slice of step 1")
             # A run of periods: every column is a view, so nothing is copied.
-            lo, hi, _ = index.indices(len(self))
-            hi = max(lo, hi)
-            first = int(self._ends[lo - 1]) if lo else 0
-            last = int(self._ends[hi - 1]) if hi else 0
-            return Observations(
-                self.tp_index[lo:hi], self.cycle_index[lo:hi], self.counts[lo:hi], self.samples[first:last],
-                *self._units,
-            )
+            return replace(self, **{name: getattr(self, name)[index] for name in _COLUMNS})
         i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
+        if not -len(self) <= i < len(self):
             raise IndexError(f"period {index} of {len(self)}")
-        end = int(self._ends[i])
-        samples = self.samples[end - int(self.counts[i]) : end].tolist()
         return PeriodObservation(
-            int(self.tp_index[i]), int(self.cycle_index[i]), self.metric, samples, self.sub_bin_seconds
+            int(self.tp_index[i]), int(self.cycle_index[i]), self.metric, self.samples[i].tolist(), self.sub_bin_seconds
         )
 
 
@@ -632,7 +619,7 @@ def aggregate_span(
         samples = rounded.astype(np.int64)
     periods = np.arange(num_tps)
     stamps = (periods % pp_tps + 1, periods // pp_tps + 1)
-    return Observations(*stamps, np.full(num_tps, sub_bins), samples, metric, sub_bin_seconds, scale)
+    return Observations(*stamps, samples.reshape(num_tps, sub_bins), metric, sub_bin_seconds, scale)
 
 
 def span_tps(events: Events, start_us: int, tp_minutes: int) -> int:
@@ -759,12 +746,13 @@ def write_observations(path: str | Path, observations: Observations) -> None:
     space or, after a period's last, a newline; each period's indices go in
     front of its line, followed by the units' text, formatted once.
     """
-    metric, width, scale = observations._units  # None only for a stream with no periods
+    metric, width, _, scale = observations._units  # None only for a stream with no periods
     units = "" if metric is None else f",{metric.value},{width},{scale!r},"
-    last = np.zeros((len(observations.samples), 1), dtype=bool)
-    last[observations._ends - 1] = True
+    samples = observations.samples
     space, newline = _words([" ", "\n"])
-    lines = _decimal(observations.samples, np.where(last, newline, space)).splitlines(keepends=True)
+    # Each sample's separator: a space, and a newline after a period's last sample.
+    ends = np.where(np.arange(samples.shape[1])[:, None] < samples.shape[1] - 1, space, newline)
+    lines = _decimal(samples.ravel(), np.tile(ends, (len(samples), 1))).splitlines(keepends=True)
     fields = [
         f"{tp},{cycle}{units}".encode("ascii")
         for tp, cycle in zip(observations.tp_index.tolist(), observations.cycle_index.tolist())
@@ -782,15 +770,16 @@ def read_observations(path: str | Path) -> Observations:
     stripped of surrounding whitespace. Every error names the file and
     line: besides what ``PeriodObservation`` refuses, a sub-bin under 1
     second, a scale that is not a finite positive number, an index or
-    sample of 2**63 or more, and a record whose metric, sub-bin width or
-    scale differs from the first record's. A file with no records gives a
-    stream with no units.
+    sample of 2**63 or more, and a record whose metric, sub-bin width,
+    number of samples or scale differs from the first record's. A file
+    with no records gives a stream with no units.
 
     The columns are parsed in bulk when every integer field is plain ASCII
-    digits (see ``_plain_ints``), the metric, width and scale texts are the
-    same on every line, and those units are valid; any other file is read a
-    line at a time, every token with ``int``. Both give the same periods,
-    and errors come from the line reader only.
+    digits (see ``_plain_ints``), the metric, width and scale texts and the
+    number of samples are the same on every line, and those units are
+    valid; any other file is read a line at a time, every token with
+    ``int``. Both give the same periods, and errors come from the line
+    reader only.
     """
     with open(path, "r", encoding="utf-8") as fh:  # universal newlines: \r\n and \r read as \n
         if not fh.readline().startswith("tp_index,"):
@@ -837,9 +826,12 @@ def _read_columns(texts: list[str]) -> Observations | None:
     tp, cycle, width, samples = ints = [_plain_ints(columns[i]) for i in (0, 1, 3, 5)]
     if any(v is None for v in ints) or not len(tp) == len(cycle) == len(width) == len(texts):
         return None
-    counts = [text.count(" ") + 1 for text in columns[5]]
+    # Plain sample text has one space between samples: a line of n samples has n - 1 spaces.
+    n = columns[5][0].count(" ") + 1
+    if any(text.count(" ") != n - 1 for text in columns[5]):
+        return None
     try:
-        return Observations(tp, cycle, counts, samples, MetricKind(columns[2][0]), width[0], columns[4][0])
+        return Observations(tp, cycle, samples.reshape(-1, n), MetricKind(columns[2][0]), width[0], columns[4][0])
     except ValueError:
         return None
 
@@ -866,7 +858,7 @@ def _read_records(path: str | Path, lines: list[str]) -> Observations:
             )
             if period.sub_bin_seconds < 1:
                 raise ValueError(f"a sub-bin is at least 1 second wide, got {period.sub_bin_seconds}")
-            units = (period.metric, period.sub_bin_seconds, _check_scale(parts[4]))
+            units = (period.metric, period.sub_bin_seconds, len(period.samples), _check_scale(parts[4]))
             largest = max(period.tp_index, period.cycle_index, period.sub_bin_seconds, max(period.samples))
             if largest >= _INT64_LIMIT:
                 raise ValueError(f"{largest} is not below 2**63")
@@ -876,7 +868,7 @@ def _read_records(path: str | Path, lines: list[str]) -> Observations:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         periods.append(period)
-    return Observations.of(periods, scale=first and first[2])
+    return Observations.of(periods, scale=first and first[3])
 
 
 def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:

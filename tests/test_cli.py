@@ -10,6 +10,7 @@ import pytest
 from cyclecast import cli
 from cyclecast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from cyclecast.forecaster import read_records
+from cyclecast.llr import Fallback
 from cyclecast.poisson import poisson_mle
 from cyclecast.trace import read_observations
 
@@ -100,6 +101,29 @@ class TestPipeline:
         assert manifest["config"]["sub_bin_seconds"] == 60
         assert manifest["config"]["scale"] == 100.0
         assert "tp_minutes" not in manifest["config"]
+
+    def test_predict_manifest_counts_warmup_and_fallback_steps(self, tmp_path):
+        # 96 periods of a 24-period pattern in a store of 2 cycles: the first cycle
+        # is warm-up, and a window of one offset holds no line, so the weighted mean predicts.
+        _run_pipeline(tmp_path)
+        out = tmp_path / "one-offset"
+        assert main([
+            "predict", "--train", str(tmp_path / "observations_arrivals_train.csv"),
+            "--test", str(tmp_path / "observations_arrivals_test.csv"), "--out-dir", str(out),
+            "--pp-tps", "24", "--up-tps", "1", "--cycles", "2",
+        ]) == EXIT_OK
+        stats = json.loads((out / "predict.manifest.json").read_text())["stats"]
+        assert stats == {
+            "warmup_steps": 24, "fallbacks": {"none": 0, "widened_h": 0, "weighted_mean": 72, "global_line": 0},
+        }
+        # The counts are those of the records file.
+        records = read_records(out / "records.csv")
+        live = records.fallback[~records.warm].tolist()
+        assert stats["warmup_steps"] == records.warm.sum()
+        assert stats["fallbacks"] == {f.value: live.count(f) for f in Fallback}
+        # The pipeline's own run: past warm-up, each step is counted once.
+        stats = json.loads((tmp_path / "predict.manifest.json").read_text())["stats"]
+        assert stats["warmup_steps"] + sum(stats["fallbacks"].values()) == 96
 
     def test_sweep_mode(self, tmp_path):
         _run_pipeline(tmp_path)
@@ -205,18 +229,19 @@ class TestStreamUnits:
         assert main(["evaluate", *streams, "--out-dir", str(tmp_path / "sweep")]) == EXIT_OK
         for manifest in (tmp_path / "predict" / "predict.manifest.json", tmp_path / "sweep" / "evaluate.manifest.json"):
             config = json.loads(manifest.read_text())["config"]
-            assert (config["metric"], config["sub_bin_seconds"], config["scale"]) == ("memory", 60, 250.0), manifest
+            units = (config["metric"], config["sub_bin_seconds"], config["sub_bins"], config["scale"])
+            assert units == ("memory", 60, 3, 250.0), manifest
 
     def test_an_empty_train_stream_takes_the_units_of_test(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text(OBS_HEADER)
         cpu = _obs_file(tmp_path / "cpu.csv", 8, 4, metric="cpu")
-        for test, units in ((cpu, ["cpu", 60, 100.0]), (str(empty), [None, None, None])):
+        for test, units in ((cpu, ["cpu", 60, 3, 100.0]), (str(empty), [None, None, None, None])):
             out = tmp_path / Path(test).stem
             argv = ["predict", "--train", str(empty), "--test", test, "--pp-tps", "4", "--up-tps", "2"]
             assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
             config = json.loads((out / "predict.manifest.json").read_text())["config"]
-            assert [config["metric"], config["sub_bin_seconds"], config["scale"]] == units
+            assert [config["metric"], config["sub_bin_seconds"], config["sub_bins"], config["scale"]] == units
 
     def test_streams_ingested_at_two_scales_are_data_error(self, tmp_path, capsys):
         # One trace ingested at --scale 100 into a/ and at --scale 10000 into b/: a cpu
@@ -238,10 +263,56 @@ class TestStreamUnits:
             assert main([*argv, "--out-dir", str(out)]) == EXIT_DATA, argv
             err = capsys.readouterr().err
             assert (
-                f"{test} carries metric 'cpu' with 60s sub-bins at scale 10000.0, "
-                f"but {train} carries metric 'cpu' with 60s sub-bins at scale 100.0"
+                f"{test} carries metric 'cpu' with 60s sub-bins, 30 per period, at scale 10000.0, "
+                f"but {train} carries metric 'cpu' with 60s sub-bins, 30 per period, at scale 100.0"
             ) in err, err
             assert not out.exists()
+
+    def test_streams_ingested_at_two_period_lengths_are_data_error(self, tmp_path, capsys):
+        # One trace ingested with --tp-min 30 into a/ and with --tp-min 60 into b/: a
+        # 24-period pattern covers 12 h of one stream and 24 h of the other, so no run may mix them.
+        assert main(["synth", "--out-dir", str(tmp_path), "--tps", "96", "--pp-tps", "24", "--seed", "4"]) == EXIT_OK
+        for name, tp_min in (("a", "30"), ("b", "60")):
+            assert main([
+                "ingest", "--trace", str(tmp_path / "trace.csv"), "--header", "--pp-tps", "24",
+                "--tp-min", tp_min, "--split-tp", "24", "--out-dir", str(tmp_path / name),
+            ]) == EXIT_OK
+        train = tmp_path / "a" / "observations_arrivals_train.csv"
+        test = tmp_path / "b" / "observations_arrivals_test.csv"
+        window = ["--pp-tps", "24", "--up-tps", "4", "--cycles", "2"]
+        for argv in (
+            ["predict", "--train", str(train), "--test", str(test), *window],
+            ["evaluate", "--train", str(train), "--test", str(test), *window],
+            ["fit", "--observations", str(train), str(test)],
+        ):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_DATA, argv
+            err = capsys.readouterr().err
+            assert (
+                f"{test} carries metric 'arrivals' with 60s sub-bins, 60 per period, at scale 100.0, "
+                f"but {train} carries metric 'arrivals' with 60s sub-bins, 30 per period, at scale 100.0"
+            ) in err, err
+            assert not out.exists()
+
+    def test_a_file_of_two_period_lengths_is_data_error(self, tmp_path, capsys):
+        obs = _obs_file(tmp_path / "obs.csv", 8, 4)
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(Path(obs).read_text().replace("1,2,arrivals,60,100.0,", "1,2,arrivals,60,100.0,0 "))
+        window = ["--pp-tps", "4", "--up-tps", "2"]
+        for argv in (
+            ["predict", "--train", str(ragged), "--test", obs, *window],
+            ["predict", "--train", obs, "--test", str(ragged), *window],
+            ["evaluate", "--train", obs, "--test", str(ragged), *window],
+            ["fit", "--observations", obs, str(ragged)],
+        ):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_DATA, argv
+            err = capsys.readouterr().err
+            assert (
+                f"{ragged}:6: metric 'arrivals' with 60s sub-bins, 4 per period, at scale 100.0, "
+                "but the file began with metric 'arrivals' with 60s sub-bins, 3 per period, at scale 100.0"
+            ) in err, err
+            assert "Traceback" not in err and not out.exists()
 
     def test_one_file_at_two_scales_is_data_error(self, tmp_path, capsys):
         obs = _obs_file(tmp_path / "obs.csv", 8, 4, metric="cpu")
@@ -257,8 +328,8 @@ class TestStreamUnits:
             assert main([*argv, "--out-dir", str(out)]) == EXIT_DATA, argv
             err = capsys.readouterr().err
             assert (
-                f"{mixed}:6: metric 'cpu' with 60s sub-bins at scale 10000.0, "
-                "but the file began with metric 'cpu' with 60s sub-bins at scale 100.0"
+                f"{mixed}:6: metric 'cpu' with 60s sub-bins, 3 per period, at scale 10000.0, "
+                "but the file began with metric 'cpu' with 60s sub-bins, 3 per period, at scale 100.0"
             ) in err, err
             assert not out.exists()
 
@@ -279,12 +350,12 @@ class TestFit:
     def test_metrics_interleaved_across_files(self, tmp_path, capsys):
         first, second, third = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         first.write_text(OBS_HEADER + "2,1,arrivals,60,100.0,1 1\n")
-        second.write_text(OBS_HEADER + "1,1,cpu,30,100.0,7 0 2\n3,1,cpu,30,100.0,0 0\n")
+        second.write_text(OBS_HEADER + "1,1,cpu,30,100.0,7 0 2\n3,1,cpu,30,100.0,0 0 0\n")
         third.write_text(OBS_HEADER + "4,1,arrivals,60,100.0,9007199254740993 2\n")
         out = tmp_path / "out"
         assert main(["fit", "--observations", str(first), str(second), str(third), "--out-dir", str(out)]) == EXIT_OK
         expected = {
-            "cpu": [(1, 1, [7, 0, 2]), (3, 1, [0, 0])],
+            "cpu": [(1, 1, [7, 0, 2]), (3, 1, [0, 0, 0])],
             "arrivals": [(2, 1, [1, 1]), (4, 1, [9007199254740993, 2])],
         }
         for metric, periods in expected.items():
@@ -566,7 +637,7 @@ class TestExitCodes:
         assert main(["ingest", "--trace", f"{out}/trace.csv", "--header", "--out-dir", out, "--tp-min", str(tp_min),
                      "--sub-bin-sec", str(tp_min * 30), "--pp-tps", "3"]) == EXIT_OK
         observations = read_observations(tmp_path / "observations_arrivals.csv")
-        assert len(observations) == 3 and sum(observations.samples.tolist()) == len(rows)
+        assert len(observations) == 3 and observations.samples.sum() == len(rows)
 
     def test_synth_span_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
         # As ingest's: at most _MAX_SPAN_SUB_BINS sub-bins, here four periods of 30.
@@ -681,16 +752,16 @@ class TestExitCodes:
             code = main([command, "--train", arrivals, "--test", cpu, *window])
             assert code == EXIT_DATA, command
             err = capsys.readouterr().err
-            assert f"{cpu} carries metric 'cpu' with 60s sub-bins at scale 100.0" in err
-            assert f"but {arrivals} carries metric 'arrivals' with 60s sub-bins at scale 100.0" in err
+            assert f"{cpu} carries metric 'cpu' with 60s sub-bins, 3 per period, at scale 100.0" in err
+            assert f"but {arrivals} carries metric 'arrivals' with 60s sub-bins, 3 per period, at scale 100.0" in err
             assert "Traceback" not in err
 
     def test_out_of_order_stream_is_data_error(self, tmp_path, capsys):
         train = _obs_file(tmp_path / "train.csv", 4, 4)
         beyond = tmp_path / "beyond.csv"
-        beyond.write_text(OBS_HEADER + "5,2,arrivals,60,100.0,1 2\n")
+        beyond.write_text(OBS_HEADER + "5,2,arrivals,60,100.0,1 2 3\n")
         gap = tmp_path / "gap.csv"
-        gap.write_text(OBS_HEADER + "1,2,arrivals,60,100.0,1 2\n3,2,arrivals,60,100.0,1 2\n")
+        gap.write_text(OBS_HEADER + "1,2,arrivals,60,100.0,1 2 3\n3,2,arrivals,60,100.0,1 2 3\n")
         window = ["--pp-tps", "4", "--up-tps", "2", "--out-dir", str(tmp_path)]
         for test, period in ((beyond, "tp_index=5 cycle_index=2"), (gap, "tp_index=3 cycle_index=2")):
             for command in ("predict", "evaluate"):

@@ -400,7 +400,7 @@ class TestBatchedRun:
 
     @pytest.mark.parametrize(
         "bad",
-        [lambda stream: stream[:7] + [_obs(stream[7].tp_index % 6 + 1, [1])] + stream[8:]],
+        [lambda stream: stream[:7] + [_obs(stream[7].tp_index % 6 + 1, [1] * 4)] + stream[8:]],
         ids=["out-of-order"],
     )
     def test_bad_stream_leaves_store_unchanged(self, bad):
@@ -421,7 +421,7 @@ class TestBatchedRun:
         # sees the stream, because its columns refuse the NaN sample.
         cfg = ForecastConfig(pp_tps=6, up_tps=3, cycles=2, kernel=KernelSpec(k=3))
         stream = _poisson_stream(6, 26, seed=23)
-        stream = stream[:7] + [_obs(stream[7].tp_index, [float("nan")])] + stream[8:]
+        stream = stream[:7] + [_obs(stream[7].tp_index, [float("nan")] * 4)] + stream[8:]
         with pytest.raises(ValueError, match="rate must be finite"):
             oracles.run_per_step(stream, cfg)
         with pytest.raises(ValueError, match="samples must be integers below 2\\*\\*63"):
@@ -505,9 +505,10 @@ class TestBatchedRun:
         k=st.integers(1, 12),
         h=st.sampled_from([0.1, 1.0, 2.5, 8.0]),
         fixed=st.booleans(),
-        tail=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3), max_size=12),
+        samples=st.integers(1, 3),
     )
-    def test_float_fed_store_matches_step_loop(self, m, l, data, family, k, h, fixed, tail):
+    def test_float_fed_store_matches_step_loop(self, m, l, data, family, k, h, fixed, samples):
+        tail = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=samples, max_size=samples), max_size=12))
         n = data.draw(st.integers(1, m))
         rates = data.draw(
             st.lists(st.sampled_from([0.0, 0.5, 2.375, 2.5e-310, 1e300, 1.7e308]), max_size=3 * m * l + 2)

@@ -31,39 +31,49 @@ PROBABILITIES = st.one_of(
 )
 
 
-def _rows_hex(rows):
-    samples = np.array([s for row in rows for s in row], dtype=np.int64)
-    return [v.hex() for v in poisson_mle_rows(samples, [len(row) for row in rows]).tolist()]
+def _rows_hex(rows, n):
+    """``poisson_mle_rows`` of the matrix of ``rows``, each of ``n`` samples, as hex floats."""
+    return [v.hex() for v in poisson_mle_rows(np.array(rows, dtype=np.int64).reshape(len(rows), n)).tolist()]
+
+
+# Samples: small counts, the 2**53 edge of exact float conversion and int64's whole range.
+_SAMPLES = st.one_of(
+    st.integers(0, 60),
+    st.integers(2**53 - 4, 2**53 + 4),
+    st.integers(0, 2**63 - 1),
+    st.sampled_from([2**62, 2**63 - 1, 2**63 - 2]),
+)
 
 
 class TestMleRows:
-    @given(
-        rows=st.lists(
-            st.lists(
-                st.one_of(
-                    st.integers(0, 60),
-                    st.integers(2**53 - 4, 2**53 + 4),
-                    st.integers(0, 2**63 - 1),
-                    st.sampled_from([2**62, 2**63 - 1, 2**63 - 2]),
-                ),
-                min_size=1,
-                max_size=40,
-            ),
-            max_size=8,
-        )
-    )
-    def test_rows_equal_poisson_mle_bit_for_bit(self, rows):
-        assert _rows_hex(rows) == [poisson_mle(row).hex() for row in rows]
+    @given(data=st.data())
+    def test_rows_equal_poisson_mle_bit_for_bit(self, data):
+        # A matrix: up to 8 rows, all of one drawn length.
+        n = data.draw(st.integers(1, 40))
+        rows = data.draw(st.lists(st.lists(_SAMPLES, min_size=n, max_size=n), max_size=8))
+        assert _rows_hex(rows, n) == [poisson_mle(row).hex() for row in rows]
 
     def test_long_rows_of_large_samples(self):
         # Sums of 2**62 and more: int64 would overflow, so these rows take math.fsum.
-        rows = [[2**53 - 1] * 600, [2**53 - 1] * 1100, [7] * 5000, [2**63 - 1] * 3, [1, 2**53 - 1] * 700]
-        assert _rows_hex(rows) == [poisson_mle(row).hex() for row in rows]
+        for rows in (
+            [[2**53 - 1] * 600, [7] * 600],
+            [[2**53 - 1] * 1100, [7] * 1100],
+            [[7] * 5000],
+            [[2**63 - 1] * 3, [0, 1, 2]],
+            [[1, 2**53 - 1] * 700, [7] * 1400],
+        ):
+            assert _rows_hex(rows, len(rows[0])) == [poisson_mle(row).hex() for row in rows]
+
+    def test_rows_at_the_edges_of_the_int64_sum(self):
+        # Peaks at 2**53 and just below it, and peak * n just below and at 2**62.
+        rows = [[2**53] * 4, [2**53 - 1] * 4, [2**60 - 1] * 4, [2**60] * 4, [0, 0, 0, 2**62]]
+        assert _rows_hex(rows, 4) == [poisson_mle(row).hex() for row in rows]
 
     def test_empty_row_raises(self):
         with pytest.raises(ValueError):
-            poisson_mle_rows(np.array([1, 2]), [2, 0])
-        assert len(poisson_mle_rows(np.zeros(0, dtype=np.int64), [])) == 0
+            poisson_mle_rows(np.zeros((2, 0), dtype=np.int64))
+        for n in (0, 3):
+            assert len(poisson_mle_rows(np.zeros((0, n), dtype=np.int64))) == 0
 
 
 class TestMle:

@@ -76,6 +76,6 @@ def test_public_names_are_pinned():
 def test_persisted_observations_are_pinned():
     # The observations file holds these fields; changing them takes an edit here.
     assert [f.name for f in dataclasses.fields(Observations)] == [
-        "tp_index", "cycle_index", "counts", "samples", "metric", "sub_bin_seconds", "scale",
+        "tp_index", "cycle_index", "samples", "metric", "sub_bin_seconds", "scale",
     ]
     assert list(inspect.signature(write_observations).parameters) == ["path", "observations"]

@@ -657,6 +657,32 @@ class TestObservationFiles:
         assert "1,1,cpu,60,100.0,1" in path.read_text()
         assert read_observations(path).scale == 100.0
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        periods=st.integers(0, 12),
+        metric=st.sampled_from(list(MetricKind)),
+        width=st.integers(1, 3600),
+        scale=st.floats(min_value=5e-324, allow_infinity=False),
+        data=st.data(),
+    )
+    def test_rectangular_streams_round_trip(self, tmp_path_factory, n, periods, metric, width, scale, data):
+        samples = data.draw(st.lists(
+            st.lists(st.one_of(st.integers(0, 60), st.integers(0, 2**63 - 1)), min_size=n, max_size=n),
+            min_size=periods, max_size=periods,
+        ))
+        tp = data.draw(st.lists(st.integers(1, 2**63 - 1), min_size=periods, max_size=periods))
+        cycle = data.draw(st.lists(st.integers(1, 2**63 - 1), min_size=periods, max_size=periods))
+        obs = Observations(tp, cycle, np.array(samples, dtype=np.int64).reshape(periods, n), metric, width, scale)
+        path = tmp_path_factory.mktemp("obs") / "obs.csv"
+        write_observations(path, obs)
+        got = read_observations(path)
+        for name in ("tp_index", "cycle_index", "samples"):
+            column = getattr(got, name)
+            assert column.dtype == np.int64 and column.tolist() == getattr(obs, name).tolist(), name
+        # A file of no records carries no units, as a stream of no periods may.
+        assert got._units == (obs._units if periods else (None, None, None, None))
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -783,14 +809,15 @@ class TestWriters:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        periods=st.lists(
+        # Up to 6 periods, each of one drawn number of samples.
+        periods=st.integers(1, 30).flatmap(lambda n: st.lists(
             st.tuples(
                 st.integers(1, 10**6),
                 st.integers(1, 10**6),
-                st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**70)), min_size=1, max_size=30),
+                st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**70)), min_size=n, max_size=n),
             ),
             max_size=6,
-        ),
+        )),
         metric=st.sampled_from(list(MetricKind)),
         width=st.integers(1, 3600),
         scale=st.floats(min_value=5e-324, allow_infinity=False),
@@ -811,13 +838,13 @@ class TestWriters:
     def test_many_periods_of_every_width_equal_per_sample_reference(self, tmp_path):
         rng = random.Random(13)
         widths = itertools.cycle(range(1, 20))
-        # One file per metric, each in one sub-bin width.
-        for metric, sub_bin_seconds in zip(MetricKind, (1, 60, 3600)):
+        # One file per metric, each in one sub-bin width and number of samples.
+        for metric, sub_bin_seconds, n in zip(MetricKind, (1, 60, 3600), (1, 17, 40)):
             observations = [
                 PeriodObservation(
                     i % 48 + 1, i // 48 + 1, metric,
                     [rng.randrange(10 ** (d - 1) if d > 1 else 0, min(10**d, 2**63))
-                     for d in itertools.islice(widths, rng.randint(1, 40))],
+                     for d in itertools.islice(widths, n)],
                     sub_bin_seconds,
                 )
                 for i in range(1100)
@@ -881,13 +908,12 @@ class TestObservationType:
             PeriodObservation(0, 1, MetricKind.ARRIVALS, [1], 60)
 
 
-def _periods(metric=MetricKind.CPU, sub_bin_seconds=30):
-    """Four periods in one set of units."""
+def _periods(metric=MetricKind.CPU, sub_bin_seconds=30, samples=4):
+    """Four periods in one set of units, each of ``samples`` samples."""
+    rows = [[0, 3, 1, 5], [5, 0, 0, 2], [7, 2**62, 0, 4], [1, 1, 2, 0]]
     return [
-        PeriodObservation(1, 1, metric, [0, 3, 1], sub_bin_seconds),
-        PeriodObservation(2, 1, metric, [5], sub_bin_seconds),
-        PeriodObservation(1, 2, metric, [7, 2**62, 0, 4], sub_bin_seconds),
-        PeriodObservation(2, 2, metric, [1, 1], sub_bin_seconds),
+        PeriodObservation(tp, cycle, metric, (row * samples)[:samples], sub_bin_seconds)
+        for (tp, cycle), row in zip([(1, 1), (2, 1), (1, 2), (2, 2)], rows)
     ]
 
 
@@ -896,8 +922,8 @@ class TestObservationColumns:
         obs = Observations.of(_periods())
         assert len(obs) == 4
         assert obs.tp_index.tolist() == [1, 2, 1, 2] and obs.cycle_index.tolist() == [1, 1, 2, 2]
-        assert obs.counts.tolist() == [3, 1, 4, 2]
-        assert obs.samples.dtype == np.int64 and obs.samples.tolist() == [0, 3, 1, 5, 7, 2**62, 0, 4, 1, 1]
+        assert obs.samples.dtype == np.int64 and obs.samples.shape == (4, 4)
+        assert obs.samples.tolist() == [[0, 3, 1, 5], [5, 0, 0, 2], [7, 2**62, 0, 4], [1, 1, 2, 0]]
         assert (obs.metric, obs.sub_bin_seconds, obs.scale) == (MetricKind.CPU, 30, 100.0)
         assert Observations.of(obs) is obs
 
@@ -909,7 +935,7 @@ class TestObservationColumns:
             part = obs[index]
             assert isinstance(part, Observations)
             assert list(part) == periods[index]
-            assert (part.metric, part.sub_bin_seconds, part.scale) == (obs.metric, obs.sub_bin_seconds, obs.scale)
+            assert part._units == obs._units and np.shares_memory(part.samples, obs.samples) == bool(len(part))
         for index in (4, -5):
             with pytest.raises(IndexError):
                 obs[index]
@@ -930,37 +956,46 @@ class TestObservationColumns:
     def test_empty(self):
         obs = Observations.of([])
         assert len(obs) == 0 and obs.samples.dtype == np.int64 and list(obs) == []
-        assert (obs.metric, obs.sub_bin_seconds, obs.scale) == (None, None, None)
+        assert obs._units == (None, None, None, None)
 
     @pytest.mark.parametrize(
         "i, change, units",
         [
-            (2, dict(metric=MetricKind.MEMORY), "period 2 (tp_index=1, cycle_index=2) carries metric 'memory' with 30s"),
-            (1, dict(sub_bin_seconds=60), "period 1 (tp_index=2, cycle_index=1) carries metric 'cpu' with 60s"),
+            (2, dict(metric=MetricKind.MEMORY), "metric 'memory' with 30s sub-bins, 4"),
+            (1, dict(sub_bin_seconds=60), "metric 'cpu' with 60s sub-bins, 4"),
+            (3, dict(samples=[1, 1, 2]), "metric 'cpu' with 30s sub-bins, 3"),
+            (1, dict(samples=[5, 0, 0, 2, 9]), "metric 'cpu' with 30s sub-bins, 5"),
         ],
     )
     def test_of_refuses_periods_in_other_units(self, i, change, units):
         periods = _periods()
-        periods[i] = dataclasses.replace(periods[i], **change)
-        message = f"{units} sub-bins, but period 0 carries metric 'cpu' with 30s sub-bins"
+        periods[i] = p = dataclasses.replace(periods[i], **change)
+        message = (
+            f"period {i} (tp_index={p.tp_index}, cycle_index={p.cycle_index}) carries {units} per period, "
+            "but period 0 carries metric 'cpu' with 30s sub-bins, 4 per period"
+        )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Observations.of(periods)
 
     def test_concat_refuses_parts_in_other_units(self):
         obs = Observations.of(_periods())
         for other in (Observations.of(_periods(MetricKind.ARRIVALS)), Observations.of(_periods(sub_bin_seconds=60)),
-                      Observations.of(_periods(), scale=1e4)):
+                      Observations.of(_periods(), scale=1e4), Observations.of(_periods(samples=3)),
+                      Observations.of(_periods(samples=5))):
             with pytest.raises(ValueError, match="follows one in metric"):
                 Observations.concat([obs, other])
+            with pytest.raises(ValueError, match="follows one in metric"):
+                Observations.concat([other[:1], obs[:0], obs])
 
     @pytest.mark.parametrize(
         "change, message",
         [
-            (dict(samples=[0, 3, 1, 5, 7, 2**63, 0, 4, 1, 1]), "below 2\\*\\*63"),
-            (dict(samples=[0, 3, 1, 5, 7, 2.5, 0, 4, 1, 1]), "below 2\\*\\*63"),
-            (dict(samples=[0, 3, 1, 5, 7, -1, 0, 4, 1, 1]), "negative"),
-            (dict(counts=[3, 1, 4, 1]), "add up"),
-            (dict(counts=[3, 0, 5, 2]), "at least one sample"),
+            (dict(samples=[[0, 3], [1, 5], [7, 2**63], [4, 1]]), "below 2\\*\\*63"),
+            (dict(samples=[[0, 3], [1, 5], [7, 2.5], [4, 1]]), "below 2\\*\\*63"),
+            (dict(samples=[[0, 3], [1, 5], [7, -1], [4, 1]]), "negative"),
+            (dict(samples=[[0, 3], [1, 5], [7, 1]]), "one row per period"),
+            (dict(samples=[0, 3, 1, 5]), "one row per period"),
+            (dict(samples=np.zeros((4, 0))), "at least one sample"),
             (dict(tp_index=[1, 0, 1, 2]), "1-based"),
             (dict(cycle_index=[1, 1, -2, 2]), "1-based"),
             (dict(sub_bin_seconds=0), "1 second"),
@@ -975,15 +1010,20 @@ class TestObservationColumns:
     )
     def test_invariants(self, change, message):
         obs = Observations.of(_periods())
-        fields = ("tp_index", "cycle_index", "counts", "samples", "metric", "sub_bin_seconds", "scale")
+        fields = ("tp_index", "cycle_index", "samples", "metric", "sub_bin_seconds", "scale")
         columns = {name: getattr(obs, name) for name in fields}
         with pytest.raises(ValueError, match=message):
             Observations(**(columns | change))
         # A stream with no periods may carry no units, but not some of them.
-        empty = dict(tp_index=[], cycle_index=[], counts=[], samples=[])
+        empty = dict(tp_index=[], cycle_index=[], samples=np.zeros((0, 0)))
         assert len(Observations(**empty, metric=None, sub_bin_seconds=None, scale=None)) == 0
         with pytest.raises(ValueError):
             Observations(**empty, metric=None, sub_bin_seconds=60, scale=100.0)
+        # A stream with units has at least one sub-bin a period, with periods or without.
+        with pytest.raises(ValueError, match="at least one sample"):
+            Observations(**empty, metric=MetricKind.CPU, sub_bin_seconds=60, scale=100.0)
+        no_periods = Observations([], [], np.zeros((0, 3)), MetricKind.CPU, 60, 100.0)
+        assert no_periods._units == (MetricKind.CPU, 60, 3, 100.0)
 
 
 _HEADER = "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
@@ -1028,30 +1068,33 @@ class TestObservationReader:
         path.write_bytes(
             _HEADER.encode()
             + "+1,1_0,arrivals,60,100.0,+5 1_0 \u0663 007\t0000000000000000000001\r\n\r\n".encode()
-            + " 2 , 01,arrivals, 6_0,1e2,4  4 \x1c\r".encode()
-            + "3,1,arrivals,60,100.0,9223372036854775807\n\n".encode()
+            + " 2 , 01,arrivals, 6_0,1e2,4  4 \x1c 0 +6 12\r".encode()
+            + "3,1,arrivals,60,100.0,9223372036854775807 0 0 0 0\n\n".encode()
         )
         got = read_observations(path)
         assert list(got) == oracles.read_observations(path)
-        assert got.samples.tolist() == [5, 10, 3, 7, 1, 4, 4, 2**63 - 1]
+        assert got.samples.tolist() == [[5, 10, 3, 7, 1], [4, 4, 0, 6, 12], [2**63 - 1, 0, 0, 0, 0]]
         # 6_0 and 60, 1e2 and 100.0: the units are compared as numbers, not as text.
         assert got.tp_index.tolist() == [1, 2, 3] and (got.sub_bin_seconds, got.scale) == (60, 100.0)
 
     @pytest.mark.parametrize(
         "row, units",
         [
-            ("2,1,cpu,60,100.0,3", "metric 'cpu' with 60s sub-bins at scale 100.0"),
-            ("2,1,arrivals,30,100.0,3", "metric 'arrivals' with 30s sub-bins at scale 100.0"),
-            ("2,1,arrivals,60,10000.0,3", "metric 'arrivals' with 60s sub-bins at scale 10000.0"),
+            ("2,1,cpu,60,100.0,3 4", "metric 'cpu' with 60s sub-bins, 2 per period, at scale 100.0"),
+            ("2,1,arrivals,30,100.0,3 4", "metric 'arrivals' with 30s sub-bins, 2 per period, at scale 100.0"),
+            ("2,1,arrivals,60,10000.0,3 4", "metric 'arrivals' with 60s sub-bins, 2 per period, at scale 10000.0"),
+            ("2,1,arrivals,60,100.0,3", "metric 'arrivals' with 60s sub-bins, 1 per period, at scale 100.0"),
+            ("2,1,arrivals,60,100.0,3 4 0", "metric 'arrivals' with 60s sub-bins, 3 per period, at scale 100.0"),
         ],
     )
     def test_lines_in_other_units_name_the_line(self, tmp_path, row, units):
         path = tmp_path / "obs.csv"
-        path.write_text(_HEADER + "1,1,arrivals,60,100.0,1 2\n" + row + "\n")
+        path.write_text(_HEADER + "1,1,arrivals,60,100.0,1 2\n" + row + "\n3,1,arrivals,60,100.0,5 6\n")
         with pytest.raises(ValueError) as err:
             read_observations(path)
         assert str(err.value) == (
-            f"{path}:3: {units}, but the file began with metric 'arrivals' with 60s sub-bins at scale 100.0"
+            f"{path}:3: {units}, but the file began with metric 'arrivals' with 60s sub-bins, 2 per period, "
+            "at scale 100.0"
         )
 
     @settings(max_examples=400, deadline=None)
@@ -1095,8 +1138,8 @@ _SCALES = ["100.0", "1e-3", "5e-324", "0.37", "1_0.5", " 2.5", "nonsense", "nan"
 def _observation_files(draw, clean):
     """Observation file texts; ``clean`` ones hold only records the bulk reader takes.
 
-    A file draws one metric, width and scale text; the records of a clean one
-    all carry them, and most records of another do.
+    A file draws one metric, width and scale text and a number of samples;
+    the records of a clean one all carry them, and most records of another do.
     """
     if clean:
         integer = _PLAIN_INT
@@ -1116,11 +1159,13 @@ def _observation_files(draw, clean):
         blank = st.sampled_from(["", "   ", "\t", "\x1c", " "])
         ending = st.sampled_from(["\n", "\r\n", "\r"])
     units = draw(st.tuples(metric, positive, scale))
+    n = draw(st.integers(1, 6))  # samples per record
+    samples = st.lists(integer, min_size=n, max_size=n)
     record = st.builds(
         lambda tp, cycle, units, samples, s, extra: ",".join([tp, cycle, *units, s.join(samples)] + extra),
         positive, positive,
         st.just(units) if clean else st.one_of(*[st.just(units)] * 3, st.tuples(metric, positive, scale)),
-        st.lists(integer, min_size=1, max_size=6), sep,
+        samples if clean else st.one_of(*[samples] * 3, st.lists(integer, min_size=1, max_size=6)), sep,
         st.just([]) if clean else st.sampled_from([[], [], [], ["1"]]),
     )
     lines = draw(st.lists(st.one_of(record, record, record, blank), max_size=8))
@@ -1137,7 +1182,7 @@ def _strict_reference(path):
     The old line reader's result, with the rules it lacked applied to every
     line it read before its first error: sub-bins of at least 1 second, a
     finite positive scale, indices and samples below 2**63, and every line
-    in the first record's metric, width and scale.
+    in the first record's metric, width, number of samples and scale.
     """
     try:
         expected, failed = oracles.read_observations(path), None
@@ -1162,7 +1207,7 @@ def _strict_reference(path):
             numbers = [int(parts[0]), int(parts[1]), int(parts[3]), *map(int, parts[5].split())]
             if int(parts[3]) < 1 or not (math.isfinite(scale) and scale > 0) or max(numbers) >= 2**63:
                 return "line", lineno
-            units = (MetricKind(parts[2]), int(parts[3]), scale)
+            units = (MetricKind(parts[2]), int(parts[3]), len(parts[5].split()), scale)
             first = first or units
             if units != first:
                 return "line", lineno
