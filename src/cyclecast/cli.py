@@ -276,22 +276,25 @@ def _read_streams(train_path: str, test_path: str, pp_tps: int) -> tuple[Observa
     period and scale; those of the two files must agree, and come back as
     the manifests echo them (``None`` when neither file has a period).
     Rejects any period out of place, naming the first: the forecaster
-    consumes pattern positions 1..pp_tps in turn.
+    consumes pattern positions 1..pp_tps in turn, and test continues the
+    positions and cycles of train (period i in cycle c0 + i // pp_tps).
     """
     train, test = (_data_read(read_observations, path) for path in (train_path, test_path))
     _check_units(test_path, test, train_path, train)
-    step = 0
-    for path, obs in ((train_path, train), (test_path, test)):
-        position = (step + np.arange(len(obs))) % pp_tps + 1
-        bad = np.flatnonzero(obs.tp_index != position)
+    first = train if len(train) else test
+    c0 = int(first.cycle_index[0]) if len(first) else 1
+    for path, obs, step in ((train_path, train, 0), (test_path, test, len(train))):
+        at = step + np.arange(len(obs))
+        # Cycles are compared as offsets from c0, which cannot overflow int64 as c0 + offset can.
+        position, offset = at % pp_tps + 1, at // pp_tps
+        bad = np.flatnonzero((obs.tp_index != position) | (obs.cycle_index - c0 != offset))
         if len(bad):
             i = bad[0]
             raise DataError(
                 f"{path}: period tp_index={obs.tp_index[i]} cycle_index={obs.cycle_index[i]} is out of order: "
-                f"the stream is at position {position[i]} of a {pp_tps}-period pattern"
+                f"the stream is at position {position[i]} of a {pp_tps}-period pattern, in cycle {c0 + int(offset[i])}"
             )
-        step += len(obs)
-    metric, sub_bin_seconds, sub_bins, scale = (train if len(train) else test)._units
+    metric, sub_bin_seconds, sub_bins, scale = first._units
     units = dict(metric=metric and metric.value, sub_bin_seconds=sub_bin_seconds, sub_bins=sub_bins, scale=scale)
     return train, test, units
 

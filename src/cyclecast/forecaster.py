@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .llr import Fallback, KernelSpec, LLRPlan, _plan_shapes, llr_apply
 from .poisson import poisson_mle, poisson_mle_rows
 from .store import CyclicDataset
-from .trace import _INT64_LIMIT, Observations, PeriodObservation
+from .trace import _INT64_LIMIT, Observations, PeriodObservation, _int64
 
 __all__ = [
     "ForecastConfig",
@@ -97,7 +97,7 @@ class Records:
     fallback: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tp_index", np.asarray(self.tp_index, dtype=np.int64))
+        object.__setattr__(self, "tp_index", _int64(self.tp_index, "tp_index"))
         object.__setattr__(self, "predicted", np.asarray(self.predicted, dtype=np.float64))
         object.__setattr__(self, "warm", np.asarray(self.warm, dtype=bool))
         object.__setattr__(self, "actual", np.asarray(self.actual, dtype=np.float64))

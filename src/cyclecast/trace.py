@@ -1,9 +1,11 @@
 """Trace ingestion: delimited-text task records to per-period count vectors.
 
 A trace row carries an arrival timestamp (integer microseconds) plus the
-task's CPU and memory requests. Rows that fail to parse are tallied and
-skipped, never fatal: real traces contain noise and the reject count keeps a
-run auditable.
+task's CPU and memory requests. Rejected rows are tallied and skipped, never
+fatal: real traces contain noise and the reject count keeps a run auditable.
+A reader rejects a row it cannot read (too short, a field that ``int`` or
+``float`` refuses, a timestamp beyond int64); ``_usable``, the one value
+rule, rejects a negative timestamp and a request negative or not finite.
 
 A trace file is read in bulk by numpy's C reader when that provably gives
 what the per-row ``csv`` reader gives; otherwise, and for streams and line
@@ -110,7 +112,7 @@ class Events:
     mem: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "timestamp", np.asarray(self.timestamp, dtype=np.int64))
+        object.__setattr__(self, "timestamp", _int64(self.timestamp, "timestamp"))
         object.__setattr__(self, "cpu", np.asarray(self.cpu, dtype=np.float64))
         object.__setattr__(self, "mem", np.asarray(self.mem, dtype=np.float64))
         if not len(self.timestamp) == len(self.cpu) == len(self.mem):
@@ -273,7 +275,8 @@ class ColumnMapping:
 
     The defaults match the packaged trace layout
     (timestamp, job_id, task_id, cpu_request, mem_request); the id columns
-    are not read. ``cpu``/``mem`` may be None for arrival-only traces.
+    are not read. ``cpu``/``mem`` may be None for arrival-only traces;
+    ``timestamp`` may not, and ValueError says so.
     """
 
     timestamp: int | str = 0
@@ -283,6 +286,8 @@ class ColumnMapping:
     has_header: bool = False
 
     def __post_init__(self) -> None:
+        if self.timestamp is None:
+            raise ValueError("the timestamp column is required")
         # csv.reader needs one character, and a quote or line end could not split fields.
         if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
             raise ValueError(
@@ -297,22 +302,19 @@ class ParseResult:
     rejected: int
 
 
-def _resolve(col: int | str | None, header: list[str] | None, what: str) -> int | None:
-    if col is None or isinstance(col, int):
-        return col
-    if header is None:
-        raise ValueError(f"column {col!r} for {what} needs a header row to resolve")
-    try:
-        return header.index(col)
-    except ValueError:
-        raise ValueError(f"column {col!r} for {what} not found in header {header}") from None
-
-
-def _nonneg_float(field: str) -> float:
-    v = float(field)
-    if not math.isfinite(v) or v < 0:
-        raise ValueError(field)
-    return v
+def _resolve(mapping: ColumnMapping, header: list[str] | None) -> tuple[int, int | None, int | None]:
+    """The timestamp, cpu and memory column indices, header names looked up in ``header``."""
+    indices = []
+    for what in ("timestamp", "cpu", "mem"):
+        col = getattr(mapping, what)
+        if col is not None and not isinstance(col, int):
+            if header is None:
+                raise ValueError(f"column {col!r} for {what} needs a header row to resolve")
+            if col not in header:
+                raise ValueError(f"column {col!r} for {what} not found in header {header}")
+            col = header.index(col)
+        indices.append(col)
+    return tuple(indices)
 
 
 def parse_trace(
@@ -322,8 +324,8 @@ def parse_trace(
 
     ``source`` may be a path, an open text stream, or an iterable of lines.
     A path is read as UTF-8, after a byte order mark if there is one.
-    Malformed rows (short rows, unparseable or negative fields, timestamps
-    beyond int64) are counted in ``rejected`` and skipped. Events come back
+    Rows that cannot be read or that ``_usable`` refuses (see the module
+    docstring) are counted in ``rejected`` and skipped. Events come back
     sorted by timestamp even when the input is not; equal timestamps keep
     their input order.
 
@@ -412,9 +414,9 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
       what only ``int``/``float`` accept (``_`` between digits, a float where
       an integer belongs, a timestamp beyond int64) and a row too short for
       a mapped column. A float both accept rounds to the same double.
-
-    The per-row rules then apply as one mask: a timestamp below 0, or a cpu
-    or memory request that is negative or not finite, rejects the row.
+    * Both readers then hand their columns to ``_usable_events``, which
+      applies ``_usable``, the one value rule, and counts the rows it
+      refuses as rejected.
     """
     import warnings
 
@@ -425,13 +427,10 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
         if mapping.has_header:
             with open(path, "r", encoding="utf-8-sig", newline="") as fh:
                 header = fh.readline().removesuffix("\n").split(mapping.delimiter)
-        c_ts = _resolve(mapping.timestamp, header, "timestamp")
-        c_cpu = _resolve(mapping.cpu, header, "cpu")
-        c_mem = _resolve(mapping.mem, header, "mem")
-        mapped = {c_ts, c_cpu, c_mem} - {None}
-        if c_ts is None or c_ts in (c_cpu, c_mem) or header == [""]:  # [""]: an empty first line
+        c_ts, c_cpu, c_mem = _resolve(mapping, header)
+        if c_ts in (c_cpu, c_mem) or header == [""]:  # [""]: an empty first line
             return None
-        usecols = sorted(mapped)
+        usecols = sorted({c_ts, c_cpu, c_mem} - {None})
         dtype = np.dtype([(f"c{c}", np.int64 if c == c_ts else np.float64) for c in usecols])
         # Made absolute but not normalised: os.path.abspath folds "link/.." by
         # name, which can lead to another file than the one the system opens.
@@ -444,25 +443,9 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
             )
     except (ValueError, Warning):  # _parse_rows raises or rejects as it always did
         return None
-    rows = len(table)
-
-    def columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return table[f"c{c_ts}"], *(table[f"c{c}"] if c is not None else np.zeros(len(table)) for c in (c_cpu, c_mem))
-
-    # Rejected rows are dropped in place, a block at a time: the rows kept
-    # move up within the table. The columns stay views into it, so a parse
-    # adds no copy of the table to peak memory, with rejects or without.
-    ts, cpu, mem = columns(table)
-    kept = 0
-    for b in _blocks(rows):
-        keep = _usable(ts[b], cpu[b], mem[b])
-        count = int(np.count_nonzero(keep))
-        if kept < b.start or count < len(keep):
-            table[kept : kept + count] = table[b][keep]
-        kept += count
-    if kept < rows:
-        ts, cpu, mem = columns(table[:kept])
-    return ParseResult(events=_in_time_order(Events(ts, cpu, mem)), rejected=rows - kept)
+    fields = {c: table[f"c{c}"] for c in usecols}  # one view per column, though cpu and mem share it
+    ts, cpu, mem = (fields[c] if c is not None else np.zeros(len(table)) for c in (c_ts, c_cpu, c_mem))
+    return _usable_events(ts, cpu, mem, rejected=0)
 
 
 def _blocks(n: int) -> Iterable[slice]:
@@ -471,8 +454,26 @@ def _blocks(n: int) -> Iterable[slice]:
 
 
 def _usable(ts: np.ndarray, cpu: np.ndarray, mem: np.ndarray) -> np.ndarray:
-    """Which rows the per-row reader keeps: a timestamp of 0 or more, finite nonnegative requests."""
+    """The value rule of both readers: a row counts with a timestamp of 0 or more and finite nonnegative requests."""
     return (ts >= 0) & np.isfinite(cpu) & (cpu >= 0) & np.isfinite(mem) & (mem >= 0)
+
+
+def _usable_events(ts: np.ndarray, cpu: np.ndarray, mem: np.ndarray, rejected: int) -> ParseResult:
+    """The rows that ``_usable`` keeps, in time order, and ``rejected`` plus the rows it refuses.
+
+    Those are dropped in place, a block at a time, so the events are views of the columns
+    and add no copy of them to peak memory. Columns that share memory must be one array.
+    """
+    kept = 0
+    for b in _blocks(len(ts)):
+        keep = _usable(ts[b], cpu[b], mem[b])
+        count = int(np.count_nonzero(keep))
+        if kept < b.start or count < len(keep):
+            for column in {id(c): c for c in (ts, cpu, mem)}.values():  # each array moved once
+                column[kept : kept + count] = column[b][keep]
+        kept += count
+    events = Events(ts[:kept], cpu[:kept], mem[:kept])
+    return ParseResult(events=_in_time_order(events), rejected=rejected + len(ts) - kept)
 
 
 def _in_time_order(events: Events) -> Events:
@@ -491,6 +492,8 @@ def _in_time_order(events: Events) -> Events:
 
 
 def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
+    """Read rows with ``csv``: reject those too short, with a mapped field that ``int`` or
+    ``float`` refuses, or a timestamp beyond int64; then drop those ``_usable`` refuses."""
     reader = csv.reader(lines, delimiter=mapping.delimiter)
     try:
         header: list[str] | None = None
@@ -499,33 +502,26 @@ def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
             header = next((row for row in reader if row), None)
             if header is None:
                 return ParseResult(events=Events([], [], []), rejected=0)
-        c_ts = _resolve(mapping.timestamp, header, "timestamp")
-        c_cpu = _resolve(mapping.cpu, header, "cpu")
-        c_mem = _resolve(mapping.mem, header, "mem")
-        assert c_ts is not None
+        c_ts, c_cpu, c_mem = _resolve(mapping, header)
 
-        timestamps = array("q")
-        cpus = array("d")
-        mems = array("d")
+        timestamps, cpus, mems = array("q"), array("d"), array("d")
         rejected = 0
         for row in reader:
             if not row:
                 continue
             try:
                 ts = int(row[c_ts])
-                if not 0 <= ts < 2**63:  # stored as int64
-                    raise ValueError(row[c_ts])
-                cpu = _nonneg_float(row[c_cpu]) if c_cpu is not None else 0.0
-                mem = _nonneg_float(row[c_mem]) if c_mem is not None else 0.0
-            except (ValueError, IndexError):
+                cpu = float(row[c_cpu]) if c_cpu is not None else 0.0
+                mem = float(row[c_mem]) if c_mem is not None else 0.0
+                timestamps.append(ts)  # OverflowError beyond int64, before anything is kept
+            except (ValueError, IndexError, OverflowError):
                 rejected += 1
                 continue
-            timestamps.append(ts)
             cpus.append(cpu)
             mems.append(mem)
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
         raise csv.Error(f"line {reader.line_num}: {exc}") from exc
-    return ParseResult(events=_in_time_order(Events(timestamps, cpus, mems)), rejected=rejected)
+    return _usable_events(*map(np.asarray, (timestamps, cpus, mems)), rejected=rejected)
 
 
 def _span_geometry(tp_minutes: int, sub_bin_seconds: int = 60, num_tps: int | None = None) -> tuple[int, int, int]:

@@ -21,12 +21,17 @@ OBS_HEADER = "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
 TWO_RECORDS = "t,tp_index,predicted_lambda,actual_lambda,fallback_used\n1,1,NA,2.0,none\n2,2,2.0,3.0,none\n"
 
 
-def _obs_file(path, periods, pp_tps, metric="arrivals", scale="100.0"):
-    """An observations file of ``periods`` consecutive 60 s-sub-bin periods with varying counts."""
+def _obs_file(path, periods, pp_tps, metric="arrivals", scale="100.0", first=0):
+    """An observations file of ``periods`` consecutive 60 s-sub-bin periods with varying counts.
+
+    Its first period is period ``first`` (0-based) of a stream that starts
+    at position 1 of cycle 1, so a test file made with ``first`` equal to
+    the train file's length continues that file.
+    """
     rows = "".join(
         f"{i % pp_tps + 1},{i // pp_tps + 1},{metric},60,{scale},"
         f"{3 + i % 5} {4 + i % 3} 5\n"
-        for i in range(periods)
+        for i in range(first, first + periods)
     )
     path.write_text(OBS_HEADER + rows)
     return str(path)
@@ -142,7 +147,7 @@ class TestPipeline:
 
     def test_sweep_keeps_a_fixed_radius(self, tmp_path):
         train = _obs_file(tmp_path / "train.csv", 48, 24)
-        test = _obs_file(tmp_path / "test.csv", 24, 24)
+        test = _obs_file(tmp_path / "test.csv", 24, 24, first=48)
         code = main([
             "evaluate", "--train", train, "--test", test, "--pp-tps", "24", "--cycles", "2",
             "--up-tps", "8", "--bandwidth-h", "2.5", "--kernel", "gaussian",
@@ -223,7 +228,7 @@ class TestStreamUnits:
 
     def test_manifests_echo_the_units_of_the_stream(self, tmp_path):
         train = _obs_file(tmp_path / "train.csv", 8, 4, metric="memory", scale="250.0")
-        test = _obs_file(tmp_path / "test.csv", 4, 4, metric="memory", scale="250.0")
+        test = _obs_file(tmp_path / "test.csv", 4, 4, metric="memory", scale="250.0", first=8)
         streams = ["--train", train, "--test", test, "--pp-tps", "4", "--up-tps", "2"]
         assert main(["predict", *streams, "--out-dir", str(tmp_path / "predict")]) == EXIT_OK
         assert main(["evaluate", *streams, "--out-dir", str(tmp_path / "sweep")]) == EXIT_OK
@@ -448,11 +453,12 @@ class TestExitCodes:
         ],
     )
     def test_flag_of_the_other_evaluate_mode_is_usage_error(self, tmp_path, capsys, mode, flags, named):
-        obs = _obs_file(tmp_path / "obs.csv", 8, 4)
+        train = _obs_file(tmp_path / "train.csv", 8, 4)
+        test = _obs_file(tmp_path / "test.csv", 8, 4, first=8)
         records = tmp_path / "records.csv"
         records.write_text(TWO_RECORDS)
         source = ["--records", str(records)] if mode == "records" else [
-            "--train", obs, "--test", obs, "--pp-tps", "4", "--up-tps", "2",
+            "--train", train, "--test", test, "--pp-tps", "4", "--up-tps", "2",
         ]
         out = tmp_path / "out"
         assert main(["evaluate", *source, "--out-dir", str(out)]) == EXIT_OK
@@ -771,6 +777,42 @@ class TestExitCodes:
                 assert f"{test}: period {period} is out of order" in err
                 assert "Traceback" not in err
 
+    def test_test_stream_must_continue_the_cycles_of_train(self, tmp_path, capsys):
+        train = _obs_file(tmp_path / "train.csv", 8, 4)
+        late = _obs_file(tmp_path / "late.csv", 4, 4, first=12)  # cycle 4 after train's cycle 2
+        skip = tmp_path / "skip.csv"  # cycle 2, then cycle 4 within the file
+        rows = (f"{i % 4 + 1},{2 + i // 4 * 2},arrivals,60,100.0,1 2 3\n" for i in range(8))
+        skip.write_text(OBS_HEADER + "".join(rows))
+        cases = [
+            (train, train, train, "tp_index=1 cycle_index=1"),  # one file as both streams
+            (train, late, late, "tp_index=1 cycle_index=4"),
+            (str(skip), late, skip, "tp_index=1 cycle_index=4"),
+        ]
+        window = ["--pp-tps", "4", "--up-tps", "2"]
+        out = tmp_path / "out"
+        for train_file, test_file, named, period in cases:
+            for command in ("predict", "evaluate"):
+                code = main([command, "--train", train_file, "--test", test_file, *window, "--out-dir", str(out)])
+                assert code == EXIT_DATA, (command, named)
+                err = capsys.readouterr().err
+                expected = "the stream is at position 1 of a 4-period pattern, in cycle 3"
+                assert f"{named}: period {period} is out of order: {expected}" in err, err
+                assert "Traceback" not in err and not out.exists()
+        # The cycle expected after the last int64 one is named as it is, not wrapped.
+        last = tmp_path / "last.csv"
+        last.write_text(OBS_HEADER + f"1,{2**63 - 1},arrivals,60,100.0,1 2 3\n")
+        first = _obs_file(tmp_path / "first.csv", 1, 1)
+        for command in ("predict", "evaluate"):
+            assert main([command, "--train", str(last), "--test", first, "--pp-tps", "1", "--up-tps", "1",
+                         "--out-dir", str(out)]) == EXIT_DATA
+            assert f"{first}: period tp_index=1 cycle_index=1 is out of order: the stream is at position 1 of a " \
+                   f"1-period pattern, in cycle {2**63}" in capsys.readouterr().err
+        # Streams that begin past cycle 1 pass when the test stream continues them.
+        later = [_obs_file(tmp_path / f"{name}.csv", 8, 4, first=start) for name, start in (("a", 20), ("b", 28))]
+        for command in ("predict", "evaluate"):
+            assert main([command, "--train", later[0], "--test", later[1], *window,
+                         "--out-dir", str(tmp_path / command)]) == EXIT_OK
+
     def test_non_finite_records_are_data_error(self, tmp_path, capsys):
         records = tmp_path / "records.csv"
         records.write_text(
@@ -1034,15 +1076,13 @@ class TestConfigFile:
     def test_file_applies_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# defaults for this experiment\npp-tps=24\nup-tps=6\nbandwidth-k=4\n")
-        obs = tmp_path / "obs.csv"
+        obs, test = tmp_path / "obs.csv", tmp_path / "test.csv"
         header = "tp_index,cycle_index,metric,sub_bin_seconds,scale,samples\n"
-        rows = "".join(
-            f"{i % 24 + 1},{i // 24 + 1},arrivals,60,100.0,3 4 5\n" for i in range(48)
-        )
-        obs.write_text(header + rows)
+        for path, periods in ((obs, range(48)), (test, range(48, 96))):  # test continues train
+            path.write_text(header + "".join(f"{i % 24 + 1},{i // 24 + 1},arrivals,60,100.0,3 4 5\n" for i in periods))
         out = tmp_path / "out"
         code = main([
-            "predict", "--train", str(obs), "--test", str(obs), "--config", str(cfg),
+            "predict", "--train", str(obs), "--test", str(test), "--config", str(cfg),
             "--up-tps", "8", "--out-dir", str(out),
         ])
         assert code == EXIT_OK
@@ -1056,8 +1096,9 @@ class TestConfigFile:
         cfg.write_text("pp_tps=24\nup-tps=6\n", encoding="utf-8-sig")
         assert cfg.read_bytes().startswith(b"\xef\xbb\xbfpp_tps")
         obs = _obs_file(tmp_path / "obs.csv", 48, 24)
+        test = _obs_file(tmp_path / "test.csv", 48, 24, first=48)
         out = tmp_path / "out"
-        code = main(["predict", "--train", obs, "--test", obs, "--config", str(cfg), "--out-dir", str(out)])
+        code = main(["predict", "--train", obs, "--test", test, "--config", str(cfg), "--out-dir", str(out)])
         assert code == EXIT_OK
         manifest = json.loads((out / "predict.manifest.json").read_text())
         assert (manifest["config"]["pp_tps"], manifest["config"]["up_tps"]) == (24, 6)

@@ -794,6 +794,12 @@ class TestRecordsFile:
         with pytest.raises(ValueError, match="record columns must have equal lengths"):
             Records([1, 2], [0.0, 1.0], [True, False], [1.0], [Fallback.NONE] * 2)
 
+    @pytest.mark.parametrize("tp_index", [np.array([2**63], dtype=np.uint64), np.array([1.9])], ids=["2**63", "float"])
+    def test_tp_index_outside_int64_raises(self, tp_index):
+        # A bare int64 conversion would make these -2**63 and 1.
+        with pytest.raises(ValueError, match="tp_index must be integers below 2"):
+            Records(tp_index, [0.0], [False], [1.0], [Fallback.NONE])
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import itertools
 import math
 import random
@@ -181,6 +182,64 @@ class TestParseFile(TestParse):
         mapping = ColumnMapping(timestamp="time", cpu="cpu", mem=None, has_header=True)
         res = parse("\ufefftime,cpu", "42,0.25", mapping=mapping)
         assert _columns(res.events) == ([42], [0.25], [0.0])
+
+
+def _row(ts="5", cpu="0.5", mem="0.25"):
+    return f'{ts},"j",t,{cpu},{mem}\n'  # the quoted job id keeps a file from the bulk reader
+
+
+class TestRowRule:
+    """The per-row reader only parses and ``_usable`` alone judges values: each case
+    from lines, a stream and a file, bit for bit against the reference reader."""
+
+    @pytest.fixture(params=["lines", "stream", "path"])
+    def parse(self, request, tmp_path):
+        def run(*lines):
+            mapping = ColumnMapping()
+            if request.param == "lines":
+                result = parse_trace(lines, mapping)
+            elif request.param == "stream":
+                result = parse_trace(io.StringIO("".join(lines)), mapping)
+            else:
+                path = tmp_path / "trace.csv"
+                path.write_text("".join(lines), encoding="utf-8")
+                assert trace._parse_bulk(path, mapping) is None
+                result = parse_trace(path, mapping)
+            _assert_same_parse(result, oracles.parse_rows(lines, mapping))
+            return result
+
+        return run
+
+    @pytest.mark.parametrize(
+        "ts, kept",
+        [(str(2**63 - 1), 2**63 - 1), (str(2**63), None), (str(-(2**63) - 1), None), (str(-(2**63)), None),
+         ("-1", None), ("-0", 0)],
+    )
+    def test_timestamps(self, parse, ts, kept):
+        res = parse(_row(ts=ts), _row(ts="6"))
+        assert (res.rejected, res.events.timestamp.tolist()) == ((1, [6]) if kept is None else (0, sorted([kept, 6])))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1e-300"])
+    @pytest.mark.parametrize("field", ["cpu", "mem"])
+    def test_non_finite_or_negative_request_rejected(self, parse, field, value):
+        res = parse(_row(ts="7", **{field: value}), _row(ts="6"))
+        assert (res.rejected, res.events.timestamp.tolist()) == (1, [6])
+
+    def test_negative_zero_request_kept_with_its_sign(self, parse):
+        res = parse(_row(cpu="-0.0", mem="-0.0"))
+        assert res.rejected == 0 and np.signbit(res.events.cpu[0]) and np.signbit(res.events.mem[0])
+
+    def test_short_row_rejected(self, parse):
+        res = parse('5,"j",t,0.5\n', _row(ts="6"))
+        assert (res.rejected, res.events.timestamp.tolist()) == (1, [6])
+
+    def test_every_reject_in_one_input(self, parse):
+        res = parse(_row(ts="9"), _row(ts=str(2**63)), _row(ts="-1"), _row(cpu="nan"), "8\n", _row(ts="3", mem="-0.0"))
+        assert (res.rejected, res.events.timestamp.tolist()) == (4, [3, 9])
+
+    def test_mapping_without_timestamp_raises(self):
+        with pytest.raises(ValueError, match="timestamp column is required"):
+            ColumnMapping(timestamp=None)
 
 
 def _fail(*args, **kwargs):
@@ -365,6 +424,16 @@ class TestBulkReader:
         check()
         # Most files are well formed, so the property is not vacuous.
         assert sum(taken) >= len(taken) / 4, (sum(taken), len(taken))
+
+    def test_cpu_and_memory_from_one_column_drop_a_reject_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        path.write_text("0,-1.0,j\n1,1.0,j\n2,0.5,j\n3,2.5,j\n")
+        mapping = ColumnMapping(cpu=1, mem=1)
+        reference = _reference_parse(path, mapping)
+        monkeypatch.setattr(trace, "_parse_rows", _fail)
+        result = parse_trace(path, mapping)
+        _assert_same_parse(result, reference)
+        assert _columns(result.events) == ([1, 2, 3], [1.0, 0.5, 2.5], [1.0, 0.5, 2.5])
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 7])
     def test_checks_made_a_block_at_a_time(self, tmp_path, monkeypatch, block):
@@ -892,6 +961,14 @@ class TestDecimal:
         values, texts = zip(*rows)
         text = trace._decimal(np.array(values, dtype=np.int64), trace._words(texts))
         assert text.decode("ascii") == "".join(f"{v}{t}" for v, t in rows)
+
+
+class TestEventsType:
+    @pytest.mark.parametrize("timestamp", [np.array([2**63], dtype=np.uint64), np.array([1.9])], ids=["2**63", "float"])
+    def test_timestamp_outside_int64_raises(self, timestamp):
+        # A bare int64 conversion would make these -2**63 and 1.
+        with pytest.raises(ValueError, match="timestamp must be integers below 2"):
+            Events(timestamp, [0.5], [0.25])
 
 
 class TestObservationType:
