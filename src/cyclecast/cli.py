@@ -335,10 +335,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     pp_tps = res.get("pp_tps")
     sub_bin_sec = res.get("sub_bin_sec")
     scale = res.get("scale")
+    # Only the columns that the metrics read are mapped: arrivals read the timestamp alone.
     mapping = ColumnMapping(
         timestamp=args.col_ts,
-        cpu=args.col_cpu,
-        mem=args.col_mem,
+        cpu=args.col_cpu if MetricKind.CPU in metrics else None,
+        mem=args.col_mem if MetricKind.MEMORY in metrics else None,
         delimiter=args.delimiter,
         has_header=args.header,
     )
@@ -352,6 +353,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise DataError(f"{args.trace}: {exc}") from exc
     if not parsed.events:
         raise DataError(f"{args.trace}: no usable events ({parsed.rejected} rows rejected)")
+    # The span covers every event with a usable timestamp, so the files of one run line up.
     start_us = US_PER_SECOND * args.start_sec
     try:
         num_tps = span_tps(parsed.events, start_us, tp_min)
@@ -363,7 +365,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     # Every metric is aggregated before any file is written, so a refused
     # metric leaves no output behind.
     parts: dict[str, Observations] = {}
+    rejected: dict[str, int] = {}
     for metric in metrics:
+        rejected[metric.value] = parsed.rejected_for(metric)
+        if rejected[metric.value] == parsed.rejected + len(parsed.events):
+            raise DataError(f"{args.trace}: no usable {metric.value} events ({rejected[metric.value]} rows rejected)")
         try:
             observations = aggregate_span(
                 parsed.events, start_us, num_tps, tp_min, pp_tps, metric, sub_bin_sec, scale
@@ -390,7 +396,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for name, obs in parts.items():
         write_observations(out / name, obs)
 
-    print(f"parsed {len(parsed.events)} events ({parsed.rejected} rejected), {num_tps} target periods")
+    counts = ", ".join(f"{name} {count}" for name, count in rejected.items())
+    print(f"parsed {len(parsed.events)} events (rejected: {counts}), {num_tps} target periods")
     _write_manifest(
         out,
         "ingest",
@@ -409,7 +416,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 "cpu": mapping.cpu,
                 "mem": mapping.mem,
             },
-            "rejected_rows": parsed.rejected,
+            "rejected_rows": rejected,
         },
         inputs=[Path(args.trace)],
         outputs=list(parts),

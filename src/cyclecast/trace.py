@@ -1,11 +1,15 @@
 """Trace ingestion: delimited-text task records to per-period count vectors.
 
 A trace row carries an arrival timestamp (integer microseconds) plus the
-task's CPU and memory requests. Rejected rows are tallied and skipped, never
-fatal: real traces contain noise and the reject count keeps a run auditable.
-A reader rejects a row it cannot read (too short, a field that ``int`` or
-``float`` refuses, a timestamp beyond int64); ``_usable``, the one value
-rule, rejects a negative timestamp and a request negative or not finite.
+task's CPU and memory requests. Each metric reads its own fields and has one
+rule: arrivals count every row with a usable timestamp, and cpu or memory the
+rows of those with a usable request in its column. Rejected rows are tallied
+per metric and skipped, never fatal: real traces contain noise and the
+reject counts keep a run auditable. A reader refuses a field it cannot read
+(absent, a field that ``int`` or ``float`` refuses, a timestamp beyond
+int64); ``_usable``, the one value rule, refuses a negative timestamp and a
+request negative or not finite. A row whose timestamp is refused counts for
+no metric; one whose request is refused still counts as an arrival.
 
 A trace file is read in bulk by numpy's C reader when that provably gives
 what the per-row ``csv`` reader gives; otherwise, and for streams and line
@@ -98,25 +102,31 @@ class MetricKind(enum.Enum):
     MEMORY = "memory"
 
 
+# The Events column that each request metric reads.
+_REQUESTS = {MetricKind.CPU: "cpu", MetricKind.MEMORY: "mem"}
+
+
 @dataclass(frozen=True, eq=False)
 class Events:
-    """Task records as three equal-length columns; ``len`` is the event count.
+    """Task records as equal-length columns; ``len`` is the event count.
 
     ``timestamp`` holds arrival times in integer microseconds (int64),
-    ``cpu`` and ``mem`` the tasks' resource requests (float64). Inputs are
-    converted to those dtypes on construction.
+    ``cpu`` and ``mem`` the tasks' resource requests (float64), or None
+    for a request that the events do not carry: arrivals read neither.
+    Inputs are converted to those dtypes on construction.
     """
 
     timestamp: np.ndarray
-    cpu: np.ndarray
-    mem: np.ndarray
+    cpu: np.ndarray | None = None
+    mem: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "timestamp", _int64(self.timestamp, "timestamp"))
-        object.__setattr__(self, "cpu", np.asarray(self.cpu, dtype=np.float64))
-        object.__setattr__(self, "mem", np.asarray(self.mem, dtype=np.float64))
-        if not len(self.timestamp) == len(self.cpu) == len(self.mem):
-            raise ValueError("event columns must have equal lengths")
+        for name in _REQUESTS.values():
+            if (values := getattr(self, name)) is not None:
+                object.__setattr__(self, name, values := np.asarray(values, dtype=np.float64))
+                if len(values) != len(self.timestamp):
+                    raise ValueError("event columns must have equal lengths")
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -275,8 +285,9 @@ class ColumnMapping:
 
     The defaults match the packaged trace layout
     (timestamp, job_id, task_id, cpu_request, mem_request); the id columns
-    are not read. ``cpu``/``mem`` may be None for arrival-only traces;
-    ``timestamp`` may not, and ValueError says so.
+    are not read. ``cpu``/``mem`` may be None, and then that column is not
+    read either: arrivals need neither. ``timestamp`` may not be None, and
+    ValueError says so.
     """
 
     timestamp: int | str = 0
@@ -298,8 +309,38 @@ class ColumnMapping:
 
 @dataclass
 class ParseResult:
+    """A parsed trace: every row with a usable timestamp, and what each metric rejects.
+
+    ``events`` holds those rows in time order, with a request column for
+    each one the mapping reads. ``rejected`` counts the rows that no metric
+    counts: unreadable, too short for the timestamp, or with a timestamp
+    that ``_usable`` refuses. ``cpu_invalid`` and ``mem_invalid`` mark,
+    over ``events``, the rows whose request in that column is absent,
+    unreadable or refused by ``_usable``; such a row still counts as an
+    arrival. Each is None when no row is marked, so a clean file carries
+    no mask. A marked request reads 0.0. Every total starts at 0.0 and
+    every usable request is 0 or more, so adding a 0.0 changes no bit of
+    it: ``aggregate_span`` bins ``events`` for every metric, and each
+    request metric's sums are exactly those of its usable requests, with
+    no copy that drops the marked rows.
+    """
+
     events: Events
     rejected: int
+    cpu_invalid: np.ndarray | None = None
+    mem_invalid: np.ndarray | None = None
+
+    def rejected_for(self, metric: MetricKind) -> int:
+        """The rows that ``metric`` rejects: ``rejected``, and for cpu or memory
+        the rows that its column's mask marks too. Raises ValueError for a
+        request metric whose column was not read."""
+        if metric is MetricKind.ARRIVALS:
+            return self.rejected
+        name = _REQUESTS[metric]
+        if getattr(self.events, name) is None:
+            raise ValueError(f"no {metric.value} column was read")
+        invalid = getattr(self, f"{name}_invalid")
+        return self.rejected + (0 if invalid is None else int(np.count_nonzero(invalid)))
 
 
 def _resolve(mapping: ColumnMapping, header: list[str] | None) -> tuple[int, int | None, int | None]:
@@ -324,16 +365,20 @@ def parse_trace(
 
     ``source`` may be a path, an open text stream, or an iterable of lines.
     A path is read as UTF-8, after a byte order mark if there is one.
-    Rows that cannot be read or that ``_usable`` refuses (see the module
-    docstring) are counted in ``rejected`` and skipped. Events come back
-    sorted by timestamp even when the input is not; equal timestamps keep
-    their input order.
+    Only the columns that ``mapping`` names are read. Each metric has one
+    rule (see the module docstring): arrivals count every row with a usable
+    timestamp, and cpu and memory those of them with a usable request in
+    their own column. ``ParseResult`` keeps the rows of the first rule,
+    counts the rest in ``rejected``, and marks the rows whose request fails
+    its column's rule, reading that request as 0.0. Events come back sorted
+    by timestamp even when the input is not; equal timestamps keep their
+    input order.
 
     A path is first offered to a bulk reader (numpy's C text reader). It
     takes the file only when its rows and values are provably the per-row
     reader's, and the result is then equal column for column, ``rejected``
-    included. Every other file, stream or line iterable is read row by row
-    with the ``csv`` module.
+    and the masks included. Every other file, stream or line iterable is
+    read row by row with the ``csv`` module.
 
     Raises
     ------
@@ -409,14 +454,16 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
       timestamp column is not also the cpu or memory column: it is read
       once, and ``int`` and ``float`` read "-0" as 0 and -0.0. A negative
       column index counts from the end of each row in both readers.
+    * Only the mapped columns are parsed (``usecols``), so a field of any
+      other column plays no part, as in the per-row reader.
     * Every mapped field parses as int64 or float64, or loadtxt raises (or
       warns, which is raised) and the file is refused. The C reader refuses
       what only ``int``/``float`` accept (``_`` between digits, a float where
-      an integer belongs, a timestamp beyond int64) and a row too short for
-      a mapped column. A float both accept rounds to the same double.
+      an integer belongs, a timestamp beyond int64), an empty field and a
+      row too short for a mapped column. A float both accept rounds to the
+      same double.
     * Both readers then hand their columns to ``_usable_events``, which
-      applies ``_usable``, the one value rule, and counts the rows it
-      refuses as rejected.
+      applies ``_usable``, the one value rule, to each column.
     """
     import warnings
 
@@ -444,8 +491,7 @@ def _parse_bulk(path: str | Path, mapping: ColumnMapping) -> ParseResult | None:
     except (ValueError, Warning):  # _parse_rows raises or rejects as it always did
         return None
     fields = {c: table[f"c{c}"] for c in usecols}  # one view per column, though cpu and mem share it
-    ts, cpu, mem = (fields[c] if c is not None else np.zeros(len(table)) for c in (c_ts, c_cpu, c_mem))
-    return _usable_events(ts, cpu, mem, rejected=0)
+    return _usable_events(*(fields.get(c) for c in (c_ts, c_cpu, c_mem)), rejected=0)
 
 
 def _blocks(n: int) -> Iterable[slice]:
@@ -453,75 +499,102 @@ def _blocks(n: int) -> Iterable[slice]:
     return (slice(lo, lo + _EVENT_BLOCK) for lo in range(0, n, _EVENT_BLOCK))
 
 
-def _usable(ts: np.ndarray, cpu: np.ndarray, mem: np.ndarray) -> np.ndarray:
-    """The value rule of both readers: a row counts with a timestamp of 0 or more and finite nonnegative requests."""
-    return (ts >= 0) & np.isfinite(cpu) & (cpu >= 0) & np.isfinite(mem) & (mem >= 0)
+def _usable(values: np.ndarray) -> np.ndarray:
+    """The value rule of both readers, for one column: a timestamp counts when 0 or more,
+    a request when finite and 0 or more."""
+    if values.dtype.kind == "i":
+        return values >= 0
+    return np.isfinite(values) & (values >= 0)
 
 
-def _usable_events(ts: np.ndarray, cpu: np.ndarray, mem: np.ndarray, rejected: int) -> ParseResult:
-    """The rows that ``_usable`` keeps, in time order, and ``rejected`` plus the rows it refuses.
+def _usable_events(ts: np.ndarray, cpu: np.ndarray | None, mem: np.ndarray | None, rejected: int) -> ParseResult:
+    """The rows whose timestamp ``_usable`` keeps, in time order, ``rejected`` plus the rows
+    it refuses, and per request column a mask of the kept rows whose request it refuses,
+    each such request set to 0.0.
 
-    Those are dropped in place, a block at a time, so the events are views of the columns
-    and add no copy of them to peak memory. Columns that share memory must be one array.
+    Refused rows are dropped in place, a block at a time, so the events are views of the
+    columns and add no copy of them to peak memory; a mask is made only once a row needs
+    it. Columns that share memory must be one array. None is a column not read.
     """
+    n = len(ts)
+    requests = {name: values for name, values in (("cpu", cpu), ("mem", mem)) if values is not None}
+    invalid: dict[str, np.ndarray] = {}
     kept = 0
-    for b in _blocks(len(ts)):
-        keep = _usable(ts[b], cpu[b], mem[b])
+    for b in _blocks(n):
+        keep = _usable(ts[b])
         count = int(np.count_nonzero(keep))
         if kept < b.start or count < len(keep):
-            for column in {id(c): c for c in (ts, cpu, mem)}.values():  # each array moved once
+            for column in {id(c): c for c in (ts, *requests.values())}.values():  # each array moved once
                 column[kept : kept + count] = column[b][keep]
+        # Every mask before any request is set to 0.0: cpu and memory may share one column.
+        bad = {name: ~_usable(values[kept : kept + count]) for name, values in requests.items()}
+        for name, refused in bad.items():
+            if refused.any():
+                if name not in invalid:
+                    invalid[name] = np.zeros(n, dtype=bool)
+                invalid[name][kept : kept + count] = refused
+                requests[name][kept : kept + count][refused] = 0.0
         kept += count
-    events = Events(ts[:kept], cpu[:kept], mem[:kept])
-    return ParseResult(events=_in_time_order(events), rejected=rejected + len(ts) - kept)
+    ts, cpu, mem, cpu_invalid, mem_invalid = _in_time_order(
+        ts[:kept], *(None if c is None else c[:kept] for c in (cpu, mem, invalid.get("cpu"), invalid.get("mem")))
+    )
+    return ParseResult(Events(ts, cpu, mem), rejected + n - kept, cpu_invalid, mem_invalid)
 
 
-def _in_time_order(events: Events) -> Events:
-    """``events`` sorted by timestamp, stably; ``events`` itself if already sorted.
+def _in_time_order(ts: np.ndarray, *columns: np.ndarray | None) -> tuple[np.ndarray | None, ...]:
+    """``ts`` and the ``columns`` beside it (None stays None) sorted by ``ts``, stably;
+    as they are if ``ts`` already is.
 
     Sortedness is checked a block at a time, each block with the first
     timestamp of the next, so the check adds no per-event array.
     """
-    ts = events.timestamp
     for b in _blocks(len(ts)):
         window = ts[b.start : b.stop + 1]
         if (window[1:] < window[:-1]).any():
             order = np.argsort(ts, kind="stable")
-            return Events(ts[order], events.cpu[order], events.mem[order])
-    return events
+            return ts[order], *(None if c is None else c[order] for c in columns)
+    return ts, *columns
 
 
 def _parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
-    """Read rows with ``csv``: reject those too short, with a mapped field that ``int`` or
-    ``float`` refuses, or a timestamp beyond int64; then drop those ``_usable`` refuses."""
+    """Read rows with ``csv``: reject those too short for the timestamp, or whose timestamp
+    ``int`` refuses or is beyond int64; carry a request field that is absent or that ``float``
+    refuses as NaN, invalid for its column alone; then leave the values to ``_usable``."""
     reader = csv.reader(lines, delimiter=mapping.delimiter)
+    timestamps = array("q")
+    requests = [None if col is None else array("d") for col in (mapping.cpu, mapping.mem)]
+    rejected = 0
+
+    def columns() -> ParseResult:
+        return _usable_events(
+            np.asarray(timestamps), *(None if r is None else np.asarray(r) for r in requests), rejected=rejected
+        )
+
     try:
         header: list[str] | None = None
         if mapping.has_header:
             # The header is the first non-empty row: empty rows are skipped here as below.
             header = next((row for row in reader if row), None)
             if header is None:
-                return ParseResult(events=Events([], [], []), rejected=0)
-        c_ts, c_cpu, c_mem = _resolve(mapping, header)
-
-        timestamps, cpus, mems = array("q"), array("d"), array("d")
-        rejected = 0
+                return columns()
+        c_ts, *c_requests = _resolve(mapping, header)
+        reads = [(c, values) for c, values in zip(c_requests, requests) if values is not None]
         for row in reader:
             if not row:
                 continue
             try:
-                ts = int(row[c_ts])
-                cpu = float(row[c_cpu]) if c_cpu is not None else 0.0
-                mem = float(row[c_mem]) if c_mem is not None else 0.0
-                timestamps.append(ts)  # OverflowError beyond int64, before anything is kept
+                timestamps.append(int(row[c_ts]))  # OverflowError beyond int64
             except (ValueError, IndexError, OverflowError):
                 rejected += 1
                 continue
-            cpus.append(cpu)
-            mems.append(mem)
+            for c, values in reads:
+                try:
+                    values.append(float(row[c]))
+                except (ValueError, IndexError):
+                    values.append(math.nan)
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
         raise csv.Error(f"line {reader.line_num}: {exc}") from exc
-    return _usable_events(*map(np.asarray, (timestamps, cpus, mems)), rejected=rejected)
+    return columns()
 
 
 def _span_geometry(tp_minutes: int, sub_bin_seconds: int = 60, num_tps: int | None = None) -> tuple[int, int, int]:
@@ -566,11 +639,12 @@ def aggregate_span(
     need not be sorted. The lengths come from ``_span_geometry``, which
     refuses a bad period or a span of more than ``_MAX_SPAN_SUB_BINS``
     sub-bins, and ``scale`` must be a finite positive number for every
-    metric. For CPU/memory the per-sub-bin request sums, added in event
-    order, are multiplied by ``scale`` and rounded to the nearest integer,
-    which must be below 2**63. ``start_us`` and every event's offset from
-    it must fit int64. Every refusal is a ValueError, raised before
-    anything the size of the span is made.
+    metric. For CPU/memory the events must carry that request column, and
+    the per-sub-bin request sums, added in event order, are multiplied by
+    ``scale`` and rounded to the nearest integer, which must be below
+    2**63. ``start_us`` and every event's offset from it must fit int64.
+    Every refusal is a ValueError, raised before anything the size of the
+    span is made.
 
     Events are binned a block of ``_EVENT_BLOCK`` at a time, so the
     temporaries are a block's offsets and bin indices, whatever the event
@@ -590,7 +664,9 @@ def aggregate_span(
         _check_offset(int(timestamps.max()), start_us)
     n_bins = num_tps * sub_bins
     arrivals = metric is MetricKind.ARRIVALS
-    values = None if arrivals else (events.cpu if metric is MetricKind.CPU else events.mem)
+    values = None if arrivals else getattr(events, _REQUESTS[metric])
+    if not arrivals and values is None:
+        raise ValueError(f"the events carry no {metric.value} requests")
     # Bin n_bins collects the events outside the span and is dropped.
     totals = np.zeros(n_bins + 1, dtype=np.int64 if arrivals else np.float64)
     for block in _blocks(len(timestamps)):
@@ -881,9 +957,12 @@ def write_trace(path: str | Path, events: Events, tp_minutes: int) -> None:
     or memory change, not where the floats are unequal:
     ``0.0 == -0.0`` although they print differently, so only bit equality
     guarantees that the rows of a run print the same text (every NaN prints
-    ``nan``, whatever its bits).
+    ``nan``, whatever its bits). ValueError if the events carry no cpu or
+    no memory column.
     """
     tp_us = _span_geometry(tp_minutes)[0]
+    if events.cpu is None or events.mem is None:
+        raise ValueError("a trace row needs cpu and memory requests")
     with open(path, "wb") as fh:
         fh.write(b"timestamp,job_id,task_id,cpu_request,mem_request\n")
         for lo in range(0, len(events), _WRITE_BLOCK):

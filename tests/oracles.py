@@ -7,8 +7,8 @@ bit (trace aggregation, synthetic event placement, the LLR solve, window
 reads and the forecasting loop), the reference keeps the plain one-pass,
 per-period, per-cell or per-step loop with the same float operations; the
 LLR and loop references take only the observe step from the package. The
-trace reader reference is the per-row ``csv`` reader, kept verbatim with its
-two helpers. The
+trace reader reference is the per-row ``csv`` reader, with its two helpers;
+it applies each metric's own rule (``parse_metrics``). The
 bulk reader's pre-scan is restated with bytes methods (``plain_file``); the trace and
 observation writer references format one row and one sample at a time, also
 kept verbatim, and so are the per-period aggregation (``aggregate_span``,
@@ -57,7 +57,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -208,43 +207,52 @@ def _nonneg_float(field: str) -> float:
     return v
 
 
-def parse_rows(lines: Iterable[str], mapping: ColumnMapping) -> ParseResult:
-    """The per-row trace reader: one ``csv`` row at a time, per-field ``int``/``float``."""
+def parse_metrics(lines: Iterable[str], mapping: ColumnMapping) -> dict[MetricKind, ParseResult]:
+    """The per-row, per-metric trace reader: one ``csv`` row at a time, per-field ``int``/``float``.
+
+    Each metric has its own rule. Arrivals count a row whose timestamp
+    ``int`` reads as 0 to 2**63 - 1; cpu and memory, for a column the
+    mapping names, count those rows whose own request ``float`` reads as
+    finite and nonnegative. Every other row is rejected for that metric.
+    Each metric's events carry its column alone, in stable time order.
+    """
+    requests = {
+        metric: name for metric, name in ((MetricKind.CPU, "cpu"), (MetricKind.MEMORY, "mem"))
+        if getattr(mapping, name) is not None
+    }
+    kept: dict[MetricKind, list[tuple[int, float | None]]] = {MetricKind.ARRIVALS: [], **{m: [] for m in requests}}
+    rejected = dict.fromkeys(kept, 0)
     reader = csv.reader(lines, delimiter=mapping.delimiter)
     header: list[str] | None = None
     if mapping.has_header:
         header = next(reader, None)
-        if header is None:
-            return ParseResult(events=Events([], [], []), rejected=0)
-    c_ts = _resolve(mapping.timestamp, header, "timestamp")
-    c_cpu = _resolve(mapping.cpu, header, "cpu")
-    c_mem = _resolve(mapping.mem, header, "mem")
-    assert c_ts is not None
-
-    timestamps = array("q")
-    cpus = array("d")
-    mems = array("d")
-    rejected = 0
-    for row in reader:
-        if not row:
-            continue
-        try:
-            ts = int(row[c_ts])
-            if not 0 <= ts < 2**63:  # stored as int64
-                raise ValueError(row[c_ts])
-            cpu = _nonneg_float(row[c_cpu]) if c_cpu is not None else 0.0
-            mem = _nonneg_float(row[c_mem]) if c_mem is not None else 0.0
-        except (ValueError, IndexError):
-            rejected += 1
-            continue
-        timestamps.append(ts)
-        cpus.append(cpu)
-        mems.append(mem)
-    events = Events(timestamps, cpus, mems)
-    if np.any(events.timestamp[1:] < events.timestamp[:-1]):
-        order = np.argsort(events.timestamp, kind="stable")
-        events = Events(events.timestamp[order], events.cpu[order], events.mem[order])
-    return ParseResult(events=events, rejected=rejected)
+    if header is not None or not mapping.has_header:
+        c_ts = _resolve(mapping.timestamp, header, "timestamp")
+        columns = {m: _resolve(getattr(mapping, name), header, name) for m, name in requests.items()}
+        for row in reader:
+            if not row:
+                continue
+            try:
+                ts = int(row[c_ts])
+                if not 0 <= ts < 2**63:  # stored as int64
+                    raise ValueError(row[c_ts])
+            except (ValueError, IndexError):
+                for metric in kept:
+                    rejected[metric] += 1
+                continue
+            kept[MetricKind.ARRIVALS].append((ts, None))
+            for metric, c in columns.items():
+                try:
+                    kept[metric].append((ts, _nonneg_float(row[c])))
+                except (ValueError, IndexError):
+                    rejected[metric] += 1
+    result = {}
+    for metric, rows in kept.items():
+        rows.sort(key=lambda r: r[0])  # stable: equal timestamps keep their input order
+        timestamps = np.array([ts for ts, _ in rows], dtype=np.int64)
+        values = {requests[metric]: [v for _, v in rows]} if metric in requests else {}
+        result[metric] = ParseResult(Events(timestamps, **values), rejected[metric])
+    return result
 
 
 def plain_file(path: str | Path) -> bool:

@@ -5,9 +5,11 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cyclecast import cli
+from cyclecast import trace as trace_module
 from cyclecast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from cyclecast.forecaster import read_records
 from cyclecast.llr import Fallback
@@ -400,6 +402,72 @@ class TestFit:
         assert not (tmp_path / "out" / "lambdas_arrivals.csv").exists()
 
 
+def _hour_trace(path, bad_cpu, quoted=False):
+    """One row per second for an hour, cpu 0.5 and memory 0.25, and row 600 (minute 10) with cpu ``bad_cpu``.
+
+    A quoted job id keeps the file from the bulk reader.
+    """
+    job = '"j1"' if quoted else "j1"
+    rows = [f"{s * 1_000_000},{job},j1,{bad_cpu if s == 600 else 0.5},0.25\n" for s in range(3600)]
+    path.write_text("timestamp,job_id,task_id,cpu_request,mem_request\n" + "".join(rows))
+    return str(path)
+
+
+class TestIngestPerMetric:
+    """Each metric reads its own columns and rejects only the rows its own fields fail."""
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("bad_cpu", ["", "-1"], ids=["empty", "negative"])
+    def test_a_bad_cpu_field_drops_no_arrival(self, tmp_path, capsys, monkeypatch, bad_cpu, quoted):
+        trace_path = _hour_trace(tmp_path / "trace.csv", bad_cpu, quoted)
+        readers = []
+        parse_rows = trace_module._parse_rows
+        monkeypatch.setattr(trace_module, "_parse_rows", lambda *a: readers.append("rows") or parse_rows(*a))
+        ingest = ["ingest", "--trace", trace_path, "--header", "--tp-min", "60", "--pp-tps", "1"]
+        assert main([*ingest, "--out-dir", str(tmp_path / "arrivals")]) == EXIT_OK
+        assert main([*ingest, "--metric", "all", "--out-dir", str(tmp_path / "all")]) == EXIT_OK
+        # Arrivals read the timestamp alone, so only a quote sends them row by row;
+        # an empty cpu field sends --metric all row by row too.
+        assert readers == ["rows"] * (2 * quoted + (bad_cpu == "" and not quoted))
+        out = capsys.readouterr().out
+        assert "parsed 3600 events (rejected: arrivals 0), 1 target periods" in out
+        assert "parsed 3600 events (rejected: arrivals 0, cpu 1, memory 0), 1 target periods" in out
+        minutes = [60] * 60
+        for run in ("arrivals", "all"):
+            assert read_observations(tmp_path / run / "observations_arrivals.csv").samples.tolist() == [minutes]
+        cpu = [3000] * 60
+        cpu[10] = 2950  # the one row that the cpu sample loses
+        assert read_observations(tmp_path / "all" / "observations_cpu.csv").samples.tolist() == [cpu]
+        assert read_observations(tmp_path / "all" / "observations_memory.csv").samples.tolist() == [[1500] * 60]
+        manifests = [json.loads((tmp_path / run / "ingest.manifest.json").read_text()) for run in ("arrivals", "all")]
+        assert [m["config"]["rejected_rows"] for m in manifests] == [
+            {"arrivals": 0}, {"arrivals": 0, "cpu": 1, "memory": 0}
+        ]
+        assert [m["config"]["columns"] for m in manifests] == [
+            {"timestamp": 0, "cpu": None, "mem": None}, {"timestamp": 0, "cpu": 3, "mem": 4}
+        ]
+
+    @pytest.mark.parametrize(
+        "metric, usecols", [("arrivals", [0]), ("cpu", [0, 3]), ("memory", [0, 4]), ("all", [0, 3, 4])]
+    )
+    def test_a_plain_trace_is_parsed_once_with_the_columns_its_metrics_read(
+        self, tmp_path, monkeypatch, metric, usecols
+    ):
+        assert main(["synth", "--tps", "4", "--pp-tps", "2", "--base-rate", "2", "--seed", "5",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k["usecols"]) or loadtxt(*a, **k))
+        monkeypatch.setattr(trace_module, "_parse_rows", _no_row_reader)
+        argv = ["ingest", "--trace", str(tmp_path / "trace.csv"), "--header", "--pp-tps", "2", "--metric", metric]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == [usecols]
+
+
+def _no_row_reader(*args):
+    raise AssertionError("the per-row reader ran")
+
+
 class TestExitCodes:
     def test_missing_trace_is_data_error(self, tmp_path):
         code = main(["ingest", "--trace", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
@@ -533,7 +601,10 @@ class TestExitCodes:
              "seed must be a nonnegative integer, got -1"),
             (["synth", "--tps", "10", "--pp-tps", "5", "--config", "{plain}"], EXIT_USAGE,
              "{plain}:1: expected key=value"),
-            (["ingest", "--trace", "{rejected}", "--header"], EXIT_DATA, "no usable events (2 rows rejected)"),
+            (["ingest", "--trace", "{unstamped}", "--header"], EXIT_DATA, "no usable events (2 rows rejected)"),
+            # One row without a usable timestamp, one without a usable cpu request.
+            (["ingest", "--trace", "{rejected}", "--header", "--metric", "all"], EXIT_DATA,
+             "no usable cpu events (2 rows rejected)"),
             (["ingest", "--trace", "{trace}", "--start-sec", "3601"], EXIT_DATA,
              "no events at or after start offset 3601s"),
             (["ingest", "--trace", "{trace}", "--split-tp", "0"], EXIT_USAGE,
@@ -560,7 +631,8 @@ class TestExitCodes:
         ],
         ids=[
             "ingest", "fit", "records", "sweep", "seed-flag", "seed-entry", "entry-without-equals",
-            "every-row-rejected", "start-past-the-last-event", "split-at-0", "split-at-the-end",
+            "every-row-rejected", "every-cpu-row-rejected", "start-past-the-last-event", "split-at-0",
+            "split-at-the-end",
             "grid-not-integers", "grid-empty", "train-alone", "synth-period-of-one-sub-bin-past-int64",
             "synth-period-of-two-sub-bins-past-int64", "synth-trace-ending-past-int64",
         ],
@@ -572,10 +644,13 @@ class TestExitCodes:
         plain.write_text("pp-tps 24\n")
         rejected = tmp_path / "rejected.csv"
         rejected.write_text("timestamp,job_id,task_id,cpu_request,mem_request\nx,j1,j1,0.1,0.1\n5,j1,j1,-1,0.1\n")
+        unstamped = tmp_path / "unstamped.csv"
+        unstamped.write_text("timestamp,job_id,task_id,cpu_request,mem_request\nx,j1,j1,0.1,0.1\n-5,j1,j1,0.1,0.1\n")
         trace = tmp_path / "trace.csv"
         trace.write_text("0,j1,j1,0.1,0.1\n3600000000,j3,j3,0.2,0.1\n")  # three 30-minute periods
         paths = {
             "missing": str(tmp_path / "nope.csv"), "cfg": str(cfg), "plain": str(plain), "rejected": str(rejected),
+            "unstamped": str(unstamped),
             "trace": str(trace), "obs": _obs_file(tmp_path / "obs.csv", 48, 24),
         }
         out = tmp_path / "out"
@@ -957,18 +1032,25 @@ class TestExitCodes:
         trace.write_bytes(
             b"\xef\xbb\xbftimestamp,job_id,task_id,cpu_request,mem_request\n0,j1,j1,0.1,0.1\n"
         )
-        for columns in ([], ["--col-ts", "timestamp", "--col-cpu", "cpu_request"]):
+        for columns, metric, read in (
+            ([], "arrivals", {"timestamp": 0, "cpu": None, "mem": None}),
+            (["--col-ts", "timestamp", "--col-cpu", "cpu_request"], "cpu",
+             {"timestamp": "timestamp", "cpu": "cpu_request", "mem": None}),
+        ):
             out = tmp_path / str(len(columns))
-            code = main(["ingest", "--trace", str(trace), "--header", *columns, "--out-dir", str(out)])
+            code = main(["ingest", "--trace", str(trace), "--header", *columns, "--metric", metric,
+                         "--out-dir", str(out)])
             assert code == EXIT_OK
             manifest = json.loads((out / "ingest.manifest.json").read_text())
-            assert manifest["config"]["rejected_rows"] == 0
+            assert manifest["config"]["rejected_rows"] == {metric: 0}
+            assert manifest["config"]["columns"] == read
         headless = tmp_path / "headless.csv"
         headless.write_bytes(b"\xef\xbb\xbf0,j1,j1,0.1,0.1\n60000000,j2,j2,0.1,0.1\n")
-        code = main(["ingest", "--trace", str(headless), "--out-dir", str(tmp_path / "headless")])
+        code = main(["ingest", "--trace", str(headless), "--metric", "all", "--out-dir", str(tmp_path / "headless")])
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "headless" / "ingest.manifest.json").read_text())
-        assert manifest["config"]["rejected_rows"] == 0
+        assert manifest["config"]["rejected_rows"] == {"arrivals": 0, "cpu": 0, "memory": 0}
+        assert manifest["config"]["columns"] == {"timestamp": 0, "cpu": 3, "mem": 4}
 
     def test_empty_first_line_is_not_the_header(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -978,7 +1060,7 @@ class TestExitCodes:
             code = main(["ingest", "--trace", str(trace), "--header", *columns, "--out-dir", str(out)])
             assert code == EXIT_OK, columns
             manifest = json.loads((out / "ingest.manifest.json").read_text())
-            assert manifest["config"]["rejected_rows"] == 0
+            assert manifest["config"]["rejected_rows"] == {"arrivals": 0}
 
     def test_negative_column_index_is_usage_error(self, tmp_path, capsys):
         # On a ragged file a negative index would read a different column on each row.

@@ -2,9 +2,10 @@
 
 The trace slice: each example makes one or two edits to a small synth trace,
 from a fixed list of field tokens and line edits, and runs ``ingest --metric
-all`` on it in process, with warnings raised as errors. An accepted trace
-must give observations that read back and the reference reader's reject
-count.
+all`` and the default arrivals ``ingest`` on it in process, with warnings
+raised as errors. An accepted trace must give observations that read back,
+arrival samples that sum to the reference reader's count of rows with a
+usable timestamp, and the reference reader's reject count for each metric.
 """
 
 import itertools
@@ -23,7 +24,7 @@ import oracles
 # int64, not finite, out of float range, subnormal, a non-ASCII digit, what
 # only int takes or neither takes, and the two characters csv treats apart.
 _TOKENS = ["", "-1", str(2**63), str(2**64), "nan", "inf", "-inf", "1e400", "5e-324", "١", "1_0", "0x10", '"', "\r"]
-_INGEST = ["ingest", "--header", "--pp-tps", "4", "--metric", "all"]
+_INGEST = ["ingest", "--header", "--pp-tps", "4"]
 
 
 @pytest.fixture(scope="session")
@@ -61,11 +62,11 @@ _EDITS = st.tuples(
 )
 
 
-def _reference_rejects(path):
-    """The reference per-row reader's reject count, the header taken as ``_parse_rows`` takes it."""
+def _reference(path):
+    """The reference per-metric reader's results by metric name, the header taken as ``_parse_rows`` takes it."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         lines = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
-        return oracles.parse_rows(lines, ColumnMapping(has_header=True)).rejected
+        return {m.value: r for m, r in oracles.parse_metrics(lines, ColumnMapping(has_header=True)).items()}
 
 
 def test_mutated_trace_ingests_or_exits_with_a_message(synth_lines, tmp_path, capsys):
@@ -79,20 +80,25 @@ def test_mutated_trace_ingests_or_exits_with_a_message(synth_lines, tmp_path, ca
         for edit in edits:
             lines = _edit(lines, edit)
         trace.write_bytes("".join(lines).encode("utf-8"))
-        out = tmp_path / f"out{next(runs)}"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main([*_INGEST, "--trace", str(trace), "--out-dir", str(out)])
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2)
-        if code:
-            assert "cyclecast: error:" in err
-            assert not out.exists()
-            return
-        manifest = json.loads((out / "ingest.manifest.json").read_text())
-        assert len(manifest["outputs"]) == 3
-        for name in manifest["outputs"]:
-            assert len(read_observations(out / name)) > 0, name
-        assert manifest["config"]["rejected_rows"] == _reference_rejects(trace)
+        reference = _reference(trace)
+        for metrics in (["all"], ["arrivals"]):
+            out = tmp_path / f"out{next(runs)}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([*_INGEST, "--metric", *metrics, "--trace", str(trace), "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2)
+            if code:
+                assert "cyclecast: error:" in err
+                assert not out.exists()
+                continue
+            manifest = json.loads((out / "ingest.manifest.json").read_text())
+            names = manifest["config"]["metrics"]
+            assert len(manifest["outputs"]) == len(names) == (3 if metrics == ["all"] else 1)
+            for name in manifest["outputs"]:
+                assert len(read_observations(out / name)) > 0, name
+            arrivals = read_observations(out / "observations_arrivals.csv").samples
+            assert arrivals.sum() == len(reference["arrivals"].events)
+            assert manifest["config"]["rejected_rows"] == {name: reference[name].rejected for name in names}
 
     check()

@@ -35,20 +35,66 @@ import oracles
 
 
 def _columns(events: Events):
-    return events.timestamp.tolist(), events.cpu.tolist(), events.mem.tolist()
+    """The event columns as lists; None for a request column the events do not carry."""
+    return tuple(None if c is None else c.tolist() for c in (events.timestamp, events.cpu, events.mem))
+
+
+def _mapped(result) -> list[MetricKind]:
+    """The metrics a parse result can give: arrivals, and each request metric whose column was read."""
+    return [m for m in MetricKind if m not in trace._REQUESTS or getattr(result.events, trace._REQUESTS[m]) is not None]
+
+
+def _counted(result, metric):
+    """The events ``metric`` counts, with its column alone, and its rejects: the rows
+    that its mask does not mark; each marked request must read +0.0."""
+    ts, name = result.events.timestamp, trace._REQUESTS.get(metric)
+    if name is None:
+        return trace.ParseResult(Events(ts), result.rejected_for(metric))
+    values, mask = getattr(result.events, name), getattr(result, f"{name}_invalid")
+    keep = np.ones(len(ts), dtype=bool) if mask is None else ~mask
+    assert values[~keep].tobytes() == bytes(8 * int(np.count_nonzero(~keep))), metric
+    return trace.ParseResult(Events(ts[keep], **{name: values[keep]}), result.rejected_for(metric))
+
+
+def _metrics(result) -> dict:
+    """Per metric the parse result gives, the events it counts as lists and its reject count."""
+    return {m.value: (*_columns((one := _counted(result, m)).events), one.rejected) for m in _mapped(result)}
 
 
 def _arrivals(*timestamps: int) -> Events:
     return Events(timestamps, [0.0] * len(timestamps), [0.0] * len(timestamps))
 
 
-def _assert_same_parse(result, reference):
-    """Equal to the bit: column dtypes and bytes, and the reject count."""
-    assert result.rejected == reference.rejected
+def _assert_same_events(got, want, what=None):
+    """Equal to the bit: the same request columns carried, column dtypes and bytes, and the reject count."""
+    assert got.rejected == want.rejected, what
     for name in ("timestamp", "cpu", "mem"):
-        got, want = getattr(result.events, name), getattr(reference.events, name)
-        assert got.dtype == want.dtype, name
-        assert got.tobytes() == want.tobytes(), name
+        a, b = getattr(got.events, name), getattr(want.events, name)
+        assert (a is None) == (b is None), (what, name)
+        if a is not None:
+            assert a.dtype == b.dtype, (what, name)
+            assert a.tobytes() == b.tobytes(), (what, name)
+
+
+def _assert_same_metrics(got: dict, want: dict):
+    """Per-metric parse results (``oracles.parse_metrics``'s form) equal to the bit."""
+    assert list(got) == list(want)
+    for metric in want:
+        _assert_same_events(got[metric], want[metric], metric)
+
+
+def _assert_same_parse(result, reference):
+    """The events each metric counts and its rejects, against the per-metric reference reader's."""
+    _assert_same_metrics({m: _counted(result, m) for m in _mapped(result)}, reference)
+
+
+def _assert_same_result(got, want):
+    """Two readers agree: the same columns and masks to the bit, and the same reject counts."""
+    _assert_same_events(got, want)
+    for name in ("cpu_invalid", "mem_invalid"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes()), name
+    assert [got.rejected_for(m) for m in _mapped(got)] == [want.rejected_for(m) for m in _mapped(want)]
 
 
 class TestParse:
@@ -74,9 +120,11 @@ class TestParse:
         assert res.rejected == 0
 
     def test_bad_cpu_field_rejected(self, parse):
+        # Rejected for cpu alone: the row still counts as an arrival and for memory.
         res = parse("1,j,t,abc,0.1", "2,j,t,0.2,0.1")
-        assert res.rejected == 1
-        assert len(res.events) == 1
+        assert _metrics(res) == {
+            "arrivals": ([1, 2], None, None, 0), "cpu": ([2], [0.2], None, 1), "memory": ([1, 2], None, [0.1, 0.1], 0),
+        }
 
     def test_bad_timestamp_rejected(self, parse):
         # The last timestamp does not fit in int64 microseconds.
@@ -85,9 +133,15 @@ class TestParse:
         assert len(res.events) == 0
 
     def test_short_row_rejected(self, parse):
+        # Too short for the requests: an arrival all the same. Too short for the timestamp: rejected by all.
         res = parse("12,j", "13,j,t,0.7,0.3")
-        assert res.rejected == 1
-        assert res.events.timestamp.tolist() == [13]
+        assert _metrics(res) == {
+            "arrivals": ([12, 13], None, None, 0), "cpu": ([13], [0.7], None, 1), "memory": ([13], None, [0.3], 1),
+        }
+        res = parse("12,j", "13,j,t,0.7,0.3", mapping=ColumnMapping(timestamp=2))
+        assert _metrics(res) == {
+            "arrivals": ([], None, None, 2), "cpu": ([], [], None, 2), "memory": ([], None, [], 2),
+        }
 
     def test_non_ascii_digits(self, parse):
         # A control picture is no digit; int() reads Arabic-Indic digits.
@@ -99,7 +153,7 @@ class TestParse:
     def test_timestamp_column_read_twice(self, parse):
         # int("-0") is 0 while float("-0") keeps its sign.
         res = parse("-0", "5", mapping=ColumnMapping(timestamp=0, cpu=0, mem=None))
-        assert _columns(res.events) == ([0, 5], [0.0, 5.0], [0.0, 0.0])
+        assert _columns(res.events) == ([0, 5], [0.0, 5.0], None)
         assert math.copysign(1.0, res.events.cpu[0]) == -1.0
 
     def test_negative_column_counts_from_row_end(self, parse):
@@ -108,7 +162,9 @@ class TestParse:
 
     def test_negative_request_rejected(self, parse):
         res = parse("1,j,t,-0.5,0.1")
-        assert res.rejected == 1
+        assert _metrics(res) == {
+            "arrivals": ([1], None, None, 0), "cpu": ([], [], None, 1), "memory": ([1], None, [0.1], 0),
+        }
 
     def test_unsorted_input_sorted(self, parse):
         res = parse("30,j,t,0.3,0", "10,j,t,0.1,0", "30,j,t,0.4,0", "20,j,t,0.2,0")
@@ -130,7 +186,7 @@ class TestParse:
         assert (res.rejected, _columns(res.events)) == (0, ([42], [0.25], [0.5]))
         mapping = ColumnMapping(timestamp="time", cpu="cpu_req", mem=None, has_header=True)
         res = parse("", "time,cpu_req", "42,0.25", mapping=mapping)
-        assert (res.rejected, _columns(res.events)) == (0, ([42], [0.25], [0.0]))
+        assert (res.rejected, _columns(res.events)) == (0, ([42], [0.25], None))
         res = parse("", "", mapping=ColumnMapping(has_header=True))
         assert (res.rejected, len(res.events)) == (0, 0)
 
@@ -147,7 +203,9 @@ class TestParse:
     def test_arrivals_only_mapping(self, parse):
         mapping = ColumnMapping(timestamp=0, cpu=None, mem=None)
         res = parse("7", "9", mapping=mapping)
-        assert _columns(res.events) == ([7, 9], [0.0, 0.0], [0.0, 0.0])
+        # No request column is read, so none is carried.
+        assert _columns(res.events) == ([7, 9], None, None)
+        assert _metrics(res) == {"arrivals": ([7, 9], None, None, 0)}
 
     def test_alternate_delimiter(self, parse):
         mapping = ColumnMapping(delimiter=";")
@@ -159,9 +217,13 @@ class TestParse:
             "-5,j,t,0.1,0.1", "1,j,t,inf,0.1", "2,j,t,0.1,nan", "3,j,t,-0.0,0.1",
             "4,j,t,1e400,0", "5,j,t,0.5,-1e-300", f"{2**63 - 1},j,t,0.5,0.25",
         )
-        assert res.rejected == 5
-        assert _columns(res.events) == ([3, 2**63 - 1], [-0.0, 0.5], [0.1, 0.25])
-        assert math.copysign(1.0, res.events.cpu[0]) == -1.0
+        # Each metric rejects the negative timestamp and its own refused requests.
+        assert _metrics(res) == {
+            "arrivals": ([1, 2, 3, 4, 5, 2**63 - 1], None, None, 1),
+            "cpu": ([2, 3, 5, 2**63 - 1], [0.1, -0.0, 0.5, 0.5], None, 3),
+            "memory": ([1, 3, 4, 2**63 - 1], None, [0.1, 0.1, 0.0, 0.25], 3),
+        }
+        assert math.copysign(1.0, _counted(res, MetricKind.CPU).events.cpu[1]) == -1.0
 
 
 class TestParseFile(TestParse):
@@ -181,7 +243,7 @@ class TestParseFile(TestParse):
         assert (res.rejected, _columns(res.events)[0]) == (0, [1, 2])
         mapping = ColumnMapping(timestamp="time", cpu="cpu", mem=None, has_header=True)
         res = parse("\ufefftime,cpu", "42,0.25", mapping=mapping)
-        assert _columns(res.events) == ([42], [0.25], [0.0])
+        assert _columns(res.events) == ([42], [0.25], None)
 
 
 def _row(ts="5", cpu="0.5", mem="0.25"):
@@ -205,7 +267,7 @@ class TestRowRule:
                 path.write_text("".join(lines), encoding="utf-8")
                 assert trace._parse_bulk(path, mapping) is None
                 result = parse_trace(path, mapping)
-            _assert_same_parse(result, oracles.parse_rows(lines, mapping))
+            _assert_same_parse(result, oracles.parse_metrics(lines, mapping))
             return result
 
         return run
@@ -222,20 +284,30 @@ class TestRowRule:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1e-300"])
     @pytest.mark.parametrize("field", ["cpu", "mem"])
     def test_non_finite_or_negative_request_rejected(self, parse, field, value):
+        # Rejected by its own metric alone.
         res = parse(_row(ts="7", **{field: value}), _row(ts="6"))
-        assert (res.rejected, res.events.timestamp.tolist()) == (1, [6])
+        own = "cpu" if field == "cpu" else "memory"
+        counts = {metric: (rejected, ts) for metric, (ts, _, _, rejected) in _metrics(res).items()}
+        assert counts == {"arrivals": (0, [6, 7]), "cpu": (0, [6, 7]), "memory": (0, [6, 7]), own: (1, [6])}
 
     def test_negative_zero_request_kept_with_its_sign(self, parse):
         res = parse(_row(cpu="-0.0", mem="-0.0"))
         assert res.rejected == 0 and np.signbit(res.events.cpu[0]) and np.signbit(res.events.mem[0])
 
     def test_short_row_rejected(self, parse):
+        # Too short for the memory column alone.
         res = parse('5,"j",t,0.5\n', _row(ts="6"))
-        assert (res.rejected, res.events.timestamp.tolist()) == (1, [6])
+        assert _metrics(res) == {
+            "arrivals": ([5, 6], None, None, 0), "cpu": ([5, 6], [0.5, 0.5], None, 0), "memory": ([6], None, [0.25], 1),
+        }
 
     def test_every_reject_in_one_input(self, parse):
         res = parse(_row(ts="9"), _row(ts=str(2**63)), _row(ts="-1"), _row(cpu="nan"), "8\n", _row(ts="3", mem="-0.0"))
-        assert (res.rejected, res.events.timestamp.tolist()) == (4, [3, 9])
+        assert _metrics(res) == {
+            "arrivals": ([3, 5, 8, 9], None, None, 2),
+            "cpu": ([3, 9], [0.5, 0.5], None, 4),
+            "memory": ([3, 5, 9], None, [-0.0, 0.25, 0.25], 3),
+        }
 
     def test_mapping_without_timestamp_raises(self):
         with pytest.raises(ValueError, match="timestamp column is required"):
@@ -253,7 +325,7 @@ def _reference_parse(path, mapping):
             # The header is the first non-empty row; the reference took the
             # first row even when csv read it as empty.
             lines = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
-        return oracles.parse_rows(lines, mapping)
+        return oracles.parse_metrics(lines, mapping)
 
 
 # Fields the two readers may disagree on: int() and float() take non-ASCII
@@ -358,7 +430,7 @@ class TestBulkReader:
         _assert_same_parse(res, reference)
         assert len(res.events) == len(events) and res.rejected == 0
         for name, (_, m) in variants.items():
-            _assert_same_parse(references[name], reference)
+            _assert_same_metrics(references[name], reference)
             _assert_same_parse(parse_trace(tmp_path / name, m), references[name])
 
     def test_line_past_csv_field_limit_is_refused(self, tmp_path):
@@ -427,13 +499,20 @@ class TestBulkReader:
 
     def test_cpu_and_memory_from_one_column_drop_a_reject_once(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.csv"
-        path.write_text("0,-1.0,j\n1,1.0,j\n2,0.5,j\n3,2.5,j\n")
+        path.write_text("-4,7.0,j\n0,-1.0,j\n1,1.0,j\n2,0.5,j\n3,2.5,j\n")
         mapping = ColumnMapping(cpu=1, mem=1)
         reference = _reference_parse(path, mapping)
         monkeypatch.setattr(trace, "_parse_rows", _fail)
         result = parse_trace(path, mapping)
         _assert_same_parse(result, reference)
-        assert _columns(result.events) == ([1, 2, 3], [1.0, 0.5, 2.5], [1.0, 0.5, 2.5])
+        # The refused request reads 0.0 in the one column that both metrics read.
+        assert _columns(result.events) == ([0, 1, 2, 3], [0.0, 1.0, 0.5, 2.5], [0.0, 1.0, 0.5, 2.5])
+        assert np.shares_memory(result.events.cpu, result.events.mem)
+        assert _metrics(result) == {
+            "arrivals": ([0, 1, 2, 3], None, None, 1),
+            "cpu": ([1, 2, 3], [1.0, 0.5, 2.5], None, 2),
+            "memory": ([1, 2, 3], None, [1.0, 0.5, 2.5], 2),
+        }
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 7])
     def test_checks_made_a_block_at_a_time(self, tmp_path, monkeypatch, block):
@@ -459,6 +538,82 @@ class TestBulkReader:
                 _assert_same_parse(bulk, reference)
                 with open(path, encoding="utf-8") as fh:
                     _assert_same_parse(parse_trace(fh, mapping), reference)
+
+
+# Request fields that their metric alone refuses: empty, unreadable, negative, not finite.
+_BAD_REQUESTS = ["", "abc", "-1", "-1e-300", "nan", "inf", "-inf", "1e400"]
+# Fields that every reader accepts, with varied decimals; -0.0 counts too.
+_GOOD_REQUESTS = ["0", "-0.0", "0.01", "0.005", "1.25", "0.3", "17", "2.5e-3"]
+
+
+@st.composite
+def _dirty_traces(draw):
+    """Rows with bad request fields or timestamps at random rows, at the first and
+    last rows and at the edges of a small ``_EVENT_BLOCK``; and the rows each metric counts."""
+    block = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4 * block + 3))
+    edges = sorted({0, n - 1, *(e for k in range(1, n // block + 1) for e in (k * block - 1, k * block) if e < n)})
+    rows, counted = [], {"arrivals": [], "cpu": [], "memory": []}
+    for i in range(n):
+        ts = draw(st.integers(0, 119_999_999))
+        fields = [str(ts), "j1", "j1", draw(st.sampled_from(_GOOD_REQUESTS)), draw(st.sampled_from(_GOOD_REQUESTS))]
+        at_edge = i in edges and draw(st.booleans())
+        bad = at_edge or draw(st.integers(0, 3)) == 0
+        kind = draw(st.sampled_from(["cpu", "mem", "both", "short", "ts"])) if bad else None
+        if kind in ("cpu", "both"):
+            fields[3] = draw(st.sampled_from(_BAD_REQUESTS))
+        if kind in ("mem", "both"):
+            fields[4] = draw(st.sampled_from(_BAD_REQUESTS))
+        if kind == "short":
+            del fields[draw(st.integers(1, 4)):]
+        if kind == "ts":
+            fields[0] = draw(st.sampled_from(["-1", "x", "", str(2**63)]))
+        rows.append(",".join(fields))
+        if kind != "ts":
+            counted["arrivals"].append((ts, None))
+            for metric, c in (("cpu", 3), ("memory", 4)):
+                if c < len(fields) and fields[c] not in _BAD_REQUESTS:
+                    counted[metric].append((ts, float(fields[c])))
+    # Each metric's rows in stable time order, as the readers give them.
+    return block, "".join(row + "\n" for row in rows), {m: sorted(r, key=lambda r: r[0]) for m, r in counted.items()}
+
+
+class TestPerMetricRule:
+    def test_each_metric_counts_its_own_rows(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        mapping = ColumnMapping()
+        paths = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(case=_dirty_traces())
+        def check(case):
+            block, text, counted = case
+            path.write_text(text, encoding="utf-8")
+            with mock.patch.object(trace, "_EVENT_BLOCK", block):
+                bulk = trace._parse_bulk(path, mapping)
+                from_path, from_stream = parse_trace(path, mapping), parse_trace(io.StringIO(text), mapping)
+            # The two readers agree bit for bit, and with the per-metric reference reader.
+            _assert_same_result(from_path, from_stream)
+            if bulk is not None:
+                _assert_same_result(bulk, from_stream)
+            _assert_same_parse(from_stream, oracles.parse_metrics(io.StringIO(text), mapping))
+            paths.append(bulk is not None)
+            # Arrivals per sub-bin count the rows with a usable timestamp; cpu and
+            # memory sum their own usable rows' requests.
+            num_tps = 2
+            for metric in MetricKind:
+                rows = counted[metric.value]
+                assert from_stream.rejected_for(metric) == text.count("\n") - len(rows), metric
+                obs = aggregate_span(from_stream.events, 0, num_tps, 1, 2, metric, 1, scale=1000.0)
+                values = None if metric is MetricKind.ARRIVALS else [v for _, v in rows]
+                expected = oracles.aggregate_per_period(
+                    [t for t, _ in rows], values, 0, num_tps, 60 * US_PER_SECOND, US_PER_SECOND, 1000.0
+                )
+                assert obs.samples.tolist() == expected, metric
+
+        check()
+        # Both the bulk reader and the row reader take a fair share of the files.
+        assert len(paths) / 10 <= sum(paths) <= len(paths) * 9 / 10, (sum(paths), len(paths))
 
 
 def _no_network(*args, **kwargs):
@@ -970,6 +1125,20 @@ class TestEventsType:
         with pytest.raises(ValueError, match="timestamp must be integers below 2"):
             Events(timestamp, [0.5], [0.25])
 
+    def test_request_columns_are_optional_and_checked(self, tmp_path):
+        events = Events([1, 2], mem=[0.5, 0.25])
+        assert (events.cpu, events.mem.dtype) == (None, np.float64)
+        with pytest.raises(ValueError, match="equal lengths"):
+            Events([1, 2], cpu=[0.5])
+        # A metric needs the column it reads, and a trace row needs both.
+        with pytest.raises(ValueError, match="^the events carry no cpu requests$"):
+            aggregate_span(events, 0, 1, 1, 1, MetricKind.CPU)
+        assert aggregate_span(events, 0, 1, 1, 1, MetricKind.MEMORY).samples.tolist() == [[75]]
+        with pytest.raises(ValueError, match="^a trace row needs cpu and memory requests$"):
+            write_trace(tmp_path / "trace.csv", events, tp_minutes=1)
+        with pytest.raises(ValueError, match="^no memory column was read$"):
+            parse_trace(["5,j,t,0.5\n"], ColumnMapping(mem=None)).rejected_for(MetricKind.MEMORY)
+
 
 class TestObservationType:
     def test_empty_samples_rejected(self):
@@ -1422,24 +1591,31 @@ class TestBoundedMemory:
         assert _traced_peak(call) < 64 * 1024
 
     def test_one_reject_copies_no_column(self, tmp_path, monkeypatch):
-        # 150,000 rows, then the same behind one row of negative cpu: the
+        # 150,000 rows, then the same behind one row of negative timestamp: the
         # reject moves the rows after it up within the table, a block at a time.
+        # A negative cpu request rejects no row: it costs the cpu mask alone.
         monkeypatch.setattr(trace, "_EVENT_BLOCK", 4096)
         n = 150_000
         rows = "".join(f"{i * 1000},j1,j1,{i % 7 / 8},{i % 5 / 4}\n" for i in range(n))
         header = "timestamp,job_id,task_id,cpu_request,mem_request\n"
-        clean, rejected = tmp_path / "clean.csv", tmp_path / "rejected.csv"
+        clean, rejected, refused = tmp_path / "clean.csv", tmp_path / "rejected.csv", tmp_path / "refused.csv"
         clean.write_text(header + rows)
-        rejected.write_text(header + "5,j1,j1,-1.0,0.5\n" + rows)
+        rejected.write_text(header + "-5,j1,j1,1.0,0.5\n" + rows)
+        refused.write_text(header + rows + f"{n * 1000},j1,j1,-1.0,0.5\n")
         mapping = ColumnMapping(has_header=True)
-        peaks = [_traced_peak(lambda: parse_trace(path, mapping)) for path in (clean, rejected)]
+        peaks = [_traced_peak(lambda: parse_trace(path, mapping)) for path in (clean, rejected, refused)]
         # Within one block's kept records (24 bytes each) and its masks of the
         # clean parse; a copy of the three columns would add 3.6 MB.
         assert peaks[1] <= peaks[0] + 4096 * (24 + 8) + 16 * 1024, peaks
+        assert peaks[2] <= peaks[0] + 24 + (n + 1) + 4096 * (24 + 8) + 16 * 1024, peaks
         res, ref = parse_trace(rejected, mapping), parse_trace(clean, mapping)
         assert res.rejected == 1 and ref.rejected == 0
         for column in ("timestamp", "cpu", "mem"):
             assert getattr(res.events, column).tobytes() == getattr(ref.events, column).tobytes()
+        res = parse_trace(refused, mapping)
+        assert (res.rejected, res.mem_invalid, np.flatnonzero(res.cpu_invalid).tolist()) == (0, None, [n])
+        assert len(res.events) == n + 1 and res.rejected_for(MetricKind.CPU) == 1
+        assert res.events.cpu[n].tobytes() == bytes(8)  # the refused request reads +0.0
 
     def test_span_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(trace, "_MAX_SPAN_SUB_BINS", 4 * 30)
